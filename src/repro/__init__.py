@@ -62,7 +62,6 @@ _EXPORTS = {
     "OPT_MODES": ".offline",
     "bounds_opt": ".offline",
     "cioq_opt": ".offline",
-    "cioq_upper_bound": ".offline",
     "crossbar_opt": ".offline",
     "select_opt_mode": ".offline",
     "solve_opt": ".offline",
@@ -120,6 +119,8 @@ _EXPORTS = {
     "unit_values": ".traffic",
 }
 
+__all__ = ["PAPER", "__version__", *_EXPORTS]
+
 
 def __getattr__(name: str):
     try:
@@ -135,82 +136,3 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted(set(globals()) | set(_EXPORTS))
-
-__all__ = [
-    "PAPER",
-    "__version__",
-    # core algorithms
-    "GMPolicy",
-    "PGPolicy",
-    "CGUPolicy",
-    "CPGPolicy",
-    "BETA_STAR",
-    "GM_RATIO",
-    "CGU_RATIO",
-    "pg_ratio",
-    "pg_optimal_beta",
-    "pg_optimal_ratio",
-    "cpg_ratio",
-    "cpg_optimal_params",
-    "cpg_optimal_ratio",
-    # offline optimum
-    "cioq_opt",
-    "crossbar_opt",
-    "cioq_upper_bound",
-    "solve_opt",
-    "select_opt_mode",
-    "windowed_opt",
-    "bounds_opt",
-    "OPT_MODES",
-    # scheduling
-    "CIOQPolicy",
-    "CrossbarPolicy",
-    "MaxMatchPolicy",
-    "MaxWeightMatchPolicy",
-    "RandomMatchPolicy",
-    "RoundRobinPolicy",
-    # simulation
-    "run_cioq",
-    "run_crossbar",
-    "SimulationResult",
-    # parallel sweep substrate
-    "SweepExecutor",
-    "SweepPoint",
-    "run_sweep_point",
-    # scenario subsystem
-    "ScenarioSpec",
-    "ScenarioRun",
-    "register_scenario",
-    "get_scenario",
-    "scenario_names",
-    "all_scenarios",
-    "run_scenario",
-    "write_artifacts",
-    # replication & statistics
-    "Welford",
-    "ReplicationPlan",
-    "ReplicatedRun",
-    "replicate_scenario",
-    "summarize_artifact",
-    "write_replicated_artifacts",
-    # switch
-    "SwitchConfig",
-    "Packet",
-    "CIOQSwitch",
-    "CrossbarSwitch",
-    "render_cioq",
-    "render_crossbar",
-    # traffic
-    "Trace",
-    "BernoulliTraffic",
-    "BurstyTraffic",
-    "HotspotTraffic",
-    "DiagonalTraffic",
-    "MarkovModulatedTraffic",
-    "ParetoBurstTraffic",
-    "TraceReplayTraffic",
-    "unit_values",
-    "uniform_values",
-    "two_value",
-    "pareto_values",
-]

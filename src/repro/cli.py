@@ -834,7 +834,7 @@ def cmd_farm_gc(args) -> int:
     from .parallel import CACHE_VERSION
 
     store = ResultStore(args.cache_dir, CACHE_VERSION)
-    removed = store.gc(include_legacy=args.include_legacy)
+    removed = store.gc()
     print(format_table(
         [{"bucket": k, "files": v} for k, v in removed.items()],
         title=f"store gc ({args.cache_dir})",
@@ -1197,9 +1197,6 @@ def build_parser() -> argparse.ArgumentParser:
         "gc", help="reclaim stale/torn store files and dead claims")
     f_gc.add_argument("--cache-dir", required=True, dest="cache_dir",
                       help="result-store root to collect")
-    f_gc.add_argument("--include-legacy", action="store_true",
-                      dest="include_legacy",
-                      help="also remove pre-farm flat cache entries")
     f_gc.set_defaults(func=cmd_farm_gc)
 
     p_const = sub.add_parser("constants", help="verify paper constants")

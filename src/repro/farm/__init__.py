@@ -18,17 +18,6 @@ re-exports here would close that cycle.
 
 from __future__ import annotations
 
-__all__ = [
-    "ResultStore",
-    "PersistentPool",
-    "JobQueue",
-    "JOB_STATES",
-    "build_job",
-    "run_job",
-    "serve",
-    "farm_status",
-]
-
 _EXPORTS = {
     "ResultStore": "store",
     "PersistentPool": "pool",
@@ -39,6 +28,8 @@ _EXPORTS = {
     "serve": "service",
     "farm_status": "service",
 }
+
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):

@@ -27,7 +27,7 @@ competitive-ratio denominator).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..switch.config import SwitchConfig
 from ..switch.packet import Packet
@@ -182,9 +182,3 @@ def bounds_opt(
         opt_lower=lower,
         opt_upper=upper,
     )
-
-
-def bracket_tuple(result: OptResult) -> Tuple[float, float]:
-    """``(opt_lower, opt_upper)`` for any :class:`OptResult` (exact ones
-    bracket trivially at ``benefit``)."""
-    return result.bracket

@@ -255,23 +255,6 @@ class CrossbarOptModel:
         self.row_ub = np.asarray(ub)
         self._built = True
 
-    def solve_lp_relaxation(self) -> float:
-        """Benefit of the LP relaxation (upper bound on the optimum)."""
-        if not self.trace.packets:
-            return 0.0
-        self.build()
-        res = milp(
-            c=self.objective,
-            constraints=LinearConstraint(self.A, self.row_lb, self.row_ub),
-            integrality=np.zeros(self.n_var),
-            bounds=self.bounds,
-        )
-        if res.status != 0 or res.x is None:
-            raise RuntimeError(
-                f"crossbar OPT LP relaxation failed: {res.message!r}"
-            )
-        return float(-res.fun)
-
     def solve(self, extract_schedule: bool = False) -> OptResult:
         """Solve to proven optimality."""
         if not self.trace.packets:

@@ -26,7 +26,7 @@ from ..switch.config import SwitchConfig
 from ..traffic.trace import Trace
 from .bounds import bounds_opt
 from .crossbar_timegraph import CrossbarOptModel
-from .timegraph import CIOQOptModel, OptResult, cioq_relaxation_bound
+from .timegraph import CIOQOptModel, OptResult
 from .windowed import window_drain_slots, windowed_opt
 
 #: Recognised ``mode=`` values, in increasing order of approximation.
@@ -152,12 +152,3 @@ def crossbar_opt(
     return solve_opt(trace, config, model="crossbar", mode=mode,
                      window=window, horizon=horizon,
                      extract_schedule=extract_schedule)
-
-
-def cioq_upper_bound(
-    trace: Trace,
-    config: SwitchConfig,
-    horizon: Optional[int] = None,
-) -> float:
-    """Fast flow-relaxation upper bound on the CIOQ offline optimum."""
-    return cioq_relaxation_bound(trace, config, horizon=horizon)

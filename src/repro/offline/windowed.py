@@ -50,13 +50,13 @@ against the engine's conservative bound on every differential instance.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..switch.config import SwitchConfig
 from ..switch.packet import Packet
 from ..traffic.trace import Trace
 from .crossbar_timegraph import CrossbarOptModel
-from .timegraph import CIOQOptModel, OptResult, default_horizon
+from .timegraph import CIOQOptModel, OptResult
 
 _MODEL_CLASSES = {"cioq": CIOQOptModel, "crossbar": CrossbarOptModel}
 
@@ -189,11 +189,3 @@ def windowed_opt(
         window=window,
         n_windows=len(bounds),
     )
-
-
-def windowed_horizon(trace: Trace, config: SwitchConfig,
-                     window: int) -> int:
-    """Horizon the windowed solver effectively covers (for reporting)."""
-    if window >= trace.n_slots:
-        return default_horizon(trace, config)
-    return trace.n_slots + window_drain_slots(config)

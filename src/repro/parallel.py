@@ -412,16 +412,6 @@ class SweepExecutor:
         blob = json.dumps(spec, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
-    def _cache_path(self, key: str) -> str:
-        """Sharded store path a new entry for ``key`` lands on."""
-        return self.store.path(key)
-
-    def _cache_get(self, key: str) -> Optional[Dict[str, object]]:
-        return self.store.get(key)
-
-    def _cache_put(self, key: str, payload: Dict[str, object]) -> None:
-        self.store.put(key, payload)
-
     # -- execution -----------------------------------------------------------
 
     def run(self, points: Sequence[SweepPoint]) -> List[Dict[str, object]]:

@@ -20,7 +20,7 @@ from .engine import (
     run_crossbar,
     run_crossbar_batch,
 )
-from .kernel import NULL_RECORDER, LogRecorder, NullRecorder, run_slot_loop
+from .kernel import run_slot_loop
 from .results import SimulationResult, TransferEvent
 
 __all__ = [
@@ -40,9 +40,6 @@ __all__ = [
     "run_crossbar",
     "run_crossbar_batch",
     "run_slot_loop",
-    "LogRecorder",
-    "NullRecorder",
-    "NULL_RECORDER",
     "SimulationResult",
     "TransferEvent",
 ]

@@ -21,14 +21,15 @@ The engine validates every policy decision against the switch's
 feasibility rules, counts all losses, and asserts conservation at the
 end of each run.
 
-The three entry points below are thin wrappers: they build the switch
-and the arrival source, then delegate to the shared fast slot loop in
+Every entry point below builds the switch and the arrival source in
+one place, :func:`_simulate`, which runs the shared slot loop of
 :mod:`repro.simulation.kernel` (see that module for the performance
-model).
+model).  The trace entries try the vectorized ``fast`` backend first.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..scheduling.base import CIOQPolicy, CrossbarPolicy
@@ -45,10 +46,12 @@ from .backends import (
     load_fastpath,
     validate_backend,
 )
-from .kernel import NULL_RECORDER, LogRecorder, run_slot_loop
+from .kernel import ArrivalSource, run_slot_loop
 from .results import SimulationResult
 
 ArrivalSpec = Tuple[int, int, float]
+
+_SWITCHES = {"cioq": CIOQSwitch, "crossbar": CrossbarSwitch}
 
 
 def drain_bound(config: SwitchConfig) -> int:
@@ -68,60 +71,130 @@ def _check_dims(trace: Trace, config: SwitchConfig) -> None:
         )
 
 
-def _make_result(
-    policy, config: SwitchConfig, n_arrival_slots: int, horizon: int
+def _simulate(
+    model: str,
+    policy,
+    config: SwitchConfig,
+    arrivals: Callable[[object], ArrivalSource],
+    n_slots: int,
+    extra_slots: int,
+    record: bool,
+    **loop_options,
 ) -> SimulationResult:
-    return SimulationResult(
+    """Run ``policy`` on a fresh ``model`` switch in the reference kernel.
+
+    ``arrivals(switch)`` returns the per-slot arrival source; it gets
+    the switch so that streaming sources can observe online state.
+    """
+    switch = _SWITCHES[model](config)
+    policy.reset(switch)
+    horizon = n_slots + extra_slots
+    result = SimulationResult(
         policy_name=policy.name,
         config=config,
-        n_arrival_slots=n_arrival_slots,
+        n_arrival_slots=n_slots,
         horizon=horizon,
     )
+    return run_slot_loop(
+        switch,
+        policy,
+        arrivals(switch),
+        n_slots,
+        horizon,
+        result,
+        crossbar=model == "crossbar",
+        record=record,
+        **loop_options,
+    )
+
+
+def _run_trace(
+    model: str,
+    policy,
+    config: SwitchConfig,
+    trace: Trace,
+    record: bool = False,
+    max_extra_slots: Optional[int] = None,
+    check_invariants: bool = False,
+    trace_occupancy: bool = False,
+    backend: str = DEFAULT_BACKEND,
+    metrics=None,
+    metrics_lane: int = 0,
+) -> SimulationResult:
+    """The trace path of :func:`run_cioq` / :func:`run_crossbar`: the
+    ``fast`` backend when it takes the run, else the reference kernel."""
+    _check_dims(trace, config)
+    validate_backend(backend)
+    # Below the size crossover `auto` goes straight to the reference
+    # kernel, which wins there.
+    if backend != "reference" and not (
+        backend == "auto" and auto_prefers_reference(policy, config)
+    ):
+        try:
+            return load_fastpath().run_single(
+                model,
+                policy,
+                config,
+                trace,
+                record=record,
+                max_extra_slots=max_extra_slots,
+                check_invariants=check_invariants,
+                trace_occupancy=trace_occupancy,
+                metrics=metrics,
+                metrics_lane=metrics_lane,
+            )
+        except (BackendUnavailable, BackendUnsupported):
+            if backend == "fast":
+                raise
+    extra = drain_bound(config) if max_extra_slots is None else max_extra_slots
+    return _simulate(
+        model,
+        policy,
+        config,
+        lambda switch: trace.arrival_slots().__getitem__,
+        trace.n_slots,
+        extra,
+        record,
+        check_invariants=check_invariants,
+        trace_occupancy=trace_occupancy,
+        metrics=metrics,
+        metrics_lane=metrics_lane,
+    )
+
+
+def _run_source(
+    model: str,
+    policy,
+    config: SwitchConfig,
+    source: Callable[[int, object], Sequence[ArrivalSpec]],
+    n_slots: int,
+    record: bool,
+    backend: str,
+    metrics,
+) -> SimulationResult:
+    """The source path of the two ``*_streaming`` entries."""
+    validate_backend(backend)
+    if backend == "fast":
+        raise BackendUnsupported(
+            "the fast backend does not support streaming arrival sources"
+        )
+
+    def arrivals(switch) -> ArrivalSource:
+        pids = count()  # arrival-event order, as TrafficModel numbers them
+
+        def arrivals_for(t: int) -> List[Packet]:
+            return [Packet(next(pids), value, t, src, dst)
+                    for src, dst, value in source(t, switch)]
+
+        return arrivals_for
+
+    return _simulate(model, policy, config, arrivals, n_slots,
+                     drain_bound(config), record, metrics=metrics)
 
 
 # ---------------------------------------------------------------------------
 # CIOQ runs
 # ---------------------------------------------------------------------------
-
-def _dispatch_single(
-    model: str,
-    policy,
-    config: SwitchConfig,
-    trace: Trace,
-    backend: str,
-    record: bool,
-    max_extra_slots: Optional[int],
-    check_invariants: bool,
-    trace_occupancy: bool,
-    metrics=None,
-    metrics_lane: int = 0,
-) -> Optional[SimulationResult]:
-    """Try the ``fast`` backend for a single run; return ``None`` when
-    the caller should take the reference path instead."""
-    validate_backend(backend)
-    if backend == "reference":
-        return None
-    if backend == "auto" and auto_prefers_reference(policy, config):
-        return None  # below the size crossover the reference kernel wins
-    try:
-        fastpath = load_fastpath()
-        return fastpath.run_single(
-            model,
-            policy,
-            config,
-            trace,
-            record=record,
-            max_extra_slots=max_extra_slots,
-            check_invariants=check_invariants,
-            trace_occupancy=trace_occupancy,
-            metrics=metrics,
-            metrics_lane=metrics_lane,
-        )
-    except (BackendUnavailable, BackendUnsupported):
-        if backend == "fast":
-            raise
-        return None
-
 
 def run_cioq(
     policy: CIOQPolicy,
@@ -163,33 +236,9 @@ def run_cioq(
         and disabled recorders are payload- and performance-equivalent
         to a metrics-free build (see :mod:`repro.obs`).
     """
-    _check_dims(trace, config)
-    fast = _dispatch_single(
-        "cioq", policy, config, trace, backend,
-        record, max_extra_slots, check_invariants, trace_occupancy,
-        metrics, metrics_lane,
-    )
-    if fast is not None:
-        return fast
-    switch = CIOQSwitch(config)
-    policy.reset(switch)
-    extra = drain_bound(config) if max_extra_slots is None else max_extra_slots
-    horizon = trace.n_slots + extra
-    result = _make_result(policy, config, trace.n_slots, horizon)
-    return run_slot_loop(
-        switch,
-        policy,
-        trace.arrival_slots().__getitem__,
-        trace.n_slots,
-        horizon,
-        result,
-        crossbar=False,
-        recorder=LogRecorder(result) if record else NULL_RECORDER,
-        check_invariants=check_invariants,
-        trace_occupancy=trace_occupancy,
-        metrics=metrics,
-        metrics_lane=metrics_lane,
-    )
+    return _run_trace("cioq", policy, config, trace, record,
+                      max_extra_slots, check_invariants, trace_occupancy,
+                      backend, metrics, metrics_lane)
 
 
 def run_cioq_streaming(
@@ -215,37 +264,8 @@ def run_cioq_streaming(
     :class:`~repro.simulation.backends.BackendUnsupported`, and
     ``backend="auto"`` silently uses the reference kernel.
     """
-    validate_backend(backend)
-    if backend == "fast":
-        raise BackendUnsupported(
-            "the fast backend does not support streaming arrival sources"
-        )
-    switch = CIOQSwitch(config)
-    policy.reset(switch)
-    horizon = n_slots + drain_bound(config)
-    result = _make_result(policy, config, n_slots, horizon)
-
-    pid = 0
-
-    def arrivals_for(t: int) -> List[Packet]:
-        nonlocal pid
-        packets: List[Packet] = []
-        for src, dst, value in source(t, switch):
-            packets.append(Packet(pid, value, t, src, dst))
-            pid += 1
-        return packets
-
-    return run_slot_loop(
-        switch,
-        policy,
-        arrivals_for,
-        n_slots,
-        horizon,
-        result,
-        crossbar=False,
-        recorder=LogRecorder(result) if record else NULL_RECORDER,
-        metrics=metrics,
-    )
+    return _run_source("cioq", policy, config, source, n_slots, record,
+                       backend, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -272,33 +292,9 @@ def run_crossbar(
     Section 1.3 of the paper.  Accepts the same keyword options as
     :func:`run_cioq`.
     """
-    _check_dims(trace, config)
-    fast = _dispatch_single(
-        "crossbar", policy, config, trace, backend,
-        record, max_extra_slots, check_invariants, trace_occupancy,
-        metrics, metrics_lane,
-    )
-    if fast is not None:
-        return fast
-    switch = CrossbarSwitch(config)
-    policy.reset(switch)
-    extra = drain_bound(config) if max_extra_slots is None else max_extra_slots
-    horizon = trace.n_slots + extra
-    result = _make_result(policy, config, trace.n_slots, horizon)
-    return run_slot_loop(
-        switch,
-        policy,
-        trace.arrival_slots().__getitem__,
-        trace.n_slots,
-        horizon,
-        result,
-        crossbar=True,
-        recorder=LogRecorder(result) if record else NULL_RECORDER,
-        check_invariants=check_invariants,
-        trace_occupancy=trace_occupancy,
-        metrics=metrics,
-        metrics_lane=metrics_lane,
-    )
+    return _run_trace("crossbar", policy, config, trace, record,
+                      max_extra_slots, check_invariants, trace_occupancy,
+                      backend, metrics, metrics_lane)
 
 
 def run_crossbar_streaming(
@@ -324,37 +320,8 @@ def run_crossbar_streaming(
     plugs in here and produces results byte-identical to running the
     materialized ``generate(n_slots, seed)`` trace.
     """
-    validate_backend(backend)
-    if backend == "fast":
-        raise BackendUnsupported(
-            "the fast backend does not support streaming arrival sources"
-        )
-    switch = CrossbarSwitch(config)
-    policy.reset(switch)
-    horizon = n_slots + drain_bound(config)
-    result = _make_result(policy, config, n_slots, horizon)
-
-    pid = 0
-
-    def arrivals_for(t: int) -> List[Packet]:
-        nonlocal pid
-        packets: List[Packet] = []
-        for src, dst, value in source(t, switch):
-            packets.append(Packet(pid, value, t, src, dst))
-            pid += 1
-        return packets
-
-    return run_slot_loop(
-        switch,
-        policy,
-        arrivals_for,
-        n_slots,
-        horizon,
-        result,
-        crossbar=True,
-        recorder=LogRecorder(result) if record else NULL_RECORDER,
-        metrics=metrics,
-    )
+    return _run_source("crossbar", policy, config, source, n_slots, record,
+                       backend, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +330,6 @@ def run_crossbar_streaming(
 
 def _run_batch(
     model: str,
-    single_runner,
     policy_factory: Callable[[], object],
     config: SwitchConfig,
     traces: Sequence[Trace],
@@ -396,7 +362,8 @@ def _run_batch(
     # Reference fallback: lane-tag each trace's samples by batch index,
     # matching the fast backend's lane numbering.
     return [
-        single_runner(
+        _run_trace(
+            model,
             policy_factory(),
             config,
             trace,
@@ -429,7 +396,7 @@ def run_cioq_batch(
     exactly the same results.
     """
     return _run_batch(
-        "cioq", run_cioq, policy_factory, config, traces,
+        "cioq", policy_factory, config, traces,
         max_extra_slots, trace_occupancy, backend, metrics,
     )
 
@@ -446,6 +413,6 @@ def run_crossbar_batch(
 ) -> List[SimulationResult]:
     """Crossbar counterpart of :func:`run_cioq_batch`."""
     return _run_batch(
-        "crossbar", run_crossbar, policy_factory, config, traces,
+        "crossbar", policy_factory, config, traces,
         max_extra_slots, trace_occupancy, backend, metrics,
     )

@@ -1,13 +1,10 @@
 """Shared fast slot-loop kernel for both switch models.
 
-:func:`run_slot_loop` is the single simulation loop behind
-:func:`~repro.simulation.engine.run_cioq`,
-:func:`~repro.simulation.engine.run_crossbar` and
-:func:`~repro.simulation.engine.run_cioq_streaming`.  It implements the
-slot structure of Section 1.3 — arrival phase, ``speedup`` scheduling
-cycles, transmission phase — exactly once, for both the CIOQ and the
-buffered crossbar model, instead of the three near-identical loops the
-engine previously carried.
+:func:`run_slot_loop` is the single simulation loop behind every
+reference-backend run of :mod:`repro.simulation.engine`.  It implements
+the slot structure of Section 1.3 — arrival phase, ``speedup``
+scheduling cycles, transmission phase — exactly once, for both the CIOQ
+and the buffered crossbar model.
 
 The kernel is written for throughput (it dominates every benchmark's
 wall-clock):
@@ -17,10 +14,9 @@ wall-clock):
   accumulate in plain local ints/floats and lists and are flushed into
   the :class:`~repro.simulation.results.SimulationResult` once, after
   the loop — no per-packet attribute writes on the result object.
-* **No-op recorder.**  Per-transfer/per-transmission logging sits behind
-  a recorder object; ``record=False`` runs use the shared
-  :data:`NULL_RECORDER` whose ``enabled`` flag short-circuits every
-  logging branch, so the default path allocates no log entries at all.
+* **Logging off by default.**  ``record=False`` runs skip every
+  schedule/transmission logging branch through one local boolean, so
+  the default path allocates no log entries at all.
 * **O(1) drain detection.**  The kernel tracks the number of buffered
   packets incrementally (accepted − sent − preempted), so the
   "arrivals exhausted and switch empty" termination test is a counter
@@ -52,62 +48,6 @@ from .results import SimulationResult, TransferEvent
 ArrivalSource = Callable[[int], Sequence[Packet]]
 
 
-class NullRecorder:
-    """No-op transfer/transmission recorder — the ``record=False`` path.
-
-    The kernel hoists ``enabled`` out of its loops, so with this
-    recorder no logging call is ever made; the methods exist only so a
-    recorder can be passed unconditionally.
-    """
-
-    __slots__ = ()
-    enabled = False
-
-    def transfer(self, slot: int, cycle: int, tr, stage: str) -> None:
-        """Ignore a fabric transfer."""
-
-    def sent(self, slot: int, port: int, packet: Packet) -> None:
-        """Ignore a transmission."""
-
-
-#: Shared stateless no-op recorder instance.
-NULL_RECORDER = NullRecorder()
-
-
-class LogRecorder:
-    """Appends full schedule/transmission logs to a result
-    (the ``record=True`` path, needed by the theory-shadow replay and
-    for delay statistics)."""
-
-    __slots__ = ("schedule_log", "sent_pids", "transmit_log")
-    enabled = True
-
-    def __init__(self, result: SimulationResult):
-        self.schedule_log = result.schedule_log
-        self.sent_pids = result.sent_pids
-        self.transmit_log = result.transmit_log
-
-    def transfer(self, slot: int, cycle: int, tr, stage: str) -> None:
-        p = tr.packet
-        victim = tr.preempt
-        self.schedule_log.append(
-            TransferEvent(
-                slot=slot,
-                cycle=cycle,
-                src=tr.src,
-                dst=tr.dst,
-                pid=p.pid,
-                value=p.value,
-                stage=stage,
-                preempted_pid=victim.pid if victim is not None else None,
-            )
-        )
-
-    def sent(self, slot: int, port: int, packet: Packet) -> None:
-        self.sent_pids.append(packet.pid)
-        self.transmit_log.append((slot, port, packet.pid))
-
-
 def run_slot_loop(
     switch,
     policy,
@@ -117,7 +57,7 @@ def run_slot_loop(
     result: SimulationResult,
     *,
     crossbar: bool,
-    recorder=NULL_RECORDER,
+    record: bool = False,
     check_invariants: bool = False,
     trace_occupancy: bool = False,
     metrics=None,
@@ -137,9 +77,10 @@ def run_slot_loop(
     horizon:
         Hard slot cap; the loop stops earlier as soon as arrivals are
         exhausted and the switch is empty.
-    recorder:
-        :data:`NULL_RECORDER` or a :class:`LogRecorder` bound to
-        ``result``.
+    record:
+        Append every transfer to ``result.schedule_log`` and every
+        transmission to ``result.sent_pids`` / ``result.transmit_log``
+        (the theory-shadow replay and delay statistics read them).
     metrics:
         Optional :class:`repro.obs.MetricsRecorder`.  The enabled guard
         is evaluated **once here**, before the loop: with metrics off
@@ -158,7 +99,25 @@ def run_slot_loop(
     config = switch.config
     voq = switch.voq
     speedup = config.speedup
-    recording = recorder.enabled
+    if record:
+        log_event = result.schedule_log.append
+        log_sent = result.sent_pids.append
+        log_transmit = result.transmit_log.append
+
+        def log(slot: int, cycle: int, transfers, stage: str) -> None:
+            for tr in transfers:
+                p = tr.packet
+                victim = tr.preempt
+                log_event(TransferEvent(
+                    slot=slot,
+                    cycle=cycle,
+                    src=tr.src,
+                    dst=tr.dst,
+                    pid=p.pid,
+                    value=p.value,
+                    stage=stage,
+                    preempted_pid=victim.pid if victim is not None else None,
+                ))
 
     # Metrics guard: resolved once per run, never per slot.
     m = metrics if (metrics is not None and metrics.enabled) else None
@@ -269,9 +228,8 @@ def run_slot_loop(
                             n_pre_cross += 1
                             v_pre_cross += victim.value
                             buffered -= 1
-                    if recording:
-                        for tr in transfers:
-                            recorder.transfer(t, s, tr, "in")
+                    if record:
+                        log(t, s, transfers, "in")
                     apply_input(transfers)
                 transfers = output_subphase(switch, t, s)
                 if transfers:
@@ -281,9 +239,8 @@ def run_slot_loop(
                             n_pre_out += 1
                             v_pre_out += victim.value
                             buffered -= 1
-                    if recording:
-                        for tr in transfers:
-                            recorder.transfer(t, s, tr, "out")
+                    if record:
+                        log(t, s, transfers, "out")
                     apply_output(transfers)
                 if check_invariants:
                     switch.check_invariants()
@@ -297,9 +254,8 @@ def run_slot_loop(
                             n_pre_out += 1
                             v_pre_out += victim.value
                             buffered -= 1
-                    if recording:
-                        for tr in transfers:
-                            recorder.transfer(t, s, tr, "cioq")
+                    if record:
+                        log(t, s, transfers, "cioq")
                     apply_transfers(transfers)
                 if check_invariants:
                     switch.check_invariants()
@@ -319,8 +275,9 @@ def run_slot_loop(
                 buffered -= 1
                 sent_per_output[j] += 1
                 value_per_output[j] += pv
-                if recording:
-                    recorder.sent(t, j, p)
+                if record:
+                    log_sent(p.pid)
+                    log_transmit((t, j, p.pid))
         if timed:
             t_transmit += perf_counter() - ph0
         if check_invariants:

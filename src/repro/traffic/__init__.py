@@ -47,6 +47,8 @@ _EXPORTS = {
     "two_value_contention_gadget": ".adversarial",
 }
 
+__all__ = list(_EXPORTS)
+
 
 def __getattr__(name: str):
     try:
@@ -62,42 +64,3 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted(set(globals()) | set(_EXPORTS))
-
-__all__ = [
-    "Trace",
-    "is_stream_file",
-    "iter_stream_slots",
-    "read_stream_header",
-    "ValueModel",
-    "exponential_values",
-    "geometric_class_values",
-    "pareto_values",
-    "two_value",
-    "uniform_values",
-    "unit_values",
-    "TrafficModel",
-    "concat",
-    "map_values",
-    "merge",
-    "restrict_ports",
-    "scale_values",
-    "time_dilate",
-    "BernoulliTraffic",
-    "BurstyTraffic",
-    "DiagonalTraffic",
-    "HotspotTraffic",
-    "MarkovModulatedTraffic",
-    "ParetoBurstTraffic",
-    "ApplicationMixTraffic",
-    "TraceReplayTraffic",
-    "AdaptiveAdversary",
-    "FullQueuePressureAdversary",
-    "PreemptionBaitAdversary",
-    "RotatingBurstAdversary",
-    "SingleOutputOverloadAdversary",
-    "beta_admission_gadget",
-    "burst_reject_gadget",
-    "escalating_values_gadget",
-    "generate_adaptive_trace",
-    "two_value_contention_gadget",
-]

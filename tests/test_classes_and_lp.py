@@ -1,4 +1,4 @@
-"""Tests for per-class breakdowns and LP-relaxation diagnostics."""
+"""Tests for per-class breakdowns."""
 
 import pytest
 
@@ -8,8 +8,6 @@ from repro.analysis.classes import (
     value_classes,
 )
 from repro.core.pg import PGPolicy
-from repro.offline.crossbar_timegraph import CrossbarOptModel
-from repro.offline.timegraph import CIOQOptModel
 from repro.simulation.engine import run_cioq
 from repro.switch.config import SwitchConfig
 from repro.traffic.bernoulli import BernoulliTraffic
@@ -93,40 +91,3 @@ class TestBandedBreakdown:
         with pytest.raises(ValueError):
             banded_breakdown(result, trace, edges=[5.0, 2.0])
 
-
-class TestLPRelaxation:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_lp_upper_bounds_ilp_cioq(self, seed):
-        config = SwitchConfig.square(3, speedup=1, b_in=2, b_out=2)
-        trace = BernoulliTraffic(3, 3, load=1.3).generate(10, seed=seed)
-        model = CIOQOptModel(trace, config)
-        lp = model.solve_lp_relaxation()
-        ilp = model.solve().benefit
-        assert lp >= ilp - 1e-6
-
-    def test_lp_usually_integral_cioq(self):
-        """On small random instances the LP relaxation is typically
-        exact — the reason the MILP solves fast."""
-        config = SwitchConfig.square(3, speedup=1, b_in=2, b_out=2)
-        equal = 0
-        total = 6
-        for seed in range(total):
-            trace = BernoulliTraffic(3, 3, load=1.2).generate(8, seed=seed)
-            model = CIOQOptModel(trace, config)
-            if abs(model.solve_lp_relaxation() - model.solve().benefit) < 1e-6:
-                equal += 1
-        assert equal >= total - 1  # allow at most one fractional instance
-
-    def test_lp_upper_bounds_ilp_crossbar(self):
-        config = SwitchConfig.square(3, speedup=1, b_in=2, b_out=2, b_cross=1)
-        trace = BernoulliTraffic(3, 3, load=1.4).generate(8, seed=3)
-        model = CrossbarOptModel(trace, config)
-        lp = model.solve_lp_relaxation()
-        ilp = model.solve().benefit
-        assert lp >= ilp - 1e-6
-
-    def test_empty_trace_lp(self):
-        from repro.traffic.trace import Trace
-
-        config = SwitchConfig.square(2, b_in=1, b_out=1)
-        assert CIOQOptModel(Trace([], 2, 2), config).solve_lp_relaxation() == 0.0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.cgu import CGUPolicy
+from repro.core.cpg import CPGPolicy
 from repro.core.gm import GMPolicy
 from repro.core.pg import PGPolicy
 from repro.scheduling.base import ArrivalDecision, CIOQPolicy
@@ -11,9 +12,11 @@ from repro.simulation.engine import (
     run_cioq,
     run_cioq_streaming,
     run_crossbar,
+    run_crossbar_streaming,
 )
 from repro.switch.cioq import ScheduleError, Transfer
 from repro.switch.config import SwitchConfig
+from repro.switch.crossbar import CrossbarSwitch
 from repro.switch.packet import Packet
 from repro.traffic.bernoulli import BernoulliTraffic
 from repro.traffic.trace import Trace
@@ -181,3 +184,108 @@ class TestStreaming:
         res = run_cioq_streaming(GMPolicy(), small_config, source, n_slots=12)
         res.check_conservation()
         assert res.n_arrived == 12
+
+
+def _slot_source(trace):
+    """A streaming source that replays ``trace``'s arrivals slot by slot."""
+    by_slot = {}
+    for p in trace.packets:
+        by_slot.setdefault(p.arrival, []).append((p.src, p.dst, p.value))
+    return lambda slot, switch: by_slot.get(slot, [])
+
+
+#: The four single-run entry points, as ``run(config, trace, record)``.
+ENTRIES = {
+    "cioq": lambda config, trace, record: run_cioq(
+        PGPolicy(), config, trace, record=record),
+    "crossbar": lambda config, trace, record: run_crossbar(
+        CPGPolicy(), config, trace, record=record),
+    "cioq-streaming": lambda config, trace, record: run_cioq_streaming(
+        PGPolicy(), config, _slot_source(trace), trace.n_slots,
+        record=record),
+    "crossbar-streaming": lambda config, trace, record: run_crossbar_streaming(
+        CPGPolicy(), config, _slot_source(trace), trace.n_slots,
+        record=record),
+}
+
+STREAMING = {"cioq": (run_cioq_streaming, PGPolicy),
+             "crossbar": (run_crossbar_streaming, CPGPolicy)}
+
+
+class TestRecordFlag:
+    """Every entry point hands ``record`` to the kernel's one logging
+    hook: off leaves the three logs empty, on fills them in step with
+    the run's counters."""
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_off_keeps_logs_empty(self, entry, small_config, weighted_trace):
+        res = ENTRIES[entry](small_config, weighted_trace, False)
+        assert res.n_sent > 0
+        assert res.schedule_log == []
+        assert res.sent_pids == []
+        assert res.transmit_log == []
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_on_logs_match_counters(self, entry, small_config,
+                                    weighted_trace):
+        res = ENTRIES[entry](small_config, weighted_trace, True)
+        by_pid = {p.pid: p for p in weighted_trace.packets}
+        assert len(res.sent_pids) == len(res.transmit_log) == res.n_sent
+        assert [pid for _, _, pid in res.transmit_log] == res.sent_pids
+        for slot, j, pid in res.transmit_log:
+            assert by_pid[pid].dst == j
+            assert slot >= by_pid[pid].arrival
+        assert sum(by_pid[pid].value for pid in res.sent_pids) == (
+            pytest.approx(res.benefit))
+        assert set(res.sent_pids) <= {ev.pid for ev in res.schedule_log}
+        stages = {ev.stage for ev in res.schedule_log}
+        assert stages == ({"cioq"} if entry.startswith("cioq")
+                          else {"in", "out"})
+        # Transfer-time preemptions are logged with their victim; the
+        # arrival-time (VOQ) ones are not transfers.
+        victims = [ev.preempted_pid for ev in res.schedule_log
+                   if ev.preempted_pid is not None]
+        assert len(victims) == res.n_preempted_cross + res.n_preempted_out
+        assert not set(victims) & set(res.sent_pids)
+
+
+class TestStreamingEntries:
+    """The shared source path behind both ``*_streaming`` entries."""
+
+    @pytest.mark.parametrize("model", sorted(STREAMING))
+    def test_pids_restart_every_run(self, model, small_config):
+        """Packet ids are numbered per run from 0, so rerunning one
+        source reproduces the run log for log."""
+        run, policy_cls = STREAMING[model]
+
+        def source(slot, switch):
+            return [(slot % 3, (slot + 1) % 3, 1.0 + slot)]
+
+        first, second = (run(policy_cls(), small_config, source, 8,
+                             record=True) for _ in range(2))
+        assert sorted(first.sent_pids) == list(range(8))
+        assert first.sent_pids == second.sent_pids
+        assert first.schedule_log == second.schedule_log
+        assert first.transmit_log == second.transmit_log
+
+    @pytest.mark.parametrize("model", sorted(STREAMING))
+    def test_unknown_backend_rejected(self, model, small_config):
+        run, policy_cls = STREAMING[model]
+        with pytest.raises(ValueError, match="unknown backend"):
+            run(policy_cls(), small_config, lambda t, sw: [], 4,
+                backend="gpu")
+
+    def test_crossbar_source_observes_its_switch(self, small_config):
+        """The source sees the run's own crossbar switch, once per
+        arrival slot and never during the drain."""
+        seen = []
+
+        def source(slot, switch):
+            seen.append(switch)
+            return [(0, slot % 3, 1.0)]
+
+        res = run_crossbar_streaming(CGUPolicy(), small_config, source, 5)
+        assert len(seen) == 5
+        assert isinstance(seen[0], CrossbarSwitch)
+        assert all(sw is seen[0] for sw in seen)
+        assert res.n_arrived == 5 and res.n_residual == 0

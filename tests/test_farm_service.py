@@ -212,6 +212,21 @@ class TestFarmCLI:
         assert main(["farm", "gc", "--cache-dir", store]) == 0
         assert "store gc" in capsys.readouterr().out
 
+    def test_gc_reports_each_bucket(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.farm import ResultStore
+        from repro.parallel import CACHE_VERSION
+
+        store = str(tmp_path / "store")
+        ResultStore(store, CACHE_VERSION).put("aa" + "0" * 62, {"b": 1})
+        ResultStore(store, CACHE_VERSION - 1).put("bb" + "0" * 62, {"b": 2})
+        assert main(["farm", "gc", "--cache-dir", store]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:]
+        assert {tuple(row.split()) for row in rows if row.strip()} == {
+            ("stale", "1"), ("corrupt", "0"), ("tmp", "0"),
+            ("claims", "0"), ("kept", "1"),
+        }
+
     def test_serve_surfaces_failed_jobs(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -56,13 +56,17 @@ class TestStoreBasics:
             fh.write("{torn")
         assert store.get(key) is None
 
-    def test_legacy_flat_entry_still_reads(self, store):
+    def test_flat_file_is_a_miss(self, store):
         key = "ef" + "2" * 62
         os.makedirs(store.root, exist_ok=True)
-        with open(store.legacy_path(key), "w", encoding="utf-8") as fh:
-            json.dump({"benefit": 3}, fh)  # pre-farm bare payload
-        assert store.get(key) == {"benefit": 3}
-        assert store.stats()["legacy_entries"] == 1
+        flat = os.path.join(store.root, f"{key}.json")
+        with open(flat, "w", encoding="utf-8") as fh:
+            json.dump({"benefit": 3}, fh)  # bare payload outside any shard
+        assert store.get(key) is None
+
+    def test_miss_creates_nothing(self, store):
+        assert store.get("ab" + "4" * 62) is None
+        assert not os.path.exists(store.root)
 
     def test_stale_version_misses_cleanly(self, store):
         key = "01" + "3" * 62
@@ -76,6 +80,17 @@ class TestStoreBasics:
         assert len(list(store.keys())) == 4
         stats = store.stats()
         assert stats["entries"] == 4 and stats["bytes"] > 0
+
+    def test_stats_count_only_sharded_files(self, store):
+        key, claimed = "ab" + "5" * 62, "ab" + "6" * 62
+        store.put(key, {"v": 1})
+        assert store.claim(claimed)
+        with open(os.path.join(store.root, "ef" + "2" * 62 + ".json"),
+                  "w", encoding="utf-8") as fh:
+            json.dump({"v": 2}, fh)  # outside any shard
+        assert store.stats() == {"entries": 1, "claims": 1,
+                                 "bytes": os.path.getsize(store.path(key))}
+        store.release(claimed)
 
 
 class TestGC:
@@ -98,16 +113,6 @@ class TestGC:
         assert removed["kept"] == 1
         assert store.get(live) == {"benefit": 1}
 
-    def test_legacy_only_removed_on_request(self, store):
-        key = "dd" + "0" * 62
-        os.makedirs(store.root, exist_ok=True)
-        with open(store.legacy_path(key), "w", encoding="utf-8") as fh:
-            json.dump({"benefit": 5}, fh)
-        assert store.gc()["legacy"] == 0
-        assert store.get(key) == {"benefit": 5}
-        assert store.gc(include_legacy=True)["legacy"] == 1
-        assert store.get(key) is None
-
     def test_dead_claims_reclaimed(self, store):
         key = "ee" + "0" * 62
         os.makedirs(os.path.dirname(store.claim_path(key)), exist_ok=True)
@@ -115,6 +120,17 @@ class TestGC:
             json.dump({"pid": 2 ** 22 + 12345}, fh)  # no such process
         assert store.gc()["claims"] == 1
         assert not os.path.exists(store.claim_path(key))
+
+    def test_files_outside_shards_untouched(self, store):
+        live = "aa" + "1" * 62
+        store.put(live, {"benefit": 1})
+        flat = os.path.join(store.root, "bb" + "1" * 62 + ".json")
+        with open(flat, "w", encoding="utf-8") as fh:
+            json.dump({"benefit": 2}, fh)
+        assert store.gc() == {"stale": 0, "corrupt": 0, "tmp": 0,
+                              "claims": 0, "kept": 1}
+        assert os.path.exists(flat)
+        assert store.get(live) == {"benefit": 1}
 
 
 class TestClaims:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.offline.bruteforce import bruteforce_cioq_opt_unit
-from repro.offline.opt import cioq_opt, cioq_upper_bound
+from repro.offline.opt import cioq_opt
 from repro.offline.timegraph import CIOQOptModel, default_horizon
 from repro.simulation.engine import run_cioq
 from repro.core.gm import GMPolicy
@@ -120,13 +120,6 @@ class TestStructuralProperties:
         for policy in (GMPolicy(), PGPolicy()):
             onl = run_cioq(policy, small_config, trace)
             assert onl.benefit <= opt.benefit + 1e-6
-
-    def test_relaxation_upper_bounds_exact(self, small_config):
-        for seed in range(4):
-            trace = BernoulliTraffic(3, 3, load=1.2).generate(10, seed=seed)
-            exact = cioq_opt(trace, small_config).benefit
-            relaxed = cioq_upper_bound(trace, small_config)
-            assert exact <= relaxed + 1e-6
 
     def test_opt_monotone_in_buffers(self):
         trace = BernoulliTraffic(3, 3, load=1.5).generate(10, seed=5)

@@ -19,6 +19,21 @@ class TestMetadata:
         for name in repro.__all__:
             assert hasattr(repro, name), f"__all__ lists missing name {name}"
 
+    @pytest.mark.parametrize("package", ["repro", "repro.traffic",
+                                         "repro.farm"])
+    def test_star_import_resolves_every_export(self, package):
+        """``__all__`` derives from the lazy ``_EXPORTS`` table, so a star
+        import resolves each name through the package ``__getattr__``,
+        and ``dir()`` lists every one."""
+        import importlib
+
+        module = importlib.import_module(package)
+        namespace = {}
+        exec(f"from {package} import *", namespace)
+        assert len(module.__all__) == len(set(module.__all__))
+        assert set(module.__all__) <= set(namespace)
+        assert set(module.__all__) <= set(dir(module))
+
     def test_core_api_importable_from_top_level(self):
         from repro import (  # noqa: F401
             CGUPolicy,
@@ -56,6 +71,63 @@ class TestMetadata:
             repro.traffic,
         ):
             assert mod.__doc__ and len(mod.__doc__) > 20
+
+    def test_every_import_is_declared(self):
+        """Every top-level import in src/ and tests/ is stdlib, repro, a
+        tests/ module, or a requirement in pyproject.toml — so a fresh
+        install from the declaration can import and test the package."""
+        import ast
+        import re
+        import sys
+        import tomllib
+
+        project = tomllib.loads(
+            (ROOT / "pyproject.toml").read_text())["project"]
+        requirements = list(project["dependencies"])
+        for extra in project.get("optional-dependencies", {}).values():
+            requirements += extra
+        declared = {re.match(r"[A-Za-z0-9_.-]+", r).group().lower()
+                    .replace("-", "_") for r in requirements}
+        local = {p.stem for p in (ROOT / "tests").glob("*.py")}
+        ignored = set(sys.stdlib_module_names) | {"repro"} | local
+        undeclared = {}
+        for path in sorted((ROOT / "src").rglob("*.py")) + sorted(
+                (ROOT / "tests").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.split(".")[0]
+                    if top not in ignored and top.lower() not in declared:
+                        undeclared.setdefault(top, set()).add(
+                            str(path.relative_to(ROOT)))
+        assert not undeclared, (
+            f"imported but not declared in pyproject.toml: {undeclared}"
+        )
+
+
+class TestBenchmarkHookPoints:
+    def test_tracer_installs(self):
+        """perfbench/tracer.py wraps layer functions by attribute name,
+        so renaming one must fail here, not only in the traced
+        benchmark run.  A subprocess, because install() monkeypatches
+        modules."""
+        import os
+        import subprocess
+        import sys
+
+        code = ("import sys; sys.path.insert(0, 'perfbench'); "
+                "import tracer; tracer.install(tracer.Tracer())")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH="src"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDocsConsistency:

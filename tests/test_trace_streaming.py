@@ -19,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import CGUPolicy, GMPolicy, PGPolicy
+from repro.core import CGUPolicy, CPGPolicy, GMPolicy, PGPolicy
 from repro.simulation.engine import (
     run_cioq,
     run_cioq_streaming,
@@ -251,36 +251,49 @@ class TestStreamFormat:
 
 class TestEngineStreamingEquality:
     """run_*_streaming over an arrival_source == batch engine over the
-    materialized trace, field for field."""
+    materialized trace, field for field — and, with ``record=True``,
+    log entry for log entry."""
 
     CONFIG = SwitchConfig(n_in=3, n_out=3, speedup=1, b_in=2, b_out=2,
                           b_cross=1)
 
-    def _assert_equal(self, a, b):
+    def _assert_equal(self, a, b, record):
         assert a.summary() == b.summary()
         assert a.benefit == b.benefit
+        if record:
+            assert a.schedule_log and a.transmit_log
+            assert a.schedule_log == b.schedule_log
+            assert a.transmit_log == b.transmit_log
+            assert a.sent_pids == b.sent_pids
 
+    @pytest.mark.parametrize("record", [False, True])
     @pytest.mark.parametrize("policy_cls", [GMPolicy, PGPolicy])
-    def test_cioq_streaming_matches_batch(self, policy_cls):
+    def test_cioq_streaming_matches_batch(self, policy_cls, record):
         model = ApplicationMixTraffic(3, 3,
                                       value_model=two_value(7.0, 0.3))
         trace = model.generate(40, seed=2)
         batch = run_cioq(policy_cls(), self.CONFIG, trace,
-                         backend="reference")
+                         backend="reference", record=record)
         stream = run_cioq_streaming(policy_cls(), self.CONFIG,
-                                    model.arrival_source(seed=2), 40)
-        self._assert_equal(batch, stream)
+                                    model.arrival_source(seed=2), 40,
+                                    record=record)
+        self._assert_equal(batch, stream, record)
 
-    def test_crossbar_streaming_matches_batch(self):
-        model = BurstyTraffic(3, 3, burst_load=2.5)
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("policy_cls", [CGUPolicy, CPGPolicy])
+    def test_crossbar_streaming_matches_batch(self, policy_cls, record):
+        model = BurstyTraffic(3, 3, burst_load=2.5,
+                              value_model=uniform_values(1, 20))
         trace = model.generate(30, seed=4)
-        batch = run_crossbar(CGUPolicy(), self.CONFIG, trace,
-                             backend="reference")
-        stream = run_crossbar_streaming(CGUPolicy(), self.CONFIG,
-                                        model.arrival_source(seed=4), 30)
-        self._assert_equal(batch, stream)
+        batch = run_crossbar(policy_cls(), self.CONFIG, trace,
+                             backend="reference", record=record)
+        stream = run_crossbar_streaming(policy_cls(), self.CONFIG,
+                                        model.arrival_source(seed=4), 30,
+                                        record=record)
+        self._assert_equal(batch, stream, record)
 
-    def test_stream_file_replay_matches_batch(self, tmp_path):
+    @pytest.mark.parametrize("record", [False, True])
+    def test_stream_file_replay_matches_batch(self, tmp_path, record):
         model = BernoulliTraffic(3, 3, load=1.5,
                                  value_model=uniform_values(1, 20))
         trace = model.generate(25, seed=9)
@@ -289,10 +302,11 @@ class TestEngineStreamingEquality:
         replay = TraceReplayTraffic(path)
         assert replay._trace is None
         stream = run_cioq_streaming(GMPolicy(), self.CONFIG,
-                                    replay.arrival_source(), 25)
+                                    replay.arrival_source(), 25,
+                                    record=record)
         batch = run_cioq(GMPolicy(), self.CONFIG, trace,
-                         backend="reference")
-        self._assert_equal(batch, stream)
+                         backend="reference", record=record)
+        self._assert_equal(batch, stream, record)
 
     def test_crossbar_streaming_rejects_fast_backend(self):
         from repro.simulation.backends import BackendUnsupported

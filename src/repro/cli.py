@@ -886,8 +886,9 @@ def _add_opt_mode(p: argparse.ArgumentParser) -> None:
                         "or auto-selection by model size "
                         "(docs/offline_opt.md)")
     p.add_argument("--opt-window", type=int, default=None, dest="opt_window",
-                   help="window width in arrival slots for "
-                        "--opt-mode windowed (auto picks one otherwise)")
+                   help="window width in arrival slots: required (>= 1) "
+                        "by --opt-mode windowed; --opt-mode auto picks "
+                        "one when it is omitted")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -1206,7 +1207,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "opt_mode", None) is not None:
+        from .offline.opt import check_opt_mode
+
+        try:
+            check_opt_mode(args.opt_mode, args.opt_window)
+        except ValueError as exc:
+            parser.exit(2, f"{parser.prog}: error: argument --opt-window: "
+                           f"{exc}\n")
     return args.func(args)
 
 

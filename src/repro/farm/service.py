@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
+from ..offline.opt import check_opt_mode
 from ..parallel import SweepExecutor, SweepKilled
 from ..simulation.backends import DEFAULT_BACKEND
 from .jobs import JobQueue
@@ -46,6 +47,7 @@ def build_job(
     """A queue-serializable job payload (see :func:`run_job`)."""
     if (scenario is None) == (spec_dict is None):
         raise ValueError("a job needs a scenario name or a spec, not both")
+    check_opt_mode(opt_mode, opt_window)
     job: Dict[str, object] = {"opt_mode": opt_mode}
     if scenario is not None:
         job["scenario"] = scenario

@@ -3,7 +3,6 @@
 from .timegraph import CIOQOptModel, OptResult, default_horizon
 from .crossbar_timegraph import CrossbarOptModel
 from .bruteforce import bruteforce_cioq_opt_unit
-from .decompose import OptSchedule, PacketItinerary, decompose_cioq_opt
 from .bounds import bounds_opt, capacity_upper_bound, greedy_lower_bound
 from .windowed import (
     subtrace,
@@ -25,9 +24,6 @@ __all__ = [
     "default_horizon",
     "CrossbarOptModel",
     "bruteforce_cioq_opt_unit",
-    "OptSchedule",
-    "PacketItinerary",
-    "decompose_cioq_opt",
     "bounds_opt",
     "capacity_upper_bound",
     "greedy_lower_bound",

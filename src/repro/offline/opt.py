@@ -47,6 +47,20 @@ AUTO_MAX_WINDOWS = 24
 AUTO_MIN_WINDOW = 4
 
 
+def check_opt_mode(mode: str, window: Optional[int]) -> None:
+    """Reject a ``(mode, window)`` pair that no solver accepts.
+
+    The mode must be one of :data:`OPT_MODES`, and ``windowed`` needs a
+    window of at least one arrival slot.
+    """
+    if mode not in OPT_MODES:
+        raise ValueError(f"unknown opt mode {mode!r}; expected {OPT_MODES}")
+    if mode == "windowed" and (window is None or window < 1):
+        raise ValueError(
+            f"windowed opt mode needs a window >= 1, got {window}"
+        )
+
+
 def _exact_size_proxy(trace: Trace, config: SwitchConfig,
                       horizon: int) -> int:
     pairs = len({(p.src, p.dst) for p in trace.packets})
@@ -98,8 +112,7 @@ def solve_opt(
     extract_schedule: bool = False,
 ) -> OptResult:
     """Offline optimum (or certified bracket) for either switch model."""
-    if mode not in OPT_MODES:
-        raise ValueError(f"unknown opt mode {mode!r}; expected {OPT_MODES}")
+    check_opt_mode(mode, window)
     if model not in ("cioq", "crossbar"):
         raise ValueError(f"unknown offline model {model!r}")
     if mode == "auto":
@@ -116,8 +129,6 @@ def solve_opt(
             "explicit horizons are only supported in exact mode"
         )
     if mode == "windowed":
-        if window is None:
-            raise ValueError("windowed mode requires a window width")
         return windowed_opt(trace, config, window=window, model=model)
     return bounds_opt(trace, config, model=model)
 

@@ -1,4 +1,4 @@
-"""Time-expanded offline optimum for CIOQ switches.
+"""Time-expanded offline optimum for CIOQ and buffered crossbar switches.
 
 The offline optimum OPT of the competitive framework maximizes delivered
 value knowing the whole input sequence.  Because all queues are non-FIFO
@@ -6,8 +6,8 @@ and values are fixed, OPT never benefits from preemption or from
 accepting a packet it will not deliver (rejecting at arrival dominates:
 it frees the same capacity earlier).  Hence OPT is exactly the maximum-
 value set of packets that can be routed through the time-expanded switch
-— arrival slot -> VOQ inventory -> one scheduling-cycle hop -> output
-queue inventory -> transmission slot — subject to:
+— arrival slot -> VOQ inventory -> per-cycle stage -> output queue
+inventory -> transmission slot — subject to:
 
 * VOQ occupancy <= B(Q_ij) right after each arrival phase (occupancy is
   largest at that point within a slot),
@@ -21,20 +21,31 @@ packet must leave through *its own* output), so the exact problem is the
 small integer program assembled by :class:`CIOQOptModel` (solved with
 HiGHS via :func:`scipy.optimize.milp`; the LP relaxation is almost
 always integral, so branching is rare).
+
+Both switch models share this one assembly and differ only in the
+per-cycle stage: a single hop Q_ij -> Q_j for CIOQ, and for the buffered
+crossbar (:class:`~repro.offline.crossbar_timegraph.CrossbarOptModel`)
+the crosspoint stage Q_ij -> C_ij -> Q_j with capacity B(C_ij).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize import Bounds, LinearConstraint
+# ``solve`` calls ``milp`` through the model's own module.
+from scipy.optimize import milp  # noqa: F401
 
 from ..simulation.engine import drain_bound
 from ..switch.config import SwitchConfig
 from ..traffic.trace import Trace
+
+#: Cycle-stage variables, keyed ``(i, j, t, s)``.
+StageVars = Dict[Tuple[int, int, int, int], int]
 
 
 @dataclass
@@ -53,7 +64,6 @@ class OptResult:
     benefit: float
     n_delivered: int
     accepted_pids: List[int] = field(default_factory=list)
-    status: str = "optimal"
     #: Departure events: (slot, cycle, i, j) with multiplicity.
     departures: List[Tuple[int, int, int, int]] = field(default_factory=list)
     #: Transmission events: (slot, j) with multiplicity.
@@ -100,13 +110,20 @@ def default_horizon(trace: Trace, config: SwitchConfig) -> int:
 class CIOQOptModel:
     """Exact offline optimum for a CIOQ instance via integer programming.
 
-    Variable classes (all integral):
+    Variable classes (all integral), numbered in this order:
 
-    * ``a_p``    in {0,1} — packet p is accepted *and delivered*,
-    * ``x_ijts`` in {0,1} — a packet moves Q_ij -> Q_j in cycle (t, s),
+    * ``a_p``    in {0,1} — packet p is accepted *and delivered* (column p),
+    * the cycle stage — for CIOQ ``x_ijts`` in {0,1}, a packet moves
+      Q_ij -> Q_j in cycle (t, s),
     * ``h_ijt``  in [0, b_in]  — VOQ inventory carried from slot t to t+1,
     * ``g_jt``   in [0, b_out] — output inventory carried from t to t+1,
     * ``w_jt``   in {0,1} — a transmission from output j in slot t.
+
+    Rows, in order: VOQ conservation and capacity, input-port budgets,
+    the stage's own rows (none for CIOQ), output-port budgets, output
+    queue conservation and capacity.  A subclass changes the stage
+    through :meth:`_number_stage`, :meth:`_stage_rows` and
+    :meth:`_decode_stage` only.
 
     Inventory variables at the final slot are simply not created, which
     forces OPT to drain by the horizon (the horizon includes a
@@ -130,6 +147,38 @@ class CIOQOptModel:
             raise ValueError("horizon must extend past the last arrival")
         self._built = False
 
+    # -- cycle stage ----------------------------------------------------------
+
+    def _number_stage(self, pairs: Dict[Tuple[int, int], int],
+                      n_var: int) -> int:
+        """Number the stage columns from ``n_var``; return the next free one.
+
+        ``pairs`` maps each active (i, j) to its first arrival slot.  Sets
+        ``var_exit`` (leaves Q_ij in cycle (t, s)) and ``var_entry``
+        (enters Q_j in cycle (t, s)); for CIOQ both are ``x_ijts``.
+        """
+        H, S = self.horizon, self.config.speedup
+        var_x: StageVars = {}
+        for (i, j), t0 in pairs.items():
+            for t in range(t0, H):
+                for s in range(S):
+                    var_x[(i, j, t, s)] = n_var
+                    n_var += 1
+        self.var_exit = self.var_entry = var_x
+        return n_var
+
+    def _stage_rows(self, upper: np.ndarray,
+                    entry: Callable[[int, float], None],
+                    row: Callable[[float, float], None]) -> None:
+        """Stage bounds and rows between the two port budgets (CIOQ: none).
+
+        ``entry(col, val)`` adds a coefficient to the open row, ``row(lo,
+        hi)`` closes it; ``upper`` holds the variable upper bounds.
+        """
+
+    def _decode_stage(self, x: np.ndarray, result: OptResult) -> None:
+        """Stage events beyond ``result.departures`` (CIOQ: none)."""
+
     # -- model assembly -------------------------------------------------------
 
     def build(self) -> None:
@@ -140,31 +189,19 @@ class CIOQOptModel:
         S = cfg.speedup
         packets = self.trace.packets
 
-        # Active windows: (i, j) pairs only matter from their first arrival.
+        # Active windows: (i, j) pairs only matter from their first arrival
+        # (a trace keeps its packets sorted by arrival).
         first_arrival: Dict[Tuple[int, int], int] = {}
         arrivals_at: Dict[Tuple[int, int, int], List[int]] = {}
         for idx, p in enumerate(packets):
-            key = (p.src, p.dst)
-            if key not in first_arrival or p.arrival < first_arrival[key]:
-                first_arrival[key] = p.arrival
+            first_arrival.setdefault((p.src, p.dst), p.arrival)
             arrivals_at.setdefault((p.src, p.dst, p.arrival), []).append(idx)
         out_first: Dict[int, int] = {}
         for (i, j), t0 in first_arrival.items():
-            if j not in out_first or t0 < out_first[j]:
-                out_first[j] = t0
+            out_first.setdefault(j, t0)
 
-        # ---- variable numbering ----
-        n_var = 0
-        self.var_a: List[int] = []
-        for _ in packets:
-            self.var_a.append(n_var)
-            n_var += 1
-        self.var_x: Dict[Tuple[int, int, int, int], int] = {}
-        for (i, j), t0 in first_arrival.items():
-            for t in range(t0, H):
-                for s in range(S):
-                    self.var_x[(i, j, t, s)] = n_var
-                    n_var += 1
+        # ---- variable numbering: a_p is column p ----
+        n_var = self._number_stage(first_arrival, len(packets))
         self.var_h: Dict[Tuple[int, int, int], int] = {}
         for (i, j), t0 in first_arrival.items():
             for t in range(t0, H - 1):
@@ -181,17 +218,15 @@ class CIOQOptModel:
                 n_var += 1
         self.n_var = n_var
 
-        lower = np.zeros(n_var)
         upper = np.ones(n_var)
-        for key, v in self.var_h.items():
+        for v in self.var_h.values():
             upper[v] = cfg.b_in
-        for key, v in self.var_g.items():
+        for v in self.var_g.values():
             upper[v] = cfg.b_out
-        self.bounds = Bounds(lower, upper)
 
         obj = np.zeros(n_var)
         for idx, p in enumerate(packets):
-            obj[self.var_a[idx]] = -p.value  # milp minimizes
+            obj[idx] = -p.value  # milp minimizes
         self.objective = obj
 
         # ---- constraint rows (COO assembly) ----
@@ -202,88 +237,79 @@ class CIOQOptModel:
         ub: List[float] = []
         r = 0
 
-        def add_entry(col: int, val: float) -> None:
+        def entry(col: int, val: float) -> None:
             rows.append(r)
             cols.append(col)
             vals.append(val)
 
-        # VOQ conservation and capacity, per (i, j, t).
+        def row(lo: float, hi: float) -> None:
+            nonlocal r
+            lb.append(lo)
+            ub.append(hi)
+            r += 1
+
+        def port_budget(groups: Dict[Tuple[int, int, int], List[int]]) -> None:
+            # At most one packet per port and cycle.
+            for group in groups.values():
+                if len(group) == 1:
+                    continue  # single arc: its own [0,1] bound suffices
+                for v in group:
+                    entry(v, 1.0)
+                row(-np.inf, 1.0)
+
+        def queue_rows(inflow: List[int], carry_in: Optional[int],
+                       outflow: List[int], carry_out: Optional[int],
+                       cap: int) -> None:
+            # Conservation: inflow + carry_in - outflow - carry_out = 0.
+            for v in inflow:
+                entry(v, 1.0)
+            if carry_in is not None:
+                entry(carry_in, 1.0)
+            for v in outflow:
+                entry(v, -1.0)
+            if carry_out is not None:
+                entry(carry_out, -1.0)
+            row(0.0, 0.0)
+            # Capacity: inflow + carry_in <= cap (only binding when
+            # something flows in; the carry alone has its var bound).
+            if inflow:
+                for v in inflow:
+                    entry(v, 1.0)
+                if carry_in is not None:
+                    entry(carry_in, 1.0)
+                row(-np.inf, float(cap))
+
+        # VOQ rows per (i, j, t): accepted arrivals in, stage exits out.
+        var_exit, var_h = self.var_exit, self.var_h
         for (i, j), t0 in first_arrival.items():
             for t in range(t0, H):
-                accepted_here = arrivals_at.get((i, j, t), [])
-                # Conservation: accepts + h_{t-1} - sum_s x - h_t = 0.
-                for idx in accepted_here:
-                    add_entry(self.var_a[idx], 1.0)
-                if (i, j, t - 1) in self.var_h:
-                    add_entry(self.var_h[(i, j, t - 1)], 1.0)
-                for s in range(S):
-                    add_entry(self.var_x[(i, j, t, s)], -1.0)
-                if (i, j, t) in self.var_h:
-                    add_entry(self.var_h[(i, j, t)], -1.0)
-                lb.append(0.0)
-                ub.append(0.0)
-                r += 1
-                # Capacity: accepts + h_{t-1} <= b_in (only binding when
-                # arrivals occur; h alone is bounded by its var bound).
-                if accepted_here:
-                    for idx in accepted_here:
-                        add_entry(self.var_a[idx], 1.0)
-                    if (i, j, t - 1) in self.var_h:
-                        add_entry(self.var_h[(i, j, t - 1)], 1.0)
-                    lb.append(-np.inf)
-                    ub.append(float(cfg.b_in))
-                    r += 1
+                queue_rows(arrivals_at.get((i, j, t), []),
+                           var_h.get((i, j, t - 1)),
+                           [var_exit[(i, j, t, s)] for s in range(S)],
+                           var_h.get((i, j, t)), cfg.b_in)
 
-        # Port budgets per cycle.
         by_input: Dict[Tuple[int, int, int], List[int]] = {}
-        by_output: Dict[Tuple[int, int, int], List[int]] = {}
-        for (i, j, t, s), v in self.var_x.items():
+        for (i, j, t, s), v in var_exit.items():
             by_input.setdefault((i, t, s), []).append(v)
+        by_output: Dict[Tuple[int, int, int], List[int]] = {}
+        into_out: Dict[Tuple[int, int], List[int]] = {}
+        for (i, j, t, s), v in self.var_entry.items():
             by_output.setdefault((j, t, s), []).append(v)
-        for group in by_input.values():
-            if len(group) == 1:
-                continue  # single arc: its own [0,1] bound suffices
-            for v in group:
-                add_entry(v, 1.0)
-            lb.append(-np.inf)
-            ub.append(1.0)
-            r += 1
-        for group in by_output.values():
-            if len(group) == 1:
-                continue
-            for v in group:
-                add_entry(v, 1.0)
-            lb.append(-np.inf)
-            ub.append(1.0)
-            r += 1
+            into_out.setdefault((j, t), []).append(v)
+        port_budget(by_input)
+        self._stage_rows(upper, entry, row)
+        port_budget(by_output)
 
-        # Output queue conservation and capacity, per (j, t).
-        x_into_out: Dict[Tuple[int, int], List[int]] = {}
-        for (i, j, t, s), v in self.var_x.items():
-            x_into_out.setdefault((j, t), []).append(v)
+        # Output queue rows per (j, t): stage entries in, one transmission
+        # out.
+        var_g = self.var_g
         for j, t0 in out_first.items():
             for t in range(t0, H):
-                incoming = x_into_out.get((j, t), [])
-                for v in incoming:
-                    add_entry(v, 1.0)
-                if (j, t - 1) in self.var_g:
-                    add_entry(self.var_g[(j, t - 1)], 1.0)
-                add_entry(self.var_w[(j, t)], -1.0)
-                if (j, t) in self.var_g:
-                    add_entry(self.var_g[(j, t)], -1.0)
-                lb.append(0.0)
-                ub.append(0.0)
-                r += 1
-                # Capacity: incoming + g_{t-1} <= b_out.
-                if incoming:
-                    for v in incoming:
-                        add_entry(v, 1.0)
-                    if (j, t - 1) in self.var_g:
-                        add_entry(self.var_g[(j, t - 1)], 1.0)
-                    lb.append(-np.inf)
-                    ub.append(float(cfg.b_out))
-                    r += 1
+                queue_rows(into_out.get((j, t), []), var_g.get((j, t - 1)),
+                           [self.var_w[(j, t)]], var_g.get((j, t)),
+                           cfg.b_out)
 
+        self.bounds = Bounds(np.zeros(n_var), upper)
         self.A = sparse.coo_matrix(
             (vals, (rows, cols)), shape=(r, n_var)
         ).tocsc()
@@ -298,40 +324,33 @@ class CIOQOptModel:
         if not self.trace.packets:
             return OptResult(benefit=0.0, n_delivered=0)
         self.build()
-        res = milp(
+        # Look ``milp`` up in the defining module at call time, so each
+        # model solves through its own module's name (perfbench/tracer.py
+        # wraps both).
+        res = sys.modules[type(self).__module__].milp(
             c=self.objective,
             constraints=LinearConstraint(self.A, self.row_lb, self.row_ub),
             integrality=np.ones(self.n_var),
             bounds=self.bounds,
         )
         if res.status != 0 or res.x is None:
-            raise RuntimeError(f"OPT MILP failed: status={res.status} "
-                               f"message={res.message!r}")
+            raise RuntimeError(f"{type(self).__name__} MILP failed: "
+                               f"status={res.status} message={res.message!r}")
         x = res.x
-        accepted = [
-            self.trace.packets[idx].pid
-            for idx in range(len(self.trace.packets))
-            if x[self.var_a[idx]] > 0.5
-        ]
-        benefit = float(
-            sum(
-                self.trace.packets[idx].value
-                for idx in range(len(self.trace.packets))
-                if x[self.var_a[idx]] > 0.5
-            )
-        )
+        chosen = [p for idx, p in enumerate(self.trace.packets)
+                  if x[idx] > 0.5]
         result = OptResult(
-            benefit=benefit,
-            n_delivered=len(accepted),
-            accepted_pids=accepted,
+            benefit=float(sum(p.value for p in chosen)),
+            n_delivered=len(chosen),
+            accepted_pids=[p.pid for p in chosen],
         )
         if extract_schedule:
-            for (i, j, t, s), v in self.var_x.items():
-                if x[v] > 0.5:
-                    result.departures.append((t, s, i, j))
-            for (j, t), v in self.var_w.items():
-                if x[v] > 0.5:
-                    result.transmissions.append((t, j))
-            result.departures.sort()
-            result.transmissions.sort()
+            result.departures = sorted(
+                (t, s, i, j) for (i, j, t, s), v in self.var_exit.items()
+                if x[v] > 0.5
+            )
+            result.transmissions = sorted(
+                (t, j) for (j, t), v in self.var_w.items() if x[v] > 0.5
+            )
+            self._decode_stage(x, result)
         return result

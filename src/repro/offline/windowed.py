@@ -132,7 +132,6 @@ def windowed_opt(
             benefit=exact.benefit,
             n_delivered=exact.n_delivered,
             accepted_pids=exact.accepted_pids,
-            status=exact.status,
             mode="windowed",
             opt_lower=exact.benefit,
             opt_upper=exact.benefit,
@@ -145,15 +144,12 @@ def windowed_opt(
     lower = 0.0
     upper = 0.0
     n_delivered = 0
-    status = "optimal"
     for start, stop in bounds:
         sub = subtrace(trace, start, stop)
         if not sub.packets:
             continue
         # Free-drain solve: certified per-window upper contribution.
         up = cls(sub, config, horizon=sub.n_slots + drain).solve()
-        if up.status != "optimal":
-            status = up.status
         upper += up.benefit
         n_delivered += up.n_delivered
         if stop == trace.n_slots:
@@ -165,8 +161,6 @@ def windowed_opt(
             # [start, stop) in absolute time, so per-window schedules
             # union into one feasible global schedule.
             low = cls(sub, config, horizon=stop - start).solve()
-            if low.status != "optimal":
-                status = low.status
             lower += low.benefit
     # Intersect with the near-free greedy/capacity bracket: both
     # brackets are certified, so their intersection is too, and the
@@ -182,7 +176,6 @@ def windowed_opt(
     return OptResult(
         benefit=upper,
         n_delivered=n_delivered,
-        status=status,
         mode="windowed",
         opt_lower=lower,
         opt_upper=upper,

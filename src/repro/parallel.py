@@ -54,7 +54,7 @@ from time import perf_counter
 
 from .farm.store import ResultStore
 from .obs import InMemoryRecorder, merge_snapshots
-from .offline.opt import OPT_MODES, cioq_opt, crossbar_opt
+from .offline.opt import check_opt_mode, cioq_opt, crossbar_opt
 from .simulation.backends import DEFAULT_BACKEND, validate_backend
 from .simulation.engine import (
     run_cioq,
@@ -127,7 +127,9 @@ class SweepPoint:
         rows.
     opt_mode, opt_window:
         Offline-optimum solver selection for OPT points (see
-        :mod:`repro.offline.opt`); ignored for policy points.  Both are
+        :mod:`repro.offline.opt`); ignored for policy points, but every
+        point rejects a pair that
+        :func:`~repro.offline.opt.check_opt_mode` refuses.  Both are
         part of the cache key — an exact OPT payload and a bracketed
         one are never interchangeable.
     """
@@ -144,10 +146,7 @@ class SweepPoint:
     def __post_init__(self) -> None:
         if self.model not in ("cioq", "crossbar"):
             raise ValueError(f"unknown switch model {self.model!r}")
-        if self.opt_mode not in OPT_MODES:
-            raise ValueError(
-                f"unknown opt mode {self.opt_mode!r}; expected {OPT_MODES}"
-            )
+        check_opt_mode(self.opt_mode, self.opt_window)
 
 
 def describe_factory(factory: Optional[PolicyFactory]) -> str:

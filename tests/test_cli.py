@@ -25,6 +25,34 @@ class TestParser:
             main(["run", "--policy", "gm", "--model", "crossbar",
                   "--slots", "5"])
 
+    @pytest.mark.parametrize("argv", [
+        ["ratio", "--opt-mode", "windowed"],
+        ["ratio", "--opt-mode", "windowed", "--opt-window", "0"],
+        ["scenarios", "run", "smoke-bernoulli", "--opt-mode", "windowed",
+         "--no-artifacts"],
+        ["submit", "smoke-bernoulli", "--opt-mode", "windowed"],
+    ])
+    def test_windowed_opt_needs_window(self, argv, capsys, tmp_path,
+                                       monkeypatch):
+        """Exit 2 with one line naming --opt-window, before any trace
+        is generated or any job is queued."""
+        from repro.traffic.base import TrafficModel
+
+        def no_traffic(*args, **kwargs):
+            raise AssertionError("trace generated before the opt check")
+
+        monkeypatch.setattr(TrafficModel, "generate", no_traffic)
+        queue = tmp_path / "queue"
+        if argv[0] == "submit":
+            argv = argv + ["--queue", str(queue)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "--opt-window" in err
+        assert not queue.exists()
+
 
 class TestCommands:
     def test_figures(self, capsys):

@@ -80,6 +80,14 @@ class TestJobQueue:
         with pytest.raises(ValueError):
             build_job(scenario="a", spec_dict={"name": "b"})
 
+    @pytest.mark.parametrize("mode, window", [
+        ("magic", None), ("windowed", None), ("windowed", 0),
+    ])
+    def test_build_job_rejects_bad_opt_mode(self, mode, window):
+        with pytest.raises(ValueError, match="opt mode"):
+            build_job(scenario="smoke-bernoulli", opt_mode=mode,
+                      opt_window=window)
+
 
 class TestSweepKillResume:
     """Satellite: fault-inject a kill after N completed points, then

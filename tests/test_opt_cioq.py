@@ -1,5 +1,7 @@
 """Tests for the exact CIOQ offline optimum (time-expanded MILP)."""
 
+from collections import defaultdict
+
 import pytest
 
 from repro.offline.bruteforce import bruteforce_cioq_opt_unit
@@ -152,6 +154,84 @@ class TestStructuralProperties:
         for t, s, i, j in res.departures:
             assert 0 <= i < 3 and 0 <= j < 3
             assert 0 <= s < small_config.speedup
+
+
+def assert_in_order(later, earlier):
+    """Per key, as many ``later`` as ``earlier`` events, and the k-th
+    ``later`` one no earlier than the k-th ``earlier`` one."""
+    assert set(later) == set(earlier)
+    for key, times in earlier.items():
+        assert len(later[key]) == len(times)
+        assert all(b >= a for b, a in zip(sorted(later[key]), sorted(times)))
+
+
+def assert_schedule_flows(trace, res, speedup):
+    """The extracted schedule routes exactly the accepted packets, in
+    order, through per-cycle matchings."""
+    by_pid = {p.pid: p for p in trace.packets}
+    accepted = [by_pid[pid] for pid in res.accepted_pids]
+    assert res.benefit == pytest.approx(sum(p.value for p in accepted))
+    assert len(res.departures) == len(res.transmissions) == res.n_delivered
+    arrivals, departs, entries, sends, cycles = (
+        defaultdict(list) for _ in range(5))
+    for p in accepted:
+        arrivals[(p.src, p.dst)].append(p.arrival)
+    for t, s, i, j in res.departures:
+        assert 0 <= s < speedup
+        departs[(i, j)].append(t)
+        entries[j].append(t)
+        cycles[(t, s)].append((i, j))
+    for t, j in res.transmissions:
+        sends[j].append(t)
+    # Per VOQ, the k-th departure is no earlier than the k-th accepted
+    # arrival; per output, the k-th transmission no earlier than the
+    # k-th entry.
+    assert_in_order(departs, arrivals)
+    assert_in_order(sends, entries)
+    # Per cycle, the departures form a matching.
+    for moves in cycles.values():
+        assert len({i for i, _ in moves}) == len(moves)
+        assert len({j for _, j in moves}) == len(moves)
+
+
+class TestScheduleFlows:
+    """Flow feasibility of the schedule ``extract_schedule`` returns."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bernoulli(self, seed, small_config):
+        trace = BernoulliTraffic(3, 3, load=1.2).generate(10, seed=seed)
+        res = cioq_opt(trace, small_config, extract_schedule=True)
+        assert res.n_delivered > 0
+        assert_schedule_flows(trace, res, small_config.speedup)
+
+    def test_empty_trace(self, tiny_config):
+        trace = Trace([], 2, 2)
+        res = cioq_opt(trace, tiny_config, extract_schedule=True)
+        assert res.departures == [] and res.transmissions == []
+        assert_schedule_flows(trace, res, tiny_config.speedup)
+
+    def test_single_packet(self, tiny_config):
+        trace = trace_of([(5.0, 0, 0, 1)])
+        res = cioq_opt(trace, tiny_config, extract_schedule=True)
+        assert res.accepted_pids == [0]
+        assert_schedule_flows(trace, res, tiny_config.speedup)
+
+    def test_all_drops_voq(self, tiny_config):
+        """Five same-slot arrivals into one capacity-1 VOQ: exactly one
+        survives, and its route is still consistent."""
+        trace = trace_of([(1.0, 0, 0, 0)] * 5)
+        res = cioq_opt(trace, tiny_config, extract_schedule=True)
+        assert res.n_delivered == 1
+        assert_schedule_flows(trace, res, tiny_config.speedup)
+
+    def test_one_slot_burst(self, tiny_config):
+        """Two packets per VOQ in one slot: drops occur, and the
+        departures still form per-cycle matchings."""
+        trace = trace_of([(1.0, 0, i, j) for i in range(2)
+                          for j in range(2) for _ in range(2)])
+        res = cioq_opt(trace, tiny_config, extract_schedule=True)
+        assert 0 < res.n_delivered < len(trace.packets)
+        assert_schedule_flows(trace, res, tiny_config.speedup)
 
 
 class TestBruteForceEdgeCases:

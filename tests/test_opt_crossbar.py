@@ -1,9 +1,12 @@
 """Tests for the exact buffered-crossbar offline optimum."""
 
+from collections import Counter, defaultdict
+
 import pytest
 
 from repro.core.cgu import CGUPolicy
 from repro.core.cpg import CPGPolicy
+from repro.offline.crossbar_timegraph import CrossbarOptModel
 from repro.offline.opt import cioq_opt, crossbar_opt
 from repro.simulation.engine import run_crossbar
 from repro.switch.config import SwitchConfig
@@ -92,11 +95,44 @@ class TestStructuralProperties:
         )
 
     def test_schedule_extraction(self, small_config):
-        from repro.offline.crossbar_timegraph import CrossbarOptModel
-
         trace = BernoulliTraffic(3, 3, load=1.0).generate(6, seed=1)
         model = CrossbarOptModel(trace, small_config)
         res = model.solve(extract_schedule=True)
         assert len(model.y_events) == res.n_delivered
         assert len(model.z_events) == res.n_delivered
         assert len(res.transmissions) == res.n_delivered
+
+
+class TestScheduleFlows:
+    """Flow feasibility of the ``y_events`` / ``z_events`` a solve with
+    ``extract_schedule=True`` hands to the shadow replays."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("config_name", ["small_config", "speedy_config"])
+    def test_bernoulli(self, seed, config_name, request):
+        config = request.getfixturevalue(config_name)
+        trace = BernoulliTraffic(3, 3, load=1.4).generate(10, seed=seed)
+        model = CrossbarOptModel(trace, config)
+        res = model.solve(extract_schedule=True)
+        assert res.departures == model.y_events
+        assert len(model.z_events) == len(res.transmissions) \
+            == res.n_delivered > 0
+        ys, zs = defaultdict(list), defaultdict(list)
+        for events, by_pair in ((model.y_events, ys), (model.z_events, zs)):
+            for t, s, i, j in events:
+                assert 0 <= s < config.speedup
+                by_pair[(i, j)].append((t, s))
+        # Per cycle: at most one y per input and one z per output.
+        assert max(Counter((t, s, i) for t, s, i, _ in model.y_events)
+                   .values()) == 1
+        assert max(Counter((t, s, j) for t, s, _, j in model.z_events)
+                   .values()) == 1
+        # The k-th z of a pair is no earlier than its k-th y (the same
+        # cycle is allowed).
+        assert set(zs) == set(ys)
+        for pair, cycles in ys.items():
+            assert len(zs[pair]) == len(cycles)
+            assert all(z >= y for z, y in zip(sorted(zs[pair]),
+                                               sorted(cycles)))
+        # Each output transmits at most once per slot.
+        assert max(Counter(res.transmissions).values()) == 1

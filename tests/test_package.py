@@ -544,13 +544,22 @@ class TestDocsConsistency:
         )
 
     def test_paper_mapping_module_references_resolve(self):
-        """Every `repro.x.y` dotted path in docs/paper_mapping.md must
-        import."""
+        """Every `repro.x.Y` dotted path in docs/paper_mapping.md and
+        the other docs (README, DESIGN, EXPERIMENTS, docs/*.md) must
+        resolve, class and attribute segments included."""
         import importlib
         import re
 
-        text = (ROOT / "docs" / "paper_mapping.md").read_text()
-        for dotted in set(re.findall(r"`(repro(?:\.[a-z_]+)+)", text)):
+        docs = [ROOT / name
+                for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+        docs += sorted((ROOT / "docs").glob("*.md"))
+        refs = {
+            (doc.relative_to(ROOT), dotted)
+            for doc in docs
+            for dotted in re.findall(r"`(repro(?:\.[A-Za-z_]\w*)+)",
+                                     doc.read_text())
+        }
+        for doc, dotted in sorted(refs):
             parts = dotted.split(".")
             # Find the longest importable module prefix, then resolve
             # the remaining attributes.
@@ -564,6 +573,6 @@ class TestDocsConsistency:
                 raise AssertionError(f"cannot import any prefix of {dotted}")
             for attr in parts[cut:]:
                 assert hasattr(obj, attr), (
-                    f"paper_mapping.md references missing {dotted}"
+                    f"{doc} references missing {dotted}"
                 )
                 obj = getattr(obj, attr)

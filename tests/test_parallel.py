@@ -56,6 +56,14 @@ class TestSweepPoint:
         with pytest.raises(ValueError, match="model"):
             SweepPoint(model="banyan", config=config, trace=trace)
 
+    @pytest.mark.parametrize("mode, window", [
+        ("magic", None), ("windowed", None), ("windowed", 0),
+    ])
+    def test_rejects_bad_opt_mode(self, config, trace, mode, window):
+        with pytest.raises(ValueError, match="opt mode"):
+            SweepPoint(model="cioq", config=config, trace=trace,
+                       opt_mode=mode, opt_window=window)
+
     def test_payload_matches_direct_run(self, config, trace):
         point = SweepPoint(model="cioq", config=config, trace=trace,
                            policy_factory=GMPolicy, seed=0,

@@ -145,6 +145,8 @@ def capacity_upper_bound(
     """
     if horizon is None:
         horizon = default_horizon(trace, config)
+    if trace.packets and horizon <= trace.packets[-1].arrival:
+        raise ValueError("horizon must extend past the last arrival")
     by_out: Dict[int, List[Packet]] = {}
     by_in: Dict[int, List[Packet]] = {}
     for p in trace.packets:

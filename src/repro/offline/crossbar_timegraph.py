@@ -51,7 +51,7 @@ class CrossbarOptModel(CIOQOptModel):
                     var_y[(i, j, t, s)] = n_var
                     var_z[(i, j, t, s)] = n_var + 1
                     n_var += 2
-                    if not (t == H - 1 and s == S - 1):
+                    if self.free_drain or not (t == H - 1 and s == S - 1):
                         self.var_cc[(i, j, t, s)] = n_var
                         n_var += 1
         self.var_exit, self.var_entry = var_y, var_z

@@ -22,6 +22,16 @@ small integer program assembled by :class:`CIOQOptModel` (solved with
 HiGHS via :func:`scipy.optimize.milp`; the LP relaxation is almost
 always integral, so branching is rare).
 
+**Free drain.**  By default the model spans the arrival slots only and
+leaves the VOQ, crosspoint and output inventories after the last slot
+free within their capacities.  This is exact: with no arrivals, any
+buffer state within capacity delivers at least one packet per slot (the
+argument behind :func:`~repro.simulation.engine.drain_bound`), so every
+packet OPT still holds at the end is delivered later, and accepted
+equals delivered.  An explicit horizon instead forces every queue empty
+by then (*forced drain*), which the windowed lower bound and schedule
+extraction need.
+
 Both switch models share this one assembly and differ only in the
 per-cycle stage: a single hop Q_ij -> Q_j for CIOQ, and for the buffered
 crossbar (:class:`~repro.offline.crossbar_timegraph.CrossbarOptModel`)
@@ -103,7 +113,11 @@ class OptResult:
 
 
 def default_horizon(trace: Trace, config: SwitchConfig) -> int:
-    """Arrival slots plus a drain period that always suffices for OPT."""
+    """Arrival slots plus a drain period that always suffices for OPT.
+
+    A forced-drain model at this horizon has the free-drain default's
+    optimum; schedule extraction solves it.
+    """
     return trace.n_slots + drain_bound(config)
 
 
@@ -125,9 +139,14 @@ class CIOQOptModel:
     through :meth:`_number_stage`, :meth:`_stage_rows` and
     :meth:`_decode_stage` only.
 
-    Inventory variables at the final slot are simply not created, which
-    forces OPT to drain by the horizon (the horizon includes a
-    sufficient drain period, so this costs nothing).
+    With ``horizon=None`` the model covers the ``trace.n_slots`` arrival
+    slots and keeps ``h`` and ``g`` (and the crossbar's last crosspoint
+    inventory) at the final slot, bounded by their capacities: free
+    drain, exact by the argument in the module docstring.  An explicit
+    ``horizon`` creates no final-slot inventories, which forces OPT to
+    drain by the horizon.  ``solve(extract_schedule=True)`` needs every
+    delivery in the schedule, so on a free-drain model it first rebuilds
+    the same object with forced drain at :func:`default_horizon`.
     """
 
     def __init__(
@@ -140,9 +159,8 @@ class CIOQOptModel:
             raise ValueError("trace/config dimension mismatch")
         self.trace = trace
         self.config = config
-        self.horizon = horizon if horizon is not None else default_horizon(
-            trace, config
-        )
+        self.free_drain = horizon is None
+        self.horizon = trace.n_slots if horizon is None else horizon
         if trace.packets and self.horizon <= trace.packets[-1].arrival:
             raise ValueError("horizon must extend past the last arrival")
         self._built = False
@@ -188,6 +206,9 @@ class CIOQOptModel:
         H = self.horizon
         S = cfg.speedup
         packets = self.trace.packets
+        # Inventories carry out of every slot but the last, and out of
+        # the last one too under free drain.
+        carry_end = H if self.free_drain else H - 1
 
         # Active windows: (i, j) pairs only matter from their first arrival
         # (a trace keeps its packets sorted by arrival).
@@ -204,13 +225,13 @@ class CIOQOptModel:
         n_var = self._number_stage(first_arrival, len(packets))
         self.var_h: Dict[Tuple[int, int, int], int] = {}
         for (i, j), t0 in first_arrival.items():
-            for t in range(t0, H - 1):
+            for t in range(t0, carry_end):
                 self.var_h[(i, j, t)] = n_var
                 n_var += 1
         self.var_g: Dict[Tuple[int, int], int] = {}
         self.var_w: Dict[Tuple[int, int], int] = {}
         for j, t0 in out_first.items():
-            for t in range(t0, H - 1):
+            for t in range(t0, carry_end):
                 self.var_g[(j, t)] = n_var
                 n_var += 1
             for t in range(t0, H):
@@ -323,6 +344,12 @@ class CIOQOptModel:
         """Solve the model to proven optimality."""
         if not self.trace.packets:
             return OptResult(benefit=0.0, n_delivered=0)
+        if extract_schedule and self.free_drain:
+            # Free drain leaves deliveries past the horizon unscheduled:
+            # rebuild with forced drain so the schedule holds them all.
+            self.free_drain = False
+            self.horizon = default_horizon(self.trace, self.config)
+            self._built = False
         self.build()
         # Look ``milp`` up in the defining module at call time, so each
         # model solves through its own module's name (perfbench/tracer.py

@@ -1,19 +1,18 @@
 """Windowed offline optimum with certified stitched bounds.
 
 The exact time-expanded MILP (:mod:`repro.offline.timegraph`) scales
-superlinearly with the horizon, and its safe drain period
-(:func:`repro.simulation.engine.drain_bound`, O(N^2 * b) slots) is added
-to *every* solve — at N = 16 the drain alone is 1345 slots, so the exact
-model is unbuildable long before the arrival horizon gets interesting.
+superlinearly with the number of arrival slots and active (i, j) pairs.
 This module trades exactness for a certified bracket by decomposing the
 arrival timeline into disjoint windows of ``window`` slots and solving
 each window as a fresh, small instance with the *same* exact machinery:
 
-* **Upper bound** — each window is solved with a free drain period after
-  its last arrival.  Partition OPT's accepted packets by arrival window;
-  the restriction of OPT's schedule to one window's packets is feasible
-  for that window's stand-alone instance (all constraints are packing
-  constraints), so ``sum_k OPT(window_k, free drain) >= OPT``.
+* **Upper bound** — each window is solved with free drain (the exact
+  model's default: its final inventories stay free, and whatever it
+  still holds is delivered after the window).  Partition OPT's accepted
+  packets by arrival window; the restriction of OPT's schedule to one
+  window's packets is feasible for that window's stand-alone instance
+  (all constraints are packing constraints), so ``sum_k OPT(window_k,
+  free drain) >= OPT``.
 * **Lower bound** — each non-final window is solved with the horizon
   clamped to the window end (forced drain).  The per-window schedules
   occupy disjoint time ranges and start from empty buffers, so their
@@ -26,8 +25,12 @@ With a single window the solver delegates to the exact model verbatim
 reproduces the exact optimum bit for bit — the anchor the differential
 test matrix (``tests/test_opt_equivalence.py``) pins.
 
-Per-window drain: windows use :func:`window_drain_slots`, a drain period
-that is O(N * b) instead of the engine's O(N^2 * b) worst-case bound.
+Per-window drain: the free-drain upper solves model the window's
+arrival slots only and append no drain period at all; the forced-drain
+lower solves end at the window end.  :func:`window_drain_slots` is the
+O(N * b) drain period by which a window's packets are provably out of
+the switch, and ``mode="auto"`` sizes windows with it
+(:func:`repro.offline.opt.select_opt_mode`).
 
 **Drain lemma.**  With no further arrivals, any feasible buffer state of
 either switch model can be fully delivered within ``Delta + b_out + 1``
@@ -45,7 +48,7 @@ an output queue never exceeds its occupancy bound (it transmits every
 slot it is non-empty), so no entry is ever blocked.  After ``Delta``
 slots every packet sits in its output queue; at most ``b_out`` more
 slots flush the queues.  The equivalence tests cross-validate the lemma
-against the engine's conservative bound on every differential instance.
+against the free-drain optimum for both switch models.
 """
 
 from __future__ import annotations
@@ -62,8 +65,9 @@ _MODEL_CLASSES = {"cioq": CIOQOptModel, "crossbar": CrossbarOptModel}
 
 
 def window_drain_slots(config: SwitchConfig) -> int:
-    """Drain period used for per-window solves: O(N * b) slots.
+    """Drain period that empties either switch model: O(N * b) slots.
 
+    Auto mode adds it to each window when sizing windowed solves.
     ``max(n_in, n_out) * (b_in + b_cross) + b_out + 1`` always suffices
     to empty the switch with no further arrivals (Koenig edge-coloring
     argument; see the module docstring), versus the engine's
@@ -139,7 +143,6 @@ def windowed_opt(
             n_windows=1,
         )
 
-    drain = window_drain_slots(config)
     bounds = window_boundaries(trace.n_slots, window)
     lower = 0.0
     upper = 0.0
@@ -149,7 +152,7 @@ def windowed_opt(
         if not sub.packets:
             continue
         # Free-drain solve: certified per-window upper contribution.
-        up = cls(sub, config, horizon=sub.n_slots + drain).solve()
+        up = cls(sub, config).solve()
         upper += up.benefit
         n_delivered += up.n_delivered
         if stop == trace.n_slots:

@@ -8,10 +8,15 @@ every builtin scenario (downscaled so exact OPT stays cheap):
   and must reproduce its benefit **bit-for-bit** (no tolerance);
 * every certified bracket — windowed with a proper window, and the
   near-free bounds mode — must sandwich the exact optimum;
-* the drain lemma behind the per-window horizons
-  (:func:`~repro.offline.windowed.window_drain_slots`) is validated
-  differentially: truncating the global horizon to
-  ``n_slots + window_drain_slots(config)`` must not change exact OPT;
+* free drain is exact: the default model (arrival slots only, free
+  final inventories) and the forced-drain model at ``default_horizon``
+  give **bit-for-bit** equal benefits for both switch models, and
+  schedule extraction from a default model returns the forced model's
+  schedule;
+* the drain lemma (:func:`~repro.offline.windowed.window_drain_slots`)
+  is validated differentially for both switch models: truncating the
+  forced horizon to ``n_slots + window_drain_slots(config)`` must not
+  change exact OPT;
 * :func:`~repro.offline.opt.solve_opt` dispatch and
   :func:`~repro.offline.opt.select_opt_mode` auto-selection are pinned
   (mode validation, exact-for-small, deterministic selection).
@@ -26,19 +31,23 @@ import pytest
 from repro.offline import (
     OPT_MODES,
     bounds_opt,
+    capacity_upper_bound,
     cioq_opt,
     crossbar_opt,
     select_opt_mode,
     solve_opt,
     windowed_opt,
 )
+from repro.offline.crossbar_timegraph import CrossbarOptModel
 from repro.offline.opt import AUTO_EXACT_BUDGET, _exact_size_proxy
-from repro.offline.timegraph import default_horizon
+from repro.offline.timegraph import CIOQOptModel, default_horizon
 from repro.offline.windowed import window_drain_slots
 from repro.scenarios import all_scenarios
 from repro.switch.config import SwitchConfig
 from repro.switch.packet import Packet
+from repro.traffic.bernoulli import BernoulliTraffic
 from repro.traffic.trace import Trace
+from repro.traffic.values import uniform_values, unit_values
 
 #: Downscaled arrival horizon: small enough that exact OPT on every
 #: builtin scenario solves in milliseconds, large enough that windows
@@ -47,6 +56,13 @@ SLOTS = 6
 
 #: Seeds per scenario in the matrix (first two registered seeds).
 SEEDS_PER_SCENARIO = 2
+
+MODEL_CLASSES = {"cioq": CIOQOptModel, "crossbar": CrossbarOptModel}
+
+
+def _forced(cls, trace, config):
+    """The forced-drain model at ``default_horizon``."""
+    return cls(trace, config, horizon=default_horizon(trace, config))
 
 
 def _downscale(spec):
@@ -122,12 +138,84 @@ class TestDifferentialMatrix:
         assert via.benefit == exact.benefit
         assert via.mode == "exact"
 
+    @pytest.mark.parametrize("kind", sorted(MODEL_CLASSES))
+    def test_free_drain_matches_forced_drain_bitwise(self, spec, seed, kind):
+        trace, config, _ = _instance(spec, seed)
+        cls = MODEL_CLASSES[kind]
+        free = cls(trace, config).solve()
+        forced = _forced(cls, trace, config).solve()
+        assert free.benefit == forced.benefit
+
+
+#: Free-drain grid: (speedup, b_cross, values, load) on a 3x3 switch.
+FREE_DRAIN_GRID = [
+    (speedup, b_cross, values, load)
+    for speedup in (1, 2)
+    for b_cross in (1, 2)
+    for values in ("unit", "weighted")
+    for load in (0.7, 1.0, 1.5, 2.5)
+]
+
+
+def _grid_instance(speedup, b_cross, values, load, seed):
+    config = SwitchConfig.square(3, speedup=speedup, b_in=2, b_out=2,
+                                 b_cross=b_cross)
+    value_model = unit_values() if values == "unit" else uniform_values(1, 50)
+    trace = BernoulliTraffic(3, 3, load=load,
+                             value_model=value_model).generate(8, seed=seed)
+    return trace, config
+
+
+class TestFreeDrain:
+    """The default model spans the arrival slots only and leaves its
+    final inventories free; with no arrivals any state within capacity
+    drains, so it is exact — equal, bit for bit, to the forced-drain
+    model at ``default_horizon``."""
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize(
+        ("speedup", "b_cross", "values", "load"), FREE_DRAIN_GRID,
+        ids=[f"s{s}-c{c}-{v}-load{ld}" for s, c, v, ld in FREE_DRAIN_GRID],
+    )
+    def test_grid_free_drain_matches_forced_drain_bitwise(
+            self, speedup, b_cross, values, load, seed):
+        trace, config = _grid_instance(speedup, b_cross, values, load, seed)
+        for cls in MODEL_CLASSES.values():
+            free = cls(trace, config)
+            forced = _forced(cls, trace, config)
+            assert free.horizon == trace.n_slots < forced.horizon
+            assert free.solve().benefit == forced.solve().benefit
+
+    @pytest.mark.parametrize("kind", sorted(MODEL_CLASSES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_schedule_extraction_uses_forced_drain(self, kind, seed):
+        """Extraction from a default model switches that same object to
+        forced drain at ``default_horizon``: the schedule (and the
+        crossbar's subphase events) equal the forced model's, and the
+        benefit equals the free-drain solve's."""
+        trace, config = _grid_instance(2, 2, "weighted", 1.5, seed)
+        cls = MODEL_CLASSES[kind]
+        model = cls(trace, config)
+        res = model.solve(extract_schedule=True)
+        ref_model = _forced(cls, trace, config)
+        ref = ref_model.solve(extract_schedule=True)
+        assert not model.free_drain
+        assert model.horizon == default_horizon(trace, config)
+        assert res.accepted_pids == ref.accepted_pids
+        assert res.departures == ref.departures
+        assert res.transmissions == ref.transmissions
+        assert len(res.transmissions) == res.n_delivered
+        if kind == "crossbar":
+            assert model.y_events == ref_model.y_events
+            assert model.z_events == ref_model.z_events
+        assert res.benefit == cls(trace, config).solve().benefit
+
 
 class TestDrainLemma:
-    """The per-window horizon pad is sufficient: cutting the global
+    """The per-window drain period is sufficient: cutting the forced
     horizon down to ``n_slots + window_drain_slots(config)`` never
-    changes exact OPT (the certified drain lemma, tested
-    differentially against the much larger default drain bound)."""
+    changes exact OPT, for either switch model (the certified drain
+    lemma, tested differentially against the free-drain optimum)."""
 
     CONFIGS = [
         SwitchConfig.square(2, speedup=1, b_in=1, b_out=1, b_cross=1),
@@ -135,29 +223,64 @@ class TestDrainLemma:
         SwitchConfig.square(3, speedup=2, b_in=2, b_out=1, b_cross=2),
     ]
 
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize(
+    seeds = pytest.mark.parametrize("seed", range(4))
+    configs = pytest.mark.parametrize(
         "config", CONFIGS, ids=lambda c: f"{c.n_in}x{c.n_out}s{c.speedup}"
     )
-    def test_drain_horizon_preserves_opt(self, config, seed):
-        from repro.traffic.bernoulli import BernoulliTraffic
-        from repro.traffic.values import uniform_values
 
+    @staticmethod
+    def _check(config, seed, kind):
         trace = BernoulliTraffic(
             config.n_in, config.n_out, load=1.5,
             value_model=uniform_values(1, 9),
         ).generate(5, seed=seed)
         short = trace.n_slots + window_drain_slots(config)
         assert short <= default_horizon(trace, config)
-        full = cioq_opt(trace, config)
-        cut = cioq_opt(trace, config, horizon=short)
+        full = solve_opt(trace, config, model=kind)
+        cut = solve_opt(trace, config, model=kind, horizon=short)
         assert cut.benefit == full.benefit
+
+    @seeds
+    @configs
+    def test_drain_horizon_preserves_opt(self, config, seed):
+        self._check(config, seed, "cioq")
+
+    @seeds
+    @configs
+    def test_drain_horizon_preserves_crossbar_opt(self, config, seed):
+        self._check(config, seed, "crossbar")
 
     def test_drain_slots_below_default_bound(self):
         for config in self.CONFIGS:
             trace = Trace([], config.n_in, config.n_out)
             assert (trace.n_slots + window_drain_slots(config)
                     <= default_horizon(trace, config))
+
+
+class TestHorizonValidation:
+    """Every solver that takes a horizon rejects one that does not
+    extend past the last arrival (a packet at slot 6 here) instead of
+    crashing (horizon 3) or silently dropping the packet (horizon 6)."""
+
+    TRACE = Trace([Packet(0, 1.0, 0, 0, 1), Packet(1, 2.0, 6, 1, 0)], 2, 2)
+
+    @pytest.mark.parametrize("horizon", (3, 6))
+    def test_early_horizon_rejected(self, tiny_config, horizon):
+        for solve in (
+            lambda: capacity_upper_bound(self.TRACE, tiny_config,
+                                         horizon=horizon),
+            lambda: bounds_opt(self.TRACE, tiny_config, horizon=horizon),
+            lambda: cioq_opt(self.TRACE, tiny_config, horizon=horizon),
+            lambda: crossbar_opt(self.TRACE, tiny_config, horizon=horizon),
+        ):
+            with pytest.raises(ValueError,
+                               match="horizon must extend past the last"):
+                solve()
+
+    def test_first_valid_horizon_keeps_late_packet(self, tiny_config):
+        assert capacity_upper_bound(self.TRACE, tiny_config,
+                                    horizon=7) == 3.0
+        assert cioq_opt(self.TRACE, tiny_config, horizon=7).benefit == 3.0
 
 
 class TestDispatchAndSelection:

@@ -11,7 +11,10 @@ it does not depend on which tied optimum a scipy release returns.
 The instance matrix crosses speedup 1/2, ``b_cross`` 1/2 and unit /
 weighted values on a 3x3 Bernoulli trace, and adds every builtin
 scenario cut to :data:`SLOTS` arrival slots; each instance is built as
-both a CIOQ and a crossbar model.
+both a CIOQ and a crossbar model, in both drain formulations: forced
+drain at an explicit ``horizon=default_horizon(...)`` (key
+``name/kind``; the model schedule extraction solves) and the default
+free drain over the arrival slots only (key ``name/kind/free-drain``).
 
 A change that reorders the model on purpose re-records the digests and
 says so in CHANGES.md::
@@ -28,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro.offline.crossbar_timegraph import CrossbarOptModel
-from repro.offline.timegraph import CIOQOptModel
+from repro.offline.timegraph import CIOQOptModel, default_horizon
 from repro.scenarios import all_scenarios
 from repro.switch.config import SwitchConfig
 from repro.traffic.bernoulli import BernoulliTraffic
@@ -83,15 +86,21 @@ def model_digest(model) -> str:
     return h.hexdigest()
 
 
+def _models():
+    """``(case, model)`` for every instance, model class and drain."""
+    for name, trace, config in _instances():
+        for kind, cls in MODELS.items():
+            forced = cls(trace, config,
+                         horizon=default_horizon(trace, config))
+            yield f"{name}/{kind}", forced
+            yield f"{name}/{kind}/free-drain", cls(trace, config)
+
+
 def current_digests():
-    return {
-        f"{name}/{kind}": model_digest(cls(trace, config))
-        for name, trace, config in _instances()
-        for kind, cls in MODELS.items()
-    }
+    return {case: model_digest(model) for case, model in _models()}
 
 
-CASES = [f"{name}/{kind}" for name, _, _ in _instances() for kind in MODELS]
+CASES = [case for case, _ in _models()]
 
 
 @pytest.fixture(scope="module")

@@ -231,8 +231,9 @@ class TestWelfordProperties:
 class TestCertifiedOptBrackets:
     """Certified-bracket invariants of the windowed / bounds OPT
     solvers, checked against the exact MILP on tiny instances (see
-    ``docs/offline_opt.md``).  Exact solves dominate the runtime, so
-    the per-seed case count is lower than :data:`N_CASES`.
+    ``docs/offline_opt.md``), and the exactness of the exact MILP's
+    free drain.  Exact solves dominate the runtime, so the per-seed
+    case count is lower than :data:`N_CASES`.
     """
 
     N_OPT_CASES = 8
@@ -263,6 +264,25 @@ class TestCertifiedOptBrackets:
                 assert exact.benefit <= res.opt_upper + tol, context
                 assert 0.0 <= res.opt_lower + tol, context
                 assert res.opt_upper <= total + self._tol(total), context
+
+    def test_free_drain_matches_forced_drain(self, seed):
+        """The default model (arrival slots only, free final
+        inventories) gives bit for bit the forced-drain optimum at
+        ``default_horizon``."""
+        from _strategies import opt_instance_strategy
+        from repro.offline.crossbar_timegraph import CrossbarOptModel
+        from repro.offline.timegraph import CIOQOptModel, default_horizon
+
+        classes = {"cioq": CIOQOptModel, "crossbar": CrossbarOptModel}
+        rng = random.Random(seed)
+        for case in range(self.N_OPT_CASES):
+            trace, config, model = opt_instance_strategy(rng)
+            cls = classes[model]
+            free = cls(trace, config).solve()
+            forced = cls(trace, config,
+                         horizon=default_horizon(trace, config)).solve()
+            context = f"seed={seed:#x} case={case} trace={trace.name}"
+            assert free.benefit == forced.benefit, context
 
     def test_windowed_tightens_monotonically(self, seed):
         """Doubling the window along a divisible ladder never loosens

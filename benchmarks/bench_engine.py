@@ -159,8 +159,6 @@ def main(argv=None):
     import argparse
     import pathlib
 
-    from repro.obs import append_bench_history
-
     root = pathlib.Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -168,10 +166,6 @@ def main(argv=None):
     parser.add_argument(
         "--output", default=str(root / "BENCH_engine.json"),
         help="snapshot path (default: repo-root BENCH_engine.json)")
-    parser.add_argument(
-        "--history", default=str(root / "BENCH_history.jsonl"),
-        help="dated history ledger to append to ('' disables); unlike "
-             "the snapshot this accumulates a trajectory across runs")
     args = parser.parse_args(argv)
     reps = 1 if args.quick else 3
 
@@ -187,9 +181,6 @@ def main(argv=None):
                   f"speedup {row['speedup']:.2f}x")
     write_snapshot(rows, args.output)
     print(f"wrote {args.output}")
-    if args.history:
-        append_bench_history(args.history, "engine", rows, quick=args.quick)
-        print(f"appended to {args.history}")
     return 0
 
 

@@ -24,8 +24,7 @@ Runs two ways:
 
 * ``python benchmarks/bench_farm.py [--quick] [--check]`` — writes
   ``BENCH_farm.json`` at the repo root (sorted keys, no timestamps,
-  trailing newline) and appends a dated entry to
-  ``BENCH_history.jsonl``.  ``--check`` turns the thresholds into hard
+  trailing newline).  ``--check`` turns the thresholds into hard
   failures (the CI farm-smoke job); ``--quick`` shrinks the workload
   (same schema).
 * the committed ``BENCH_farm.json`` is validated (schema, thresholds,
@@ -248,8 +247,6 @@ def main(argv=None):
     import pathlib
     import tempfile
 
-    from repro.obs import append_bench_history
-
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="smaller workload (CI smoke; same schema)")
@@ -259,10 +256,6 @@ def main(argv=None):
     parser.add_argument("--output", default=str(root / "BENCH_farm.json"),
                         help="snapshot path (default: repo-root "
                              "BENCH_farm.json)")
-    parser.add_argument("--history", default=str(root /
-                                                 "BENCH_history.jsonl"),
-                        help="dated history ledger to append to "
-                             "('' disables)")
     args = parser.parse_args(argv)
 
     tmp_root = tempfile.mkdtemp(prefix="bench_farm_")
@@ -311,10 +304,6 @@ def main(argv=None):
 
     write_snapshot(sweep_row, pool_row, args.output)
     print(f"wrote {args.output}")
-    if args.history:
-        append_bench_history(args.history, "farm", [sweep_row, pool_row],
-                             quick=args.quick)
-        print(f"appended to {args.history}")
     return 0
 
 

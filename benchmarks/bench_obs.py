@@ -17,10 +17,9 @@ Runs two ways:
 
 * ``python benchmarks/bench_obs.py [--quick] [--check]`` — the
   overhead sweep.  Writes ``BENCH_obs.json`` at the repo root (sorted
-  keys, no timestamps, trailing newline) and appends a dated entry to
-  ``BENCH_history.jsonl``.  ``--check`` turns the budgets into hard
-  failures (the CI observability-overhead job); ``--quick`` uses fewer
-  timed reps (same schema).
+  keys, no timestamps, trailing newline).  ``--check`` turns the
+  budgets into hard failures (the CI observability-overhead job);
+  ``--quick`` uses fewer timed reps (same schema).
 * ``pytest benchmarks/bench_obs.py --benchmark-only`` —
   pytest-benchmark statistics on the off/on reference legs.
 
@@ -243,8 +242,6 @@ def main(argv=None):
     import argparse
     import pathlib
 
-    from repro.obs import append_bench_history
-
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="3 timed reps per leg instead of 15 (CI smoke)")
@@ -254,10 +251,6 @@ def main(argv=None):
     parser.add_argument("--output", default=str(root / "BENCH_obs.json"),
                         help="snapshot path (default: repo-root "
                              "BENCH_obs.json)")
-    parser.add_argument("--history", default=str(root /
-                                                 "BENCH_history.jsonl"),
-                        help="dated history ledger to append to "
-                             "('' disables)")
     args = parser.parse_args(argv)
     reps = 3 if args.quick else 15
     if args.check:
@@ -298,9 +291,6 @@ def main(argv=None):
 
     write_snapshot(rows, args.output)
     print(f"wrote {args.output}")
-    if args.history:
-        append_bench_history(args.history, "obs", rows, quick=args.quick)
-        print(f"appended to {args.history}")
     return 0
 
 

@@ -259,8 +259,6 @@ def main(argv=None):
     import argparse
     import pathlib
 
-    from repro.obs import append_bench_history
-
     root = pathlib.Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -268,10 +266,6 @@ def main(argv=None):
     parser.add_argument(
         "--output", default=str(root / "BENCH_opt.json"),
         help="snapshot path (default: repo-root BENCH_opt.json)")
-    parser.add_argument(
-        "--history", default=str(root / "BENCH_history.jsonl"),
-        help="dated history ledger to append to ('' disables); unlike "
-             "the snapshot this accumulates a trajectory across runs")
     args = parser.parse_args(argv)
 
     comparison = QUICK_COMPARISON if args.quick else COMPARISON_CELLS
@@ -308,9 +302,6 @@ def main(argv=None):
 
     write_snapshot(rows, args.output)
     print(f"wrote {args.output}")
-    if args.history:
-        append_bench_history(args.history, "opt", rows, quick=args.quick)
-        print(f"appended to {args.history}")
     return 0
 
 

@@ -5,7 +5,6 @@ from .ratio import (
     RatioSummary,
     measure_cioq_ratio,
     measure_crossbar_ratio,
-    measure_many,
     per_seed_ratios,
     ratio_of,
     summarize,
@@ -16,14 +15,12 @@ from .report import (
     format_mean_ci,
     format_summary_table,
     format_table,
-    markdown_table,
     print_table,
 )
 from .sweep import (
     beta_sweep_pg,
     buffer_sweep_crossbar,
     grid,
-    measurements_to_rows,
     speedup_sweep,
     threshold_sweep_cpg,
 )
@@ -35,14 +32,12 @@ from .efficiency import (
     random_weights,
 )
 from .latency import delay_rows, occupancy_report, sparkline
-from .classes import banded_breakdown, class_breakdown, value_classes
 
 __all__ = [
     "RatioMeasurement",
     "RatioSummary",
     "measure_cioq_ratio",
     "measure_crossbar_ratio",
-    "measure_many",
     "per_seed_ratios",
     "ratio_of",
     "summarize",
@@ -51,12 +46,10 @@ __all__ = [
     "format_mean_ci",
     "format_summary_table",
     "format_table",
-    "markdown_table",
     "print_table",
     "beta_sweep_pg",
     "buffer_sweep_crossbar",
     "grid",
-    "measurements_to_rows",
     "speedup_sweep",
     "threshold_sweep_cpg",
     "compare_unit_matching_cost",
@@ -67,7 +60,4 @@ __all__ = [
     "delay_rows",
     "occupancy_report",
     "sparkline",
-    "banded_breakdown",
-    "class_breakdown",
-    "value_classes",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from ..offline.opt import cioq_opt, crossbar_opt
 from ..scheduling.base import CIOQPolicy, CrossbarPolicy
@@ -232,31 +232,6 @@ def measure_crossbar_ratio(
     onl = run_crossbar(policy, config, trace)
     opt = crossbar_opt(trace, config, mode=opt_mode, window=opt_window)
     return _measurement(policy.name, trace, "crossbar", onl, opt, bound)
-
-
-def measure_many(
-    policy_factory: Callable[[], CIOQPolicy],
-    traces: Iterable[Trace],
-    config: SwitchConfig,
-    bound: Optional[float] = None,
-    model: str = "cioq",
-    opt_mode: str = "exact",
-    opt_window: Optional[int] = None,
-) -> List[RatioMeasurement]:
-    """Measure one policy across many traces (fresh policy per trace)."""
-    out: List[RatioMeasurement] = []
-    for trace in traces:
-        if model == "cioq":
-            out.append(measure_cioq_ratio(policy_factory(), trace, config,
-                                          bound, opt_mode, opt_window))
-        elif model == "crossbar":
-            out.append(
-                measure_crossbar_ratio(policy_factory(), trace, config,
-                                       bound, opt_mode, opt_window)
-            )
-        else:
-            raise ValueError(f"unknown model {model!r}")
-    return out
 
 
 def worst(measurements: Iterable[RatioMeasurement]) -> RatioMeasurement:

@@ -132,23 +132,3 @@ def format_summary_table(
     columns = list(display[0].keys()) if display else None
     return format_table(display, columns=columns, title=title,
                         float_digits=float_digits)
-
-
-def markdown_table(
-    rows: Sequence[Mapping[str, object]],
-    columns: Optional[Sequence[str]] = None,
-    float_digits: int = 4,
-) -> str:
-    """Render dict rows as a GitHub-flavoured markdown table (used when
-    pasting results into EXPERIMENTS.md)."""
-    if not rows:
-        return "(no rows)\n"
-    if columns is None:
-        columns = list(rows[0].keys())
-    out = ["| " + " | ".join(str(c) for c in columns) + " |"]
-    out.append("|" + "|".join("---" for _ in columns) + "|")
-    for r in rows:
-        out.append(
-            "| " + " | ".join(_fmt(r.get(c), float_digits) for c in columns) + " |"
-        )
-    return "\n".join(out) + "\n"

@@ -27,7 +27,7 @@ from ..parallel import SweepExecutor, SweepPoint
 from ..switch.config import SwitchConfig
 from ..traffic.base import TrafficModel
 from ..traffic.trace import Trace
-from .ratio import RatioMeasurement, ratio_of
+from .ratio import ratio_of
 
 
 def grid(**params: Sequence) -> List[Dict]:
@@ -240,7 +240,3 @@ def buffer_sweep_crossbar(
             }
         )
     return rows
-
-
-def measurements_to_rows(measurements: Iterable[RatioMeasurement]) -> List[Dict]:
-    return [m.as_row() for m in measurements]

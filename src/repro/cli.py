@@ -539,62 +539,28 @@ def cmd_scenarios_export(args) -> int:
 
 def cmd_trace_record(args) -> int:
     """Record a traffic model to a chunked stream file, O(chunk) memory."""
-    import json as _json
-    import os
-    import tempfile
-
-    from .traffic.trace import STREAM_FORMAT, STREAM_VERSION
+    from .switch.packet import Packet
+    from .traffic.trace import write_stream
 
     model = _build_traffic(args)
     source = model.arrival_source(seed=args.seed)
-    chunk_slots = args.chunk_slots
-    if chunk_slots < 1:
-        raise SystemExit("--chunk-slots must be >= 1")
-    n_packets = 0
-    # The header carries the total packet count, which is only known
-    # after the last slot; body chunks go to a sibling temp file first,
-    # then header + body are concatenated — still one chunk in memory.
-    out_dir = os.path.dirname(os.path.abspath(args.output)) or "."
-    fd, body_path = tempfile.mkstemp(dir=out_dir, suffix=".body")
+
+    def slots():
+        pid = 0
+        for t in range(args.slots):
+            arrivals = []
+            for src, dst, value in source(t, None):
+                arrivals.append(Packet(pid, value, t, src, dst))
+                pid += 1
+            yield arrivals
+
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as body:
-            base = 0
-            rows = []
-            for t in range(args.slots):
-                for src, dst, value in source(t, None):
-                    rows.append([n_packets, value, t, src, dst])
-                    n_packets += 1
-                if t + 1 - base == chunk_slots:
-                    if rows:
-                        body.write(_json.dumps(
-                            {"base": base, "packets": rows}))
-                        body.write("\n")
-                    base, rows = t + 1, []
-            if rows:
-                body.write(_json.dumps({"base": base, "packets": rows}))
-                body.write("\n")
-        with open(args.output, "w", encoding="utf-8") as out:
-            out.write(_json.dumps({
-                "format": STREAM_FORMAT,
-                "version": STREAM_VERSION,
-                "name": f"{model.name}/{model.value_model.name}"
-                        f"/seed{args.seed}",
-                "n_in": model.n_in,
-                "n_out": model.n_out,
-                "n_slots": args.slots,
-                "n_packets": n_packets,
-                "chunk_slots": chunk_slots,
-            }))
-            out.write("\n")
-            with open(body_path, "r", encoding="utf-8") as body:
-                while True:
-                    block = body.read(1 << 20)
-                    if not block:
-                        break
-                    out.write(block)
-    finally:
-        if os.path.exists(body_path):
-            os.unlink(body_path)
+        n_packets = write_stream(
+            args.output, slots(), model.n_in, model.n_out,
+            name=f"{model.name}/{model.value_model.name}/seed{args.seed}",
+            chunk_slots=args.chunk_slots)
+    except ValueError as exc:
+        raise SystemExit(f"trace record: {exc}") from None
     print(f"wrote {args.output}: {n_packets} packets over {args.slots} "
           f"slots ({model.n_in}x{model.n_out})")
     return 0

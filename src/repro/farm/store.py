@@ -25,8 +25,9 @@ substrate every farm component can point at:
   exactly-once protocol: an executor only runs points whose claim file
   it created (``O_CREAT | O_EXCL``), and polls the store for points
   claimed by another *live* writer.  Claims carry the claimer's pid;
-  claims held by dead processes are stolen, so a killed study never
-  wedges the points it was holding.
+  claims held by dead processes, and claims torn by a crash before the
+  pid was written, are stolen, so a killed study never wedges the
+  points it was holding.
 
 The store never deletes an entry except in :meth:`gc`, and every method
 tolerates concurrent mutation of the directory tree (races surface as a
@@ -45,6 +46,11 @@ __all__ = ["ResultStore"]
 
 #: Field stamping every stored entry with its cache version.
 _VERSION_FIELD = "cache_version"
+
+#: Seconds a claim file may go without a readable pid before it counts
+#: as torn: its creator crashed between the exclusive create and the
+#: pid write, so nobody will ever release it.
+_TORN_CLAIM_S = 10.0
 
 
 def _pid_alive(pid: int) -> bool:
@@ -174,14 +180,19 @@ class ResultStore:
 
     def _claimer(self, key: str) -> Optional[int]:
         """The live pid holding ``key``'s claim, else ``None``."""
+        path = self.claim_path(key)
         try:
-            with open(self.claim_path(key), "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 pid = int(json.load(fh).get("pid", 0))
         except (OSError, ValueError):
-            # Torn/vanished claim file: a just-created empty claim reads
-            # as claimed-by-unknown; treat as live briefly (the owner
-            # writes its pid immediately after the exclusive create).
-            return -1 if os.path.exists(self.claim_path(key)) else None
+            # No readable pid.  A just-created claim reads as held by an
+            # unknown owner (-1), who writes its pid right after the
+            # exclusive create; one older than _TORN_CLAIM_S is torn.
+            try:
+                age = time.time() - os.path.getmtime(path)
+            except OSError:
+                return None  # vanished
+            return -1 if age < _TORN_CLAIM_S else None
         return pid if _pid_alive(pid) else None
 
     def wait_for(self, key: str, timeout: float = 60.0,
@@ -256,7 +267,8 @@ class ResultStore:
         Removes: entries stamped with a ``cache_version`` other than
         this store's (unreachable — the version is hashed into every
         key), corrupt/torn entries, leftover ``*.tmp`` files, and claim
-        files held by dead processes.
+        files held by dead processes or torn before their pid was
+        written.
         """
         removed = {"stale": 0, "corrupt": 0, "tmp": 0, "claims": 0, "kept": 0}
 

@@ -2,8 +2,7 @@
 
 The telemetry substrate for the experiment farm: metrics recorders
 (:mod:`repro.obs.recorder`), provenance manifests
-(:mod:`repro.obs.manifest`), export sinks (:mod:`repro.obs.sinks`), and
-the benchmark trajectory ledger (:mod:`repro.obs.history`).
+(:mod:`repro.obs.manifest`) and export sinks (:mod:`repro.obs.sinks`).
 
 Design contract (pinned by ``tests/test_obs.py``,
 ``tests/test_backend_equivalence.py`` and ``benchmarks/bench_obs.py``):
@@ -19,7 +18,6 @@ This package imports no third-party modules (it must work in the
 numpy-free CI job alongside the reference backend).
 """
 
-from .history import HISTORY_FILENAME, append_bench_history, read_bench_history
 from .manifest import (
     MANIFEST_VERSION,
     build_manifest,
@@ -77,8 +75,4 @@ __all__ = [
     "read_jsonl",
     "prometheus_text",
     "write_walltimes",
-    # history
-    "HISTORY_FILENAME",
-    "append_bench_history",
-    "read_bench_history",
 ]

@@ -21,12 +21,6 @@ _EXPORTS = {
     "uniform_values": ".values",
     "unit_values": ".values",
     "TrafficModel": ".base",
-    "concat": ".transforms",
-    "map_values": ".transforms",
-    "merge": ".transforms",
-    "restrict_ports": ".transforms",
-    "scale_values": ".transforms",
-    "time_dilate": ".transforms",
     "BernoulliTraffic": ".bernoulli",
     "BurstyTraffic": ".bursty",
     "DiagonalTraffic": ".hotspot",

@@ -11,26 +11,29 @@ Two on-disk formats exist:
 
 * the **legacy single-document JSON** written by :meth:`Trace.save` —
   fine for small instances, but loading materializes every packet;
-* the **chunked stream format** written by :meth:`Trace.save_stream` —
-  a JSONL file (one header line, then one line per fixed-width slot
-  chunk) that :func:`iter_stream_slots` replays at O(chunk) peak
-  memory, so multi-million-packet recordings never have to fit in RAM.
+* the **chunked stream format** written by :func:`write_stream` (and
+  :meth:`Trace.save_stream`) — a JSONL file (one header line, then one
+  line per fixed-width slot chunk) that :func:`iter_stream_slots`
+  replays at O(chunk) peak memory, so multi-million-packet recordings
+  never have to fit in RAM.
 
 :meth:`Trace.load` sniffs the format, so every consumer that accepts a
 trace path transparently reads both.
 
 A trace's slot count is part of the instance: a recording that ends
-with intended idle time (drain slots, the gap of a warm-up/attack
-composition) keeps it through ``n_slots``, which both serializers
-persist and :func:`~repro.traffic.transforms.concat` and
-:class:`~repro.traffic.replay.TraceReplayTraffic` tiling respect.
+with intended idle time (drain slots) keeps it through ``n_slots``,
+which both serializers persist and
+:class:`~repro.traffic.replay.TraceReplayTraffic` tiling respects.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import shutil
 import struct
+import tempfile
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..switch.packet import Packet, total_value, validate_packets
@@ -59,9 +62,9 @@ class Trace:
     n_slots:
         Explicit arrival-slot count.  Defaults to ``last arrival + 1``
         (0 for an empty trace), but a recording that ends with intended
-        idle slots must say so — otherwise concatenation and replay
-        tiling would silently drop the trailing idle time.  Must be at
-        least the derived value.
+        idle slots must say so — otherwise replay tiling would
+        silently drop the trailing idle time.  Must be at least the
+        derived value.
     """
 
     def __init__(
@@ -225,43 +228,11 @@ class Trace:
 
     def save_stream(self, path: str,
                     chunk_slots: int = STREAM_CHUNK_SLOTS) -> None:
-        """Write the trace as a chunked JSONL stream.
-
-        Line 1 is the header (format/version/dimensions/``n_slots``/
-        packet count); each further line covers ``chunk_slots`` arrival
-        slots ``[base, base + chunk_slots)`` with its packets as
-        ``[pid, value, arrival, src, dst]`` rows.  Trailing idle slots
-        are represented by the header's ``n_slots`` (empty chunks are
-        not written), so the format round-trips exactly and
-        :func:`iter_stream_slots` replays it at O(chunk) peak memory.
-        """
-        if chunk_slots < 1:
-            raise ValueError("chunk_slots must be >= 1")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({
-                "format": STREAM_FORMAT,
-                "version": STREAM_VERSION,
-                "name": self.name,
-                "n_in": self.n_in,
-                "n_out": self.n_out,
-                "n_slots": self.n_slots,
-                "n_packets": len(self.packets),
-                "chunk_slots": int(chunk_slots),
-            }))
-            fh.write("\n")
-            i = 0
-            packets = self.packets
-            n = len(packets)
-            for base in range(0, self.n_slots, chunk_slots):
-                stop = base + chunk_slots
-                rows = []
-                while i < n and packets[i].arrival < stop:
-                    p = packets[i]
-                    rows.append([p.pid, p.value, p.arrival, p.src, p.dst])
-                    i += 1
-                if rows:
-                    fh.write(json.dumps({"base": base, "packets": rows}))
-                    fh.write("\n")
+        """Write the trace as a chunked JSONL stream (see
+        :func:`write_stream`); :func:`iter_stream_slots` replays it at
+        O(chunk) peak memory and :meth:`load` round-trips it exactly."""
+        write_stream(path, self._by_slot, self.n_in, self.n_out, self.name,
+                     chunk_slots)
 
     @classmethod
     def load_stream(cls, path: str) -> "Trace":
@@ -289,8 +260,66 @@ class Trace:
 
 
 # --------------------------------------------------------------------------
-# Stream readers (module-level: usable without materializing a Trace)
+# Stream writer and readers (module-level: no materialized Trace needed)
 # --------------------------------------------------------------------------
+
+def write_stream(path: str, slots: Iterable[Iterable[Packet]], n_in: int,
+                 n_out: int, name: str, chunk_slots: int) -> int:
+    """Write per-slot arrivals as a chunked stream file; returns the
+    packet count.
+
+    ``slots`` yields each arrival slot's packets in order; the number of
+    slots it yields (trailing idle ones included) is the header's
+    ``n_slots``.  Line 1 is the header (format/version/dimensions/
+    ``n_slots``/packet count); each further line covers ``chunk_slots``
+    arrival slots ``[base, base + chunk_slots)`` with its packets as
+    ``[pid, value, arrival, src, dst]`` rows, and empty chunks are not
+    written.  The header's counts are only known after the last slot,
+    so the body goes to a sibling temp file first and is then copied
+    behind the header: peak memory is one chunk of packets.
+    """
+    if chunk_slots < 1:
+        raise ValueError("chunk_slots must be >= 1")
+    n_slots = n_packets = 0
+    out_dir = os.path.dirname(os.path.abspath(path))
+    fd, body_path = tempfile.mkstemp(dir=out_dir, suffix=".body")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as body:
+            base, rows = 0, []
+            for arrivals in slots:
+                rows.extend([p.pid, p.value, p.arrival, p.src, p.dst]
+                            for p in arrivals)
+                n_slots += 1
+                if n_slots - base == chunk_slots:
+                    n_packets += _write_chunk(body, base, rows)
+                    base, rows = n_slots, []
+            n_packets += _write_chunk(body, base, rows)
+        with open(path, "w", encoding="utf-8") as out:
+            out.write(json.dumps({
+                "format": STREAM_FORMAT,
+                "version": STREAM_VERSION,
+                "name": name,
+                "n_in": n_in,
+                "n_out": n_out,
+                "n_slots": n_slots,
+                "n_packets": n_packets,
+                "chunk_slots": int(chunk_slots),
+            }))
+            out.write("\n")
+            with open(body_path, "r", encoding="utf-8") as body:
+                shutil.copyfileobj(body, out, 1 << 20)
+    finally:
+        os.unlink(body_path)
+    return n_packets
+
+
+def _write_chunk(fh, base: int, rows: List[list]) -> int:
+    """Write one non-empty chunk line; returns its packet count."""
+    if rows:
+        fh.write(json.dumps({"base": base, "packets": rows}))
+        fh.write("\n")
+    return len(rows)
+
 
 def is_stream_file(path: str) -> bool:
     """True if ``path`` starts with a chunked-stream header line."""

@@ -1,5 +1,7 @@
 """Tests for the analysis harness: ratios, sweeps, tables, efficiency."""
 
+import math
+
 import pytest
 
 from repro.analysis.efficiency import (
@@ -11,11 +13,15 @@ from repro.analysis.ratio import (
     RatioMeasurement,
     measure_cioq_ratio,
     measure_crossbar_ratio,
-    measure_many,
     summarize,
     worst,
 )
-from repro.analysis.report import format_table, markdown_table
+from repro.analysis.report import (
+    csv_table,
+    format_mean_ci,
+    format_summary_table,
+    format_table,
+)
 from repro.analysis.sweep import (
     beta_sweep_pg,
     buffer_sweep_crossbar,
@@ -59,12 +65,13 @@ class TestRatioMeasurement:
             row
         )
 
-    def test_measure_many_and_summary(self, small_config):
+    def test_summary_and_worst(self, small_config):
         traces = [
             BernoulliTraffic(3, 3, load=1.0).generate(8, seed=s)
             for s in range(3)
         ]
-        ms = measure_many(GMPolicy, traces, small_config, bound=3.0)
+        ms = [measure_cioq_ratio(GMPolicy(), t, small_config, bound=3.0)
+              for t in traces]
         assert len(ms) == 3
         s = summarize(ms)
         assert s["n"] == 3
@@ -75,6 +82,13 @@ class TestRatioMeasurement:
     def test_worst_empty_raises(self):
         with pytest.raises(ValueError):
             worst([])
+
+    def test_summarize_empty(self):
+        s = summarize([])
+        assert (s["n"], s["n_exact"], s["n_bracketed"],
+                s["n_unbounded"]) == (0, 0, 0, 0)
+        assert math.isnan(s["max_ratio"]) and math.isnan(s["mean_ratio"])
+        assert s["all_within_bound"] and s["all_certified_within_bound"]
 
 
 class TestSweeps:
@@ -144,14 +158,44 @@ class TestReport:
         txt = format_table([{"ok": True, "x": None}, {"ok": False, "x": 1.5}])
         assert "yes" in txt and "NO" in txt and "-" in txt
 
-    def test_markdown_table(self):
-        md = markdown_table([{"a": 1.23456, "b": "q"}])
-        assert md.startswith("| a | b |")
-        assert "---" in md
-
     def test_column_subset(self):
         txt = format_table([{"a": 1, "b": 2}], columns=["b"])
         assert "a" not in txt.splitlines()[0]
+
+    def test_float_digits(self):
+        txt = format_table([{"x": 3.14159}], float_digits=2)
+        assert txt.splitlines()[2].strip() == "3.1"
+
+    def test_csv_table_verbatim(self):
+        rows = [{"a": 0.123456789, "b": None}, {"a": 2, "b": "x,y"}]
+        assert csv_table(rows) == 'a,b\n0.123456789,\n2,"x,y"\n'
+        # A lone empty cell is quoted, so the row is not a blank line.
+        assert csv_table(rows, columns=["b"]) == 'b\n""\n"x,y"\n'
+
+    def test_csv_table_empty(self):
+        assert csv_table([]) == ""
+
+    @pytest.mark.parametrize("mean,half_width,cell", [
+        (None, 0.1, "-"),
+        (1.23456, None, "1.235"),
+        (1.23456, 0.0123456, "1.235 ± 0.01235"),
+    ])
+    def test_format_mean_ci(self, mean, half_width, cell):
+        assert format_mean_ci(mean, half_width) == cell
+
+    @pytest.mark.parametrize("boot", [False, True])
+    def test_format_summary_table(self, boot):
+        row = {"policy": "gm", "metric": "ratio", "n": 5, "mean": 1.5,
+               "half_width": 0.25, "ci_lo": 1.25, "ci_hi": 1.75,
+               "boot_lo": 1.3 if boot else None,
+               "boot_hi": 1.7 if boot else None}
+        lines = format_summary_table([row], title="S").splitlines()
+        columns = ["policy", "metric", "n", "mean", "ci_lo", "ci_hi"]
+        if boot:
+            columns += ["boot_lo", "boot_hi"]
+        assert lines[0] == "S"
+        assert lines[1].split() == columns
+        assert "1.5 ± 0.25" in lines[3]
 
 
 class TestEfficiency:

@@ -4,12 +4,14 @@ concurrent-writer / stale-version hardening it gives the sweep cache."""
 import json
 import multiprocessing
 import os
+import time
 from functools import partial
 
 import pytest
 
 from repro.core.pg import PGPolicy
 from repro.farm import ResultStore
+from repro.farm.store import _TORN_CLAIM_S
 from repro.parallel import CACHE_VERSION, EXEC_LOG_ENV, SweepExecutor, SweepPoint
 from repro.switch.config import SwitchConfig
 from repro.traffic.bernoulli import BernoulliTraffic
@@ -93,6 +95,19 @@ class TestStoreBasics:
         store.release(claimed)
 
 
+def _torn_claim(store, key, age, content=""):
+    """A claim file with no readable pid, last modified ``age`` seconds
+    ago: what a crash between the exclusive create and the pid write
+    leaves."""
+    path = store.claim_path(key)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(content)
+    stamp = time.time() - age
+    os.utime(path, (stamp, stamp))
+    return path
+
+
 class TestGC:
     def test_reclaims_stale_corrupt_tmp_keeps_live(self, store):
         live = "aa" + "0" * 62
@@ -121,6 +136,13 @@ class TestGC:
         assert store.gc()["claims"] == 1
         assert not os.path.exists(store.claim_path(key))
 
+    def test_torn_claims_reclaimed(self, store):
+        torn = _torn_claim(store, "ef" + "0" * 62, age=3600)
+        fresh = _torn_claim(store, "ef" + "1" * 62, age=0)
+        assert store.gc()["claims"] == 1
+        assert not os.path.exists(torn)
+        assert os.path.exists(fresh)  # its owner is writing the pid
+
     def test_files_outside_shards_untouched(self, store):
         live = "aa" + "1" * 62
         store.put(live, {"benefit": 1})
@@ -147,6 +169,59 @@ class TestClaims:
         with open(store.claim_path(key), "w", encoding="utf-8") as fh:
             json.dump({"pid": 2 ** 22 + 54321}, fh)
         assert store.claim(key)  # stolen from the dead pid
+
+    def test_torn_claim_is_stolen(self, store):
+        key = "0e" + "0" * 62
+        _torn_claim(store, key, age=3600)
+        assert store.claim(key)
+        with open(store.claim_path(key), encoding="utf-8") as fh:
+            assert json.load(fh) == {"pid": os.getpid()}
+
+    def test_wait_for_gives_up_on_torn_claim(self, store):
+        key = "0f" + "0" * 62
+        _torn_claim(store, key, age=3600)
+        start = time.monotonic()
+        assert store.wait_for(key, timeout=2.0, poll=0.01) is None
+        assert time.monotonic() - start < 0.5
+
+    def test_fresh_empty_claim_still_held(self, store):
+        key = "10" + "0" * 62
+        _torn_claim(store, key, age=0)
+        assert not store.claim(key)
+        assert store.wait_for(key, timeout=0.05, poll=0.01) is None
+        assert os.path.exists(store.claim_path(key))
+
+    @pytest.mark.parametrize("age,held", [(_TORN_CLAIM_S - 3, True),
+                                          (_TORN_CLAIM_S + 3, False)])
+    def test_torn_claim_age_threshold(self, store, age, held):
+        key = "11" + "0" * 62
+        _torn_claim(store, key, age=age)
+        assert store.claim(key) is not held
+        assert store.stats()["claims"] == 1
+
+    @pytest.mark.parametrize("content", ["", "{", '{"pid": "x"}'])
+    def test_unreadable_claim_torn_once_old(self, store, content):
+        old, fresh = "12" + "0" * 62, "12" + "1" * 62
+        _torn_claim(store, old, age=3600, content=content)
+        _torn_claim(store, fresh, age=0, content=content)
+        assert store.claim(old)
+        assert not store.claim(fresh)
+        with open(store.claim_path(fresh), encoding="utf-8") as fh:
+            assert fh.read() == content  # a held claim is never rewritten
+
+    def test_executor_runs_point_behind_torn_claim(self, tmp_path):
+        """A sweep whose point sits behind a torn claim computes it at
+        once instead of waiting out ``wait_for``'s 60 s default."""
+        cache_dir = str(tmp_path / "torn")
+        points = make_points(3)
+        ex = SweepExecutor(cache_dir=cache_dir)
+        store = ResultStore(cache_dir, CACHE_VERSION)
+        _torn_claim(store, ex.cache_key(points[1]), age=3600)
+        start = time.monotonic()
+        assert ex.run(points) == SweepExecutor().run(points)
+        assert time.monotonic() - start < 30.0
+        assert (ex.cache_hits, ex.cache_misses) == (0, 3)
+        assert store.stats()["claims"] == 0
 
     def test_wait_for_returns_after_publish(self, store):
         key = "0c" + "0" * 62

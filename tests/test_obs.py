@@ -13,8 +13,7 @@ Pins the telemetry contract end to end:
   byte-identically for any worker count and for cached vs fresh
   payloads, heartbeats fire, and the timing ledger is populated;
 * sinks and surface — JSONL round trip, Prometheus rendering, manifest
-  determinism, bench history appending, and the ``repro obs`` /
-  ``--metrics`` CLI surface.
+  determinism, and the ``repro obs`` / ``--metrics`` CLI surface.
 
 The core recorder/manifest/sink tests run without numpy (hand-built
 traces through the reference kernel); the scenario-level tests skip in
@@ -28,7 +27,6 @@ import pytest
 
 from repro.core.gm import GMPolicy
 from repro.obs import (
-    HISTORY_FILENAME,
     METRIC_CATALOG,
     METRICS_FILENAME,
     NULL_METRICS,
@@ -38,12 +36,10 @@ from repro.obs import (
     InMemoryRecorder,
     MetricsRecorder,
     NullRecorder,
-    append_bench_history,
     build_manifest,
     iter_jsonl,
     merge_snapshots,
     prometheus_text,
-    read_bench_history,
     read_jsonl,
     read_manifest,
     resolve,
@@ -406,24 +402,6 @@ class TestManifest:
     def test_spec_hash_stable(self):
         assert spec_hash({"b": 2, "a": 1}) == spec_hash({"a": 1, "b": 2})
         assert spec_hash({"a": 1}) != spec_hash({"a": 2})
-
-
-# ---------------------------------------------------------------------------
-# Bench history ledger
-# ---------------------------------------------------------------------------
-
-class TestBenchHistory:
-    def test_append_and_read(self, tmp_path):
-        path = tmp_path / HISTORY_FILENAME
-        append_bench_history(path, "engine", [{"speedup": 12.0}],
-                             now="2026-08-09T00:00:00+00:00")
-        append_bench_history(path, "obs", [{"off_overhead_pct": 1.0}],
-                             quick=True, now="2026-08-09T01:00:00+00:00")
-        entries = read_bench_history(path)
-        assert [e["bench"] for e in entries] == ["engine", "obs"]
-        assert entries[0]["date"] == "2026-08-09T00:00:00+00:00"
-        assert entries[1]["quick"] is True
-        assert entries[0]["rows"] == [{"speedup": 12.0}]
 
 
 # ---------------------------------------------------------------------------

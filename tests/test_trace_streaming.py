@@ -2,8 +2,8 @@
 
 Covers the four fixes that the streaming rewrite depends on:
 
-1. explicit trailing-idle ``n_slots`` on :class:`Trace` (serialized,
-   honored by ``concat`` and replay tiling);
+1. explicit trailing-idle ``n_slots`` on :class:`Trace` (serialized
+   and honored by replay tiling);
 2. replay carrying recorded packet *values* through the streaming path;
 3. ``normalized_dst_weights`` rejecting NaN/inf;
 4. the ``reset()`` contract clearing stateful models between runs;
@@ -36,13 +36,15 @@ from repro.traffic import (
     ParetoBurstTraffic,
     Trace,
     TraceReplayTraffic,
-    concat,
 )
 from repro.traffic.base import normalized_dst_weights
 from repro.traffic.trace import (
+    STREAM_FORMAT,
+    STREAM_VERSION,
     is_stream_file,
     iter_stream_slots,
     read_stream_header,
+    write_stream,
 )
 from repro.traffic.values import two_value, uniform_values
 
@@ -87,14 +89,6 @@ class TestExplicitNSlots:
         del payload["n_slots"]
         back = Trace.from_json(json.dumps(payload))
         assert back.n_slots == 3  # derived, as those files implied
-
-    def test_concat_respects_trailing_idle(self):
-        first = Trace([Packet(0, 1.0, 0, 0, 0)], 2, 2, n_slots=6)
-        second = Trace([Packet(0, 1.0, 0, 1, 1)], 2, 2)
-        joined = concat(first, second, gap=2)
-        # Second trace starts after first's full 6 slots + the gap.
-        assert [p.arrival for p in joined.packets] == [0, 8]
-        assert joined.n_slots == 9
 
     def test_repeat_tiles_with_trailing_idle_period(self):
         # A 1-packet recording padded to 4 slots must tile with period
@@ -247,6 +241,178 @@ class TestStreamFormat:
         source(0, None)
         with pytest.raises(ValueError, match="consecutive"):
             source(2, None)
+
+
+class TestWriteStream:
+    """The one stream writer behind :meth:`Trace.save_stream` and
+    ``repro trace record``: per-slot packets in, chunked JSONL out."""
+
+    @staticmethod
+    def _trace():
+        # Five idle slots after the last possible arrival.
+        trace = BernoulliTraffic(
+            3, 3, load=1.3, value_model=uniform_values(1, 9)
+        ).generate(20, seed=4)
+        return Trace(trace.packets, 3, 3, name="w", n_slots=25)
+
+    @pytest.mark.parametrize("chunk_slots", [1, 2, 5, 16, 64])
+    def test_round_trip_every_chunk_width(self, tmp_path, chunk_slots):
+        trace = self._trace()
+        path = str(tmp_path / "w.jsonl")
+        n = write_stream(path, trace.arrival_slots(), 3, 3, "w",
+                         chunk_slots)
+        assert n == len(trace) > 0
+        back = Trace.load(path)
+        assert (back.name, back.n_slots) == ("w", 25)
+        assert _rows(back) == _rows(trace)
+        replayed = [[(p.pid, p.value, p.arrival, p.src, p.dst) for p in ps]
+                    for _, ps in iter_stream_slots(path)]
+        assert replayed == [[(p.pid, p.value, p.arrival, p.src, p.dst)
+                             for p in ps] for ps in trace.arrival_slots()]
+
+    def test_layout(self, tmp_path):
+        slots = [[Packet(0, 2.5, 0, 0, 1)], [],
+                 [Packet(1, 1.0, 2, 1, 0), Packet(2, 4.0, 2, 0, 0)], []]
+        path = tmp_path / "w.jsonl"
+        assert write_stream(str(path), slots, 2, 2, "hand", 2) == 3
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps(line) + "\n" for line in [
+                {"format": STREAM_FORMAT, "version": STREAM_VERSION,
+                 "name": "hand", "n_in": 2, "n_out": 2, "n_slots": 4,
+                 "n_packets": 3, "chunk_slots": 2},
+                {"base": 0, "packets": [[0, 2.5, 0, 0, 1]]},
+                {"base": 2, "packets": [[1, 1.0, 2, 1, 0],
+                                        [2, 4.0, 2, 0, 0]]},
+            ])
+
+    def test_idle_chunks_not_written(self, tmp_path):
+        slots = ([[Packet(0, 1.0, 0, 0, 0)]] + [[] for _ in range(5)]
+                 + [[Packet(1, 1.0, 6, 1, 1)], [], []])
+        path = str(tmp_path / "w.jsonl")
+        write_stream(path, iter(slots), 2, 2, "gap", 2)
+        with open(path, encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh]
+        assert lines[0]["n_slots"] == 9
+        assert [chunk["base"] for chunk in lines[1:]] == [0, 6]
+        assert [len(ps) for _, ps in iter_stream_slots(path)] == [
+            1, 0, 0, 0, 0, 0, 1, 0, 0]
+
+    def test_no_slots(self, tmp_path):
+        path = str(tmp_path / "w.jsonl")
+        assert write_stream(path, iter(()), 2, 3, "none", 4) == 0
+        with open(path, encoding="utf-8") as fh:
+            assert len(fh.readlines()) == 1  # header only
+        header = read_stream_header(path)
+        assert (header["n_slots"], header["n_packets"]) == (0, 0)
+        back = Trace.load(path)
+        assert (len(back), back.n_slots, back.n_out) == (0, 0, 3)
+
+    @pytest.mark.parametrize("chunk_slots", [0, -3])
+    def test_bad_chunk_slots_rejected_first(self, tmp_path, chunk_slots):
+        pulled = []
+
+        def slots():
+            pulled.append(0)
+            yield []
+
+        with pytest.raises(ValueError, match="chunk_slots must be >= 1"):
+            write_stream(str(tmp_path / "w.jsonl"), slots(), 2, 2, "x",
+                         chunk_slots)
+        assert pulled == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_source_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        path.write_text("previous\n", encoding="utf-8")
+
+        def slots():
+            yield [Packet(0, 1.0, 0, 0, 0)]
+            raise RuntimeError("source died")
+
+        with pytest.raises(RuntimeError, match="source died"):
+            write_stream(str(path), slots(), 1, 1, "x", 1)
+        assert path.read_text(encoding="utf-8") == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["w.jsonl"]
+
+    def test_bare_file_name_writes_to_cwd(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_stream("w.jsonl", [[Packet(0, 1.0, 0, 0, 0)]], 1, 1, "x", 4)
+        assert [p.name for p in tmp_path.iterdir()] == ["w.jsonl"]
+        assert len(Trace.load(str(tmp_path / "w.jsonl"))) == 1
+
+
+class TestTraceRecord:
+    """``repro trace record`` streams a model through the same writer as
+    :meth:`Trace.save_stream`, without materializing the trace."""
+
+    def _argv(self, traffic, path, chunk_slots, values="pareto"):
+        return ["trace", "record", str(path), "--traffic", traffic,
+                "--values", values, "--n", "4", "--slots", "300",
+                "--seed", "7", "--chunk-slots", str(chunk_slots)]
+
+    @pytest.mark.parametrize("traffic", ["bernoulli", "appmix", "bursty"])
+    def test_bytes_match_save_stream(self, tmp_path, traffic):
+        from repro.cli import _build_traffic, build_parser, main
+
+        argv = self._argv(traffic, tmp_path / "rec.jsonl", 16)
+        assert main(argv) == 0
+        model = _build_traffic(build_parser().parse_args(argv))
+        model.generate(300, seed=7).save_stream(str(tmp_path / "gen.jsonl"),
+                                                16)
+        assert ((tmp_path / "rec.jsonl").read_bytes()
+                == (tmp_path / "gen.jsonl").read_bytes())
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "gen.jsonl", "rec.jsonl"]
+
+    @pytest.mark.parametrize("traffic,chunk_slots", [
+        ("hotspot", 1), ("diagonal", 7), ("bernoulli", 300),
+        ("bursty", 1000)])
+    def test_unit_values_match_save_stream(self, tmp_path, traffic,
+                                           chunk_slots):
+        from repro.cli import _build_traffic, build_parser, main
+
+        argv = self._argv(traffic, tmp_path / "rec.jsonl", chunk_slots,
+                          values="unit")
+        assert main(argv) == 0
+        model = _build_traffic(build_parser().parse_args(argv))
+        model.generate(300, seed=7).save_stream(str(tmp_path / "gen.jsonl"),
+                                                chunk_slots)
+        assert ((tmp_path / "rec.jsonl").read_bytes()
+                == (tmp_path / "gen.jsonl").read_bytes())
+
+    def test_reports_what_it_wrote(self, tmp_path, capsys):
+        from repro.cli import _build_traffic, build_parser, main
+
+        path = tmp_path / "rec.jsonl"
+        argv = self._argv("bernoulli", path, 16)
+        assert main(argv) == 0
+        header = read_stream_header(str(path))
+        assert capsys.readouterr().out == (
+            f"wrote {path}: {header['n_packets']} packets over 300 slots "
+            f"(4x4)\n")
+        assert header["n_packets"] == len(Trace.load(str(path))) > 0
+        model = _build_traffic(build_parser().parse_args(argv))
+        assert header["name"] == (
+            f"{model.name}/{model.value_model.name}/seed7")
+
+    def test_idle_recording_keeps_its_slots(self, tmp_path):
+        from repro.cli import main
+
+        path = str(tmp_path / "rec.jsonl")
+        assert main(["trace", "record", path, "--load", "0",
+                     "--slots", "50", "--chunk-slots", "8"]) == 0
+        back = Trace.load(path)
+        assert (len(back), back.n_slots) == (0, 50)
+
+    def test_zero_chunk_slots_rejected_before_writing(self, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(self._argv("bernoulli", tmp_path / "rec.jsonl", 0))
+        message = str(exc.value.code)
+        assert "chunk_slots must be >= 1" in message
+        assert "\n" not in message
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEngineStreamingEquality:

@@ -1,6 +1,5 @@
 """Tests for the Markov-modulated, Pareto-burst and replay traffic
-models: determinism given the seed, port/slot invariants, and
-composition with the trace transforms."""
+models: determinism given the seed and port/slot invariants."""
 
 import numpy as np
 import pytest
@@ -11,8 +10,6 @@ from repro.traffic import (
     ParetoBurstTraffic,
     Trace,
     TraceReplayTraffic,
-    merge,
-    time_dilate,
     two_value,
 )
 
@@ -53,23 +50,6 @@ class TestNewModelContracts:
         assert pids == list(range(len(pids)))
         arrivals = [p.arrival for p in t.packets]
         assert arrivals == sorted(arrivals)
-
-    def test_merge_transform_composes(self, model):
-        base = BernoulliTraffic(N_IN, N_OUT, load=0.5).generate(SLOTS, seed=0)
-        t = model.generate(SLOTS, seed=1)
-        m = merge(t, base)
-        assert len(m) == len(t) + len(base)
-        assert (m.n_in, m.n_out) == (N_IN, N_OUT)
-        assert abs(m.total_value - t.total_value - base.total_value) < 1e-9
-
-    def test_time_dilate_transform_composes(self, model):
-        t = model.generate(SLOTS, seed=1)
-        d = time_dilate(t, 3)
-        assert len(d) == len(t)
-        if len(t):
-            assert d.n_slots == (t.n_slots - 1) * 3 + 1
-        by_slot = sorted(p.arrival for p in d.packets)
-        assert all(a % 3 == 0 for a in by_slot)
 
 
 class TestMarkovModulated:

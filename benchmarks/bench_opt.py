@@ -1,23 +1,23 @@
-"""OPT solver-mode benchmark: exact vs windowed vs bounds.
+"""OPT solver-mode benchmark: exact vs bounds.
 
-Times the three offline-OPT solver modes (see ``docs/offline_opt.md``)
-and the widths of their certified brackets across three kinds of cells:
+Times the two offline-OPT solvers (see ``docs/offline_opt.md``; the
+``auto`` mode picks one of them) and the width of the certified
+``bounds`` bracket across three kinds of cells:
 
 * **comparison** — instances where the exact MILP is still feasible:
-  every mode runs on the same trace, so speedups and bracket widths are
-  measured against the true optimum.  The N=16 cell is the largest
-  same-N exact measurement and doubles as the *measured floor* for the
-  scale cells: exact cost at the same port count only grows with the
-  horizon, so ``speedup_floor_vs_exact`` on the N=16 scale row is a
-  certified underestimate of the true speedup.
+  both solvers run on the same trace, so speedups and bracket widths
+  are measured against the true optimum.  Each comparison cell doubles
+  as the *measured floor* for the same-N scale cell: exact cost at the
+  same port count only grows with the horizon, so
+  ``speedup_floor_vs_exact`` on a scale row is a certified
+  underestimate of the true speedup.
 * **scenario** — builtin non-adversarial scenarios at their registered
-  size: bracket width as a fraction of exact OPT (the <= 5% cells the
-  snapshot test pins).
-* **scale** — port counts and horizons where the exact model is not
-  even constructible (N in {8, 16, 64}, horizons up to 10^6 arrival
-  slots; the size proxy exceeds ``AUTO_EXACT_BUDGET`` by orders of
-  magnitude): windowed/bounds wall-clock and certified relative width,
-  with ``exact_status = "infeasible"``.
+  size: bracket width as a fraction of exact OPT.
+* **scale** — port counts and horizons where exact is not run (N in
+  {8, 16, 64}, horizons up to 10^6 arrival slots; the size proxy
+  exceeds ``AUTO_EXACT_BUDGET``, so ``auto`` picks bounds): bounds
+  wall-clock and certified relative width, with
+  ``exact_status = "infeasible"``.
 
 Runs two ways:
 
@@ -29,14 +29,13 @@ Runs two ways:
   statistics on the single-run mode legs.
 
 The committed ``BENCH_opt.json`` (full grid) is validated — schema,
->= 10x speedups, <= 5% scenario widths, infeasibility markers — by
-``tests/test_package.py``; refresh it with
-``PYTHONPATH=src python benchmarks/bench_opt.py``.
+>= 10x speedups, infeasibility markers — by ``tests/test_package.py``;
+refresh it with ``PYTHONPATH=src python benchmarks/bench_opt.py``.
 """
 
 import time
 
-from repro.offline import bounds_opt, cioq_opt, crossbar_opt, windowed_opt
+from repro.offline import bounds_opt, cioq_opt, crossbar_opt
 from repro.scenarios import get_scenario
 from repro.switch.config import SwitchConfig
 from repro.traffic import BernoulliTraffic
@@ -57,14 +56,6 @@ def test_opt_exact_4x4(benchmark):
         cioq_opt, args=(_TRACE4, _CONFIG4), rounds=3, iterations=1
     )
     assert result.benefit > 0
-
-
-def test_opt_windowed_4x4(benchmark):
-    result = benchmark.pedantic(
-        windowed_opt, args=(_TRACE4, _CONFIG4), kwargs={"window": 20},
-        rounds=3, iterations=1,
-    )
-    assert result.opt_lower <= result.opt_upper
 
 
 def test_opt_bounds_4x4(benchmark):
@@ -92,37 +83,34 @@ def _config(n):
     return SwitchConfig.square(n, speedup=2, b_in=4, b_out=4, b_cross=1)
 
 
-#: (cell, n_ports, arrival_slots, load, window, run_exact)
-#: ``window=None`` skips the windowed leg (per-window MILPs at N=16
-#: already exceed the window budget).
+#: (cell, n_ports, arrival_slots, load, run_exact)
 COMPARISON_CELLS = [
-    ("n4-h400", 4, 400, 1.2, 100, True),
-    ("n16-h25", 16, 25, 0.8, None, True),
+    ("n4-h400", 4, 400, 1.2, True),
+    ("n16-h25", 16, 25, 0.8, True),
 ]
 
-#: (scenario name, window) — builtin non-adversarial scenarios whose
-#: certified bracket stays within 5% of exact OPT.
+#: Builtin non-adversarial scenarios, at their registered size.
 SCENARIO_CELLS = [
-    ("smoke-bernoulli", 5),
-    ("bernoulli-light", 16),
-    ("qos-two-class", 20),
-    ("crossbar-unit-burst", 8),
+    "smoke-bernoulli",
+    "bernoulli-light",
+    "qos-two-class",
+    "crossbar-unit-burst",
 ]
 
-#: (cell, n_ports, arrival_slots, load, window, floor_ref) —
-#: exact-infeasible cells; ``floor_ref`` names a comparison cell whose
-#: measured exact time is a floor for this cell's (same-N, longer
-#: horizon) exact cost.
+#: (cell, n_ports, arrival_slots, load, floor_ref) — cells where exact
+#: is not run; ``floor_ref`` names a comparison cell whose measured
+#: exact time is a floor for this cell's (same-N, longer horizon)
+#: exact cost.
 SCALE_CELLS = [
-    ("n4-h2000", 4, 2000, 1.2, 100, "n4-h400"),
-    ("n8-h1e6", 8, 1_000_000, 0.1, None, None),
-    ("n16-h1e5", 16, 100_000, 0.6, None, "n16-h25"),
-    ("n64-h1e5", 64, 100_000, 0.2, None, None),
+    ("n4-h2000", 4, 2000, 1.2, "n4-h400"),
+    ("n8-h1e6", 8, 1_000_000, 0.1, None),
+    ("n16-h1e5", 16, 100_000, 0.6, "n16-h25"),
+    ("n64-h1e5", 64, 100_000, 0.2, None),
 ]
 
-QUICK_COMPARISON = [("n4-h120", 4, 120, 1.2, 40, True)]
-QUICK_SCENARIOS = [("smoke-bernoulli", 5), ("crossbar-unit-burst", 8)]
-QUICK_SCALE = [("n16-h2000", 16, 2000, 0.6, None, None)]
+QUICK_COMPARISON = [("n4-h120", 4, 120, 1.2, True)]
+QUICK_SCENARIOS = ["smoke-bernoulli", "crossbar-unit-burst"]
+QUICK_SCALE = [("n16-h2000", 16, 2000, 0.6, None)]
 
 
 def _timed(fn):
@@ -131,20 +119,10 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
-def _row(cell, kind, model, n, slots, workload, window, *,
-         exact_res=None, exact_s=None, windowed_res=None, windowed_s=None,
-         bounds_res=None, bounds_s=None, floor_s=None):
-    """One uniform snapshot row; mode legs that did not run stay None."""
-
-    def _width(res, denom):
-        if res is None or not denom:
-            return None
-        return round((res.opt_upper - res.opt_lower) / denom, 4)
-
+def _row(cell, kind, model, n, slots, workload, *, exact_res=None,
+         exact_s=None, bounds_res=None, bounds_s=None, floor_s=None):
+    """One uniform snapshot row; legs that did not run stay None."""
     exact_b = exact_res.benefit if exact_res is not None else None
-    scalable_s = min(
-        s for s in (windowed_s, bounds_s) if s is not None
-    ) if (windowed_s is not None or bounds_s is not None) else None
     return {
         "cell": cell,
         "kind": kind,
@@ -152,81 +130,60 @@ def _row(cell, kind, model, n, slots, workload, window, *,
         "n_ports": n,
         "arrival_slots": slots,
         "workload": workload,
-        "window": window,
         "exact_status": "measured" if exact_s is not None else "infeasible",
         "exact_seconds": round(exact_s, 3) if exact_s is not None else None,
-        "windowed_seconds": (
-            round(windowed_s, 3) if windowed_s is not None else None),
         "bounds_seconds": round(bounds_s, 4) if bounds_s is not None else None,
-        "windowed_width_vs_exact": _width(windowed_res, exact_b),
-        "bounds_width_vs_exact": _width(bounds_res, exact_b),
-        "windowed_rel_width": (
-            round(windowed_res.rel_bracket_width, 4)
-            if windowed_res is not None else None),
+        "bounds_width_vs_exact": (
+            round((bounds_res.opt_upper - bounds_res.opt_lower) / exact_b, 4)
+            if bounds_res is not None and exact_b else None),
         "bounds_rel_width": (
             round(bounds_res.rel_bracket_width, 4)
             if bounds_res is not None else None),
-        "speedup_windowed": (
-            round(exact_s / windowed_s, 2)
-            if exact_s is not None and windowed_s else None),
         "speedup_bounds": (
             round(exact_s / bounds_s, 2)
             if exact_s is not None and bounds_s else None),
-        # Scale rows: measured same-N exact floor / fastest scalable
-        # mode.  The true exact time at this horizon is strictly
-        # larger, so this underestimates the real speedup.
+        # Scale rows: measured same-N exact floor / bounds time.  The
+        # true exact time at this horizon is strictly larger, so this
+        # underestimates the real speedup.
         "speedup_floor_vs_exact": (
-            round(floor_s / scalable_s, 2)
-            if floor_s is not None and scalable_s else None),
+            round(floor_s / bounds_s, 2)
+            if floor_s is not None and bounds_s else None),
     }
 
 
-def _comparison_row(cell, n, slots, load, window, run_exact):
+def _comparison_row(cell, n, slots, load, run_exact):
     config = _config(n)
     trace = _synth_trace(n, slots, load)
     workload = f"bernoulli load={load:g} uniform(1,9)"
     exact_res = exact_s = None
     if run_exact:
         exact_res, exact_s = _timed(lambda: cioq_opt(trace, config))
-    windowed_res = windowed_s = None
-    if window is not None:
-        windowed_res, windowed_s = _timed(
-            lambda: windowed_opt(trace, config, window=window))
     bounds_res, bounds_s = _timed(lambda: bounds_opt(trace, config))
-    return _row(cell, "comparison", "cioq", n, slots, workload, window,
+    return _row(cell, "comparison", "cioq", n, slots, workload,
                 exact_res=exact_res, exact_s=exact_s,
-                windowed_res=windowed_res, windowed_s=windowed_s,
                 bounds_res=bounds_res, bounds_s=bounds_s)
 
 
-def _scenario_row(name, window):
+def _scenario_row(name):
     spec = get_scenario(name)
     config = spec.build_config()
     trace = spec.build_traffic().generate(spec.slots, seed=spec.seeds[0])
     exact = cioq_opt if spec.model == "cioq" else crossbar_opt
     exact_res, exact_s = _timed(lambda: exact(trace, config))
-    windowed_res, windowed_s = _timed(
-        lambda: windowed_opt(trace, config, window=window, model=spec.model))
     bounds_res, bounds_s = _timed(
         lambda: bounds_opt(trace, config, model=spec.model))
     return _row(name, "scenario", spec.model, config.n_in, spec.slots,
-                f"scenario:{name}", window,
+                f"scenario:{name}",
                 exact_res=exact_res, exact_s=exact_s,
-                windowed_res=windowed_res, windowed_s=windowed_s,
                 bounds_res=bounds_res, bounds_s=bounds_s)
 
 
-def _scale_row(cell, n, slots, load, window, floor_s):
+def _scale_row(cell, n, slots, load, floor_s):
     config = _config(n)
     trace = _synth_trace(n, slots, load)
     workload = f"bernoulli load={load:g} uniform(1,9)"
-    windowed_res = windowed_s = None
-    if window is not None:
-        windowed_res, windowed_s = _timed(
-            lambda: windowed_opt(trace, config, window=window))
     bounds_res, bounds_s = _timed(lambda: bounds_opt(trace, config))
-    return _row(cell, "scale", "cioq", n, slots, workload, window,
-                windowed_res=windowed_res, windowed_s=windowed_s,
+    return _row(cell, "scale", "cioq", n, slots, workload,
                 bounds_res=bounds_res, bounds_s=bounds_s, floor_s=floor_s)
 
 
@@ -240,7 +197,7 @@ def write_snapshot(rows, path):
         "workload": {
             "buffers": {"b_in": 4, "b_out": 4, "b_cross": 1},
             "speedup": 2,
-            "metric": "single-run wall-clock seconds per solver mode; "
+            "metric": "single-run wall-clock seconds per solver; "
                       "widths are certified bracket widths",
             "exact_floor": "scale-row speedup floors divide the measured "
                            "exact time of the same-N comparison cell "
@@ -275,28 +232,25 @@ def main(argv=None):
     rows = []
     exact_times = {}
     print("comparison cells (exact measured):")
-    for cell, n, slots, load, window, run_exact in comparison:
-        row = _comparison_row(cell, n, slots, load, window, run_exact)
+    for cell, n, slots, load, run_exact in comparison:
+        row = _comparison_row(cell, n, slots, load, run_exact)
         exact_times[cell] = row["exact_seconds"]
         rows.append(row)
         print(f"  {cell:12s} exact {row['exact_seconds']}s  "
-              f"windowed {row['windowed_seconds']}s  "
               f"bounds {row['bounds_seconds']}s  "
               f"speedup_bounds {row['speedup_bounds']}x")
     print("scenario width cells:")
-    for name, window in scenarios:
-        row = _scenario_row(name, window)
+    for name in scenarios:
+        row = _scenario_row(name)
         rows.append(row)
-        print(f"  {name:22s} windowed width/exact "
-              f"{row['windowed_width_vs_exact']}  bounds width/exact "
+        print(f"  {name:22s} bounds width/exact "
               f"{row['bounds_width_vs_exact']}")
-    print("scale cells (exact infeasible):")
-    for cell, n, slots, load, window, floor_ref in scale:
+    print("scale cells (exact not run):")
+    for cell, n, slots, load, floor_ref in scale:
         floor_s = exact_times.get(floor_ref)
-        row = _scale_row(cell, n, slots, load, window, floor_s)
+        row = _scale_row(cell, n, slots, load, floor_s)
         rows.append(row)
-        print(f"  {cell:12s} windowed {row['windowed_seconds']}s  "
-              f"bounds {row['bounds_seconds']}s  rel width "
+        print(f"  {cell:12s} bounds {row['bounds_seconds']}s  rel width "
               f"{row['bounds_rel_width']}  speedup floor "
               f"{row['speedup_floor_vs_exact']}x")
 

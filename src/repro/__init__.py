@@ -65,7 +65,6 @@ _EXPORTS = {
     "crossbar_opt": ".offline",
     "select_opt_mode": ".offline",
     "solve_opt": ".offline",
-    "windowed_opt": ".offline",
     # scheduling
     "CIOQPolicy": ".scheduling",
     "CrossbarPolicy": ".scheduling",

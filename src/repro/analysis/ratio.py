@@ -71,7 +71,7 @@ def per_seed_ratios(
 class RatioMeasurement:
     """One (policy, trace) competitive-ratio data point.
 
-    When OPT was computed inexactly (``opt_mode`` "windowed"/"bounds"),
+    When OPT was computed inexactly (``opt_mode`` "bounds"),
     ``opt_lower``/``opt_upper`` carry the certified bracket and the true
     ratio lies in ``[ratio_lo, ratio_hi]``; ``opt_benefit`` equals the
     conservative upper end.  Exact measurements leave the bracket fields
@@ -211,11 +211,10 @@ def measure_cioq_ratio(
     config: SwitchConfig,
     bound: Optional[float] = None,
     opt_mode: str = "exact",
-    opt_window: Optional[int] = None,
 ) -> RatioMeasurement:
     """Run ``policy`` and the offline OPT solver on a CIOQ instance."""
     onl = run_cioq(policy, config, trace)
-    opt = cioq_opt(trace, config, mode=opt_mode, window=opt_window)
+    opt = cioq_opt(trace, config, mode=opt_mode)
     return _measurement(policy.name, trace, "cioq", onl, opt, bound)
 
 
@@ -225,12 +224,11 @@ def measure_crossbar_ratio(
     config: SwitchConfig,
     bound: Optional[float] = None,
     opt_mode: str = "exact",
-    opt_window: Optional[int] = None,
 ) -> RatioMeasurement:
     """Run ``policy`` and the offline OPT solver on a buffered crossbar
     instance."""
     onl = run_crossbar(policy, config, trace)
-    opt = crossbar_opt(trace, config, mode=opt_mode, window=opt_window)
+    opt = crossbar_opt(trace, config, mode=opt_mode)
     return _measurement(policy.name, trace, "crossbar", onl, opt, bound)
 
 

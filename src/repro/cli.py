@@ -248,8 +248,7 @@ def cmd_ratio(args) -> int:
     policy, bound = _make_policy(args.policy, args.model, args.beta)
     measure = (measure_cioq_ratio if args.model == "cioq"
                else measure_crossbar_ratio)
-    m = measure(policy, trace, config, bound=bound,
-                opt_mode=args.opt_mode, opt_window=args.opt_window)
+    m = measure(policy, trace, config, bound=bound, opt_mode=args.opt_mode)
     qualifier = ("exact OPT" if m.is_exact
                  else f"certified OPT bracket ({m.opt_mode})")
     print(format_table([m.as_row()],
@@ -372,7 +371,10 @@ def _load_spec(args):
     from .scenarios import ScenarioSpec, get_scenario
 
     if getattr(args, "file", None):
-        return ScenarioSpec.from_file(args.file)
+        try:
+            return ScenarioSpec.from_file(args.file)
+        except ValueError as exc:
+            raise SystemExit(f"bad spec: {exc}") from None
     if not args.name:
         raise SystemExit("need a scenario name (or --file)")
     try:
@@ -465,16 +467,14 @@ def cmd_scenarios_run(args) -> int:
         except ValueError as exc:
             raise SystemExit(f"bad replication plan: {exc}") from None
         rrun = replicate_scenario(spec, plan=plan, executor=ex,
-                                  opt_mode=args.opt_mode,
-                                  opt_window=args.opt_window)
+                                  opt_mode=args.opt_mode)
         print(rrun.tables())
         name = rrun.spec.name
         if not args.no_artifacts:
             paths = write_replicated_artifacts(rrun, args.out)
             print(f"artifacts: {'  '.join(paths)}")
     else:
-        run = run_scenario(spec, executor=ex, opt_mode=args.opt_mode,
-                           opt_window=args.opt_window)
+        run = run_scenario(spec, executor=ex, opt_mode=args.opt_mode)
         print(run.tables())
         name = run.spec.name
         if not args.no_artifacts:
@@ -706,23 +706,24 @@ def cmd_obs_tail(args) -> int:
 
 
 def cmd_submit(args) -> int:
-    """Enqueue scenario jobs for a running (or future) farm server."""
-    from .farm import JobQueue, build_job
+    """Enqueue scenario jobs for a running (or future) farm server;
+    every job is resolved first, so none is queued if one cannot run."""
+    from .farm import JobQueue, build_job, resolve_job
 
+    try:
+        seeds = None
+        if args.seeds is not None:
+            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+        jobs = [build_job(scenario=name, slots=args.slots, seeds=seeds,
+                          replicates=args.replicates, opt_mode=args.opt_mode)
+                for name in args.scenarios]
+        for job in jobs:
+            resolve_job(job)
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(f"bad job: {exc.args[0]}") from None
     queue = JobQueue(args.queue)
-    seeds = None
-    if args.seeds is not None:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    for name in args.scenarios:
-        try:
-            job = build_job(scenario=name, slots=args.slots, seeds=seeds,
-                            replicates=args.replicates,
-                            opt_mode=args.opt_mode,
-                            opt_window=args.opt_window)
-        except ValueError as exc:
-            raise SystemExit(f"bad job: {exc}") from None
-        job_id = queue.submit(job)
-        print(f"submitted {job_id}: {name}")
+    for job in jobs:
+        print(f"submitted {queue.submit(job)}: {job['scenario']}")
     print(f"queue depth: {queue.depth()} ({args.queue})")
     return 0
 
@@ -847,14 +848,17 @@ def _add_opt_mode(p: argparse.ArgumentParser) -> None:
 
     p.add_argument("--opt-mode", choices=OPT_MODES, default="exact",
                    dest="opt_mode",
-                   help="offline OPT solver: exact MILP, windowed "
-                        "certified bracket, near-linear bounds bracket, "
-                        "or auto-selection by model size "
-                        "(docs/offline_opt.md)")
-    p.add_argument("--opt-window", type=int, default=None, dest="opt_window",
-                   help="window width in arrival slots: required (>= 1) "
-                        "by --opt-mode windowed; --opt-mode auto picks "
-                        "one when it is omitted")
+                   help="offline OPT solver: exact MILP, near-linear "
+                        "certified bounds bracket, or auto-selection by "
+                        "model size (docs/offline_opt.md)")
+
+
+def _seed(text: str) -> int:
+    """``--seed`` type: numpy's generators refuse negative seeds."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -868,7 +872,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--values", choices=sorted(VALUE_MODELS), default="unit")
     p.add_argument("--load", type=float, default=1.0)
     p.add_argument("--slots", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--beta", type=float, default=None,
                    help="preemption threshold (pg only)")
 
@@ -1175,14 +1179,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "opt_mode", None) is not None:
-        from .offline.opt import check_opt_mode
-
-        try:
-            check_opt_mode(args.opt_mode, args.opt_window)
-        except ValueError as exc:
-            parser.exit(2, f"{parser.prog}: error: argument --opt-window: "
-                           f"{exc}\n")
     return args.func(args)
 
 

@@ -24,6 +24,7 @@ _EXPORTS = {
     "JobQueue": "jobs",
     "JOB_STATES": "jobs",
     "build_job": "service",
+    "resolve_job": "service",
     "run_job": "service",
     "serve": "service",
     "farm_status": "service",

@@ -11,7 +11,9 @@ directories under one queue root::
 ``os.rename`` within one filesystem is atomic, so any number of
 ``repro submit`` producers and ``repro serve`` consumers can share a
 queue root without locks: a job is claimed by whoever wins the rename,
-and a lost race simply moves on to the next file.  Job ids are ordered
+and a lost race simply moves on to the next file.  Job files are
+written in full under a temp name (no ``.json`` suffix) before they
+are published, so a claim never reads a partial job.  Job ids are ordered
 (``job-000001-…``), so service order is deterministic FIFO.
 
 A server that dies mid-job leaves its file in ``running/``;
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import tempfile
 from typing import Dict, List, Optional
 
 __all__ = ["JobQueue", "JOB_STATES"]
@@ -54,28 +57,35 @@ class JobQueue:
     def _path(self, state: str, job_id: str) -> str:
         return os.path.join(self._dir(state), f"{job_id}.json")
 
+    def _write_temp(self, state: str, job: Dict[str, object]) -> str:
+        """Write ``job`` to a new temp file in ``state``'s directory."""
+        fd, tmp = tempfile.mkstemp(dir=self._dir(state), prefix=".job-",
+                                   suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(job, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return tmp
+
     # -- producer ------------------------------------------------------------
 
     def submit(self, job: Dict[str, object]) -> str:
         """Enqueue ``job`` (a JSON-serializable dict); returns its id.
 
-        Ids are sequential across every state directory, and the
-        exclusive-create publish makes concurrent submitters collision
-        safe (the loser retries with the next number).
+        Ids are sequential across every state directory; publishing the
+        written temp file with ``os.link`` fails on a taken id, so
+        concurrent submitters retry with the next number.
         """
         seq = self._next_seq()
         while True:
             job_id = f"job-{seq:06d}"
-            path = self._path("queued", job_id)
+            tmp = self._write_temp("queued", {"id": job_id, **job})
             try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                os.link(tmp, self._path("queued", job_id))
             except FileExistsError:
                 seq += 1
                 continue
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({"id": job_id, **job}, fh, indent=2,
-                          sort_keys=True)
-                fh.write("\n")
+            finally:
+                os.unlink(tmp)
             return job_id
 
     def _next_seq(self) -> int:
@@ -129,10 +139,7 @@ class JobQueue:
         src = self._path("running", job_id)
         job = self._read(src) or {"id": job_id}
         job.update(extra)
-        dst = self._path(state, job_id)
-        with open(dst, "w", encoding="utf-8") as fh:
-            json.dump(job, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        os.replace(self._write_temp(state, job), self._path(state, job_id))
         try:
             os.unlink(src)
         except OSError:

@@ -32,7 +32,7 @@ from ..simulation.backends import DEFAULT_BACKEND
 from .jobs import JobQueue
 from .pool import PersistentPool
 
-__all__ = ["build_job", "run_job", "serve", "farm_status"]
+__all__ = ["build_job", "resolve_job", "run_job", "serve", "farm_status"]
 
 
 def build_job(
@@ -42,12 +42,11 @@ def build_job(
     seeds: Optional[List[int]] = None,
     replicates: Optional[int] = None,
     opt_mode: str = "exact",
-    opt_window: Optional[int] = None,
 ) -> Dict[str, object]:
     """A queue-serializable job payload (see :func:`run_job`)."""
     if (scenario is None) == (spec_dict is None):
         raise ValueError("a job needs a scenario name or a spec, not both")
-    check_opt_mode(opt_mode, opt_window)
+    check_opt_mode(opt_mode)
     job: Dict[str, object] = {"opt_mode": opt_mode}
     if scenario is not None:
         job["scenario"] = scenario
@@ -59,20 +58,24 @@ def build_job(
         job["seeds"] = [int(s) for s in seeds]
     if replicates is not None:
         job["replicates"] = int(replicates)
-    if opt_window is not None:
-        job["opt_window"] = int(opt_window)
     return job
 
 
-def _resolve_spec(job: Dict[str, object]):
+def resolve_job(job: Dict[str, object]):
+    """The job's ``(spec, plan)``, ``plan`` ``None`` for a single run;
+    raises ``KeyError``/``ValueError`` for a job that can never run."""
     from ..scenarios import ScenarioSpec, get_scenario
+    from ..stats import ReplicationPlan
 
     if job.get("spec") is not None:
         spec = ScenarioSpec.from_dict(job["spec"])
     else:
         spec = get_scenario(str(job["scenario"]))
-    return spec.with_overrides(slots=job.get("slots"),
+    spec = spec.with_overrides(slots=job.get("slots"),
                                seeds=job.get("seeds"))
+    if not spec.replicates and job.get("replicates") is None:
+        return spec, None
+    return spec, ReplicationPlan.from_spec(spec, n=job.get("replicates"))
 
 
 def run_job(job: Dict[str, object], executor: SweepExecutor,
@@ -83,30 +86,22 @@ def run_job(job: Dict[str, object], executor: SweepExecutor,
     the job asks for one — mirroring ``repro scenarios run``, so a job
     and a CLI run of the same scenario write identical artifacts.
     """
-    spec = _resolve_spec(job)
-    replicated = bool(spec.replicates) or job.get("replicates") is not None
+    spec, plan = resolve_job(job)
     opt_mode = str(job.get("opt_mode", "exact"))
-    opt_window = job.get("opt_window")
-    if replicated:
-        from ..stats import (
-            ReplicationPlan,
-            replicate_scenario,
-            write_replicated_artifacts,
-        )
+    if plan is not None:
+        from ..stats import replicate_scenario, write_replicated_artifacts
 
-        plan = ReplicationPlan.from_spec(spec, n=job.get("replicates"))
         rrun = replicate_scenario(spec, plan=plan, executor=executor,
-                                  opt_mode=opt_mode, opt_window=opt_window)
+                                  opt_mode=opt_mode)
         paths = write_replicated_artifacts(rrun, out_dir)
         name = rrun.spec.name
     else:
         from ..scenarios import run_scenario, write_artifacts
 
-        run = run_scenario(spec, executor=executor, opt_mode=opt_mode,
-                           opt_window=opt_window)
+        run = run_scenario(spec, executor=executor, opt_mode=opt_mode)
         paths = write_artifacts(run, out_dir)
         name = run.spec.name
-    return {"scenario": name, "replicated": replicated,
+    return {"scenario": name, "replicated": plan is not None,
             "artifacts": list(paths)}
 
 

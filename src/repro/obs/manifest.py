@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 #: Schema version of ``manifest.json``; bump when fields change.
-MANIFEST_VERSION = 1
+#: v2: ``opt_window`` is gone with windowed OPT.
+MANIFEST_VERSION = 2
 
 
 def spec_hash(payload: object) -> str:
@@ -53,7 +54,6 @@ def build_manifest(
     seeds: Sequence[int] = (),
     backend: str = "reference",
     opt_mode: str = "exact",
-    opt_window: Optional[int] = None,
     extra: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Assemble a manifest dict.
@@ -75,7 +75,6 @@ def build_manifest(
         "seeds": sorted(set(int(s) for s in seeds)),
         "backend": backend,
         "opt_mode": opt_mode,
-        "opt_window": opt_window,
         "environment": _environment(),
     }
     if extra:

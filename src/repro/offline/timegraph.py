@@ -29,8 +29,7 @@ buffer state within capacity delivers at least one packet per slot (the
 argument behind :func:`~repro.simulation.engine.drain_bound`), so every
 packet OPT still holds at the end is delivered later, and accepted
 equals delivered.  An explicit horizon instead forces every queue empty
-by then (*forced drain*), which the windowed lower bound and schedule
-extraction need.
+by then (*forced drain*), which schedule extraction needs.
 
 Both switch models share this one assembly and differ only in the
 per-cycle stage: a single hop Q_ij -> Q_j for CIOQ, and for the buffered
@@ -62,13 +61,12 @@ StageVars = Dict[Tuple[int, int, int, int], int]
 class OptResult:
     """Outcome of an offline-optimum computation.
 
-    Exact solves report ``benefit`` alone; the windowed and bounds
-    solvers (:mod:`repro.offline.windowed`, :mod:`repro.offline.bounds`)
-    additionally certify a bracket ``opt_lower <= OPT <= opt_upper`` and
-    set ``benefit = opt_upper`` (the conservative denominator for
-    competitive ratios).  ``mode`` records which solver produced the
-    result so downstream consumers never mistake a bracket for an exact
-    optimum.
+    Exact solves report ``benefit`` alone; the bounds solver
+    (:mod:`repro.offline.bounds`) additionally certifies a bracket
+    ``opt_lower <= OPT <= opt_upper`` and sets ``benefit = opt_upper``
+    (the conservative denominator for competitive ratios).  ``mode``
+    records which solver produced the result so downstream consumers
+    never mistake a bracket for an exact optimum.
     """
 
     benefit: float
@@ -78,15 +76,11 @@ class OptResult:
     departures: List[Tuple[int, int, int, int]] = field(default_factory=list)
     #: Transmission events: (slot, j) with multiplicity.
     transmissions: List[Tuple[int, int]] = field(default_factory=list)
-    #: Which solver produced the result: "exact", "windowed" or "bounds".
+    #: Which solver produced the result: "exact" or "bounds".
     mode: str = "exact"
     #: Certified bracket ends; ``None`` means "exact" (both equal benefit).
     opt_lower: Optional[float] = None
     opt_upper: Optional[float] = None
-    #: Window width in arrival slots (windowed mode only).
-    window: Optional[int] = None
-    #: Number of windows the trace was split into (1 for exact/bounds).
-    n_windows: int = 1
 
     @property
     def is_exact(self) -> bool:

@@ -68,7 +68,9 @@ from .traffic.trace import Trace
 #: Bump when the payload schema changes; part of every cache key.
 #: v4: the trace term switched from ``sha256(to_json())`` to the binary
 #: :meth:`Trace.content_digest` packing, re-keying every entry.
-CACHE_VERSION = 4
+#: v5: the ``opt`` term is the mode alone; windowed OPT is gone, and no
+#: cached ``auto`` payload that resolved to windowed is served again.
+CACHE_VERSION = 5
 
 #: Fault-injection hook: when set to ``N`` (>= 1), :meth:`SweepExecutor
 #: .run` raises :class:`SweepKilled` after publishing its N-th executed
@@ -125,13 +127,13 @@ class SweepPoint:
         Row metadata echoed back untouched into the payload under
         ``"tag"`` — sweep drivers use it to route payloads into table
         rows.
-    opt_mode, opt_window:
+    opt_mode:
         Offline-optimum solver selection for OPT points (see
         :mod:`repro.offline.opt`); ignored for policy points, but every
-        point rejects a pair that
-        :func:`~repro.offline.opt.check_opt_mode` refuses.  Both are
-        part of the cache key — an exact OPT payload and a bracketed
-        one are never interchangeable.
+        point rejects a mode that
+        :func:`~repro.offline.opt.check_opt_mode` refuses.  Part of the
+        cache key — an exact OPT payload and a bracketed one are never
+        interchangeable.
     """
 
     model: str
@@ -141,12 +143,11 @@ class SweepPoint:
     seed: Optional[int] = None
     tag: Mapping[str, object] = field(default_factory=dict)
     opt_mode: str = "exact"
-    opt_window: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.model not in ("cioq", "crossbar"):
             raise ValueError(f"unknown switch model {self.model!r}")
-        check_opt_mode(self.opt_mode, self.opt_window)
+        check_opt_mode(self.opt_mode)
 
 
 def describe_factory(factory: Optional[PolicyFactory]) -> str:
@@ -201,8 +202,7 @@ def run_sweep_point(
     ``backend`` selects the slot-loop execution backend for policy
     points (see :mod:`repro.simulation.backends`); by the bit-identical
     backend contract it never changes the payload.  OPT points solve
-    with the offline machinery selected by the point's ``opt_mode`` /
-    ``opt_window``.
+    with the offline machinery selected by the point's ``opt_mode``.
 
     With ``metrics_every`` set, the point runs under a fresh
     :class:`repro.obs.InMemoryRecorder` sampling every that many slots,
@@ -214,8 +214,7 @@ def run_sweep_point(
     """
     if point.policy_factory is None:
         solver = cioq_opt if point.model == "cioq" else crossbar_opt
-        opt = solver(point.trace, point.config, mode=point.opt_mode,
-                     window=point.opt_window)
+        opt = solver(point.trace, point.config, mode=point.opt_mode)
         lo, hi = opt.bracket
         payload: Dict[str, object] = {
             "policy": "OPT", "benefit": opt.benefit,
@@ -401,7 +400,7 @@ class SweepExecutor:
             "policy": describe_factory(point.policy_factory),
             "trace": point.trace.content_digest(),
             "seed": point.seed,
-            "opt": [point.opt_mode, point.opt_window],
+            "opt": point.opt_mode,
         }
         # Instrumented payloads carry an embedded "obs" snapshot, so
         # they get distinct keys; the key is only extended when metrics

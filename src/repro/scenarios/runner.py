@@ -45,7 +45,8 @@ from .spec import ScenarioSpec
 #: v2: the embedded scenario dict gained a ``replicates`` block.
 #: v3: an ``opt`` block records the OPT solver mode and window; rows
 #: carry ``OPT_lo``/``OPT_hi`` and aggregates carry ratio brackets when
-#: the solver mode is inexact.
+#: the solver mode is inexact.  Windowed OPT is gone since; the block
+#: keeps ``"window": null`` so v3 artifacts keep their bytes.
 ARTIFACT_VERSION = 3
 
 #: Default artifact root, relative to the working directory.
@@ -69,7 +70,6 @@ class ScenarioRun:
     #: OPT solver selection the run was executed with (recorded in the
     #: artifact so exact and bracketed denominators are never conflated).
     opt_mode: str = "exact"
-    opt_window: Optional[int] = None
     #: Slot-loop backend the run executed with.  Recorded in the
     #: provenance manifest only — never in ``result.json``, whose bytes
     #: must stay backend-independent by the bit-identity contract.
@@ -81,7 +81,8 @@ class ScenarioRun:
             "artifact_version": ARTIFACT_VERSION,
             "repro_version": __version__,
             "scenario": self.spec.to_dict(),
-            "opt": {"mode": self.opt_mode, "window": self.opt_window},
+            # Always-null window keeps v3 bytes (see ARTIFACT_VERSION).
+            "opt": {"mode": self.opt_mode, "window": None},
             "rows": self.rows,
             "aggregates": self.aggregates,
             "metrics": self.metrics,
@@ -110,7 +111,6 @@ def run_scenario(
     executor: Optional[SweepExecutor] = None,
     backend: str = DEFAULT_BACKEND,
     opt_mode: str = "exact",
-    opt_window: Optional[int] = None,
 ) -> ScenarioRun:
     """Execute a scenario; pure function of the spec.
 
@@ -119,8 +119,8 @@ def run_scenario(
     Results are bit-identical for any worker count and — by the backend
     contract (see :mod:`repro.simulation.backends`) — for any backend.
 
-    ``opt_mode``/``opt_window`` select the offline-optimum solver for
-    the per-seed OPT points (see :mod:`repro.offline.opt` and
+    ``opt_mode`` selects the offline-optimum solver for the per-seed
+    OPT points (see :mod:`repro.offline.opt` and
     ``docs/offline_opt.md``); with an inexact mode the rows carry
     certified ``OPT_lo``/``OPT_hi`` brackets next to the conservative
     ``OPT`` column, and the aggregates report ratio brackets instead of
@@ -149,7 +149,7 @@ def run_scenario(
             points.append(
                 SweepPoint(model=spec.model, config=config, trace=trace,
                            seed=seed, tag={"policy": "OPT", "seed": seed},
-                           opt_mode=opt_mode, opt_window=opt_window)
+                           opt_mode=opt_mode)
             )
 
     payloads = iter(ex.run(points))
@@ -193,7 +193,7 @@ def run_scenario(
 
     return ScenarioRun(spec=spec, rows=rows, aggregates=aggregates,
                        metrics=metrics, opt_mode=opt_mode,
-                       opt_window=opt_window, backend=ex.backend)
+                       backend=ex.backend)
 
 
 def compute_aggregates(
@@ -282,7 +282,6 @@ def build_run_manifest(run: ScenarioRun, kind: str = "scenario",
         seeds=run.spec.seeds,
         backend=run.backend,
         opt_mode=run.opt_mode,
-        opt_window=run.opt_window,
         extra=extra,
     )
 

@@ -283,6 +283,9 @@ def _validate_replicates(block: Mapping, include_opt: bool,
         if not isinstance(merged[key], int):
             raise ValueError(f"replicates.{key} must be an int, "
                              f"got {merged[key]!r}")
+    if merged["base_seed"] < 0:
+        # numpy's generators refuse negative seeds.
+        raise ValueError("replicates.base_seed must be >= 0")
     if merged["bootstrap"] < 0:
         raise ValueError("replicates.bootstrap must be >= 0")
     if merged["batch"] < 1:
@@ -483,6 +486,9 @@ class ScenarioSpec:
             raise ValueError("slots must be >= 1")
         if not self.seeds:
             raise ValueError("scenario needs at least one seed")
+        if any(s < 0 for s in self.seeds):
+            # numpy's generators refuse negative seeds.
+            raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
         for m in self.metrics:
             if m not in KNOWN_METRICS:
                 raise ValueError(

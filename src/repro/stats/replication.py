@@ -135,8 +135,8 @@ class ReplicatedRun:
             "repro_version": __version__,
             "scenario": self.spec.to_dict(),
             "plan": self.plan.as_dict(),
-            "opt": {"mode": self.run.opt_mode,
-                    "window": self.run.opt_window},
+            # Always-null window keeps these bytes (see ARTIFACT_VERSION).
+            "opt": {"mode": self.run.opt_mode, "window": None},
             "seeds_used": list(self.seeds_used),
             "stopped_early": self.stopped_early,
             "summary": self.summary,
@@ -184,7 +184,6 @@ def replicate_scenario(
     executor: Optional[SweepExecutor] = None,
     backend: str = DEFAULT_BACKEND,
     opt_mode: str = "exact",
-    opt_window: Optional[int] = None,
 ) -> ReplicatedRun:
     """Run ``spec`` across the plan's replicate seeds; pure function of
     (spec, plan).
@@ -224,8 +223,7 @@ def replicate_scenario(
 
     for batch_no, batch in enumerate(batches):
         sub = spec.with_overrides(seeds=batch)
-        part = run_scenario(sub, executor=ex, opt_mode=opt_mode,
-                            opt_window=opt_window)
+        part = run_scenario(sub, executor=ex, opt_mode=opt_mode)
         rows.extend(part.rows)
         metrics.extend(part.metrics)
         seeds_used.extend(batch)
@@ -263,7 +261,6 @@ def replicate_scenario(
                                       opt_bounds),
         metrics=metrics,
         opt_mode=opt_mode,
-        opt_window=opt_window,
         backend=ex.backend,
     )
     series = collect_series(rows, metrics, labels, spec.metrics,

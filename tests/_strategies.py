@@ -301,3 +301,18 @@ def opt_instance_strategy(
     )
     trace = traffic.generate(rng.randint(2, 8), seed=rng.randrange(2 ** 31))
     return trace, config, model
+
+
+def split_trace(trace: "Trace", cut: int) -> Tuple["Trace", "Trace"]:
+    """``trace`` cut at arrival slot ``cut``: the packets arriving
+    before it (``n_slots == cut``) and those arriving at or after it,
+    re-based to slot 0."""
+    from repro.switch.packet import Packet
+    from repro.traffic.trace import Trace
+
+    head = [p for p in trace.packets if p.arrival < cut]
+    tail = [Packet(p.pid, p.value, p.arrival - cut, p.src, p.dst)
+            for p in trace.packets if p.arrival >= cut]
+    return (Trace(head, trace.n_in, trace.n_out, n_slots=cut),
+            Trace(tail, trace.n_in, trace.n_out,
+                  n_slots=trace.n_slots - cut))

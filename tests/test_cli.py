@@ -25,17 +25,23 @@ class TestParser:
             main(["run", "--policy", "gm", "--model", "crossbar",
                   "--slots", "5"])
 
-    @pytest.mark.parametrize("argv", [
-        ["ratio", "--opt-mode", "windowed"],
-        ["ratio", "--opt-mode", "windowed", "--opt-window", "0"],
-        ["scenarios", "run", "smoke-bernoulli", "--opt-mode", "windowed",
-         "--no-artifacts"],
-        ["submit", "smoke-bernoulli", "--opt-mode", "windowed"],
+    @pytest.mark.parametrize("argv, flag", [
+        (["ratio", "--opt-mode", "windowed"], "--opt-mode"),
+        (["ratio", "--opt-window", "5"], "--opt-window"),
+        (["scenarios", "run", "smoke-bernoulli", "--opt-mode", "windowed",
+          "--no-artifacts"], "--opt-mode"),
+        (["scenarios", "run", "smoke-bernoulli", "--opt-window", "5",
+          "--no-artifacts"], "--opt-window"),
+        (["submit", "smoke-bernoulli", "--opt-mode", "windowed"],
+         "--opt-mode"),
+        (["submit", "smoke-bernoulli", "--opt-window", "5"],
+         "--opt-window"),
     ])
-    def test_windowed_opt_needs_window(self, argv, capsys, tmp_path,
-                                       monkeypatch):
-        """Exit 2 with one line naming --opt-window, before any trace
-        is generated or any job is queued."""
+    def test_windowed_opt_rejected(self, argv, flag, capsys, tmp_path,
+                                   monkeypatch):
+        """Windowed OPT is gone: its mode and window flag are usage
+        errors (exit 2) raised before any trace is generated or any job
+        is queued."""
         from repro.traffic.base import TrafficModel
 
         def no_traffic(*args, **kwargs):
@@ -50,8 +56,25 @@ class TestParser:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert len(err.splitlines()) == 1 and "--opt-window" in err
+        assert "error:" in err.splitlines()[-1] and flag in err
         assert not queue.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--seed", "-1"],
+        ["ratio", "--seed", "-2"],
+        ["trace", "record", "out.jsonl", "--seed", "-1"],
+    ])
+    def test_negative_seed_is_a_usage_error(self, argv, capsys, tmp_path,
+                                            monkeypatch):
+        """numpy refuses negative seeds; the parser says so (exit 2)
+        instead of a traceback from the traffic generator."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: must be an integer >= 0" in err
+        assert not (tmp_path / "out.jsonl").exists()
 
 
 class TestCommands:

@@ -80,13 +80,66 @@ class TestJobQueue:
         with pytest.raises(ValueError):
             build_job(scenario="a", spec_dict={"name": "b"})
 
-    @pytest.mark.parametrize("mode, window", [
-        ("magic", None), ("windowed", None), ("windowed", 0),
-    ])
-    def test_build_job_rejects_bad_opt_mode(self, mode, window):
+    @pytest.mark.parametrize("mode", ["magic", "windowed"])
+    def test_build_job_rejects_bad_opt_mode(self, mode):
         with pytest.raises(ValueError, match="opt mode"):
-            build_job(scenario="smoke-bernoulli", opt_mode=mode,
-                      opt_window=window)
+            build_job(scenario="smoke-bernoulli", opt_mode=mode)
+
+    def test_submit_publishes_whole_jobs(self, tmp_path, monkeypatch):
+        """A server polling while ``submit`` is still writing sees no
+        job (not an empty file it would strand in ``running/``), and
+        the job is claimable in full once ``submit`` returns."""
+        import repro.farm.jobs as jobs
+
+        q = JobQueue(str(tmp_path / "q"))
+        real_dump = jobs.json.dump
+        mid_write = []
+
+        def racing_dump(obj, fh, **kwargs):
+            mid_write.append(q.claim_next())
+            real_dump(obj, fh, **kwargs)
+
+        monkeypatch.setattr(jobs.json, "dump", racing_dump)
+        jid = q.submit(build_job(scenario="smoke-bernoulli"))
+        monkeypatch.undo()
+        assert mid_write == [None]
+        assert q.counts()["running"] == 0
+        job = q.claim_next()
+        assert job == {"id": jid, "opt_mode": "exact",
+                       "scenario": "smoke-bernoulli"}
+        assert sorted(os.listdir(tmp_path / "q" / "queue")) == []
+
+    def test_finish_publishes_whole_records(self, tmp_path, monkeypatch):
+        """``done/`` and ``failed/`` records appear only once written in
+        full, and no temp file stays behind."""
+        import repro.farm.jobs as jobs
+
+        root = tmp_path / "q"
+        q = JobQueue(str(root))
+        done = q.submit(build_job(scenario="a"))
+        failed = q.submit(build_job(scenario="b"))
+        q.claim_next()
+        q.claim_next()
+        real_dump = jobs.json.dump
+        published = []
+
+        def watching_dump(obj, fh, **kwargs):
+            published.append(sorted(
+                name for state in ("done", "failed")
+                for name in os.listdir(root / state)
+                if name.endswith(".json")))
+            real_dump(obj, fh, **kwargs)
+
+        monkeypatch.setattr(jobs.json, "dump", watching_dump)
+        q.complete(done, {"ok": True})
+        q.fail(failed, "boom")
+        monkeypatch.undo()
+        assert published == [[], [f"{done}.json"]]
+        for state in ("queue", "running", "done", "failed"):
+            names = os.listdir(root / state)
+            assert all(n.endswith(".json") for n in names), names
+        assert q.counts() == {"queued": 0, "running": 0, "done": 1,
+                              "failed": 1}
 
 
 class TestSweepKillResume:
@@ -234,6 +287,29 @@ class TestFarmCLI:
             ("stale", "1"), ("corrupt", "0"), ("tmp", "0"),
             ("claims", "0"), ("kept", "1"),
         }
+
+    @pytest.mark.parametrize("argv", [
+        ["no-such-scenario"],
+        ["smoke-bernoulli", "--slots", "0"],
+        ["smoke-bernoulli", "--replicates", "1"],
+        ["smoke-bernoulli", "--seeds", "-3"],
+        ["smoke-bernoulli", "no-such-scenario"],
+    ])
+    def test_submit_rejects_jobs_that_cannot_run(self, argv, tmp_path,
+                                                 capsys):
+        """Every named job is resolved before any is queued: one that
+        ``scenarios run`` would refuse exits 1 with one ``bad job``
+        line and leaves the queue empty."""
+        from repro.cli import main
+
+        queue = str(tmp_path / "q")
+        with pytest.raises(SystemExit) as exc:
+            main(["submit", *argv, "--queue", queue])
+        assert str(exc.value.code).startswith("bad job: ")
+        assert len(str(exc.value.code).splitlines()) == 1
+        assert capsys.readouterr().out == ""
+        assert JobQueue(queue).counts() == {
+            "queued": 0, "running": 0, "done": 0, "failed": 0}
 
     def test_serve_surfaces_failed_jobs(self, tmp_path, capsys):
         from repro.cli import main

@@ -386,8 +386,10 @@ class TestManifest:
     def test_build_and_round_trip(self, tmp_path):
         manifest = build_manifest(kind="scenario", name="x",
                                   spec={"a": 1}, seeds=(3, 1, 1),
-                                  backend="fast", opt_mode="windowed",
-                                  opt_window=8)
+                                  backend="fast", opt_mode="bounds")
+        assert manifest["manifest_version"] == 2
+        assert manifest["opt_mode"] == "bounds"
+        assert "opt_window" not in manifest
         assert manifest["seeds"] == [1, 3]
         assert manifest["spec_sha256"] == spec_hash({"a": 1})
         write_manifest(tmp_path, manifest)

@@ -1,25 +1,28 @@
-"""Differential OPT test matrix: windowed / bounds vs the exact MILP.
+"""Differential OPT test matrix: bounds and auto vs the exact MILP.
 
-Pins the certified OPT solvers (:mod:`repro.offline.windowed`,
-:mod:`repro.offline.bounds`) to the exact time-expanded MILP across
-every builtin scenario (downscaled so exact OPT stays cheap):
+Pins the certified OPT solver (:mod:`repro.offline.bounds`) and the
+``auto`` dispatch to the exact time-expanded MILP across every builtin
+scenario (downscaled so exact OPT stays cheap):
 
-* windowed mode with ``window >= horizon`` delegates to the exact model
-  and must reproduce its benefit **bit-for-bit** (no tolerance);
-* every certified bracket — windowed with a proper window, and the
-  near-free bounds mode — must sandwich the exact optimum;
+* the near-free bounds bracket must sandwich the exact optimum;
+* ``mode="auto"`` on these small instances resolves to exact and must
+  reproduce its benefit **bit-for-bit** (no tolerance);
+* cutting the arrivals at a slot brackets exact OPT by exact solves of
+  the two halves (head forced to drain by the cut, then the tail, from
+  below; the two halves with free drain from above);
 * free drain is exact: the default model (arrival slots only, free
   final inventories) and the forced-drain model at ``default_horizon``
   give **bit-for-bit** equal benefits for both switch models, and
   schedule extraction from a default model returns the forced model's
   schedule;
-* the drain lemma (:func:`~repro.offline.windowed.window_drain_slots`)
-  is validated differentially for both switch models: truncating the
-  forced horizon to ``n_slots + window_drain_slots(config)`` must not
-  change exact OPT;
+* the drain lemma is validated differentially for both switch models:
+  truncating the forced horizon to ``n_slots`` plus an O(N * b) drain
+  period must not change exact OPT;
 * :func:`~repro.offline.opt.solve_opt` dispatch and
   :func:`~repro.offline.opt.select_opt_mode` auto-selection are pinned
-  (mode validation, exact-for-small, deterministic selection).
+  (mode validation, exact on every builtin scenario, bounds past
+  :data:`~repro.offline.opt.AUTO_EXACT_BUDGET`, deterministic
+  selection).
 
 Scenarios are downscaled to 6 arrival slots with small buffers so each
 MILP solves in milliseconds; the *structure* (switch shape, traffic
@@ -27,6 +30,7 @@ model, value model) is the registered one.
 """
 
 import pytest
+from _strategies import split_trace
 
 from repro.offline import (
     OPT_MODES,
@@ -36,12 +40,10 @@ from repro.offline import (
     crossbar_opt,
     select_opt_mode,
     solve_opt,
-    windowed_opt,
 )
 from repro.offline.crossbar_timegraph import CrossbarOptModel
 from repro.offline.opt import AUTO_EXACT_BUDGET, _exact_size_proxy
 from repro.offline.timegraph import CIOQOptModel, default_horizon
-from repro.offline.windowed import window_drain_slots
 from repro.scenarios import all_scenarios
 from repro.switch.config import SwitchConfig
 from repro.switch.packet import Packet
@@ -50,8 +52,7 @@ from repro.traffic.trace import Trace
 from repro.traffic.values import uniform_values, unit_values
 
 #: Downscaled arrival horizon: small enough that exact OPT on every
-#: builtin scenario solves in milliseconds, large enough that windows
-#: of size 1-3 still stitch several segments.
+#: builtin scenario solves in milliseconds.
 SLOTS = 6
 
 #: Seeds per scenario in the matrix (first two registered seeds).
@@ -97,32 +98,6 @@ def _instance(spec, seed):
 
 @pytest.mark.parametrize(("spec", "seed"), CASES, ids=CASE_IDS)
 class TestDifferentialMatrix:
-    def test_windowed_full_window_is_exact_bitwise(self, spec, seed):
-        """window >= horizon delegates to the exact model verbatim."""
-        trace, config, exact_solver = _instance(spec, seed)
-        exact = exact_solver(trace, config)
-        window = max(trace.n_slots, 1)
-        w = windowed_opt(trace, config, window=window, model=spec.model)
-        assert w.mode == "windowed"
-        assert w.n_windows == 1
-        # Bit-for-bit: ==, not approx.
-        assert w.benefit == exact.benefit
-        assert w.opt_lower == exact.benefit
-        assert w.opt_upper == exact.benefit
-        assert w.is_exact
-
-    def test_windowed_bracket_sandwiches_exact(self, spec, seed):
-        trace, config, exact_solver = _instance(spec, seed)
-        exact = exact_solver(trace, config)
-        for window in (1, 2, max(1, trace.n_slots // 2)):
-            w = windowed_opt(trace, config, window=window, model=spec.model)
-            assert w.opt_lower - 1e-9 <= exact.benefit <= w.opt_upper + 1e-9, (
-                f"window={window}: bracket [{w.opt_lower}, {w.opt_upper}] "
-                f"misses exact {exact.benefit}"
-            )
-            assert w.opt_lower <= w.opt_upper
-            assert w.benefit == w.opt_upper
-
     def test_bounds_bracket_sandwiches_exact(self, spec, seed):
         trace, config, exact_solver = _instance(spec, seed)
         exact = exact_solver(trace, config)
@@ -137,6 +112,29 @@ class TestDifferentialMatrix:
         via = solve_opt(trace, config, model=spec.model, mode="exact")
         assert via.benefit == exact.benefit
         assert via.mode == "exact"
+        # Auto resolves to exact here; bit-for-bit: ==, not approx.
+        auto = solve_opt(trace, config, model=spec.model, mode="auto")
+        assert auto.benefit == exact.benefit
+        assert auto.mode == "exact"
+
+    def test_split_bounds_sandwich_exact(self, spec, seed):
+        """A cut at arrival slot ``cut`` brackets exact OPT: the head
+        forced to drain by the cut, then the tail from an empty switch,
+        is a feasible schedule (lower); restricting OPT's schedule to
+        either half is feasible for that half alone (upper)."""
+        trace, config, exact_solver = _instance(spec, seed)
+        exact = exact_solver(trace, config)
+        cls = MODEL_CLASSES[spec.model]
+        for cut in (1, 2, trace.n_slots // 2):
+            head, tail = split_trace(trace, cut)
+            forced_head = cls(head, config, horizon=cut).solve().benefit
+            free_head = cls(head, config).solve().benefit
+            rest = cls(tail, config).solve().benefit
+            assert (forced_head + rest - 1e-9 <= exact.benefit
+                    <= free_head + rest + 1e-9), (
+                f"cut={cut}: [{forced_head + rest}, {free_head + rest}] "
+                f"misses exact {exact.benefit}"
+            )
 
     @pytest.mark.parametrize("kind", sorted(MODEL_CLASSES))
     def test_free_drain_matches_forced_drain_bitwise(self, spec, seed, kind):
@@ -211,11 +209,26 @@ class TestFreeDrain:
         assert res.benefit == cls(trace, config).solve().benefit
 
 
+def _drain_slots(config):
+    """``max(n_in, n_out) * (b_in + b_cross) + b_out + 1``: the O(N * b)
+    drain lemma period, against :func:`default_horizon`'s O(N^2 * b).
+
+    With no further arrivals, colour the bipartite multigraph of
+    buffered packets (one (i, j) edge each, at most
+    ``max(n_in, n_out) * (b_in + b_cross)`` per port) into matchings by
+    Koenig's theorem and move one matching a stage per slot; every
+    packet then sits in its output queue, and ``b_out`` more slots flush
+    those.
+    """
+    return (max(config.n_in, config.n_out) * (config.b_in + config.b_cross)
+            + config.b_out + 1)
+
+
 class TestDrainLemma:
-    """The per-window drain period is sufficient: cutting the forced
-    horizon down to ``n_slots + window_drain_slots(config)`` never
-    changes exact OPT, for either switch model (the certified drain
-    lemma, tested differentially against the free-drain optimum)."""
+    """The drain period is sufficient: cutting the forced horizon down
+    to ``n_slots + _drain_slots(config)`` never changes exact OPT, for
+    either switch model (tested differentially against the free-drain
+    optimum)."""
 
     CONFIGS = [
         SwitchConfig.square(2, speedup=1, b_in=1, b_out=1, b_cross=1),
@@ -234,7 +247,7 @@ class TestDrainLemma:
             config.n_in, config.n_out, load=1.5,
             value_model=uniform_values(1, 9),
         ).generate(5, seed=seed)
-        short = trace.n_slots + window_drain_slots(config)
+        short = trace.n_slots + _drain_slots(config)
         assert short <= default_horizon(trace, config)
         full = solve_opt(trace, config, model=kind)
         cut = solve_opt(trace, config, model=kind, horizon=short)
@@ -253,7 +266,7 @@ class TestDrainLemma:
     def test_drain_slots_below_default_bound(self):
         for config in self.CONFIGS:
             trace = Trace([], config.n_in, config.n_out)
-            assert (trace.n_slots + window_drain_slots(config)
+            assert (trace.n_slots + _drain_slots(config)
                     <= default_horizon(trace, config))
 
 
@@ -294,16 +307,24 @@ class TestDispatchAndSelection:
         with pytest.raises(ValueError, match="unknown offline model"):
             solve_opt(trace, tiny_config, model="banyan")
 
-    def test_windowed_requires_window(self, tiny_config):
-        trace = Trace([], 2, 2)
-        with pytest.raises(ValueError, match="window"):
-            solve_opt(trace, tiny_config, mode="windowed")
-
     def test_auto_picks_exact_for_small(self, tiny_config):
         trace = Trace([], 2, 2)
-        mode, window = select_opt_mode(trace, tiny_config)
-        assert mode == "exact"
-        assert window is None
+        assert select_opt_mode(trace, tiny_config) == "exact"
+
+    @pytest.mark.parametrize("spec", all_scenarios(), ids=lambda s: s.name)
+    def test_auto_picks_exact_on_builtin_scenarios(self, spec):
+        """Every registered seed (replicate ladders included) of every
+        builtin scenario, at its registered size, stays exact."""
+        from repro.stats import ReplicationPlan
+
+        seeds = set(spec.seeds)
+        if spec.replicates:
+            seeds.update(ReplicationPlan.from_spec(spec).seeds())
+        config = spec.build_config()
+        traffic = spec.build_traffic()
+        for seed in sorted(seeds):
+            trace = traffic.generate(spec.slots, seed=seed)
+            assert select_opt_mode(trace, config) == "exact", seed
 
     def test_auto_is_deterministic_and_valid(self):
         # One packet arriving at slot-1 sets the trace's slot horizon
@@ -314,9 +335,7 @@ class TestDispatchAndSelection:
             first = select_opt_mode(trace, config)
             second = select_opt_mode(trace, config)
             assert first == second
-            assert first[0] in OPT_MODES and first[0] != "auto"
-            if first[0] == "windowed":
-                assert first[1] is not None and first[1] >= 1
+            assert first in OPT_MODES and first != "auto"
 
     def test_proxy_threshold_respected(self):
         config = SwitchConfig.square(16, speedup=2, b_in=4, b_out=4)
@@ -329,5 +348,4 @@ class TestDispatchAndSelection:
         trace = Trace(packets, 16, 16)
         horizon = default_horizon(trace, config)
         assert _exact_size_proxy(trace, config, horizon) > AUTO_EXACT_BUDGET
-        mode, _ = select_opt_mode(trace, config)
-        assert mode in ("windowed", "bounds")
+        assert select_opt_mode(trace, config) == "bounds"

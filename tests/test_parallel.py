@@ -13,6 +13,7 @@ from repro.analysis.sweep import (
 from repro.core.cgu import CGUPolicy
 from repro.core.gm import GMPolicy
 from repro.core.pg import PGPolicy
+from repro.offline import OPT_MODES
 from repro.parallel import (
     SweepExecutor,
     SweepPoint,
@@ -56,13 +57,11 @@ class TestSweepPoint:
         with pytest.raises(ValueError, match="model"):
             SweepPoint(model="banyan", config=config, trace=trace)
 
-    @pytest.mark.parametrize("mode, window", [
-        ("magic", None), ("windowed", None), ("windowed", 0),
-    ])
-    def test_rejects_bad_opt_mode(self, config, trace, mode, window):
+    @pytest.mark.parametrize("mode", ["magic", "windowed"])
+    def test_rejects_bad_opt_mode(self, config, trace, mode):
         with pytest.raises(ValueError, match="opt mode"):
             SweepPoint(model="cioq", config=config, trace=trace,
-                       opt_mode=mode, opt_window=window)
+                       opt_mode=mode)
 
     def test_payload_matches_direct_run(self, config, trace):
         point = SweepPoint(model="cioq", config=config, trace=trace,
@@ -141,6 +140,16 @@ class TestExecutor:
             SweepPoint(model="cioq", config=config, trace=trace,
                        policy_factory=GMPolicy, seed=0)
         )
+
+    def test_cache_key_separates_opt_modes(self, config, trace):
+        # The opt term is the requested mode alone: an exact point never
+        # reads a bounds or auto payload, whatever auto resolved to.
+        ex = SweepExecutor(cache_dir="unused")
+        keys = {ex.cache_key(SweepPoint(model="cioq", config=config,
+                                        trace=trace, policy_factory=GMPolicy,
+                                        seed=0, opt_mode=mode))
+                for mode in OPT_MODES}
+        assert len(keys) == len(OPT_MODES)
 
     def test_corrupt_cache_entry_is_recomputed(self, config, tmp_path):
         points = make_points(config, n=1)

@@ -134,6 +134,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             small_spec(slots=0)
 
+    def test_negative_seeds_rejected(self):
+        """numpy's generators refuse negative seeds, so the spec does,
+        before any trace is generated."""
+        with pytest.raises(ValueError, match="seeds must be >= 0"):
+            small_spec(seeds=(0, -3))
+        with pytest.raises(ValueError, match="base_seed must be >= 0"):
+            small_spec(replicates={"n": 2, "base_seed": -5})
+        with pytest.raises(ValueError, match="seeds must be >= 0"):
+            small_spec().with_overrides(seeds=[-1])
+
     def test_policy_labels(self):
         assert policy_label({"name": "gm"}) == "gm"
         assert policy_label({"name": "pg", "beta": 1.5}) == "pg(beta=1.5)"
@@ -382,6 +392,22 @@ class TestScenarioCLI:
         with pytest.raises(SystemExit, match="bad override"):
             cli_main(["scenarios", "run", "smoke-bernoulli",
                       "--seeds", "1,x"])
+
+    def test_run_negative_seeds_is_clean_error(self, capsys):
+        with pytest.raises(SystemExit,
+                           match="bad override: seeds must be >= 0"):
+            cli_main(["scenarios", "run", "smoke-bernoulli",
+                      "--seeds", "-3", "--no-artifacts"])
+
+    def test_run_file_negative_base_seed_is_clean_error(self, tmp_path):
+        data = get_scenario("replicated-smoke").to_dict()
+        data["replicates"] = {**data["replicates"], "base_seed": -5}
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SystemExit,
+                           match="bad spec: replicates.base_seed must be"):
+            cli_main(["scenarios", "run", "--file", str(path),
+                      "--no-artifacts"])
 
     def test_export_and_run_file_round_trip(self, tmp_path, capsys):
         path = tmp_path / "exported.toml"

@@ -75,6 +75,7 @@ from .analysis.ratio import measure_cioq_ratio, measure_crossbar_ratio
 from .analysis.report import format_table
 from .core.params import GM_RATIO, cpg_optimal_ratio
 from .scenarios import POLICY_CLASSES, RESULTS_DIR
+from .simulation.backends import BackendError
 from .simulation.engine import run_cioq, run_crossbar
 from .switch.cioq import CIOQSwitch
 from .switch.config import SwitchConfig
@@ -154,7 +155,7 @@ def _make_policy(name: str, model: str, beta: Optional[float]):
         )
     factory, bound = table[name]
     if name == "pg":
-        policy = factory(beta=beta) if beta else factory()
+        policy = factory() if beta is None else factory(beta=beta)
         from .core.params import pg_ratio
 
         bound = pg_ratio(policy.beta)
@@ -271,7 +272,7 @@ def cmd_sweep(args) -> int:
                 f"from {sorted(table)}"
             )
         cls, _bound = table[name]
-        if name == "pg" and args.beta:
+        if name == "pg" and args.beta is not None:
             factories[name] = partial(cls, beta=args.beta)
         else:
             factories[name] = cls
@@ -777,7 +778,10 @@ def cmd_farm_status(args) -> int:
     """Print queue counts, per-job state, and store statistics."""
     from .farm import farm_status
 
-    status = farm_status(args.queue, cache_dir=args.cache_dir)
+    try:
+        status = farm_status(args.queue, cache_dir=args.cache_dir)
+    except FileNotFoundError as exc:
+        raise SystemExit(str(exc)) from None
     counts = status["counts"]
     print(format_table(
         [{"state": state, "jobs": n} for state, n in counts.items()],
@@ -853,27 +857,52 @@ def _add_opt_mode(p: argparse.ArgumentParser) -> None:
                         "model size (docs/offline_opt.md)")
 
 
-def _seed(text: str) -> int:
-    """``--seed`` type: numpy's generators refuse negative seeds."""
+def _non_negative(text: str) -> int:
+    """Type of ``--seed`` (numpy's generators refuse negative seeds) and
+    ``stats summarize --bootstrap``."""
     if not text.isdigit():
         raise argparse.ArgumentTypeError(
             f"must be an integer >= 0, got {text!r}")
     return int(text)
 
 
+def _positive(text: str) -> int:
+    """Type of port counts, speedup, buffer sizes and slot counts."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _beta(text: str) -> float:
+    """``--beta`` type: PG's preemption threshold is at least 1."""
+    try:
+        beta = float(text)
+    except ValueError:
+        beta = 0.0  # reported below, like any value under 1
+    if not beta >= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            f"must be a number >= 1, got {text!r}")
+    return beta
+
+
+def _add_switch(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--speedup", type=_positive, default=1)
+    p.add_argument("--b-in", type=_positive, default=4, dest="b_in")
+    p.add_argument("--b-out", type=_positive, default=4, dest="b_out")
+    p.add_argument("--b-cross", type=_positive, default=1, dest="b_cross")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=("cioq", "crossbar"), default="cioq")
-    p.add_argument("--n", type=int, default=4, help="ports per side")
-    p.add_argument("--speedup", type=int, default=1)
-    p.add_argument("--b-in", type=int, default=4, dest="b_in")
-    p.add_argument("--b-out", type=int, default=4, dest="b_out")
-    p.add_argument("--b-cross", type=int, default=1, dest="b_cross")
+    p.add_argument("--n", type=_positive, default=4, help="ports per side")
+    _add_switch(p)
     p.add_argument("--traffic", choices=TRAFFIC_MODELS, default="bernoulli")
     p.add_argument("--values", choices=sorted(VALUE_MODELS), default="unit")
     p.add_argument("--load", type=float, default=1.0)
-    p.add_argument("--slots", type=int, default=40)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--beta", type=float, default=None,
+    p.add_argument("--slots", type=_positive, default=40)
+    p.add_argument("--seed", type=_non_negative, default=0)
+    p.add_argument("--beta", type=_beta, default=None,
                    help="preemption threshold (pg only)")
 
 
@@ -1008,8 +1037,8 @@ def build_parser() -> argparse.ArgumentParser:
     st_sum.add_argument("--ci", type=float, default=None,
                         help="confidence level, e.g. 95 (default: the "
                              "artifact's replicates block, else 95)")
-    st_sum.add_argument("--bootstrap", type=int, default=None,
-                        help="percentile-bootstrap resamples")
+    st_sum.add_argument("--bootstrap", type=_non_negative, default=None,
+                        help="percentile-bootstrap resamples (0 = off)")
     st_sum.add_argument("--bootstrap-seed", type=int, default=None,
                         dest="bootstrap_seed",
                         help="bootstrap RNG seed (default: artifact block)")
@@ -1050,12 +1079,9 @@ def build_parser() -> argparse.ArgumentParser:
     t_rep.add_argument("--model", choices=("cioq", "crossbar"),
                        default="cioq")
     t_rep.add_argument("--policy", default="gm")
-    t_rep.add_argument("--beta", type=float, default=None,
+    t_rep.add_argument("--beta", type=_beta, default=None,
                        help="preemption threshold (pg only)")
-    t_rep.add_argument("--speedup", type=int, default=1)
-    t_rep.add_argument("--b-in", type=int, default=4, dest="b_in")
-    t_rep.add_argument("--b-out", type=int, default=4, dest="b_out")
-    t_rep.add_argument("--b-cross", type=int, default=1, dest="b_cross")
+    _add_switch(t_rep)
     t_rep.add_argument("--materialized", action="store_true",
                        help="load the full trace and run the batch "
                             "engine (the control path)")
@@ -1179,7 +1205,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BackendError as exc:
+        # e.g. --backend fast with a policy outside the fast kernel
+        raise SystemExit(f"backend: {exc}") from None
 
 
 if __name__ == "__main__":  # pragma: no cover

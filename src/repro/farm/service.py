@@ -23,6 +23,7 @@ its bytes.
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Callable, Dict, List, Optional
 
@@ -203,7 +204,11 @@ def serve(
 def farm_status(queue_root: str,
                 cache_dir: Optional[str] = None) -> Dict[str, object]:
     """Queue counts, per-job lines and (optionally) store statistics —
-    the data behind ``repro farm status``."""
+    the data behind ``repro farm status``.  Raises ``FileNotFoundError``
+    when ``queue_root`` is not a directory: inspecting a queue never
+    creates one."""
+    if not os.path.isdir(queue_root):
+        raise FileNotFoundError(f"no farm queue at {queue_root}")
     queue = JobQueue(queue_root)
     status: Dict[str, object] = {"counts": queue.counts()}
     jobs: List[Dict[str, object]] = []

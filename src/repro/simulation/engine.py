@@ -24,7 +24,8 @@ end of each run.
 Every entry point below builds the switch and the arrival source in
 one place, :func:`_simulate`, which runs the shared slot loop of
 :mod:`repro.simulation.kernel` (see that module for the performance
-model).  The trace entries try the vectorized ``fast`` backend first.
+model).  The trace and batch entries first offer the run to the
+vectorized ``fast`` backend through one dispatch, :func:`_run_fast`.
 """
 
 from __future__ import annotations
@@ -108,6 +109,36 @@ def _simulate(
     )
 
 
+def _run_fast(
+    model: str,
+    policy,
+    config: SwitchConfig,
+    traces: List[Trace],
+    backend: str,
+    **options,
+) -> Optional[List[SimulationResult]]:
+    """The one dispatch into the ``fast`` backend: its results for
+    ``traces`` when it takes the run, ``None`` when the caller should run
+    the reference kernel.  ``backend="fast"`` re-raises what ``auto``
+    falls back on."""
+    for trace in traces:
+        _check_dims(trace, config)
+    validate_backend(backend)
+    # Below the size crossover `auto` goes straight to the reference
+    # kernel, which wins there.
+    if backend == "reference" or not traces or (
+        backend == "auto" and auto_prefers_reference(policy, config)
+    ):
+        return None
+    try:
+        return load_fastpath().run_batch(model, policy, config, traces,
+                                         **options)
+    except (BackendUnavailable, BackendUnsupported):
+        if backend == "fast":
+            raise
+        return None
+
+
 def _run_trace(
     model: str,
     policy,
@@ -123,29 +154,13 @@ def _run_trace(
 ) -> SimulationResult:
     """The trace path of :func:`run_cioq` / :func:`run_crossbar`: the
     ``fast`` backend when it takes the run, else the reference kernel."""
-    _check_dims(trace, config)
-    validate_backend(backend)
-    # Below the size crossover `auto` goes straight to the reference
-    # kernel, which wins there.
-    if backend != "reference" and not (
-        backend == "auto" and auto_prefers_reference(policy, config)
-    ):
-        try:
-            return load_fastpath().run_single(
-                model,
-                policy,
-                config,
-                trace,
-                record=record,
-                max_extra_slots=max_extra_slots,
-                check_invariants=check_invariants,
-                trace_occupancy=trace_occupancy,
-                metrics=metrics,
-                metrics_lane=metrics_lane,
-            )
-        except (BackendUnavailable, BackendUnsupported):
-            if backend == "fast":
-                raise
+    fast = _run_fast(model, policy, config, [trace], backend,
+                     record=record, max_extra_slots=max_extra_slots,
+                     check_invariants=check_invariants,
+                     trace_occupancy=trace_occupancy, metrics=metrics,
+                     metrics_lane=metrics_lane)
+    if fast is not None:
+        return fast[0]
     extra = drain_bound(config) if max_extra_slots is None else max_extra_slots
     return _simulate(
         model,
@@ -338,27 +353,12 @@ def _run_batch(
     backend: str,
     metrics=None,
 ) -> List[SimulationResult]:
-    validate_backend(backend)
     traces = list(traces)
-    if (backend != "reference" and traces
-            and not (backend == "auto"
-                     and auto_prefers_reference(policy_factory(), config))):
-        try:
-            fastpath = load_fastpath()
-            for trace in traces:
-                _check_dims(trace, config)
-            return fastpath.run_batch(
-                model,
-                policy_factory(),
-                config,
-                traces,
-                max_extra_slots=max_extra_slots,
-                trace_occupancy=trace_occupancy,
-                metrics=metrics,
-            )
-        except (BackendUnavailable, BackendUnsupported):
-            if backend == "fast":
-                raise
+    fast = _run_fast(model, policy_factory(), config, traces, backend,
+                     max_extra_slots=max_extra_slots,
+                     trace_occupancy=trace_occupancy, metrics=metrics)
+    if fast is not None:
+        return fast
     # Reference fallback: lane-tag each trace's samples by batch index,
     # matching the fast backend's lane numbering.
     return [

@@ -1,8 +1,9 @@
 """Vectorized numpy backend for the slot loop (the ``fast`` backend).
 
 This module re-implements :func:`repro.simulation.kernel.run_slot_loop`
-as a *lockstep batch* over many traces ("lanes") at once, with all queue
-state held in structure-of-arrays numpy buffers:
+for the paper's four policies (GM, PG, CGU, CPG) as a *lockstep batch*
+over many traces ("lanes") at once, with all queue state held in
+structure-of-arrays numpy buffers:
 
 * every queue family (VOQs, crosspoint queues, output queues) is a
   ``(value, pid, length)`` triple of arrays with a leading lane axis
@@ -31,7 +32,8 @@ not (requesting them raises
 :class:`~repro.simulation.backends.BackendUnsupported`, and ``auto``
 falls back): streaming/adaptive sources, ``record=True`` event logs,
 ``check_invariants=True``, :class:`MatchingStats` collection, and policy
-classes outside :data:`SUPPORTED_POLICIES`.
+classes outside :data:`SUPPORTED_POLICIES` — the comparison baselines
+among them.
 """
 
 from __future__ import annotations
@@ -45,22 +47,13 @@ from ..core.cgu import CGUPolicy
 from ..core.cpg import CPGPolicy
 from ..core.gm import GMPolicy
 from ..core.pg import PGPolicy
-from ..scheduling.baselines import (
-    CrossbarGreedyWeightedPolicy,
-    MaxMatchPolicy,
-    MaxWeightMatchPolicy,
-    RandomMatchPolicy,
-    RoundRobinPolicy,
-)
-from ..scheduling.fifo import FifoCIOQPolicy, FifoCrossbarPolicy
-from ..scheduling.matching import hopcroft_karp, max_weight_matching
 from ..switch.config import SwitchConfig
 from ..traffic.trace import Trace
 from .backends import BackendUnsupported
 from .engine import drain_bound
 from .results import SimulationResult
 
-#: Sentinel pid larger than any real one (head-of-line minimum scans).
+#: Sentinel pid larger than any real one (tie-break minimum scans).
 _BIG_PID = np.iinfo(np.int64).max
 
 #: Queue lengths and sorted positions fit comfortably in int16
@@ -150,27 +143,6 @@ class _QueueFamily:
         nonempty = ln > 0
         hv = np.where(nonempty, hv, -np.inf)
         return hv, hp, nonempty
-
-    def hols(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(positions, values, pids)`` of every head-of-line (minimum
-        pid) packet; empty queues get pid :data:`_BIG_PID`."""
-        valid = self._k < self.len[:, :, None]
-        pids = np.where(valid, self.pid, _BIG_PID)
-        pos = pids.argmin(axis=2)
-        hp = pids.min(axis=2)
-        hv = np.take_along_axis(self.val, pos[:, :, None], axis=2)[:, :, 0]
-        return pos, hv, hp
-
-    def hols_at(self, s, q) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(positions, values, pids)`` of the head-of-line packet of
-        each selected (non-empty) queue."""
-        rp = self.pid[s, q]                       # [K, B]
-        valid = self._k < self.len[s, q][:, None]
-        pids = np.where(valid, rp, _BIG_PID)
-        pos = pids.argmin(axis=1)
-        hp = pids.min(axis=1)
-        hv = self.val[s, q, pos]
-        return pos, hv, hp
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +245,7 @@ class _Lane:
         "n_arrived", "value_arrived", "n_accepted", "value_accepted",
         "n_rejected", "value_rejected", "n_pre_voq", "v_pre_voq",
         "n_pre_cross", "v_pre_cross", "n_pre_out", "v_pre_out",
-        "benefit", "n_sent", "sent_po", "val_po",
-        "rng", "grant_ptr", "accept_ptr", "slots_exec",
+        "benefit", "n_sent", "sent_po", "val_po", "slots_exec",
     )
 
     def __init__(self, idx: int, slots, n_arr: int, horizon: int,
@@ -301,9 +272,6 @@ class _Lane:
         self.n_sent = 0
         self.sent_po: List[int] = []
         self.val_po: List[float] = []
-        self.rng = None
-        self.grant_ptr: List[int] = []
-        self.accept_ptr: List[int] = []
         self.slots_exec = 0
 
 
@@ -315,38 +283,15 @@ class _Stepper:
     """One scheduling-phase implementation; subclasses mirror exactly one
     reference policy class."""
 
-    #: "reject" (drop when the VOQ is full) or "pushout" (preempt the
-    #: VOQ tail when strictly less valuable) — the only two arrival
-    #: rules across all supported policies.
+    #: "reject" (drop when the VOQ is full; GM, CGU) or "pushout"
+    #: (preempt the VOQ tail when strictly less valuable; PG, CPG).
     arrival = "reject"
-    #: "head" (most valuable) or "hol" (earliest pid) transmissions.
-    transmit = "head"
 
     def __init__(self, run: "_BatchRun", proto):
         self.run = run
 
-    def init_lane(self, lane: _Lane) -> None:
-        """Install per-lane policy state (pointers, rng)."""
-
     def cycle(self, t: int, cyc: int) -> None:
         raise NotImplementedError
-
-
-def _rotated_first(mask: int, offset: int, n: int, full: int) -> int:
-    """Index of the first set bit of ``mask`` scanning ``offset,
-    offset+1, ..., n-1, 0, ..., offset-1``."""
-    if offset:
-        mask = ((mask >> offset) | (mask << (n - offset))) & full
-    return ((mask & -mask).bit_length() - 1 + offset) % n
-
-
-def _bits_to_list(mask: int) -> List[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class _GMStepper(_Stepper):
@@ -396,113 +341,6 @@ class _GMStepper(_Stepper):
         run.apply_cioq_head_transfers(ms, mq, mj)
 
 
-class _MaxMatchStepper(_Stepper):
-    arrival = "reject"
-
-    def cycle(self, t, cyc):
-        run = self.run
-        ni, nj = run.NI, run.NJ
-        rowbits = run.voq_rowbits()
-        openbits = run.pack_bool_rows(run.out.len < run.B_out)
-        ms: List[int] = []
-        mq: List[int] = []
-        mj: List[int] = []
-        for s in run.active_ids:
-            ob = openbits[s]
-            base = s * ni
-            adj = [_bits_to_list(rowbits[base + i] & ob) for i in range(ni)]
-            for i, j in hopcroft_karp(ni, nj, adj):
-                ms.append(s)
-                mq.append(i * nj + j)
-                mj.append(j)
-        run.apply_cioq_head_transfers(ms, mq, mj)
-
-
-class _RandomStepper(_Stepper):
-    arrival = "reject"
-
-    def __init__(self, run, proto):
-        super().__init__(run, proto)
-        self.seed = proto.seed
-
-    def init_lane(self, lane):
-        lane.rng = np.random.default_rng(self.seed)
-
-    def cycle(self, t, cyc):
-        run = self.run
-        nj = run.NJ
-        mask = run.cioq_edge_mask()
-        ss, ii, jj = np.nonzero(mask)
-        if ss.size == 0:
-            return
-        il = ii.tolist()
-        jl = jj.tolist()
-        bounds = np.searchsorted(ss, run.active_bounds).tolist()
-        ms: List[int] = []
-        mq: List[int] = []
-        mj: List[int] = []
-        for pos, s in enumerate(run.active_ids):
-            lo, hi = bounds[2 * pos], bounds[2 * pos + 1]
-            if lo == hi:
-                continue
-            order = run.lanes[s].rng.permutation(hi - lo)
-            left = 0
-            right = 0
-            for k in order.tolist():
-                i = il[lo + k]
-                j = jl[lo + k]
-                ib = 1 << i
-                jb = 1 << j
-                if not (left & ib) and not (right & jb):
-                    left |= ib
-                    right |= jb
-                    ms.append(s)
-                    mq.append(i * nj + j)
-                    mj.append(j)
-        run.apply_cioq_head_transfers(ms, mq, mj)
-
-
-class _RoundRobinStepper(_Stepper):
-    arrival = "reject"
-
-    def init_lane(self, lane):
-        lane.grant_ptr = [0] * self.run.NJ
-        lane.accept_ptr = [0] * self.run.NI
-
-    def cycle(self, t, cyc):
-        run = self.run
-        ni, nj = run.NI, run.NJ
-        mask = run.cioq_edge_mask()
-        colbits = run.pack_bool_rows(
-            np.ascontiguousarray(mask.transpose(0, 2, 1)).reshape(-1, ni))
-        full_ni = run.full_NI
-        ms: List[int] = []
-        mq: List[int] = []
-        mj: List[int] = []
-        for s in run.active_ids:
-            lane = run.lanes[s]
-            gptr = lane.grant_ptr
-            aptr = lane.accept_ptr
-            base = s * nj
-            grants: List[List[int]] = [[] for _ in range(ni)]
-            for j in range(nj):
-                m = colbits[base + j]
-                if m:
-                    i = _rotated_first(m, gptr[j], ni, full_ni)
-                    grants[i].append(j)
-            for i in range(ni):
-                if not grants[i]:
-                    continue
-                ap = aptr[i]
-                best = min(grants[i], key=lambda j: (j - ap) % nj)
-                ms.append(s)
-                mq.append(i * nj + best)
-                mj.append(best)
-                aptr[i] = (best + 1) % nj
-                gptr[best] = (i + 1) % ni
-        run.apply_cioq_head_transfers(ms, mq, mj)
-
-
 class _PGStepper(_Stepper):
     arrival = "pushout"
 
@@ -537,107 +375,6 @@ class _PGStepper(_Stepper):
         run.greedy_cioq_preempt(
             ss.tolist(), cc.tolist(), ii.tolist(), jj.tolist(),
             full_out, tailv)
-
-
-class _MaxWeightStepper(_Stepper):
-    arrival = "pushout"
-
-    def __init__(self, run, proto):
-        super().__init__(run, proto)
-        self.beta = proto.beta
-
-    def cycle(self, t, cyc):
-        run = self.run
-        nj = run.NJ
-        hv, _hp, _ne = run.voq.heads()
-        hv3 = hv.reshape(run.S, run.NI, nj)
-        full_out = run.out.len >= run.B_out
-        tailv = run.out.val[:, :, 0]
-        thr = np.where(full_out, self.beta * tailv, 0.0)
-        elig = hv3 > thr[:, None, :]
-        if not run.all_active:
-            elig &= run.active_mask[:, None, None]
-        any_edge = elig.any(axis=(1, 2)).tolist()
-        weights = np.where(elig, hv3, 0.0)
-        fo = full_out.tolist()
-        tv = tailv.tolist()
-        ms: List[int] = []
-        mq: List[int] = []
-        mj: List[int] = []
-        ps: List[int] = []
-        pj: List[int] = []
-        for s in run.active_ids:
-            if not any_edge[s]:
-                continue
-            lane = run.lanes[s]
-            fo_s = fo[s]
-            tv_s = tv[s]
-            for i, j, _w in max_weight_matching(weights[s].tolist()):
-                if fo_s[j]:
-                    lane.n_pre_out += 1
-                    lane.v_pre_out += tv_s[j]
-                    lane.buffered -= 1
-                    ps.append(s)
-                    pj.append(j)
-                ms.append(s)
-                mq.append(i * nj + j)
-                mj.append(j)
-        run.apply_cioq_head_transfers(ms, mq, mj, pre_s=ps, pre_j=pj)
-
-
-class _FifoCIOQStepper(_Stepper):
-    arrival = "pushout"
-    transmit = "hol"
-
-    def cycle(self, t, cyc):
-        run = self.run
-        nj = run.NJ
-        ss, cc = run.voq_sparse()
-        if ss.size == 0:
-            return
-        open_out = (run.out.len < run.B_out)[ss, cc % nj]
-        if not open_out.any():
-            return
-        ss = ss[open_out]
-        cc = cc[open_out]
-        pos, hv, hp = run.voq.hols_at(ss, cc)
-        # Same global stable-sort trick as PG, keyed by the HOL value.
-        order = np.argsort(-hv, kind="stable")
-        so = ss[order]
-        co = cc[order]
-        io = co // nj
-        jo = co - io * nj
-        sl = so.tolist()
-        cl = co.tolist()
-        il = io.tolist()
-        jl = jo.tolist()
-        ol = order.tolist()
-        left = [0] * run.S
-        right = [0] * run.S
-        ms: List[int] = []
-        mc: List[int] = []
-        midx: List[int] = []
-        for k, (s, c, i, j) in enumerate(zip(sl, cl, il, jl)):
-            ib = 1 << i
-            lm = left[s]
-            if lm & ib:
-                continue
-            jb = 1 << j
-            rm = right[s]
-            if rm & jb:
-                continue
-            left[s] = lm | ib
-            right[s] = rm | jb
-            ms.append(s)
-            mc.append(c)
-            midx.append(ol[k])
-        if not ms:
-            return
-        s_arr = np.array(ms, dtype=np.int64)
-        c_arr = np.array(mc, dtype=np.int64)
-        sel = np.array(midx, dtype=np.int64)
-        run.voq.delete_at(s_arr, c_arr, pos[sel])
-        run.out.insert(s_arr, c_arr % nj, hv[sel], hp[sel])
 
 
 class _CGUStepper(_Stepper):
@@ -791,116 +528,12 @@ class _CPGStepper(_Stepper):
             run.out.insert(ss, jj, v, p)
 
 
-class _CGWStepper(_Stepper):
-    arrival = "reject"
-
-    def cycle(self, t, cyc):
-        run = self.run
-        ni, nj = run.NI, run.NJ
-        S = run.S
-        # Input: best (value, -pid) VOQ head among non-full crosspoints.
-        hv, hp, ne = run.voq.heads()
-        hv3 = hv.reshape(S, ni, nj)
-        hp3 = hp.reshape(S, ni, nj)
-        cfull = run.cross.len.reshape(S, ni, nj) >= run.B_cross
-        elig = ne.reshape(S, ni, nj) & ~cfull
-        if not run.all_active:
-            elig &= run.active_mask[:, None, None]
-        bv = np.where(elig, hv3, -np.inf).max(axis=2)
-        has = bv > -np.inf
-        tie = elig & (hv3 == bv[:, :, None])
-        bp = np.where(tie, hp3, _BIG_PID).min(axis=2)
-        bj = (tie & (hp3 == bp[:, :, None])).argmax(axis=2)
-        ss, ii = np.nonzero(has)
-        if ss.size:
-            cells = ii * nj + bj[ss, ii]
-            v, p = run.voq.pop_heads(ss, cells)
-            run.cross.insert(ss, cells, v, p)
-        # Output: best crosspoint head per non-full output.
-        chv, chp, cne = run.cross.heads()
-        chv3 = chv.reshape(S, ni, nj)
-        chp3 = chp.reshape(S, ni, nj)
-        cne3 = cne.reshape(S, ni, nj) & (
-            run.out.len < run.B_out)[:, None, :]
-        if not run.all_active:
-            cne3 &= run.active_mask[:, None, None]
-        bv = np.where(cne3, chv3, -np.inf).max(axis=1)
-        has = bv > -np.inf
-        tie = cne3 & (chv3 == bv[:, None, :])
-        bp = np.where(tie, chp3, _BIG_PID).min(axis=1)
-        bi = (tie & (chp3 == bp[:, None, :])).argmax(axis=1)
-        ss, jj = np.nonzero(has)
-        if ss.size:
-            cells = bi[ss, jj] * nj + jj
-            v, p = run.cross.pop_heads(ss, cells)
-            run.out.insert(ss, jj, v, p)
-
-
-class _FifoCrossbarStepper(_Stepper):
-    arrival = "pushout"
-    transmit = "hol"
-
-    def cycle(self, t, cyc):
-        run = self.run
-        ni, nj = run.NI, run.NJ
-        S = run.S
-        # Input: best (hol value, -hol pid) per input among non-full
-        # crosspoints.
-        pos, hv, hp = run.voq.hols()
-        hv3 = hv.reshape(S, ni, nj)
-        hp3 = hp.reshape(S, ni, nj)
-        ne3 = (run.voq.len > 0).reshape(S, ni, nj)
-        cfull = run.cross.len.reshape(S, ni, nj) >= run.B_cross
-        elig = ne3 & ~cfull
-        if not run.all_active:
-            elig &= run.active_mask[:, None, None]
-        bv = np.where(elig, hv3, -np.inf).max(axis=2)
-        has = bv > -np.inf
-        tie = elig & (hv3 == bv[:, :, None])
-        bp = np.where(tie, hp3, _BIG_PID).min(axis=2)
-        bj = (tie & (hp3 == bp[:, :, None])).argmax(axis=2)
-        ss, ii = np.nonzero(has)
-        if ss.size:
-            cells = ii * nj + bj[ss, ii]
-            v = hv[ss, cells]
-            p = hp[ss, cells]
-            run.voq.delete_at(ss, cells, pos[ss, cells])
-            run.cross.insert(ss, cells, v, p)
-        # Output: best crosspoint hol per non-full output.
-        cpos, chv, chp = run.cross.hols()
-        chv3 = chv.reshape(S, ni, nj)
-        chp3 = chp.reshape(S, ni, nj)
-        cne3 = (run.cross.len > 0).reshape(S, ni, nj) & (
-            run.out.len < run.B_out)[:, None, :]
-        if not run.all_active:
-            cne3 &= run.active_mask[:, None, None]
-        bv = np.where(cne3, chv3, -np.inf).max(axis=1)
-        has = bv > -np.inf
-        tie = cne3 & (chv3 == bv[:, None, :])
-        bp = np.where(tie, chp3, _BIG_PID).min(axis=1)
-        bi = (tie & (chp3 == bp[:, None, :])).argmax(axis=1)
-        ss, jj = np.nonzero(has)
-        if ss.size:
-            cells = bi[ss, jj] * nj + jj
-            v = chv[ss, cells]
-            p = chp[ss, cells]
-            run.cross.delete_at(ss, cells, cpos[ss, cells])
-            run.out.insert(ss, jj, v, p)
-
-
 #: Policy classes (by exact type) the fast backend implements, per model.
 SUPPORTED_POLICIES: Dict[Tuple[str, Type], Type[_Stepper]] = {
     ("cioq", GMPolicy): _GMStepper,
     ("cioq", PGPolicy): _PGStepper,
-    ("cioq", MaxMatchPolicy): _MaxMatchStepper,
-    ("cioq", MaxWeightMatchPolicy): _MaxWeightStepper,
-    ("cioq", RandomMatchPolicy): _RandomStepper,
-    ("cioq", RoundRobinPolicy): _RoundRobinStepper,
-    ("cioq", FifoCIOQPolicy): _FifoCIOQStepper,
     ("crossbar", CGUPolicy): _CGUStepper,
     ("crossbar", CPGPolicy): _CPGStepper,
-    ("crossbar", CrossbarGreedyWeightedPolicy): _CGWStepper,
-    ("crossbar", FifoCrossbarPolicy): _FifoCrossbarStepper,
 }
 
 
@@ -911,7 +544,7 @@ SUPPORTED_POLICIES: Dict[Tuple[str, Type], Type[_Stepper]] = {
 class _BatchRun:
     def __init__(self, model: str, proto, config: SwitchConfig,
                  traces: Sequence[Trace], max_extra_slots: Optional[int],
-                 trace_occupancy: bool, metrics=None, lane_base: int = 0):
+                 trace_occupancy: bool, metrics, metrics_lane: int):
         stepper_cls = SUPPORTED_POLICIES.get((model, type(proto)))
         if stepper_cls is None:
             raise BackendUnsupported(
@@ -930,11 +563,8 @@ class _BatchRun:
         self.B_out = config.b_out
         self.B_cross = config.b_cross
         self.speedup = config.speedup
-        self.model = model
         self.crossbar = model == "crossbar"
         self.trace_occupancy = trace_occupancy
-        self.full_NI = (1 << self.NI) - 1
-        self.full_NJ = (1 << self.NJ) - 1
 
         self.voq = _QueueFamily(S, self.NI * self.NJ, self.B_in)
         self.out = _QueueFamily(S, self.NJ, self.B_out)
@@ -945,11 +575,6 @@ class _BatchRun:
                  else max_extra_slots)
         self.lanes: List[_Lane] = []
         for idx, trace in enumerate(traces):
-            if trace.n_in != config.n_in or trace.n_out != config.n_out:
-                raise ValueError(
-                    f"trace is {trace.n_in}x{trace.n_out} but switch is "
-                    f"{config.n_in}x{config.n_out}"
-                )
             horizon = trace.n_slots + extra
             result = SimulationResult(
                 policy_name=proto.name, config=config,
@@ -977,14 +602,12 @@ class _BatchRun:
 
         self.stepper = stepper_cls(self, proto)
         self.pushout = self.stepper.arrival == "pushout"
-        for lane in self.lanes:
-            self.stepper.init_lane(lane)
 
         # Metrics guard: resolved once per batch, never per slot (the
         # same compiled-out contract as the reference kernel).
         self.metrics = (metrics if metrics is not None and metrics.enabled
                         else None)
-        self.lane_base = lane_base
+        self.metrics_lane = metrics_lane
         self.m_every = self.metrics.every_k if self.metrics is not None else 0
         self.m_timed = self.metrics is not None and self.metrics.timed
         # Per-lane sample buffers, flushed lane-major after the run so
@@ -994,14 +617,6 @@ class _BatchRun:
             [[] for _ in range(S)] if self.m_every > 0 else None)
 
     # -- shared mask/bit helpers -------------------------------------------
-
-    @property
-    def active_bounds(self) -> List[int]:
-        out = []
-        for s in self.active_ids:
-            out.append(s)
-            out.append(s + 1)
-        return out
 
     def pack_bool_rows(self, mat: np.ndarray) -> List[int]:
         """Pack each boolean row of a 2-D array into one Python int
@@ -1039,14 +654,6 @@ class _BatchRun:
         if not self.all_active:
             ne &= self.active_mask[:, None]
         return np.nonzero(ne)
-
-    def cioq_edge_mask(self) -> np.ndarray:
-        """GM's induced graph: VOQ non-empty and output not full."""
-        mask = (self.voq.len > 0).reshape(self.S, self.NI, self.NJ) & (
-            self.out.len < self.B_out)[:, None, :]
-        if not self.all_active:
-            mask &= self.active_mask[:, None, None]
-        return mask
 
     # -- shared transfer applicators ---------------------------------------
 
@@ -1193,11 +800,7 @@ class _BatchRun:
         ss, jj = np.nonzero(nonempty)
         if ss.size == 0:
             return
-        if self.stepper.transmit == "hol":
-            pos, v, _hp = out.hols_at(ss, jj)
-            out.delete_at(ss, jj, pos)
-        else:
-            v, _p = out.pop_heads(ss, jj)
+        v, _p = out.pop_heads(ss, jj)
         lanes = self.lanes
         for s, j, pv in zip(ss.tolist(), jj.tolist(), v.tolist()):
             lane = lanes[s]
@@ -1227,7 +830,7 @@ class _BatchRun:
         ot = self.out.len.sum(axis=1).tolist()
         ct = (self.cross.len.sum(axis=1).tolist() if self.crossbar
               else [0] * self.S)
-        base = self.lane_base
+        base = self.metrics_lane
         samples = self._samples
         for lane in self.active:
             s = lane.idx
@@ -1365,19 +968,8 @@ class _BatchRun:
 
 
 # ---------------------------------------------------------------------------
-# Entry points (called via the engine's backend dispatch)
+# Entry point (called only via the engine's backend dispatch)
 # ---------------------------------------------------------------------------
-
-def _reject_unsupported(record: bool, check_invariants: bool) -> None:
-    if record:
-        raise BackendUnsupported(
-            "the fast backend does not implement record=True event logs"
-        )
-    if check_invariants:
-        raise BackendUnsupported(
-            "the fast backend does not implement check_invariants=True"
-        )
-
 
 def run_batch(
     model: str,
@@ -1390,38 +982,26 @@ def run_batch(
     check_invariants: bool = False,
     trace_occupancy: bool = False,
     metrics=None,
+    metrics_lane: int = 0,
 ) -> List[SimulationResult]:
     """Run ``proto`` (a policy instance used read-only, as the parameter
     prototype) over every trace in lockstep; returns one
-    :class:`SimulationResult` per trace, in order.
+    :class:`SimulationResult` per trace, in order.  The engine has
+    already checked every trace against ``config``'s port counts.
 
     With an active ``metrics`` recorder, per-slot samples are buffered
     during the lockstep loop and flushed lane-major afterwards, so the
     recorder ends up byte-identical to serial reference runs over the
-    same traces (lane ``i`` is tagged ``i``)."""
-    _reject_unsupported(record, check_invariants)
+    same traces (lane ``i`` is tagged ``metrics_lane + i``)."""
+    if record:
+        raise BackendUnsupported(
+            "the fast backend does not implement record=True event logs"
+        )
+    if check_invariants:
+        raise BackendUnsupported(
+            "the fast backend does not implement check_invariants=True"
+        )
     if not traces:
         return []
     return _BatchRun(model, proto, config, traces, max_extra_slots,
-                     trace_occupancy, metrics=metrics).run()
-
-
-def run_single(
-    model: str,
-    policy,
-    config: SwitchConfig,
-    trace: Trace,
-    *,
-    record: bool = False,
-    max_extra_slots: Optional[int] = None,
-    check_invariants: bool = False,
-    trace_occupancy: bool = False,
-    metrics=None,
-    metrics_lane: int = 0,
-) -> SimulationResult:
-    """Single-trace convenience wrapper around :func:`run_batch`."""
-    _reject_unsupported(record, check_invariants)
-    return _BatchRun(
-        model, policy, config, [trace], max_extra_slots,
-        trace_occupancy, metrics=metrics, lane_base=metrics_lane,
-    ).run()[0]
+                     trace_occupancy, metrics, metrics_lane).run()

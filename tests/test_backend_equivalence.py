@@ -1,15 +1,21 @@
 """Differential equivalence matrix: ``fast`` backend vs ``reference``.
 
-The vectorized numpy backend (:mod:`repro.simulation.fastpath`) is
-required to be **bit-identical** to the reference kernel on every
-observable :class:`~repro.simulation.results.SimulationResult` field —
-that contract is what lets sweep caches ignore the backend and lets
-``auto`` switch freely.  This module pins it from four directions:
+The vectorized numpy backend (:mod:`repro.simulation.fastpath`) runs
+the paper's four policies (GM, PG, CGU, CPG) and is required to be
+**bit-identical** to the reference kernel on every observable
+:class:`~repro.simulation.results.SimulationResult` field — that
+contract is what lets sweep caches ignore the backend and lets ``auto``
+switch freely.  Every other policy (the comparison baselines, custom
+classes) raises ``BackendUnsupported`` under ``fast`` and runs on the
+reference kernel under ``auto``.  This module pins it from four
+directions:
 
-* the registry semantics themselves (validation, fallback, errors);
+* the registry semantics themselves (validation, fallback, errors, the
+  fast kernel's policy table);
 * a differential matrix over **every builtin scenario** — each
-  (scenario, seed, policy) runs through both backends and must agree on
-  every payload field;
+  (scenario, seed, policy) runs through ``fast`` (paper policies) or
+  ``auto`` (baselines) and must agree with reference on every payload
+  field;
 * seeded property-based runs over arbitrary traffic models and policy
   mixes (the ``tests/_strategies.py`` harness), including
   preemption-heavy and drain edge cases;
@@ -35,6 +41,7 @@ from repro.core.gm import GMPolicy
 from repro.core.pg import PGPolicy
 from repro.scenarios import all_scenarios
 from repro.scheduling.baselines import (
+    CrossbarGreedyWeightedPolicy,
     MaxMatchPolicy,
     MaxWeightMatchPolicy,
     RandomMatchPolicy,
@@ -94,6 +101,13 @@ PAYLOAD_FIELDS = [
 ]
 
 
+def in_fast_table(model, policy):
+    """True when the fast kernel has a stepper for ``policy``."""
+    from repro.simulation.fastpath import SUPPORTED_POLICIES
+
+    return (model, type(policy)) in SUPPORTED_POLICIES
+
+
 def assert_payloads_identical(ref, fast, label=""):
     """Exact equality on every observable field — ints and floats alike
     (the bit-identical backend contract, stronger than any tolerance)."""
@@ -142,9 +156,40 @@ class TestRegistry:
         assert_payloads_identical(ref, auto)
 
     def test_fast_rejects_stats_collection(self, small_config, unit_trace):
-        with pytest.raises(BackendUnsupported):
-            run_cioq(MaxMatchPolicy(stats=MatchingStats()), small_config,
+        with pytest.raises(BackendUnsupported, match="MatchingStats"):
+            run_cioq(GMPolicy(stats=MatchingStats()), small_config,
                      unit_trace, backend="fast")
+
+    def test_fast_table_holds_only_the_paper_policies(self):
+        """The fast kernel implements exactly Theorems 1-4's policies;
+        a new entry needs a workload that runs it."""
+        from repro.simulation.fastpath import SUPPORTED_POLICIES
+
+        assert set(SUPPORTED_POLICIES) == {
+            ("cioq", GMPolicy), ("cioq", PGPolicy),
+            ("crossbar", CGUPolicy), ("crossbar", CPGPolicy),
+        }
+
+    @pytest.mark.parametrize("model, cls", [
+        pytest.param(model, cls, id=cls.__name__) for model, cls in [
+            ("cioq", MaxMatchPolicy), ("cioq", MaxWeightMatchPolicy),
+            ("cioq", RandomMatchPolicy), ("cioq", RoundRobinPolicy),
+            ("cioq", FifoCIOQPolicy),
+            ("crossbar", CrossbarGreedyWeightedPolicy),
+            ("crossbar", FifoCrossbarPolicy),
+        ]
+    ])
+    def test_fast_rejects_the_baselines(self, model, cls, small_config,
+                                        unit_trace):
+        """Each baseline raises under ``fast`` and equals reference under
+        ``auto``, which runs it on the reference kernel."""
+        runner = run_cioq if model == "cioq" else run_crossbar
+        with pytest.raises(BackendUnsupported,
+                           match=f"no {model} stepper for {cls.__name__}"):
+            runner(cls(), small_config, unit_trace, backend="fast")
+        ref = runner(cls(), small_config, unit_trace)
+        auto = runner(cls(), small_config, unit_trace, backend="auto")
+        assert_payloads_identical(ref, auto, label=f"({cls.__name__})")
 
     def test_fast_rejects_streaming(self, small_config):
         with pytest.raises(BackendUnsupported):
@@ -172,9 +217,10 @@ def _scenario_cases():
 @pytest.mark.parametrize("spec", _scenario_cases())
 def test_builtin_scenario_matrix(spec):
     """Every (builtin scenario, seed, policy) point agrees between the
-    backends on every payload field.  Uses ``backend="fast"`` (not
-    auto), so a future builtin policy outside the fast kernel's table
-    fails loudly here — extend the kernel or adjust the scenario."""
+    backends on every payload field: policies in the fast kernel's table
+    run with ``backend="fast"``; every other builtin policy must raise
+    ``BackendUnsupported`` under ``fast`` and equal reference under
+    ``auto``."""
     config = spec.build_config()
     traffic = spec.build_traffic()
     runner = run_cioq if spec.model == "cioq" else run_crossbar
@@ -182,10 +228,17 @@ def test_builtin_scenario_matrix(spec):
         trace = traffic.generate(spec.slots, seed=seed)
         for label, factory in spec.policy_factories():
             ref = runner(factory(), config, trace, trace_occupancy=True)
-            fast = runner(factory(), config, trace, trace_occupancy=True,
-                          backend="fast")
+            backend = "fast"
+            if not in_fast_table(spec.model, factory()):
+                with pytest.raises(BackendUnsupported):
+                    runner(factory(), config, trace, trace_occupancy=True,
+                           backend="fast")
+                backend = "auto"
+            other = runner(factory(), config, trace, trace_occupancy=True,
+                           backend=backend)
             assert_payloads_identical(
-                ref, fast, label=f"({spec.name}, seed={seed}, {label})"
+                ref, other,
+                label=f"({spec.name}, seed={seed}, {label}, {backend})"
             )
 
 
@@ -216,7 +269,9 @@ CROSSBAR_FACTORIES = [
 @pytest.mark.parametrize("seed", property_seeds())
 def test_property_backend_agreement(seed):
     """Arbitrary traffic x arbitrary policy x arbitrary config: both
-    backends agree exactly on every payload field."""
+    backends agree exactly on every payload field (``fast`` for the
+    paper policies, ``auto`` for the baselines, which it runs on the
+    reference kernel)."""
     rng = random.Random(seed)
     for case in range(N_CASES):
         model, n_in, n_out = traffic_strategy(rng)
@@ -230,16 +285,17 @@ def test_property_backend_agreement(seed):
         mes = rng.choice([None, 0, rng.randint(1, 5)])
         if rng.random() < 0.5:
             factory = rng.choice(CIOQ_FACTORIES)
-            runner = run_cioq
+            runner, switch = run_cioq, "cioq"
         else:
             factory = rng.choice(CROSSBAR_FACTORIES)
-            runner = run_crossbar
+            runner, switch = run_crossbar, "crossbar"
+        backend = "fast" if in_fast_table(switch, factory()) else "auto"
         ref = runner(factory(), config, trace, max_extra_slots=mes,
                      trace_occupancy=occ)
-        fast = runner(factory(), config, trace, max_extra_slots=mes,
-                      trace_occupancy=occ, backend="fast")
+        other = runner(factory(), config, trace, max_extra_slots=mes,
+                       trace_occupancy=occ, backend=backend)
         assert_payloads_identical(
-            ref, fast, label=f"(case {case}, seed {seed})"
+            ref, other, label=f"(case {case}, seed {seed}, {backend})"
         )
 
 
@@ -262,6 +318,9 @@ def test_streaming_style_drain_tail_identical():
     """A burst followed by silence must drain identically: the fast
     backend's lane-retirement logic may not terminate a run earlier or
     later than the reference loop (horizon and benefit both observable).
+    PG and CPG cover push-out arrival; the FIFO baselines are outside
+    the fast kernel's table and drain on the reference kernel under
+    ``auto``.
     """
     config = SwitchConfig(n_in=4, n_out=4, speedup=1, b_in=3, b_out=2,
                           b_cross=1)
@@ -273,16 +332,21 @@ def test_streaming_style_drain_tail_identical():
         for pid in range(16)
     ]
     trace = Trace(packets, 4, 4, name="burst-then-silence")
-    for policy_factory, runner in [
-        (GMPolicy, run_cioq), (FifoCIOQPolicy, run_cioq),
-        (CGUPolicy, run_crossbar), (FifoCrossbarPolicy, run_crossbar),
+    for policy_factory, runner, backend in [
+        (GMPolicy, run_cioq, "fast"), (PGPolicy, run_cioq, "fast"),
+        (FifoCIOQPolicy, run_cioq, "auto"),
+        (CGUPolicy, run_crossbar, "fast"), (CPGPolicy, run_crossbar, "fast"),
+        (FifoCrossbarPolicy, run_crossbar, "auto"),
     ]:
         ref = runner(policy_factory(), config, trace, trace_occupancy=True)
-        fast = runner(policy_factory(), config, trace, trace_occupancy=True,
-                      backend="fast")
+        if backend == "auto":
+            with pytest.raises(BackendUnsupported):
+                runner(policy_factory(), config, trace, backend="fast")
+        other = runner(policy_factory(), config, trace, trace_occupancy=True,
+                       backend=backend)
         assert ref.n_residual == 0
-        assert_payloads_identical(ref, fast,
-                                  label=f"({policy_factory.__name__})")
+        assert_payloads_identical(
+            ref, other, label=f"({policy_factory.__name__}, {backend})")
 
 
 def test_empty_trace_identical(small_config):

@@ -76,6 +76,58 @@ class TestParser:
         assert "argument --seed: must be an integer >= 0" in err
         assert not (tmp_path / "out.jsonl").exists()
 
+    @pytest.mark.parametrize("verb", ["run", "ratio", "sweep"])
+    @pytest.mark.parametrize("beta", ["0", "0.5"])
+    def test_beta_below_one_is_a_usage_error(self, verb, beta, capsys,
+                                             monkeypatch):
+        """PG needs beta >= 1: ``--beta 0`` used to run PG at beta* and
+        ``--beta 0.5`` died in ``PGPolicy``; both are now exit 2."""
+        from repro.traffic.base import TrafficModel
+
+        def no_traffic(*args, **kwargs):
+            raise AssertionError("trace generated before the beta check")
+
+        monkeypatch.setattr(TrafficModel, "generate", no_traffic)
+        argv = [verb, "--beta", beta]
+        argv += ["--policies", "pg"] if verb == "sweep" else ["--policy", "pg"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --beta: must be a number >= 1" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--n", "0"],
+        ["run", "--speedup", "0"],
+        ["run", "--slots", "0"],
+        ["ratio", "--b-in", "0"],
+        ["sweep", "--b-out", "-1"],
+        ["run", "--model", "crossbar", "--b-cross", "0"],
+        ["trace", "record", "out.jsonl", "--slots", "-3"],
+        ["trace", "replay", "out.jsonl", "--speedup", "0"],
+        ["trace", "replay", "out.jsonl", "--b-in", "0"],
+        ["stats", "summarize", "smoke-bernoulli", "--bootstrap", "-5"],
+    ])
+    def test_sizes_must_be_positive(self, argv, capsys, tmp_path,
+                                    monkeypatch):
+        """Port counts, speedup, buffer sizes and slot counts are >= 1
+        (and bootstrap resamples >= 0): exit 2 before any trace is
+        generated or any file is written."""
+        from repro.traffic.base import TrafficModel
+
+        def no_traffic(*args, **kwargs):
+            raise AssertionError("trace generated before the size check")
+
+        monkeypatch.setattr(TrafficModel, "generate", no_traffic)
+        monkeypatch.setattr(TrafficModel, "arrival_source", no_traffic)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be an integer >= " in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCommands:
     def test_figures(self, capsys):
@@ -119,6 +171,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "ratio" in out
 
+    def test_run_pg_beta_one(self, capsys):
+        assert main(["run", "--policy", "pg", "--beta", "1",
+                     "--slots", "5"]) == 0
+        assert "PG(beta=1)" in capsys.readouterr().out
+
     def test_ratio_pg_custom_beta(self, capsys):
         rc = main(["ratio", "--policy", "pg", "--n", "3", "--slots", "10",
                    "--values", "uniform", "--load", "1.3",
@@ -136,3 +193,28 @@ class TestCommands:
         rc = main(["run", "--policy", "gm", "--n", "3", "--slots", "6",
                    "--traffic", traffic])
         assert rc == 0
+
+
+class TestBackendErrors:
+    """A policy the fast kernel lacks is one ``backend:`` line (exit 1)
+    under ``--backend fast``; ``--backend auto`` runs it on the
+    reference kernel and prints the reference tables."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scenarios", "run", "bursty-incast", "--slots", "5",
+         "--no-artifacts"],
+        ["sweep", "--policies", "maxmatch", "--seeds", "1", "--slots", "5"],
+    ], ids=["scenarios-run", "sweep"])
+    def test_fast_baseline_is_one_line(self, argv, capsys):
+        pytest.importorskip("numpy")
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--backend", "fast"])
+        message = str(exc.value.code)
+        assert message.startswith("backend: ")
+        assert "MaxMatchPolicy" in message
+        assert len(message.splitlines()) == 1
+        assert capsys.readouterr().out == ""
+        assert main([*argv, "--backend", "reference"]) == 0
+        ref = capsys.readouterr().out
+        assert main([*argv, "--backend", "auto"]) == 0
+        assert capsys.readouterr().out == ref

@@ -273,6 +273,18 @@ class TestFarmCLI:
         assert main(["farm", "gc", "--cache-dir", store]) == 0
         assert "store gc" in capsys.readouterr().out
 
+    def test_status_of_missing_queue(self, tmp_path, capsys):
+        """Inspecting a queue never creates it: a mistyped ``--queue``
+        exits 1 instead of reporting four empty states."""
+        from repro.cli import main
+
+        queue = tmp_path / "typo"
+        with pytest.raises(SystemExit) as exc:
+            main(["farm", "status", "--queue", str(queue)])
+        assert exc.value.code == f"no farm queue at {queue}"
+        assert capsys.readouterr().out == ""
+        assert not queue.exists()
+
     def test_gc_reports_each_bucket(self, tmp_path, capsys):
         from repro.cli import main
         from repro.farm import ResultStore

@@ -298,6 +298,19 @@ class TestDocsConsistency:
             f"{sorted(documented - registered)}"
         )
 
+    def test_fast_policy_table_matches_docs(self):
+        """The policy classes named in docs/backends.md's `### fast`
+        section are exactly the fast kernel's table."""
+        import re
+
+        pytest.importorskip("numpy")
+        from repro.simulation.fastpath import SUPPORTED_POLICIES
+
+        text = (ROOT / "docs" / "backends.md").read_text()
+        section = text.split("\n### fast\n", 1)[1].split("\n#", 1)[0]
+        documented = set(re.findall(r"`(\w+Policy)`", section))
+        assert documented == {cls.__name__ for _, cls in SUPPORTED_POLICIES}
+
     def test_bench_engine_snapshot_committed_and_sane(self):
         """BENCH_engine.json (written by benchmarks/bench_engine.py)
         must be committed, deterministic in shape (sorted keys, trailing

@@ -68,7 +68,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from typing import List, Optional
 
 from .analysis.latency import occupancy_report
 from .analysis.ratio import measure_cioq_ratio, measure_crossbar_ratio
@@ -277,7 +277,7 @@ def cmd_sweep(args) -> int:
         else:
             factories[name] = cls
 
-    loads = [float(x) for x in args.loads.split(",") if x.strip()]
+    loads = args.loads
     seeds = list(range(args.seeds))
     config = _build_config(args)
 
@@ -538,11 +538,25 @@ def cmd_scenarios_export(args) -> int:
     return 0
 
 
+def _need_trace_file(path: str) -> None:
+    """Exit with one line unless ``path`` is a file."""
+    if not os.path.isfile(path):
+        raise SystemExit(f"no trace file at {path}")
+
+
+def _need_output_dir(path: str) -> None:
+    """Exit with one line unless the directory ``path`` goes in exists."""
+    directory = os.path.dirname(path)
+    if directory and not os.path.isdir(directory):
+        raise SystemExit(f"no directory {directory}")
+
+
 def cmd_trace_record(args) -> int:
     """Record a traffic model to a chunked stream file, O(chunk) memory."""
     from .switch.packet import Packet
     from .traffic.trace import write_stream
 
+    _need_output_dir(args.output)
     model = _build_traffic(args)
     source = model.arrival_source(seed=args.seed)
 
@@ -570,6 +584,7 @@ def cmd_trace_record(args) -> int:
 def cmd_trace_info(args) -> int:
     from .traffic.trace import Trace, is_stream_file, read_stream_header
 
+    _need_trace_file(args.path)
     if is_stream_file(args.path):
         header = dict(read_stream_header(args.path))
         header["format"] = f"{header.pop('format')} v{header.pop('version')}"
@@ -597,6 +612,9 @@ def cmd_trace_replay(args) -> int:
     from .traffic.replay import TraceReplayTraffic
     from .traffic.trace import Trace, is_stream_file, read_stream_header
 
+    _need_trace_file(args.path)
+    if args.output:
+        _need_output_dir(args.output)
     if args.rss_limit_mb is not None:
         import resource
 
@@ -874,6 +892,23 @@ def _positive(text: str) -> int:
     return int(text)
 
 
+def _load(text: str) -> float:
+    """Type of ``--load``: an offered load is a finite number >= 0."""
+    try:
+        load = float(text)
+    except ValueError:
+        load = -1.0  # reported below, like any negative load
+    if not 0.0 <= load < float("inf"):  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}")
+    return load
+
+
+def _loads(text: str) -> List[float]:
+    """Type of ``sweep --loads``: comma-separated ``--load`` values."""
+    return [_load(item) for item in text.split(",") if item.strip()]
+
+
 def _beta(text: str) -> float:
     """``--beta`` type: PG's preemption threshold is at least 1."""
     try:
@@ -899,7 +934,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     _add_switch(p)
     p.add_argument("--traffic", choices=TRAFFIC_MODELS, default="bernoulli")
     p.add_argument("--values", choices=sorted(VALUE_MODELS), default="unit")
-    p.add_argument("--load", type=float, default=1.0)
+    p.add_argument("--load", type=_load, default=1.0)
     p.add_argument("--slots", type=_positive, default=40)
     p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--beta", type=_beta, default=None,
@@ -915,7 +950,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fig = sub.add_parser("figures", help="print Figure 1 / Figure 2")
-    p_fig.add_argument("--n", type=int, default=3)
+    p_fig.add_argument("--n", type=_positive, default=3)
     p_fig.set_defaults(func=cmd_figures)
 
     p_run = sub.add_parser("run", help="simulate a policy")
@@ -940,7 +975,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_sweep)
     p_sweep.add_argument("--policies", default="gm",
                          help="comma-separated policy names")
-    p_sweep.add_argument("--loads", default="0.8,1.0,1.2",
+    p_sweep.add_argument("--loads", type=_loads, default="0.8,1.0,1.2",
                          help="comma-separated offered loads")
     p_sweep.add_argument("--seeds", type=int, default=3,
                          help="number of seeds (0..N-1) per cell")

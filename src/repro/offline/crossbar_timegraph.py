@@ -25,9 +25,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Tuple
 
 import numpy as np
-# ``CIOQOptModel.solve`` calls the ``milp`` of the model's own module.
-from scipy.optimize import milp  # noqa: F401
 
+# ``CIOQOptModel.solve`` calls the ``milp`` of the model's own module.
+from .highs import milp  # noqa: F401
 from .timegraph import CIOQOptModel, OptResult, StageVars
 
 

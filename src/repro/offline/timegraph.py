@@ -19,8 +19,9 @@ inventory -> transmission slot — subject to:
 The port constraints couple cycle arcs that share no graph node (a
 packet must leave through *its own* output), so the exact problem is the
 small integer program assembled by :class:`CIOQOptModel` (solved with
-HiGHS via :func:`scipy.optimize.milp`; the LP relaxation is almost
-always integral, so branching is rare).
+HiGHS through the binding scipy bundles, :func:`repro.offline.highs.milp`,
+without importing ``scipy.optimize``; the LP relaxation is almost always
+integral, so branching is rare).
 
 **Free drain.**  By default the model spans the arrival slots only and
 leaves the VOQ, crosspoint and output inventories after the last slot
@@ -44,14 +45,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint
-# ``solve`` calls ``milp`` through the model's own module.
-from scipy.optimize import milp  # noqa: F401
 
 from ..simulation.engine import drain_bound
 from ..switch.config import SwitchConfig
 from ..traffic.trace import Trace
+# ``solve`` calls ``milp`` through the model's own module.
+from .highs import milp  # noqa: F401
 
 #: Cycle-stage variables, keyed ``(i, j, t, s)``.
 StageVars = Dict[Tuple[int, int, int, int], int]
@@ -324,12 +323,19 @@ class CIOQOptModel:
                            [self.var_w[(j, t)]], var_g.get((j, t)),
                            cfg.b_out)
 
-        self.bounds = Bounds(np.zeros(n_var), upper)
-        self.A = sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(r, n_var)
-        ).tocsc()
+        # CSC by a stable sort on the column: rows were emitted in
+        # increasing order and no (row, col) pair repeats, so each
+        # column's row indices come out sorted.
+        col = np.asarray(cols, dtype=np.int64)
+        order = np.argsort(col, kind="stable")
+        self.indices = np.asarray(rows, dtype=np.int64)[order]
+        self.data = np.asarray(vals, dtype=np.float64)[order]
+        self.indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(col, minlength=n_var))))
         self.row_lb = np.asarray(lb)
         self.row_ub = np.asarray(ub)
+        self.col_lb = np.zeros(n_var)
+        self.col_ub = upper
         self._built = True
 
     # -- solving ----------------------------------------------------------------
@@ -348,16 +354,9 @@ class CIOQOptModel:
         # Look ``milp`` up in the defining module at call time, so each
         # model solves through its own module's name (perfbench/tracer.py
         # wraps both).
-        res = sys.modules[type(self).__module__].milp(
-            c=self.objective,
-            constraints=LinearConstraint(self.A, self.row_lb, self.row_ub),
-            integrality=np.ones(self.n_var),
-            bounds=self.bounds,
-        )
-        if res.status != 0 or res.x is None:
-            raise RuntimeError(f"{type(self).__name__} MILP failed: "
-                               f"status={res.status} message={res.message!r}")
-        x = res.x
+        x = sys.modules[type(self).__module__].milp(
+            self.objective, self.indptr, self.indices, self.data,
+            self.row_lb, self.row_ub, self.col_lb, self.col_ub)
         chosen = [p for idx, p in enumerate(self.trace.packets)
                   if x[idx] > 0.5]
         result = OptResult(

@@ -128,6 +128,46 @@ class TestParser:
         assert f"argument {argv[-2]}: must be an integer >= " in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--load", "nan"],
+         "--load: must be a finite number >= 0, got 'nan'"),
+        (["run", "--load", "inf"],
+         "--load: must be a finite number >= 0, got 'inf'"),
+        (["run", "--load", "-1"],
+         "--load: must be a finite number >= 0, got '-1'"),
+        (["ratio", "--load", "1e309"],
+         "--load: must be a finite number >= 0, got '1e309'"),
+        (["trace", "record", "out.jsonl", "--load=-inf"],
+         "--load: must be a finite number >= 0, got '-inf'"),
+        (["sweep", "--loads", "abc"],
+         "--loads: must be a finite number >= 0, got 'abc'"),
+        (["sweep", "--loads", "0.8,nan"],
+         "--loads: must be a finite number >= 0, got 'nan'"),
+        (["figures", "--n", "0"], "--n: must be an integer >= 1, got '0'"),
+        (["figures", "--n", "-2"], "--n: must be an integer >= 1, got '-2'"),
+    ])
+    def test_bad_load_or_port_count_is_a_usage_error(
+            self, argv, message, capsys, tmp_path, monkeypatch):
+        """A load must be finite and >= 0 and a port count >= 1: exit 2
+        with a usage line, not a traceback from the traffic generator or
+        ``SwitchConfig``, before any trace or file is made."""
+        from repro.traffic.base import TrafficModel
+
+        def no_traffic(*args, **kwargs):
+            raise AssertionError("trace generated before the load check")
+
+        monkeypatch.setattr(TrafficModel, "generate", no_traffic)
+        monkeypatch.setattr(TrafficModel, "arrival_source", no_traffic)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: ")
+        assert f"error: argument {message}" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCommands:
     def test_figures(self, capsys):
@@ -218,3 +258,41 @@ class TestBackendErrors:
         ref = capsys.readouterr().out
         assert main([*argv, "--backend", "auto"]) == 0
         assert capsys.readouterr().out == ref
+
+
+class TestTracePathErrors:
+    """A missing trace file or output directory is one line (exit 1),
+    like ``obs tail``, found before anything is recorded or replayed."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["trace", "info", "missing.jsonl"], "no trace file at missing.jsonl"),
+        (["trace", "replay", "missing.jsonl", "--policy", "gm"],
+         "no trace file at missing.jsonl"),
+        (["trace", "replay", "recorded"], "no trace file at recorded"),
+        (["trace", "record", "no/such/dir/x.jsonl", "--slots", "5"],
+         "no directory no/such/dir"),
+        (["trace", "replay", "recorded/t.jsonl", "-o",
+          "no/such/dir/out.json"], "no directory no/such/dir"),
+    ])
+    def test_missing_path_is_one_line(self, argv, line, capsys, tmp_path,
+                                      monkeypatch):
+        import repro.simulation.engine as engine
+        from repro.traffic.base import TrafficModel
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "recorded").mkdir()
+        assert main(["trace", "record", "recorded/t.jsonl", "--n", "2",
+                     "--slots", "5"]) == 0
+        capsys.readouterr()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the path check")
+
+        monkeypatch.setattr(TrafficModel, "arrival_source", no_work)
+        for attr in ("run_cioq_streaming", "run_crossbar_streaming"):
+            monkeypatch.setattr(engine, attr, no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == line
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["recorded"]

@@ -4,9 +4,10 @@ Tier-1 otherwise sees only solved benefits, so a reordered row or
 column would pass every other test; yet HiGHS may then settle on a
 different optimum among ties, and the extracted schedules and golden
 result digests would move.  This test digests the arrays handed to
-``scipy.optimize.milp`` — the constraint matrix in CSC form, the row
-bounds, the objective and the variable bounds — never the solution, so
-it does not depend on which tied optimum a scipy release returns.
+HiGHS (:func:`repro.offline.highs.milp`) — the constraint matrix in CSC
+form, the row bounds, the objective and the variable bounds — never the
+solution, so it does not depend on which tied optimum a scipy release
+returns.
 
 The instance matrix crosses speedup 1/2, ``b_cross`` 1/2 and unit /
 weighted values on a 3x3 Bernoulli trace, and adds every builtin
@@ -67,17 +68,16 @@ def _instances():
 def model_digest(model) -> str:
     """sha256 over the shape and every array ``milp`` receives."""
     model.build()
-    A = model.A.tocsc()
     arrays = (
-        np.asarray(A.shape, dtype=np.int64),
-        A.indptr.astype(np.int64),
-        A.indices.astype(np.int64),
-        A.data.astype(np.float64),
+        np.asarray((model.row_lb.size, model.n_var), dtype=np.int64),
+        model.indptr.astype(np.int64),
+        model.indices.astype(np.int64),
+        model.data.astype(np.float64),
         np.asarray(model.row_lb, dtype=np.float64),
         np.asarray(model.row_ub, dtype=np.float64),
         np.asarray(model.objective, dtype=np.float64),
-        np.asarray(model.bounds.lb, dtype=np.float64),
-        np.asarray(model.bounds.ub, dtype=np.float64),
+        np.asarray(model.col_lb, dtype=np.float64),
+        np.asarray(model.col_ub, dtype=np.float64),
     )
     h = hashlib.sha256()
     for arr in arrays:

@@ -5,7 +5,9 @@ and Segal; the paper's contribution is an improved analysis showing it
 is 3-competitive for any speedup (Theorem 3), down from the previously
 known ratio of 4.
 
-* **Arrival phase** — as GM: accept iff the VOQ is not full.
+* **Arrival phase** — as GM (the shared tail-drop rule
+  :func:`~repro.scheduling.base.tail_drop_arrival`): accept iff the VOQ
+  is not full.
 * **Input subphase** — for each input port ``i``, choose an *arbitrary*
   VOQ ``Q_ij`` with ``|Q_ij| > 0`` and ``|C_ij| < B(C_ij)`` and transfer
   its head packet to the crosspoint queue ``C_ij``.
@@ -24,9 +26,9 @@ from __future__ import annotations
 
 from typing import List
 
-from ..scheduling.base import ArrivalDecision, CrossbarPolicy
-from ..switch.crossbar import CrossbarSwitch, InputTransfer, OutputTransfer
-from ..switch.packet import Packet
+from ..scheduling.base import CrossbarPolicy, tail_drop_arrival
+from ..switch.cioq import Transfer
+from ..switch.crossbar import CrossbarSwitch
 
 
 class CGUPolicy(CrossbarPolicy):
@@ -48,21 +50,17 @@ class CGUPolicy(CrossbarPolicy):
     def reset(self, switch: CrossbarSwitch) -> None:
         self._cycle_count = 0
 
-    def on_arrival(self, switch: CrossbarSwitch, packet: Packet) -> ArrivalDecision:
-        q = switch.voq[packet.src][packet.dst]
-        if len(q._items) >= q.capacity:
-            return ArrivalDecision.reject()
-        return ArrivalDecision.accepted()
+    on_arrival = tail_drop_arrival
 
     def input_subphase(
         self, switch: CrossbarSwitch, slot: int, cycle: int
-    ) -> List[InputTransfer]:
+    ) -> List[Transfer]:
         n_out = switch.n_out
         offset = self._cycle_count % n_out if self.rotate else 0
         # Rotated first-eligible scan order, precomputed once per cycle.
         order = range(n_out) if offset == 0 else (
             *range(offset, n_out), *range(offset))
-        transfers: List[InputTransfer] = []
+        transfers: List[Transfer] = []
         append = transfers.append
         # Hot loop: reads queue internals directly (see BoundedQueue docs).
         cross = switch.cross
@@ -73,19 +71,19 @@ class CGUPolicy(CrossbarPolicy):
                 if items:
                     cq = crow[j]
                     if len(cq._items) < cq.capacity:
-                        append(InputTransfer(i, j, items[-1]))
+                        append(Transfer(i, j, items[-1]))
                         break
         return transfers
 
     def output_subphase(
         self, switch: CrossbarSwitch, slot: int, cycle: int
-    ) -> List[OutputTransfer]:
+    ) -> List[Transfer]:
         n_in = switch.n_in
         offset = self._cycle_count % n_in if self.rotate else 0
         self._cycle_count += 1
         order = range(n_in) if offset == 0 else (
             *range(offset, n_in), *range(offset))
-        transfers: List[OutputTransfer] = []
+        transfers: List[Transfer] = []
         append = transfers.append
         cross = switch.cross
         for j, oq in enumerate(switch.out):
@@ -94,6 +92,6 @@ class CGUPolicy(CrossbarPolicy):
             for i in order:
                 items = cross[i][j]._items
                 if items:
-                    append(OutputTransfer(i, j, items[-1]))
+                    append(Transfer(i, j, items[-1]))
                     break
         return transfers

@@ -12,8 +12,10 @@ With ``g_ij``/``l_ij`` the greatest/least-value packets of VOQ ``Q_ij``,
 ``gc_ij``/``lc_ij`` those of crosspoint queue ``C_ij``, and ``l_j`` the
 least-value packet of output queue ``Q_j``:
 
-* **Arrival phase** — as PG: accept iff the VOQ is not full or
-  ``v(l_ij) < v(p)``, preempting ``l_ij`` in the latter case.
+* **Arrival phase** — as PG (the shared preemptive rule
+  :func:`~repro.scheduling.base.preemptive_arrival`): accept iff the VOQ
+  is not full or ``v(l_ij) < v(p)``, preempting ``l_ij`` in the latter
+  case.
 * **Input subphase** — for each input port ``i``, among
   ``J = { j : |Q_ij| > 0 and (|C_ij| < B(C_ij) or
   v(g_ij) > beta * v(lc_ij)) }`` choose the ``j`` maximizing
@@ -33,8 +35,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..scheduling.base import ArrivalDecision, CrossbarPolicy
-from ..switch.crossbar import CrossbarSwitch, InputTransfer, OutputTransfer
+from ..scheduling.base import CrossbarPolicy, preemptive_arrival
+from ..switch.cioq import Transfer
+from ..switch.crossbar import CrossbarSwitch
 from ..switch.packet import Packet
 from .params import cpg_optimal_params
 
@@ -63,20 +66,12 @@ class CPGPolicy(CrossbarPolicy):
             )
         self.name = f"CPG(beta={self.beta:.4g}, alpha={self.alpha:.4g})"
 
-    def on_arrival(self, switch: CrossbarSwitch, packet: Packet) -> ArrivalDecision:
-        q = switch.voq[packet.src][packet.dst]
-        if not q.is_full:
-            return ArrivalDecision.accepted()
-        tail = q.tail()
-        assert tail is not None
-        if tail.value < packet.value:
-            return ArrivalDecision.accepted(preempt=tail)
-        return ArrivalDecision.reject()
+    on_arrival = preemptive_arrival
 
     def input_subphase(
         self, switch: CrossbarSwitch, slot: int, cycle: int
-    ) -> List[InputTransfer]:
-        transfers: List[InputTransfer] = []
+    ) -> List[Transfer]:
+        transfers: List[Transfer] = []
         for i in range(switch.n_in):
             best: Optional[Packet] = None
             best_j = -1
@@ -96,13 +91,13 @@ class CPGPolicy(CrossbarPolicy):
             if best is not None:
                 c = switch.cross[i][best_j]
                 victim = c.tail() if c.is_full else None
-                transfers.append(InputTransfer(i, best_j, best, preempt=victim))
+                transfers.append(Transfer(i, best_j, best, preempt=victim))
         return transfers
 
     def output_subphase(
         self, switch: CrossbarSwitch, slot: int, cycle: int
-    ) -> List[OutputTransfer]:
-        transfers: List[OutputTransfer] = []
+    ) -> List[Transfer]:
+        transfers: List[Transfer] = []
         for j in range(switch.n_out):
             best: Optional[Packet] = None
             best_i = -1
@@ -121,7 +116,7 @@ class CPGPolicy(CrossbarPolicy):
                 assert lj is not None
                 if not best.value > self.alpha * lj.value:
                     continue
-                transfers.append(OutputTransfer(best_i, j, best, preempt=lj))
+                transfers.append(Transfer(best_i, j, best, preempt=lj))
             else:
-                transfers.append(OutputTransfer(best_i, j, best))
+                transfers.append(Transfer(best_i, j, best))
         return transfers

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..scheduling.base import ArrivalDecision, CIOQPolicy
+from ..scheduling.base import CIOQPolicy, tail_drop_arrival
 from ..scheduling.matching import MatchingStats, greedy_maximal_matching
 from ..switch.cioq import CIOQSwitch, Transfer
-from ..switch.packet import Packet
 
 
 class GMPolicy(CIOQPolicy):
@@ -53,11 +52,7 @@ class GMPolicy(CIOQPolicy):
     def reset(self, switch: CIOQSwitch) -> None:
         self._cycle_count = 0
 
-    def on_arrival(self, switch: CIOQSwitch, packet: Packet) -> ArrivalDecision:
-        q = switch.voq[packet.src][packet.dst]
-        if len(q._items) >= q.capacity:
-            return ArrivalDecision.reject()
-        return ArrivalDecision.accepted()
+    on_arrival = tail_drop_arrival
 
     def schedule(self, switch: CIOQSwitch, slot: int, cycle: int) -> List[Transfer]:
         n_in, n_out = switch.n_in, switch.n_out

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-from ..scheduling.base import ArrivalDecision, CIOQPolicy
+from ..scheduling.base import CIOQPolicy, preemptive_arrival
 from ..scheduling.matching import MatchingStats, greedy_maximal_matching_weighted
 from ..switch.cioq import CIOQSwitch, Transfer
 from ..switch.packet import Packet
@@ -60,15 +60,7 @@ class PGPolicy(CIOQPolicy):
         self.stats = stats
         self.name = f"PG(beta={self.beta:.4g})"
 
-    def on_arrival(self, switch: CIOQSwitch, packet: Packet) -> ArrivalDecision:
-        q = switch.voq[packet.src][packet.dst]
-        items = q._items
-        if len(items) < q.capacity:
-            return ArrivalDecision.accepted()
-        tail = items[0]
-        if tail.value < packet.value:
-            return ArrivalDecision.accepted(preempt=tail)
-        return ArrivalDecision.reject()
+    on_arrival = preemptive_arrival
 
     def _edge_eligible(self, switch: CIOQSwitch, i: int, j: int) -> Optional[Packet]:
         """Return g_ij if edge (i, j) is in G_{T[s]}, else None."""

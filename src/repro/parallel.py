@@ -277,7 +277,7 @@ class SweepExecutor:
     workers:
         Process count.  ``<= 1`` (the default) runs in-process; ``N >
         1`` fans uncached points out over a ``multiprocessing`` pool in
-        deterministic chunks.
+        chunks of ``ceil(tasks / (4 * workers))`` tasks.
     cache_dir:
         Root of the content-addressed result store
         (:class:`~repro.farm.store.ResultStore`; directories created on
@@ -288,8 +288,6 @@ class SweepExecutor:
         returned without executing, missing points publish write-through
         as each completes, and points claimed by another live executor
         are awaited instead of duplicated.
-    chunk_size:
-        Tasks per pool chunk; default ``ceil(tasks / (4 * workers))``.
     backend:
         Slot-loop execution backend for policy points (see
         :mod:`repro.simulation.backends`).  With ``"fast"`` or
@@ -333,7 +331,6 @@ class SweepExecutor:
         self,
         workers: int = 0,
         cache_dir: Optional[str] = None,
-        chunk_size: Optional[int] = None,
         backend: str = DEFAULT_BACKEND,
         metrics_every: Optional[int] = None,
         progress: Optional[Callable[[Dict[str, object]], None]] = None,
@@ -350,7 +347,6 @@ class SweepExecutor:
             ResultStore(cache_dir, CACHE_VERSION)
             if cache_dir is not None else None
         )
-        self.chunk_size = chunk_size
         self.backend = backend
         self.metrics_every = metrics_every
         self.progress = progress
@@ -566,19 +562,17 @@ class SweepExecutor:
         func = partial(_run_task, backend=self.backend,
                        metrics_every=self.metrics_every)
         if self.workers > 1 and len(tasks) > 1:
-            chunk = self.chunk_size or -(
-                -len(tasks) // (4 * min(self.workers, len(tasks))))
+            chunk = -(-len(tasks) // (4 * min(self.workers, len(tasks))))
             if self.pool is not None:
                 stream = self.pool.imap_unordered(
-                    func, tasks, chunksize=max(1, chunk))
+                    func, tasks, chunksize=chunk)
                 self._drain(stream, publish)
             else:
                 ctx = get_context()
                 workers = min(self.workers, len(tasks))
                 with ctx.Pool(processes=workers) as pool:
                     self._drain(
-                        pool.imap_unordered(func, tasks,
-                                            chunksize=max(1, chunk)),
+                        pool.imap_unordered(func, tasks, chunksize=chunk),
                         publish)
         else:
             for task in tasks:

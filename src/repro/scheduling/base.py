@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..switch.cioq import CIOQSwitch, Transfer, greedy_head_transmissions
-from ..switch.crossbar import CrossbarSwitch, InputTransfer, OutputTransfer
-from ..switch.crossbar import greedy_head_transmissions as crossbar_head_transmissions
+from ..switch.crossbar import CrossbarSwitch
 from ..switch.packet import Packet
 
 
@@ -58,6 +57,35 @@ class ArrivalDecision:
 # (frozen) instances keep the arrival phase allocation-free.
 _REJECT = ArrivalDecision(accept=False)
 _ACCEPT = ArrivalDecision(accept=True)
+
+
+# The paper's two arrival rules, with the ``on_arrival`` signature:
+# policies assign one in their class body (``on_arrival =
+# tail_drop_arrival``), so a per-packet call stays a plain method call.
+# Both run once per arriving packet and read queue internals directly
+# (see BoundedQueue docs).
+
+def tail_drop_arrival(self, switch: CIOQSwitch, packet: Packet) -> ArrivalDecision:
+    """Arrival rule of GM and CGU (Sections 2.1 and 3.1): accept ``p``
+    iff VOQ ``Q_{in(p),out(p)}`` is not full; never preempt."""
+    q = switch.voq[packet.src][packet.dst]
+    if len(q._items) >= q.capacity:
+        return _REJECT
+    return _ACCEPT
+
+
+def preemptive_arrival(self, switch: CIOQSwitch, packet: Packet) -> ArrivalDecision:
+    """Arrival rule of PG and CPG (Sections 2.2 and 3.2): accept ``p``
+    iff ``|Q_ij| < B(Q_ij)`` or ``v(l_ij) < v(p)``; in the second case
+    preempt the VOQ's tail ``l_ij``."""
+    q = switch.voq[packet.src][packet.dst]
+    items = q._items
+    if len(items) < q.capacity:
+        return _ACCEPT
+    tail = items[0]
+    if tail.value < packet.value:
+        return ArrivalDecision(accept=True, preempt=tail)
+    return _REJECT
 
 
 class CIOQPolicy(ABC):
@@ -102,15 +130,15 @@ class CrossbarPolicy(ABC):
     @abstractmethod
     def input_subphase(
         self, switch: CrossbarSwitch, slot: int, cycle: int
-    ) -> List[InputTransfer]:
+    ) -> List[Transfer]:
         """Decide VOQ -> crosspoint transfers (at most one per input port)."""
 
     @abstractmethod
     def output_subphase(
         self, switch: CrossbarSwitch, slot: int, cycle: int
-    ) -> List[OutputTransfer]:
+    ) -> List[Transfer]:
         """Decide crosspoint -> output transfers (at most one per output)."""
 
     def select_transmissions(self, switch: CrossbarSwitch) -> Dict[int, Packet]:
         """Default transmission phase: send every output-queue head."""
-        return crossbar_head_transmissions(switch)
+        return greedy_head_transmissions(switch)

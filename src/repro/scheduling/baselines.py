@@ -26,9 +26,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..switch.cioq import CIOQSwitch, Transfer
-from ..switch.crossbar import CrossbarSwitch, InputTransfer, OutputTransfer
+from ..switch.crossbar import CrossbarSwitch
 from ..switch.packet import Packet
-from .base import ArrivalDecision, CIOQPolicy, CrossbarPolicy
+from .base import CIOQPolicy, CrossbarPolicy, preemptive_arrival, tail_drop_arrival
 from .matching import (
     MatchingStats,
     greedy_maximal_matching,
@@ -51,10 +51,7 @@ class MaxMatchPolicy(CIOQPolicy):
     def __init__(self, stats: Optional[MatchingStats] = None):
         self.stats = stats
 
-    def on_arrival(self, switch: CIOQSwitch, packet: Packet) -> ArrivalDecision:
-        if switch.voq[packet.src][packet.dst].is_full:
-            return ArrivalDecision.reject()
-        return ArrivalDecision.accepted()
+    on_arrival = tail_drop_arrival
 
     def schedule(self, switch: CIOQSwitch, slot: int, cycle: int) -> List[Transfer]:
         adj: List[List[int]] = [[] for _ in range(switch.n_in)]
@@ -89,15 +86,7 @@ class MaxWeightMatchPolicy(CIOQPolicy):
         self.stats = stats
         self.name = f"MaxWeightMatch(beta={self.beta:.4g})"
 
-    def on_arrival(self, switch: CIOQSwitch, packet: Packet) -> ArrivalDecision:
-        q = switch.voq[packet.src][packet.dst]
-        if not q.is_full:
-            return ArrivalDecision.accepted()
-        tail = q.tail()
-        assert tail is not None
-        if tail.value < packet.value:
-            return ArrivalDecision.accepted(preempt=tail)
-        return ArrivalDecision.reject()
+    on_arrival = preemptive_arrival
 
     def schedule(self, switch: CIOQSwitch, slot: int, cycle: int) -> List[Transfer]:
         n_in, n_out = switch.n_in, switch.n_out
@@ -150,10 +139,7 @@ class RandomMatchPolicy(CIOQPolicy):
 
         self._rng = np.random.default_rng(self.seed)
 
-    def on_arrival(self, switch: CIOQSwitch, packet: Packet) -> ArrivalDecision:
-        if switch.voq[packet.src][packet.dst].is_full:
-            return ArrivalDecision.reject()
-        return ArrivalDecision.accepted()
+    on_arrival = tail_drop_arrival
 
     def schedule(self, switch: CIOQSwitch, slot: int, cycle: int) -> List[Transfer]:
         edges = [
@@ -194,10 +180,7 @@ class RoundRobinPolicy(CIOQPolicy):
         self._grant_ptr = [0] * switch.n_out
         self._accept_ptr = [0] * switch.n_in
 
-    def on_arrival(self, switch: CIOQSwitch, packet: Packet) -> ArrivalDecision:
-        if switch.voq[packet.src][packet.dst].is_full:
-            return ArrivalDecision.reject()
-        return ArrivalDecision.accepted()
+    on_arrival = tail_drop_arrival
 
     def schedule(self, switch: CIOQSwitch, slot: int, cycle: int) -> List[Transfer]:
         n_in, n_out = switch.n_in, switch.n_out
@@ -245,15 +228,12 @@ class CrossbarGreedyWeightedPolicy(CrossbarPolicy):
 
     name = "CrossbarGreedy(no-preempt)"
 
-    def on_arrival(self, switch: CrossbarSwitch, packet: Packet) -> ArrivalDecision:
-        if switch.voq[packet.src][packet.dst].is_full:
-            return ArrivalDecision.reject()
-        return ArrivalDecision.accepted()
+    on_arrival = tail_drop_arrival
 
     def input_subphase(
         self, switch: CrossbarSwitch, slot: int, cycle: int
-    ) -> List[InputTransfer]:
-        transfers: List[InputTransfer] = []
+    ) -> List[Transfer]:
+        transfers: List[Transfer] = []
         for i in range(switch.n_in):
             best: Optional[Packet] = None
             best_j = -1
@@ -265,13 +245,13 @@ class CrossbarGreedyWeightedPolicy(CrossbarPolicy):
                     best = g
                     best_j = j
             if best is not None:
-                transfers.append(InputTransfer(i, best_j, best))
+                transfers.append(Transfer(i, best_j, best))
         return transfers
 
     def output_subphase(
         self, switch: CrossbarSwitch, slot: int, cycle: int
-    ) -> List[OutputTransfer]:
-        transfers: List[OutputTransfer] = []
+    ) -> List[Transfer]:
+        transfers: List[Transfer] = []
         for j in range(switch.n_out):
             if switch.out[j].is_full:
                 continue
@@ -283,5 +263,5 @@ class CrossbarGreedyWeightedPolicy(CrossbarPolicy):
                     best = gc
                     best_i = i
             if best is not None:
-                transfers.append(OutputTransfer(best_i, j, best))
+                transfers.append(Transfer(best_i, j, best))
         return transfers

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..switch.cioq import CIOQSwitch, Transfer
-from ..switch.crossbar import CrossbarSwitch, InputTransfer, OutputTransfer
+from ..switch.crossbar import CrossbarSwitch
 from ..switch.packet import Packet
 from ..switch.queue import BoundedQueue
 from .base import ArrivalDecision, CIOQPolicy, CrossbarPolicy
@@ -100,8 +100,8 @@ class FifoCrossbarPolicy(CrossbarPolicy):
 
     def input_subphase(
         self, switch: CrossbarSwitch, slot: int, cycle: int
-    ) -> List[InputTransfer]:
-        transfers: List[InputTransfer] = []
+    ) -> List[Transfer]:
+        transfers: List[Transfer] = []
         for i in range(switch.n_in):
             best: Optional[Packet] = None
             best_j = -1
@@ -114,13 +114,13 @@ class FifoCrossbarPolicy(CrossbarPolicy):
                     best = h
                     best_j = j
             if best is not None:
-                transfers.append(InputTransfer(i, best_j, best))
+                transfers.append(Transfer(i, best_j, best))
         return transfers
 
     def output_subphase(
         self, switch: CrossbarSwitch, slot: int, cycle: int
-    ) -> List[OutputTransfer]:
-        transfers: List[OutputTransfer] = []
+    ) -> List[Transfer]:
+        transfers: List[Transfer] = []
         for j in range(switch.n_out):
             if switch.out[j].is_full:
                 continue
@@ -133,7 +133,7 @@ class FifoCrossbarPolicy(CrossbarPolicy):
                     best = h
                     best_i = i
             if best is not None:
-                transfers.append(OutputTransfer(best_i, j, best))
+                transfers.append(Transfer(best_i, j, best))
         return transfers
 
     def select_transmissions(self, switch: CrossbarSwitch):

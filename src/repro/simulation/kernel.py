@@ -25,21 +25,21 @@ wall-clock):
   :meth:`~repro.traffic.trace.Trace.arrival_slots` per-slot arrays
   directly; streaming runs pass a closure.
 
-Validation is unchanged from the seed engine: every policy decision is
-still checked against the switch's feasibility rules (full-queue
-acceptance, preemption victims, admissible schedules), so a buggy policy
-raises :class:`~repro.switch.cioq.ScheduleError` rather than silently
-inflating benefit.  The kernel-equivalence test suite pins the kernel's
-results to a verbatim snapshot of the seed engine.
+The kernel only counts; the switch moves packets.  Every policy
+decision — arrival admission, each scheduling stage, transmission — is
+applied through the switch's validated phase actions, which check it
+against the feasibility rules (full-queue acceptance, preemption
+victims, admissible schedules), so a buggy policy raises
+:class:`~repro.switch.cioq.ScheduleError` rather than silently inflating
+benefit.  The kernel-equivalence test suite pins the kernel's results to
+a verbatim snapshot of the seed engine.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from time import perf_counter
 from typing import Callable, Sequence
 
-from ..switch.cioq import ScheduleError
 from ..switch.packet import Packet
 from .results import SimulationResult, TransferEvent
 
@@ -97,7 +97,6 @@ def run_slot_loop(
         lane; single runs use 0).
     """
     config = switch.config
-    voq = switch.voq
     speedup = config.speedup
     if record:
         log_event = result.schedule_log.append
@@ -154,6 +153,7 @@ def run_slot_loop(
 
     on_arrival = policy.on_arrival
     select_transmissions = policy.select_transmissions
+    enqueue = switch.enqueue_arrival
     transmit = switch.transmit
     if crossbar:
         input_subphase = policy.input_subphase
@@ -182,31 +182,12 @@ def run_slot_loop(
                     n_rejected += 1
                     value_rejected += pv
                     continue
-                q = voq[p.src][p.dst]
-                keys = q._keys
-                items = q._items
                 victim = decision.preempt
+                enqueue(p, victim)
                 if victim is not None:
-                    vidx = bisect_left(keys, victim._key)
-                    if vidx >= len(items) or items[vidx].pid != victim.pid:
-                        raise ScheduleError(
-                            f"arrival preemption victim {victim.pid} not in "
-                            f"VOQ ({p.src},{p.dst})"
-                        )
-                    del keys[vidx]
-                    del items[vidx]
                     n_pre_voq += 1
                     v_pre_voq += victim.value
                     buffered -= 1
-                if len(items) >= q.capacity:
-                    raise ScheduleError(
-                        f"policy accepted packet {p.pid} into full VOQ "
-                        f"({p.src},{p.dst}) without naming a preemption victim"
-                    )
-                key = p._key
-                idx = bisect_left(keys, key)
-                keys.insert(idx, key)
-                items.insert(idx, p)
                 n_accepted += 1
                 value_accepted += pv
                 buffered += 1

@@ -1,7 +1,7 @@
 """Buffered crossbar switch state (paper Section 1.3, Figure 2).
 
-The buffered crossbar model augments the CIOQ switch with one crosspoint
-queue ``C_ij`` per (input i, output j) pair, placed inside the switching
+The buffered crossbar model is the CIOQ switch plus one crosspoint queue
+``C_ij`` per (input i, output j) pair, placed inside the switching
 fabric.  Each scheduling cycle splits into two subphases:
 
 * **input subphase** — from each input port ``i``, at most one packet may
@@ -12,260 +12,46 @@ fabric.  Each scheduling cycle splits into two subphases:
 Because the two subphases impose *per-port* constraints only (no bipartite
 matching across ports is required), crossbar scheduling decisions are
 purely local — the practical appeal the paper's introduction describes.
+
+:class:`CrossbarSwitch` subclasses :class:`~repro.switch.cioq.CIOQSwitch`
+and adds only the crosspoint grid and the two subphases; both apply
+:class:`~repro.switch.cioq.Transfer` decisions through the CIOQ switch's
+validated move.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
+from .cioq import _OUT, _VOQ, CIOQSwitch, Transfer
 from .config import SwitchConfig
-from .cioq import ScheduleError
-from .packet import Packet
 from .queue import BoundedQueue
 
-
-class InputTransfer:
-    """Input-subphase decision: move ``packet`` from VOQ Q_ij into C_ij.
-
-    ``preempt`` names the crosspoint-queue victim if C_ij is full (CPG's
-    preemption rule); it must currently reside in C_ij.
-    """
-
-    __slots__ = ("src", "dst", "packet", "preempt")
-
-    def __init__(
-        self, src: int, dst: int, packet: Packet, preempt: Optional[Packet] = None
-    ):
-        self.src = src
-        self.dst = dst
-        self.packet = packet
-        self.preempt = preempt
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"InputTransfer(Q[{self.src}][{self.dst}] -> C, pid={self.packet.pid})"
+_CROSS = "crosspoint queue ({i},{j})"
 
 
-class OutputTransfer:
-    """Output-subphase decision: move ``packet`` from C_ij into Q_j."""
-
-    __slots__ = ("src", "dst", "packet", "preempt")
-
-    def __init__(
-        self, src: int, dst: int, packet: Packet, preempt: Optional[Packet] = None
-    ):
-        self.src = src
-        self.dst = dst
-        self.packet = packet
-        self.preempt = preempt
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"OutputTransfer(C[{self.src}][{self.dst}] -> out, pid={self.packet.pid})"
-
-
-class CrossbarSwitch:
+class CrossbarSwitch(CIOQSwitch):
     """Mutable queue state of a buffered crossbar switch."""
 
     def __init__(self, config: SwitchConfig):
-        self.config = config
-        self.voq: List[List[BoundedQueue]] = [
-            [BoundedQueue(config.b_in) for _ in range(config.n_out)]
-            for _ in range(config.n_in)
-        ]
+        super().__init__(config)
         #: Crosspoint queues ``cross[i][j]`` = C_ij.
-        self.cross: List[List[BoundedQueue]] = [
-            [BoundedQueue(config.b_cross) for _ in range(config.n_out)]
-            for _ in range(config.n_in)
-        ]
-        self.out: List[BoundedQueue] = [
-            BoundedQueue(config.b_out) for _ in range(config.n_out)
-        ]
-        # Flattened item-deque views, cached once: occupancy_totals()
-        # runs every slot when the occupancy trace or per-slot metric
-        # sampling is on, so it must not rebuild the grid walk.
-        self._voq_items = [q._items for row in self.voq for q in row]
-        self._cross_items = [q._items for row in self.cross for q in row]
-        self._out_items = [q._items for q in self.out]
-
-    # -- inspection ---------------------------------------------------------
-
-    @property
-    def n_in(self) -> int:
-        return self.config.n_in
-
-    @property
-    def n_out(self) -> int:
-        return self.config.n_out
-
-    def voq_lengths(self) -> List[List[int]]:
-        return [[len(q) for q in row] for row in self.voq]
+        self.cross: List[List[BoundedQueue]] = self._grid(config.b_cross)
+        self._stages[1] = [q for row in self.cross for q in row]
+        self._stage_items[1] = [q._items for q in self._stages[1]]
 
     def cross_lengths(self) -> List[List[int]]:
         return [[len(q) for q in row] for row in self.cross]
 
-    def out_lengths(self) -> List[int]:
-        return [len(q) for q in self.out]
+    def apply_input_subphase(self, transfers: Sequence[Transfer]) -> None:
+        """Execute the input subphase: at most one transfer per input
+        port, each from VOQ ``Q_ij`` into crosspoint queue ``C_ij``."""
+        self._move(transfers, self.voq, self.cross, True, False,
+                   "input subphase", _VOQ, _CROSS)
 
-    def buffered_packets(self) -> List[Packet]:
-        residents: List[Packet] = []
-        for grid in (self.voq, self.cross):
-            for row in grid:
-                for q in row:
-                    residents.extend(q.packets())
-        for q in self.out:
-            residents.extend(q.packets())
-        return residents
-
-    def is_drained(self) -> bool:
-        return (
-            all(q.is_empty for row in self.voq for q in row)
-            and all(q.is_empty for row in self.cross for q in row)
-            and all(q.is_empty for q in self.out)
-        )
-
-    def occupancy_totals(self) -> Tuple[int, int, int]:
-        """End-of-slot totals ``(voq, cross, out)`` for the occupancy trace
-        (see the ``occupancy`` schema documented in
-        :class:`~repro.simulation.results.SimulationResult`)."""
-        return (sum(map(len, self._voq_items)),
-                sum(map(len, self._cross_items)),
-                sum(map(len, self._out_items)))
-
-    # -- phase actions ------------------------------------------------------
-
-    def enqueue_arrival(self, p: Packet) -> None:
-        self.voq[p.src][p.dst].push(p)
-
-    def apply_input_subphase(self, transfers: Sequence[InputTransfer]) -> None:
-        """Execute the input subphase: at most one transfer per input port."""
-        # Single fused validate-and-apply pass (see apply_transfers in
-        # the CIOQ switch for the rationale; ScheduleError always aborts
-        # the run, so per-transfer validation may interleave with
-        # application).
-        n_in, n_out = self.n_in, self.n_out
-        used_in: set = set()
-        voq, cross = self.voq, self.cross
-        for tr in transfers:
-            src, dst = tr.src, tr.dst
-            if not (0 <= src < n_in and 0 <= dst < n_out):
-                raise ScheduleError(f"input transfer out of range: {tr!r}")
-            if src in used_in:
-                raise ScheduleError(
-                    f"input port {src} released two packets in one input subphase"
-                )
-            used_in.add(src)
-
-            src_q = voq[src][dst]
-            pk = tr.packet
-            skeys = src_q._keys
-            sitems = src_q._items
-            idx = bisect_left(skeys, pk._key)
-            if idx >= len(sitems) or sitems[idx].pid != pk.pid:
-                raise ScheduleError(
-                    f"packet {pk.pid} not in VOQ ({src},{dst})"
-                )
-            dst_q = cross[src][dst]
-            dkeys = dst_q._keys
-            ditems = dst_q._items
-            victim = tr.preempt
-            if victim is not None:
-                vidx = bisect_left(dkeys, victim._key)
-                if vidx >= len(ditems) or ditems[vidx].pid != victim.pid:
-                    raise ScheduleError(
-                        f"preemption victim {victim.pid} not in crosspoint "
-                        f"queue ({src},{dst})"
-                    )
-                del dkeys[vidx]
-                del ditems[vidx]
-            if len(ditems) >= dst_q.capacity:
-                raise ScheduleError(
-                    f"crosspoint queue ({src},{dst}) full; needs preemption"
-                )
-            del skeys[idx]
-            pk = sitems.pop(idx)
-            key = pk._key
-            didx = bisect_left(dkeys, key)
-            dkeys.insert(didx, key)
-            ditems.insert(didx, pk)
-
-    def apply_output_subphase(self, transfers: Sequence[OutputTransfer]) -> None:
-        """Execute the output subphase: at most one transfer per output port."""
-        n_in, n_out = self.n_in, self.n_out
-        used_out: set = set()
-        cross, out = self.cross, self.out
-        for tr in transfers:
-            src, dst = tr.src, tr.dst
-            if not (0 <= src < n_in and 0 <= dst < n_out):
-                raise ScheduleError(f"output transfer out of range: {tr!r}")
-            if dst in used_out:
-                raise ScheduleError(
-                    f"output port {dst} admitted two packets in one output "
-                    f"subphase"
-                )
-            used_out.add(dst)
-
-            src_q = cross[src][dst]
-            pk = tr.packet
-            skeys = src_q._keys
-            sitems = src_q._items
-            idx = bisect_left(skeys, pk._key)
-            if idx >= len(sitems) or sitems[idx].pid != pk.pid:
-                raise ScheduleError(
-                    f"packet {pk.pid} not in crosspoint queue "
-                    f"({src},{dst})"
-                )
-            dst_q = out[dst]
-            dkeys = dst_q._keys
-            ditems = dst_q._items
-            victim = tr.preempt
-            if victim is not None:
-                vidx = bisect_left(dkeys, victim._key)
-                if vidx >= len(ditems) or ditems[vidx].pid != victim.pid:
-                    raise ScheduleError(
-                        f"preemption victim {victim.pid} not in output queue "
-                        f"{dst}"
-                    )
-                del dkeys[vidx]
-                del ditems[vidx]
-            if len(ditems) >= dst_q.capacity:
-                raise ScheduleError(f"output queue {dst} full; needs preemption")
-            del skeys[idx]
-            pk = sitems.pop(idx)
-            key = pk._key
-            didx = bisect_left(dkeys, key)
-            dkeys.insert(didx, key)
-            ditems.insert(didx, pk)
-
-    def transmit(self, selections: Dict[int, Packet]) -> List[Packet]:
-        sent: List[Packet] = []
-        n_out, out = self.n_out, self.out
-        for j, p in selections.items():
-            if not (0 <= j < n_out):
-                raise ScheduleError(f"transmit port {j} out of range")
-            q = out[j]
-            keys = q._keys
-            items = q._items
-            idx = bisect_left(keys, p._key)
-            if idx >= len(items) or items[idx].pid != p.pid:
-                raise ScheduleError(f"packet {p.pid} not in output queue {j}")
-            del keys[idx]
-            sent.append(items.pop(idx))
-        return sent
-
-    def check_invariants(self) -> None:
-        for grid in (self.voq, self.cross):
-            for row in grid:
-                for q in row:
-                    q.check_invariants()
-        for q in self.out:
-            q.check_invariants()
-
-
-def greedy_head_transmissions(switch: CrossbarSwitch) -> Dict[int, Packet]:
-    """Send the head of every non-empty output queue (all paper policies)."""
-    sel: Dict[int, Packet] = {}
-    for j, q in enumerate(switch.out):
-        items = q._items
-        if items:
-            sel[j] = items[-1]
-    return sel
+    def apply_output_subphase(self, transfers: Sequence[Transfer]) -> None:
+        """Execute the output subphase: at most one transfer per output
+        port, each from crosspoint queue ``C_ij`` into output queue
+        ``Q_j``."""
+        self._move(transfers, self.cross, self._out_grid, False, True,
+                   "output subphase", _CROSS, _OUT)

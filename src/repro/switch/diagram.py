@@ -12,7 +12,7 @@ row of cells, ``#`` for an occupied slot and ``.`` for a free one.
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List
 
 from .cioq import CIOQSwitch
 from .crossbar import CrossbarSwitch
@@ -102,8 +102,9 @@ def render_crossbar(switch: CrossbarSwitch, title: str = "Buffered crossbar swit
     return "\n".join(lines).rstrip() + "\n"
 
 
-def render(switch: Union[CIOQSwitch, CrossbarSwitch]) -> str:
-    """Dispatch to the appropriate renderer for the switch type."""
+def render(switch: CIOQSwitch) -> str:
+    """Dispatch to the appropriate renderer for the switch type (a
+    crossbar is also a CIOQSwitch, so it is tested first)."""
     if isinstance(switch, CrossbarSwitch):
         return render_crossbar(switch)
     if isinstance(switch, CIOQSwitch):

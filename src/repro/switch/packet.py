@@ -11,6 +11,7 @@ one with the *smaller* id is treated as the more valuable one.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Iterable, List, Tuple
 
 
@@ -24,8 +25,9 @@ class Packet:
         (Assumption A3) and for tracking packets through the simulator and
         the offline optimum.
     value:
-        The packet's value ``v(p)``; must be positive.  Unit-value
-        instances use ``value == 1.0`` for every packet.
+        The packet's value ``v(p)``; must be positive and finite (NaN
+        and infinity are rejected).  Unit-value instances use
+        ``value == 1.0`` for every packet.
     arrival:
         Arrival slot ``arr(p)`` (0-based integer).
     src:
@@ -37,8 +39,11 @@ class Packet:
     __slots__ = ("pid", "value", "arrival", "src", "dst", "_key")
 
     def __init__(self, pid: int, value: float, arrival: int, src: int, dst: int):
-        if value <= 0:
-            raise ValueError(f"packet value must be positive, got {value!r}")
+        # One chained comparison: every generated packet passes here.
+        # NaN fails both sides, so it is rejected too.
+        if not 0 < value < inf:
+            raise ValueError(
+                f"packet value must be positive and finite, got {value!r}")
         if arrival < 0:
             raise ValueError(f"arrival slot must be >= 0, got {arrival!r}")
         if src < 0 or dst < 0:

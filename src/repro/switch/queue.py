@@ -14,9 +14,10 @@ primitives the paper's algorithms need:
 * ``head()``   — ``g(t)``: greatest-value packet,
 * ``tail()``   — ``l(t)``: least-value packet,
 * ``pop_head()`` / ``pop_tail()``,
-* ``push()``   — insert, assuming capacity is available,
-* ``admit_preemptive()`` — the arrival rule shared by PG/CPG
-  ("accept if not full or the tail is worth less; preempt the tail").
+* ``push()``   — insert, assuming capacity is available.
+
+The paper's arrival rules are policy decisions and live in
+:mod:`repro.scheduling.base`; the switch applies them.
 """
 
 from __future__ import annotations
@@ -39,11 +40,13 @@ class BoundedQueue:
     value) and ``_items[0]`` is the tail (least value).  This makes both
     ``pop_head`` and ``pop_tail`` cheap (tail pop is O(n) but n <= B).
 
-    In-package fast paths (the simulation kernel and the paper policies'
+    In-package fast paths (the paper policies' arrival rules and
     scheduling loops) are allowed to *read* ``_items`` directly — it is
     always the ascending-sorted packet list, so ``_items[-1]`` is the
     head, ``_items[0]`` the tail, and ``len(_items) < capacity`` means
-    "not full" — but must mutate only through the methods below.
+    "not full" — but must mutate only through the methods below.  The
+    one exception is the switch (:mod:`repro.switch.cioq`), whose
+    validated move edits ``_items`` and ``_keys`` together in place.
     """
 
     __slots__ = ("capacity", "_items", "_keys")
@@ -151,27 +154,6 @@ class BoundedQueue:
     def clear(self) -> None:
         self._items.clear()
         self._keys.clear()
-
-    def admit_preemptive(self, p: Packet) -> Tuple[bool, Optional[Packet]]:
-        """Shared arrival/insertion rule of PG and CPG.
-
-        Accept ``p`` if the queue has free space, or if the tail packet is
-        worth strictly less than ``p`` (in which case the tail is
-        preempted).  Returns ``(accepted, preempted_packet_or_None)``.
-
-        This is exactly the paper's arrival-phase rule: accept iff
-        ``|Q| < B(Q)  or  v(l(t)) < v(p)``.
-        """
-        if not self.is_full:
-            self.push(p)
-            return True, None
-        victim = self.tail()
-        assert victim is not None
-        if victim.value < p.value:
-            self.pop_tail()
-            self.push(p)
-            return True, victim
-        return False, None
 
     def check_invariants(self) -> None:
         """Assert internal consistency (used by tests and debug hooks)."""

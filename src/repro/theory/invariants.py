@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..scheduling.base import ArrivalDecision, CIOQPolicy, CrossbarPolicy
 from ..switch.cioq import CIOQSwitch, Transfer
-from ..switch.crossbar import CrossbarSwitch, InputTransfer, OutputTransfer
+from ..switch.crossbar import CrossbarSwitch
 from ..switch.packet import Packet
 
 
@@ -44,6 +44,20 @@ def _pg_eligible(switch: CIOQSwitch, beta: float, i: int, j: int) -> Optional[Pa
     if tail is not None and g.value > beta * tail.value:
         return g
     return None
+
+
+def check_tail_drop_arrival(
+    name: str, switch: CIOQSwitch, packet: Packet, decision: ArrivalDecision
+) -> None:
+    """The arrival rule GM and CGU share (Sections 2.1 and 3.1): accept
+    iff the VOQ is not full, and never preempt."""
+    full = switch.voq[packet.src][packet.dst].is_full
+    if decision.accept and full:
+        raise FaithfulnessError(f"{name} accepted into a full VOQ")
+    if not decision.accept and not full:
+        raise FaithfulnessError(f"{name} rejected though the VOQ has space")
+    if decision.preempt is not None:
+        raise FaithfulnessError(f"{name} must never preempt on arrival")
 
 
 def check_matching_property(transfers: List[Transfer]) -> None:
@@ -172,15 +186,10 @@ class CheckedCIOQPolicy(CIOQPolicy):
 
     def on_arrival(self, switch: CIOQSwitch, packet: Packet) -> ArrivalDecision:
         decision = self.inner.on_arrival(switch, packet)
-        q = switch.voq[packet.src][packet.dst]
         if self.kind == "gm":
-            if decision.accept and q.is_full:
-                raise FaithfulnessError("GM accepted into a full VOQ")
-            if not decision.accept and not q.is_full:
-                raise FaithfulnessError("GM rejected though the VOQ has space")
-            if decision.preempt is not None:
-                raise FaithfulnessError("GM must never preempt on arrival")
+            check_tail_drop_arrival("GM", switch, packet, decision)
         else:
+            q = switch.voq[packet.src][packet.dst]
             tail = q.tail()
             should_accept = (not q.is_full) or (
                 tail is not None and tail.value < packet.value
@@ -224,11 +233,11 @@ class CheckedCIOQPolicy(CIOQPolicy):
 
 
 def check_cgu_input_subphase(
-    switch: CrossbarSwitch, transfers: List[InputTransfer]
+    switch: CrossbarSwitch, transfers: List[Transfer]
 ) -> None:
     """CGU input subphase: per input, one transfer from an eligible VOQ,
     and none only if no VOQ is eligible."""
-    by_input: Dict[int, InputTransfer] = {}
+    by_input: Dict[int, Transfer] = {}
     for tr in transfers:
         if tr.src in by_input:
             raise FaithfulnessError(f"input {tr.src} released two packets")
@@ -250,11 +259,11 @@ def check_cgu_input_subphase(
 
 
 def check_cgu_output_subphase(
-    switch: CrossbarSwitch, transfers: List[OutputTransfer]
+    switch: CrossbarSwitch, transfers: List[Transfer]
 ) -> None:
     """CGU output subphase: per output, one transfer from a non-empty
     crosspoint while the output queue has room; none only if impossible."""
-    by_output: Dict[int, OutputTransfer] = {}
+    by_output: Dict[int, Transfer] = {}
     for tr in transfers:
         if tr.dst in by_output:
             raise FaithfulnessError(f"output {tr.dst} admitted two packets")
@@ -288,23 +297,19 @@ class CheckedCGUPolicy(CrossbarPolicy):
 
     def on_arrival(self, switch: CrossbarSwitch, packet: Packet) -> ArrivalDecision:
         decision = self.inner.on_arrival(switch, packet)
-        q = switch.voq[packet.src][packet.dst]
-        if decision.accept and q.is_full:
-            raise FaithfulnessError("CGU accepted into a full VOQ")
-        if not decision.accept and not q.is_full:
-            raise FaithfulnessError("CGU rejected though the VOQ has space")
+        check_tail_drop_arrival("CGU", switch, packet, decision)
         return decision
 
     def input_subphase(
         self, switch: CrossbarSwitch, slot: int, cycle: int
-    ) -> List[InputTransfer]:
+    ) -> List[Transfer]:
         transfers = self.inner.input_subphase(switch, slot, cycle)
         check_cgu_input_subphase(switch, transfers)
         return transfers
 
     def output_subphase(
         self, switch: CrossbarSwitch, slot: int, cycle: int
-    ) -> List[OutputTransfer]:
+    ) -> List[Transfer]:
         transfers = self.inner.output_subphase(switch, slot, cycle)
         check_cgu_output_subphase(switch, transfers)
         return transfers

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.gm import GMPolicy
+from repro.core import CGUPolicy, CPGPolicy, GMPolicy, PGPolicy
+from repro.scheduling.base import preemptive_arrival, tail_drop_arrival
 from repro.scheduling.baselines import (
     CrossbarGreedyWeightedPolicy,
     MaxMatchPolicy,
@@ -20,6 +21,23 @@ from repro.traffic.values import uniform_values
 
 def pk(pid, src, dst, value=1.0):
     return Packet(pid, value, 0, src, dst)
+
+
+@pytest.mark.parametrize("policy_cls, rule", [
+    (GMPolicy, tail_drop_arrival),
+    (CGUPolicy, tail_drop_arrival),
+    (MaxMatchPolicy, tail_drop_arrival),
+    (RandomMatchPolicy, tail_drop_arrival),
+    (RoundRobinPolicy, tail_drop_arrival),
+    (CrossbarGreedyWeightedPolicy, tail_drop_arrival),
+    (PGPolicy, preemptive_arrival),
+    (CPGPolicy, preemptive_arrival),
+    (MaxWeightMatchPolicy, preemptive_arrival),
+])
+def test_on_arrival_is_the_shared_rule(policy_cls, rule):
+    """Each policy's arrival phase is one of the paper's two rules,
+    written once in repro.scheduling.base."""
+    assert policy_cls.on_arrival is rule
 
 
 class TestMaxMatch:

@@ -137,3 +137,40 @@ class TestTransmission:
 
     def test_greedy_head_skips_empty_queues(self, switch):
         assert greedy_head_transmissions(switch) == {}
+
+
+class TestArrivalAdmission:
+    def test_preempt_removes_the_named_victim(self):
+        switch = CIOQSwitch(SwitchConfig.square(2, b_in=2))
+        cheap, mid, rich = (pk(0, 0, 1, 1.0), pk(1, 0, 1, 2.0),
+                            pk(2, 0, 1, 9.0))
+        switch.enqueue_arrival(cheap)
+        switch.enqueue_arrival(mid)
+        switch.enqueue_arrival(rich, preempt=cheap)
+        assert switch.voq[0][1].packets() == [rich, mid]
+        switch.check_invariants()
+
+    def test_victim_must_be_in_the_voq(self, switch):
+        switch.enqueue_arrival(pk(0, 0, 1))
+        with pytest.raises(ScheduleError, match="not in VOQ"):
+            switch.enqueue_arrival(pk(1, 0, 1), preempt=pk(9, 0, 1))
+
+    def test_full_voq_needs_a_victim(self, switch):
+        switch.enqueue_arrival(pk(0, 0, 1))
+        switch.enqueue_arrival(pk(1, 0, 1))
+        with pytest.raises(ScheduleError, match="full VOQ"):
+            switch.enqueue_arrival(pk(2, 0, 1))
+
+
+class TestResidents:
+    def test_buffered_packets_order_and_occupancy(self, switch):
+        """VOQ grid row by row, then output queues; each queue head to
+        tail.  value_residual is summed in this order."""
+        moved = pk(0, 2, 1, 4.0)
+        low, high = pk(1, 0, 2, 1.0), pk(2, 0, 2, 3.0)
+        other = pk(3, 1, 0, 2.0)
+        for p in (moved, low, high, other):
+            switch.enqueue_arrival(p)
+        switch.apply_transfers([Transfer(2, 1, moved)])
+        assert switch.buffered_packets() == [high, low, other, moved]
+        assert switch.occupancy_totals() == (3, 0, 1)

@@ -26,6 +26,12 @@ class TestPacketConstruction:
         with pytest.raises(ValueError):
             Packet(0, -1.0, 0, 0, 0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_rejects_non_finite_value(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            Packet(0, value, 0, 0, 0)
+
     def test_rejects_negative_arrival(self):
         with pytest.raises(ValueError):
             Packet(0, 1.0, -1, 0, 0)

@@ -107,9 +107,11 @@ class TestExecutor:
         assert serial == parallel
 
     def test_chunked_dispatch_bit_identical(self, config):
-        points = make_points(config, n=7)
+        # 20 single-point tasks on 2 workers: chunks of
+        # ceil(20 / (4 * 2)) = 3 tasks each.
+        points = make_points(config, n=20)
         serial = SweepExecutor().run(points)
-        chunked = SweepExecutor(workers=2, chunk_size=2).run(points)
+        chunked = SweepExecutor(workers=2).run(points)
         assert serial == chunked
 
     def test_cache_round_trip(self, config, tmp_path):

@@ -4,12 +4,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.scheduling.base import preemptive_arrival
+from repro.switch.cioq import CIOQSwitch
+from repro.switch.config import SwitchConfig
 from repro.switch.packet import Packet
 from repro.switch.queue import BoundedQueue, QueueOverflowError
 
 
 def pk(pid, value):
     return Packet(pid, value, 0, 0, 0)
+
+
+def one_voq_switch(capacity):
+    """A 1x1 CIOQ switch: every ``pk`` packet lands in its one VOQ."""
+    return CIOQSwitch(SwitchConfig(n_in=1, n_out=1, b_in=capacity))
+
+
+def admit(switch, p):
+    """PG/CPG's arrival rule, applied through the switch.
+
+    Returns ``(accepted, preempted_packet_or_None)``.
+    """
+    decision = preemptive_arrival(None, switch, p)
+    if decision.accept:
+        switch.enqueue_arrival(p, decision.preempt)
+    return decision.accept, decision.preempt
 
 
 class TestBasics:
@@ -145,33 +164,39 @@ class TestMutation:
         assert q.is_empty
 
 
-class TestAdmitPreemptive:
+class TestPreemptiveArrival:
+    """PG/CPG's arrival rule: accept iff the VOQ has space or its tail
+    is worth strictly less, preempting the tail in the second case."""
+
     def test_accepts_with_space(self):
-        q = BoundedQueue(2)
-        accepted, victim = q.admit_preemptive(pk(0, 1.0))
+        switch = one_voq_switch(2)
+        accepted, victim = admit(switch, pk(0, 1.0))
         assert accepted and victim is None
+        assert len(switch.voq[0][0]) == 1
 
     def test_preempts_cheaper_tail_when_full(self):
-        q = BoundedQueue(2)
+        switch = one_voq_switch(2)
+        q = switch.voq[0][0]
         q.push(pk(0, 1.0))
         q.push(pk(1, 5.0))
-        accepted, victim = q.admit_preemptive(pk(2, 3.0))
+        accepted, victim = admit(switch, pk(2, 3.0))
         assert accepted
         assert victim.pid == 0
         assert len(q) == 2
         assert q.tail().value == 3.0
 
     def test_rejects_when_full_and_not_better(self):
-        q = BoundedQueue(1)
+        switch = one_voq_switch(1)
+        q = switch.voq[0][0]
         q.push(pk(0, 3.0))
-        accepted, victim = q.admit_preemptive(pk(1, 3.0))
+        accepted, victim = admit(switch, pk(1, 3.0))
         assert not accepted and victim is None
         assert q.head().pid == 0
 
     def test_rejects_strictly_smaller(self):
-        q = BoundedQueue(1)
-        q.push(pk(0, 3.0))
-        accepted, _ = q.admit_preemptive(pk(1, 2.0))
+        switch = one_voq_switch(1)
+        switch.voq[0][0].push(pk(0, 3.0))
+        accepted, _ = admit(switch, pk(1, 2.0))
         assert not accepted
 
 
@@ -193,7 +218,8 @@ class TestProperties:
     @given(ops=operations(), capacity=st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
     def test_queue_invariants_hold_under_random_ops(self, ops, capacity):
-        q = BoundedQueue(capacity)
+        switch = one_voq_switch(capacity)
+        q = switch.voq[0][0]
         pid = 0
         for kind, value in ops:
             if kind == "push":
@@ -211,7 +237,7 @@ class TestProperties:
                     for p in q:
                         assert not tail.beats(p)
             else:
-                q.admit_preemptive(pk(pid, value))
+                admit(switch, pk(pid, value))
                 pid += 1
             q.check_invariants()
             assert len(q) <= capacity
@@ -224,15 +250,15 @@ class TestProperties:
         )
     )
     @settings(max_examples=60, deadline=None)
-    def test_admit_preemptive_keeps_top_k(self, values):
-        """After admitting everything into a capacity-k queue, the queue
+    def test_preemptive_arrival_keeps_top_k(self, values):
+        """After admitting everything into a capacity-k VOQ, the VOQ
         holds the k largest values (the preemption rule is optimal for a
         single queue)."""
         cap = 4
-        q = BoundedQueue(cap)
+        switch = one_voq_switch(cap)
         for pid, v in enumerate(values):
-            q.admit_preemptive(pk(pid, v))
+            admit(switch, pk(pid, v))
         expected = sorted(values, reverse=True)[:cap]
-        got = sorted(q.values(), reverse=True)
+        got = sorted(switch.voq[0][0].values(), reverse=True)
         # Equal values may tie-break either way; compare multisets of values.
         assert got == pytest.approx(expected)

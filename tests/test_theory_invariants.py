@@ -10,6 +10,8 @@ from repro.scheduling.base import ArrivalDecision
 from repro.simulation.engine import run_cioq, run_crossbar
 from repro.switch.cioq import Transfer
 from repro.switch.config import SwitchConfig
+from repro.switch.crossbar import CrossbarSwitch
+from repro.switch.packet import Packet
 from repro.theory.invariants import (
     CheckedCGUPolicy,
     CheckedCIOQPolicy,
@@ -24,15 +26,11 @@ from repro.traffic.values import uniform_values
 
 class TestMatchingProperty:
     def test_accepts_valid(self):
-        from repro.switch.packet import Packet
-
         t = [Transfer(0, 0, Packet(0, 1.0, 0, 0, 0)),
              Transfer(1, 1, Packet(1, 1.0, 0, 1, 1))]
         check_matching_property(t)
 
     def test_rejects_duplicate_ports(self):
-        from repro.switch.packet import Packet
-
         t = [Transfer(0, 0, Packet(0, 1.0, 0, 0, 0)),
              Transfer(0, 1, Packet(1, 1.0, 0, 0, 1))]
         with pytest.raises(FaithfulnessError):
@@ -178,3 +176,17 @@ class TestCGUChecks:
         trace = BernoulliTraffic(2, 2, load=1.0).generate(5, seed=0)
         with pytest.raises(FaithfulnessError, match="idle"):
             run_crossbar(CheckedCGUPolicy(IdleOutCGU()), config, trace)
+
+    def test_cgu_arrival_preemption_caught(self):
+        """CGU's arrival rule is GM's: accepting with a victim named is
+        unfaithful even when the VOQ has space."""
+        class PreemptingCGU(CGUPolicy):
+            def on_arrival(self, switch, packet):
+                tail = switch.voq[packet.src][packet.dst].tail()
+                return ArrivalDecision.accepted(preempt=tail)
+
+        switch = CrossbarSwitch(SwitchConfig.square(2, b_in=2, b_cross=1))
+        switch.enqueue_arrival(Packet(0, 1.0, 0, 0, 1))
+        checked = CheckedCGUPolicy(PreemptingCGU())
+        with pytest.raises(FaithfulnessError, match="CGU must never preempt"):
+            checked.on_arrival(switch, Packet(1, 1.0, 0, 0, 1))

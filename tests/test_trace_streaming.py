@@ -235,6 +235,20 @@ class TestStreamFormat:
         with pytest.raises(ValueError, match="out of range"):
             list(iter_stream_slots(path))
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_value_rejected_on_load(self, tmp_path, bad):
+        # Python's json parses NaN and Infinity, so only the packet
+        # model stands between such a row and the simulator.
+        trace = Trace([Packet(0, 1.0, 0, 0, 0)], 1, 1, n_slots=2)
+        path = self._write(tmp_path, trace)
+        lines = open(path).read().splitlines()
+        lines[1] = lines[1].replace("1.0", bad, 1)
+        assert bad in lines[1]
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="finite"):
+            Trace.load(path)
+
     def test_arrival_source_rejects_slot_skips(self):
         m = BernoulliTraffic(2, 2, load=1.0)
         source = m.arrival_source(seed=0)

@@ -4,15 +4,17 @@
    (beta* = 1 + sqrt 2, the Theorem 4 radicals, the 5.83 / 14.83
    minima) — the executable version of the paper's "it can be verified
    that ..." remarks.
-2. The modified-OPT replays: Modifications 2.1.1/2.1.2 (Theorem 1) and
-   3.1.1-3.1.3 (Theorem 3) executed literally against recorded online
-   runs, with the Lemma 1 / Lemma 8 dominance invariants checked after
-   every event and the privileged/extra-packet accounting of Lemmas 3,
-   9 and 11 reported per instance.
+2. The modified-OPT replays of all four theorems executed literally
+   against recorded online runs: Modifications 2.1.1/2.1.2 (Theorem 1,
+   GM), 2.2.1-2.2.3 (Theorem 2, PG), 3.1.1-3.1.3 (Theorem 3, CGU) and
+   3.2.1-3.2.3 (Theorem 4, CPG), with the dominance invariants of
+   Lemmas 1, 4, 8 and 12 checked after every event and the
+   privileged/extra-packet accounting reported per instance.
 
-The crossbar replay also reports the *displacement* corner (an OPT
-normal transfer finding its modified crosspoint queue pre-filled by
-extras), which the paper's prose does not treat — see EXPERIMENTS.md.
+The CGU replay also reports the *displacement* corner (an OPT normal
+transfer finding its modified crosspoint queue pre-filled by extras),
+which the paper's prose does not treat — see
+``repro.theory.shadow.replay_cgu_shadow``.
 """
 
 from repro.analysis.report import format_table

@@ -15,9 +15,11 @@ without claiming to be any specific published algorithm:
 
 * :class:`FifoCIOQPolicy` — arrival: accept if space, else push out the
   queue's cheapest packet when the arrival is strictly more valuable
-  (the standard FIFO push-out rule); scheduling: greedy maximal matching
-  weighted by the *head-of-line* (earliest) packet's value; transfer the
-  head-of-line packet; transmission: head-of-line.
+  (the standard FIFO push-out rule, which on the value-sorted VOQs is
+  PG's :func:`~repro.scheduling.base.preemptive_arrival`); scheduling:
+  greedy maximal matching weighted by the *head-of-line* (earliest)
+  packet's value; transfer the head-of-line packet; transmission:
+  head-of-line.
 * :class:`FifoCrossbarPolicy` — the same discipline on the buffered
   crossbar.
 
@@ -34,7 +36,7 @@ from ..switch.cioq import CIOQSwitch, Transfer
 from ..switch.crossbar import CrossbarSwitch
 from ..switch.packet import Packet
 from ..switch.queue import BoundedQueue
-from .base import ArrivalDecision, CIOQPolicy, CrossbarPolicy
+from .base import CIOQPolicy, CrossbarPolicy, preemptive_arrival
 from .matching import greedy_maximal_matching_weighted
 
 
@@ -47,24 +49,11 @@ def head_of_line(q: BoundedQueue) -> Optional[Packet]:
     return best
 
 
-def _fifo_admit(q: BoundedQueue, packet: Packet) -> ArrivalDecision:
-    """FIFO push-out admission: accept if space, else displace the
-    cheapest buffered packet when strictly less valuable."""
-    if not q.is_full:
-        return ArrivalDecision.accepted()
-    victim = q.tail()
-    if victim is not None and victim.value < packet.value:
-        return ArrivalDecision.accepted(preempt=victim)
-    return ArrivalDecision.reject()
-
-
 class FifoCIOQPolicy(CIOQPolicy):
     """FIFO-discipline CIOQ scheduling (ablation baseline)."""
 
     name = "FIFO-CIOQ"
-
-    def on_arrival(self, switch: CIOQSwitch, packet: Packet) -> ArrivalDecision:
-        return _fifo_admit(switch.voq[packet.src][packet.dst], packet)
+    on_arrival = preemptive_arrival
 
     def schedule(self, switch: CIOQSwitch, slot: int, cycle: int) -> List[Transfer]:
         edges = []
@@ -94,9 +83,7 @@ class FifoCrossbarPolicy(CrossbarPolicy):
     """FIFO-discipline buffered-crossbar scheduling (ablation baseline)."""
 
     name = "FIFO-crossbar"
-
-    def on_arrival(self, switch: CrossbarSwitch, packet: Packet) -> ArrivalDecision:
-        return _fifo_admit(switch.voq[packet.src][packet.dst], packet)
+    on_arrival = preemptive_arrival
 
     def input_subphase(
         self, switch: CrossbarSwitch, slot: int, cycle: int

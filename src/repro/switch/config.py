@@ -76,10 +76,6 @@ class SwitchConfig:
             b_cross=b_cross,
         )
 
-    @property
-    def is_square(self) -> bool:
-        return self.n_in == self.n_out
-
     def cycles(self, n_slots: int) -> int:
         """Total number of scheduling cycles over ``n_slots`` time slots."""
         return n_slots * self.speedup

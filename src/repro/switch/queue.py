@@ -98,12 +98,6 @@ class BoundedQueue:
         """The least valuable packet (``l_ij(t)``), or None if empty."""
         return self._items[0] if self._items else None
 
-    def at_position(self, k: int) -> Packet:
-        """Packet at 1-based position ``k`` from the head (paper's δ(k, t))."""
-        if not 1 <= k <= len(self._items):
-            raise IndexError(f"position {k} out of range 1..{len(self._items)}")
-        return self._items[len(self._items) - k]
-
     def packets(self) -> List[Packet]:
         """Snapshot list from head to tail."""
         return list(reversed(self._items))

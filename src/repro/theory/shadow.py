@@ -22,7 +22,10 @@ every event, and returns the resulting accounting — an instance-level
 certificate that the proof machinery behaves as claimed (experiment T8).
 
 Unit-value instances only (packets are anonymous units, which is what
-makes the replay's bookkeeping exact).
+makes the replay's bookkeeping exact).  Theorem 1's replay is Theorem
+2's (:mod:`repro.theory.shadow_weighted`) run on unit values; Theorem
+3's keeps its own slot loop, because Modifications 3.1.x insert extra
+packets and Theorem 4's 3.2.x never do.
 """
 
 from __future__ import annotations
@@ -61,10 +64,6 @@ class GMShadowCertificate:
         return self.s_star + self.privileged_type1 + self.privileged_type2
 
     @property
-    def lemma1_held(self) -> bool:
-        return True  # replay raises InvariantViolation otherwise
-
-    @property
     def s_star_bounded(self) -> bool:
         """|S*| <= |S| (consequence of Lemma 1)."""
         return self.s_star <= self.gm_benefit
@@ -96,139 +95,41 @@ def replay_gm_shadow(
     ``gm_result`` must come from ``run_cioq(GMPolicy(), ..., record=True)``
     and ``opt_result`` from ``cioq_opt(..., extract_schedule=True)`` on
     the *same* trace and configuration.
+
+    On unit values Theorem 2's construction is Theorem 1's: PG's arrival
+    rule never preempts, Modification 2.2.2 never fires (no online
+    transfer is worth less than OPT's packet), 2.2.3's ``v > β·tail``
+    branch is dead for β >= 1 (leaving 2.1.2's "not full" test), and
+    Lemma 4's positional alignment reduces to Lemma 1's count
+    dominance.  So the replay is
+    :func:`~repro.theory.shadow_weighted.replay_pg_shadow` on the GM run
+    (any β > 1 gives the same counts), with Type 1 counted as 2.1.1 and
+    Type 3 as 2.1.2.
     """
     if not trace.is_unit_valued:
         raise ValueError("shadow replay requires a unit-value trace")
-    n_in, n_out = config.n_in, config.n_out
-    b_in, b_out = config.b_in, config.b_out
-    S = config.speedup
+    # Function-local: shadow_weighted imports InvariantViolation from here.
+    from .shadow_weighted import replay_pg_shadow
 
-    onl_transfers: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for ev in gm_result.schedule_log:
-        onl_transfers.setdefault((ev.slot, ev.cycle), []).append((ev.src, ev.dst))
-    opt_departures: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for t, s, i, j in opt_result.departures:
-        opt_departures.setdefault((t, s), []).append((i, j))
-    opt_accepted: Set[int] = set(opt_result.accepted_pids)
-
-    onl_voq = [[0] * n_out for _ in range(n_in)]
-    onl_out = [0] * n_out
-    opt_voq = [[0] * n_out for _ in range(n_in)]
-    opt_out = [0] * n_out
-
-    checks = 0
-
-    def check_invariants() -> None:
-        nonlocal checks
-        checks += 1
-        for i in range(n_in):
-            for j in range(n_out):
-                if opt_voq[i][j] > onl_voq[i][j]:
-                    raise InvariantViolation(
-                        f"Lemma 1 I1 violated at VOQ ({i},{j}): "
-                        f"|Q*|={opt_voq[i][j]} > |Q|={onl_voq[i][j]}"
-                    )
-        for j in range(n_out):
-            if opt_out[j] > onl_out[j]:
-                raise InvariantViolation(
-                    f"Lemma 1 I2 violated at output {j}: "
-                    f"|Q*|={opt_out[j]} > |Q|={onl_out[j]}"
-                )
-
-    s_star = 0
-    s_onl = 0
-    priv1 = 0
-    priv2 = 0
-    skipped = 0
-
-    horizon = gm_result.horizon
-    for t in range(horizon):
-        # ---- arrival phase ----
-        for p in trace.arrivals(t):
-            if onl_voq[p.src][p.dst] < b_in:  # GM's arrival rule
-                onl_voq[p.src][p.dst] += 1
-            if p.pid in opt_accepted:
-                opt_voq[p.src][p.dst] += 1
-            check_invariants()
-
-        # ---- scheduling phase ----
-        for s in range(S):
-            onl_cycle = onl_transfers.get((t, s), [])
-            opt_cycle = opt_departures.get((t, s), [])
-            pre_out = list(onl_out)
-            onl_dsts = {j for _, j in onl_cycle}
-
-            for i, j in onl_cycle:
-                if onl_voq[i][j] <= 0 or onl_out[j] >= b_out:
-                    raise InvariantViolation(
-                        f"online log inconsistent at cycle ({t},{s}), edge "
-                        f"({i},{j})"
-                    )
-                onl_voq[i][j] -= 1
-                onl_out[j] += 1
-
-            executed: Set[Tuple[int, int]] = set()
-            for i, j in opt_cycle:
-                if opt_voq[i][j] <= 0:
-                    # The scheduled packet was already sent as a
-                    # privileged packet in an earlier cycle.
-                    skipped += 1
-                    continue
-                opt_voq[i][j] -= 1
-                executed.add((i, j))
-                if j not in onl_dsts and pre_out[j] < b_out:
-                    priv2 += 1  # Modification 2.1.2: sent directly out
-                else:
-                    opt_out[j] += 1
-
-            # Modification 2.1.1: GM transferred from Q_ij, OPT did not
-            # transfer from Q*_ij, and Q*_ij is non-empty.
-            for i, j in onl_cycle:
-                if (i, j) not in executed and opt_voq[i][j] > 0:
-                    opt_voq[i][j] -= 1
-                    priv1 += 1
-
-            check_invariants()
-
-        # ---- transmission phase (both sides greedy) ----
-        for j in range(n_out):
-            if opt_out[j] > 0:
-                if onl_out[j] <= 0:
-                    raise InvariantViolation(
-                        f"OPT transmits from output {j} at slot {t} but GM "
-                        f"cannot (Lemma 1 consequence violated)"
-                    )
-                opt_out[j] -= 1
-                s_star += 1
-            if onl_out[j] > 0:
-                onl_out[j] -= 1
-                s_onl += 1
-        check_invariants()
-
-    # Drain completeness and consistency with the recorded runs.
-    if any(v for row in opt_voq for v in row) or any(opt_out):
-        raise InvariantViolation("modified OPT failed to drain by the horizon")
-    if s_onl != gm_result.n_sent:
+    cert = replay_pg_shadow(trace, config, gm_result, opt_result, beta=2.0)
+    type1, type2, type3 = cert.n_privileged
+    if type2:
         raise InvariantViolation(
-            f"replayed GM benefit {s_onl} != recorded {gm_result.n_sent}"
+            f"Modification 2.2.2 fired {type2} times on unit values"
         )
-    if priv1 != skipped:
+    if type1 != cert.skipped_departures:
         raise InvariantViolation(
-            f"privileged/skip conservation broken: {priv1} != {skipped}"
+            f"privileged/skip conservation broken: {type1} != "
+            f"{cert.skipped_departures}"
         )
-    if s_star + priv1 + priv2 != len(opt_accepted):
-        raise InvariantViolation(
-            "modified OPT accounting does not cover all accepted packets"
-        )
-
     return GMShadowCertificate(
-        gm_benefit=s_onl,
+        gm_benefit=int(round(cert.pg_benefit)),
         opt_benefit=int(round(opt_result.benefit)),
-        s_star=s_star,
-        privileged_type1=priv1,
-        privileged_type2=priv2,
-        skipped_departures=skipped,
-        invariant_checks=checks,
+        s_star=int(round(cert.s_star_value)),
+        privileged_type1=type1,
+        privileged_type2=type3,
+        skipped_departures=cert.skipped_departures,
+        invariant_checks=cert.invariant_checks,
     )
 
 
@@ -272,19 +173,6 @@ class CGUShadowCertificate:
             and self.modified_opt_benefit <= 3 * self.cgu_benefit
             and self.lemma9_violations == 0
         )
-
-    @property
-    def mapping_fully_certified(self) -> bool:
-        """The stricter per-cycle mapping bound of Lemma 11.
-
-        Displaced packets (the corner where OPT's normal transfer finds
-        its modified crosspoint queue pre-filled by extras — a case the
-        paper's prose does not treat) are counted against this bound, so
-        it can fail on instances with displacement even though the
-        aggregate Theorem 3 bound holds with large slack.  See
-        EXPERIMENTS.md (T8) for the discussion.
-        """
-        return self.lemma11_violations == 0 and self.lemma9_violations == 0
 
 
 def replay_cgu_shadow(

@@ -37,7 +37,7 @@ from ..simulation.results import SimulationResult
 from ..switch.config import SwitchConfig
 from ..traffic.trace import Trace
 from .shadow import InvariantViolation
-from .shadow_weighted import _ValueQueue, _check_alignment
+from .shadow_weighted import _ValueQueue, _apply_online, _check_alignment
 
 EPS = 1e-9
 
@@ -130,6 +130,7 @@ def replay_cpg_shadow(
     opt_voq = [[_ValueQueue() for _ in range(n_out)] for _ in range(n_in)]
     opt_cross = [[_ValueQueue() for _ in range(n_out)] for _ in range(n_in)]
     opt_outq = [_ValueQueue() for _ in range(n_out)]
+    out_grid = [onl_outq] * n_in
 
     checks = 0
 
@@ -184,22 +185,7 @@ def replay_cpg_shadow(
             ]
             onl_in_dsts: Set[Tuple[int, int]] = set()
             for ev in onl_cycle_in:
-                q = onl_voq[ev.src][ev.dst]
-                g = q.pop_max()
-                if abs(g - value_of[ev.pid]) > EPS:
-                    raise InvariantViolation(
-                        f"online input log inconsistent at {key}: pid "
-                        f"{ev.pid} value {value_of[ev.pid]} vs head {g}"
-                    )
-                c = onl_cross[ev.src][ev.dst]
-                if ev.preempted_pid is not None:
-                    c.pop_min()
-                if len(c) >= b_cross:
-                    raise InvariantViolation(
-                        f"online log overflows crosspoint "
-                        f"({ev.src},{ev.dst})"
-                    )
-                c.push(g)
+                _apply_online(ev, onl_voq, onl_cross, b_cross, value_of)
                 onl_in_dsts.add((ev.src, ev.dst))
 
             executed_y: Set[Tuple[int, int]] = set()
@@ -241,21 +227,7 @@ def replay_cpg_shadow(
             opt_cycle_z = opt_z.get(key, [])
             onl_out_srcs: Set[Tuple[int, int]] = set()
             for ev in onl_cycle_out:
-                c = onl_cross[ev.src][ev.dst]
-                gc = c.pop_max()
-                if abs(gc - value_of[ev.pid]) > EPS:
-                    raise InvariantViolation(
-                        f"online output log inconsistent at {key}: pid "
-                        f"{ev.pid} value {value_of[ev.pid]} vs head {gc}"
-                    )
-                out_q = onl_outq[ev.dst]
-                if ev.preempted_pid is not None:
-                    out_q.pop_min()
-                if len(out_q) >= b_out:
-                    raise InvariantViolation(
-                        f"online log overflows output {ev.dst}"
-                    )
-                out_q.push(gc)
+                _apply_online(ev, onl_cross, out_grid, b_out, value_of)
                 onl_out_srcs.add((ev.src, ev.dst))
 
             executed_z: Set[Tuple[int, int]] = set()

@@ -10,6 +10,10 @@ every event:
   least its value in the same VOQ),
 * I2: |Q*_j| <= |Q_j| and v(δ*_j(k)) <= β v(δ_j(k)) at every output.
 
+On unit values this is Theorem 1's construction, so
+:func:`~repro.theory.shadow.replay_gm_shadow` runs this replay on GM's
+log.
+
 The offline schedule comes from the exact MILP; because the time-
 expanded model is anonymous within each (i, j) chain, *any* departure
 order is feasible, so the replay applies Assumption A1 (OPT releases
@@ -128,6 +132,37 @@ def _check_alignment(q_star: _ValueQueue, q_onl: _ValueQueue,
             )
 
 
+def _apply_online(ev, src_grid, dst_grid, cap: int,
+                  value_of: Dict[int, float]) -> float:
+    """Apply one recorded online transfer to the replayed queues.
+
+    Moves the head of ``src_grid[ev.src][ev.dst]``, which must be the
+    logged packet, into ``dst_grid[ev.src][ev.dst]`` after dropping the
+    logged preemption victim, and returns its value.  Output queues are
+    addressed as the grid ``[out] * n_in``.  A log that does not fit the
+    replay (an unknown pid, an empty or mismatched source queue, or an
+    overflow) raises :class:`InvariantViolation`.
+    """
+    q, dst = src_grid[ev.src][ev.dst], dst_grid[ev.src][ev.dst]
+    v = value_of.get(ev.pid)
+    if v is None or len(q) == 0 or abs(q.head() - v) > EPS:
+        raise InvariantViolation(
+            f"online log inconsistent: {ev.stage} transfer of pid {ev.pid} "
+            f"(value {v}) from ({ev.src},{ev.dst}) at slot {ev.slot}, cycle "
+            f"{ev.cycle}, but the replayed queue holds {q.descending()}"
+        )
+    if ev.preempted_pid is not None:
+        dst.pop_min()
+    if len(dst) >= cap:
+        raise InvariantViolation(
+            f"online {ev.stage} transfer from ({ev.src},{ev.dst}) at slot "
+            f"{ev.slot}, cycle {ev.cycle} overflows its destination queue"
+        )
+    g = q.pop_max()
+    dst.push(g)
+    return g
+
+
 def replay_pg_shadow(
     trace: Trace,
     config: SwitchConfig,
@@ -160,6 +195,7 @@ def replay_pg_shadow(
     onl_out = [_ValueQueue() for _ in range(n_out)]
     opt_voq = [[_ValueQueue() for _ in range(n_out)] for _ in range(n_in)]
     opt_out = [_ValueQueue() for _ in range(n_out)]
+    out_grid = [onl_out] * n_in
 
     checks = 0
 
@@ -206,22 +242,8 @@ def replay_pg_shadow(
             onl_value_to: Dict[int, float] = {}
             onl_from: set = set()
             for ev in onl_cycle:
-                q = onl_voq[ev.src][ev.dst]
-                g = q.pop_max()
-                if abs(g - value_of[ev.pid]) > EPS:
-                    raise InvariantViolation(
-                        f"online log inconsistent: transferred pid {ev.pid} "
-                        f"value {value_of[ev.pid]} but queue head is {g}"
-                    )
-                out_q = onl_out[ev.dst]
-                if ev.preempted_pid is not None:
-                    out_q.pop_min()
-                if len(out_q) >= b_out:
-                    raise InvariantViolation(
-                        f"online log overflows output {ev.dst}"
-                    )
-                out_q.push(g)
-                onl_value_to[ev.dst] = g
+                onl_value_to[ev.dst] = _apply_online(ev, onl_voq, out_grid,
+                                                     b_out, value_of)
                 onl_from.add((ev.src, ev.dst))
 
             # OPT's normal departures under Assumption A1 (greatest value

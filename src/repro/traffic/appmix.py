@@ -214,27 +214,3 @@ class ApplicationMixTraffic(TrafficModel):
                         live.append(session)
                 per_input[i] = live
         return out
-
-    def mean_offered_load(self) -> float:
-        """Expected steady-state arrivals per output per slot (1.0 =
-        line rate) — the session-renewal mean, for scenario tuning."""
-        total = 0.0
-        for name in CLASS_ORDER:
-            cfg = self.classes[name]
-            p_start = float(cfg["p_start"])
-            if p_start <= 0.0:
-                continue
-            if cfg["duration"] == "pareto":
-                # Mean of the capped ceil-Pareto, computed exactly:
-                # P(len >= k) = (k - 1)^-shape for k >= 2.
-                shape = float(cfg["shape"])
-                max_len = int(cfg["max_len"])
-                mean_len = 1.0 + sum(
-                    float(k - 1) ** -shape for k in range(2, max_len + 1)
-                )
-            else:
-                mean_len = float(cfg["mean_len"])
-            # Renewal reward: sessions start at rate p_start per input
-            # per slot, each contributing rate * mean_len packets.
-            total += p_start * mean_len * float(cfg["rate"]) * self.load_scale
-        return total * self.n_in / self.n_out

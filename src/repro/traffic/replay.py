@@ -81,12 +81,6 @@ class TraceReplayTraffic(TrafficModel):
             self._trace = Trace.load_stream(self._path)
         return self._trace
 
-    @property
-    def src_n_slots(self) -> int:
-        """Slot count of the recording (tiling period when repeating),
-        available without materializing a stream-backed recording."""
-        return self._src_n_slots
-
     def arrivals_for_slot(
         self, slot: int, rng: np.random.Generator
     ) -> List[Tuple[int, int, float]]:

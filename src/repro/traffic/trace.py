@@ -134,13 +134,6 @@ class Trace:
     def min_value(self) -> float:
         return min((p.value for p in self.packets), default=0.0)
 
-    def load_matrix(self) -> List[List[int]]:
-        """Packet counts per (input, output) pair."""
-        m = [[0] * self.n_out for _ in range(self.n_in)]
-        for p in self.packets:
-            m[p.src][p.dst] += 1
-        return m
-
     def offered_load(self) -> float:
         """Mean arrivals per output port per slot (1.0 = line rate)."""
         if self.n_slots == 0:

@@ -11,6 +11,7 @@ from repro.scheduling.baselines import (
     RandomMatchPolicy,
     RoundRobinPolicy,
 )
+from repro.scheduling.fifo import FifoCIOQPolicy, FifoCrossbarPolicy
 from repro.simulation.engine import run_cioq, run_crossbar
 from repro.switch.cioq import CIOQSwitch
 from repro.switch.config import SwitchConfig
@@ -33,6 +34,8 @@ def pk(pid, src, dst, value=1.0):
     (PGPolicy, preemptive_arrival),
     (CPGPolicy, preemptive_arrival),
     (MaxWeightMatchPolicy, preemptive_arrival),
+    (FifoCIOQPolicy, preemptive_arrival),
+    (FifoCrossbarPolicy, preemptive_arrival),
 ])
 def test_on_arrival_is_the_shared_rule(policy_cls, rule):
     """Each policy's arrival phase is one of the paper's two rules,

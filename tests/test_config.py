@@ -11,11 +11,10 @@ class TestValidation:
         assert c.n_in == 4 and c.n_out == 4
         assert c.speedup == 2
         assert (c.b_in, c.b_out, c.b_cross) == (3, 5, 2)
-        assert c.is_square
 
     def test_asymmetric_switch_supported(self):
         c = SwitchConfig(n_in=4, n_out=2)
-        assert not c.is_square
+        assert c.n_in == 4 and c.n_out == 2
 
     def test_rejects_zero_ports(self):
         with pytest.raises(ValueError):

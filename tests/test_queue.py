@@ -92,17 +92,6 @@ class TestOrdering:
         # Smaller pid is "greater" (closer to head) under Assumption A3.
         assert [p.pid for p in q] == [1, 3, 5]
 
-    def test_at_position_one_based(self):
-        q = BoundedQueue(4)
-        for pid, v in enumerate([4.0, 2.0, 9.0]):
-            q.push(pk(pid, v))
-        assert q.at_position(1).value == 9.0
-        assert q.at_position(3).value == 2.0
-        with pytest.raises(IndexError):
-            q.at_position(0)
-        with pytest.raises(IndexError):
-            q.at_position(4)
-
     def test_values_and_total(self):
         q = BoundedQueue(3)
         for pid, v in enumerate([4.0, 2.0]):

@@ -39,10 +39,9 @@ class TestTrace:
         assert len(t.arrivals(1)) == 2
         assert list(t.arrivals(99)) == []
 
-    def test_load_matrix_and_offered_load(self):
+    def test_offered_load(self):
         packets = [Packet(i, 1.0, 0, 0, 1) for i in range(4)]
         t = Trace(packets, 2, 2)
-        assert t.load_matrix() == [[0, 4], [0, 0]]
         assert t.offered_load() == pytest.approx(4 / (1 * 2))
 
     def test_empty_trace(self):

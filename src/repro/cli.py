@@ -553,25 +553,16 @@ def _need_output_dir(path: str) -> None:
 
 def cmd_trace_record(args) -> int:
     """Record a traffic model to a chunked stream file, O(chunk) memory."""
-    from .switch.packet import Packet
+    from itertools import islice
+
     from .traffic.trace import write_stream
 
     _need_output_dir(args.output)
     model = _build_traffic(args)
-    source = model.arrival_source(seed=args.seed)
-
-    def slots():
-        pid = 0
-        for t in range(args.slots):
-            arrivals = []
-            for src, dst, value in source(t, None):
-                arrivals.append(Packet(pid, value, t, src, dst))
-                pid += 1
-            yield arrivals
-
     try:
         n_packets = write_stream(
-            args.output, slots(), model.n_in, model.n_out,
+            args.output, islice(model.emit(args.seed), args.slots),
+            model.n_in, model.n_out,
             name=f"{model.name}/{model.value_model.name}/seed{args.seed}",
             chunk_slots=args.chunk_slots)
     except ValueError as exc:

@@ -12,8 +12,10 @@ optimality).  It returns the same ``x``, bit for bit.
 
 The module is registered under its canonical name, so a later
 ``import scipy.optimize`` in the same process reuses it instead of
-registering its pybind11 types a second time.  A scipy without the file
-falls back to ``scipy.optimize.milp`` itself (:func:`scipy_milp`).
+registering its pybind11 types a second time.  The binding is private
+to scipy, and scipy is unpinned: a scipy without the file, or whose
+binding lacks a name in :data:`API`, falls back to
+``scipy.optimize.milp`` itself (:func:`scipy_milp`).
 """
 
 from __future__ import annotations
@@ -30,15 +32,26 @@ import numpy as np
 #: The binding's import name inside scipy.
 BINDING = "scipy.optimize._highspy._core"
 
+#: Every name :func:`milp` takes from the binding.
+API = ("HighsLp", "MatrixFormat", "HighsVarType", "_Highs", "HighsOptions",
+       "HighsStatus", "HighsModelStatus")
+
 
 def load_binding() -> Optional[ModuleType]:
-    """scipy's HiGHS binding, loaded once; ``None`` if scipy has none.
+    """scipy's HiGHS binding, loaded once; ``None`` if scipy has none or
+    its binding lacks a name in :data:`API`."""
+    core = sys.modules.get(BINDING) or _load_core()
+    if core is None or not all(hasattr(core, name) for name in API):
+        return None
+    return core
+
+
+def _load_core() -> Optional[ModuleType]:
+    """Load the binding from scipy's install directory; ``None`` if the
+    file is not there.
 
     ``find_spec`` locates scipy without running ``scipy/__init__``.
     """
-    core = sys.modules.get(BINDING)
-    if core is not None:
-        return core
     scipy = importlib.util.find_spec("scipy")
     roots = scipy.submodule_search_locations if scipy else None
     for root in roots or ():

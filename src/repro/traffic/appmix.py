@@ -39,7 +39,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .base import TrafficModel, bernoulli_count, normalized_dst_weights
+from .base import (
+    TrafficModel,
+    bernoulli_count,
+    destination_cdf,
+    normalized_dst_weights,
+)
 from .values import ValueModel
 
 #: Class order is part of the determinism contract: draws happen in this
@@ -168,7 +173,8 @@ class ApplicationMixTraffic(TrafficModel):
         )
         self.classes = classes
         self.load_scale = float(load_scale)
-        self.dst_probs = normalized_dst_weights(n_out, dst_weights)
+        self._dst_cdf = destination_cdf(
+            normalized_dst_weights(n_out, dst_weights))
         # Active sessions per (class, input): lists of [remaining, dst].
         self._sessions: Optional[Dict[str, List[List[List[int]]]]] = None
 
@@ -203,7 +209,8 @@ class ApplicationMixTraffic(TrafficModel):
             for i in range(self.n_in):
                 if p_start > 0.0 and rng.random() < p_start:
                     length = self._draw_length(cfg, rng)
-                    dst = int(rng.choice(self.n_out, p=self.dst_probs))
+                    dst = int(self._dst_cdf.searchsorted(
+                        rng.random(), side="right"))
                     per_input[i].append([length, dst])
                 live: List[List[int]] = []
                 for session in per_input[i]:

@@ -8,23 +8,28 @@ The common machinery here assigns packet ids in arrival order (the order
 arrival events occur within a slot is the id order, matching the paper's
 convention that all events happen at distinct fractional times).
 
-Two entry points share one arrival contract:
+One per-slot emitter, :meth:`TrafficModel.emit`, makes every draw and
+stamps pids, and three consumers share it:
 
 * :meth:`TrafficModel.generate` materializes a full :class:`Trace`;
-* :meth:`TrafficModel.arrival_source` wraps the same draw sequence in a
-  per-slot callback matching the engine's ``run_*_streaming`` signature,
-  so streaming runs are byte-identical to materialized ones.
+* :meth:`TrafficModel.arrival_source` hands the same draws to the
+  engine's ``run_*_streaming`` as a per-slot callback, before pids are
+  stamped (the engine stamps its own), so streaming runs are
+  byte-identical to materialized ones;
+* ``repro trace record`` writes them to a stream file.
 
-``arrivals_for_slot`` may return either ``(src, dst)`` pairs — the value
-is then drawn from ``value_model``, one draw per packet in arrival
-order — or ``(src, dst, value)`` triples for models (like trace replay)
-whose values are part of the instance rather than sampled.
+``arrivals_for_slot`` may return either ``(src, dst)`` pairs — their
+values are then drawn from ``value_model`` in one bulk call after the
+slot's arrival draws, in arrival order — or ``(src, dst, value)``
+triples for models (like trace replay) whose values are part of the
+instance rather than sampled.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import count, islice
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,12 +56,30 @@ def normalized_dst_weights(n_out: int, weights) -> np.ndarray:
     if w.shape != (n_out,):
         raise ValueError("dst_weights must be n_out non-negative weights")
     # NaN/inf slip through sign/sum checks (NaN compares False, inf sums
-    # to inf) and would only blow up much later inside rng.choice.
+    # to inf), and so do finite weights whose sum overflows to inf.  Any
+    # of them would turn the destination cdf into NaNs, which
+    # searchsorted silently maps to one port.
     if not np.isfinite(w).all():
         raise ValueError("dst_weights must be finite (got NaN or inf)")
-    if (w < 0).any() or w.sum() <= 0:
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if (w < 0).any() or total <= 0:
         raise ValueError("dst_weights must be n_out non-negative weights")
-    return w / w.sum()
+    if total == np.inf:
+        raise ValueError("dst_weights must have a finite sum")
+    return w / total
+
+
+def destination_cdf(probs: np.ndarray) -> np.ndarray:
+    """The cdf ``rng.choice(n, p=probs)`` rebuilds on every call.
+
+    ``cdf.searchsorted(rng.random(c), side="right")`` then draws ``c``
+    destinations that equal ``c`` such ``choice`` calls, from the same
+    ``c`` doubles, without re-validating ``probs`` each time.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 class TrafficModel(ABC):
@@ -87,38 +110,46 @@ class TrafficModel(ABC):
         """Clear any cross-slot state so the model can be reused.
 
         Stateful models (Markov chains, burst generators) override this
-        to drop their carried state.  Every entry point that starts a
-        fresh run — :meth:`generate` and :meth:`arrival_source` — calls
-        it first, so one model instance can drive many runs without
-        leaking chain/burst state between them.  Stateless models keep
-        this no-op.
+        to drop their carried state.  The one draw loop, behind every
+        entry point that starts a fresh run, calls it first, so one
+        model instance can drive many runs without leaking chain/burst
+        state between them.  Stateless models keep this no-op.
         """
 
-    def _emit_slot(
-        self, t: int, rng: np.random.Generator, pid: int,
-        packets: List[Packet],
-    ) -> int:
-        """Append slot ``t``'s packets (id-stamped) and return next pid."""
-        for arrival in self.arrivals_for_slot(t, rng):
-            if len(arrival) == 3:
-                src, dst, value = arrival
-            else:
-                src, dst = arrival
-                value = self.value_model(rng)
-            packets.append(
-                Packet(pid=pid, value=value, arrival=t, src=src, dst=dst)
-            )
-            pid += 1
-        return pid
+    def _slot_arrivals(
+        self, seed: int
+    ) -> Iterator[List[Tuple[int, int, float]]]:
+        """Each slot's ``(src, dst, value)`` arrivals, from slot 0 on,
+        without end: the one draw loop.
+
+        The model resets and seeds its generator on the first ``next``.
+        Per slot, :meth:`arrivals_for_slot` makes its draws first; if it
+        returned ``(src, dst)`` pairs, their values then come from one
+        ``value_model.sample(rng, k)`` call, in arrival order.
+        """
+        self.reset()
+        rng = np.random.default_rng(seed)
+        sample = self.value_model.sample
+        for t in count():
+            arrivals = self.arrivals_for_slot(t, rng)
+            if arrivals and len(arrivals[0]) == 2:
+                arrivals = [(src, dst, v) for (src, dst), v in zip(
+                    arrivals, sample(rng, len(arrivals)))]
+            yield arrivals
+
+    def emit(self, seed: int = 0) -> Iterator[List[Packet]]:
+        """Each slot's packets, from slot 0 on, without end; pids count
+        up in arrival order across slots."""
+        pids = count()
+        for t, arrivals in enumerate(self._slot_arrivals(seed)):
+            yield [Packet(next(pids), v, t, src, dst)
+                   for src, dst, v in arrivals]
 
     def generate(self, n_slots: int, seed: int = 0) -> Trace:
         """Generate a trace of ``n_slots`` arrival slots."""
-        self.reset()
-        rng = np.random.default_rng(seed)
         packets: List[Packet] = []
-        pid = 0
-        for t in range(n_slots):
-            pid = self._emit_slot(t, rng, pid, packets)
+        for slot in islice(self.emit(seed), n_slots):
+            packets += slot
         return Trace(
             packets,
             self.n_in,
@@ -132,16 +163,14 @@ class TrafficModel(ABC):
     ) -> Callable[[int, object], Sequence[Tuple[int, int, float]]]:
         """A per-slot arrival callback for ``run_*_streaming``.
 
-        Returns ``source(t, switch) -> [(src, dst, value), ...]`` that
-        replays exactly the draw sequence of ``generate(n_slots, seed)``
-        — same RNG, same per-packet value draws, same order — so a
-        streaming run is byte-identical to the materialized one.  The
-        engine calls slots in order starting at 0; out-of-order calls
-        raise, since skipping a slot would silently desynchronize the
-        RNG stream.
+        Returns ``source(t, switch) -> [(src, dst, value), ...]`` over
+        the draws behind :meth:`emit`, so a streaming run is
+        byte-identical to the materialized ``generate(n_slots, seed)``.
+        The engine calls slots in order starting at 0; out-of-order
+        calls raise, since skipping a slot would silently
+        desynchronize the RNG stream.
         """
-        self.reset()
-        rng = np.random.default_rng(seed)
+        slots = self._slot_arrivals(seed)
         expected = 0
 
         def source(t: int, switch: object) -> List[Tuple[int, int, float]]:
@@ -152,14 +181,6 @@ class TrafficModel(ABC):
                     f"(expected {expected}, got {t})"
                 )
             expected += 1
-            out: List[Tuple[int, int, float]] = []
-            for arrival in self.arrivals_for_slot(t, rng):
-                if len(arrival) == 3:
-                    src, dst, value = arrival
-                else:
-                    src, dst = arrival
-                    value = self.value_model(rng)
-                out.append((src, dst, value))
-            return out
+            return next(slots)
 
         return source

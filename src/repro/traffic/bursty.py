@@ -17,7 +17,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .base import TrafficModel, bernoulli_count, normalized_dst_weights
+from .base import (
+    TrafficModel,
+    bernoulli_count,
+    destination_cdf,
+    normalized_dst_weights,
+)
 from .values import ValueModel
 
 
@@ -64,7 +69,8 @@ class BurstyTraffic(TrafficModel):
         self.p_on = float(p_on)
         self.p_off = float(p_off)
         self.burst_load = float(burst_load)
-        self.dst_probs = normalized_dst_weights(n_out, dst_weights)
+        self._dst_cdf = destination_cdf(
+            normalized_dst_weights(n_out, dst_weights))
         self._state: Optional[np.ndarray] = None
 
     def reset(self) -> None:
@@ -81,18 +87,13 @@ class BurstyTraffic(TrafficModel):
             self._state = rng.random(self.n_in) < pi_on
         else:
             flips = rng.random(self.n_in)
-            for i in range(self.n_in):
-                if self._state[i]:
-                    if flips[i] < self.p_off:
-                        self._state[i] = False
-                elif flips[i] < self.p_on:
-                    self._state[i] = True
+            self._state = np.where(
+                self._state, flips >= self.p_off, flips < self.p_on)
 
         out: List[Tuple[int, int]] = []
-        for i in range(self.n_in):
-            if not self._state[i]:
-                continue
-            for _ in range(bernoulli_count(rng, self.burst_load)):
-                dst = int(rng.choice(self.n_out, p=self.dst_probs))
-                out.append((i, dst))
+        for i in np.flatnonzero(self._state).tolist():
+            c = bernoulli_count(rng, self.burst_load)
+            if c:
+                dsts = self._dst_cdf.searchsorted(rng.random(c), side="right")
+                out += [(i, dst) for dst in dsts.tolist()]
         return out

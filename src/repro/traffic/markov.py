@@ -22,7 +22,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .base import TrafficModel, bernoulli_count, normalized_dst_weights
+from .base import (
+    TrafficModel,
+    bernoulli_count,
+    destination_cdf,
+    normalized_dst_weights,
+)
 from .values import ValueModel
 
 
@@ -92,7 +97,8 @@ class MarkovModulatedTraffic(TrafficModel):
         self.transition = trans
         self._cumulative = np.cumsum(trans, axis=1)
         self._pi = _stationary(trans)
-        self.dst_probs = normalized_dst_weights(n_out, dst_weights)
+        self._dst_cdf = destination_cdf(
+            normalized_dst_weights(n_out, dst_weights))
         self._state: Optional[np.ndarray] = None
 
     def reset(self) -> None:
@@ -110,18 +116,17 @@ class MarkovModulatedTraffic(TrafficModel):
             self._state = np.searchsorted(cum_pi, draws).clip(0, len(self._pi) - 1)
         else:
             draws = rng.random(self.n_in)
-            k = len(self._pi) - 1
-            for i in range(self.n_in):
-                row = self._cumulative[self._state[i]]
-                # Clip like the initial draw: float error can leave
-                # row[-1] marginally below 1, and searchsorted would
-                # then return an out-of-range state.
-                self._state[i] = min(int(np.searchsorted(row, draws[i])), k)
+            # Per input, searchsorted(row, draw) (side left) counts the
+            # row entries below the draw.  Clip like the initial draw:
+            # float error can leave row[-1] marginally below 1, and the
+            # count would then be an out-of-range state.
+            below = self._cumulative[self._state] < draws[:, None]
+            self._state = np.minimum(below.sum(axis=1), len(self._pi) - 1)
 
         out: List[Tuple[int, int]] = []
-        for i in range(self.n_in):
-            rate = float(self.loads[self._state[i]])
-            for _ in range(bernoulli_count(rng, rate)):
-                dst = int(rng.choice(self.n_out, p=self.dst_probs))
-                out.append((i, dst))
+        for i, rate in enumerate(self.loads[self._state].tolist()):
+            c = bernoulli_count(rng, rate)
+            if c:
+                dsts = self._dst_cdf.searchsorted(rng.random(c), side="right")
+                out += [(i, dst) for dst in dsts.tolist()]
         return out

@@ -11,12 +11,20 @@ experiments reuse:
 * **uniform / exponential / Pareto** — smooth and heavy-tailed value
   mixes used to stress PG/CPG's preemption thresholds.
 
-A value model is a callable ``(rng) -> float`` plus a descriptive name.
+A value model is a bulk sampler ``(rng, k) -> list of k floats`` plus a
+descriptive name.  Each distribution is written once, as one numpy call
+with ``size=k``: numpy fills an array from the same stream that ``k``
+scalar calls consume, so a bulk draw returns what ``k`` single draws
+return and leaves the generator in the same state.  The traffic models
+rely on this to draw a whole slot's values at once (see
+``docs/traffic_models.md``).  The discrete models hand out one float
+object per distinct value, so a trace of unit or class values holds no
+float object per packet.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, List
 
 import numpy as np
 
@@ -24,15 +32,28 @@ import numpy as np
 class ValueModel:
     """A named distribution over packet values."""
 
-    def __init__(self, name: str, sample: Callable[[np.random.Generator], float]):
+    def __init__(
+        self, name: str,
+        sample: Callable[[np.random.Generator, int], List[float]],
+    ):
         self.name = name
         self._sample = sample
 
+    def sample(self, rng: np.random.Generator, k: int) -> List[float]:
+        """``k`` values as a list of floats, in draw order.
+
+        Returns what ``k`` calls of ``sample(rng, 1)`` return and leaves
+        ``rng`` in the same state, so callers may draw in bulk.
+        """
+        values = self._sample(rng, k)
+        if values and min(values) <= 0:
+            raise ValueError(
+                f"value model {self.name} produced non-positive {min(values)}"
+            )
+        return values
+
     def __call__(self, rng: np.random.Generator) -> float:
-        v = float(self._sample(rng))
-        if v <= 0:
-            raise ValueError(f"value model {self.name} produced non-positive {v}")
-        return v
+        return self.sample(rng, 1)[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ValueModel({self.name})"
@@ -40,7 +61,7 @@ class ValueModel:
 
 def unit_values() -> ValueModel:
     """Every packet has value 1 (the unit-value case)."""
-    return ValueModel("unit", lambda rng: 1.0)
+    return ValueModel("unit", lambda rng, k: [1.0] * k)
 
 
 def uniform_values(lo: float = 1.0, hi: float = 100.0) -> ValueModel:
@@ -48,7 +69,8 @@ def uniform_values(lo: float = 1.0, hi: float = 100.0) -> ValueModel:
     if not 0 < lo <= hi:
         raise ValueError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
     return ValueModel(
-        f"uniform[{lo:g},{hi:g}]", lambda rng: rng.uniform(lo, hi)
+        f"uniform[{lo:g},{hi:g}]",
+        lambda rng, k: rng.uniform(lo, hi, k).tolist(),
     )
 
 
@@ -59,9 +81,11 @@ def two_value(alpha: float = 10.0, p_high: float = 0.2) -> ValueModel:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     if not 0.0 <= p_high <= 1.0:
         raise ValueError(f"p_high must be in [0,1], got {p_high}")
+    high = float(alpha)
     return ValueModel(
         f"two-value(alpha={alpha:g},p={p_high:g})",
-        lambda rng: alpha if rng.random() < p_high else 1.0,
+        lambda rng, k: [high if h else 1.0
+                        for h in (rng.random(k) < p_high).tolist()],
     )
 
 
@@ -70,7 +94,8 @@ def exponential_values(mean: float = 10.0) -> ValueModel:
     if mean <= 1.0:
         raise ValueError(f"mean must be > 1, got {mean}")
     return ValueModel(
-        f"exp(mean={mean:g})", lambda rng: 1.0 + rng.exponential(mean - 1.0)
+        f"exp(mean={mean:g})",
+        lambda rng, k: (1.0 + rng.exponential(mean - 1.0, k)).tolist(),
     )
 
 
@@ -84,7 +109,7 @@ def pareto_values(shape: float = 1.5, scale: float = 1.0) -> ValueModel:
         raise ValueError("shape and scale must be positive")
     return ValueModel(
         f"pareto(shape={shape:g},scale={scale:g})",
-        lambda rng: scale * (1.0 + rng.pareto(shape)),
+        lambda rng, k: (scale * (1.0 + rng.pareto(shape, k))).tolist(),
     )
 
 
@@ -93,8 +118,9 @@ def geometric_class_values(n_classes: int = 4, base: float = 4.0) -> ValueModel:
     drawn uniformly — models strict-priority QoS tiers."""
     if n_classes < 1 or base <= 1.0:
         raise ValueError("need n_classes >= 1 and base > 1")
-    values = [base ** k for k in range(n_classes)]
+    values = [float(base ** k) for k in range(n_classes)]
     return ValueModel(
         f"classes(k={n_classes},base={base:g})",
-        lambda rng: values[int(rng.integers(0, n_classes))],
+        lambda rng, k: [values[i]
+                        for i in rng.integers(0, n_classes, k).tolist()],
     )

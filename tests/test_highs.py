@@ -124,8 +124,8 @@ def _instance(name):
     return next((t, c) for n, t, c in _instances() if n == name)
 
 
-def _no_binding(monkeypatch):
-    """Hide the binding; return the list the fallback appends to."""
+def _count_fallback(monkeypatch):
+    """Return the list each ``scipy_milp`` call appends to."""
     calls = []
     fallback = highs.scipy_milp
 
@@ -133,9 +133,14 @@ def _no_binding(monkeypatch):
         calls.append(args)
         return fallback(*args)
 
-    monkeypatch.setattr(highs, "load_binding", lambda: None)
     monkeypatch.setattr(highs, "scipy_milp", counted)
     return calls
+
+
+def _no_binding(monkeypatch):
+    """Hide the binding; return the list the fallback appends to."""
+    monkeypatch.setattr(highs, "load_binding", lambda: None)
+    return _count_fallback(monkeypatch)
 
 
 FALLBACK_INSTANCES = ("grid-s1-c2-weighted-0", "appmix-qos")
@@ -152,6 +157,29 @@ def test_fallback_returns_the_same_opt(name, opt, monkeypatch):
     assert len(calls) == 1
     assert fallback.benefit == direct.benefit
     assert fallback.accepted_pids == direct.accepted_pids
+
+
+#: The names ``milp`` takes from the binding.
+MILP_NAMES = ("HighsLp", "MatrixFormat", "HighsVarType", "_Highs",
+              "HighsOptions", "HighsStatus", "HighsModelStatus")
+
+
+@needs_binding
+@pytest.mark.parametrize("missing", MILP_NAMES)
+def test_binding_with_another_api_falls_back(missing, monkeypatch):
+    """A scipy whose binding lacks a name ``milp`` uses solves through
+    ``scipy.optimize.milp`` instead of raising ``AttributeError``."""
+    args = _arrays(CIOQOptModel(*_instance("grid-s1-c1-weighted-0")))
+    expected = highs.scipy_milp(*args)
+    core = highs.load_binding()
+    stub = types.ModuleType(highs.BINDING)
+    for name in MILP_NAMES:
+        if name != missing:
+            setattr(stub, name, getattr(core, name))
+    monkeypatch.setitem(sys.modules, highs.BINDING, stub)
+    calls = _count_fallback(monkeypatch)
+    assert highs.milp(*args).tobytes() == expected.tobytes()
+    assert len(calls) == 1
 
 
 @needs_binding

@@ -150,6 +150,12 @@ class TestFiniteWeights:
         w = normalized_dst_weights(2, [1.0, 3.0])
         assert w.tolist() == [0.25, 0.75]
 
+    def test_overflowing_sum_rejected(self):
+        # Each weight is finite, but their sum is inf: normalizing would
+        # make every probability 0 and the destination cdf NaN.
+        with pytest.raises(ValueError, match="finite sum"):
+            BurstyTraffic(2, 2, dst_weights=[1e308, 1e308])
+
 
 class TestResetContract:
     """Bugfix 4: stateful models reset between runs."""

@@ -50,9 +50,9 @@ DEFAULT_BACKEND = "reference"
 
 #: Port-count crossover per policy class for the ``auto`` backend.
 #: Below the crossover (``max(n_in, n_out) < value``) the vectorized
-#: kernel's fixed per-slot numpy overhead outweighs its batching win
+#: kernel's fixed per-slot numpy overhead eats its batching win
 #: and ``auto`` selects ``reference`` instead: ``BENCH_engine.json``
-#: records PG on an 8x8 switch at 0.94x vs reference, while every
+#: records PG on an 8x8 switch at 1.03x vs reference, while every
 #: measured policy wins from 32 ports up.  Entries are keyed by the
 #: policy class ``__name__``; absent classes always try ``fast``.
 AUTO_CROSSOVER = {"PGPolicy": 16}

@@ -13,14 +13,17 @@ structure-of-arrays numpy buffers:
   :class:`repro.switch.queue.BoundedQueue`;
 * arrival admission, queue pushes/pops and transmissions are batched
   numpy operations across lanes and ports, touching only the sparse set
-  of non-empty queues, and per-cycle eligibility is packed into per-row
-  Python int bitmasks (``np.packbits``) so the sequential matching
-  scans cost O(ports), not O(ports^2);
-* the genuinely sequential parts — greedy matching scans and the
-  order-sensitive float accounting — run as small per-lane Python loops
-  over data extracted from the arrays in the reference kernel's exact
-  iteration order, so every accumulator receives bit-identical IEEE
-  adds in bit-identical order.
+  of non-empty queues;
+* PG's greedy maximal weighted matching takes a few locally-dominant
+  rounds over the sparse edge list as array operations, and a
+  sequential walk finishes the few edges left
+  (:func:`greedy_matching`); GM's rotating scan packs per-cycle
+  eligibility into per-row Python int bitmasks (``np.packbits``), so it
+  costs O(ports), not O(ports^2);
+* the order-sensitive float accounting runs as small per-lane Python
+  loops over data extracted from the arrays in the reference kernel's
+  exact iteration order, so every accumulator receives bit-identical
+  IEEE adds in bit-identical order.
 
 The contract is **bit-identical equality** with the reference kernel on
 every observable :class:`~repro.simulation.results.SimulationResult`
@@ -56,9 +59,10 @@ from .results import SimulationResult
 #: Sentinel pid larger than any real one (tie-break minimum scans).
 _BIG_PID = np.iinfo(np.int64).max
 
-#: Queue lengths and sorted positions fit comfortably in int16
-#: (capacities are per-queue buffer sizes); the narrow dtype makes the
-#: hot ``len > 0`` / ``len < B`` comparisons several times cheaper.
+#: Queue lengths and sorted positions are int16 (capacities are
+#: per-queue buffer sizes); the narrow dtype makes the hot ``len > 0`` /
+#: ``len < B`` comparisons several times cheaper.  A capacity above its
+#: maximum raises :class:`BackendUnsupported`, so ``auto`` falls back.
 _LEN_DTYPE = np.int16
 
 
@@ -73,7 +77,7 @@ class _QueueFamily:
     and beyond ``len`` are garbage and must always be masked by ``len``.
     """
 
-    __slots__ = ("val", "pid", "len", "B", "_k")
+    __slots__ = ("val", "pid", "len", "B", "_k", "_last")
 
     def __init__(self, S: int, Q: int, B: int):
         self.val = np.zeros((S, Q, B), dtype=np.float64)
@@ -81,6 +85,9 @@ class _QueueFamily:
         self.len = np.zeros((S, Q), dtype=_LEN_DTYPE)
         self.B = B
         self._k = np.arange(B, dtype=_LEN_DTYPE)
+        # ``_last + len`` is each head's index into ``val.reshape(-1)``.
+        self._last = np.arange(-1, S * Q * B - 1, B,
+                               dtype=np.int64).reshape(S, Q)
 
     # All (s, q) selector pairs handed to the mutators below must be
     # unique within one call — the scatter-back would otherwise race.
@@ -129,17 +136,26 @@ class _QueueFamily:
         self.len[s, q] = ln
         return v, p
 
-    def head_vals_at(self, s, q) -> np.ndarray:
-        """Head values of the selected (non-empty) queues."""
-        return self.val[s, q, self.len[s, q] - np.int16(1)]
+    def head_vals(self, flat: np.ndarray) -> np.ndarray:
+        """Head values of the non-empty queues at flat ``s * Q + q``
+        indices ``flat``."""
+        at = flat * self.B + (self.len.reshape(-1).take(flat) - 1)
+        return self.val.reshape(-1).take(at)
 
     def heads(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(values, pids, nonempty)`` of every head; empty queues get
-        ``-inf`` values (below every real positive value)."""
+        ``-inf`` values (below every real positive value) and garbage
+        pids."""
         ln = self.len
-        idx = np.maximum(ln - np.int16(1), np.int16(0))[:, :, None]
-        hv = np.take_along_axis(self.val, idx, axis=2)[:, :, 0]
-        hp = np.take_along_axis(self.pid, idx, axis=2)[:, :, 0]
+        if self.B == 1:
+            hv = self.val[:, :, 0]
+            hp = self.pid[:, :, 0]
+        else:
+            # An empty queue reads its predecessor's last slot (the
+            # very first one wraps to the last): garbage, masked below.
+            at = self._last + ln
+            hv = self.val.reshape(-1).take(at)
+            hp = self.pid.reshape(-1).take(at)
         nonempty = ln > 0
         hv = np.where(nonempty, hv, -np.inf)
         return hv, hp, nonempty
@@ -338,7 +354,82 @@ class _GMStepper(_Stepper):
                     mj.append(j)
                     if not avail:
                         break
-        run.apply_cioq_head_transfers(ms, mq, mj)
+        if ms:
+            run.apply_cioq_head_transfers(np.array(ms, dtype=np.int64),
+                                          np.array(mq, dtype=np.int64),
+                                          np.array(mj, dtype=np.int64))
+
+
+#: Locally-dominant rounds :func:`greedy_matching` runs before the
+#: sequential walk takes the edges left.  On large-n's PG about 3,700
+#: edges per cycle fall to about 1,050, 380 and 180 after one, two and
+#: three rounds; an adversarial staircase matches one edge per round,
+#: so rounds alone would cost O(ports) array passes there.
+_PG_ROUNDS = 3
+
+
+def greedy_matching(val: np.ndarray, pin: np.ndarray, pout: np.ndarray,
+                    n_pin: int, n_pout: int) -> np.ndarray:
+    """Indices of the greedy maximal matching of edges ``k`` =
+    (``pin[k]``, ``pout[k]``), scanned by value descending and then by
+    index ascending (the reference scan order); ports are ``0..n_pin-1``
+    and ``0..n_pout-1``.  The result is in no particular order.
+
+    Under a strict total order, an edge that ranks first at both of its
+    ports is in the greedy matching, and taking every such edge at once
+    and dropping the edges they touch leaves a graph whose greedy
+    matching is the rest (Preis, STACS 1999).  :data:`_PG_ROUNDS` such
+    rounds run as array operations; the sequential walk finishes the
+    edges left.
+    """
+    idx = np.arange(val.size)
+    taken_in = np.zeros(n_pin, dtype=bool)
+    taken_out = np.zeros(n_pout, dtype=bool)
+    best_in = np.empty(n_pin)
+    best_out = np.empty(n_pout)
+    first_in = np.empty(n_pin, dtype=np.int64)
+    first_out = np.empty(n_pout, dtype=np.int64)
+    won = []
+    for _ in range(_PG_ROUNDS):
+        if idx.size == 0:
+            break
+        # Each port's first edge: its best value, then its lowest index
+        # among the edges carrying that value.
+        best_in.fill(-np.inf)
+        np.maximum.at(best_in, pin, val)
+        best_out.fill(-np.inf)
+        np.maximum.at(best_out, pout, val)
+        first_in.fill(_BIG_PID)
+        top = val == best_in[pin]
+        np.minimum.at(first_in, pin[top], idx[top])
+        first_out.fill(_BIG_PID)
+        top = val == best_out[pout]
+        np.minimum.at(first_out, pout[top], idx[top])
+        win = (first_in[pin] == idx) & (first_out[pout] == idx)
+        won.append(idx[win])
+        taken_in[pin[win]] = True
+        taken_out[pout[win]] = True
+        rest = ~(taken_in[pin] | taken_out[pout])
+        idx = idx[rest]
+        val = val[rest]
+        pin = pin[rest]
+        pout = pout[rest]
+    if idx.size:
+        # ``idx`` is still ascending, so a stable sort by descending
+        # value is the reference scan order.
+        order = np.argsort(-val, kind="stable")
+        used_in = set()
+        used_out = set()
+        walk = []
+        for k, i, j in zip(idx[order].tolist(), pin[order].tolist(),
+                           pout[order].tolist()):
+            if i in used_in or j in used_out:
+                continue
+            used_in.add(i)
+            used_out.add(j)
+            walk.append(k)
+        won.append(np.array(walk, dtype=np.int64))
+    return np.concatenate(won) if won else idx
 
 
 class _PGStepper(_Stepper):
@@ -351,30 +442,45 @@ class _PGStepper(_Stepper):
     def cycle(self, t, cyc):
         run = self.run
         nj = run.NJ
-        ss, cc = run.voq_sparse()
-        if ss.size == 0:
+        nq = run.NI * nj
+        ne = run.voq.len > 0
+        if not run.all_active:
+            ne &= run.active_mask[:, None]
+        # Edges lane-major and cell-ascending: within one lane, edge
+        # index order is the reference tie order (i, j).
+        flat = np.flatnonzero(ne)
+        if flat.size == 0:
             return
-        gv = run.voq.head_vals_at(ss, cc)
-        full_out = run.out.len >= run.B_out
-        tailv = run.out.val[:, :, 0]
+        gv = run.voq.head_vals(flat)
+        full_out = (run.out.len >= run.B_out).reshape(-1)
+        tailv = run.out.val[:, :, 0].reshape(-1)
         thr = np.where(full_out, self.beta * tailv, 0.0)
-        keep = gv > thr[ss, cc % nj]
-        if not keep.any():
-            return
-        ss = ss[keep]
-        cc = cc[keep]
-        gv = gv[keep]
-        # A stable sort by descending value keeps the (lane, i, j)
-        # ascending nonzero order among ties — exactly the reference
-        # edge sort key (-value, i, j), applied per lane by the scan.
-        order = np.argsort(-gv, kind="stable")
-        ss = ss[order]
-        cc = cc[order]
-        ii = cc // nj
-        jj = cc - ii * nj
-        run.greedy_cioq_preempt(
-            ss.tolist(), cc.tolist(), ii.tolist(), jj.tolist(),
-            full_out, tailv)
+        pout = flat // nq * nj + flat % nj
+        keep = gv > thr[pout]
+        if not keep.all():
+            flat = flat[keep]
+            gv = gv[keep]
+            pout = pout[keep]
+            if flat.size == 0:
+                return
+        won = greedy_matching(gv, flat // nj, pout, run.S * run.NI,
+                              run.S * nj)
+        flat = flat[won]
+        pout = pout[won]
+        ss = flat // nq
+        pre = full_out[pout]
+        if pre.any():
+            # Preemptions accrue in each lane's chosen-transfer order:
+            # value descending, then cell ascending.
+            k = np.flatnonzero(pre)
+            k = k[np.lexsort((flat[k], -gv[won[k]]))]
+            lanes = run.lanes
+            for s, v in zip(ss[k].tolist(), tailv[pout[k]].tolist()):
+                lane = lanes[s]
+                lane.n_pre_out += 1
+                lane.v_pre_out += v
+                lane.buffered -= 1
+        run.apply_cioq_head_transfers(ss, flat - ss * nq, flat % nj, pre)
 
 
 class _CGUStepper(_Stepper):
@@ -555,6 +661,15 @@ class _BatchRun:
             raise BackendUnsupported(
                 "the fast backend cannot collect MatchingStats"
             )
+        self.crossbar = model == "crossbar"
+        cap = max(config.b_in, config.b_out,
+                  config.b_cross if self.crossbar else 0)
+        if cap > np.iinfo(_LEN_DTYPE).max:
+            raise BackendUnsupported(
+                f"the fast backend holds queue lengths as "
+                f"{np.dtype(_LEN_DTYPE).name}, which cannot count to the "
+                f"capacity {cap}"
+            )
         S = len(traces)
         self.S = S
         self.NI = config.n_in
@@ -563,7 +678,6 @@ class _BatchRun:
         self.B_out = config.b_out
         self.B_cross = config.b_cross
         self.speedup = config.speedup
-        self.crossbar = model == "crossbar"
         self.trace_occupancy = trace_occupancy
 
         self.voq = _QueueFamily(S, self.NI * self.NJ, self.B_in)
@@ -647,68 +761,17 @@ class _BatchRun:
         return self.pack_bool_rows(
             (self.voq.len > 0).reshape(-1, self.NJ))
 
-    def voq_sparse(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(lane, cell)`` indices of every non-empty VOQ in an active
-        lane, lane-major and cell-ascending."""
-        ne = self.voq.len > 0
-        if not self.all_active:
-            ne &= self.active_mask[:, None]
-        return np.nonzero(ne)
+    # -- shared transfer applicator ----------------------------------------
 
-    # -- shared transfer applicators ---------------------------------------
-
-    def apply_cioq_head_transfers(self, ms, mq, mj, pre_s=None, pre_j=None):
-        """Pop VOQ heads at cells ``mq`` and insert them into outputs
-        ``mj``; optionally first delete the tails of outputs
-        ``(pre_s, pre_j)`` (preemption victims, already accounted)."""
-        if not ms:
-            return
-        s_arr = np.array(ms, dtype=np.int64)
-        q_arr = np.array(mq, dtype=np.int64)
-        j_arr = np.array(mj, dtype=np.int64)
-        v, p = self.voq.pop_heads(s_arr, q_arr)
-        if pre_s:
-            self.out.delete_at(np.array(pre_s, dtype=np.int64),
-                               np.array(pre_j, dtype=np.int64),
-                               np.zeros(len(pre_s), dtype=_LEN_DTYPE))
-        self.out.insert(s_arr, j_arr, v, p)
-
-    def greedy_cioq_preempt(self, sl, cl, il, jl, full_out, tailv):
-        """PG's greedy maximal matching over globally value-sorted edges
-        (independent per-lane port masks), with preemption accounting in
-        each lane's chosen-transfer order."""
-        fo = full_out.tolist()
-        tv = tailv.tolist()
-        lanes = self.lanes
-        left = [0] * self.S
-        right = [0] * self.S
-        ms: List[int] = []
-        mq: List[int] = []
-        mj: List[int] = []
-        ps: List[int] = []
-        pj: List[int] = []
-        for s, c, i, j in zip(sl, cl, il, jl):
-            ib = 1 << i
-            lm = left[s]
-            if lm & ib:
-                continue
-            jb = 1 << j
-            rm = right[s]
-            if rm & jb:
-                continue
-            left[s] = lm | ib
-            right[s] = rm | jb
-            ms.append(s)
-            mq.append(c)
-            mj.append(j)
-            if fo[s][j]:
-                lane = lanes[s]
-                lane.n_pre_out += 1
-                lane.v_pre_out += tv[s][j]
-                lane.buffered -= 1
-                ps.append(s)
-                pj.append(j)
-        self.apply_cioq_head_transfers(ms, mq, mj, pre_s=ps, pre_j=pj)
+    def apply_cioq_head_transfers(self, s, q, j, pre=None):
+        """Pop the VOQ heads at cells ``q`` of lanes ``s`` and insert them
+        into outputs ``j``; where the mask ``pre`` is set, first delete
+        the output's tail (a preemption victim, already accounted)."""
+        v, p = self.voq.pop_heads(s, q)
+        if pre is not None and pre.any():
+            self.out.delete_at(s[pre], j[pre],
+                               np.zeros(int(pre.sum()), dtype=_LEN_DTYPE))
+        self.out.insert(s, j, v, p)
 
     # -- slot phases --------------------------------------------------------
 

@@ -95,14 +95,26 @@ def validate_packets(packets: Iterable[Packet], n_in: int, n_out: int) -> List[P
     """
     seen = set()
     out: List[Packet] = []
+    # Generated traces arrive already in order; sort only when not.
+    in_order = True
+    last_arrival = -1
+    last_pid = 0
     for p in packets:
-        if p.pid in seen:
-            raise ValueError(f"duplicate packet id {p.pid}")
-        seen.add(p.pid)
+        pid = p.pid
+        if pid in seen:
+            raise ValueError(f"duplicate packet id {pid}")
+        seen.add(pid)
         if not (0 <= p.src < n_in):
-            raise ValueError(f"packet {p.pid}: src {p.src} out of range [0,{n_in})")
+            raise ValueError(f"packet {pid}: src {p.src} out of range [0,{n_in})")
         if not (0 <= p.dst < n_out):
-            raise ValueError(f"packet {p.pid}: dst {p.dst} out of range [0,{n_out})")
+            raise ValueError(f"packet {pid}: dst {p.dst} out of range [0,{n_out})")
+        arrival = p.arrival
+        if arrival < last_arrival or (arrival == last_arrival
+                                      and pid < last_pid):
+            in_order = False
+        last_arrival = arrival
+        last_pid = pid
         out.append(p)
-    out.sort(key=lambda p: (p.arrival, p.pid))
+    if not in_order:
+        out.sort(key=lambda p: (p.arrival, p.pid))
     return out

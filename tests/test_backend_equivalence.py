@@ -48,7 +48,10 @@ from repro.scheduling.baselines import (
     RoundRobinPolicy,
 )
 from repro.scheduling.fifo import FifoCIOQPolicy, FifoCrossbarPolicy
-from repro.scheduling.matching import MatchingStats
+from repro.scheduling.matching import (
+    MatchingStats,
+    greedy_maximal_matching_weighted,
+)
 from repro.simulation.backends import (
     BACKENDS,
     BackendUnsupported,
@@ -64,9 +67,17 @@ from repro.simulation.engine import (
     run_crossbar_batch,
 )
 from repro.switch.config import SwitchConfig
+from repro.switch.packet import Packet
 from repro.traffic.bernoulli import BernoulliTraffic
+from repro.traffic.bursty import BurstyTraffic
 from repro.traffic.trace import Trace
-from repro.traffic.values import two_value, uniform_values
+from repro.traffic.values import (
+    geometric_class_values,
+    pareto_values,
+    two_value,
+    uniform_values,
+    unit_values,
+)
 
 pytestmark = pytest.mark.skipif(
     not numpy_available(), reason="fast backend requires numpy"
@@ -159,6 +170,25 @@ class TestRegistry:
         with pytest.raises(BackendUnsupported, match="MatchingStats"):
             run_cioq(GMPolicy(stats=MatchingStats()), small_config,
                      unit_trace, backend="fast")
+
+    @pytest.mark.parametrize("runner, policy, caps", [
+        (run_cioq, GMPolicy, {"b_in": 40000}),
+        (run_crossbar, CGUPolicy, {"b_cross": 40000}),
+    ])
+    def test_fast_rejects_capacity_beyond_its_length_dtype(self, runner,
+                                                           policy, caps):
+        """The fast kernel counts queue lengths in int16: a larger
+        capacity raises under ``fast`` and runs on the reference kernel
+        under ``auto`` (it used to corrupt the queues and trip the
+        conservation check)."""
+        config = SwitchConfig(**{"n_in": 2, "n_out": 2, "b_in": 2,
+                                 "b_out": 2, **caps})
+        trace = BernoulliTraffic(2, 2, load=3.0).generate(50, seed=0)
+        with pytest.raises(BackendUnsupported, match="capacity 40000"):
+            runner(policy(), config, trace, backend="fast")
+        ref = runner(policy(), config, trace)
+        auto = runner(policy(), config, trace, backend="auto")
+        assert_payloads_identical(ref, auto)
 
     def test_fast_table_holds_only_the_paper_policies(self):
         """The fast kernel implements exactly Theorems 1-4's policies;
@@ -325,8 +355,6 @@ def test_streaming_style_drain_tail_identical():
     config = SwitchConfig(n_in=4, n_out=4, speedup=1, b_in=3, b_out=2,
                           b_cross=1)
     # All 16 pairs active in slot 0, then nothing: pure drain behavior.
-    from repro.switch.packet import Packet
-
     packets = [
         Packet(pid, 1.0 + pid % 3, 0, pid // 4, pid % 4)
         for pid in range(16)
@@ -355,6 +383,181 @@ def test_empty_trace_identical(small_config):
     fast = run_cioq(GMPolicy(), small_config, empty, backend="fast")
     assert fast.n_arrived == 0 and fast.horizon == ref.horizon
     assert_payloads_identical(ref, fast)
+
+
+# ---------------------------------------------------------------------------
+# Batched, tie-heavy property: lockstep lanes against serial reference runs
+# ---------------------------------------------------------------------------
+
+#: The paper's policies at thresholds from preempt-happy to the analysis
+#: optima (PG's default is beta*; CPG's default is its optimal pair).
+BATCH_POLICIES = [
+    ("cioq", GMPolicy),
+    ("cioq", functools.partial(PGPolicy, beta=1.0)),
+    ("cioq", functools.partial(PGPolicy, beta=1.1)),
+    ("cioq", PGPolicy),
+    ("crossbar", CGUPolicy),
+    ("crossbar", functools.partial(CPGPolicy, beta=1.0, alpha=1.0)),
+    ("crossbar", functools.partial(CPGPolicy, beta=1.2, alpha=1.05)),
+    ("crossbar", CPGPolicy),
+]
+
+#: Cases per seed: enough that a mutant ordering PG's preemption
+#: accounting by matching round instead of by value shows up.
+BATCH_CASES = 120
+
+
+def _tie_heavy_values(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return unit_values()
+    if kind == 1:
+        return two_value(rng.choice([2.0, 5.0, 20.0]), rng.uniform(0.1, 0.9))
+    if kind == 2:
+        return geometric_class_values(rng.randint(2, 4),
+                                      rng.choice([2.0, 4.0]))
+    return pareto_values(rng.uniform(1.1, 3.0))
+
+
+@pytest.mark.parametrize("seed", property_seeds())
+def test_property_batched_backend_agreement(seed):
+    """A lockstep ``fast`` batch of 1-5 lanes of different lengths
+    equals serial reference runs on every payload field, over small
+    switches, discrete (tie-heavy) or heavy-tailed values and every
+    paper policy; equal values exercise every tie-break of the fast
+    kernel's matchings and best-head scans."""
+    rng = random.Random(seed)
+    for case in range(BATCH_CASES):
+        n_in, n_out = rng.randint(1, 9), rng.randint(1, 9)
+        config = SwitchConfig(
+            n_in=n_in, n_out=n_out, speedup=rng.randint(1, 3),
+            b_in=rng.randint(1, 4), b_out=rng.randint(1, 4),
+            b_cross=rng.randint(1, 3),
+        )
+        values = _tie_heavy_values(rng)
+        if rng.random() < 0.5:
+            model = BernoulliTraffic(n_in, n_out, load=rng.uniform(0.5, 3.0),
+                                     value_model=values)
+        else:
+            model = BurstyTraffic(
+                n_in, n_out, p_on=rng.uniform(0.1, 1.0),
+                p_off=rng.uniform(0.1, 1.0),
+                burst_load=rng.uniform(0.5, 3.0), value_model=values)
+        lengths = rng.sample(range(1, 31), rng.randint(1, 5))
+        traces = [model.generate(n, seed=rng.randint(0, 10**6))
+                  for n in lengths]
+        occ = rng.random() < 0.5
+        switch, factory = rng.choice(BATCH_POLICIES)
+        serial, batched = ((run_cioq, run_cioq_batch) if switch == "cioq"
+                           else (run_crossbar, run_crossbar_batch))
+        refs = [serial(factory(), config, tr, trace_occupancy=occ)
+                for tr in traces]
+        fasts = batched(factory, config, traces, trace_occupancy=occ,
+                        backend="fast")
+        assert len(fasts) == len(refs)
+        for lane, (ref, fast) in enumerate(zip(refs, fasts)):
+            assert_payloads_identical(
+                ref, fast, label=f"(case {case}, seed {seed}, lane {lane})")
+
+
+# ---------------------------------------------------------------------------
+# PG's matching rounds against the sequential greedy oracle
+# ---------------------------------------------------------------------------
+
+def _lane_edges(lanes, n_in, n_out):
+    """``lanes`` lists each lane's ``{(i, j): value}``; returns
+    :func:`greedy_matching`'s arguments (edges lane-major and
+    cell-ascending, as PG builds them) and the oracle's edge list, whose
+    ``(u, v)`` tie order is the same ``(lane, i, j)`` order."""
+    import numpy as np
+
+    flat, val, oracle = [], [], []
+    for s, edges in enumerate(lanes):
+        for (i, j), w in sorted(edges.items()):
+            flat.append((s * n_in + i) * n_out + j)
+            val.append(w)
+            oracle.append((s * n_in + i, s * n_out + j, w))
+    flat = np.array(flat, dtype=np.int64)
+    pin = flat // n_out
+    pout = flat // (n_in * n_out) * n_out + flat % n_out
+    args = (np.array(val, dtype=np.float64), pin, pout,
+            len(lanes) * n_in, len(lanes) * n_out)
+    return args, oracle
+
+
+def _check_against_oracle(lanes, n_in, n_out):
+    from repro.simulation.fastpath import greedy_matching
+
+    args, oracle = _lane_edges(lanes, n_in, n_out)
+    _val, pin, pout = args[:3]
+    got = greedy_matching(*args)
+    assert len(set(got.tolist())) == len(got)
+    want = {(u, v) for u, v, _w in greedy_maximal_matching_weighted(oracle)}
+    assert set(zip(pin[got].tolist(), pout[got].tolist())) == want
+
+
+def _staircase(n):
+    """The 2n-1 edges (0,0), (1,0), (1,1), (2,1), ... of a path whose
+    values rise along it: only the last edge left ranks first at both of
+    its ports, so every round matches exactly one edge."""
+    edges = {}
+    for k in range(2 * n - 1):
+        i, j = (k + 1) // 2, k // 2
+        edges[(i, j)] = float(k + 1)
+    return edges
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 3, 64])
+def test_greedy_matching_equals_sequential_greedy(rounds, monkeypatch):
+    """Locally-dominant rounds plus the walk select exactly the greedy
+    matching of the reference scan, for any round count (0 is the walk
+    alone, 64 the rounds alone), over many-lane edge sets with many
+    equal weights."""
+    from repro.simulation import fastpath
+
+    monkeypatch.setattr(fastpath, "_PG_ROUNDS", rounds)
+    rng = random.Random(f"rounds-{rounds}")
+    for _ in range(300):
+        n_in, n_out = rng.randint(1, 8), rng.randint(1, 8)
+        weights = rng.choice([[1.0], [1.0, 2.0], [1.0, 2.0, 3.0, 5.0],
+                              [rng.uniform(1, 9) for _ in range(64)]])
+        density = rng.random()
+        lanes = [
+            {(i, j): rng.choice(weights)
+             for i in range(n_in) for j in range(n_out)
+             if rng.random() < density}
+            for _ in range(rng.randint(1, 4))
+        ]
+        _check_against_oracle(lanes, n_in, n_out)
+
+
+@pytest.mark.parametrize("n", [5, 16, 64])
+def test_greedy_matching_staircase_drives_the_walk(n):
+    """A staircase needs n rounds, more than the kernel runs, so the
+    walk finishes it; two lanes check the walk's ports stay per lane."""
+    from repro.simulation import fastpath
+
+    assert n > fastpath._PG_ROUNDS
+    _check_against_oracle([_staircase(n)], n, n)
+    _check_against_oracle([_staircase(n), _staircase(n)], n, n)
+
+
+def test_staircase_trace_identical():
+    """End to end, PG on a switch whose VOQ heads form a staircase every
+    slot: the fast kernel (rounds, then the walk) equals reference,
+    output preemptions included."""
+    n = 12
+    packets = []
+    for t in range(20):
+        for (i, j), w in _staircase(n).items():
+            packets.append(Packet(len(packets), w + t % 3, t, i, j))
+    trace = Trace(packets, n, n, name="staircase")
+    config = SwitchConfig.square(n, speedup=2, b_in=2, b_out=1)
+    for beta in (1.0, 1.5):
+        ref = run_cioq(PGPolicy(beta=beta), config, trace)
+        fast = run_cioq(PGPolicy(beta=beta), config, trace, backend="fast")
+        assert ref.n_preempted_out > 0
+        assert_payloads_identical(ref, fast, label=f"(beta {beta})")
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,10 @@ class TestHelpers:
         ]
         out = validate_packets(ps, 1, 1)
         assert [p.pid for p in out] == [0, 1, 2]
+        # Same slot, pids reversed: arrival order alone looks sorted.
+        ps = [Packet(1, 1.0, 0, 0, 0), Packet(0, 1.0, 0, 0, 0)]
+        out = validate_packets(ps, 1, 1)
+        assert [p.pid for p in out] == [0, 1]
 
     def test_validate_rejects_duplicate_pid(self):
         ps = [Packet(0, 1.0, 0, 0, 0), Packet(0, 1.0, 1, 0, 0)]

@@ -10,11 +10,11 @@ Two parts:
    relative to beta*.
 """
 
-from repro.analysis.ratio import measure_cioq_ratio, summarize
+from repro.analysis.ratio import measure_cioq_ratio, ratio_of, summarize
 from repro.analysis.report import format_table
-from repro.analysis.sweep import beta_sweep_pg
 from repro.core.params import pg_optimal_beta, pg_optimal_ratio, pg_ratio
 from repro.core.pg import PGPolicy
+from repro.scenarios import ScenarioSpec, run_scenarios
 from repro.switch.config import SwitchConfig
 from repro.traffic.bernoulli import BernoulliTraffic
 from repro.traffic.hotspot import HotspotTraffic
@@ -60,14 +60,33 @@ def compute_ratio_rows():
 
 
 def compute_beta_sweep(executor=None):
-    config = SwitchConfig.square(3, speedup=1, b_in=2, b_out=2)
-    trace = BernoulliTraffic(
-        3, 3, load=1.5, value_model=two_value(20, 0.3)
-    ).generate(25, seed=11)
+    """One PG policy entry per beta on one instance; OPT, which does not
+    depend on beta, is the spec's OPT point."""
     betas = [1.05, 1.2, 1.5, 2.0, pg_optimal_beta(), 3.0, 5.0, 10.0]
-    rows = beta_sweep_pg(trace, config, betas, executor=executor)
-    for r in rows:
-        r["analysis bound"] = round(pg_ratio(r["beta"]), 3)
+    spec = ScenarioSpec(
+        name="t2b-beta-sweep",
+        switch={"n_in": 3, "n_out": 3, "b_in": 2, "b_out": 2},
+        traffic_params={"load": 1.5},
+        values="two-value",
+        value_params={"alpha": 20, "p_high": 0.3},
+        policies=tuple({"name": "pg", "beta": beta} for beta in betas),
+        slots=25,
+        seeds=(11,),
+    )
+    (run,) = run_scenarios([spec], executor)
+    *pg, opt = run.metrics
+    rows = []
+    for beta, m in zip(betas, pg):
+        row = {
+            "beta": round(beta, 4),
+            "pg_benefit": round(m["benefit"], 3),
+            "opt_benefit": round(opt["benefit"], 3),
+            "ratio": round(ratio_of(opt["benefit"], m["benefit"]), 4),
+            "preempted": m["n_preempted"],
+            "rejected": m["n_rejected"],
+        }
+        row["analysis bound"] = round(pg_ratio(row["beta"]), 3)
+        rows.append(row)
     return rows
 
 

@@ -8,11 +8,11 @@
    ablation in T9).
 """
 
-from repro.analysis.ratio import measure_crossbar_ratio, summarize
+from repro.analysis.ratio import measure_crossbar_ratio, ratio_of, summarize
 from repro.analysis.report import format_table
-from repro.analysis.sweep import threshold_sweep_cpg
 from repro.core.cpg import CPGPolicy
 from repro.core.params import cpg_optimal_params, cpg_optimal_ratio, cpg_ratio
+from repro.scenarios import ScenarioSpec, run_scenarios
 from repro.switch.config import SwitchConfig
 from repro.traffic.bernoulli import BernoulliTraffic
 from repro.traffic.hotspot import HotspotTraffic
@@ -56,17 +56,36 @@ def compute_ratio_rows():
 
 
 def compute_grid(executor=None):
+    """One CPG policy entry per (beta, alpha) cell on one instance."""
     beta_star, alpha_star, _ = cpg_optimal_params()
-    config = SwitchConfig.square(3, speedup=1, b_in=2, b_out=2, b_cross=1)
-    trace = BernoulliTraffic(
-        3, 3, load=1.6, value_model=two_value(20, 0.3)
-    ).generate(18, seed=9)
-    betas = [1.3, beta_star, 3.0]
-    alphas = [1.5, alpha_star, 5.0]
-    rows = threshold_sweep_cpg(trace, config, betas, alphas,
-                               executor=executor)
-    for r in rows:
-        r["analysis bound"] = round(cpg_ratio(r["beta"], r["alpha"]), 3)
+    cells = [(beta, alpha) for beta in (1.3, beta_star, 3.0)
+             for alpha in (1.5, alpha_star, 5.0)]
+    spec = ScenarioSpec(
+        name="t4b-threshold-grid",
+        model="crossbar",
+        switch={"n_in": 3, "n_out": 3, "b_in": 2, "b_out": 2, "b_cross": 1},
+        traffic_params={"load": 1.6},
+        values="two-value",
+        value_params={"alpha": 20, "p_high": 0.3},
+        policies=tuple({"name": "cpg", "beta": beta, "alpha": alpha}
+                       for beta, alpha in cells),
+        slots=18,
+        seeds=(9,),
+    )
+    (run,) = run_scenarios([spec], executor)
+    *cpg, opt = run.metrics
+    rows = []
+    for (beta, alpha), m in zip(cells, cpg):
+        row = {
+            "beta": round(beta, 4),
+            "alpha": round(alpha, 4),
+            "cpg_benefit": round(m["benefit"], 3),
+            "opt_benefit": round(opt["benefit"], 3),
+            "ratio": round(ratio_of(opt["benefit"], m["benefit"]), 4),
+            "preempted": m["n_preempted"],
+        }
+        row["analysis bound"] = round(cpg_ratio(row["beta"], row["alpha"]), 3)
+        rows.append(row)
     return rows
 
 

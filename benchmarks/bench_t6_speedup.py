@@ -10,8 +10,7 @@ greedy.
 """
 
 from repro.analysis.report import format_mean_ci, format_table
-from repro.analysis.sweep import speedup_sweep
-from repro.scenarios import get_scenario
+from repro.scenarios import get_scenario, run_scenarios
 from repro.stats import Welford, half_width
 
 from conftest import run_once
@@ -25,16 +24,22 @@ REPLICATES = 4
 
 
 def compute_rows(executor=None):
+    """One spec per speedup: the scenario with its ``speedup`` field
+    overridden, over REPLICATES seeds."""
     spec = get_scenario(SCENARIO)
-    rows = speedup_sweep(
-        dict(spec.policy_factories()),
-        spec.build_traffic(),
-        n_slots=spec.slots,
-        speedups=SPEEDUPS,
-        base_config=spec.build_config(),
-        seeds=range(REPLICATES),
-        executor=executor,
-    )
+    specs = [spec.with_overrides(switch={**spec.switch, "speedup": s},
+                                 seeds=range(REPLICATES))
+             for s in SPEEDUPS]
+    columns = spec.policy_labels() + ["OPT"]
+    rows = []
+    for s, run in zip(SPEEDUPS, run_scenarios(specs, executor)):
+        benefit = {(m["seed"], m["policy"]): m["benefit"]
+                   for m in run.metrics}
+        for r in run.rows:
+            row = {"speedup": s, "seed": r["seed"], "arrived": r["arrived"]}
+            for name in columns:
+                row[name] = round(benefit[r["seed"], name], 3)
+            rows.append(row)
     return rows
 
 

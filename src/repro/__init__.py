@@ -83,6 +83,7 @@ _EXPORTS = {
     "get_scenario": ".scenarios",
     "register_scenario": ".scenarios",
     "run_scenario": ".scenarios",
+    "run_scenarios": ".scenarios",
     "scenario_names": ".scenarios",
     "write_artifacts": ".scenarios",
     # simulation

@@ -1,4 +1,9 @@
-"""Experiment harness: ratio measurements, sweeps, tables, efficiency."""
+"""Experiment harness: ratio measurements, tables, efficiency, latency.
+
+Parameter grids (β, (β, α), speedup, B(C)) are not built here: each is
+a list of scenario specs run through one executor call by
+:func:`repro.scenarios.run_scenarios`.
+"""
 
 from .ratio import (
     RatioMeasurement,
@@ -8,7 +13,6 @@ from .ratio import (
     per_seed_ratios,
     ratio_of,
     summarize,
-    worst,
 )
 from .report import (
     csv_table,
@@ -16,13 +20,6 @@ from .report import (
     format_summary_table,
     format_table,
     print_table,
-)
-from .sweep import (
-    beta_sweep_pg,
-    buffer_sweep_crossbar,
-    grid,
-    speedup_sweep,
-    threshold_sweep_cpg,
 )
 from .efficiency import (
     compare_unit_matching_cost,
@@ -41,17 +38,11 @@ __all__ = [
     "per_seed_ratios",
     "ratio_of",
     "summarize",
-    "worst",
     "csv_table",
     "format_mean_ci",
     "format_summary_table",
     "format_table",
     "print_table",
-    "beta_sweep_pg",
-    "buffer_sweep_crossbar",
-    "grid",
-    "speedup_sweep",
-    "threshold_sweep_cpg",
     "compare_unit_matching_cost",
     "compare_weighted_matching_cost",
     "efficiency_scaling_table",

@@ -232,14 +232,6 @@ def measure_crossbar_ratio(
     return _measurement(policy.name, trace, "crossbar", onl, opt, bound)
 
 
-def worst(measurements: Iterable[RatioMeasurement]) -> RatioMeasurement:
-    """The measurement with the largest ratio."""
-    ms = list(measurements)
-    if not ms:
-        raise ValueError("no measurements")
-    return max(ms, key=lambda m: m.ratio)
-
-
 def summarize(measurements: Iterable[RatioMeasurement]) -> dict:
     """Aggregate statistics over a batch of measurements.
 

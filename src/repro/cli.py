@@ -12,7 +12,8 @@ Commands
     Measure the empirical competitive ratio of a policy against the
     exact offline optimum.
 ``sweep``
-    Run a (load x seed) grid of simulations for several policies —
+    Run a (load x seed) grid of simulations for several policies — one
+    scenario spec per load, all run through one executor call,
     optionally fanned out over ``--workers`` processes and cached on
     disk via ``--cache-dir`` — and print per-cell plus per-load
     aggregate tables.  Results are bit-identical for any worker count.
@@ -68,29 +69,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from .analysis.latency import occupancy_report
 from .analysis.ratio import measure_cioq_ratio, measure_crossbar_ratio
 from .analysis.report import format_table
 from .core.params import GM_RATIO, cpg_optimal_ratio
-from .scenarios import POLICY_CLASSES, RESULTS_DIR
+from .scenarios import POLICY_CLASSES, RESULTS_DIR, ScenarioSpec
 from .simulation.backends import BackendError
 from .simulation.engine import run_cioq, run_crossbar
 from .switch.cioq import CIOQSwitch
 from .switch.config import SwitchConfig
 from .switch.crossbar import CrossbarSwitch
 from .switch.diagram import render_cioq, render_crossbar
-from .traffic.appmix import ApplicationMixTraffic
-from .traffic.bernoulli import BernoulliTraffic
-from .traffic.bursty import BurstyTraffic
-from .traffic.hotspot import DiagonalTraffic, HotspotTraffic
-from .traffic.values import (
-    pareto_values,
-    two_value,
-    uniform_values,
-    unit_values,
-)
 
 # Policy classes come from the scenario subsystem's shared registry;
 # the CLI annotates each with its proven ratio bound (None = no bound,
@@ -109,41 +101,74 @@ CROSSBAR_POLICIES = {
     name: (cls, _BOUNDS.get(("crossbar", name)))
     for name, cls in POLICY_CLASSES["crossbar"].items()
 }
-VALUE_MODELS = {
-    "unit": unit_values,
-    "uniform": lambda: uniform_values(1, 100),
-    "two-value": lambda: two_value(10.0, 0.25),
-    "pareto": lambda: pareto_values(1.5),
+#: ``--traffic`` kinds: the spec params of each kind at offered load
+#: ``--load`` (see ``TRAFFIC_KINDS`` in :mod:`repro.scenarios.spec`).
+TRAFFIC_PARAMS = {
+    "bernoulli": lambda load: {"load": load},
+    "bursty": lambda load: {"burst_load": max(load, 0.1) * 2},
+    "hotspot": lambda load: {"load": load, "hot_fraction": 0.6},
+    "diagonal": lambda load: {"load": load},
+    "appmix": lambda load: {"load_scale": load},
 }
-TRAFFIC_MODELS = ("bernoulli", "bursty", "hotspot", "diagonal", "appmix")
+#: ``--values`` kinds: the spec params of each ``VALUE_KINDS`` entry.
+VALUE_PARAMS = {
+    "unit": {},
+    "uniform": {"lo": 1, "hi": 100},
+    "two-value": {"alpha": 10, "p_high": 0.25},
+    "pareto": {"shape": 1.5},
+}
 
 
-def _build_config(args) -> SwitchConfig:
-    return SwitchConfig.square(
-        args.n,
-        speedup=args.speedup,
-        b_in=args.b_in,
-        b_out=args.b_out,
-        b_cross=args.b_cross,
-    )
-
-
-def _build_traffic(args, load=None):
+def _cli_spec(args, load=None, **fields) -> ScenarioSpec:
+    """The switch, ``--traffic``, ``--values`` and ``--load`` flags as a
+    scenario spec; ``sweep`` adds its model, policies and seeds as
+    ``fields``.  ``run``, ``ratio`` and ``trace record`` take only its
+    config and traffic, which depend on neither.  Flags the spec or its
+    traffic model refuses exit with one line."""
     load = args.load if load is None else load
-    values = VALUE_MODELS[args.values]()
-    if args.traffic == "bernoulli":
-        return BernoulliTraffic(args.n, args.n, load=load,
-                                value_model=values)
-    if args.traffic == "bursty":
-        return BurstyTraffic(args.n, args.n, burst_load=max(load, 0.1) * 2,
-                             value_model=values)
-    if args.traffic == "hotspot":
-        return HotspotTraffic(args.n, args.n, load=load,
-                              hot_fraction=0.6, value_model=values)
-    if args.traffic == "appmix":
-        return ApplicationMixTraffic(args.n, args.n, load_scale=load,
-                                     value_model=values)
-    return DiagonalTraffic(args.n, args.n, load=load, value_model=values)
+    try:
+        spec = ScenarioSpec(
+            name="cli",
+            switch={"n_in": args.n, "n_out": args.n, "speedup": args.speedup,
+                    "b_in": args.b_in, "b_out": args.b_out,
+                    "b_cross": args.b_cross},
+            traffic=args.traffic,
+            traffic_params=TRAFFIC_PARAMS[args.traffic](load),
+            values=args.values,
+            value_params=VALUE_PARAMS[args.values],
+            slots=args.slots,
+            **fields,
+        )
+        # A kind may refuse a load the parser accepts (appmix at 0).
+        spec.build_traffic()
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
+    return spec
+
+
+def _build_traffic(args):
+    return _cli_spec(args).build_traffic()
+
+
+def _cli_trace(args):
+    """The switch config and the ``--seed`` trace of ``run``/``ratio``."""
+    spec = _cli_spec(args)
+    return (spec.build_config(),
+            spec.build_traffic().generate(args.slots, seed=args.seed))
+
+
+@contextmanager
+def _reading(path: str):
+    """Exit with one line naming ``path`` when its content is malformed
+    (not JSON, a missing field, a value out of range)."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = (f"missing field {exc}" if isinstance(exc, KeyError)
+                  else str(exc))
+        # Stream readers already lead their messages with the path.
+        raise SystemExit(f"{path}: {reason.removeprefix(f'{path}: ')}"
+                         ) from None
 
 
 def _make_policy(name: str, model: str, beta: Optional[float]):
@@ -227,8 +252,7 @@ def cmd_figures(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _build_config(args)
-    trace = _build_traffic(args).generate(args.slots, seed=args.seed)
+    config, trace = _cli_trace(args)
     policy, _ = _make_policy(args.policy, args.model, args.beta)
     runner = run_cioq if args.model == "cioq" else run_crossbar
     result = runner(policy, config, trace, record=args.delays,
@@ -244,8 +268,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    config = _build_config(args)
-    trace = _build_traffic(args).generate(args.slots, seed=args.seed)
+    config, trace = _cli_trace(args)
     policy, bound = _make_policy(args.policy, args.model, args.beta)
     measure = (measure_cioq_ratio if args.model == "cioq"
                else measure_crossbar_ratio)
@@ -258,50 +281,18 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from functools import partial
+    from .parallel import SweepExecutor
+    from .scenarios import run_scenarios
 
-    from .parallel import SweepExecutor, SweepPoint
-
-    table = CIOQ_POLICIES if args.model == "cioq" else CROSSBAR_POLICIES
+    # One spec per load.  Each policy entry is labelled with its bare
+    # name (the table's column); --beta applies to pg alone.
     names = [p.strip() for p in args.policies.split(",") if p.strip()]
-    factories = {}
-    for name in names:
-        if name not in table:
-            raise SystemExit(
-                f"unknown policy {name!r} for model {args.model}; choose "
-                f"from {sorted(table)}"
-            )
-        cls, _bound = table[name]
-        if name == "pg" and args.beta is not None:
-            factories[name] = partial(cls, beta=args.beta)
-        else:
-            factories[name] = cls
-
-    loads = args.loads
-    seeds = list(range(args.seeds))
-    config = _build_config(args)
-
-    # One point per (load, seed, policy) — plus OPT when requested.
-    # Traces are generated here with deterministic per-cell seeds, so the
-    # point list (and therefore every table below) is independent of the
-    # worker count.
-    cells = []
-    points = []
-    for load in loads:
-        traffic = _build_traffic(args, load=load)
-        for seed in seeds:
-            trace = traffic.generate(args.slots, seed=seed)
-            cells.append((load, seed, len(trace)))
-            for name in names:
-                points.append(
-                    SweepPoint(model=args.model, config=config, trace=trace,
-                               policy_factory=factories[name], seed=seed)
-                )
-            if args.opt:
-                points.append(
-                    SweepPoint(model=args.model, config=config, trace=trace,
-                               seed=seed)
-                )
+    beta = {} if args.beta is None else {"beta": args.beta}
+    policies = tuple({"name": name, "label": name,
+                      **(beta if name == "pg" else {})} for name in names)
+    specs = [_cli_spec(args, load, model=args.model, policies=policies,
+                       seeds=range(args.seeds), include_opt=args.opt)
+             for load in args.loads]
 
     metrics_every = _resolve_metrics_every(args)
     ex = SweepExecutor(
@@ -309,32 +300,30 @@ def cmd_sweep(args) -> int:
         backend=args.backend, metrics_every=metrics_every,
         progress=_stderr_progress if metrics_every is not None else None,
     )
-    payloads = iter(ex.run(points))
+    runs = run_scenarios(specs, ex)
+
+    # Benefits come from the payload values, not the 6-digit row copies.
     columns = names + (["OPT"] if args.opt else [])
     rows = []
-    for load, seed, arrived in cells:
-        row = {"load": round(load, 3), "seed": seed, "arrived": arrived}
-        for name in columns:
-            row[name] = round(next(payloads)["benefit"], 3)
-        rows.append(row)
+    agg_rows = []
+    for load, run in zip(args.loads, runs):
+        benefit = {(m["seed"], m["policy"]): m["benefit"]
+                   for m in run.metrics}
+        cell = [{"load": round(load, 3), "seed": r["seed"],
+                 "arrived": r["arrived"],
+                 **{name: round(benefit[r["seed"], name], 3)
+                    for name in columns}}
+                for r in run.rows]
+        rows.extend(cell)
+        agg_rows.append({"load": round(load, 3), **{
+            name: round(sum(r[name] for r in cell) / len(cell), 3)
+            for name in columns}})
+    n_points = sum(len(run.metrics) for run in runs)
     print(format_table(
         rows,
         title=f"sweep: {args.model} {args.n}x{args.n}, {args.slots} slots, "
-              f"{len(points)} points",
+              f"{n_points} points",
     ))
-
-    agg_rows = []
-    # Group by position, not by the (rounded) load value: each load
-    # contributed exactly len(seeds) consecutive rows, and distinct
-    # loads may round to the same display value.
-    for k, load in enumerate(loads):
-        cell_rows = rows[k * len(seeds):(k + 1) * len(seeds)]
-        if not cell_rows:  # e.g. --seeds 0
-            continue
-        agg = {"load": round(load, 3)}
-        for name in columns:
-            agg[name] = round(sum(r[name] for r in cell_rows) / len(cell_rows), 3)
-        agg_rows.append(agg)
     print(format_table(agg_rows, title="per-load mean benefit"))
     if ex.cache_dir:
         print(f"cache: {ex.cache_hits} hits, {ex.cache_misses} misses "
@@ -374,7 +363,7 @@ def _load_spec(args):
     if getattr(args, "file", None):
         try:
             return ScenarioSpec.from_file(args.file)
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise SystemExit(f"bad spec: {exc}") from None
     if not args.name:
         raise SystemExit("need a scenario name (or --file)")
@@ -506,16 +495,18 @@ def cmd_stats_summarize(args) -> int:
     from .analysis.report import format_summary_table
     from .stats import load_artifact, summarize_artifact
 
-    try:
-        artifact = load_artifact(args.target, results_root=args.results)
-    except FileNotFoundError as exc:
-        raise SystemExit(str(exc)) from None
-    rows = summarize_artifact(
-        artifact,
-        confidence=_parse_confidence(args.ci),
-        bootstrap=args.bootstrap,
-        bootstrap_seed=args.bootstrap_seed,
-    )
+    confidence = _parse_confidence(args.ci)
+    with _reading(args.target):
+        try:
+            artifact = load_artifact(args.target, results_root=args.results)
+        except FileNotFoundError as exc:
+            raise SystemExit(str(exc)) from None
+        rows = summarize_artifact(
+            artifact,
+            confidence=confidence,
+            bootstrap=args.bootstrap,
+            bootstrap_seed=args.bootstrap_seed,
+        )
     if args.json:
         print(_json.dumps(rows, indent=2, sort_keys=True))
         return 0
@@ -576,14 +567,16 @@ def cmd_trace_info(args) -> int:
     from .traffic.trace import Trace, is_stream_file, read_stream_header
 
     _need_trace_file(args.path)
-    if is_stream_file(args.path):
-        header = dict(read_stream_header(args.path))
-        header["format"] = f"{header.pop('format')} v{header.pop('version')}"
-        rows = [{"field": k, "value": v} for k, v in header.items()]
-        print(format_table(rows, title=f"stream trace {args.path}"))
-        return 0
-    rows = [{"field": k, "value": v}
-            for k, v in Trace.load(args.path).describe().items()]
+    with _reading(args.path):
+        if is_stream_file(args.path):
+            header = dict(read_stream_header(args.path))
+            header["format"] = (f"{header.pop('format')} "
+                                f"v{header.pop('version')}")
+            rows = [{"field": k, "value": v} for k, v in header.items()]
+            print(format_table(rows, title=f"stream trace {args.path}"))
+            return 0
+        rows = [{"field": k, "value": v}
+                for k, v in Trace.load(args.path).describe().items()]
     print(format_table(rows, title=f"trace {args.path}"))
     return 0
 
@@ -620,28 +613,31 @@ def cmd_trace_replay(args) -> int:
         rec = InMemoryRecorder(every_k=metrics_every, timed=True)
 
     policy, _ = _make_policy(args.policy, args.model, args.beta)
-    if is_stream_file(args.path):
-        header = read_stream_header(args.path)
-        n_in, n_out = int(header["n_in"]), int(header["n_out"])
-        n_slots = int(header["n_slots"])
-    else:
-        trace = Trace.load(args.path)
-        n_in, n_out, n_slots = trace.n_in, trace.n_out, trace.n_slots
-    config = SwitchConfig(n_in=n_in, n_out=n_out, speedup=args.speedup,
-                          b_in=args.b_in, b_out=args.b_out,
-                          b_cross=args.b_cross)
+    # The streaming path reads the file as it runs, so a bad packet can
+    # surface mid-run.
+    with _reading(args.path):
+        if is_stream_file(args.path):
+            header = read_stream_header(args.path)
+            n_in, n_out = int(header["n_in"]), int(header["n_out"])
+            n_slots = int(header["n_slots"])
+        else:
+            trace = Trace.load(args.path)
+            n_in, n_out, n_slots = trace.n_in, trace.n_out, trace.n_slots
+        config = SwitchConfig(n_in=n_in, n_out=n_out, speedup=args.speedup,
+                              b_in=args.b_in, b_out=args.b_out,
+                              b_cross=args.b_cross)
 
-    if args.materialized:
-        trace = Trace.load(args.path)
-        runner = run_cioq if args.model == "cioq" else run_crossbar
-        result = runner(policy, config, trace, backend="reference",
-                        metrics=rec)
-    else:
-        replay = TraceReplayTraffic(args.path)
-        runner = (run_cioq_streaming if args.model == "cioq"
-                  else run_crossbar_streaming)
-        result = runner(policy, config, replay.arrival_source(), n_slots,
-                        metrics=rec)
+        if args.materialized:
+            trace = Trace.load(args.path)
+            runner = run_cioq if args.model == "cioq" else run_crossbar
+            result = runner(policy, config, trace, backend="reference",
+                            metrics=rec)
+        else:
+            replay = TraceReplayTraffic(args.path)
+            runner = (run_cioq_streaming if args.model == "cioq"
+                      else run_crossbar_streaming)
+            result = runner(policy, config, replay.arrival_source(),
+                            n_slots, metrics=rec)
 
     artifact = _json.dumps(result.summary(), indent=2, sort_keys=True) + "\n"
     if args.output:
@@ -677,7 +673,8 @@ def cmd_obs_export(args) -> int:
 
     path = _metrics_stream_path(args.target)
     try:
-        snap = snapshot_from_events(iter_jsonl(path))
+        with _reading(path):
+            snap = snapshot_from_events(iter_jsonl(path))
     except FileNotFoundError:
         raise SystemExit(
             f"no metrics stream at {path} (produce one with --metrics, "
@@ -702,10 +699,11 @@ def cmd_obs_tail(args) -> int:
     from .obs import iter_jsonl
 
     try:
-        events = iter_jsonl(path)
-        if args.event:
-            events = (e for e in events if e.get("event") == args.event)
-        last = deque(events, maxlen=max(0, args.lines))
+        with _reading(path):
+            events = iter_jsonl(path)
+            if args.event:
+                events = (e for e in events if e.get("event") == args.event)
+            last = deque(events, maxlen=max(0, args.lines))
     except FileNotFoundError:
         raise SystemExit(
             f"no metrics stream at {path} (produce one with --metrics)"
@@ -923,8 +921,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", choices=("cioq", "crossbar"), default="cioq")
     p.add_argument("--n", type=_positive, default=4, help="ports per side")
     _add_switch(p)
-    p.add_argument("--traffic", choices=TRAFFIC_MODELS, default="bernoulli")
-    p.add_argument("--values", choices=sorted(VALUE_MODELS), default="unit")
+    p.add_argument("--traffic", choices=tuple(TRAFFIC_PARAMS),
+                   default="bernoulli")
+    p.add_argument("--values", choices=sorted(VALUE_PARAMS), default="unit")
     p.add_argument("--load", type=_load, default=1.0)
     p.add_argument("--slots", type=_positive, default=40)
     p.add_argument("--seed", type=_non_negative, default=0)
@@ -968,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated policy names")
     p_sweep.add_argument("--loads", type=_loads, default="0.8,1.0,1.2",
                          help="comma-separated offered loads")
-    p_sweep.add_argument("--seeds", type=int, default=3,
+    p_sweep.add_argument("--seeds", type=_positive, default=3,
                          help="number of seeds (0..N-1) per cell")
     p_sweep.add_argument("--workers", type=int, default=0,
                          help="worker processes (<=1: serial)")

@@ -33,11 +33,12 @@ order regardless of worker scheduling — so a sweep produces bit-identical
 tables for any worker count, cold or resumed (the ``repro sweep`` CLI
 and the farm CI smoke expose exactly this guarantee).
 
-Used by :mod:`repro.analysis.sweep`, the ``bench_t*.py`` experiment
-drivers (via ``benchmarks/conftest.py``), the scenario/replication
-runners, the experiment farm (:mod:`repro.farm`) and the ``repro
-sweep`` CLI command.  See ``docs/parallel.md`` for the cache key
-schema, store layout and determinism contract.
+Used by the scenario runner (:func:`repro.scenarios.run_scenarios`,
+through which ``repro sweep``, ``repro scenarios run``, replication
+and the ``bench_t*.py`` grids run), the experiment farm
+(:mod:`repro.farm`) and ``benchmarks/bench_farm.py``.  See
+``docs/parallel.md`` for the cache key schema, store layout and
+determinism contract.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ class SweepPoint:
         purely informational for hand-built traces).
     tag:
         Row metadata echoed back untouched into the payload under
-        ``"tag"`` — sweep drivers use it to route payloads into table
-        rows.
+        ``"tag"`` — the scenario runner records each point's policy
+        label and seed there.
     opt_mode:
         Offline-optimum solver selection for OPT points (see
         :mod:`repro.offline.opt`); ignored for policy points, but every

@@ -3,8 +3,9 @@
 Experiments are described by :class:`ScenarioSpec` — a serializable
 record of switch, traffic, values, policies, slots, seeds and metrics —
 registered under a name (:func:`register_scenario`), executed through
-the parallel sweep substrate (:func:`run_scenario`), and persisted as
-versioned JSON/CSV artifacts under ``results/``
+the parallel sweep substrate (:func:`run_scenario`, or
+:func:`run_scenarios` for a grid of specs in one executor call), and
+persisted as versioned JSON/CSV artifacts under ``results/``
 (:func:`write_artifacts`).  The built-in catalog in
 :mod:`repro.scenarios.builtin` is documented scenario-by-scenario in
 ``docs/scenarios.md`` and drives the ``repro scenarios`` CLI verbs.
@@ -33,6 +34,7 @@ from .runner import (
     RESULTS_DIR,
     ScenarioRun,
     run_scenario,
+    run_scenarios,
     write_artifacts,
 )
 from . import builtin  # noqa: F401  (populates the registry on import)
@@ -46,6 +48,7 @@ __all__ = [
     "scenario_names",
     "all_scenarios",
     "run_scenario",
+    "run_scenarios",
     "write_artifacts",
     "policy_label",
     "dumps_toml",

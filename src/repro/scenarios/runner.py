@@ -1,11 +1,14 @@
 """Scenario execution and result artifacts.
 
-:func:`run_scenario` turns a :class:`~repro.scenarios.spec.ScenarioSpec`
-into :class:`~repro.parallel.SweepPoint` units — one per (seed, policy)
-plus an exact-OPT point per seed when requested — and executes them
-through a :class:`~repro.parallel.SweepExecutor`, so every scenario
-parallelizes over ``--workers`` processes and caches on disk exactly
-like the sweeps, with bit-identical results for any worker count.
+:func:`run_scenarios` turns a list of
+:class:`~repro.scenarios.spec.ScenarioSpec` into
+:class:`~repro.parallel.SweepPoint` units — per spec, one per (seed,
+policy) plus an exact-OPT point per seed when requested — and executes
+them through one :class:`~repro.parallel.SweepExecutor` call, so every
+scenario and every grid of scenarios (``repro sweep``, the β, speedup
+and B(C) tables) parallelizes over ``--workers`` processes and caches
+on disk, with bit-identical results for any worker count.
+:func:`run_scenario` is the one-spec case.
 
 :func:`write_artifacts` persists a run under ``results/<name>/`` as
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .._version import __version__
 from ..analysis.ratio import per_seed_ratios
@@ -39,6 +42,7 @@ from ..analysis.report import csv_table, format_table
 from ..obs import build_manifest, write_manifest
 from ..parallel import SweepExecutor, SweepPoint
 from ..simulation.backends import DEFAULT_BACKEND
+from ..traffic.trace import Trace
 from .spec import ScenarioSpec
 
 #: Bump when the artifact schema changes (consumers check this).
@@ -129,10 +133,39 @@ def run_scenario(
     ex = executor if executor is not None else SweepExecutor(
         workers=workers, cache_dir=cache_dir, backend=backend
     )
+    return run_scenarios([spec], ex, opt_mode)[0]
+
+
+def run_scenarios(
+    specs: Sequence[ScenarioSpec],
+    executor: Optional[SweepExecutor] = None,
+    opt_mode: str = "exact",
+) -> List[ScenarioRun]:
+    """Execute a grid of scenarios through one :meth:`SweepExecutor.run`.
+
+    Every spec's traces and points are built first, in spec order, and
+    the executor runs them as one batch: one worker pool, one cache
+    scan, and fast-backend batch groups that span the whole grid.  The
+    payloads split back into one :class:`ScenarioRun` per spec, each
+    equal to what :func:`run_scenario` returns for that spec alone.
+    A grid over a paper parameter (β, speedup, B(C)) is a list of specs
+    that differ in one policy or switch field.
+    """
+    ex = executor if executor is not None else SweepExecutor()
+    built = [_scenario_points(spec, opt_mode) for spec in specs]
+    payloads = iter(ex.run([p for _, points in built for p in points]))
+    return [_scenario_run(spec, traces, payloads, opt_mode, ex.backend)
+            for spec, (traces, _) in zip(specs, built)]
+
+
+def _scenario_points(
+    spec: ScenarioSpec, opt_mode: str
+) -> Tuple[Dict[int, Trace], List[SweepPoint]]:
+    """A spec's trace per seed and its points: per seed, one point per
+    policy, then the OPT point when the spec asks for it."""
     config = spec.build_config()
     traffic = spec.build_traffic()
     factories = spec.policy_factories()
-    labels = [label for label, _ in factories]
 
     traces = {seed: traffic.generate(spec.slots, seed=seed)
               for seed in spec.seeds}
@@ -151,8 +184,19 @@ def run_scenario(
                            seed=seed, tag={"policy": "OPT", "seed": seed},
                            opt_mode=opt_mode)
             )
+    return traces, points
 
-    payloads = iter(ex.run(points))
+
+def _scenario_run(
+    spec: ScenarioSpec,
+    traces: Dict[int, Trace],
+    payloads: Iterator[Dict[str, object]],
+    opt_mode: str,
+    backend: str,
+) -> ScenarioRun:
+    """Fold one spec's payloads, taken from ``payloads`` in the order
+    :func:`_scenario_points` built its points, into its run."""
+    labels = spec.policy_labels()
     rows: List[Dict[str, object]] = []
     metrics: List[Dict[str, object]] = []
     benefits: Dict[str, List[float]] = {label: [] for label in labels}
@@ -193,7 +237,7 @@ def run_scenario(
 
     return ScenarioRun(spec=spec, rows=rows, aggregates=aggregates,
                        metrics=metrics, opt_mode=opt_mode,
-                       backend=ex.backend)
+                       backend=backend)
 
 
 def compute_aggregates(

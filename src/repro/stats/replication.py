@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .._version import __version__
-from ..analysis.ratio import ratio_of
+from ..analysis.ratio import per_seed_ratios
 from ..analysis.report import csv_table, format_summary_table
 from ..obs import write_manifest
 from ..parallel import SweepExecutor
@@ -164,11 +164,8 @@ def _target_values(
     if metric == "ratio":
         # With an inexact OPT solver, r["OPT"] is the certified bracket
         # upper end, so the stopping target is the conservative ratio.
-        out: List[Optional[float]] = []
-        for r in run.rows:
-            ratio = ratio_of(float(r["OPT"]), float(r[label]))
-            out.append(ratio if math.isfinite(ratio) else None)
-        return out
+        return per_seed_ratios([float(r["OPT"]) for r in run.rows],
+                               [float(r[label]) for r in run.rows])
     return [
         float(m[metric])
         for m in run.metrics

@@ -1,4 +1,4 @@
-"""Tests for the analysis harness: ratios, sweeps, tables, efficiency."""
+"""Tests for the analysis harness: ratios, tables, efficiency."""
 
 import math
 
@@ -14,7 +14,6 @@ from repro.analysis.ratio import (
     measure_cioq_ratio,
     measure_crossbar_ratio,
     summarize,
-    worst,
 )
 from repro.analysis.report import (
     csv_table,
@@ -22,19 +21,9 @@ from repro.analysis.report import (
     format_summary_table,
     format_table,
 )
-from repro.analysis.sweep import (
-    beta_sweep_pg,
-    buffer_sweep_crossbar,
-    grid,
-    speedup_sweep,
-    threshold_sweep_cpg,
-)
 from repro.core.cgu import CGUPolicy
 from repro.core.gm import GMPolicy
-from repro.core.pg import PGPolicy
-from repro.switch.config import SwitchConfig
 from repro.traffic.bernoulli import BernoulliTraffic
-from repro.traffic.values import two_value
 
 
 class TestRatioMeasurement:
@@ -77,11 +66,6 @@ class TestRatioMeasurement:
         assert s["n"] == 3
         assert s["all_within_bound"]
         assert s["max_ratio"] >= s["mean_ratio"] >= 1.0
-        assert worst(ms).ratio == s["max_ratio"]
-
-    def test_worst_empty_raises(self):
-        with pytest.raises(ValueError):
-            worst([])
 
     def test_summarize_empty(self):
         s = summarize([])
@@ -89,57 +73,6 @@ class TestRatioMeasurement:
                 s["n_unbounded"]) == (0, 0, 0, 0)
         assert math.isnan(s["max_ratio"]) and math.isnan(s["mean_ratio"])
         assert s["all_within_bound"] and s["all_certified_within_bound"]
-
-
-class TestSweeps:
-    def test_grid(self):
-        rows = grid(a=[1, 2], b=["x"])
-        assert rows == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
-
-    def test_beta_sweep_rows(self, small_config):
-        trace = BernoulliTraffic(
-            3, 3, load=1.3, value_model=two_value(8, 0.3)
-        ).generate(12, seed=1)
-        rows = beta_sweep_pg(trace, small_config, [1.5, 2.414])
-        assert len(rows) == 2
-        assert all(r["ratio"] >= 1.0 for r in rows)
-        # OPT column identical across betas (computed once, beta-free).
-        assert len({r["opt_benefit"] for r in rows}) == 1
-
-    def test_threshold_sweep_cpg(self, small_config):
-        trace = BernoulliTraffic(
-            3, 3, load=1.3, value_model=two_value(8, 0.3)
-        ).generate(10, seed=1)
-        rows = threshold_sweep_cpg(trace, small_config, [1.5, 2.0], [2.0])
-        assert len(rows) == 2
-        assert all(r["ratio"] >= 1.0 for r in rows)
-
-    def test_speedup_sweep(self):
-        base = SwitchConfig.square(3, b_in=2, b_out=2)
-        rows = speedup_sweep(
-            {"GM": GMPolicy},
-            BernoulliTraffic(3, 3, load=1.2),
-            n_slots=10,
-            speedups=[1, 2],
-            base_config=base,
-            seeds=(0,),
-        )
-        assert len(rows) == 2
-        assert all("GM" in r and "OPT" in r for r in rows)
-        assert all(r["GM"] <= r["OPT"] + 1e-6 for r in rows)
-
-    def test_buffer_sweep(self):
-        base = SwitchConfig.square(3, b_in=2, b_out=2, b_cross=1)
-        rows = buffer_sweep_crossbar(
-            CGUPolicy,
-            BernoulliTraffic(3, 3, load=1.2),
-            n_slots=8,
-            b_cross_values=[1, 2],
-            base_config=base,
-            seeds=(0,),
-        )
-        assert len(rows) == 2
-        assert all(r["ratio"] >= 1.0 for r in rows)
 
 
 class TestReport:

@@ -107,6 +107,7 @@ class TestParser:
         ["trace", "replay", "out.jsonl", "--speedup", "0"],
         ["trace", "replay", "out.jsonl", "--b-in", "0"],
         ["stats", "summarize", "smoke-bernoulli", "--bootstrap", "-5"],
+        ["sweep", "--seeds", "0"],
     ])
     def test_sizes_must_be_positive(self, argv, capsys, tmp_path,
                                     monkeypatch):
@@ -258,6 +259,67 @@ class TestBackendErrors:
         ref = capsys.readouterr().out
         assert main([*argv, "--backend", "auto"]) == 0
         assert capsys.readouterr().out == ref
+
+
+class TestBadInputIsOneLine:
+    """Input the program cannot use is one line (exit 1) naming the
+    input, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--traffic", "appmix", "--load", "0"],
+        ["ratio", "--traffic", "appmix", "--load", "0"],
+        ["sweep", "--traffic", "appmix", "--loads", "1,0"],
+        ["trace", "record", "out.jsonl", "--traffic", "appmix",
+         "--load", "0"],
+    ], ids=["run", "ratio", "sweep", "trace-record"])
+    def test_appmix_at_load_zero(self, argv, capsys, tmp_path,
+                                 monkeypatch):
+        """The other traffic kinds run at load 0; appmix's load scale
+        must be > 0, which the verb reports in one line."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--slots", "5"])
+        assert exc.value.code == "load_scale must be finite and > 0, got 0.0"
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, name", [
+        (["scenarios", "show", "--file", "missing.toml"], "missing.toml"),
+        (["scenarios", "run", "--file", "missing.toml", "--no-artifacts"],
+         "missing.toml"),
+        (["scenarios", "export", "--file", "missing.toml"], "missing.toml"),
+        (["trace", "info", "text.json"], "text.json"),
+        (["trace", "replay", "text.json"], "text.json"),
+        (["trace", "info", "object.json"], "object.json"),
+        (["trace", "replay", "bad_port.jsonl"], "bad_port.jsonl"),
+        (["stats", "summarize", "text.json"], "text.json"),
+        (["stats", "summarize", "object.json"], "object.json"),
+        (["obs", "export", "bad_line.jsonl"], "bad_line.jsonl"),
+        (["obs", "tail", "bad_line.jsonl"], "bad_line.jsonl"),
+    ], ids=["scenarios-show", "scenarios-run", "scenarios-export",
+            "trace-info-text", "trace-replay-text", "trace-info-object",
+            "trace-replay-port", "stats-text", "stats-object", "obs-export",
+            "obs-tail"])
+    def test_bad_input_file(self, argv, name, capsys, tmp_path,
+                            monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "text.json").write_text("not json\n")
+        (tmp_path / "object.json").write_text('{"a": 1}\n')
+        (tmp_path / "bad_line.jsonl").write_text(
+            '{"event": "meta"}\n{not json\n')
+        assert main(["trace", "record", "bad_port.jsonl", "--n", "2",
+                     "--slots", "5"]) == 0
+        stream = (tmp_path / "bad_port.jsonl").read_text()
+        (tmp_path / "bad_port.jsonl").write_text(
+            stream.replace("[0, 1.0, 0, 0, 1]", "[0, 1.0, 0, 0, 7]"))
+        assert "[0, 1.0, 0, 0, 7]" in (tmp_path / "bad_port.jsonl").read_text()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = exc.value.code
+        assert isinstance(message, str) and len(message.splitlines()) == 1
+        assert name in message
+        assert capsys.readouterr().out == ""
 
 
 class TestTracePathErrors:

@@ -246,6 +246,39 @@ class TestDocsConsistency:
                 f"docs reference unknown `farm` subcommand {sub!r}"
             )
 
+    def test_documented_cli_commands_parse(self):
+        """Every complete `python -m repro.cli ...` command in a fenced
+        code block of the docs parses: a flag or value the parser
+        refuses (`--seeds 0:8`) fails here, where the verb-name check
+        above passes it.  Backslash continuations are joined, `#`
+        comments stripped, and lines with `<`, `[` or `...`
+        placeholders skipped."""
+        import re
+        import shlex
+
+        from repro.cli import build_parser
+
+        paths = [ROOT / "README.md", ROOT / "EXPERIMENTS.md",
+                 ROOT / "DESIGN.md", *sorted((ROOT / "docs").glob("*.md"))]
+        commands = []
+        for path in paths:
+            blocks = re.findall(r"^```[^\n]*\n(.*?)^```", path.read_text(),
+                                flags=re.MULTILINE | re.DOTALL)
+            for block in blocks:
+                for line in block.replace("\\\n", " ").splitlines():
+                    line = re.split(r"\s#", line, maxsplit=1)[0]
+                    _, cli, rest = line.partition("python -m repro.cli ")
+                    if cli and not any(p in rest for p in ("<", "[", "...")):
+                        commands.append((path.name, rest))
+        assert commands
+        parser = build_parser()
+        for name, rest in commands:
+            try:
+                parser.parse_args(shlex.split(rest))
+            except SystemExit:
+                pytest.fail(f"{name}: `python -m repro.cli {rest.strip()}` "
+                            f"does not parse")
+
     def test_statistics_docs_match_code(self):
         """docs/statistics.md must document every summary column and
         every replicates-block key — the statistics reference and the

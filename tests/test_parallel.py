@@ -1,16 +1,10 @@
 """Tests for the parallel sweep substrate (repro.parallel)."""
 
+import json
 from functools import partial
 
 import pytest
 
-from repro.analysis.sweep import (
-    beta_sweep_pg,
-    buffer_sweep_crossbar,
-    speedup_sweep,
-    threshold_sweep_cpg,
-)
-from repro.core.cgu import CGUPolicy
 from repro.core.gm import GMPolicy
 from repro.core.pg import PGPolicy
 from repro.offline import OPT_MODES
@@ -20,12 +14,12 @@ from repro.parallel import (
     describe_factory,
     run_sweep_point,
 )
+from repro.scenarios import ScenarioSpec, run_scenario, run_scenarios
 from repro.scheduling.baselines import MaxMatchPolicy
 from repro.simulation.engine import run_cioq
 from repro.switch.config import SwitchConfig
 from repro.traffic.bernoulli import BernoulliTraffic
-from repro.traffic.hotspot import HotspotTraffic
-from repro.traffic.values import two_value, uniform_values
+from repro.traffic.values import uniform_values
 
 
 @pytest.fixture
@@ -164,68 +158,70 @@ class TestExecutor:
         assert again == first
 
 
-class TestSweepFunctionsThroughExecutor:
-    """The rewired analysis sweeps produce identical rows for serial,
-    parallel, and cached executors."""
+class TestRunScenarios:
+    """A grid of specs runs through one executor call and splits back
+    into the runs each spec gives alone, for serial, parallel and
+    cached executors."""
 
-    def test_beta_sweep(self, config, tmp_path):
-        trace = BernoulliTraffic(
-            3, 3, load=1.4, value_model=two_value(10, 0.3)
-        ).generate(12, seed=2)
-        betas = [1.2, 2.0, 3.0]
-        serial = beta_sweep_pg(trace, config, betas)
-        parallel = beta_sweep_pg(
-            trace, config, betas, executor=SweepExecutor(workers=2)
-        )
-        cached_ex = SweepExecutor(cache_dir=str(tmp_path))
-        cached_cold = beta_sweep_pg(trace, config, betas, executor=cached_ex)
-        cached_warm = beta_sweep_pg(trace, config, betas, executor=cached_ex)
-        assert serial == parallel == cached_cold == cached_warm
-        assert cached_ex.cache_hits == len(betas)
-
-    def test_threshold_sweep(self, config):
-        trace = BernoulliTraffic(
-            3, 3, load=1.4, value_model=two_value(10, 0.3)
-        ).generate(10, seed=4)
-        serial = threshold_sweep_cpg(trace, config, [1.5, 2.0], [2.0, 3.0])
-        parallel = threshold_sweep_cpg(
-            trace, config, [1.5, 2.0], [2.0, 3.0],
-            executor=SweepExecutor(workers=2),
-        )
-        assert serial == parallel
-
-    def test_speedup_sweep(self):
-        base = SwitchConfig.square(3, b_in=2, b_out=2)
-        traffic = HotspotTraffic(3, 3, load=1.3, hot_fraction=0.5)
-        kwargs = dict(
-            policy_factories={"GM": GMPolicy, "MaxMatch": MaxMatchPolicy},
-            traffic=traffic,
-            n_slots=10,
-            speedups=[1, 2],
-            base_config=base,
+    def test_grid_of_specs_is_one_executor_call(self, tmp_path,
+                                               monkeypatch):
+        cioq = ScenarioSpec(
+            name="grid-cioq",
+            switch={"n_in": 3, "n_out": 3, "b_in": 2, "b_out": 2},
+            traffic="hotspot",
+            traffic_params={"load": 1.4, "hot_fraction": 0.5},
+            values="two-value",
+            value_params={"alpha": 10, "p_high": 0.3},
+            policies=({"name": "gm"}, {"name": "pg", "beta": 1.5},
+                      {"name": "pg", "beta": 3.0}),
+            slots=10,
             seeds=(0, 1),
         )
-        serial = speedup_sweep(**kwargs)
-        parallel = speedup_sweep(**kwargs, executor=SweepExecutor(workers=3))
-        assert serial == parallel
-        assert {r["speedup"] for r in serial} == {1, 2}
+        crossbar = ScenarioSpec(
+            name="grid-crossbar",
+            model="crossbar",
+            switch={"n_in": 3, "n_out": 3, "b_in": 2, "b_out": 2},
+            traffic_params={"load": 1.5},
+            values="two-value",
+            value_params={"alpha": 10, "p_high": 0.3},
+            policies=({"name": "cgu"},
+                      {"name": "cpg", "beta": 1.5, "alpha": 2.0}),
+            slots=8,
+            seeds=(2,),
+        )
+        specs = [
+            cioq,
+            cioq.with_overrides(switch={**cioq.switch, "speedup": 2}),
+            crossbar,
+            crossbar.with_overrides(switch={**crossbar.switch, "b_cross": 2}),
+        ]
+        n_points = 2 * 2 * (3 + 1) + 2 * 1 * (2 + 1)
 
-    def test_buffer_sweep(self):
-        base = SwitchConfig.square(3, speedup=1, b_in=2, b_out=2, b_cross=1)
-        traffic = BernoulliTraffic(3, 3, load=1.5)
-        kwargs = dict(
-            policy_factory=CGUPolicy,
-            traffic=traffic,
-            n_slots=10,
-            b_cross_values=[1, 2],
-            base_config=base,
-            seeds=(0,),
-        )
-        serial = buffer_sweep_crossbar(**kwargs)
-        parallel = buffer_sweep_crossbar(
-            **kwargs, executor=SweepExecutor(workers=2)
-        )
-        assert serial == parallel
+        calls = []
+        run = SweepExecutor.run
+
+        def counted_run(self, points):
+            calls.append(len(points))
+            return run(self, points)
+
+        monkeypatch.setattr(SweepExecutor, "run", counted_run)
+
+        def artifacts(runs):
+            return [json.dumps(r.artifact(), indent=2, sort_keys=True,
+                               allow_nan=False) for r in runs]
+
+        serial = artifacts(run_scenarios(specs))
+        parallel = artifacts(run_scenarios(specs, SweepExecutor(workers=2)))
+        cold_ex = SweepExecutor(cache_dir=str(tmp_path))
+        cold = artifacts(run_scenarios(specs, cold_ex))
+        warm_ex = SweepExecutor(cache_dir=str(tmp_path))
+        warm = artifacts(run_scenarios(specs, warm_ex))
+        assert serial == parallel == cold == warm
+        assert calls == [n_points] * 4
+        assert (cold_ex.cache_hits, cold_ex.cache_misses) == (0, n_points)
+        assert (warm_ex.cache_hits, warm_ex.cache_misses) == (n_points, 0)
+        # Each spec's run is the run it gives alone.
+        assert serial == artifacts(run_scenario(spec) for spec in specs)
 
 
 class TestCLISweep:

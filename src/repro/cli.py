@@ -362,9 +362,19 @@ def _load_spec(args):
 
     if getattr(args, "file", None):
         try:
-            return ScenarioSpec.from_file(args.file)
+            spec = ScenarioSpec.from_file(args.file)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"bad spec: {exc}") from None
+        # Params the traffic model refuses, or a replay path that is not
+        # a trace file, end here rather than mid-run.  Building a model
+        # reads at most a trace header; the adversarial kind would build
+        # its whole attack trace, so its run checks it.
+        if spec.traffic != "adversarial":
+            try:
+                spec.build_traffic()
+            except (OSError, TypeError, ValueError) as exc:
+                raise SystemExit(f"bad spec: {args.file}: {exc}") from None
+        return spec
     if not args.name:
         raise SystemExit("need a scenario name (or --file)")
     try:
@@ -564,20 +574,14 @@ def cmd_trace_record(args) -> int:
 
 
 def cmd_trace_info(args) -> int:
-    from .traffic.trace import Trace, is_stream_file, read_stream_header
+    from .traffic.trace import read_stream_header
 
     _need_trace_file(args.path)
     with _reading(args.path):
-        if is_stream_file(args.path):
-            header = dict(read_stream_header(args.path))
-            header["format"] = (f"{header.pop('format')} "
-                                f"v{header.pop('version')}")
-            rows = [{"field": k, "value": v} for k, v in header.items()]
-            print(format_table(rows, title=f"stream trace {args.path}"))
-            return 0
-        rows = [{"field": k, "value": v}
-                for k, v in Trace.load(args.path).describe().items()]
-    print(format_table(rows, title=f"trace {args.path}"))
+        header = dict(read_stream_header(args.path))
+    header["format"] = f"{header.pop('format')} v{header.pop('version')}"
+    rows = [{"field": k, "value": v} for k, v in header.items()]
+    print(format_table(rows, title=f"stream trace {args.path}"))
     return 0
 
 
@@ -594,7 +598,7 @@ def cmd_trace_replay(args) -> int:
 
     from .simulation.engine import run_cioq_streaming, run_crossbar_streaming
     from .traffic.replay import TraceReplayTraffic
-    from .traffic.trace import Trace, is_stream_file, read_stream_header
+    from .traffic.trace import Trace, read_stream_header
 
     _need_trace_file(args.path)
     if args.output:
@@ -616,16 +620,10 @@ def cmd_trace_replay(args) -> int:
     # The streaming path reads the file as it runs, so a bad packet can
     # surface mid-run.
     with _reading(args.path):
-        if is_stream_file(args.path):
-            header = read_stream_header(args.path)
-            n_in, n_out = int(header["n_in"]), int(header["n_out"])
-            n_slots = int(header["n_slots"])
-        else:
-            trace = Trace.load(args.path)
-            n_in, n_out, n_slots = trace.n_in, trace.n_out, trace.n_slots
-        config = SwitchConfig(n_in=n_in, n_out=n_out, speedup=args.speedup,
-                              b_in=args.b_in, b_out=args.b_out,
-                              b_cross=args.b_cross)
+        header = read_stream_header(args.path)
+        config = SwitchConfig(n_in=header["n_in"], n_out=header["n_out"],
+                              speedup=args.speedup, b_in=args.b_in,
+                              b_out=args.b_out, b_cross=args.b_cross)
 
         if args.materialized:
             trace = Trace.load(args.path)
@@ -637,7 +635,7 @@ def cmd_trace_replay(args) -> int:
             runner = (run_cioq_streaming if args.model == "cioq"
                       else run_crossbar_streaming)
             result = runner(policy, config, replay.arrival_source(),
-                            n_slots, metrics=rec)
+                            header["n_slots"], metrics=rec)
 
     artifact = _json.dumps(result.summary(), indent=2, sort_keys=True) + "\n"
     if args.output:
@@ -1090,9 +1088,9 @@ def build_parser() -> argparse.ArgumentParser:
     t_rec.set_defaults(func=cmd_trace_record)
 
     t_info = trace_sub.add_parser(
-        "info", help="print a recorded trace's header/summary"
+        "info", help="print a recorded trace's header"
     )
-    t_info.add_argument("path", help="trace file (stream or legacy JSON)")
+    t_info.add_argument("path", help="trace file")
     t_info.set_defaults(func=cmd_trace_info)
 
     t_rep = trace_sub.add_parser(
@@ -1100,7 +1098,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a recorded trace through the engine "
              "(streaming by default)",
     )
-    t_rep.add_argument("path", help="trace file (stream or legacy JSON)")
+    t_rep.add_argument("path", help="trace file")
     t_rep.add_argument("--model", choices=("cioq", "crossbar"),
                        default="cioq")
     t_rep.add_argument("--policy", default="gm")

@@ -22,10 +22,9 @@ induce under sustained overload while keeping runs reproducible.  Set
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..scheduling.base import CIOQPolicy, tail_drop_arrival
-from ..scheduling.matching import MatchingStats, greedy_maximal_matching
 from ..switch.cioq import CIOQSwitch, Transfer
 
 
@@ -37,16 +36,12 @@ class GMPolicy(CIOQPolicy):
     rotate:
         Rotate the edge-scan starting offset by one each scheduling
         cycle (default True).  Any fixed order satisfies Theorem 1.
-    stats:
-        Optional :class:`MatchingStats` accumulator for the efficiency
-        experiment (counts edge scans per cycle).
     """
 
     name = "GM"
 
-    def __init__(self, rotate: bool = True, stats: Optional[MatchingStats] = None):
+    def __init__(self, rotate: bool = True):
         self.rotate = rotate
-        self.stats = stats
         self._cycle_count = 0
 
     def reset(self, switch: CIOQSwitch) -> None:
@@ -76,16 +71,13 @@ class GMPolicy(CIOQPolicy):
                 if row[j]._items:
                     append((i, j))
 
-        if self.stats is not None:
-            matching = greedy_maximal_matching(edges, stats=self.stats)
-        else:
-            # Same single pass, without the instrumentation indirection.
-            matched_left = set()
-            matched_right = set()
-            matching = []
-            for i, j in edges:
-                if i not in matched_left and j not in matched_right:
-                    matched_left.add(i)
-                    matched_right.add(j)
-                    matching.append((i, j))
+        # Greedy maximal matching: one pass over the edges in scan order.
+        matched_left = set()
+        matched_right = set()
+        matching = []
+        for i, j in edges:
+            if i not in matched_left and j not in matched_right:
+                matched_left.add(i)
+                matched_right.add(j)
+                matching.append((i, j))
         return [Transfer(i, j, voq[i][j]._items[-1]) for i, j in matching]

@@ -32,7 +32,6 @@ import math
 from typing import List, Optional
 
 from ..scheduling.base import CIOQPolicy, preemptive_arrival
-from ..scheduling.matching import MatchingStats, greedy_maximal_matching_weighted
 from ..switch.cioq import CIOQSwitch, Transfer
 from ..switch.packet import Packet
 
@@ -49,15 +48,12 @@ class PGPolicy(CIOQPolicy):
     beta:
         Preemption threshold (>= 1).  Defaults to the analysis optimum
         ``1 + sqrt(2)``.
-    stats:
-        Optional :class:`MatchingStats` accumulator.
     """
 
-    def __init__(self, beta: float = BETA_STAR, stats: Optional[MatchingStats] = None):
+    def __init__(self, beta: float = BETA_STAR):
         if beta < 1.0:
             raise ValueError(f"beta must be >= 1, got {beta}")
         self.beta = float(beta)
-        self.stats = stats
         self.name = f"PG(beta={self.beta:.4g})"
 
     on_arrival = preemptive_arrival
@@ -109,28 +105,18 @@ class PGPolicy(CIOQPolicy):
                     if gv > thresholds[j]:
                         append((-gv, i, j, g))
 
-        if self.stats is not None:
-            # Instrumented path: route through the shared matching engine
-            # so the efficiency experiment's operation counters accumulate.
-            matching = greedy_maximal_matching_weighted(
-                [(i, j, -negw) for negw, i, j, _g in edges], stats=self.stats
-            )
-            matched = {(i, j) for i, j, _w in matching}
-            chosen = [(i, j, g) for negw, i, j, g in sorted(edges)
-                      if (i, j) in matched]
-        else:
-            edges.sort()
-            n_free = min(switch.n_in, n_out)
-            matched_left = set()
-            matched_right = set()
-            chosen = []
-            for _negw, i, j, g in edges:
-                if i not in matched_left and j not in matched_right:
-                    matched_left.add(i)
-                    matched_right.add(j)
-                    chosen.append((i, j, g))
-                    n_free -= 1
-                    if not n_free:
-                        break
+        edges.sort()
+        n_free = min(switch.n_in, n_out)
+        matched_left = set()
+        matched_right = set()
+        chosen = []
+        for _negw, i, j, g in edges:
+            if i not in matched_left and j not in matched_right:
+                matched_left.add(i)
+                matched_right.add(j)
+                chosen.append((i, j, g))
+                n_free -= 1
+                if not n_free:
+                    break
 
         return [Transfer(i, j, g, preempt=victims[j]) for i, j, g in chosen]

@@ -29,12 +29,7 @@ from ..switch.cioq import CIOQSwitch, Transfer
 from ..switch.crossbar import CrossbarSwitch
 from ..switch.packet import Packet
 from .base import CIOQPolicy, CrossbarPolicy, preemptive_arrival, tail_drop_arrival
-from .matching import (
-    MatchingStats,
-    greedy_maximal_matching,
-    hopcroft_karp,
-    max_weight_matching,
-)
+from .matching import greedy_maximal_matching, hopcroft_karp, max_weight_matching
 
 
 class MaxMatchPolicy(CIOQPolicy):
@@ -48,9 +43,6 @@ class MaxMatchPolicy(CIOQPolicy):
 
     name = "MaxMatch"
 
-    def __init__(self, stats: Optional[MatchingStats] = None):
-        self.stats = stats
-
     on_arrival = tail_drop_arrival
 
     def schedule(self, switch: CIOQSwitch, slot: int, cycle: int) -> List[Transfer]:
@@ -59,7 +51,7 @@ class MaxMatchPolicy(CIOQPolicy):
             for j in range(switch.n_out):
                 if not switch.voq[i][j].is_empty and not switch.out[j].is_full:
                     adj[i].append(j)
-        matching = hopcroft_karp(switch.n_in, switch.n_out, adj, stats=self.stats)
+        matching = hopcroft_karp(switch.n_in, switch.n_out, adj)
         transfers: List[Transfer] = []
         for i, j in matching:
             head = switch.voq[i][j].head()
@@ -78,12 +70,10 @@ class MaxWeightMatchPolicy(CIOQPolicy):
     PG improves upon.
     """
 
-    def __init__(self, beta: float = 1.0 + 2.0 ** 0.5,
-                 stats: Optional[MatchingStats] = None):
+    def __init__(self, beta: float = 1.0 + 2.0 ** 0.5):
         if beta < 1.0:
             raise ValueError(f"beta must be >= 1, got {beta}")
         self.beta = float(beta)
-        self.stats = stats
         self.name = f"MaxWeightMatch(beta={self.beta:.4g})"
 
     on_arrival = preemptive_arrival
@@ -109,7 +99,7 @@ class MaxWeightMatchPolicy(CIOQPolicy):
                 any_edge = True
         if not any_edge:
             return []
-        matching = max_weight_matching(weights, stats=self.stats)
+        matching = max_weight_matching(weights)
         transfers: List[Transfer] = []
         for i, j, _w in matching:
             g = heads[(i, j)]

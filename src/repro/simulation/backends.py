@@ -18,7 +18,7 @@ strategies for the arrival/schedule/transmit slot loop:
     Requesting it raises :class:`BackendUnavailable` when numpy is not
     installed and :class:`BackendUnsupported` for features it does not
     implement (streaming sources, event recording, invariant checking,
-    matching-stats collection, or policy classes outside its table).
+    or policy classes outside its table).
 
 ``auto``
     Try ``fast``; on :class:`BackendUnavailable` or

@@ -34,9 +34,8 @@ Features the reference kernel has that this backend deliberately does
 not (requesting them raises
 :class:`~repro.simulation.backends.BackendUnsupported`, and ``auto``
 falls back): streaming/adaptive sources, ``record=True`` event logs,
-``check_invariants=True``, :class:`MatchingStats` collection, and policy
-classes outside :data:`SUPPORTED_POLICIES` — the comparison baselines
-among them.
+``check_invariants=True``, and policy classes outside
+:data:`SUPPORTED_POLICIES` — the comparison baselines among them.
 """
 
 from __future__ import annotations
@@ -656,10 +655,6 @@ class _BatchRun:
             raise BackendUnsupported(
                 f"the fast backend has no {model} stepper for "
                 f"{type(proto).__name__}"
-            )
-        if getattr(proto, "stats", None) is not None:
-            raise BackendUnsupported(
-                "the fast backend cannot collect MatchingStats"
             )
         self.crossbar = model == "crossbar"
         cap = max(config.b_in, config.b_out,

@@ -1,16 +1,17 @@
 """Traffic substrate: traces, value models and arrival generators.
 
-Names resolve lazily (PEP 562): :class:`~repro.traffic.trace.Trace` is
-pure Python and the reference simulation backend depends on it, so this
-package must import without numpy — the generators (which do need
-numpy's bit-exact PCG64 streams) only load when first touched.
+Names resolve lazily (PEP 562): :class:`~repro.traffic.trace.Trace` and
+its chunked stream file format (``Trace.save``/``Trace.load``,
+``read_stream_header``, ``iter_stream_slots``) are pure Python and the
+reference simulation backend depends on them, so this package must
+import without numpy — the generators (which do need numpy's bit-exact
+PCG64 streams) only load when first touched.
 """
 
 from importlib import import_module
 
 _EXPORTS = {
     "Trace": ".trace",
-    "is_stream_file": ".trace",
     "iter_stream_slots": ".trace",
     "read_stream_header": ".trace",
     "ValueModel": ".values",

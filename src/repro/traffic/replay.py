@@ -1,10 +1,9 @@
 """Trace replay: drive experiments from a recorded arrival sequence.
 
 Interesting instances — adversarial gadgets, ratio outliers found in
-sweeps, captures from other simulators — are saved via
-:meth:`~repro.traffic.trace.Trace.save` (single-document JSON) or
-:meth:`~repro.traffic.trace.Trace.save_stream` (chunked JSONL).  This
-model replays such a recording through the
+sweeps, captures from other simulators — are saved as chunked stream
+files via :meth:`~repro.traffic.trace.Trace.save`.  This model replays
+such a recording through the
 :class:`~repro.traffic.base.TrafficModel` interface so that every
 consumer of traffic models (scenarios, benchmarks, the CLI) can run on
 recorded inputs exactly like on synthetic ones.
@@ -16,14 +15,13 @@ streaming path carry them.  ``generate`` is a pure function of its
 arguments: the same recording and ``n_slots`` always produce the same
 trace, for any seed.
 
-Memory behaviour depends on the recording's format.  A chunked stream
-file is **not** materialized at construction: only its header is read,
-and :meth:`TraceReplayTraffic.arrival_source` replays it forward at
-O(chunk) peak memory (``repeat=True`` re-reads the file per period), so
-multi-million-packet recordings can drive ``run_*_streaming`` without
-ever fitting in RAM.  ``generate`` and random-access
-``arrivals_for_slot`` materialize the recording on first use — they are
-the small-instance/control paths.
+A recording named by path is **not** materialized at construction:
+only its header is read, and :meth:`TraceReplayTraffic.arrival_source`
+replays it forward at O(chunk) peak memory (``repeat=True`` re-reads
+the file per period), so multi-million-packet recordings can drive
+``run_*_streaming`` without ever fitting in RAM.  ``generate`` and
+random-access ``arrivals_for_slot`` materialize the recording on first
+use — they are the small-instance/control paths.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import numpy as np
 
 from ..switch.packet import Packet
 from .base import TrafficModel
-from .trace import Trace, is_stream_file, iter_stream_slots, read_stream_header
+from .trace import Trace, iter_stream_slots, read_stream_header
 
 
 class TraceReplayTraffic(TrafficModel):
@@ -44,9 +42,8 @@ class TraceReplayTraffic(TrafficModel):
     ----------
     source:
         A :class:`Trace` instance, or a path to a file written by
-        :meth:`Trace.save` or :meth:`Trace.save_stream` (format is
-        sniffed; stream files stay on disk until a materializing
-        method needs them).
+        :meth:`Trace.save` (it stays on disk until a materializing
+        method needs it).
     repeat:
         If true, the recording is tiled end-to-end — with period
         ``n_slots`` of the recording, trailing idle slots included —
@@ -57,28 +54,27 @@ class TraceReplayTraffic(TrafficModel):
 
     def __init__(self, source: Union[Trace, str], repeat: bool = False):
         self._path: Optional[str] = None
-        if isinstance(source, str) and is_stream_file(source):
+        self._trace: Optional[Trace] = None
+        if isinstance(source, str):
             header = read_stream_header(source)
             self._path = source
-            self._trace: Optional[Trace] = None
             n_in, n_out = int(header["n_in"]), int(header["n_out"])
             self._src_n_slots = int(header["n_slots"])
             src_name = str(header.get("name", "trace"))
         else:
-            trace = Trace.load(source) if isinstance(source, str) else source
-            self._trace = trace
-            n_in, n_out = trace.n_in, trace.n_out
-            self._src_n_slots = trace.n_slots
-            src_name = trace.name
+            self._trace = source
+            n_in, n_out = source.n_in, source.n_out
+            self._src_n_slots = source.n_slots
+            src_name = source.name
         super().__init__(n_in, n_out, None, name=f"replay({src_name})")
         self.repeat = bool(repeat)
 
     @property
     def source(self) -> Trace:
         """The recording as an in-memory :class:`Trace` (materializes a
-        stream-backed recording on first access)."""
+        file-backed recording on first access)."""
         if self._trace is None:
-            self._trace = Trace.load_stream(self._path)
+            self._trace = Trace.load(self._path)
         return self._trace
 
     def arrivals_for_slot(
@@ -90,7 +86,7 @@ class TraceReplayTraffic(TrafficModel):
 
     def _iter_recorded_slots(self) -> Iterator[List[Tuple[int, int, float]]]:
         """Per-slot ``(src, dst, value)`` lists over one recording
-        period, reading a stream-backed recording forward from disk."""
+        period, reading a file-backed recording forward from disk."""
         if self._trace is not None:
             for t in range(self._trace.n_slots):
                 yield [(p.src, p.dst, p.value)

@@ -3,26 +3,20 @@
 A :class:`Trace` is a finite arrival sequence — the σ of the competitive
 framework.  It stores every packet with its arrival slot and exposes the
 per-slot arrival lists the simulation engine consumes, summary statistics
-for reports, and JSON (de)serialization so that interesting instances
-(e.g. adversarial gadgets or ratio outliers found in sweeps) can be saved
-and replayed.
+for reports, and a file format so that interesting instances (e.g.
+adversarial gadgets or ratio outliers found in sweeps) can be saved and
+replayed.
 
-Two on-disk formats exist:
-
-* the **legacy single-document JSON** written by :meth:`Trace.save` —
-  fine for small instances, but loading materializes every packet;
-* the **chunked stream format** written by :func:`write_stream` (and
-  :meth:`Trace.save_stream`) — a JSONL file (one header line, then one
-  line per fixed-width slot chunk) that :func:`iter_stream_slots`
-  replays at O(chunk) peak memory, so multi-million-packet recordings
-  never have to fit in RAM.
-
-:meth:`Trace.load` sniffs the format, so every consumer that accepts a
-trace path transparently reads both.
+The file format is a chunked stream, written by :meth:`Trace.save` and
+``repro trace record`` through :func:`write_stream`: a JSONL file with
+one header line, then one line per fixed-width slot chunk.
+:func:`iter_stream_slots` replays it at O(chunk) peak memory, so
+multi-million-packet recordings never have to fit in RAM;
+:meth:`Trace.load` materializes it.
 
 A trace's slot count is part of the instance: a recording that ends
 with intended idle time (drain slots) keeps it through ``n_slots``,
-which both serializers persist and
+which the stream header persists and
 :class:`~repro.traffic.replay.TraceReplayTraffic` tiling respects.
 """
 
@@ -140,31 +134,16 @@ class Trace:
             return 0.0
         return len(self.packets) / (self.n_slots * self.n_out)
 
-    def describe(self) -> Dict[str, object]:
-        """Summary statistics for reports."""
-        return {
-            "name": self.name,
-            "n_in": self.n_in,
-            "n_out": self.n_out,
-            "n_slots": self.n_slots,
-            "n_packets": len(self.packets),
-            "total_value": self.total_value,
-            "offered_load": round(self.offered_load(), 4),
-            "unit_valued": self.is_unit_valued,
-            "value_range": (self.min_value(), self.max_value()),
-        }
-
     def content_digest(self) -> str:
         """SHA-256 over the trace content, memoized after the first call.
 
         Hashes a fixed little-endian binary packing of the dimensions
-        and the packet records instead of the JSON text — an order of
-        magnitude cheaper than ``sha256(to_json())``, which matters
-        because the sweep cache re-keys every trace on every
-        :meth:`~repro.parallel.SweepExecutor.run` call.  Traces are
-        immutable after construction, so the memo never invalidates.
-        The packing (not the JSON form) is the digest's definition;
-        changing it requires a ``CACHE_VERSION`` bump.
+        and the packet records; the sweep cache re-keys every trace on
+        every :meth:`~repro.parallel.SweepExecutor.run` call, so the
+        packing is kept cheap.  Traces are immutable after
+        construction, so the memo never invalidates.  The packing is
+        the digest's definition; changing it requires a
+        ``CACHE_VERSION`` bump.
         """
         if self._digest is None:
             h = hashlib.sha256(
@@ -177,62 +156,20 @@ class Trace:
             self._digest = h.hexdigest()
         return self._digest
 
-    # -- (de)serialization ----------------------------------------------------
+    # -- file format ----------------------------------------------------------
 
-    def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "n_in": self.n_in,
-            "n_out": self.n_out,
-            "n_slots": self.n_slots,
-            "packets": [
-                [p.pid, p.value, p.arrival, p.src, p.dst] for p in self.packets
-            ],
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Trace":
-        payload = json.loads(text)
-        packets = [
-            Packet(pid=int(r[0]), value=float(r[1]), arrival=int(r[2]),
-                   src=int(r[3]), dst=int(r[4]))
-            for r in payload["packets"]
-        ]
-        # Files written before the explicit-slot-count fix carry no
-        # "n_slots"; fall back to the derived value they always implied.
-        return cls(packets, payload["n_in"], payload["n_out"],
-                   name=payload.get("name", "trace"),
-                   n_slots=payload.get("n_slots"))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-
-    @classmethod
-    def load(cls, path: str) -> "Trace":
-        """Load a trace from either on-disk format (sniffed)."""
-        if is_stream_file(path):
-            return cls.load_stream(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
-
-    # -- chunked stream format ------------------------------------------------
-
-    def save_stream(self, path: str,
-                    chunk_slots: int = STREAM_CHUNK_SLOTS) -> None:
-        """Write the trace as a chunked JSONL stream (see
+    def save(self, path: str, chunk_slots: int = STREAM_CHUNK_SLOTS) -> None:
+        """Write the trace as a chunked stream file (see
         :func:`write_stream`); :func:`iter_stream_slots` replays it at
         O(chunk) peak memory and :meth:`load` round-trips it exactly."""
         write_stream(path, self._by_slot, self.n_in, self.n_out, self.name,
                      chunk_slots)
 
     @classmethod
-    def load_stream(cls, path: str) -> "Trace":
+    def load(cls, path: str) -> "Trace":
         """Materialize a chunked stream file into a :class:`Trace`.
 
-        This loads every packet into RAM — it is the *control* path for
-        differential tests; memory-bounded consumers should use
+        This loads every packet into RAM; memory-bounded consumers use
         :func:`iter_stream_slots` (or
         :class:`~repro.traffic.replay.TraceReplayTraffic`'s streaming
         source) instead.
@@ -314,22 +251,16 @@ def _write_chunk(fh, base: int, rows: List[list]) -> int:
     return len(rows)
 
 
-def is_stream_file(path: str) -> bool:
-    """True if ``path`` starts with a chunked-stream header line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            head = fh.readline()
-        return json.loads(head).get("format") == STREAM_FORMAT
-    except (OSError, ValueError):
-        return False
-
-
 def read_stream_header(path: str) -> Dict[str, object]:
     """Parse and validate the header line of a chunked stream file."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-    if header.get("format") != STREAM_FORMAT:
-        raise ValueError(f"{path} is not a {STREAM_FORMAT} file")
+        line = fh.readline()
+    try:
+        header = json.loads(line)
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("format") != STREAM_FORMAT:
+        raise ValueError(f"{path}: not a {STREAM_FORMAT} file")
     if header.get("version") != STREAM_VERSION:
         raise ValueError(
             f"{path}: unsupported stream version {header.get('version')!r} "

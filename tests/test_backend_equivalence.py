@@ -48,10 +48,7 @@ from repro.scheduling.baselines import (
     RoundRobinPolicy,
 )
 from repro.scheduling.fifo import FifoCIOQPolicy, FifoCrossbarPolicy
-from repro.scheduling.matching import (
-    MatchingStats,
-    greedy_maximal_matching_weighted,
-)
+from repro.scheduling.matching import greedy_maximal_matching_weighted
 from repro.simulation.backends import (
     BACKENDS,
     BackendUnsupported,
@@ -165,11 +162,6 @@ class TestRegistry:
         auto = run_cioq(GMPolicy(), small_config, unit_trace, backend="auto",
                         **kwargs)
         assert_payloads_identical(ref, auto)
-
-    def test_fast_rejects_stats_collection(self, small_config, unit_trace):
-        with pytest.raises(BackendUnsupported, match="MatchingStats"):
-            run_cioq(GMPolicy(stats=MatchingStats()), small_config,
-                     unit_trace, backend="fast")
 
     @pytest.mark.parametrize("runner, policy, caps", [
         (run_cioq, GMPolicy, {"b_in": 40000}),

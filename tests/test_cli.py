@@ -4,6 +4,12 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: A trace in the JSON document format that ``Trace.save`` wrote before
+#: the chunked stream became the one trace file format.
+LEGACY_JSON_TRACE = ('{"name": "legacy", "n_in": 3, "n_out": 3, '
+                     '"n_slots": 3, "packets": [[0, 1.0, 0, 0, 1], '
+                     '[1, 1.0, 2, 1, 0]]}')
+
 
 class TestParser:
     def test_requires_command(self):
@@ -292,19 +298,24 @@ class TestBadInputIsOneLine:
         (["trace", "replay", "text.json"], "text.json"),
         (["trace", "info", "object.json"], "object.json"),
         (["trace", "replay", "bad_port.jsonl"], "bad_port.jsonl"),
+        (["trace", "info", "legacy.json"], "legacy.json"),
+        (["trace", "replay", "legacy.json"], "legacy.json"),
+        (["trace", "info", "list.json"], "list.json"),
         (["stats", "summarize", "text.json"], "text.json"),
         (["stats", "summarize", "object.json"], "object.json"),
         (["obs", "export", "bad_line.jsonl"], "bad_line.jsonl"),
         (["obs", "tail", "bad_line.jsonl"], "bad_line.jsonl"),
     ], ids=["scenarios-show", "scenarios-run", "scenarios-export",
             "trace-info-text", "trace-replay-text", "trace-info-object",
-            "trace-replay-port", "stats-text", "stats-object", "obs-export",
-            "obs-tail"])
+            "trace-replay-port", "trace-info-legacy", "trace-replay-legacy",
+            "trace-info-list", "stats-text", "stats-object", "obs-export", "obs-tail"])
     def test_bad_input_file(self, argv, name, capsys, tmp_path,
                             monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "text.json").write_text("not json\n")
         (tmp_path / "object.json").write_text('{"a": 1}\n')
+        (tmp_path / "legacy.json").write_text(LEGACY_JSON_TRACE)
+        (tmp_path / "list.json").write_text("[1, 2]\n")
         (tmp_path / "bad_line.jsonl").write_text(
             '{"event": "meta"}\n{not json\n')
         assert main(["trace", "record", "bad_port.jsonl", "--n", "2",
@@ -319,6 +330,40 @@ class TestBadInputIsOneLine:
         message = exc.value.code
         assert isinstance(message, str) and len(message.splitlines()) == 1
         assert name in message
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("scenario, old, new", [
+        ("appmix-qos", "load_scale = 0.8", "load_scale = 0.0"),
+        ("smoke-bernoulli", "load = 1.0", "load = 1.0\nbogus = 1"),
+        ("smoke-bernoulli", 'traffic = "bernoulli"\n',
+         'traffic = "replay"\n'),
+    ], ids=["load-scale-zero", "unknown-param", "replay-not-a-stream"])
+    def test_spec_file_traffic_refused_before_any_point(
+            self, scenario, old, new, capsys, tmp_path, monkeypatch):
+        """A spec whose traffic model refuses its params, or whose
+        replay path is not a trace file, exits with one line naming the
+        spec file before any point runs."""
+        from repro.parallel import SweepExecutor
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "legacy.json").write_text(LEGACY_JSON_TRACE)
+        assert main(["scenarios", "export", scenario, "-o", "spec.toml"]) == 0
+        text = (tmp_path / "spec.toml").read_text()
+        if "replay" in new:
+            text = text.replace("load = 1.0", 'path = "legacy.json"')
+        assert old in text
+        (tmp_path / "spec.toml").write_text(text.replace(old, new))
+        capsys.readouterr()
+
+        def no_points(*args, **kwargs):
+            raise AssertionError("a point ran before the spec was refused")
+
+        monkeypatch.setattr(SweepExecutor, "run", no_points)
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", "run", "--file", "spec.toml", "--no-artifacts"])
+        message = exc.value.code
+        assert isinstance(message, str) and len(message.splitlines()) == 1
+        assert "spec.toml" in message
         assert capsys.readouterr().out == ""
 
 

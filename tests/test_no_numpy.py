@@ -55,6 +55,28 @@ assert run_cioq(GMPolicy(), config, trace, backend="auto").benefit == 13.0
 xres = run_crossbar(CGUPolicy(), config, trace, backend="auto")
 assert xres.benefit == 13.0, xres.benefit
 
+# The trace file format is numpy-free too: a trace with trailing idle
+# slots round-trips through Trace.save, Trace.load and iter_stream_slots.
+import os, tempfile
+from repro.traffic.trace import iter_stream_slots
+
+def rows(packets):
+    return [(p.pid, p.value, p.arrival, p.src, p.dst) for p in packets]
+
+idle = Trace(packets, 2, 2, name="idle-tail", n_slots=7)
+fd, path = tempfile.mkstemp(suffix=".jsonl")
+os.close(fd)
+try:
+    idle.save(path, chunk_slots=2)
+    back = Trace.load(path)
+    streamed = [(t, rows(ps)) for t, ps in iter_stream_slots(path)]
+finally:
+    os.unlink(path)
+assert (back.name, back.n_slots) == ("idle-tail", 7), back
+assert back.content_digest() == idle.content_digest()
+assert streamed == [(t, rows(ps)) for t, ps in enumerate(idle.arrival_slots())]
+assert run_cioq(GMPolicy(), config, back).benefit == 13.0
+
 print("OK")
 """
 

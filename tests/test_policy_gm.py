@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.gm import GMPolicy
-from repro.scheduling.matching import MatchingStats
 from repro.simulation.engine import run_cioq
 from repro.switch.cioq import CIOQSwitch
 from repro.switch.config import SwitchConfig
@@ -90,14 +89,6 @@ class TestScheduling:
         gm = GMPolicy(rotate=False)
         assert gm.schedule(s1, 0, 0)[0].src == 0
         assert gm.schedule(s1, 0, 1)[0].src == 0
-
-    def test_stats_accumulate(self, switch):
-        stats = MatchingStats()
-        gm = GMPolicy(stats=stats)
-        switch.enqueue_arrival(pk(0, 0, 1))
-        gm.schedule(switch, 0, 0)
-        assert stats.calls == 1
-        assert stats.edge_scans >= 1
 
 
 class TestEndToEnd:

@@ -15,6 +15,7 @@ results identical to the batch engine on the materialized trace.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -41,7 +42,6 @@ from repro.traffic.base import normalized_dst_weights
 from repro.traffic.trace import (
     STREAM_FORMAT,
     STREAM_VERSION,
-    is_stream_file,
     iter_stream_slots,
     read_stream_header,
     write_stream,
@@ -75,20 +75,6 @@ class TestExplicitNSlots:
     def test_rejects_n_slots_below_derived(self):
         with pytest.raises(ValueError, match="smaller than the last"):
             Trace([Packet(0, 1.0, 3, 0, 0)], 2, 2, n_slots=3)
-
-    def test_json_round_trip_carries_n_slots(self):
-        t = Trace([Packet(0, 2.5, 1, 0, 1)], 2, 2, n_slots=7)
-        back = Trace.from_json(t.to_json())
-        assert back.n_slots == 7
-        assert _rows(back) == _rows(t)
-
-    def test_from_json_back_compat_without_n_slots(self):
-        # Files written before the fix carry no "n_slots" key.
-        payload = json.loads(Trace([Packet(0, 1.0, 2, 0, 0)], 2, 2,
-                                   n_slots=9).to_json())
-        del payload["n_slots"]
-        back = Trace.from_json(json.dumps(payload))
-        assert back.n_slots == 3  # derived, as those files implied
 
     def test_repeat_tiles_with_trailing_idle_period(self):
         # A 1-packet recording padded to 4 slots must tile with period
@@ -174,7 +160,9 @@ class TestResetContract:
         for slot in (4, 5, 6):
             dirty.arrivals_for_slot(slot, rng)
         # generate() must reset, so the leaked state cannot bleed in.
-        assert dirty.generate(30, seed=11).to_json() == fresh.to_json()
+        again = dirty.generate(30, seed=11)
+        assert (again.name, again.content_digest()) == \
+               (fresh.name, fresh.content_digest())
         # arrival_source() resets too.
         source = dirty.arrival_source(seed=11)
         streamed = []
@@ -191,17 +179,21 @@ class TestResetContract:
 class TestStreamFormat:
     def _write(self, tmp_path, trace, chunk_slots=4):
         path = str(tmp_path / "t.jsonl")
-        trace.save_stream(path, chunk_slots=chunk_slots)
+        trace.save(path, chunk_slots=chunk_slots)
         return path
 
-    def test_sniffing(self, tmp_path):
-        trace = BernoulliTraffic(2, 2, load=1.0).generate(6, seed=0)
-        stream = self._write(tmp_path, trace)
-        legacy = str(tmp_path / "t.json")
-        trace.save(legacy)
-        assert is_stream_file(stream)
-        assert not is_stream_file(legacy)
-        assert _rows(Trace.load(stream)) == _rows(Trace.load(legacy))
+    @pytest.mark.parametrize("text", [
+        json.dumps({"name": "t", "n_in": 2, "n_out": 2, "n_slots": 1,
+                    "packets": [[0, 1.0, 0, 0, 1]]}),
+        "[1, 2]\n", "not json\n", ""])
+    def test_other_files_refused(self, tmp_path, text):
+        # The JSON document format of earlier releases among them.
+        path = tmp_path / "t.json"
+        path.write_text(text)
+        match = re.escape(f"{path}: not a {STREAM_FORMAT} file")
+        for read in (Trace.load, TraceReplayTraffic, read_stream_header):
+            with pytest.raises(ValueError, match=match):
+                read(str(path))
 
     def test_iter_stream_slots_yields_every_slot(self, tmp_path):
         trace = Trace([Packet(0, 1.0, 2, 0, 0)], 2, 2, n_slots=9)
@@ -264,7 +256,7 @@ class TestStreamFormat:
 
 
 class TestWriteStream:
-    """The one stream writer behind :meth:`Trace.save_stream` and
+    """The one stream writer behind :meth:`Trace.save` and
     ``repro trace record``: per-slot packets in, chunked JSONL out."""
 
     @staticmethod
@@ -363,7 +355,7 @@ class TestWriteStream:
 
 class TestTraceRecord:
     """``repro trace record`` streams a model through the same writer as
-    :meth:`Trace.save_stream`, without materializing the trace."""
+    :meth:`Trace.save`, without materializing the trace."""
 
     def _argv(self, traffic, path, chunk_slots, values="pareto"):
         return ["trace", "record", str(path), "--traffic", traffic,
@@ -371,14 +363,13 @@ class TestTraceRecord:
                 "--seed", "7", "--chunk-slots", str(chunk_slots)]
 
     @pytest.mark.parametrize("traffic", ["bernoulli", "appmix", "bursty"])
-    def test_bytes_match_save_stream(self, tmp_path, traffic):
+    def test_bytes_match_save(self, tmp_path, traffic):
         from repro.cli import _build_traffic, build_parser, main
 
         argv = self._argv(traffic, tmp_path / "rec.jsonl", 16)
         assert main(argv) == 0
         model = _build_traffic(build_parser().parse_args(argv))
-        model.generate(300, seed=7).save_stream(str(tmp_path / "gen.jsonl"),
-                                                16)
+        model.generate(300, seed=7).save(str(tmp_path / "gen.jsonl"), 16)
         assert ((tmp_path / "rec.jsonl").read_bytes()
                 == (tmp_path / "gen.jsonl").read_bytes())
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -387,7 +378,7 @@ class TestTraceRecord:
     @pytest.mark.parametrize("traffic,chunk_slots", [
         ("hotspot", 1), ("diagonal", 7), ("bernoulli", 300),
         ("bursty", 1000)])
-    def test_unit_values_match_save_stream(self, tmp_path, traffic,
+    def test_unit_values_match_save(self, tmp_path, traffic,
                                            chunk_slots):
         from repro.cli import _build_traffic, build_parser, main
 
@@ -395,8 +386,8 @@ class TestTraceRecord:
                           values="unit")
         assert main(argv) == 0
         model = _build_traffic(build_parser().parse_args(argv))
-        model.generate(300, seed=7).save_stream(str(tmp_path / "gen.jsonl"),
-                                                chunk_slots)
+        model.generate(300, seed=7).save(str(tmp_path / "gen.jsonl"),
+                                         chunk_slots)
         assert ((tmp_path / "rec.jsonl").read_bytes()
                 == (tmp_path / "gen.jsonl").read_bytes())
 
@@ -484,7 +475,7 @@ class TestEngineStreamingEquality:
                                  value_model=uniform_values(1, 20))
         trace = model.generate(25, seed=9)
         path = str(tmp_path / "rec.jsonl")
-        trace.save_stream(path, chunk_slots=4)
+        trace.save(path, chunk_slots=4)
         replay = TraceReplayTraffic(path)
         assert replay._trace is None
         stream = run_cioq_streaming(GMPolicy(), self.CONFIG,

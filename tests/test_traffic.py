@@ -61,12 +61,6 @@ class TestTrace:
         assert t2.packets[0].value == 2.5
         assert t2.packets[1].arrival == 3
 
-    def test_describe(self):
-        t = Trace([Packet(0, 1.0, 0, 0, 0)], 2, 2)
-        d = t.describe()
-        assert d["n_packets"] == 1
-        assert d["unit_valued"] is True
-
 
 class TestValueModels:
     def test_unit(self, rng):

@@ -1,6 +1,6 @@
 """T2 — Theorem 2: PG's empirical ratio and the beta sweep.
 
-Two parts:
+Two parts, each a list of scenario specs run through one executor call:
 
 1. PG at the analysis-optimal ``beta* = 1 + sqrt(2)`` against the exact
    OPT across weighted traffic families (bound: 3 + 2 sqrt 2 ~ 5.83).
@@ -10,53 +10,58 @@ Two parts:
    relative to beta*.
 """
 
-from repro.analysis.ratio import measure_cioq_ratio, ratio_of, summarize
+from repro.analysis.ratio import ratio_of
 from repro.analysis.report import format_table
 from repro.core.params import pg_optimal_beta, pg_optimal_ratio, pg_ratio
-from repro.core.pg import PGPolicy
 from repro.scenarios import ScenarioSpec, run_scenarios
-from repro.switch.config import SwitchConfig
-from repro.traffic.bernoulli import BernoulliTraffic
-from repro.traffic.hotspot import HotspotTraffic
-from repro.traffic.values import pareto_values, two_value, uniform_values
 
-from conftest import run_once
+from conftest import benefit_pairs, run_once
 
 CELLS = [
-    ("uniform [1,100]", lambda n: BernoulliTraffic(
-        n, n, load=1.3, value_model=uniform_values(1, 100)), 0),
-    ("two-value a=10", lambda n: BernoulliTraffic(
-        n, n, load=1.4, value_model=two_value(10, 0.25)), 1),
-    ("two-value a=100", lambda n: BernoulliTraffic(
-        n, n, load=1.4, value_model=two_value(100, 0.1)), 2),
-    ("pareto 1.3", lambda n: BernoulliTraffic(
-        n, n, load=1.3, value_model=pareto_values(1.3)), 3),
-    ("hotspot pareto", lambda n: HotspotTraffic(
-        n, n, load=1.4, hot_fraction=0.7,
-        value_model=pareto_values(1.5)), 4),
+    # (label, traffic, traffic params, values, value params, seed)
+    ("uniform [1,100]", "bernoulli", {"load": 1.3},
+     "uniform", {"lo": 1, "hi": 100}, 0),
+    ("two-value a=10", "bernoulli", {"load": 1.4},
+     "two-value", {"alpha": 10, "p_high": 0.25}, 1),
+    ("two-value a=100", "bernoulli", {"load": 1.4},
+     "two-value", {"alpha": 100, "p_high": 0.1}, 2),
+    ("pareto 1.3", "bernoulli", {"load": 1.3}, "pareto", {"shape": 1.3}, 3),
+    ("hotspot pareto", "hotspot", {"load": 1.4, "hot_fraction": 0.7},
+     "pareto", {"shape": 1.5}, 4),
 ]
 
 
-def compute_ratio_rows():
-    rows = []
-    measurements = []
-    config = SwitchConfig.square(3, speedup=1, b_in=2, b_out=2)
-    for label, make, seed in CELLS:
-        trace = make(3).generate(20, seed=seed)
-        m = measure_cioq_ratio(
-            PGPolicy(), trace, config, bound=pg_optimal_ratio()
+def compute_ratio_rows(executor=None):
+    """One PG-vs-OPT spec per value family on a 3x3 switch."""
+    specs = [
+        ScenarioSpec(
+            name=f"t2a-cell-{i}",
+            switch={"n_in": 3, "n_out": 3, "b_in": 2, "b_out": 2},
+            traffic=traffic,
+            traffic_params=params,
+            values=values,
+            value_params=value_params,
+            policies=({"name": "pg"},),
+            slots=20,
+            seeds=(seed,),
         )
-        measurements.append(m)
+        for i, (_, traffic, params, values, value_params, seed)
+        in enumerate(CELLS)
+    ]
+    rows = []
+    for (label, *_), run in zip(CELLS, run_scenarios(specs, executor)):
+        ((onl, opt),) = benefit_pairs(run, "pg")
+        ratio = ratio_of(opt, onl)
         rows.append(
             {
                 "values": label,
-                "PG": round(m.onl_benefit, 1),
-                "OPT": round(m.opt_benefit, 1),
-                "ratio": round(m.ratio, 4),
-                "<=5.83": m.within_bound,
+                "PG": round(onl, 1),
+                "OPT": round(opt, 1),
+                "ratio": round(ratio, 4),
+                "<=5.83": ratio <= pg_optimal_ratio() + 1e-9,
             }
         )
-    return rows, summarize(measurements)
+    return rows
 
 
 def compute_beta_sweep(executor=None):
@@ -90,15 +95,15 @@ def compute_beta_sweep(executor=None):
     return rows
 
 
-def test_t2_pg_ratio_table(benchmark, emit):
-    rows, summary = run_once(benchmark, compute_ratio_rows)
+def test_t2_pg_ratio_table(benchmark, emit, sweep_executor):
+    rows = run_once(benchmark, compute_ratio_rows, sweep_executor)
     emit("\n" + format_table(
         rows,
         title="T2a - PG (beta*=1+sqrt2) empirical ratio vs exact OPT "
               "(Theorem 2 bound: 5.8284)",
     ))
-    emit(f"worst observed ratio: {summary['max_ratio']:.4f}")
-    assert summary["all_within_bound"]
+    emit(f"worst observed ratio: {max(r['ratio'] for r in rows):.4f}")
+    assert all(r["<=5.83"] for r in rows)
 
 
 def test_t2_pg_beta_sweep(benchmark, emit, sweep_executor):

@@ -1,5 +1,7 @@
 """T4 — Theorem 4: CPG's empirical ratio and the (beta, alpha) grid.
 
+Two parts, each a list of scenario specs run through one executor call:
+
 1. CPG at the paper's optimal thresholds (beta* ~ 1.839, alpha* ~ 2.839)
    against the exact crossbar OPT (bound ~ 14.83).
 2. A (beta, alpha) grid around the optimum: measured ratio per cell next
@@ -8,51 +10,60 @@
    ablation in T9).
 """
 
-from repro.analysis.ratio import measure_crossbar_ratio, ratio_of, summarize
+from repro.analysis.ratio import ratio_of
 from repro.analysis.report import format_table
-from repro.core.cpg import CPGPolicy
 from repro.core.params import cpg_optimal_params, cpg_optimal_ratio, cpg_ratio
 from repro.scenarios import ScenarioSpec, run_scenarios
-from repro.switch.config import SwitchConfig
-from repro.traffic.bernoulli import BernoulliTraffic
-from repro.traffic.hotspot import HotspotTraffic
-from repro.traffic.values import pareto_values, two_value, uniform_values
 
-from conftest import run_once
+from conftest import benefit_pairs, run_once
+
+#: 3x3 buffered crossbar of the T4a cells.
+SWITCH = {"n_in": 3, "n_out": 3, "b_in": 2, "b_out": 2, "b_cross": 1}
 
 CELLS = [
-    ("uniform [1,100]", lambda n: BernoulliTraffic(
-        n, n, load=1.4, value_model=uniform_values(1, 100)), 0),
-    ("two-value a=10", lambda n: BernoulliTraffic(
-        n, n, load=1.5, value_model=two_value(10, 0.25)), 1),
-    ("pareto 1.3", lambda n: BernoulliTraffic(
-        n, n, load=1.4, value_model=pareto_values(1.3)), 2),
-    ("hotspot two-value", lambda n: HotspotTraffic(
-        n, n, load=1.5, hot_fraction=0.7,
-        value_model=two_value(50, 0.15)), 3),
+    # (label, traffic, traffic params, values, value params, seed)
+    ("uniform [1,100]", "bernoulli", {"load": 1.4},
+     "uniform", {"lo": 1, "hi": 100}, 0),
+    ("two-value a=10", "bernoulli", {"load": 1.5},
+     "two-value", {"alpha": 10, "p_high": 0.25}, 1),
+    ("pareto 1.3", "bernoulli", {"load": 1.4}, "pareto", {"shape": 1.3}, 2),
+    ("hotspot two-value", "hotspot", {"load": 1.5, "hot_fraction": 0.7},
+     "two-value", {"alpha": 50, "p_high": 0.15}, 3),
 ]
 
 
-def compute_ratio_rows():
-    rows = []
-    measurements = []
-    config = SwitchConfig.square(3, speedup=1, b_in=2, b_out=2, b_cross=1)
-    for label, make, seed in CELLS:
-        trace = make(3).generate(16, seed=seed)
-        m = measure_crossbar_ratio(
-            CPGPolicy(), trace, config, bound=cpg_optimal_ratio()
+def compute_ratio_rows(executor=None):
+    """One CPG-vs-OPT spec per value family, 16 slots each."""
+    specs = [
+        ScenarioSpec(
+            name=f"t4a-cell-{i}",
+            model="crossbar",
+            switch=SWITCH,
+            traffic=traffic,
+            traffic_params=params,
+            values=values,
+            value_params=value_params,
+            policies=({"name": "cpg"},),
+            slots=16,
+            seeds=(seed,),
         )
-        measurements.append(m)
+        for i, (_, traffic, params, values, value_params, seed)
+        in enumerate(CELLS)
+    ]
+    rows = []
+    for (label, *_), run in zip(CELLS, run_scenarios(specs, executor)):
+        ((onl, opt),) = benefit_pairs(run, "cpg")
+        ratio = ratio_of(opt, onl)
         rows.append(
             {
                 "values": label,
-                "CPG": round(m.onl_benefit, 1),
-                "OPT": round(m.opt_benefit, 1),
-                "ratio": round(m.ratio, 4),
-                "<=14.83": m.within_bound,
+                "CPG": round(onl, 1),
+                "OPT": round(opt, 1),
+                "ratio": round(ratio, 4),
+                "<=14.83": ratio <= cpg_optimal_ratio() + 1e-9,
             }
         )
-    return rows, summarize(measurements)
+    return rows
 
 
 def compute_grid(executor=None):
@@ -89,15 +100,15 @@ def compute_grid(executor=None):
     return rows
 
 
-def test_t4_cpg_ratio_table(benchmark, emit):
-    rows, summary = run_once(benchmark, compute_ratio_rows)
+def test_t4_cpg_ratio_table(benchmark, emit, sweep_executor):
+    rows = run_once(benchmark, compute_ratio_rows, sweep_executor)
     emit("\n" + format_table(
         rows,
         title="T4a - CPG (beta*, alpha*) empirical ratio vs exact OPT "
               "(Theorem 4 bound: 14.83; previous work: 16.24)",
     ))
-    emit(f"worst observed ratio: {summary['max_ratio']:.4f}")
-    assert summary["all_within_bound"]
+    emit(f"worst observed ratio: {max(r['ratio'] for r in rows):.4f}")
+    assert all(r["<=14.83"] for r in rows)
 
 
 def test_t4_cpg_threshold_grid(benchmark, emit, sweep_executor):

@@ -49,3 +49,17 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Time one execution of an experiment payload."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1,
                               iterations=1)
+
+
+def benefit_pairs(run, label):
+    """Per-seed ``(ONL, OPT)`` payload benefits of one policy column of a
+    scenario run with OPT.  No online policy may beat the offline
+    optimum: a pair with ONL above OPT means the offline model or the
+    engine is wrong."""
+    benefit = {(m["seed"], m["policy"]): m["benefit"] for m in run.metrics}
+    pairs = [(benefit[seed, label], benefit[seed, "OPT"])
+             for seed in run.spec.seeds]
+    for onl, opt in pairs:
+        assert onl <= opt + 1e-6, (
+            f"{run.spec.name}: online benefit {onl} exceeds OPT {opt}")
+    return pairs

@@ -7,12 +7,11 @@ a list of scenario specs run through one executor call by
 
 from .ratio import (
     RatioMeasurement,
-    RatioSummary,
     measure_cioq_ratio,
     measure_crossbar_ratio,
     per_seed_ratios,
     ratio_of,
-    summarize,
+    ratio_series,
 )
 from .report import (
     csv_table,
@@ -32,12 +31,11 @@ from .latency import delay_rows, occupancy_report, sparkline
 
 __all__ = [
     "RatioMeasurement",
-    "RatioSummary",
     "measure_cioq_ratio",
     "measure_crossbar_ratio",
     "per_seed_ratios",
     "ratio_of",
-    "summarize",
+    "ratio_series",
     "csv_table",
     "format_mean_ci",
     "format_summary_table",

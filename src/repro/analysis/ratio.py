@@ -7,15 +7,16 @@ are always *at most* the theoretical bound (if the implementation is
 faithful) and typically far below it on stochastic traffic; adversarial
 gadgets (T7) push them upward.
 
-Measurements are the unit every experiment (T1–T4, T6, T7, T9, T10) is
-built from.
+Measurements serve single hand-built traces (``repro ratio``, T7, T11,
+T13).  Scenario runs, the theorem tables T1–T4 among them, aggregate
+per-seed ratios instead, through :func:`ratio_series`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..offline.opt import cioq_opt, crossbar_opt
 from ..scheduling.base import CIOQPolicy, CrossbarPolicy
@@ -65,6 +66,30 @@ def per_seed_ratios(
         r = ratio_of(opt, onl)
         out.append(r if math.isfinite(r) else None)
     return out
+
+
+def ratio_series(
+    opt_bounds: Sequence[Tuple[float, float]], onl_benefits: Sequence[float]
+) -> Dict[str, List[Optional[float]]]:
+    """One policy's per-seed ratio series against the run's per-seed
+    certified ``(lower, upper)`` OPT brackets.
+
+    The one ratio rule of a run, read by ``result.json``'s aggregates,
+    the summary rows and early stopping alike: when every bracket is
+    degenerate (exact OPT) the run has one series, ``ratio``; when any
+    bracket is open it has ``ratio_lo`` (OPT_lo / ONL) and ``ratio_hi``
+    (OPT_hi / ONL) and no bare ``ratio``, so an inexact denominator
+    never passes for an exact one.  Unbounded seeds are None (see
+    :func:`per_seed_ratios`).
+    """
+    hi = [h for _, h in opt_bounds]
+    if all(lo == h for lo, h in opt_bounds):
+        return {"ratio": per_seed_ratios(hi, onl_benefits)}
+    return {
+        "ratio_lo": per_seed_ratios([lo for lo, _ in opt_bounds],
+                                    onl_benefits),
+        "ratio_hi": per_seed_ratios(hi, onl_benefits),
+    }
 
 
 @dataclass
@@ -137,23 +162,12 @@ class RatioMeasurement:
         is only known to lie in ``[ratio_lo, ratio_hi]``, so the
         measurement *violates* the bound only when even the certified
         lower end exceeds it — an inexact OPT never manufactures a
-        violation it cannot prove.  Use :attr:`certified_within_bound`
-        for the stronger claim that the whole bracket fits under the
-        bound.  The epsilon absorbs float noise in OPT / ONL only.
+        violation it cannot prove.  The epsilon absorbs float noise in
+        OPT / ONL only.
         """
         if self.bound is None:
             return True
         r = self.ratio_lo
-        return math.isfinite(r) and r <= self.bound + 1e-9
-
-    @property
-    def certified_within_bound(self) -> bool:
-        """Whether even the certified *upper* ratio end respects the
-        bound (for exact measurements: identical to
-        :attr:`within_bound`)."""
-        if self.bound is None:
-            return True
-        r = self.ratio_hi
         return math.isfinite(r) and r <= self.bound + 1e-9
 
     def as_row(self) -> dict:
@@ -230,145 +244,3 @@ def measure_crossbar_ratio(
     onl = run_crossbar(policy, config, trace)
     opt = crossbar_opt(trace, config, mode=opt_mode)
     return _measurement(policy.name, trace, "crossbar", onl, opt, bound)
-
-
-def summarize(measurements: Iterable[RatioMeasurement]) -> dict:
-    """Aggregate statistics over a batch of measurements.
-
-    ``mean_ratio`` averages the *finite* per-measurement ratios of the
-    **exact** measurements only (the per-seed mean, never a ratio of
-    summed benefits) — bracketed points never silently enter an
-    exact-looking mean.  They contribute instead to the certified
-    bracket ``[mean_ratio_lo, mean_ratio_hi]`` on the true mean, which
-    averages the certified ratio ends of *all* finite measurements
-    (exact points contribute their ratio to both ends).  Unbounded
-    measurements are counted in ``n_unbounded`` and surface through
-    ``max_ratio`` (inf) rather than poisoning the means.
-    """
-    ms = list(measurements)
-    ratios = [m.ratio for m in ms]
-    finite_exact = [m.ratio for m in ms
-                    if m.is_exact and math.isfinite(m.ratio)]
-    finite_lo = [m.ratio_lo for m in ms if math.isfinite(m.ratio_lo)]
-    finite_hi = [m.ratio_hi for m in ms if math.isfinite(m.ratio_hi)]
-    n_unbounded = sum(1 for r in ratios if not math.isfinite(r))
-
-    def _mean(vals):
-        return sum(vals) / len(vals) if vals else float("nan")
-
-    return {
-        "n": len(ms),
-        "n_exact": sum(1 for m in ms if m.is_exact),
-        "n_bracketed": sum(1 for m in ms if not m.is_exact),
-        "n_unbounded": n_unbounded,
-        "max_ratio": max(ratios) if ratios else float("nan"),
-        "mean_ratio": _mean(finite_exact),
-        "mean_ratio_lo": _mean(finite_lo),
-        "mean_ratio_hi": _mean(finite_hi),
-        "all_within_bound": all(m.within_bound for m in ms),
-        "all_certified_within_bound": all(
-            m.certified_within_bound for m in ms
-        ),
-    }
-
-
-@dataclass
-class RatioSummary:
-    """CI-aware aggregate of replicated ratio measurements.
-
-    The mean (with its std and normal CI) is the mean of *per-seed*
-    ratios over the ``n`` finite **exact** measurements; bracketed
-    measurements (inexact OPT) are never mixed into it.  They are
-    counted in ``n_bracketed`` and contribute to ``mean_lo`` /
-    ``mean_hi``: the certified bracket on the true mean ratio over all
-    finite measurements (exact points enter both ends at their exact
-    ratio; both are None when every ratio end is unbounded).
-    ``n_unbounded`` counts seeds whose conservative ratio was unbounded
-    (ONL = 0 < OPT upper) and therefore excluded.  ``ci_lo`` / ``ci_hi``
-    bound the exact mean ratio at ``confidence`` level via the normal
-    interval of :mod:`repro.stats.ci`; they are None when fewer than
-    two finite exact ratios exist.  ``worst`` is conservative: the
-    maximum certified *upper* ratio end.
-    """
-
-    policy: str
-    n: int
-    n_unbounded: int
-    mean: Optional[float]
-    std: Optional[float]
-    ci_lo: Optional[float]
-    ci_hi: Optional[float]
-    worst: float
-    confidence: float = 0.95
-    all_within_bound: bool = True
-    n_bracketed: int = 0
-    mean_lo: Optional[float] = None
-    mean_hi: Optional[float] = None
-
-    @classmethod
-    def from_measurements(
-        cls,
-        measurements: Iterable[RatioMeasurement],
-        confidence: float = 0.95,
-    ) -> "RatioSummary":
-        # Deferred import: analysis must stay importable without
-        # triggering the stats package (which imports the scenario
-        # subsystem, which imports this package).
-        from ..stats.ci import normal_interval
-        from ..stats.welford import Welford
-
-        ms = list(measurements)
-        if not ms:
-            raise ValueError("no measurements to summarize")
-        finite = [m.ratio for m in ms
-                  if m.is_exact and m.finite_ratio is not None]
-        n_bracketed = sum(1 for m in ms if not m.is_exact)
-        acc = Welford.from_values(finite)
-        lo, hi = normal_interval(acc.mean, acc.std, acc.n, confidence)
-        finite_lo = [m.ratio_lo for m in ms if math.isfinite(m.ratio_lo)]
-        finite_hi = [m.ratio_hi for m in ms if math.isfinite(m.ratio_hi)]
-        mean_lo = sum(finite_lo) / len(finite_lo) if finite_lo else None
-        mean_hi = sum(finite_hi) / len(finite_hi) if finite_hi else None
-        return cls(
-            policy=ms[0].policy,
-            n=len(finite),
-            n_unbounded=sum(1 for m in ms if m.finite_ratio is None),
-            mean=acc.mean if finite else None,
-            std=acc.std if math.isfinite(acc.std) else None,
-            ci_lo=lo if math.isfinite(lo) else None,
-            ci_hi=hi if math.isfinite(hi) else None,
-            worst=max(m.ratio_hi for m in ms),
-            confidence=confidence,
-            all_within_bound=all(m.within_bound for m in ms),
-            n_bracketed=n_bracketed,
-            mean_lo=mean_lo,
-            mean_hi=mean_hi,
-        )
-
-    @property
-    def half_width(self) -> Optional[float]:
-        if self.ci_lo is None or self.mean is None:
-            return None
-        return self.mean - self.ci_lo
-
-    def as_row(self) -> dict:
-        hw = self.half_width
-        row = {
-            "policy": self.policy,
-            "n": self.n,
-            "mean_ratio": round(self.mean, 4) if self.mean is not None
-            else None,
-            "hw": round(hw, 4) if hw is not None else None,
-            "worst": round(self.worst, 4) if math.isfinite(self.worst)
-            else None,
-            "ok": self.all_within_bound,
-        }
-        if self.n_bracketed:
-            row["n_bracketed"] = self.n_bracketed
-            row["mean_lo"] = (
-                round(self.mean_lo, 4) if self.mean_lo is not None else None
-            )
-            row["mean_hi"] = (
-                round(self.mean_hi, 4) if self.mean_hi is not None else None
-            )
-        return row

@@ -366,14 +366,11 @@ def _load_spec(args):
         except (OSError, ValueError) as exc:
             raise SystemExit(f"bad spec: {exc}") from None
         # Params the traffic model refuses, or a replay path that is not
-        # a trace file, end here rather than mid-run.  Building a model
-        # reads at most a trace header; the adversarial kind would build
-        # its whole attack trace, so its run checks it.
-        if spec.traffic != "adversarial":
-            try:
-                spec.build_traffic()
-            except (OSError, TypeError, ValueError) as exc:
-                raise SystemExit(f"bad spec: {args.file}: {exc}") from None
+        # a trace file, end here rather than mid-run.
+        try:
+            spec.check_traffic()
+        except (OSError, TypeError, ValueError) as exc:
+            raise SystemExit(f"bad spec: {args.file}: {exc}") from None
         return spec
     if not args.name:
         raise SystemExit("need a scenario name (or --file)")

@@ -79,7 +79,7 @@ METRIC_CATALOG: Dict[str, tuple] = {
     "phase_schedule_seconds": ("timer", "wall time in scheduling cycles"),
     "phase_transmit_seconds": ("timer", "wall time in the transmission phase"),
     "run_seconds": ("timer", "wall time of one engine run"),
-    "point_seconds": ("timer", "wall time of one sweep point"),
+    "point_seconds_total": ("timer", "wall time of every sweep point, summed"),
     "worker_busy_seconds": ("timer",
                             "cumulative worker wall time across farm jobs"),
 }

@@ -34,10 +34,10 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .._version import __version__
-from ..analysis.ratio import per_seed_ratios
+from ..analysis.ratio import ratio_series
 from ..analysis.report import csv_table, format_table
 from ..obs import build_manifest, write_manifest
 from ..parallel import SweepExecutor, SweepPoint
@@ -110,18 +110,15 @@ class ScenarioRun:
 
 def run_scenario(
     spec: ScenarioSpec,
-    workers: int = 0,
-    cache_dir: Optional[str] = None,
     executor: Optional[SweepExecutor] = None,
-    backend: str = DEFAULT_BACKEND,
     opt_mode: str = "exact",
 ) -> ScenarioRun:
     """Execute a scenario; pure function of the spec.
 
-    ``workers``/``cache_dir``/``backend`` build a fresh executor unless
-    one is passed explicitly (then the executor's own backend applies).
-    Results are bit-identical for any worker count and — by the backend
-    contract (see :mod:`repro.simulation.backends`) — for any backend.
+    ``executor`` defaults to a serial, uncached ``SweepExecutor()``;
+    pass one to set workers, a cache or the backend.  Results are
+    bit-identical for any worker count and — by the backend contract
+    (see :mod:`repro.simulation.backends`) — for any backend.
 
     ``opt_mode`` selects the offline-optimum solver for the per-seed
     OPT points (see :mod:`repro.offline.opt` and
@@ -130,10 +127,7 @@ def run_scenario(
     ``OPT`` column, and the aggregates report ratio brackets instead of
     an exact-looking mean ratio.
     """
-    ex = executor if executor is not None else SweepExecutor(
-        workers=workers, cache_dir=cache_dir, backend=backend
-    )
-    return run_scenarios([spec], ex, opt_mode)[0]
+    return run_scenarios([spec], executor, opt_mode)[0]
 
 
 def run_scenarios(
@@ -200,7 +194,6 @@ def _scenario_run(
     rows: List[Dict[str, object]] = []
     metrics: List[Dict[str, object]] = []
     benefits: Dict[str, List[float]] = {label: [] for label in labels}
-    opt_benefits: List[float] = []
     opt_bounds: List[Tuple[float, float]] = []
     for seed in spec.seeds:
         row: Dict[str, object] = {"seed": seed, "arrived": len(traces[seed])}
@@ -216,7 +209,6 @@ def _scenario_run(
         if spec.include_opt:
             payload = next(payloads)
             benefit = float(payload["benefit"])
-            opt_benefits.append(benefit)
             row["OPT"] = round(benefit, 6)
             lo = float(payload.get("opt_lower", benefit))
             hi = float(payload.get("opt_upper", benefit))
@@ -231,8 +223,7 @@ def _scenario_run(
         rows.append(row)
 
     aggregates = compute_aggregates(
-        labels, benefits, opt_benefits if spec.include_opt else None,
-        opt_bounds if spec.include_opt else None,
+        labels, benefits, opt_bounds if spec.include_opt else None
     )
 
     return ScenarioRun(spec=spec, rows=rows, aggregates=aggregates,
@@ -243,73 +234,64 @@ def _scenario_run(
 def compute_aggregates(
     labels: List[str],
     benefits: Dict[str, List[float]],
-    opt_benefits: Optional[List[float]],
     opt_bounds: Optional[List[Tuple[float, float]]] = None,
 ) -> List[Dict[str, object]]:
     """Per-policy aggregate rows over per-seed benefit lists.
 
-    The mean ratio averages *per-seed* ratios (OPT / policy, seed by
-    seed) rather than dividing summed benefits — the two differ whenever
-    seeds have different magnitudes, and the per-seed mean is the
-    estimator the paper's per-instance ratio tables use (see
-    ``docs/statistics.md``).  Shared by :func:`run_scenario` and the
-    replicated runs in :mod:`repro.stats.replication`, so single-pass
-    and replicated artifacts agree on aggregate semantics.
-
     ``opt_bounds`` carries the per-seed certified ``(lower, upper)`` OPT
-    brackets.  When any seed's bracket is non-degenerate (inexact OPT
-    solver), ``mean_ratio`` is reported as ``None`` and the certified
-    bracket ``[mean_ratio_lo, mean_ratio_hi]`` on the true mean ratio is
-    emitted instead — an inexact denominator never masquerades as an
-    exact one.
+    brackets, whose upper end is the ``OPT`` column (None when OPT did
+    not run).  Each policy's ratio aggregates are the means of its
+    :func:`~repro.analysis.ratio.ratio_series`: per-seed ratios, never
+    ratios of summed benefits (see ``docs/statistics.md``).  An exact
+    run reports ``mean_ratio``; a run with any open bracket reports
+    ``mean_ratio`` as None next to the certified bracket
+    ``[mean_ratio_lo, mean_ratio_hi]`` on the true mean ratio.  Seeds
+    whose ratio is unbounded are left out of the means, as the summary
+    rows count them in ``n_undefined``; a mean with no finite ratio is
+    None (strict JSON, no Infinity).  Shared by :func:`run_scenario`
+    and the replicated runs in :mod:`repro.stats.replication`.
     """
 
-    def _mean_ratio(opts: List[float], vals: List[float]):
-        # Per-seed ratios (both-zero seeds are perfect, 1.0); seeds
-        # whose ratio is unbounded (ONL = 0 < OPT) are excluded
-        # from the mean — matching the summary rows of
-        # repro.stats — and the mean is None (RFC-8259-valid
-        # JSON, no Infinity) only when no finite ratio exists.
-        ratios = [r for r in per_seed_ratios(opts, vals) if r is not None]
-        return round(sum(ratios) / len(ratios), 6) if ratios else None
+    def _mean(ratios: List[Optional[float]]) -> Optional[float]:
+        finite = [r for r in ratios if r is not None]
+        return round(sum(finite) / len(finite), 6) if finite else None
 
-    bracketed = opt_bounds is not None and any(
-        lo != hi for lo, hi in opt_bounds
-    )
-    aggregates: List[Dict[str, object]] = []
-    for label in labels:
-        vals = benefits[label]
-        agg: Dict[str, object] = {
-            "policy": label,
+    def _benefits(policy: str, vals: List[float]) -> Dict[str, object]:
+        return {
+            "policy": policy,
             "mean_benefit": round(sum(vals) / len(vals), 6),
             "min_benefit": round(min(vals), 6),
             "max_benefit": round(max(vals), 6),
         }
-        if opt_benefits is not None:
-            if bracketed:
-                agg["mean_ratio"] = None
-                agg["mean_ratio_lo"] = _mean_ratio(
-                    [lo for lo, _ in opt_bounds], vals
-                )
-                agg["mean_ratio_hi"] = _mean_ratio(
-                    [hi for _, hi in opt_bounds], vals
-                )
-            else:
-                agg["mean_ratio"] = _mean_ratio(opt_benefits, vals)
+
+    aggregates: List[Dict[str, object]] = []
+    for label in labels:
+        agg = _benefits(label, benefits[label])
+        if opt_bounds is not None:
+            agg["mean_ratio"] = None
+            for name, ratios in ratio_series(opt_bounds,
+                                             benefits[label]).items():
+                agg[f"mean_{name}"] = _mean(ratios)
         aggregates.append(agg)
-    if opt_benefits is not None:
-        agg = {
-            "policy": "OPT",
-            "mean_benefit": round(sum(opt_benefits) / len(opt_benefits), 6),
-            "min_benefit": round(min(opt_benefits), 6),
-            "max_benefit": round(max(opt_benefits), 6),
-            "mean_ratio": None if bracketed else 1.0,
-        }
-        if bracketed:
-            agg["mean_ratio_lo"] = None
-            agg["mean_ratio_hi"] = None
+    if opt_bounds is not None:
+        opt_benefits = [hi for _, hi in opt_bounds]
+        agg = _benefits("OPT", opt_benefits)
+        # OPT against itself: 1.0 on an exact run, no claim on a
+        # bracketed one.
+        agg["mean_ratio"] = None
+        for name in ratio_series(opt_bounds, opt_benefits):
+            agg[f"mean_{name}"] = 1.0 if name == "ratio" else None
         aggregates.append(agg)
     return aggregates
+
+
+def row_opt_bounds(
+    rows: Sequence[Mapping[str, object]]
+) -> List[Tuple[float, float]]:
+    """Per-seed certified ``(lower, upper)`` OPT brackets of result rows
+    (the rows of an exact run carry the ``OPT`` column alone)."""
+    return [(float(r.get("OPT_lo", r["OPT"])),
+             float(r.get("OPT_hi", r["OPT"]))) for r in rows]
 
 
 def build_run_manifest(run: ScenarioRun, kind: str = "scenario",

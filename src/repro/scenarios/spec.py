@@ -138,9 +138,12 @@ def _require_unit_values(kind: str, value_model: ValueModel) -> None:
         )
 
 
-def _build_adversarial(
-    config: SwitchConfig, slots: int, value_model: ValueModel, params: Mapping
-) -> TrafficModel:
+def _adversarial_attack(
+    config: SwitchConfig, value_model: ValueModel, params: Mapping
+) -> Callable[[int], TrafficModel]:
+    """Check an adversarial spec's params and return its build, a
+    function of the slot count.  The check generates nothing; the build
+    generates the gadget or the adaptive attack."""
     _require_unit_values("adversarial", value_model)
     params = dict(params)
     gadget_name = params.pop("gadget", None)
@@ -167,9 +170,8 @@ def _build_adversarial(
         cls = POLICY_CLASSES["cioq"][victim]
         factory = partial(cls, **victim_params) if victim_params else cls
         adversary = ADAPTIVE_ADVERSARIES[adversary_name](**params)
-        trace = generate_adaptive_trace(factory, config, adversary,
-                                        n_slots=slots)
-        return TraceReplayTraffic(trace)
+        return lambda slots: TraceReplayTraffic(generate_adaptive_trace(
+            factory, config, adversary, n_slots=slots))
     if gadget_name not in ADVERSARIAL_GADGETS:
         raise ValueError(
             f"unknown adversarial gadget {gadget_name!r}; choose from "
@@ -178,8 +180,15 @@ def _build_adversarial(
     if config.n_in != config.n_out:
         raise ValueError("adversarial gadgets need a square switch")
     repeat = bool(params.pop("repeat", False))
-    trace = ADVERSARIAL_GADGETS[gadget_name](n=config.n_in, **params)
-    return TraceReplayTraffic(trace, repeat=repeat)
+    gadget = ADVERSARIAL_GADGETS[gadget_name]
+    return lambda slots: TraceReplayTraffic(gadget(n=config.n_in, **params),
+                                            repeat=repeat)
+
+
+def _build_adversarial(
+    config: SwitchConfig, slots: int, value_model: ValueModel, params: Mapping
+) -> TrafficModel:
+    return _adversarial_attack(config, value_model, params)(slots)
 
 
 def _build_replay(
@@ -513,6 +522,16 @@ class ScenarioSpec:
             self.build_config(), self.slots, self.build_value_model(),
             dict(self.traffic_params),
         )
+
+    def check_traffic(self) -> None:
+        """Raise what :meth:`build_traffic` would, generating no trace:
+        building a stochastic or replay model reads at most a trace
+        header, and the adversarial kind is checked without its build."""
+        if self.traffic != "adversarial":
+            self.build_traffic()
+            return
+        _adversarial_attack(self.build_config(), self.build_value_model(),
+                            self.traffic_params)
 
     def policy_factories(self) -> List[Tuple[str, Callable[[], object]]]:
         """(label, picklable zero-arg factory) per policy entry."""

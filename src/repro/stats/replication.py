@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .._version import __version__
-from ..analysis.ratio import per_seed_ratios
+from ..analysis.ratio import ratio_series
 from ..analysis.report import csv_table, format_summary_table
 from ..obs import write_manifest
 from ..parallel import SweepExecutor
@@ -34,11 +34,11 @@ from ..scenarios.runner import (
     ScenarioRun,
     build_run_manifest,
     compute_aggregates,
+    row_opt_bounds,
     run_scenario,
     write_artifacts,
 )
 from ..scenarios.spec import REPLICATES_DEFAULTS, ScenarioSpec
-from ..simulation.backends import DEFAULT_BACKEND
 from .ci import half_width
 from .summarize import (
     SUMMARY_COLUMNS,
@@ -162,10 +162,11 @@ def _target_values(
     if metric == "benefit":
         return [float(r[label]) for r in run.rows]
     if metric == "ratio":
-        # With an inexact OPT solver, r["OPT"] is the certified bracket
-        # upper end, so the stopping target is the conservative ratio.
-        return per_seed_ratios([float(r["OPT"]) for r in run.rows],
-                               [float(r[label]) for r in run.rows])
+        # With an open OPT bracket the stopping target is the
+        # conservative end, ratio_hi.
+        series = ratio_series(row_opt_bounds(run.rows),
+                              [float(r[label]) for r in run.rows])
+        return series.get("ratio") or series["ratio_hi"]
     return [
         float(m[metric])
         for m in run.metrics
@@ -176,22 +177,21 @@ def _target_values(
 def replicate_scenario(
     spec: ScenarioSpec,
     plan: Optional[ReplicationPlan] = None,
-    workers: int = 0,
-    cache_dir: Optional[str] = None,
     executor: Optional[SweepExecutor] = None,
-    backend: str = DEFAULT_BACKEND,
     opt_mode: str = "exact",
 ) -> ReplicatedRun:
     """Run ``spec`` across the plan's replicate seeds; pure function of
     (spec, plan).
 
     Without a plan argument, the spec's own ``replicates`` block is
-    used (it must be non-empty).  Results — per-seed artifact and
+    used (it must be non-empty).  ``executor`` defaults to a serial,
+    uncached ``SweepExecutor()``.  Results — per-seed artifact and
     summary rows alike — are bit-identical for any worker count, and by
-    the backend contract for any ``backend``: with ``"fast"``/``"auto"``
-    each seed batch's (policy, seed) ladder executes in lockstep inside
-    the vectorized kernel (see :class:`~repro.parallel.SweepExecutor`),
-    which is where multi-seed replication amortizes the slot loop.
+    the backend contract for any executor backend: with
+    ``"fast"``/``"auto"`` each seed batch's (policy, seed) ladder
+    executes in lockstep inside the vectorized kernel (see
+    :class:`~repro.parallel.SweepExecutor`), which is where multi-seed
+    replication amortizes the slot loop.
     """
     if plan is None:
         if not spec.replicates:
@@ -200,9 +200,7 @@ def replicate_scenario(
                 f"ReplicationPlan or use run_scenario for single runs"
             )
         plan = ReplicationPlan.from_spec(spec)
-    ex = executor if executor is not None else SweepExecutor(
-        workers=workers, cache_dir=cache_dir, backend=backend
-    )
+    ex = executor if executor is not None else SweepExecutor()
 
     all_seeds = plan.seeds()
     if plan.target_half_width is None:
@@ -246,16 +244,12 @@ def replicate_scenario(
 
     spec_used = spec.with_overrides(seeds=seeds_used)
     benefits = {label: [float(r[label]) for r in rows] for label in labels}
-    opt_benefits = ([float(r["OPT"]) for r in rows]
-                    if spec.include_opt else None)
-    opt_bounds = ([(float(r.get("OPT_lo", r["OPT"])),
-                    float(r.get("OPT_hi", r["OPT"]))) for r in rows]
-                  if spec.include_opt else None)
     combined = ScenarioRun(
         spec=spec_used,
         rows=rows,
-        aggregates=compute_aggregates(labels, benefits, opt_benefits,
-                                      opt_bounds),
+        aggregates=compute_aggregates(
+            labels, benefits,
+            row_opt_bounds(rows) if spec.include_opt else None),
         metrics=metrics,
         opt_mode=opt_mode,
         backend=ex.backend,

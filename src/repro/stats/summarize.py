@@ -23,7 +23,8 @@ import math
 import os
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..analysis.ratio import per_seed_ratios
+from ..analysis.ratio import ratio_series
+from ..scenarios.runner import row_opt_bounds
 from ..scenarios.spec import ScenarioSpec
 from .ci import bootstrap_interval, normal_interval
 from .welford import Welford
@@ -67,10 +68,12 @@ def collect_series(
 
     ``benefit`` comes from the per-seed benefit rows (it is always
     present, also for OPT); the remaining metrics come from the
-    per-(seed, policy) metrics table.  Ratio series are added per policy
-    when OPT ran, as *per-seed* ratios (None marks a seed whose ratio is
-    unbounded).  Ordering is deterministic: policies in spec order, OPT
-    last, metrics in spec order with ``benefit`` first.
+    per-(seed, policy) metrics table.  When OPT ran, each policy's
+    :func:`~repro.analysis.ratio.ratio_series` against the rows' OPT
+    brackets follows: ``ratio``, or ``ratio_lo`` and ``ratio_hi`` when
+    any bracket is open (None marks a seed whose ratio is unbounded).
+    Ordering is deterministic: policies in spec order, OPT last,
+    metrics in spec order with ``benefit`` first, ratios last.
     """
     all_labels = list(labels) + (["OPT"] if include_opt else [])
     names = ["benefit"] + [m for m in metric_names if m != "benefit"]
@@ -88,11 +91,11 @@ def collect_series(
                 continue
             series[(label, name)] = [float(v) for v in values]
     if include_opt:
-        opt = series[("OPT", "benefit")]
+        bounds = row_opt_bounds(rows)
         for label in labels:
-            series[(label, "ratio")] = per_seed_ratios(
-                opt, series[(label, "benefit")]
-            )
+            for name, ratios in ratio_series(
+                    bounds, series[(label, "benefit")]).items():
+                series[(label, name)] = ratios
     return series
 
 

@@ -1,7 +1,5 @@
 """Tests for the analysis harness: ratios, tables, efficiency."""
 
-import math
-
 import pytest
 
 from repro.analysis.efficiency import (
@@ -13,7 +11,7 @@ from repro.analysis.ratio import (
     RatioMeasurement,
     measure_cioq_ratio,
     measure_crossbar_ratio,
-    summarize,
+    ratio_series,
 )
 from repro.analysis.report import (
     csv_table,
@@ -62,17 +60,8 @@ class TestRatioMeasurement:
         ms = [measure_cioq_ratio(GMPolicy(), t, small_config, bound=3.0)
               for t in traces]
         assert len(ms) == 3
-        s = summarize(ms)
-        assert s["n"] == 3
-        assert s["all_within_bound"]
-        assert s["max_ratio"] >= s["mean_ratio"] >= 1.0
-
-    def test_summarize_empty(self):
-        s = summarize([])
-        assert (s["n"], s["n_exact"], s["n_bracketed"],
-                s["n_unbounded"]) == (0, 0, 0, 0)
-        assert math.isnan(s["max_ratio"]) and math.isnan(s["mean_ratio"])
-        assert s["all_within_bound"] and s["all_certified_within_bound"]
+        assert all(m.within_bound for m in ms)
+        assert all(3.0 >= m.ratio >= 1.0 for m in ms)
 
 
 class TestReport:
@@ -178,18 +167,15 @@ class TestIntervalRatios:
         assert m.ratio == pytest.approx(2.4)       # conservative end
         assert m.ratio_lo == pytest.approx(1.8)
         assert m.ratio_hi == pytest.approx(2.4)
-        assert m.within_bound and m.certified_within_bound
+        assert m.within_bound
 
     def test_bound_check_needs_certified_violation(self):
-        # Bracket straddles the bound: no *certified* violation, but
-        # not certified-within either.
+        # Bracket straddles the bound: no *certified* violation.
         straddle = _bracketed(onl=10.0, lo=25.0, hi=35.0)
         assert straddle.within_bound
-        assert not straddle.certified_within_bound
         # Even the certified lower end exceeds the bound: violation.
         violation = _bracketed(onl=10.0, lo=31.0, hi=35.0)
         assert not violation.within_bound
-        assert not violation.certified_within_bound
 
     def test_degenerate_bracket_is_exact(self):
         m = _bracketed(onl=10.0, lo=20.0, hi=20.0)
@@ -204,51 +190,22 @@ class TestIntervalRatios:
         assert row["opt_lo"] == 18.0 and row["opt_hi"] == 24.0
         assert row["ratio_lo"] == 1.8 and row["ratio_hi"] == 2.4
 
-    def test_summarize_never_mixes_exact_and_bracketed(self):
-        mixed = [
-            _exact(onl=10.0, opt=20.0),           # ratio 2.0
-            _exact(onl=10.0, opt=30.0),           # ratio 3.0
-            _bracketed(onl=10.0, lo=15.0, hi=40.0),  # [1.5, 4.0]
-        ]
-        s = summarize(mixed)
-        assert s["n"] == 3
-        assert s["n_exact"] == 2 and s["n_bracketed"] == 1
-        # Exact mean is exact-only; the bracket covers all points.
-        assert s["mean_ratio"] == pytest.approx(2.5)
-        assert s["mean_ratio_lo"] == pytest.approx((2.0 + 3.0 + 1.5) / 3)
-        assert s["mean_ratio_hi"] == pytest.approx((2.0 + 3.0 + 4.0) / 3)
-        assert s["max_ratio"] == pytest.approx(4.0)  # conservative end
-        assert s["all_within_bound"]
-        assert not s["all_certified_within_bound"]  # 4.0 > 3.0
-
-    def test_summary_table_mixing_exact_and_bracketed(self):
-        from repro.analysis.ratio import RatioSummary
-
-        mixed = [
-            _exact(onl=10.0, opt=20.0),
-            _exact(onl=10.0, opt=30.0),
-            _bracketed(onl=10.0, lo=15.0, hi=40.0),
-        ]
-        summary = RatioSummary.from_measurements(mixed)
-        assert summary.n == 2            # exact finite points only
-        assert summary.n_bracketed == 1
-        assert summary.mean == pytest.approx(2.5)
-        assert summary.worst == pytest.approx(4.0)
-        row = summary.as_row()
-        assert row["n_bracketed"] == 1
-        assert row["mean_lo"] == pytest.approx(2.1667, abs=1e-4)
-        assert row["mean_hi"] == pytest.approx(3.0)
-        # Pure-exact tables keep their original shape.
-        pure = RatioSummary.from_measurements(mixed[:2]).as_row()
-        assert "n_bracketed" not in pure and "mean_lo" not in pure
+    def test_ratio_series_never_mixes_exact_and_bracketed(self):
+        exact = ratio_series([(20.0, 20.0), (30.0, 30.0)], [10.0, 10.0])
+        assert exact == {"ratio": [2.0, 3.0]}
+        # One open bracket turns the whole run into bracket ends.
+        mixed = ratio_series([(20.0, 20.0), (30.0, 30.0), (15.0, 40.0)],
+                             [10.0, 10.0, 10.0])
+        assert mixed == {"ratio_lo": [2.0, 3.0, 1.5],
+                         "ratio_hi": [2.0, 3.0, 4.0]}
+        # Unbounded seeds are None in every series.
+        assert ratio_series([(5.0, 9.0), (0.0, 0.0)], [0.0, 0.0]) == {
+            "ratio_lo": [None, 1.0], "ratio_hi": [None, 1.0]}
 
     def test_unbounded_bracketed_measurement(self):
         m = _bracketed(onl=0.0, lo=5.0, hi=9.0)
         assert m.finite_ratio is None
         assert not m.within_bound    # cannot certify consistency
-        s = summarize([m, _exact(onl=10.0, opt=20.0)])
-        assert s["n_unbounded"] == 1
-        assert s["mean_ratio"] == pytest.approx(2.0)
 
     def test_measure_with_bounds_mode_brackets_exact(
         self, small_config, unit_trace

@@ -582,6 +582,7 @@ def test_replicated_artifacts_byte_identical(tmp_path):
     """The full replication pipeline — batched fast ladder vs serial
     reference — writes byte-identical summary.json / summary.csv (and
     result.json/result.csv), the artifact-level form of the contract."""
+    from repro.parallel import SweepExecutor
     from repro.scenarios.spec import ScenarioSpec
     from repro.stats import replicate_scenario, write_replicated_artifacts
 
@@ -603,7 +604,8 @@ def test_replicated_artifacts_byte_identical(tmp_path):
     )
     out = {}
     for backend in ("reference", "fast"):
-        rrun = replicate_scenario(spec, backend=backend)
+        rrun = replicate_scenario(spec,
+                                  executor=SweepExecutor(backend=backend))
         target = tmp_path / backend
         paths = write_replicated_artifacts(rrun, str(target))
         out[backend] = {

@@ -337,12 +337,20 @@ class TestBadInputIsOneLine:
         ("smoke-bernoulli", "load = 1.0", "load = 1.0\nbogus = 1"),
         ("smoke-bernoulli", 'traffic = "bernoulli"\n',
          'traffic = "replay"\n'),
-    ], ids=["load-scale-zero", "unknown-param", "replay-not-a-stream"])
+        ("adversarial-overload", 'adversary = "single-output-overload"',
+         'adversary = "nope"'),
+        ("adversarial-overload", 'policy = "gm"', 'policy = "nope"'),
+        ("adversarial-beta-admission", 'gadget = "beta-admission"',
+         'gadget = "nope"'),
+    ], ids=["load-scale-zero", "unknown-param", "replay-not-a-stream",
+            "adversary-unknown", "adversary-victim-unknown",
+            "gadget-unknown"])
     def test_spec_file_traffic_refused_before_any_point(
             self, scenario, old, new, capsys, tmp_path, monkeypatch):
         """A spec whose traffic model refuses its params, or whose
         replay path is not a trace file, exits with one line naming the
-        spec file before any point runs."""
+        spec file before any point runs or any attack is generated."""
+        import repro.scenarios.spec as spec_module
         from repro.parallel import SweepExecutor
 
         monkeypatch.chdir(tmp_path)
@@ -359,6 +367,10 @@ class TestBadInputIsOneLine:
             raise AssertionError("a point ran before the spec was refused")
 
         monkeypatch.setattr(SweepExecutor, "run", no_points)
+        monkeypatch.setattr(spec_module, "generate_adaptive_trace", no_points)
+        for gadget in spec_module.ADVERSARIAL_GADGETS:
+            monkeypatch.setitem(spec_module.ADVERSARIAL_GADGETS, gadget,
+                                no_points)
         with pytest.raises(SystemExit) as exc:
             main(["scenarios", "run", "--file", "spec.toml", "--no-artifacts"])
         message = exc.value.code

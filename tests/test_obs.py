@@ -449,6 +449,25 @@ class TestCLI:
         assert len(lines) == 2
         assert all(json.loads(li)["event"] == "counter" for li in lines)
 
+    @pytest.mark.parametrize("argv", [
+        ["scenarios", "run", "smoke-bernoulli", "--out"],
+        ["sweep", "--policies", "gm", "--loads", "1.0", "--seeds", "1",
+         "--slots", "10", "--opt", "--metrics-out"],
+    ], ids=["scenarios-run", "sweep"])
+    def test_every_written_name_is_catalogued(self, argv, tmp_path, capsys):
+        """Every metric name a ``--metrics-every 1`` run writes, to
+        metrics.jsonl and to timings.json's walltimes_seconds, is in
+        METRIC_CATALOG (and so documented)."""
+        from repro.cli import main
+
+        assert main([*argv, str(tmp_path), "--metrics-every", "1"]) == 0
+        (metrics,) = tmp_path.rglob(METRICS_FILENAME)
+        (timings,) = tmp_path.rglob(TIMINGS_FILENAME)
+        names = {ev["name"] for ev in iter_jsonl(metrics) if "name" in ev}
+        walltimes = json.loads(timings.read_text())["walltimes_seconds"]
+        assert names and walltimes
+        assert names | set(walltimes) <= set(METRIC_CATALOG)
+
     def test_sweep_metrics_prometheus_stdout(self, capsys):
         from repro.cli import main
 

@@ -8,6 +8,7 @@ import tomllib
 import pytest
 
 from repro.cli import main as cli_main
+from repro.parallel import SweepExecutor
 from repro.scenarios import (
     ARTIFACT_VERSION,
     ScenarioSpec,
@@ -276,7 +277,7 @@ class TestRunner:
     def test_serial_vs_parallel_bit_identical(self, tmp_path):
         spec = small_spec()
         serial = run_scenario(spec)
-        parallel = run_scenario(spec, workers=3)
+        parallel = run_scenario(spec, executor=SweepExecutor(workers=3))
         assert serial.artifact() == parallel.artifact()
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -320,8 +321,10 @@ class TestRunner:
 
     def test_cache_dir_round_trip(self, tmp_path):
         spec = small_spec()
-        first = run_scenario(spec, cache_dir=str(tmp_path / "cache"))
-        second = run_scenario(spec, cache_dir=str(tmp_path / "cache"))
+        cache_dir = str(tmp_path / "cache")
+        first = run_scenario(spec, executor=SweepExecutor(cache_dir=cache_dir))
+        second = run_scenario(spec,
+                              executor=SweepExecutor(cache_dir=cache_dir))
         assert first.artifact() == second.artifact()
 
     def test_opt_bounds_mode_rows_bracket_exact(self, tmp_path):

@@ -1,5 +1,5 @@
 """Tests for the replication & statistics subsystem (repro.stats) and
-the CI-aware ratio aggregation in repro.analysis.ratio."""
+the per-seed ratio rule in repro.analysis.ratio."""
 
 import json
 import math
@@ -7,14 +7,9 @@ import statistics
 
 import pytest
 
-from repro.analysis.ratio import (
-    RatioMeasurement,
-    RatioSummary,
-    per_seed_ratios,
-    ratio_of,
-    summarize,
-)
+from repro.analysis.ratio import RatioMeasurement, per_seed_ratios, ratio_of
 from repro.cli import main as cli_main
+from repro.parallel import SweepExecutor
 from repro.scenarios import ScenarioSpec
 from repro.stats import (
     SUMMARY_COLUMNS,
@@ -23,6 +18,7 @@ from repro.stats import (
     Welford,
     bootstrap_interval,
     build_summary_rows,
+    collect_series,
     half_width,
     load_artifact,
     normal_interval,
@@ -201,7 +197,8 @@ class TestReplication:
         spec = tiny_spec(include_opt=True,
                          replicates={"n": 5, "bootstrap": 50})
         serial = replicate_scenario(spec)
-        parallel = replicate_scenario(spec, workers=3)
+        parallel = replicate_scenario(
+            spec, executor=SweepExecutor(workers=3))
         assert serial.artifact() == parallel.artifact()
         a, b = tmp_path / "a", tmp_path / "b"
         write_replicated_artifacts(serial, str(a))
@@ -248,7 +245,8 @@ class TestReplication:
         spec = tiny_spec()
         plan = ReplicationPlan(n=12, batch=4, target_half_width=1e6)
         serial = replicate_scenario(spec, plan=plan)
-        parallel = replicate_scenario(spec, plan=plan, workers=2)
+        parallel = replicate_scenario(
+            spec, plan=plan, executor=SweepExecutor(workers=2))
         assert serial.artifact() == parallel.artifact()
 
     def test_base_seed_shifts_ladder(self):
@@ -315,29 +313,6 @@ class TestRatioEdgeCases:
         m = self._measurement(0.0, 5.0, bound=None)
         assert m.within_bound
 
-    def test_summarize_excludes_unbounded_from_mean(self):
-        ms = [self._measurement(2.0, 4.0, bound=3.0),
-              self._measurement(0.0, 5.0, bound=3.0)]
-        s = summarize(ms)
-        assert s["n"] == 2
-        assert s["n_unbounded"] == 1
-        assert s["mean_ratio"] == 2.0  # only the finite ratio
-        assert s["max_ratio"] == float("inf")
-        assert not s["all_within_bound"]
-
-    def test_ratio_summary_ci(self):
-        ms = [self._measurement(1.0, r, bound=3.0)
-              for r in (1.0, 1.2, 1.4, 1.6)]
-        rs = RatioSummary.from_measurements(ms, confidence=0.95)
-        assert rs.n == 4 and rs.n_unbounded == 0
-        assert rs.mean == pytest.approx(1.3)
-        assert rs.ci_lo < 1.3 < rs.ci_hi
-        assert rs.half_width == pytest.approx(rs.mean - rs.ci_lo)
-        assert rs.all_within_bound
-        row = rs.as_row()
-        assert row["mean_ratio"] == pytest.approx(1.3)
-        assert row["worst"] == pytest.approx(1.6)
-
 
 class TestPerSeedRatioAggregation:
     def test_per_seed_ratios_marks_unbounded_as_none(self):
@@ -366,21 +341,42 @@ class TestPerSeedRatioAggregation:
         assert row["mean"] != pytest.approx(ratio_of_sums)
 
     def test_runner_aggregates_agree_with_summary_on_unbounded_seed(self):
-        """result.json aggregates and summary.json rows must give the
-        same answer when one seed's ratio is unbounded: exclude that
-        seed from the mean, don't null the whole policy."""
+        """result.json aggregates and summary.json rows read one ratio
+        rule: a seed whose ratio is unbounded is left out of the mean
+        (the policy is not nulled), and a run with any open OPT bracket
+        reports a bracket on the mean, never a bare ratio."""
         from repro.scenarios.runner import compute_aggregates
 
-        aggs = compute_aggregates(["gm"], {"gm": [0.0, 2.0]}, [5.0, 4.0])
-        (gm_agg, _opt_agg) = aggs
+        def both(onl, brackets):
+            (gm_agg, _opt_agg) = compute_aggregates(
+                ["gm"], {"gm": onl}, brackets)
+            rows = [{"seed": seed, "gm": v, "OPT": hi, "OPT_lo": lo,
+                     "OPT_hi": hi}
+                    for seed, (v, (lo, hi)) in enumerate(zip(onl, brackets))]
+            series = collect_series(rows, [], ["gm"], [], True)
+            summary = {r["metric"]: r for r in build_summary_rows(series)
+                       if r["policy"] == "gm"}
+            return gm_agg, summary
+
+        gm_agg, summary = both([0.0, 2.0], [(5.0, 5.0), (4.0, 4.0)])
         assert gm_agg["mean_ratio"] == 2.0  # finite seed only
-        rows = build_summary_rows(
-            {("gm", "ratio"): per_seed_ratios([5.0, 4.0], [0.0, 2.0])})
-        assert rows[0]["mean"] == 2.0
-        assert rows[0]["n_undefined"] == 1
+        assert summary["ratio"]["mean"] == 2.0
+        assert summary["ratio"]["n_undefined"] == 1
         # All ratios unbounded -> None, still no Infinity anywhere.
-        (gm_only, _) = compute_aggregates(["gm"], {"gm": [0.0]}, [5.0])
-        assert gm_only["mean_ratio"] is None
+        gm_agg, summary = both([0.0], [(5.0, 5.0)])
+        assert gm_agg["mean_ratio"] is None
+        assert summary["ratio"]["mean"] is None
+        # OPT 20 and 30 exact, the third seed bracketed in [15, 40],
+        # against ONL 10: the bracket [13/6, 3] on the mean, no ratio.
+        gm_agg, summary = both([10.0, 10.0, 10.0],
+                               [(20.0, 20.0), (30.0, 30.0), (15.0, 40.0)])
+        assert gm_agg["mean_ratio"] is None
+        assert gm_agg["mean_ratio_lo"] == pytest.approx(13 / 6, abs=1e-6)
+        assert gm_agg["mean_ratio_hi"] == pytest.approx(3.0)
+        assert set(summary) == {"benefit", "ratio_lo", "ratio_hi"}
+        for end in ("ratio_lo", "ratio_hi"):
+            assert summary[end]["mean"] == pytest.approx(
+                gm_agg[f"mean_{end}"], abs=1e-6)
 
     def test_replicated_run_ratio_uses_per_seed_mean(self):
         spec = tiny_spec(include_opt=True)
@@ -392,6 +388,52 @@ class TestPerSeedRatioAggregation:
         expected = statistics.fmean(
             [r for r in per_seed_ratios(opts, onls) if r is not None])
         assert row["mean"] == pytest.approx(expected, abs=1e-6)
+
+
+class TestBracketedReplication:
+    """A bounds-mode replicated run with an open OPT bracket: summary
+    rows, result.json aggregates, ``stats summarize`` and early stopping
+    read the same bracket-aware series."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        spec = tiny_spec(include_opt=True,
+                         replicates={"n": 4, "bootstrap": 50})
+        rrun = replicate_scenario(spec, opt_mode="bounds")
+        # The ladder mixes degenerate and open brackets.
+        brackets = [(r["OPT_lo"], r["OPT_hi"]) for r in rrun.run.rows]
+        assert any(lo < hi for lo, hi in brackets)
+        assert any(lo == hi for lo, hi in brackets)
+        out = tmp_path_factory.mktemp("bracketed")
+        write_replicated_artifacts(rrun, str(out))
+        return rrun, out
+
+    def test_summary_has_bracket_rows_matching_result_json(self, written):
+        rrun, out = written
+        metrics = [r["metric"] for r in rrun.summary if r["policy"] == "gm"]
+        assert metrics == ["benefit", "n_sent", "ratio_lo", "ratio_hi"]
+        result = json.loads(
+            (out / rrun.spec.name / "result.json").read_text())
+        (gm_agg,) = [a for a in result["aggregates"] if a["policy"] == "gm"]
+        assert gm_agg["mean_ratio"] is None
+        for row in rrun.summary:
+            if row["metric"] in ("ratio_lo", "ratio_hi"):
+                assert row["mean"] == pytest.approx(
+                    gm_agg[f"mean_{row['metric']}"], abs=1e-6)
+
+    def test_stats_summarize_reproduces_bracket_rows(self, written, capsys):
+        rrun, out = written
+        assert cli_main(["stats", "summarize", rrun.spec.name,
+                         "--results", str(out), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == rrun.summary
+
+    def test_early_stopping_watches_the_conservative_end(self, written):
+        from repro.stats.replication import _target_values
+
+        rrun, _ = written
+        rows = rrun.run.rows
+        assert _target_values(rrun.run, "gm", "ratio") == per_seed_ratios(
+            [r["OPT_hi"] for r in rows], [r["gm"] for r in rows])
 
 
 class TestStatsCLI:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .._version import __version__
@@ -78,6 +78,12 @@ class ScenarioRun:
     #: provenance manifest only — never in ``result.json``, whose bytes
     #: must stay backend-independent by the bit-identity contract.
     backend: str = DEFAULT_BACKEND
+    #: Per policy label, the per-seed benefits the rows round to 6
+    #: digits, unrounded; what aggregates and summaries are built from.
+    benefits: Dict[str, List[float]] = field(default_factory=dict)
+    #: The per-seed certified ``(lower, upper)`` OPT brackets, unrounded
+    #: (empty when OPT did not run).
+    opt_bounds: List[Tuple[float, float]] = field(default_factory=list)
 
     def artifact(self) -> Dict[str, object]:
         """The versioned, JSON-serializable result record."""
@@ -228,7 +234,8 @@ def _scenario_run(
 
     return ScenarioRun(spec=spec, rows=rows, aggregates=aggregates,
                        metrics=metrics, opt_mode=opt_mode,
-                       backend=backend)
+                       backend=backend, benefits=benefits,
+                       opt_bounds=opt_bounds)
 
 
 def compute_aggregates(

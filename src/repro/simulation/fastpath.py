@@ -161,56 +161,19 @@ class _QueueFamily:
 
 
 # ---------------------------------------------------------------------------
-# Per-trace arrival preprocessing (memoized on the Trace instance)
+# Arrival preprocessing, from the trace columns
 # ---------------------------------------------------------------------------
-
-class _SlotEvents:
-    """One slot's arrivals, decomposed for batched admission.
-
-    ``rounds`` partitions the event indices so that every round touches
-    each VOQ cell at most once: event ``k`` lands in round ``r`` when it
-    is the ``r``-th arrival into its cell within the slot.  Round ``r``
-    decisions therefore see exactly the queue state left by all earlier
-    arrivals to the same cell, which is all the sequential admission
-    loop of the reference kernel ever observes.
-    """
-
-    __slots__ = ("cells", "vals", "pids", "val_list", "rounds")
-
-    def __init__(self, packets, n_out: int):
-        cells = [p.src * n_out + p.dst for p in packets]
-        self.cells = np.array(cells, dtype=np.int64)
-        self.vals = np.array([p.value for p in packets], dtype=np.float64)
-        self.pids = np.array([p.pid for p in packets], dtype=np.int64)
-        self.val_list = [p.value for p in packets]
-        seen: Dict[int, int] = {}
-        rounds: List[List[int]] = []
-        for k, c in enumerate(cells):
-            r = seen.get(c, 0)
-            seen[c] = r + 1
-            if r == len(rounds):
-                rounds.append([])
-            rounds[r].append(k)
-        self.rounds = [np.array(ridx, dtype=np.int64) for ridx in rounds]
-
-
-def _prep_trace(trace: Trace, n_out: int) -> List[Optional[_SlotEvents]]:
-    cached = getattr(trace, "_fastpath_prep", None)
-    if cached is not None and cached[0] == n_out:
-        return cached[1]
-    slots: List[Optional[_SlotEvents]] = [
-        _SlotEvents(packets, n_out) if packets else None
-        for packets in trace.arrival_slots()
-    ]
-    try:
-        trace._fastpath_prep = (n_out, slots)
-    except AttributeError:  # pragma: no cover - Trace has no __slots__
-        pass
-    return slots
-
 
 class _GlobalSlot:
     """One slot's arrivals concatenated lane-major across the batch.
+
+    ``rounds`` partitions the event indices so that every round touches
+    each VOQ cell at most once: event ``k`` lands in round ``r`` when it
+    is the ``r``-th arrival into its cell within its lane and slot.
+    Round ``r`` decisions therefore see exactly the queue state left by
+    all earlier arrivals to the same cell, which is all the sequential
+    admission loop of the reference kernel ever observes.  ``lanes``
+    holds each present lane with its ``[start, end)`` event range.
 
     Safe to precompute for the whole run: a lane with arrivals at slot
     ``t`` has ``t < n_arrival_slots`` and no lane can retire before the
@@ -221,33 +184,68 @@ class _GlobalSlot:
 
     __slots__ = ("ev_s", "ev_c", "ev_v", "ev_p", "rounds", "lanes", "n")
 
-    def __init__(self, parts):
-        # parts: list of (lane, _SlotEvents), lane-index ascending.
-        offs = []
-        off = 0
-        for _lane, se in parts:
-            offs.append(off)
-            off += len(se.val_list)
-        self.n = off
-        self.ev_s = np.concatenate([
-            np.full(len(se.val_list), lane.idx, dtype=np.int64)
-            for lane, se in parts])
-        self.ev_c = np.concatenate([se.cells for _l, se in parts])
-        self.ev_v = np.concatenate([se.vals for _l, se in parts])
-        self.ev_p = np.concatenate([se.pids for _l, se in parts])
-        max_r = max(len(se.rounds) for _l, se in parts)
-        self.rounds = [
-            np.concatenate([
-                se.rounds[r] + off
-                for (_l, se), off in zip(parts, offs)
-                if r < len(se.rounds)
-            ])
-            for r in range(max_r)
-        ]
+    def __init__(self, ev_s, ev_c, ev_v, ev_p, ranks, lanes):
+        self.n = len(ev_s)
+        self.ev_s = ev_s
+        self.ev_c = ev_c
+        self.ev_v = ev_v
+        self.ev_p = ev_p
+        self.rounds = [np.flatnonzero(ranks == r)
+                       for r in range(int(ranks.max()) + 1)]
+        cuts = (np.flatnonzero(ev_s[1:] != ev_s[:-1]) + 1).tolist()
+        starts = [0] + cuts
         self.lanes = [
-            (lane, off, se.val_list)
-            for (lane, se), off in zip(parts, offs)
+            (lanes[s], lo, hi)
+            for s, lo, hi in zip(ev_s[starts].tolist(), starts,
+                                 cuts + [self.n])
         ]
+
+
+def _slot_events(traces: Sequence[Trace], lanes: List["_Lane"], n_in: int,
+                 n_out: int) -> List[Optional[_GlobalSlot]]:
+    """Every arrival slot's :class:`_GlobalSlot` for the batch (``None``
+    for a slot without arrivals), in whole-batch array operations over
+    the trace columns: no packet is built or walked in Python."""
+    cols = [trace.columns() for trace in traces]
+
+    def column(k: int, dtype) -> np.ndarray:
+        return np.concatenate([np.frombuffer(c[k], dtype=dtype)
+                               for c in cols])
+
+    pid = column(0, np.int64)
+    val = column(1, np.float64)
+    arr = column(2, np.int64)
+    cell = column(3, np.int64) * n_out + column(4, np.int64)
+    lane = np.repeat(np.arange(len(cols), dtype=np.int64),
+                     [len(c[0]) for c in cols])
+    # Each lane's rows are in (arrival, pid) order, so a stable sort by
+    # slot puts the batch slot-major, lane-major within a slot and in
+    # arrival order within a lane.
+    order = np.argsort(arr, kind="stable")
+    pid, val, arr, cell, lane = (pid[order], val[order], arr[order],
+                                 cell[order], lane[order])
+    # An event's round is its rank among the same slot's earlier
+    # arrivals into its cell in its lane: number the (slot, lane) runs,
+    # sort stably by (run, cell) and count along each equal key.
+    n = len(arr)
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = (arr[1:] != arr[:-1]) | (lane[1:] != lane[:-1])
+    key = (np.cumsum(new_run) - 1) * (n_in * n_out) + cell
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    first = np.ones(n, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    pos = np.arange(n)
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[by_key] = pos - np.maximum.accumulate(np.where(first, pos, 0))
+
+    n_slots = max(trace.n_slots for trace in traces)
+    bounds = np.searchsorted(arr, np.arange(n_slots + 1)).tolist()
+    return [
+        _GlobalSlot(lane[lo:hi], cell[lo:hi], val[lo:hi], pid[lo:hi],
+                    ranks[lo:hi], lanes) if hi > lo else None
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +254,16 @@ class _GlobalSlot:
 
 class _Lane:
     __slots__ = (
-        "idx", "slots", "n_arr", "horizon", "result", "buffered",
+        "idx", "n_arr", "horizon", "result", "buffered",
         "n_arrived", "value_arrived", "n_accepted", "value_accepted",
         "n_rejected", "value_rejected", "n_pre_voq", "v_pre_voq",
         "n_pre_cross", "v_pre_cross", "n_pre_out", "v_pre_out",
         "benefit", "n_sent", "sent_po", "val_po", "slots_exec",
     )
 
-    def __init__(self, idx: int, slots, n_arr: int, horizon: int,
+    def __init__(self, idx: int, n_arr: int, horizon: int,
                  result: SimulationResult):
         self.idx = idx
-        self.slots = slots
         self.n_arr = n_arr
         self.horizon = horizon
         self.result = result
@@ -689,8 +686,7 @@ class _BatchRun:
                 policy_name=proto.name, config=config,
                 n_arrival_slots=trace.n_slots, horizon=horizon,
             )
-            lane = _Lane(idx, _prep_trace(trace, self.NJ), trace.n_slots,
-                         horizon, result)
+            lane = _Lane(idx, trace.n_slots, horizon, result)
             lane.sent_po = [0] * self.NJ
             lane.val_po = [0.0] * self.NJ
             self.lanes.append(lane)
@@ -702,12 +698,9 @@ class _BatchRun:
 
         # Lane-major concatenated arrival events per slot, for the
         # whole batch (lanes cannot retire before their arrivals end).
-        self.max_n_arr = max((lane.n_arr for lane in self.lanes), default=0)
-        self.slot_events: List[Optional[_GlobalSlot]] = []
-        for t in range(self.max_n_arr):
-            parts = [(lane, lane.slots[t]) for lane in self.lanes
-                     if t < lane.n_arr and lane.slots[t] is not None]
-            self.slot_events.append(_GlobalSlot(parts) if parts else None)
+        self.slot_events = _slot_events(traces, self.lanes, self.NI,
+                                        self.NJ)
+        self.max_n_arr = len(self.slot_events)
 
         self.stepper = stepper_cls(self, proto)
         self.pushout = self.stepper.arrival == "pushout"
@@ -815,12 +808,13 @@ class _BatchRun:
             tvbuf = tailv
         # Reference-order accounting, one Python loop per lane.
         accl = accbuf.tolist()
+        vals = g.ev_v.tolist()
         if self.pushout:
             prel = prebuf.tolist()
             tvl = tvbuf.tolist()
-            for lane, off, vlist in g.lanes:
-                k = off
-                for pv in vlist:
+            for lane, lo, hi in g.lanes:
+                for k in range(lo, hi):
+                    pv = vals[k]
                     lane.n_arrived += 1
                     lane.value_arrived += pv
                     if accl[k]:
@@ -834,11 +828,10 @@ class _BatchRun:
                     else:
                         lane.n_rejected += 1
                         lane.value_rejected += pv
-                    k += 1
         else:
-            for lane, off, vlist in g.lanes:
-                k = off
-                for pv in vlist:
+            for lane, lo, hi in g.lanes:
+                for k in range(lo, hi):
+                    pv = vals[k]
                     lane.n_arrived += 1
                     lane.value_arrived += pv
                     if accl[k]:
@@ -848,7 +841,6 @@ class _BatchRun:
                     else:
                         lane.n_rejected += 1
                         lane.value_rejected += pv
-                    k += 1
 
     def _transmit_phase(self, t: int) -> None:
         out = self.out

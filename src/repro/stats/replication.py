@@ -34,7 +34,6 @@ from ..scenarios.runner import (
     ScenarioRun,
     build_run_manifest,
     compute_aggregates,
-    row_opt_bounds,
     run_scenario,
     write_artifacts,
 )
@@ -160,12 +159,11 @@ def _target_values(
 ) -> List[Optional[float]]:
     """Per-seed values of the early-stopping target for one policy."""
     if metric == "benefit":
-        return [float(r[label]) for r in run.rows]
+        return list(run.benefits[label])
     if metric == "ratio":
         # With an open OPT bracket the stopping target is the
         # conservative end, ratio_hi.
-        series = ratio_series(row_opt_bounds(run.rows),
-                              [float(r[label]) for r in run.rows])
+        series = ratio_series(run.opt_bounds, run.benefits[label])
         return series.get("ratio") or series["ratio_hi"]
     return [
         float(m[metric])
@@ -213,6 +211,9 @@ def replicate_scenario(
     accumulators: Dict[str, Welford] = {label: Welford() for label in labels}
     rows: List[Dict[str, object]] = []
     metrics: List[Dict[str, object]] = []
+    # The payloads' unrounded per-seed values, not the rows' rounding.
+    benefits: Dict[str, List[float]] = {label: [] for label in labels}
+    opt_bounds: List[Tuple[float, float]] = []
     stopped_early = False
     seeds_used: List[int] = []
 
@@ -221,6 +222,9 @@ def replicate_scenario(
         part = run_scenario(sub, executor=ex, opt_mode=opt_mode)
         rows.extend(part.rows)
         metrics.extend(part.metrics)
+        for label in labels:
+            benefits[label].extend(part.benefits[label])
+        opt_bounds.extend(part.opt_bounds)
         seeds_used.extend(batch)
         if plan.target_half_width is None:
             continue
@@ -243,19 +247,20 @@ def replicate_scenario(
             break
 
     spec_used = spec.with_overrides(seeds=seeds_used)
-    benefits = {label: [float(r[label]) for r in rows] for label in labels}
     combined = ScenarioRun(
         spec=spec_used,
         rows=rows,
         aggregates=compute_aggregates(
-            labels, benefits,
-            row_opt_bounds(rows) if spec.include_opt else None),
+            labels, benefits, opt_bounds if spec.include_opt else None),
         metrics=metrics,
         opt_mode=opt_mode,
         backend=ex.backend,
+        benefits=benefits,
+        opt_bounds=opt_bounds,
     )
     series = collect_series(rows, metrics, labels, spec.metrics,
-                            spec.include_opt)
+                            spec.include_opt, benefits=benefits,
+                            opt_bounds=opt_bounds)
     summary = build_summary_rows(
         series,
         confidence=plan.confidence,

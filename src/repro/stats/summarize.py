@@ -63,6 +63,9 @@ def collect_series(
     labels: Sequence[str],
     metric_names: Sequence[str],
     include_opt: bool,
+    *,
+    benefits: Optional[Mapping[str, Sequence[float]]] = None,
+    opt_bounds: Optional[Sequence[Tuple[float, float]]] = None,
 ) -> Series:
     """Ordered per-(policy, metric) value series from run tables.
 
@@ -74,12 +77,23 @@ def collect_series(
     any bracket is open (None marks a seed whose ratio is unbounded).
     Ordering is deterministic: policies in spec order, OPT last,
     metrics in spec order with ``benefit`` first, ratios last.
+
+    The rows round benefits to 6 digits.  A run that still holds its
+    unrounded per-seed ``benefits`` (per policy label) and
+    ``opt_bounds`` passes both, and the benefit and ratio series are
+    built from them instead (see :class:`~repro.scenarios.runner.ScenarioRun`).
     """
+    if benefits is None:
+        benefits = {label: [float(r[label]) for r in rows]
+                    for label in labels}
+        opt_bounds = row_opt_bounds(rows) if include_opt else None
     all_labels = list(labels) + (["OPT"] if include_opt else [])
     names = ["benefit"] + [m for m in metric_names if m != "benefit"]
     series: Series = {}
-    for label in all_labels:
-        series[(label, "benefit")] = [float(r[label]) for r in rows]
+    for label in labels:
+        series[(label, "benefit")] = list(benefits[label])
+    if include_opt:
+        series[("OPT", "benefit")] = [hi for _, hi in opt_bounds]
     by_policy: Dict[str, List[Mapping[str, object]]] = {}
     for m in metrics:
         by_policy.setdefault(str(m["policy"]), []).append(m)
@@ -91,10 +105,9 @@ def collect_series(
                 continue
             series[(label, name)] = [float(v) for v in values]
     if include_opt:
-        bounds = row_opt_bounds(rows)
         for label in labels:
             for name, ratios in ratio_series(
-                    bounds, series[(label, "benefit")]).items():
+                    opt_bounds, series[(label, "benefit")]).items():
                 series[(label, name)] = ratios
     return series
 
@@ -181,7 +194,9 @@ def summarize_artifact(
     block when the recorded spec has one, else to 95% normal CIs with no
     bootstrap.  Re-summarizing a replicated run's ``result.json`` with
     its recorded parameters reproduces its ``summary.json`` rows
-    exactly.
+    exactly when rounding the per-seed benefits to 6 digits leaves them
+    unchanged (unit or integral values, say); otherwise the artifact's
+    rounded rows can move a statistic's last digit.
     """
     spec = ScenarioSpec.from_dict(artifact["scenario"])
     block = dict(spec.replicates)

@@ -8,15 +8,18 @@ The common machinery here assigns packet ids in arrival order (the order
 arrival events occur within a slot is the id order, matching the paper's
 convention that all events happen at distinct fractional times).
 
-One per-slot emitter, :meth:`TrafficModel.emit`, makes every draw and
-stamps pids, and three consumers share it:
+One draw loop, :meth:`TrafficModel._slot_arrivals`, makes every draw,
+and three consumers share it:
 
-* :meth:`TrafficModel.generate` materializes a full :class:`Trace`;
+* :meth:`TrafficModel.generate` fills a columnar :class:`Trace` from it,
+  stamping pids in arrival order, and builds no
+  :class:`~repro.switch.packet.Packet`;
 * :meth:`TrafficModel.arrival_source` hands the same draws to the
-  engine's ``run_*_streaming`` as a per-slot callback, before pids are
-  stamped (the engine stamps its own), so streaming runs are
-  byte-identical to materialized ones;
-* ``repro trace record`` writes them to a stream file.
+  engine's ``run_*_streaming`` as a per-slot callback (the engine
+  stamps its own pids), so streaming runs are byte-identical to
+  materialized ones;
+* ``repro trace record`` writes them to a stream file through
+  :meth:`TrafficModel.emit`, which stamps pids into packets per slot.
 
 ``arrivals_for_slot`` may return either ``(src, dst)`` pairs — their
 values are then drawn from ``value_model`` in one bulk call after the
@@ -28,7 +31,8 @@ instance rather than sampled.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from itertools import count, islice
+from array import array
+from itertools import count, islice, repeat
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -147,16 +151,25 @@ class TrafficModel(ABC):
 
     def generate(self, n_slots: int, seed: int = 0) -> Trace:
         """Generate a trace of ``n_slots`` arrival slots."""
-        packets: List[Packet] = []
-        for slot in islice(self.emit(seed), n_slots):
-            packets += slot
-        return Trace(
-            packets,
-            self.n_in,
-            self.n_out,
-            name=f"{self.name}/{self.value_model.name}/seed{seed}",
-            n_slots=n_slots,
-        )
+        return self._columnar_trace(
+            n_slots, seed, f"{self.name}/{self.value_model.name}/seed{seed}")
+
+    def _columnar_trace(self, n_slots: int, seed: int, name: str) -> Trace:
+        """The first ``n_slots`` slots of the draw loop as a trace,
+        filled column by column; pids count up in arrival order."""
+        value = array("d")
+        arrival, src, dst = array("q"), array("q"), array("q")
+        for t, arrivals in enumerate(
+                islice(self._slot_arrivals(seed), n_slots)):
+            if arrivals:
+                srcs, dsts, values = zip(*arrivals)
+                src.extend(srcs)
+                dst.extend(dsts)
+                value.extend(values)
+                arrival.extend(repeat(t, len(arrivals)))
+        return Trace.from_columns(
+            array("q", range(len(value))), value, arrival, src, dst,
+            self.n_in, self.n_out, name=name, n_slots=n_slots)
 
     def arrival_source(
         self, seed: int = 0
@@ -164,7 +177,7 @@ class TrafficModel(ABC):
         """A per-slot arrival callback for ``run_*_streaming``.
 
         Returns ``source(t, switch) -> [(src, dst, value), ...]`` over
-        the draws behind :meth:`emit`, so a streaming run is
+        the draws behind :meth:`generate`, so a streaming run is
         byte-identical to the materialized ``generate(n_slots, seed)``.
         The engine calls slots in order starting at 0; out-of-order
         calls raise, since skipping a slot would silently

@@ -26,11 +26,11 @@ use — they are the small-instance/control paths.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..switch.packet import Packet
 from .base import TrafficModel
 from .trace import Trace, iter_stream_slots, read_stream_header
 
@@ -82,15 +82,17 @@ class TraceReplayTraffic(TrafficModel):
     ) -> List[Tuple[int, int, float]]:
         if self.repeat and self._src_n_slots > 0:
             slot = slot % self._src_n_slots
-        return [(p.src, p.dst, p.value) for p in self.source.arrivals(slot)]
+        _pid, value, arrival, src, dst = self.source.columns()
+        lo = bisect_left(arrival, slot)
+        hi = bisect_left(arrival, slot + 1, lo)
+        return list(zip(src[lo:hi], dst[lo:hi], value[lo:hi]))
 
     def _iter_recorded_slots(self) -> Iterator[List[Tuple[int, int, float]]]:
         """Per-slot ``(src, dst, value)`` lists over one recording
         period, reading a file-backed recording forward from disk."""
         if self._trace is not None:
             for t in range(self._trace.n_slots):
-                yield [(p.src, p.dst, p.value)
-                       for p in self._trace.arrivals(t)]
+                yield self.arrivals_for_slot(t, None)
         else:
             for _t, pkts in iter_stream_slots(self._path):
                 yield [(p.src, p.dst, p.value) for p in pkts]
@@ -135,23 +137,10 @@ class TraceReplayTraffic(TrafficModel):
         the trace, keeping report labels uniform across models).
         Without ``repeat`` the result keeps the recording's own slot
         count (capped at ``n_slots``), trailing idle slots included.
+        The trace is filled column by column from
+        :meth:`arrivals_for_slot`, like every model's.
         """
-        packets: List[Packet] = []
-        pid = 0
-        src = self.source
-        src_slots = self._src_n_slots
-        for t in range(n_slots):
-            if not self.repeat and t >= src_slots:
-                break
-            base = t % src_slots if (self.repeat and src_slots) else t
-            for p in src.arrivals(base):
-                packets.append(Packet(pid, p.value, t, p.src, p.dst))
-                pid += 1
-        out_slots = n_slots if self.repeat else min(n_slots, src_slots)
-        return Trace(
-            packets,
-            self.n_in,
-            self.n_out,
-            name=f"{self.name}/seed{seed}",
-            n_slots=out_slots,
-        )
+        out_slots = (n_slots if self.repeat
+                     else min(n_slots, self._src_n_slots))
+        return self._columnar_trace(out_slots, seed,
+                                    f"{self.name}/seed{seed}")

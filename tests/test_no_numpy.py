@@ -36,6 +36,7 @@ packets = [
     Packet(2, 4.0, 1, 0, 1), Packet(3, 1.0, 1, 1, 1),
 ]
 trace = Trace(packets, 2, 2)
+assert (len(trace), trace.total_value, trace.is_unit_valued) == (4, 13.0, False)
 
 # reference runs (explicitly and as the default)...
 res = run_cioq(GMPolicy(), config, trace, backend="reference")

@@ -378,6 +378,25 @@ class TestPerSeedRatioAggregation:
             assert summary[end]["mean"] == pytest.approx(
                 gm_agg[f"mean_{end}"], abs=1e-6)
 
+    def test_replicated_aggregates_equal_run_scenario(self):
+        # Pareto benefits are not whole, so aggregating the rows, which
+        # round each benefit to 6 digits, would move pg's mean benefit
+        # and mean ratio in the last digit.
+        from repro.scenarios import get_scenario
+        from repro.scenarios.runner import run_scenario
+
+        spec = get_scenario("pareto-storm")
+        single = run_scenario(spec)
+        rrun = replicate_scenario(
+            spec, ReplicationPlan.from_spec(spec, n=3, base_seed=0))
+        assert rrun.run.aggregates == single.aggregates
+        (pg,) = [a for a in single.aggregates if a["policy"] == "pg"]
+        assert (pg["mean_benefit"], pg["mean_ratio"]) == (479.842692,
+                                                           1.013815)
+        means = {(r["policy"], r["metric"]): r["mean"] for r in rrun.summary}
+        assert (means[("pg", "benefit")], means[("pg", "ratio")]) == (
+            479.842692, 1.013815)
+
     def test_replicated_run_ratio_uses_per_seed_mean(self):
         spec = tiny_spec(include_opt=True)
         rrun = replicate_scenario(spec, plan=ReplicationPlan(n=4))

@@ -247,6 +247,30 @@ class TestStreamFormat:
         with pytest.raises(ValueError, match="finite"):
             Trace.load(path)
 
+    def test_overlapping_chunks_rejected(self, tmp_path):
+        # Chunk base 0 reaches slot 3, then a chunk starts at base 2:
+        # a forward reader would deliver pid 1 at slot 4, a materializing
+        # one at slot 2.  Every entry point refuses the file instead.
+        path = tmp_path / "overlap.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in [
+            {"format": STREAM_FORMAT, "version": STREAM_VERSION,
+             "name": "overlap", "n_in": 1, "n_out": 1, "n_slots": 6,
+             "n_packets": 2, "chunk_slots": 2},
+            {"base": 0, "packets": [[0, 1.0, 3, 0, 0]]},
+            {"base": 2, "packets": [[1, 1.0, 2, 0, 0]]},
+        ]))
+        match = re.escape(f"{path}: chunk base 2 overlaps")
+        with pytest.raises(ValueError, match=match):
+            Trace.load(str(path))
+        with pytest.raises(ValueError, match=match):
+            list(iter_stream_slots(str(path)))
+        with pytest.raises(ValueError, match=match):
+            TraceReplayTraffic(str(path)).generate(6)
+        source = TraceReplayTraffic(str(path)).arrival_source()
+        with pytest.raises(ValueError, match=match):
+            for t in range(6):
+                source(t, None)
+
     def test_arrival_source_rejects_slot_skips(self):
         m = BernoulliTraffic(2, 2, load=1.0)
         source = m.arrival_source(seed=0)

@@ -551,16 +551,20 @@ def _need_output_dir(path: str) -> None:
 
 def cmd_trace_record(args) -> int:
     """Record a traffic model to a chunked stream file, O(chunk) memory."""
-    from itertools import islice
+    from itertools import count, islice
 
     from .traffic.trace import write_stream
 
     _need_output_dir(args.output)
     model = _build_traffic(args)
+    # Pids count up in arrival order across slots, as in ``generate``.
+    pids = count()
+    rows = ([[next(pids), value, t, src, dst] for src, dst, value in arrivals]
+            for t, arrivals in enumerate(
+                islice(model.slot_arrivals(args.seed), args.slots)))
     try:
         n_packets = write_stream(
-            args.output, islice(model.emit(args.seed), args.slots),
-            model.n_in, model.n_out,
+            args.output, rows, model.n_in, model.n_out,
             name=f"{model.name}/{model.value_model.name}/seed{args.seed}",
             chunk_slots=args.chunk_slots)
     except ValueError as exc:

@@ -20,10 +20,15 @@ structure-of-arrays numpy buffers:
   (:func:`greedy_matching`); GM's rotating scan packs per-cycle
   eligibility into per-row Python int bitmasks (``np.packbits``), so it
   costs O(ports), not O(ports^2);
-* the order-sensitive float accounting runs as small per-lane Python
-  loops over data extracted from the arrays in the reference kernel's
-  exact iteration order, so every accumulator receives bit-identical
-  IEEE adds in bit-identical order.
+* the accounting is arrays too, and every float accumulator receives
+  the reference kernel's IEEE adds in its order: arrivals set a one-byte
+  acceptance mask over the batch's event columns, and preemptions log
+  their victims' values, each summed once per lane at the end by a
+  sequential ``np.cumsum`` (``np.sum`` adds pairwise and would round
+  differently); ``benefit`` adds a slot's transmissions through a
+  zero-padded ``[S, NJ + 1]`` row cumsum, and each output's value total
+  takes at most one add per slot.  A lane's buffered count, which
+  decides its retirement, is its queue-length total.
 
 The contract is **bit-identical equality** with the reference kernel on
 every observable :class:`~repro.simulation.results.SimulationResult`
@@ -58,8 +63,8 @@ from .results import SimulationResult
 #: Sentinel pid larger than any real one (tie-break minimum scans).
 _BIG_PID = np.iinfo(np.int64).max
 
-#: Queue lengths and sorted positions are int16 (capacities are
-#: per-queue buffer sizes); the narrow dtype makes the hot ``len > 0`` /
+#: Queue lengths are int16 (capacities are per-queue buffer sizes);
+#: the narrow dtype makes the hot ``len > 0`` /
 #: ``len < B`` comparisons several times cheaper.  A capacity above its
 #: maximum raises :class:`BackendUnsupported`, so ``auto`` falls back.
 _LEN_DTYPE = np.int16
@@ -76,14 +81,23 @@ class _QueueFamily:
     and beyond ``len`` are garbage and must always be masked by ``len``.
     """
 
-    __slots__ = ("val", "pid", "len", "B", "_k", "_last")
+    __slots__ = ("val", "pid", "len", "Q", "B", "_rows_v", "_rows_p",
+                 "_lens", "_below_len", "_last")
 
     def __init__(self, S: int, Q: int, B: int):
         self.val = np.zeros((S, Q, B), dtype=np.float64)
         self.pid = np.zeros((S, Q, B), dtype=np.int64)
         self.len = np.zeros((S, Q), dtype=_LEN_DTYPE)
+        self.Q = Q
         self.B = B
-        self._k = np.arange(B, dtype=_LEN_DTYPE)
+        # Views with queue ``(s, q)`` at flat index ``s * Q + q``: the
+        # mutators gather through ``take`` on them, several times
+        # cheaper than two-array fancy indexing.
+        self._rows_v = self.val.reshape(S * Q, B)
+        self._rows_p = self.pid.reshape(S * Q, B)
+        self._lens = self.len.reshape(-1)
+        # ``_below_len[l]`` masks the first ``l`` entries of a row.
+        self._below_len = np.arange(B)[None, :] < np.arange(B + 1)[:, None]
         # ``_last + len`` is each head's index into ``val.reshape(-1)``.
         self._last = np.arange(-1, S * Q * B - 1, B,
                                dtype=np.int64).reshape(S, Q)
@@ -92,47 +106,51 @@ class _QueueFamily:
     # unique within one call — the scatter-back would otherwise race.
 
     def insert(self, s, q, v, p) -> None:
-        """Sorted-insert packet ``(v, p)`` into each selected queue."""
+        """Sorted-insert packet ``(v, p)`` into each selected queue,
+        which must have room."""
         if len(s) == 0:
             return
-        rv = self.val[s, q]          # [K, B] gather
-        rp = self.pid[s, q]
-        ln = self.len[s, q]
-        k = self._k
+        f = s * self.Q + q
+        rv = self._rows_v.take(f, axis=0)          # [K, B] gather
+        rp = self._rows_p.take(f, axis=0)
+        ln = self._lens.take(f)
         vc = v[:, None]
-        pc = p[:, None]
-        valid = k < ln[:, None]
-        less = valid & ((rv < vc) | ((rv == vc) & (rp > pc)))
-        pos = less.sum(axis=1, dtype=_LEN_DTYPE)[:, None]
-        prev_v = np.concatenate([rv[:, :1], rv[:, :-1]], axis=1)
-        prev_p = np.concatenate([rp[:, :1], rp[:, :-1]], axis=1)
-        above = k > pos
-        self.val[s, q] = np.where(k < pos, rv, np.where(above, prev_v, vc))
-        self.pid[s, q] = np.where(k < pos, rp, np.where(above, prev_p, pc))
-        self.len[s, q] = ln + 1
+        # The entries keyed below the packet: a prefix of each sorted
+        # row, ending before its first free entry at the latest.
+        below = self._below_len.take(ln, axis=0) & (
+            (rv < vc) | ((rv == vc) & (rp > p[:, None])))
+        # The packet lands on the first entry not below it, and the
+        # entries from there on move up by one.
+        at = ~below
+        at[:, 1:] &= below[:, :-1]
+        new_v = np.where(below, rv,
+                         np.concatenate([rv[:, :1], rv[:, :-1]], axis=1))
+        new_v[at] = v
+        new_p = np.where(below, rp,
+                         np.concatenate([rp[:, :1], rp[:, :-1]], axis=1))
+        new_p[at] = p
+        self._rows_v[f] = new_v
+        self._rows_p[f] = new_p
+        self._lens[f] = ln + 1
 
-    def delete_at(self, s, q, pos) -> None:
-        """Remove the entry at sorted position ``pos`` from each queue."""
+    def delete_tails(self, s, q) -> None:
+        """Remove the tail (least valuable) packet of each selected
+        queue: a preemption victim."""
         if len(s) == 0:
             return
-        rv = self.val[s, q]
-        rp = self.pid[s, q]
-        ln = self.len[s, q]
-        k = self._k
-        posc = np.asarray(pos)[:, None]
-        next_v = np.concatenate([rv[:, 1:], rv[:, :1]], axis=1)
-        next_p = np.concatenate([rp[:, 1:], rp[:, :1]], axis=1)
-        below = k < posc
-        self.val[s, q] = np.where(below, rv, next_v)
-        self.pid[s, q] = np.where(below, rp, next_p)
-        self.len[s, q] = ln - 1
+        f = s * self.Q + q
+        self._rows_v[f, :-1] = self._rows_v.take(f, axis=0)[:, 1:]
+        self._rows_p[f, :-1] = self._rows_p.take(f, axis=0)[:, 1:]
+        self._lens[f] = self._lens.take(f) - 1
 
     def pop_heads(self, s, q) -> Tuple[np.ndarray, np.ndarray]:
         """Remove and return the head (max-key) packet of each queue."""
-        ln = self.len[s, q] - np.int16(1)
-        v = self.val[s, q, ln]
-        p = self.pid[s, q, ln]
-        self.len[s, q] = ln
+        f = s * self.Q + q
+        ln = self._lens.take(f) - np.int16(1)
+        at = f * self.B + ln
+        v = self.val.reshape(-1).take(at)
+        p = self.pid.reshape(-1).take(at)
+        self._lens[f] = ln
         return v, p
 
     def head_vals(self, flat: np.ndarray) -> np.ndarray:
@@ -140,6 +158,15 @@ class _QueueFamily:
         indices ``flat``."""
         at = flat * self.B + (self.len.reshape(-1).take(flat) - 1)
         return self.val.reshape(-1).take(at)
+
+    def lane_values(self, s: int) -> np.ndarray:
+        """Lane ``s``'s buffered values, queue by queue, each head to
+        tail."""
+        ln = self.len[s]
+        nz = np.flatnonzero(ln)
+        # Reversed rows put each head first.
+        return self.val[s, nz, ::-1][
+            self._below_len.take(ln[nz], axis=0)[:, ::-1]]
 
     def heads(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(values, pids, nonempty)`` of every head; empty queues get
@@ -172,8 +199,11 @@ class _GlobalSlot:
     is the ``r``-th arrival into its cell within its lane and slot.
     Round ``r`` decisions therefore see exactly the queue state left by
     all earlier arrivals to the same cell, which is all the sequential
-    admission loop of the reference kernel ever observes.  ``lanes``
-    holds each present lane with its ``[start, end)`` event range.
+    admission loop of the reference kernel ever observes.  A slot whose
+    events all land in distinct cells has the one round
+    ``slice(None)``, which indexes its columns without a copy.  The
+    slot's events are entries ``lo .. lo + n - 1`` of the batch's event
+    columns.
 
     Safe to precompute for the whole run: a lane with arrivals at slot
     ``t`` has ``t < n_arrival_slots`` and no lane can retire before the
@@ -182,30 +212,27 @@ class _GlobalSlot:
     ``n_arrival_slots``).
     """
 
-    __slots__ = ("ev_s", "ev_c", "ev_v", "ev_p", "rounds", "lanes", "n")
+    __slots__ = ("lo", "n", "ev_s", "ev_c", "ev_v", "ev_p", "rounds")
 
-    def __init__(self, ev_s, ev_c, ev_v, ev_p, ranks, lanes):
+    def __init__(self, lo, ev_s, ev_c, ev_v, ev_p, ranks):
+        self.lo = lo
         self.n = len(ev_s)
         self.ev_s = ev_s
         self.ev_c = ev_c
         self.ev_v = ev_v
         self.ev_p = ev_p
-        self.rounds = [np.flatnonzero(ranks == r)
-                       for r in range(int(ranks.max()) + 1)]
-        cuts = (np.flatnonzero(ev_s[1:] != ev_s[:-1]) + 1).tolist()
-        starts = [0] + cuts
-        self.lanes = [
-            (lanes[s], lo, hi)
-            for s, lo, hi in zip(ev_s[starts].tolist(), starts,
-                                 cuts + [self.n])
-        ]
+        n_rounds = int(ranks.max()) + 1
+        self.rounds = ([slice(None)] if n_rounds == 1 else
+                       [np.flatnonzero(ranks == r) for r in range(n_rounds)])
 
 
-def _slot_events(traces: Sequence[Trace], lanes: List["_Lane"], n_in: int,
-                 n_out: int) -> List[Optional[_GlobalSlot]]:
+def _slot_events(traces: Sequence[Trace], n_in: int, n_out: int
+                 ) -> Tuple[List[Optional[_GlobalSlot]], np.ndarray,
+                            np.ndarray]:
     """Every arrival slot's :class:`_GlobalSlot` for the batch (``None``
-    for a slot without arrivals), in whole-batch array operations over
-    the trace columns: no packet is built or walked in Python."""
+    for a slot without arrivals), and the batch's event lane and value
+    columns the slots slice, in whole-batch array operations over the
+    trace columns: no packet is built or walked in Python."""
     cols = [trace.columns() for trace in traces]
 
     def column(k: int, dtype) -> np.ndarray:
@@ -241,50 +268,51 @@ def _slot_events(traces: Sequence[Trace], lanes: List["_Lane"], n_in: int,
 
     n_slots = max(trace.n_slots for trace in traces)
     bounds = np.searchsorted(arr, np.arange(n_slots + 1)).tolist()
-    return [
-        _GlobalSlot(lane[lo:hi], cell[lo:hi], val[lo:hi], pid[lo:hi],
-                    ranks[lo:hi], lanes) if hi > lo else None
+    slots = [
+        _GlobalSlot(lo, lane[lo:hi], cell[lo:hi], val[lo:hi], pid[lo:hi],
+                    ranks[lo:hi]) if hi > lo else None
         for lo, hi in zip(bounds, bounds[1:])
     ]
+    return slots, lane, val
 
 
 # ---------------------------------------------------------------------------
-# Per-trace lane state (Python-scalar accounting, reference order)
+# Per-lane float sums in reference order
 # ---------------------------------------------------------------------------
 
-class _Lane:
-    __slots__ = (
-        "idx", "n_arr", "horizon", "result", "buffered",
-        "n_arrived", "value_arrived", "n_accepted", "value_accepted",
-        "n_rejected", "value_rejected", "n_pre_voq", "v_pre_voq",
-        "n_pre_cross", "v_pre_cross", "n_pre_out", "v_pre_out",
-        "benefit", "n_sent", "sent_po", "val_po", "slots_exec",
-    )
+def _sequential_sum(values: np.ndarray) -> float:
+    """``values`` added left to right from 0.0, as the reference kernel's
+    ``+=`` adds them: ``np.cumsum`` adds sequentially, while ``np.sum``
+    adds pairwise and would round differently."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
-    def __init__(self, idx: int, n_arr: int, horizon: int,
-                 result: SimulationResult):
-        self.idx = idx
-        self.n_arr = n_arr
-        self.horizon = horizon
-        self.result = result
-        self.buffered = 0
-        self.n_arrived = 0
-        self.value_arrived = 0.0
-        self.n_accepted = 0
-        self.value_accepted = 0.0
-        self.n_rejected = 0
-        self.value_rejected = 0.0
-        self.n_pre_voq = 0
-        self.v_pre_voq = 0.0
-        self.n_pre_cross = 0
-        self.v_pre_cross = 0.0
-        self.n_pre_out = 0
-        self.v_pre_out = 0.0
-        self.benefit = 0.0
-        self.n_sent = 0
-        self.sent_po: List[int] = []
-        self.val_po: List[float] = []
-        self.slots_exec = 0
+
+class _Victims:
+    """One preemption site's victims: per lane, how many so far, and
+    their values in the reference kernel's order, logged per cycle and
+    summed once per lane at the end."""
+
+    __slots__ = ("count", "_lanes", "_values")
+
+    def __init__(self, S: int):
+        self.count = np.zeros(S, dtype=np.int64)
+        self._lanes: List[np.ndarray] = []
+        self._values: List[np.ndarray] = []
+
+    def add(self, lanes: np.ndarray, values: np.ndarray) -> None:
+        """Log victims of ``lanes`` with ``values``, each lane's in its
+        reference order."""
+        self.count += np.bincount(lanes, minlength=self.count.size)
+        self._lanes.append(lanes)
+        self._values.append(values)
+
+    def value_sums(self) -> List[float]:
+        if not self._lanes:
+            return [0.0] * self.count.size
+        lanes = np.concatenate(self._lanes)
+        values = np.concatenate(self._values)
+        return [_sequential_sum(values[lanes == s])
+                for s in range(self.count.size)]
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +498,7 @@ class _PGStepper(_Stepper):
             # value descending, then cell ascending.
             k = np.flatnonzero(pre)
             k = k[np.lexsort((flat[k], -gv[won[k]]))]
-            lanes = run.lanes
-            for s, v in zip(ss[k].tolist(), tailv[pout[k]].tolist()):
-                lane = lanes[s]
-                lane.n_pre_out += 1
-                lane.v_pre_out += v
-                lane.buffered -= 1
+            run.pre_out.add(ss[k], tailv[pout[k]])
         run.apply_cioq_head_transfers(ss, flat - ss * nq, flat % nj, pre)
 
 
@@ -569,25 +592,12 @@ class _CPGStepper(_Stepper):
             jj = bj[ss, ii]
             cells = ii * nj + jj
             pre = cfull[ss, ii, jj]
+            v, p = run.voq.pop_heads(ss, cells)
             if pre.any():
-                vic_v = lcv[ss, ii, jj]
-                sl = ss.tolist()
-                prel = pre.tolist()
-                vicl = vic_v.tolist()
-                for k, s in enumerate(sl):
-                    if prel[k]:
-                        lane = run.lanes[s]
-                        lane.n_pre_cross += 1
-                        lane.v_pre_cross += vicl[k]
-                        lane.buffered -= 1
-                v, p = run.voq.pop_heads(ss, cells)
-                run.cross.delete_at(ss[pre], cells[pre],
-                                    np.zeros(int(pre.sum()),
-                                             dtype=_LEN_DTYPE))
-                run.cross.insert(ss, cells, v, p)
-            else:
-                v, p = run.voq.pop_heads(ss, cells)
-                run.cross.insert(ss, cells, v, p)
+                # Victims accrue per lane in input order.
+                run.pre_cross.add(ss[pre], lcv[ss, ii, jj][pre])
+                run.cross.delete_tails(ss[pre], cells[pre])
+            run.cross.insert(ss, cells, v, p)
         # -- output subphase: best crosspoint head per j, thresholded
         # admission into the output queue.
         chv, chp, cne = run.cross.heads()
@@ -610,24 +620,12 @@ class _CPGStepper(_Stepper):
         ii = bi[ss, jj]
         cells = ii * nj + jj
         pre = out_full[ss, jj]
+        v, p = run.cross.pop_heads(ss, cells)
         if pre.any():
-            vic_v = ljv[ss, jj]
-            sl = ss.tolist()
-            prel = pre.tolist()
-            vicl = vic_v.tolist()
-            for k, s in enumerate(sl):
-                if prel[k]:
-                    lane = run.lanes[s]
-                    lane.n_pre_out += 1
-                    lane.v_pre_out += vicl[k]
-                    lane.buffered -= 1
-            v, p = run.cross.pop_heads(ss, cells)
-            run.out.delete_at(ss[pre], jj[pre],
-                              np.zeros(int(pre.sum()), dtype=_LEN_DTYPE))
-            run.out.insert(ss, jj, v, p)
-        else:
-            v, p = run.cross.pop_heads(ss, cells)
-            run.out.insert(ss, jj, v, p)
+            # Victims accrue per lane in output order.
+            run.pre_out.add(ss[pre], ljv[ss, jj][pre])
+            run.out.delete_tails(ss[pre], jj[pre])
+        run.out.insert(ss, jj, v, p)
 
 
 #: Policy classes (by exact type) the fast backend implements, per model.
@@ -679,28 +677,44 @@ class _BatchRun:
 
         extra = (drain_bound(config) if max_extra_slots is None
                  else max_extra_slots)
-        self.lanes: List[_Lane] = []
-        for idx, trace in enumerate(traces):
-            horizon = trace.n_slots + extra
-            result = SimulationResult(
-                policy_name=proto.name, config=config,
-                n_arrival_slots=trace.n_slots, horizon=horizon,
-            )
-            lane = _Lane(idx, trace.n_slots, horizon, result)
-            lane.sent_po = [0] * self.NJ
-            lane.val_po = [0.0] * self.NJ
-            self.lanes.append(lane)
+        self.results = [
+            SimulationResult(policy_name=proto.name, config=config,
+                             n_arrival_slots=trace.n_slots,
+                             horizon=trace.n_slots + extra)
+            for trace in traces
+        ]
+        self.n_arr = np.array([trace.n_slots for trace in traces],
+                              dtype=np.int64)
+        self.horizon = self.n_arr + extra
+        self.slots_exec = np.zeros(S, dtype=np.int64)
+        # No lane retires before its arrivals end or its horizon's last
+        # slot.
+        self.first_retire = int(min(self.n_arr.min(),
+                                    self.horizon.min() - 1))
 
-        self.active: List[_Lane] = list(self.lanes)
-        self.active_mask = np.ones(S, dtype=bool)
-        self.active_ids: List[int] = [lane.idx for lane in self.active]
-        self.all_active = True
+        # A lane whose horizon is 0 runs no slot, as in the reference.
+        self.active_mask = self.horizon > 0
+        self.active_ids: List[int] = np.flatnonzero(self.active_mask).tolist()
+        self.all_active = bool(self.active_mask.all())
 
         # Lane-major concatenated arrival events per slot, for the
-        # whole batch (lanes cannot retire before their arrivals end).
-        self.slot_events = _slot_events(traces, self.lanes, self.NI,
-                                        self.NJ)
+        # whole batch (lanes cannot retire before their arrivals end),
+        # and a one-byte acceptance mask over them.
+        self.slot_events, self.ev_lane, self.ev_val = _slot_events(
+            traces, self.NI, self.NJ)
         self.max_n_arr = len(self.slot_events)
+        self.accepted = np.zeros(self.ev_val.size, dtype=bool)
+
+        # Per-lane accounting (see the module docstring).
+        self.n_arrived = np.zeros(S, dtype=np.int64)
+        self.n_rejected = np.zeros(S, dtype=np.int64)
+        self.n_sent = np.zeros(S, dtype=np.int64)
+        self.benefit = np.zeros(S)
+        self.sent_po = np.zeros((S, self.NJ), dtype=np.int64)
+        self.val_po = np.zeros((S, self.NJ))
+        self.pre_voq = _Victims(S)
+        self.pre_cross = _Victims(S)
+        self.pre_out = _Victims(S)
 
         self.stepper = stepper_cls(self, proto)
         self.pushout = self.stepper.arrival == "pushout"
@@ -757,8 +771,7 @@ class _BatchRun:
         the output's tail (a preemption victim, already accounted)."""
         v, p = self.voq.pop_heads(s, q)
         if pre is not None and pre.any():
-            self.out.delete_at(s[pre], j[pre],
-                               np.zeros(int(pre.sum()), dtype=_LEN_DTYPE))
+            self.out.delete_tails(s[pre], j[pre])
         self.out.insert(s, j, v, p)
 
     # -- slot phases --------------------------------------------------------
@@ -769,22 +782,15 @@ class _BatchRun:
             return
         voq = self.voq
         b_in = self.B_in
-        single = len(g.rounds) == 1
-        accbuf = prebuf = tvbuf = None
-        if not single:
-            accbuf = np.empty(g.n, dtype=bool)
-            if self.pushout:
-                prebuf = np.zeros(g.n, dtype=bool)
-                tvbuf = np.empty(g.n, dtype=np.float64)
-        acc = pre = tailv = None
+        accepted = self.accepted[g.lo:g.lo + g.n]
+        if self.pushout:
+            pushed = np.zeros(g.n, dtype=bool)
+            victim = np.empty(g.n)
         for ids in g.rounds:
-            if single:
-                s_idx, cells, vals, pids = g.ev_s, g.ev_c, g.ev_v, g.ev_p
-            else:
-                s_idx = g.ev_s[ids]
-                cells = g.ev_c[ids]
-                vals = g.ev_v[ids]
-                pids = g.ev_p[ids]
+            s_idx = g.ev_s[ids]
+            cells = g.ev_c[ids]
+            vals = g.ev_v[ids]
+            pids = g.ev_p[ids]
             ln = voq.len[s_idx, cells]
             if self.pushout:
                 space = ln < b_in
@@ -792,55 +798,19 @@ class _BatchRun:
                 acc = space | (tailv < vals)
                 pre = acc & ~space
                 if pre.any():
-                    voq.delete_at(s_idx[pre], cells[pre],
-                                  np.zeros(int(pre.sum()), dtype=_LEN_DTYPE))
+                    voq.delete_tails(s_idx[pre], cells[pre])
+                    pushed[ids] = pre
+                    victim[ids] = tailv
             else:
                 acc = ln < b_in
             voq.insert(s_idx[acc], cells[acc], vals[acc], pids[acc])
-            if not single:
-                accbuf[ids] = acc
-                if self.pushout:
-                    prebuf[ids] = pre
-                    tvbuf[ids] = tailv
-        if single:
-            accbuf = acc
-            prebuf = pre
-            tvbuf = tailv
-        # Reference-order accounting, one Python loop per lane.
-        accl = accbuf.tolist()
-        vals = g.ev_v.tolist()
-        if self.pushout:
-            prel = prebuf.tolist()
-            tvl = tvbuf.tolist()
-            for lane, lo, hi in g.lanes:
-                for k in range(lo, hi):
-                    pv = vals[k]
-                    lane.n_arrived += 1
-                    lane.value_arrived += pv
-                    if accl[k]:
-                        if prel[k]:
-                            lane.n_pre_voq += 1
-                            lane.v_pre_voq += tvl[k]
-                            lane.buffered -= 1
-                        lane.n_accepted += 1
-                        lane.value_accepted += pv
-                        lane.buffered += 1
-                    else:
-                        lane.n_rejected += 1
-                        lane.value_rejected += pv
-        else:
-            for lane, lo, hi in g.lanes:
-                for k in range(lo, hi):
-                    pv = vals[k]
-                    lane.n_arrived += 1
-                    lane.value_arrived += pv
-                    if accl[k]:
-                        lane.n_accepted += 1
-                        lane.value_accepted += pv
-                        lane.buffered += 1
-                    else:
-                        lane.n_rejected += 1
-                        lane.value_rejected += pv
+            accepted[ids] = acc
+        S = self.S
+        self.n_arrived += np.bincount(g.ev_s, minlength=S)
+        self.n_rejected += np.bincount(g.ev_s[~accepted], minlength=S)
+        if self.pushout and pushed.any():
+            # Events are lane-major and in arrival order within a lane.
+            self.pre_voq.add(g.ev_s[pushed], victim[pushed])
 
     def _transmit_phase(self, t: int) -> None:
         out = self.out
@@ -851,23 +821,28 @@ class _BatchRun:
         if ss.size == 0:
             return
         v, _p = out.pop_heads(ss, jj)
-        lanes = self.lanes
-        for s, j, pv in zip(ss.tolist(), jj.tolist(), v.tolist()):
-            lane = lanes[s]
-            lane.benefit += pv
-            lane.n_sent += 1
-            lane.buffered -= 1
-            lane.sent_po[j] += 1
-            lane.val_po[j] += pv
+        self.n_sent += np.bincount(ss, minlength=self.S)
+        self.sent_po[ss, jj] += 1
+        self.val_po[ss, jj] += v
+        # Each lane adds its sends in output order, zeros between them.
+        rows = np.zeros((self.S, self.NJ + 1))
+        rows[:, 0] = self.benefit
+        rows[ss, jj + 1] = v
+        self.benefit = rows.cumsum(axis=1)[:, -1]
 
-    def _occupancy_phase(self, t: int) -> None:
+    def _occupancy_totals(self) -> Tuple[List[int], List[int], List[int]]:
+        """Per lane, the VOQ, crosspoint and output queue-length totals
+        (``switch.occupancy_totals()``)."""
         vt = self.voq.len.sum(axis=1).tolist()
         ot = self.out.len.sum(axis=1).tolist()
         ct = (self.cross.len.sum(axis=1).tolist() if self.crossbar
               else [0] * self.S)
-        for lane in self.active:
-            s = lane.idx
-            lane.result.occupancy.append((t, vt[s], ct[s], ot[s]))
+        return vt, ct, ot
+
+    def _occupancy_phase(self, t: int) -> None:
+        vt, ct, ot = self._occupancy_totals()
+        for s in self.active_ids:
+            self.results[s].occupancy.append((t, vt[s], ct[s], ot[s]))
 
     def _sample_phase(self, t: int, sent_before: List[int]) -> None:
         """Buffer one end-of-slot metrics sample per active lane.
@@ -876,19 +851,19 @@ class _BatchRun:
         the whole batch (one numpy sum per queue family, not a Python
         walk per lane), matching ``switch.occupancy_totals()`` exactly.
         """
-        vt = self.voq.len.sum(axis=1).tolist()
-        ot = self.out.len.sum(axis=1).tolist()
-        ct = (self.cross.len.sum(axis=1).tolist() if self.crossbar
-              else [0] * self.S)
+        vt, ct, ot = self._occupancy_totals()
+        n_sent = self.n_sent.tolist()
+        n_arrived = self.n_arrived.tolist()
+        n_rejected = self.n_rejected.tolist()
+        n_pre = (self.pre_voq.count + self.pre_cross.count
+                 + self.pre_out.count).tolist()
         base = self.metrics_lane
         samples = self._samples
-        for lane in self.active:
-            s = lane.idx
+        for s in self.active_ids:
             samples[s].append((
                 t, base + s, vt[s], ct[s], ot[s],
-                lane.n_sent - sent_before[s], lane.n_arrived, lane.n_sent,
-                lane.n_rejected,
-                lane.n_pre_voq + lane.n_pre_cross + lane.n_pre_out,
+                n_sent[s] - sent_before[s], n_arrived[s], n_sent[s],
+                n_rejected[s], n_pre[s],
             ))
 
     def _flush_metrics(self, t_arrival: float, t_schedule: float,
@@ -899,18 +874,17 @@ class _BatchRun:
         m = self.metrics
         if self._samples is not None:
             slot_sample = m.slot_sample
-            for lane in self.lanes:
-                for samp in self._samples[lane.idx]:
+            for lane_samples in self._samples:
+                for samp in lane_samples:
                     slot_sample(*samp)
-        for lane in self.lanes:
+        for s, res in enumerate(self.results):
             m.counter("runs_total")
-            m.counter("slots_total", lane.slots_exec)
-            m.counter("packets_arrived_total", lane.n_arrived)
-            m.counter("packets_sent_total", lane.n_sent)
-            m.counter("packets_rejected_total", lane.n_rejected)
-            m.counter("packets_preempted_total",
-                      lane.n_pre_voq + lane.n_pre_cross + lane.n_pre_out)
-            m.counter("benefit_total", lane.benefit)
+            m.counter("slots_total", int(self.slots_exec[s]))
+            m.counter("packets_arrived_total", res.n_arrived)
+            m.counter("packets_sent_total", res.n_sent)
+            m.counter("packets_rejected_total", res.n_rejected)
+            m.counter("packets_preempted_total", res.n_preempted)
+            m.counter("benefit_total", res.benefit)
         if self.m_timed:
             m.add_time("phase_arrival_seconds", t_arrival)
             m.add_time("phase_schedule_seconds", t_schedule)
@@ -918,64 +892,61 @@ class _BatchRun:
             m.add_time("run_seconds", perf_counter() - run0)
 
     def _retire(self, t: int) -> None:
-        still = []
-        for lane in self.active:
-            if (not (lane.buffered == 0 and t >= lane.n_arr)
-                    and t + 1 < lane.horizon):
-                still.append(lane)
-            else:
-                lane.slots_exec = t + 1
-        if len(still) != len(self.active):
-            self.active = still
-            self.active_ids = [lane.idx for lane in still]
-            self.all_active = len(still) == self.S
-            self.active_mask[:] = False
-            if still:
-                self.active_mask[self.active_ids] = True
+        if t < self.first_retire:
+            return
+        # A lane's buffered count is its queue-length total.
+        buffered = self.voq.len.sum(axis=1) + self.out.len.sum(axis=1)
+        if self.crossbar:
+            buffered += self.cross.len.sum(axis=1)
+        done = self.active_mask & (
+            ((buffered == 0) & (t >= self.n_arr)) | (t + 1 >= self.horizon))
+        if done.any():
+            self.slots_exec[done] = t + 1
+            self.active_mask &= ~done
+            self.active_ids = np.flatnonzero(self.active_mask).tolist()
+            self.all_active = False
 
-    def _finalize(self, lane: _Lane) -> SimulationResult:
-        res = lane.result
-        res.n_arrived = lane.n_arrived
-        res.value_arrived = lane.value_arrived
-        res.n_accepted = lane.n_accepted
-        res.value_accepted = lane.value_accepted
-        res.n_rejected = lane.n_rejected
-        res.value_rejected = lane.value_rejected
-        res.n_preempted_voq = lane.n_pre_voq
-        res.value_preempted_voq = lane.v_pre_voq
-        res.n_preempted_cross = lane.n_pre_cross
-        res.value_preempted_cross = lane.v_pre_cross
-        res.n_preempted_out = lane.n_pre_out
-        res.value_preempted_out = lane.v_pre_out
-        res.benefit = lane.benefit
-        res.n_sent = lane.n_sent
-        res.sent_per_output = {
-            j: c for j, c in enumerate(lane.sent_po) if c
-        }
-        res.value_per_output = {
-            j: lane.val_po[j] for j in res.sent_per_output
-        }
-        # Residuals in buffered_packets() order: VOQ grid, (crosspoint
-        # grid,) outputs; within each queue head -> tail.
-        n_res = 0
-        v_res = 0.0
-        s = lane.idx
-        families = [self.voq, self.cross, self.out] if self.crossbar else [
-            self.voq, self.out]
-        for fam in families:
-            lens = fam.len[s]
-            nz = np.nonzero(lens)[0]
-            if nz.size == 0:
-                continue
-            for q, l in zip(nz.tolist(), lens[nz].tolist()):
-                n_res += l
-                row = fam.val[s, q, :l].tolist()
-                for vv in reversed(row):
-                    v_res += vv
-        res.n_residual = n_res
-        res.value_residual = v_res
-        res.check_conservation()
-        return res
+    def _finalize(self) -> List[SimulationResult]:
+        n_arrived = self.n_arrived.tolist()
+        n_rejected = self.n_rejected.tolist()
+        n_pre = [site.count.tolist()
+                 for site in (self.pre_voq, self.pre_cross, self.pre_out)]
+        v_pre = [site.value_sums()
+                 for site in (self.pre_voq, self.pre_cross, self.pre_out)]
+        benefit = self.benefit.tolist()
+        n_sent = self.n_sent.tolist()
+        families = ([self.voq, self.cross, self.out] if self.crossbar
+                    else [self.voq, self.out])
+        for s, res in enumerate(self.results):
+            mine = self.ev_lane == s
+            values = self.ev_val[mine]
+            accepted = self.accepted[mine]
+            res.n_arrived = n_arrived[s]
+            res.value_arrived = _sequential_sum(values)
+            res.n_accepted = n_arrived[s] - n_rejected[s]
+            res.value_accepted = _sequential_sum(values[accepted])
+            res.n_rejected = n_rejected[s]
+            res.value_rejected = _sequential_sum(values[~accepted])
+            res.n_preempted_voq = n_pre[0][s]
+            res.value_preempted_voq = v_pre[0][s]
+            res.n_preempted_cross = n_pre[1][s]
+            res.value_preempted_cross = v_pre[1][s]
+            res.n_preempted_out = n_pre[2][s]
+            res.value_preempted_out = v_pre[2][s]
+            res.benefit = benefit[s]
+            res.n_sent = n_sent[s]
+            sent_po = self.sent_po[s].tolist()
+            val_po = self.val_po[s].tolist()
+            res.sent_per_output = {j: c for j, c in enumerate(sent_po) if c}
+            res.value_per_output = {j: val_po[j] for j in res.sent_per_output}
+            # Residuals in buffered_packets() order: VOQ grid,
+            # (crosspoint grid,) outputs.
+            residual = np.concatenate([fam.lane_values(s)
+                                       for fam in families])
+            res.n_residual = residual.size
+            res.value_residual = _sequential_sum(residual)
+            res.check_conservation()
+        return self.results
 
     def run(self) -> List[SimulationResult]:
         every = self.m_every
@@ -985,10 +956,10 @@ class _BatchRun:
         run0 = perf_counter() if timed else 0.0
         sent_before: List[int] = []
         t = 0
-        while self.active:
+        while self.active_ids:
             sample_slot = sampling and t % every == 0
             if sample_slot:
-                sent_before = [lane.n_sent for lane in self.lanes]
+                sent_before = self.n_sent.tolist()
             if timed:
                 ph0 = perf_counter()
                 self._arrival_phase(t)
@@ -1011,7 +982,7 @@ class _BatchRun:
                 self._sample_phase(t, sent_before)
             self._retire(t)
             t += 1
-        results = [self._finalize(lane) for lane in self.lanes]
+        results = self._finalize()
         if self.metrics is not None:
             self._flush_metrics(t_arrival, t_schedule, t_transmit, run0)
         return results

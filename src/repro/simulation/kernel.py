@@ -298,7 +298,12 @@ def run_slot_loop(
 
     residual = switch.buffered_packets()
     result.n_residual = len(residual)
-    result.value_residual = sum(p.value for p in residual)
+    # Left to right, like every accumulator here: builtin sum() of
+    # floats is compensated from Python 3.12 on.
+    value_residual = 0.0
+    for p in residual:
+        value_residual += p.value
+    result.value_residual = value_residual
     result.check_conservation()
 
     # -- metrics flush (run-level counters, once per run) ----------------

@@ -8,7 +8,7 @@ The common machinery here assigns packet ids in arrival order (the order
 arrival events occur within a slot is the id order, matching the paper's
 convention that all events happen at distinct fractional times).
 
-One draw loop, :meth:`TrafficModel._slot_arrivals`, makes every draw,
+One draw loop, :meth:`TrafficModel.slot_arrivals`, makes every draw,
 and three consumers share it:
 
 * :meth:`TrafficModel.generate` fills a columnar :class:`Trace` from it,
@@ -18,8 +18,8 @@ and three consumers share it:
   engine's ``run_*_streaming`` as a per-slot callback (the engine
   stamps its own pids), so streaming runs are byte-identical to
   materialized ones;
-* ``repro trace record`` writes them to a stream file through
-  :meth:`TrafficModel.emit`, which stamps pids into packets per slot.
+* ``repro trace record`` stamps the same pids into stream rows and
+  hands them to :func:`~repro.traffic.trace.write_stream`.
 
 ``arrivals_for_slot`` may return either ``(src, dst)`` pairs — their
 values are then drawn from ``value_model`` in one bulk call after the
@@ -37,7 +37,6 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..switch.packet import Packet
 from .trace import Trace
 from .values import ValueModel, unit_values
 
@@ -49,6 +48,64 @@ def bernoulli_count(rng: np.random.Generator, rate: float) -> int:
     keeps every stochastic model's traces seed-stable)."""
     whole = int(rate)
     return whole + (1 if rng.random() < rate - whole else 0)
+
+
+def bernoulli_arrivals(
+    rng: np.random.Generator, inputs: np.ndarray, rates: np.ndarray,
+    cdf: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(srcs, dsts)`` arrays that the scalar loop
+
+    ``for i, rate in zip(inputs, rates): c = bernoulli_count(rng, rate);
+    dsts = cdf.searchsorted(rng.random(c), side="right")``
+
+    yields, one ``src`` per destination, from the same doubles drawn in
+    blocks: ``rng`` ends in the state the loop leaves.
+
+    Input ``i`` takes its count draw, ``int(rate)`` destination doubles
+    and one more when the count draw falls below the rate's fraction.
+    When every rate is whole that layout is fixed, so one block holds
+    every draw.  Otherwise a walk reads each count draw in turn and
+    tops the drawn stream up to the least the inputs left still take,
+    so it never draws a double the loop would not use (rewinding would
+    drop a buffered 32-bit half word, see ``docs/traffic_models.md``).
+    """
+    m = len(inputs)
+    if m == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    rates = np.asarray(rates, dtype=float)
+    whole = rates.astype(np.int64)
+    frac = rates - whole
+    least = whole + 1  # the doubles input i takes at least
+    if not frac.any():
+        counts = whole
+        starts = np.cumsum(least) - least
+        stream = rng.random(int(least.sum()))
+    else:
+        # rest[i]: the doubles inputs i.. take at least.
+        rest = np.cumsum(least[::-1])[::-1].tolist()
+        drawn: List[float] = []
+        starts_l: List[int] = []
+        counts_l: List[int] = []
+        p = 0  # the next count draw's index in the stream
+        for i, (w, f) in enumerate(zip(whole.tolist(), frac.tolist())):
+            need = p + rest[i]
+            if len(drawn) < need:
+                drawn += rng.random(need - len(drawn)).tolist()
+            hit = drawn[p] < f
+            if hit and len(drawn) == need:
+                drawn.append(rng.random())
+            starts_l.append(p)
+            counts_l.append(w + hit)
+            p += 1 + w + hit
+        counts = np.array(counts_l, dtype=np.int64)
+        starts = np.array(starts_l, dtype=np.int64)
+        stream = np.array(drawn)
+    is_dst = np.ones(stream.size, dtype=bool)
+    is_dst[starts] = False
+    return (np.repeat(np.asarray(inputs, dtype=np.int64), counts),
+            cdf.searchsorted(stream[is_dst], side="right"))
 
 
 def normalized_dst_weights(n_out: int, weights) -> np.ndarray:
@@ -120,7 +177,7 @@ class TrafficModel(ABC):
         state between them.  Stateless models keep this no-op.
         """
 
-    def _slot_arrivals(
+    def slot_arrivals(
         self, seed: int
     ) -> Iterator[List[Tuple[int, int, float]]]:
         """Each slot's ``(src, dst, value)`` arrivals, from slot 0 on,
@@ -141,14 +198,6 @@ class TrafficModel(ABC):
                     arrivals, sample(rng, len(arrivals)))]
             yield arrivals
 
-    def emit(self, seed: int = 0) -> Iterator[List[Packet]]:
-        """Each slot's packets, from slot 0 on, without end; pids count
-        up in arrival order across slots."""
-        pids = count()
-        for t, arrivals in enumerate(self._slot_arrivals(seed)):
-            yield [Packet(next(pids), v, t, src, dst)
-                   for src, dst, v in arrivals]
-
     def generate(self, n_slots: int, seed: int = 0) -> Trace:
         """Generate a trace of ``n_slots`` arrival slots."""
         return self._columnar_trace(
@@ -160,7 +209,7 @@ class TrafficModel(ABC):
         value = array("d")
         arrival, src, dst = array("q"), array("q"), array("q")
         for t, arrivals in enumerate(
-                islice(self._slot_arrivals(seed), n_slots)):
+                islice(self.slot_arrivals(seed), n_slots)):
             if arrivals:
                 srcs, dsts, values = zip(*arrivals)
                 src.extend(srcs)
@@ -183,7 +232,7 @@ class TrafficModel(ABC):
         calls raise, since skipping a slot would silently
         desynchronize the RNG stream.
         """
-        slots = self._slot_arrivals(seed)
+        slots = self.slot_arrivals(seed)
         expected = 0
 
         def source(t: int, switch: object) -> List[Tuple[int, int, float]]:

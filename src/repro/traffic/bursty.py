@@ -19,7 +19,7 @@ import numpy as np
 
 from .base import (
     TrafficModel,
-    bernoulli_count,
+    bernoulli_arrivals,
     destination_cdf,
     normalized_dst_weights,
 )
@@ -90,10 +90,7 @@ class BurstyTraffic(TrafficModel):
             self._state = np.where(
                 self._state, flips >= self.p_off, flips < self.p_on)
 
-        out: List[Tuple[int, int]] = []
-        for i in np.flatnonzero(self._state).tolist():
-            c = bernoulli_count(rng, self.burst_load)
-            if c:
-                dsts = self._dst_cdf.searchsorted(rng.random(c), side="right")
-                out += [(i, dst) for dst in dsts.tolist()]
-        return out
+        on = np.flatnonzero(self._state)
+        srcs, dsts = bernoulli_arrivals(
+            rng, on, np.full(on.size, self.burst_load), self._dst_cdf)
+        return list(zip(srcs.tolist(), dsts.tolist()))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .base import (
     TrafficModel,
-    bernoulli_count,
+    bernoulli_arrivals,
     destination_cdf,
     normalized_dst_weights,
 )
@@ -123,10 +123,6 @@ class MarkovModulatedTraffic(TrafficModel):
             below = self._cumulative[self._state] < draws[:, None]
             self._state = np.minimum(below.sum(axis=1), len(self._pi) - 1)
 
-        out: List[Tuple[int, int]] = []
-        for i, rate in enumerate(self.loads[self._state].tolist()):
-            c = bernoulli_count(rng, rate)
-            if c:
-                dsts = self._dst_cdf.searchsorted(rng.random(c), side="right")
-                out += [(i, dst) for dst in dsts.tolist()]
-        return out
+        srcs, dsts = bernoulli_arrivals(
+            rng, np.arange(self.n_in), self.loads[self._state], self._dst_cdf)
+        return list(zip(srcs.tolist(), dsts.tolist()))

@@ -262,8 +262,8 @@ class Trace:
         slots = ([list(row) for row in zip(
                      *(col[starts[t]:starts[t + 1]] for col in columns))]
                  for t in range(self.n_slots))
-        _write_rows(path, slots, self.n_in, self.n_out, self.name,
-                    chunk_slots)
+        write_stream(path, slots, self.n_in, self.n_out, self.name,
+                     chunk_slots)
 
     @classmethod
     def load(cls, path: str) -> "Trace":
@@ -353,32 +353,21 @@ def _packed_records(columns: Columns, lo: int, hi: int) -> array:
 # Stream writer and readers (module-level: no materialized Trace needed)
 # --------------------------------------------------------------------------
 
-def write_stream(path: str, slots: Iterable[Iterable[Packet]], n_in: int,
+def write_stream(path: str, slots: Iterable[List[list]], n_in: int,
                  n_out: int, name: str, chunk_slots: int) -> int:
     """Write per-slot arrivals as a chunked stream file; returns the
     packet count.
 
-    ``slots`` yields each arrival slot's packets in order; the number of
-    slots it yields (trailing idle ones included) is the header's
-    ``n_slots``.  Line 1 is the header (format/version/dimensions/
-    ``n_slots``/packet count); each further line covers ``chunk_slots``
-    arrival slots ``[base, base + chunk_slots)`` with its packets as
-    ``[pid, value, arrival, src, dst]`` rows, and empty chunks are not
-    written.  The header's counts are only known after the last slot,
-    so the body goes to a sibling temp file first and is then copied
-    behind the header: peak memory is one chunk of packets.
+    ``slots`` yields each arrival slot's packets in order, as
+    ``[pid, value, arrival, src, dst]`` rows; the number of slots it
+    yields (trailing idle ones included) is the header's ``n_slots``.
+    Line 1 is the header (format/version/dimensions/``n_slots``/packet
+    count); each further line covers ``chunk_slots`` arrival slots
+    ``[base, base + chunk_slots)`` with its rows, and empty chunks are
+    not written.  The header's counts are only known after the last
+    slot, so the body goes to a sibling temp file first and is then
+    copied behind the header: peak memory is one chunk of packets.
     """
-    return _write_rows(
-        path,
-        ([[p.pid, p.value, p.arrival, p.src, p.dst] for p in arrivals]
-         for arrivals in slots),
-        n_in, n_out, name, chunk_slots)
-
-
-def _write_rows(path: str, slots: Iterable[List[list]], n_in: int,
-                n_out: int, name: str, chunk_slots: int) -> int:
-    """:func:`write_stream` over each slot's ``[pid, value, arrival,
-    src, dst]`` rows."""
     if chunk_slots < 1:
         raise ValueError("chunk_slots must be >= 1")
     n_slots = n_packets = 0

@@ -289,3 +289,50 @@ class TestStreamingEntries:
         assert isinstance(seen[0], CrossbarSwitch)
         assert all(sw is seen[0] for sw in seen)
         assert res.n_arrived == 5 and res.n_residual == 0
+
+
+class TestResidualValue:
+    """``value_residual`` adds the buffered values left to right, head to
+    tail, like every other accumulator, on both backends.  Builtin
+    ``sum()`` of floats is compensated from Python 3.12 on and would
+    read 1.0000000000000002 here."""
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    @pytest.mark.parametrize("run, policy_cls", [
+        (run_cioq, GMPolicy), (run_cioq, PGPolicy),
+        (run_crossbar, CGUPolicy), (run_crossbar, CPGPolicy),
+    ], ids=["gm", "pg", "cgu", "cpg"])
+    def test_left_to_right(self, run, policy_cls, backend):
+        tiny = 2.0 ** -53
+        # One VOQ; slot 0 sends one 1.0 and leaves 1.0, tiny, tiny.
+        trace = Trace([Packet(0, 1.0, 0, 0, 0), Packet(1, 1.0, 0, 0, 0),
+                       Packet(2, tiny, 0, 0, 0), Packet(3, tiny, 0, 0, 0)],
+                      1, 1)
+        config = SwitchConfig(n_in=1, n_out=1, b_in=4, b_out=1)
+        res = run(policy_cls(), config, trace, max_extra_slots=0,
+                  backend=backend)
+        assert (res.n_sent, res.n_residual) == (1, 3)
+        assert res.value_residual == 1.0
+
+
+class TestZeroHorizon:
+    """An empty trace run with ``max_extra_slots=0`` has a horizon of 0
+    and runs no slot on either backend: no occupancy entry and a
+    ``slots_total`` of 0 (the fast kernel used to run slot 0)."""
+
+    @pytest.mark.parametrize("run, policy_cls", [
+        (run_cioq, GMPolicy), (run_crossbar, CPGPolicy),
+    ], ids=["gm", "cpg"])
+    def test_no_slot_runs(self, run, policy_cls, small_config):
+        from repro.obs import InMemoryRecorder
+
+        results = {}
+        for backend in ("reference", "fast"):
+            rec = InMemoryRecorder(every_k=1)
+            res = run(policy_cls(), small_config, Trace([], 3, 3),
+                      max_extra_slots=0, trace_occupancy=True,
+                      backend=backend, metrics=rec)
+            results[backend] = (res.horizon, res.occupancy, rec.snapshot())
+        assert results["fast"] == results["reference"]
+        horizon, occupancy, snapshot = results["fast"]
+        assert (horizon, occupancy) == (0, [])

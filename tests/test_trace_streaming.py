@@ -281,7 +281,8 @@ class TestStreamFormat:
 
 class TestWriteStream:
     """The one stream writer behind :meth:`Trace.save` and
-    ``repro trace record``: per-slot packets in, chunked JSONL out."""
+    ``repro trace record``: per-slot ``[pid, value, arrival, src, dst]``
+    rows in, chunked JSONL out."""
 
     @staticmethod
     def _trace():
@@ -295,8 +296,9 @@ class TestWriteStream:
     def test_round_trip_every_chunk_width(self, tmp_path, chunk_slots):
         trace = self._trace()
         path = str(tmp_path / "w.jsonl")
-        n = write_stream(path, trace.arrival_slots(), 3, 3, "w",
-                         chunk_slots)
+        slots = [[[p.pid, p.value, p.arrival, p.src, p.dst] for p in ps]
+                 for ps in trace.arrival_slots()]
+        n = write_stream(path, slots, 3, 3, "w", chunk_slots)
         assert n == len(trace) > 0
         back = Trace.load(path)
         assert (back.name, back.n_slots) == ("w", 25)
@@ -307,8 +309,8 @@ class TestWriteStream:
                              for p in ps] for ps in trace.arrival_slots()]
 
     def test_layout(self, tmp_path):
-        slots = [[Packet(0, 2.5, 0, 0, 1)], [],
-                 [Packet(1, 1.0, 2, 1, 0), Packet(2, 4.0, 2, 0, 0)], []]
+        slots = [[[0, 2.5, 0, 0, 1]], [],
+                 [[1, 1.0, 2, 1, 0], [2, 4.0, 2, 0, 0]], []]
         path = tmp_path / "w.jsonl"
         assert write_stream(str(path), slots, 2, 2, "hand", 2) == 3
         assert path.read_text(encoding="utf-8") == "".join(
@@ -322,8 +324,8 @@ class TestWriteStream:
             ])
 
     def test_idle_chunks_not_written(self, tmp_path):
-        slots = ([[Packet(0, 1.0, 0, 0, 0)]] + [[] for _ in range(5)]
-                 + [[Packet(1, 1.0, 6, 1, 1)], [], []])
+        slots = ([[[0, 1.0, 0, 0, 0]]] + [[] for _ in range(5)]
+                 + [[[1, 1.0, 6, 1, 1]], [], []])
         path = str(tmp_path / "w.jsonl")
         write_stream(path, iter(slots), 2, 2, "gap", 2)
         with open(path, encoding="utf-8") as fh:
@@ -362,7 +364,7 @@ class TestWriteStream:
         path.write_text("previous\n", encoding="utf-8")
 
         def slots():
-            yield [Packet(0, 1.0, 0, 0, 0)]
+            yield [[0, 1.0, 0, 0, 0]]
             raise RuntimeError("source died")
 
         with pytest.raises(RuntimeError, match="source died"):
@@ -372,7 +374,7 @@ class TestWriteStream:
 
     def test_bare_file_name_writes_to_cwd(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        write_stream("w.jsonl", [[Packet(0, 1.0, 0, 0, 0)]], 1, 1, "x", 4)
+        write_stream("w.jsonl", [[[0, 1.0, 0, 0, 0]]], 1, 1, "x", 4)
         assert [p.name for p in tmp_path.iterdir()] == ["w.jsonl"]
         assert len(Trace.load(str(tmp_path / "w.jsonl"))) == 1
 

@@ -24,6 +24,7 @@ from ..scheduling.matching import (
     hopcroft_karp,
     max_weight_matching,
 )
+from ..switch.packet import sequential_sum
 
 
 def random_occupancy(
@@ -115,12 +116,12 @@ def compare_weighted_matching_cost(
         t0 = time.perf_counter()
         gm = greedy_maximal_matching_weighted(edges, stats=greedy_stats)
         greedy_time += time.perf_counter() - t0
-        greedy_weight += sum(e[2] for e in gm)
+        greedy_weight += sequential_sum(e[2] for e in gm)
 
         t0 = time.perf_counter()
         mw = max_weight_matching(w.tolist(), stats=hung_stats)
         hung_time += time.perf_counter() - t0
-        hung_weight += sum(e[2] for e in mw)
+        hung_weight += sequential_sum(e[2] for e in mw)
 
     return {
         "n": n,

@@ -559,8 +559,9 @@ def cmd_trace_record(args) -> int:
     model = _build_traffic(args)
     # Pids count up in arrival order across slots, as in ``generate``.
     pids = count()
-    rows = ([[next(pids), value, t, src, dst] for src, dst, value in arrivals]
-            for t, arrivals in enumerate(
+    rows = ([[next(pids), value, t, src, dst]
+             for src, dst, value in zip(srcs, dsts, values)]
+            for t, (srcs, dsts, values) in enumerate(
                 islice(model.slot_arrivals(args.seed), args.slots)))
     try:
         n_packets = write_stream(

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..switch.config import SwitchConfig
-from ..switch.packet import Packet
+from ..switch.packet import Packet, sequential_sum
 from ..traffic.trace import Trace
 from .timegraph import OptResult, default_horizon
 
@@ -152,8 +152,9 @@ def capacity_upper_bound(
     for p in trace.packets:
         by_out.setdefault(p.dst, []).append(p)
         by_in.setdefault(p.src, []).append(p)
-    out_sum = sum(_server_bound(ps, horizon, 1) for ps in by_out.values())
-    in_sum = sum(
+    out_sum = sequential_sum(
+        _server_bound(ps, horizon, 1) for ps in by_out.values())
+    in_sum = sequential_sum(
         _server_bound(ps, horizon, config.speedup) for ps in by_in.values()
     )
     return min(out_sum, in_sum, trace.total_value)

@@ -48,6 +48,7 @@ import numpy as np
 
 from ..simulation.engine import drain_bound
 from ..switch.config import SwitchConfig
+from ..switch.packet import sequential_sum
 from ..traffic.trace import Trace
 # ``solve`` calls ``milp`` through the model's own module.
 from .highs import milp  # noqa: F401
@@ -360,7 +361,7 @@ class CIOQOptModel:
         chosen = [p for idx, p in enumerate(self.trace.packets)
                   if x[idx] > 0.5]
         result = OptResult(
-            benefit=float(sum(p.value for p in chosen)),
+            benefit=sequential_sum(p.value for p in chosen),
             n_delivered=len(chosen),
             accepted_pids=[p.pid for p in chosen],
         )

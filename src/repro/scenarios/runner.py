@@ -42,6 +42,7 @@ from ..analysis.report import csv_table, format_table
 from ..obs import build_manifest, write_manifest
 from ..parallel import SweepExecutor, SweepPoint
 from ..simulation.backends import DEFAULT_BACKEND
+from ..switch.packet import sequential_sum
 from ..traffic.trace import Trace
 from .spec import ScenarioSpec
 
@@ -261,12 +262,13 @@ def compute_aggregates(
 
     def _mean(ratios: List[Optional[float]]) -> Optional[float]:
         finite = [r for r in ratios if r is not None]
-        return round(sum(finite) / len(finite), 6) if finite else None
+        return (round(sequential_sum(finite) / len(finite), 6) if finite
+                else None)
 
     def _benefits(policy: str, vals: List[float]) -> Dict[str, object]:
         return {
             "policy": policy,
-            "mean_benefit": round(sum(vals) / len(vals), 6),
+            "mean_benefit": round(sequential_sum(vals) / len(vals), 6),
             "min_benefit": round(min(vals), 6),
             "max_benefit": round(max(vals), 6),
         }

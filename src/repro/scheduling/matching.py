@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..switch.packet import sequential_sum
+
 INF = float("inf")
 
 Edge = Tuple[int, int]
@@ -304,4 +306,4 @@ def max_weight_matching(
 
 def matching_weight(matching: Sequence[WeightedEdge]) -> float:
     """Total weight of a weighted matching."""
-    return float(sum(w for _, _, w in matching))
+    return sequential_sum(w for _, _, w in matching)

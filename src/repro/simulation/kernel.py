@@ -40,7 +40,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Callable, Sequence
 
-from ..switch.packet import Packet
+from ..switch.packet import Packet, sequential_sum
 from .results import SimulationResult, TransferEvent
 
 #: A per-slot arrival source: consulted once per slot ``t`` for
@@ -298,12 +298,7 @@ def run_slot_loop(
 
     residual = switch.buffered_packets()
     result.n_residual = len(residual)
-    # Left to right, like every accumulator here: builtin sum() of
-    # floats is compensated from Python 3.12 on.
-    value_residual = 0.0
-    for p in residual:
-        value_residual += p.value
-    result.value_residual = value_residual
+    result.value_residual = sequential_sum(p.value for p in residual)
     result.check_conservation()
 
     # -- metrics flush (run-level counters, once per run) ----------------

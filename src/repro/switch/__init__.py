@@ -10,7 +10,7 @@ switch is the one place that moves packets between queues.
 """
 
 from .config import SwitchConfig
-from .packet import Packet, total_value, validate_packets
+from .packet import Packet, total_value
 from .queue import BoundedQueue, QueueOverflowError
 from .cioq import CIOQSwitch, ScheduleError, Transfer, greedy_head_transmissions
 from .crossbar import CrossbarSwitch
@@ -20,7 +20,6 @@ __all__ = [
     "SwitchConfig",
     "Packet",
     "total_value",
-    "validate_packets",
     "BoundedQueue",
     "QueueOverflowError",
     "CIOQSwitch",

@@ -12,7 +12,7 @@ one with the *smaller* id is treated as the more valuable one.
 from __future__ import annotations
 
 from math import inf
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 
 class Packet:
@@ -82,39 +82,20 @@ class Packet:
         return hash(self.pid)
 
 
-def total_value(packets: Iterable[Packet]) -> float:
-    """Sum of packet values (the *benefit* of sending these packets)."""
-    return float(sum(p.value for p in packets))
+def sequential_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0.
 
-
-def validate_packets(packets: Iterable[Packet], n_in: int, n_out: int) -> List[Packet]:
-    """Validate a packet collection against switch dimensions.
-
-    Checks port ranges and pid uniqueness; returns the packets as a list
-    sorted by ``(arrival, pid)`` — the canonical arrival-event order.
+    Every float total in the package adds through here, in an order
+    its caller states: builtin ``sum()`` of floats is compensated from
+    Python 3.12 on, so its last bits would depend on the interpreter.
     """
-    seen = set()
-    out: List[Packet] = []
-    # Generated traces arrive already in order; sort only when not.
-    in_order = True
-    last_arrival = -1
-    last_pid = 0
-    for p in packets:
-        pid = p.pid
-        if pid in seen:
-            raise ValueError(f"duplicate packet id {pid}")
-        seen.add(pid)
-        if not (0 <= p.src < n_in):
-            raise ValueError(f"packet {pid}: src {p.src} out of range [0,{n_in})")
-        if not (0 <= p.dst < n_out):
-            raise ValueError(f"packet {pid}: dst {p.dst} out of range [0,{n_out})")
-        arrival = p.arrival
-        if arrival < last_arrival or (arrival == last_arrival
-                                      and pid < last_pid):
-            in_order = False
-        last_arrival = arrival
-        last_pid = pid
-        out.append(p)
-    if not in_order:
-        out.sort(key=lambda p: (p.arrival, p.pid))
-    return out
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def total_value(packets: Iterable[Packet]) -> float:
+    """Sum of packet values (the *benefit* of sending these packets),
+    in the given order."""
+    return sequential_sum(p.value for p in packets)

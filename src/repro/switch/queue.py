@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterator, List, Optional, Tuple
 
-from .packet import Packet
+from .packet import Packet, sequential_sum
 
 
 class QueueOverflowError(RuntimeError):
@@ -107,7 +107,7 @@ class BoundedQueue:
         return [p.value for p in reversed(self._items)]
 
     def total_value(self) -> float:
-        return sum(p.value for p in self._items)
+        return sequential_sum(p.value for p in self._items)
 
     # -- mutation -----------------------------------------------------------
 

@@ -34,7 +34,6 @@ defaults, so a scenario can retune one knob — e.g.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +44,7 @@ from .base import (
     destination_cdf,
     normalized_dst_weights,
 )
-from .values import ValueModel
+from .values import ValueModel, check_param
 
 #: Class order is part of the determinism contract: draws happen in this
 #: order each slot, so reordering would change seeded traces.
@@ -93,23 +92,14 @@ def _merged_class(name: str, overrides: Optional[dict]) -> Dict[str, object]:
     p_start = float(params["p_start"])
     if not 0.0 <= p_start <= 1.0:
         raise ValueError(f"{name}: p_start must be in [0,1], got {p_start}")
-    rate = float(params["rate"])
-    if not (rate > 0 and math.isfinite(rate)):
-        raise ValueError(f"{name}: rate must be finite and > 0, got {rate}")
+    rate = check_param(f"{name}: rate", params["rate"], 0, strict=True)
     duration = params["duration"]
     if duration == "pareto":
-        shape = float(params["shape"])
-        max_len = int(params["max_len"])
-        if shape <= 0:
-            raise ValueError(f"{name}: shape must be > 0, got {shape}")
-        if max_len < 1:
-            raise ValueError(f"{name}: max_len must be >= 1, got {max_len}")
+        check_param(f"{name}: shape", params["shape"], 0, strict=True,
+                    finite=False)
+        check_param(f"{name}: max_len", params["max_len"], 1)
     elif duration == "geometric":
-        mean_len = float(params["mean_len"])
-        if not (mean_len >= 1.0 and math.isfinite(mean_len)):
-            raise ValueError(
-                f"{name}: mean_len must be >= 1, got {mean_len}"
-            )
+        check_param(f"{name}: mean_len", params["mean_len"], 1)
     else:
         raise ValueError(
             f"{name}: duration must be 'pareto' or 'geometric', "
@@ -155,10 +145,7 @@ class ApplicationMixTraffic(TrafficModel):
         dst_weights: Optional[Sequence[float]] = None,
         value_model: Optional[ValueModel] = None,
     ):
-        if not (load_scale > 0 and math.isfinite(load_scale)):
-            raise ValueError(
-                f"load_scale must be finite and > 0, got {load_scale}"
-            )
+        check_param("load_scale", load_scale, 0, strict=True)
         overrides = {"web": web, "video": video, "voip": voip}
         classes = {
             name: _merged_class(name, overrides[name])
@@ -194,13 +181,14 @@ class ApplicationMixTraffic(TrafficModel):
 
     def arrivals_for_slot(
         self, slot: int, rng: np.random.Generator
-    ) -> List[Tuple[int, int]]:
+    ) -> Tuple[List[int], List[int]]:
         if slot == 0 or self._sessions is None:
             self._sessions = {
                 name: [[] for _ in range(self.n_in)] for name in CLASS_ORDER
             }
 
-        out: List[Tuple[int, int]] = []
+        srcs: List[int] = []
+        dsts: List[int] = []
         for name in CLASS_ORDER:
             cfg = self.classes[name]
             p_start = float(cfg["p_start"])
@@ -214,10 +202,11 @@ class ApplicationMixTraffic(TrafficModel):
                     per_input[i].append([length, dst])
                 live: List[List[int]] = []
                 for session in per_input[i]:
-                    for _ in range(bernoulli_count(rng, rate)):
-                        out.append((i, session[1]))
+                    c = bernoulli_count(rng, rate)
+                    srcs += [i] * c
+                    dsts += [session[1]] * c
                     session[0] -= 1
                     if session[0] > 0:
                         live.append(session)
                 per_input[i] = live
-        return out
+        return srcs, dsts

@@ -21,16 +21,16 @@ and three consumers share it:
 * ``repro trace record`` stamps the same pids into stream rows and
   hands them to :func:`~repro.traffic.trace.write_stream`.
 
-``arrivals_for_slot`` may return either ``(src, dst)`` pairs — their
-values are then drawn from ``value_model`` in one bulk call after the
-slot's arrival draws, in arrival order — or ``(src, dst, value)``
-triples for models (like trace replay) whose values are part of the
-instance rather than sampled.
+A slot's arrivals stay columns all the way: ``arrivals_for_slot``
+returns the slot's ``(srcs, dsts)``, the draw loop adds their values
+from ``value_model`` in one bulk call, and ``generate`` extends the
+trace's arrays from the three.  Trace replay, whose values are part of
+the instance rather than sampled, yields its recording's columns from
+its own draw loop instead.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from array import array
 from itertools import count, islice, repeat
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
@@ -143,7 +143,12 @@ def destination_cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-class TrafficModel(ABC):
+#: One slot's arrivals as columns in arrival order: sources,
+#: destinations and values.
+SlotColumns = Tuple[Sequence[int], Sequence[int], Sequence[float]]
+
+
+class TrafficModel:
     """Generates traces for an ``n_in x n_out`` switch."""
 
     def __init__(
@@ -160,12 +165,13 @@ class TrafficModel(ABC):
         self.value_model = value_model if value_model is not None else unit_values()
         self.name = name
 
-    @abstractmethod
     def arrivals_for_slot(
         self, slot: int, rng: np.random.Generator
-    ) -> List[tuple]:
-        """Return the slot's arrivals as ``(src, dst)`` pairs or
-        ``(src, dst, value)`` triples (see the module docstring)."""
+    ) -> Tuple[Sequence[int], Sequence[int]]:
+        """Draw the slot's arrivals: ``(srcs, dsts)``, two equal-length
+        lists of ports in arrival order.  Every stochastic model
+        defines this; the draw loop samples the values."""
+        raise NotImplementedError
 
     def reset(self) -> None:
         """Clear any cross-slot state so the model can be reused.
@@ -177,26 +183,21 @@ class TrafficModel(ABC):
         state between them.  Stateless models keep this no-op.
         """
 
-    def slot_arrivals(
-        self, seed: int
-    ) -> Iterator[List[Tuple[int, int, float]]]:
-        """Each slot's ``(src, dst, value)`` arrivals, from slot 0 on,
-        without end: the one draw loop.
+    def slot_arrivals(self, seed: int) -> Iterator[SlotColumns]:
+        """Each slot's ``(srcs, dsts, values)``, from slot 0 on, without
+        end: the one draw loop.
 
         The model resets and seeds its generator on the first ``next``.
-        Per slot, :meth:`arrivals_for_slot` makes its draws first; if it
-        returned ``(src, dst)`` pairs, their values then come from one
-        ``value_model.sample(rng, k)`` call, in arrival order.
+        Per slot, :meth:`arrivals_for_slot` makes its draws first; the
+        values then come from one ``value_model.sample(rng, k)`` call,
+        in arrival order, which an empty slot does not make.
         """
         self.reset()
         rng = np.random.default_rng(seed)
         sample = self.value_model.sample
         for t in count():
-            arrivals = self.arrivals_for_slot(t, rng)
-            if arrivals and len(arrivals[0]) == 2:
-                arrivals = [(src, dst, v) for (src, dst), v in zip(
-                    arrivals, sample(rng, len(arrivals)))]
-            yield arrivals
+            srcs, dsts = self.arrivals_for_slot(t, rng)
+            yield srcs, dsts, sample(rng, len(srcs)) if srcs else ()
 
     def generate(self, n_slots: int, seed: int = 0) -> Trace:
         """Generate a trace of ``n_slots`` arrival slots."""
@@ -208,14 +209,12 @@ class TrafficModel(ABC):
         filled column by column; pids count up in arrival order."""
         value = array("d")
         arrival, src, dst = array("q"), array("q"), array("q")
-        for t, arrivals in enumerate(
+        for t, (srcs, dsts, values) in enumerate(
                 islice(self.slot_arrivals(seed), n_slots)):
-            if arrivals:
-                srcs, dsts, values = zip(*arrivals)
-                src.extend(srcs)
-                dst.extend(dsts)
-                value.extend(values)
-                arrival.extend(repeat(t, len(arrivals)))
+            src.extend(srcs)
+            dst.extend(dsts)
+            value.extend(values)
+            arrival.extend(repeat(t, len(values)))
         return Trace.from_columns(
             array("q", range(len(value))), value, arrival, src, dst,
             self.n_in, self.n_out, name=name, n_slots=n_slots)
@@ -243,6 +242,6 @@ class TrafficModel(ABC):
                     f"(expected {expected}, got {t})"
                 )
             expected += 1
-            return next(slots)
+            return list(zip(*next(slots)))
 
         return source

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .base import TrafficModel, bernoulli_count
-from .values import ValueModel
+from .values import ValueModel, check_param
 
 
 class BernoulliTraffic(TrafficModel):
@@ -41,16 +41,16 @@ class BernoulliTraffic(TrafficModel):
         load: float = 0.8,
         value_model: Optional[ValueModel] = None,
     ):
-        if load < 0:
-            raise ValueError(f"load must be >= 0, got {load}")
+        self.load = check_param("load", load, 0)
         super().__init__(n_in, n_out, value_model, name=f"bernoulli(load={load:g})")
-        self.load = float(load)
 
     def arrivals_for_slot(
         self, slot: int, rng: np.random.Generator
-    ) -> List[Tuple[int, int]]:
-        out: List[Tuple[int, int]] = []
+    ) -> Tuple[List[int], List[int]]:
+        srcs: List[int] = []
+        dsts: List[int] = []
         for i in range(self.n_in):
             for _ in range(bernoulli_count(rng, self.load)):
-                out.append((i, int(rng.integers(0, self.n_out))))
-        return out
+                srcs.append(i)
+                dsts.append(int(rng.integers(0, self.n_out)))
+        return srcs, dsts

@@ -23,7 +23,7 @@ from .base import (
     destination_cdf,
     normalized_dst_weights,
 )
-from .values import ValueModel
+from .values import ValueModel, check_param
 
 
 class BurstyTraffic(TrafficModel):
@@ -58,8 +58,8 @@ class BurstyTraffic(TrafficModel):
         for nm, p in (("p_on", p_on), ("p_off", p_off)):
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"{nm} must be in (0,1], got {p}")
-        if burst_load <= 0:
-            raise ValueError(f"burst_load must be > 0, got {burst_load}")
+        self.burst_load = check_param("burst_load", burst_load, 0,
+                                      strict=True)
         super().__init__(
             n_in,
             n_out,
@@ -68,7 +68,6 @@ class BurstyTraffic(TrafficModel):
         )
         self.p_on = float(p_on)
         self.p_off = float(p_off)
-        self.burst_load = float(burst_load)
         self._dst_cdf = destination_cdf(
             normalized_dst_weights(n_out, dst_weights))
         self._state: Optional[np.ndarray] = None
@@ -80,7 +79,7 @@ class BurstyTraffic(TrafficModel):
 
     def arrivals_for_slot(
         self, slot: int, rng: np.random.Generator
-    ) -> List[Tuple[int, int]]:
+    ) -> Tuple[List[int], List[int]]:
         if slot == 0 or self._state is None:
             # Start each trace from the chain's stationary distribution.
             pi_on = self.p_on / (self.p_on + self.p_off)
@@ -93,4 +92,4 @@ class BurstyTraffic(TrafficModel):
         on = np.flatnonzero(self._state)
         srcs, dsts = bernoulli_arrivals(
             rng, on, np.full(on.size, self.burst_load), self._dst_cdf)
-        return list(zip(srcs.tolist(), dsts.tolist()))
+        return srcs.tolist(), dsts.tolist()

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .base import TrafficModel, bernoulli_count
-from .values import ValueModel
+from .values import ValueModel, check_param
 
 
 class HotspotTraffic(TrafficModel):
@@ -42,22 +42,21 @@ class HotspotTraffic(TrafficModel):
             raise ValueError(f"hot_fraction must be in [0,1], got {hot_fraction}")
         if not 0 <= hot_port < n_out:
             raise ValueError(f"hot_port {hot_port} out of range")
-        if load < 0:
-            raise ValueError(f"load must be >= 0, got {load}")
+        self.load = check_param("load", load, 0)
         super().__init__(
             n_in,
             n_out,
             value_model,
             name=f"hotspot(load={load:g},hot={hot_fraction:g}@{hot_port})",
         )
-        self.load = float(load)
         self.hot_fraction = float(hot_fraction)
         self.hot_port = int(hot_port)
 
     def arrivals_for_slot(
         self, slot: int, rng: np.random.Generator
-    ) -> List[Tuple[int, int]]:
-        out: List[Tuple[int, int]] = []
+    ) -> Tuple[List[int], List[int]]:
+        srcs: List[int] = []
+        dsts: List[int] = []
         cold_ports = [j for j in range(self.n_out) if j != self.hot_port]
         for i in range(self.n_in):
             for _ in range(bernoulli_count(rng, self.load)):
@@ -65,8 +64,9 @@ class HotspotTraffic(TrafficModel):
                     dst = self.hot_port
                 else:
                     dst = cold_ports[int(rng.integers(0, len(cold_ports)))]
-                out.append((i, dst))
-        return out
+                srcs.append(i)
+                dsts.append(dst)
+        return srcs, dsts
 
 
 class DiagonalTraffic(TrafficModel):
@@ -84,26 +84,26 @@ class DiagonalTraffic(TrafficModel):
     ):
         if not 0.0 <= diag_fraction <= 1.0:
             raise ValueError(f"diag_fraction must be in [0,1], got {diag_fraction}")
-        if load < 0:
-            raise ValueError(f"load must be >= 0, got {load}")
+        self.load = check_param("load", load, 0)
         super().__init__(
             n_in,
             n_out,
             value_model,
             name=f"diagonal(load={load:g},diag={diag_fraction:g})",
         )
-        self.load = float(load)
         self.diag_fraction = float(diag_fraction)
 
     def arrivals_for_slot(
         self, slot: int, rng: np.random.Generator
-    ) -> List[Tuple[int, int]]:
-        out: List[Tuple[int, int]] = []
+    ) -> Tuple[List[int], List[int]]:
+        srcs: List[int] = []
+        dsts: List[int] = []
         for i in range(self.n_in):
             for _ in range(bernoulli_count(rng, self.load)):
                 if rng.random() < self.diag_fraction:
                     dst = i % self.n_out
                 else:
                     dst = (i + 1) % self.n_out
-                out.append((i, dst))
-        return out
+                srcs.append(i)
+                dsts.append(dst)
+        return srcs, dsts

@@ -28,7 +28,7 @@ from .base import (
     destination_cdf,
     normalized_dst_weights,
 )
-from .values import ValueModel
+from .values import ValueModel, check_param
 
 
 def _stationary(transition: np.ndarray, iters: int = 400) -> np.ndarray:
@@ -74,8 +74,10 @@ class MarkovModulatedTraffic(TrafficModel):
         value_model: Optional[ValueModel] = None,
     ):
         loads_arr = np.asarray(loads, dtype=float)
-        if loads_arr.ndim != 1 or loads_arr.size < 1 or (loads_arr < 0).any():
+        if loads_arr.ndim != 1 or loads_arr.size < 1:
             raise ValueError("loads must be a non-empty vector of rates >= 0")
+        for load in loads_arr.tolist():
+            check_param("loads", load, 0)
         k = loads_arr.size
         if transition is None:
             # Sticky default: stay with p=0.9, otherwise move uniformly.
@@ -109,7 +111,7 @@ class MarkovModulatedTraffic(TrafficModel):
 
     def arrivals_for_slot(
         self, slot: int, rng: np.random.Generator
-    ) -> List[Tuple[int, int]]:
+    ) -> Tuple[List[int], List[int]]:
         if slot == 0 or self._state is None:
             draws = rng.random(self.n_in)
             cum_pi = np.cumsum(self._pi)
@@ -125,4 +127,4 @@ class MarkovModulatedTraffic(TrafficModel):
 
         srcs, dsts = bernoulli_arrivals(
             rng, np.arange(self.n_in), self.loads[self._state], self._dst_cdf)
-        return list(zip(srcs.tolist(), dsts.tolist()))
+        return srcs.tolist(), dsts.tolist()

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .base import TrafficModel, bernoulli_count
-from .values import ValueModel
+from .values import ValueModel, check_param
 
 
 class ParetoBurstTraffic(TrafficModel):
@@ -54,24 +54,20 @@ class ParetoBurstTraffic(TrafficModel):
         max_burst: int = 1000,
         value_model: Optional[ValueModel] = None,
     ):
-        if shape <= 0:
-            raise ValueError(f"shape must be > 0, got {shape}")
+        self.shape = check_param("shape", shape, 0, strict=True,
+                                 finite=False)
         if not 0.0 < p_start <= 1.0:
             raise ValueError(f"p_start must be in (0,1], got {p_start}")
-        if burst_load <= 0:
-            raise ValueError(f"burst_load must be > 0, got {burst_load}")
-        if max_burst < 1:
-            raise ValueError(f"max_burst must be >= 1, got {max_burst}")
+        self.burst_load = check_param("burst_load", burst_load, 0,
+                                      strict=True)
+        self.max_burst = int(check_param("max_burst", max_burst, 1))
         super().__init__(
             n_in,
             n_out,
             value_model,
             name=f"pareto-burst(shape={shape:g},load={burst_load:g})",
         )
-        self.shape = float(shape)
         self.p_start = float(p_start)
-        self.burst_load = float(burst_load)
-        self.max_burst = int(max_burst)
         # Per-input renewal state: remaining ON slots and the burst's target.
         self._remaining: Optional[np.ndarray] = None
         self._target: Optional[np.ndarray] = None
@@ -89,18 +85,20 @@ class ParetoBurstTraffic(TrafficModel):
 
     def arrivals_for_slot(
         self, slot: int, rng: np.random.Generator
-    ) -> List[Tuple[int, int]]:
+    ) -> Tuple[List[int], List[int]]:
         if slot == 0 or self._remaining is None:
             self._remaining = np.zeros(self.n_in, dtype=np.int64)
             self._target = np.zeros(self.n_in, dtype=np.int64)
 
-        out: List[Tuple[int, int]] = []
+        srcs: List[int] = []
+        dsts: List[int] = []
         for i in range(self.n_in):
             if self._remaining[i] <= 0 and rng.random() < self.p_start:
                 self._draw_burst(rng, i)
             if self._remaining[i] <= 0:
                 continue
             self._remaining[i] -= 1
-            for _ in range(bernoulli_count(rng, self.burst_load)):
-                out.append((i, int(self._target[i])))
-        return out
+            c = bernoulli_count(rng, self.burst_load)
+            srcs += [i] * c
+            dsts += [int(self._target[i])] * c
+        return srcs, dsts

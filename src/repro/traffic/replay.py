@@ -9,29 +9,29 @@ consumer of traffic models (scenarios, benchmarks, the CLI) can run on
 recorded inputs exactly like on synthetic ones.
 
 Replay preserves the recorded packet *values* (the value model of the
-original instance is part of the instance): ``arrivals_for_slot``
-returns ``(src, dst, value)`` triples, so both the materialized and the
-streaming path carry them.  ``generate`` is a pure function of its
-arguments: the same recording and ``n_slots`` always produce the same
-trace, for any seed.
+original instance is part of the instance): its draw loop,
+:meth:`TraceReplayTraffic.slot_arrivals`, yields the recording's own
+``(srcs, dsts, values)`` columns slot by slot, so ``generate``,
+``arrival_source`` and ``repro trace record`` all carry them.  The
+result is a pure function of the recording: the same recording and
+``n_slots`` always produce the same trace, for any seed.
 
 A recording named by path is **not** materialized at construction:
-only its header is read, and :meth:`TraceReplayTraffic.arrival_source`
-replays it forward at O(chunk) peak memory (``repeat=True`` re-reads
-the file per period), so multi-million-packet recordings can drive
-``run_*_streaming`` without ever fitting in RAM.  ``generate`` and
-random-access ``arrivals_for_slot`` materialize the recording on first
-use — they are the small-instance/control paths.
+only its header is read, and the draw loop reads the file forward at
+O(chunk) peak memory (``repeat=True`` re-reads it per period), so
+multi-million-packet recordings can drive ``run_*_streaming`` through
+``arrival_source`` without ever fitting in RAM.  ``generate`` loads
+the file once and keeps it, so a scenario replaying it over several
+seeds parses it once.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from typing import Iterator, Optional, Union
 
-import numpy as np
-
-from .base import TrafficModel
+from .base import SlotColumns, TrafficModel
 from .trace import Trace, iter_stream_slots, read_stream_header
 
 
@@ -42,8 +42,8 @@ class TraceReplayTraffic(TrafficModel):
     ----------
     source:
         A :class:`Trace` instance, or a path to a file written by
-        :meth:`Trace.save` (it stays on disk until a materializing
-        method needs it).
+        :meth:`Trace.save` (it stays on disk until ``generate`` needs
+        it).
     repeat:
         If true, the recording is tiled end-to-end — with period
         ``n_slots`` of the recording, trailing idle slots included —
@@ -69,65 +69,32 @@ class TraceReplayTraffic(TrafficModel):
         super().__init__(n_in, n_out, None, name=f"replay({src_name})")
         self.repeat = bool(repeat)
 
-    @property
-    def source(self) -> Trace:
-        """The recording as an in-memory :class:`Trace` (materializes a
-        file-backed recording on first access)."""
-        if self._trace is None:
-            self._trace = Trace.load(self._path)
-        return self._trace
+    def slot_arrivals(self, seed: int) -> Iterator[SlotColumns]:
+        """The recording's ``(srcs, dsts, values)`` per slot, read
+        forward: one period, tiled while ``repeat`` is set and the
+        recording has slots, then empty slots without end.
 
-    def arrivals_for_slot(
-        self, slot: int, rng: np.random.Generator
-    ) -> List[Tuple[int, int, float]]:
-        if self.repeat and self._src_n_slots > 0:
-            slot = slot % self._src_n_slots
-        _pid, value, arrival, src, dst = self.source.columns()
-        lo = bisect_left(arrival, slot)
-        hi = bisect_left(arrival, slot + 1, lo)
-        return list(zip(src[lo:hi], dst[lo:hi], value[lo:hi]))
-
-    def _iter_recorded_slots(self) -> Iterator[List[Tuple[int, int, float]]]:
-        """Per-slot ``(src, dst, value)`` lists over one recording
-        period, reading a file-backed recording forward from disk."""
-        if self._trace is not None:
-            for t in range(self._trace.n_slots):
-                yield self.arrivals_for_slot(t, None)
-        else:
-            for _t, pkts in iter_stream_slots(self._path):
-                yield [(p.src, p.dst, p.value) for p in pkts]
-
-    def arrival_source(
-        self, seed: int = 0
-    ) -> Callable[[int, object], Sequence[Tuple[int, int, float]]]:
-        """Forward-only streaming source over the recording.
-
-        Peak memory is one stream chunk for file-backed recordings.
-        ``repeat=True`` restarts the recording (re-reading the file)
-        each period; without repeat, slots past the recording are
-        empty.  The seed is ignored — replay is seed-independent.
+        A file-backed recording that ``generate`` has not loaded is
+        read through :func:`iter_stream_slots`, one chunk at a time and
+        again per period.  The seed is ignored: replay is
+        seed-independent.
         """
-        it = self._iter_recorded_slots()
-        expected = 0
-
-        def source(t: int, switch: object) -> List[Tuple[int, int, float]]:
-            nonlocal it, expected
-            if t != expected:
-                raise ValueError(
-                    f"arrival_source must be called with consecutive slots "
-                    f"(expected {expected}, got {t})"
-                )
-            expected += 1
-            nxt = next(it, None)
-            if nxt is None:
-                if self.repeat and self._src_n_slots > 0:
-                    it = self._iter_recorded_slots()
-                    nxt = next(it, None)
-                if nxt is None:
-                    return []
-            return nxt
-
-        return source
+        while True:
+            if self._trace is None:
+                for _t, packets in iter_stream_slots(self._path):
+                    yield ([p.src for p in packets],
+                           [p.dst for p in packets],
+                           [p.value for p in packets])
+            else:
+                _pid, value, arrival, src, dst = self._trace.columns()
+                lo = 0
+                for t in range(self._src_n_slots):
+                    hi = bisect_left(arrival, t + 1, lo)
+                    yield src[lo:hi], dst[lo:hi], value[lo:hi]
+                    lo = hi
+            if not (self.repeat and self._src_n_slots):
+                break
+        yield from repeat(((), (), ()))
 
     def generate(self, n_slots: int, seed: int = 0) -> Trace:
         """Replay the recording over ``n_slots`` slots (materializing).
@@ -137,9 +104,12 @@ class TraceReplayTraffic(TrafficModel):
         the trace, keeping report labels uniform across models).
         Without ``repeat`` the result keeps the recording's own slot
         count (capped at ``n_slots``), trailing idle slots included.
+        A file-backed recording is loaded on the first call and kept.
         The trace is filled column by column from
-        :meth:`arrivals_for_slot`, like every model's.
+        :meth:`slot_arrivals`, like every model's.
         """
+        if self._trace is None:
+            self._trace = Trace.load(self._path)
         out_slots = (n_slots if self.repeat
                      else min(n_slots, self._src_n_slots))
         return self._columnar_trace(out_slots, seed,

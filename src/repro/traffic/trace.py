@@ -45,10 +45,10 @@ from array import array
 from bisect import bisect_left
 from itertools import groupby, islice
 from math import inf
-from operator import itemgetter, le, lt
+from operator import attrgetter, itemgetter, le, lt
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..switch.packet import Packet, validate_packets
+from ..switch.packet import Packet, sequential_sum
 
 #: Magic ``format`` value of the chunked stream header line.
 STREAM_FORMAT = "repro-trace-stream"
@@ -75,9 +75,10 @@ class Trace:
     Parameters
     ----------
     packets:
-        The arrival sequence (validated, sorted by ``(arrival, pid)``).
-        Its packets fill the trace's columns and serve as
-        :attr:`packets`; column-built traces come from
+        The arrival sequence, in any order.  It is sorted by
+        ``(arrival, pid)`` and fills the trace's columns, which are
+        checked as :meth:`from_columns` checks them; the sorted packets
+        serve as :attr:`packets`.  Column-built traces come from
         :meth:`from_columns`.
     n_in, n_out:
         Switch dimensions.
@@ -99,13 +100,14 @@ class Trace:
         name: str = "trace",
         n_slots: Optional[int] = None,
     ):
-        packets = validate_packets(packets, int(n_in), int(n_out))
-        self._adopt((array("q", [p.pid for p in packets]),
-                     array("d", [p.value for p in packets]),
-                     array("q", [p.arrival for p in packets]),
-                     array("q", [p.src for p in packets]),
-                     array("q", [p.dst for p in packets])),
-                    n_in, n_out, name, n_slots)
+        packets = sorted(packets, key=attrgetter("arrival", "pid"))
+        columns = (array("q", [p.pid for p in packets]),
+                   array("d", [p.value for p in packets]),
+                   array("q", [p.arrival for p in packets]),
+                   array("q", [p.src for p in packets]),
+                   array("q", [p.dst for p in packets]))
+        _check_columns(columns, int(n_in), int(n_out))
+        self._adopt(columns, n_in, n_out, name, n_slots)
         self._packets = packets
 
     @classmethod
@@ -209,7 +211,7 @@ class Trace:
     @property
     def total_value(self) -> float:
         # Adds in packet order, as total_value(self.packets) would.
-        return float(sum(self._columns[1]))
+        return sequential_sum(self._columns[1])
 
     @property
     def is_unit_valued(self) -> bool:

@@ -24,9 +24,30 @@ float object per packet.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, List
 
 import numpy as np
+
+
+def check_param(name: str, x: float, low: float, strict: bool = False,
+                finite: bool = True) -> float:
+    """``x`` as a float if it is at least ``low`` (above it when
+    ``strict``) and, unless ``finite`` is false, finite; otherwise
+    ``ValueError`` naming ``name``.
+
+    Every traffic and value model checks its one-sided parameters here.
+    A bare ``x < low`` refusal lets NaN through, since NaN compares
+    false; this states the condition that must hold, which NaN fails.
+    Infinity passes only where ``finite`` is false: a shape, whose
+    infinite limit still draws finite values and counts.
+    """
+    x = float(x)
+    if not ((x > low if strict else x >= low) and (x < inf or not finite)):
+        raise ValueError(
+            f"{name} must be {'finite and ' if finite else ''}"
+            f"{'>' if strict else '>='} {low:g}, got {x}")
+    return x
 
 
 class ValueModel:
@@ -66,8 +87,8 @@ def unit_values() -> ValueModel:
 
 def uniform_values(lo: float = 1.0, hi: float = 100.0) -> ValueModel:
     """Values uniform on [lo, hi]."""
-    if not 0 < lo <= hi:
-        raise ValueError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
+    lo = check_param("lo", lo, 0, strict=True)
+    hi = check_param("hi", hi, lo)
     return ValueModel(
         f"uniform[{lo:g},{hi:g}]",
         lambda rng, k: rng.uniform(lo, hi, k).tolist(),
@@ -77,11 +98,9 @@ def uniform_values(lo: float = 1.0, hi: float = 100.0) -> ValueModel:
 def two_value(alpha: float = 10.0, p_high: float = 0.2) -> ValueModel:
     """Two service classes: value 1 w.p. (1 - p_high), value alpha w.p.
     p_high — the {1, α} regime of Section 1.2's related work."""
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    high = check_param("alpha", alpha, 1)
     if not 0.0 <= p_high <= 1.0:
         raise ValueError(f"p_high must be in [0,1], got {p_high}")
-    high = float(alpha)
     return ValueModel(
         f"two-value(alpha={alpha:g},p={p_high:g})",
         lambda rng, k: [high if h else 1.0
@@ -91,8 +110,7 @@ def two_value(alpha: float = 10.0, p_high: float = 0.2) -> ValueModel:
 
 def exponential_values(mean: float = 10.0) -> ValueModel:
     """Values 1 + Exp(mean - 1): light-tailed, strictly positive."""
-    if mean <= 1.0:
-        raise ValueError(f"mean must be > 1, got {mean}")
+    check_param("mean", mean, 1, strict=True)
     return ValueModel(
         f"exp(mean={mean:g})",
         lambda rng, k: (1.0 + rng.exponential(mean - 1.0, k)).tolist(),
@@ -105,8 +123,8 @@ def pareto_values(shape: float = 1.5, scale: float = 1.0) -> ValueModel:
     Small shapes create extreme value skew, the regime where preemption
     decisions (and the beta threshold) matter most.
     """
-    if shape <= 0 or scale <= 0:
-        raise ValueError("shape and scale must be positive")
+    check_param("shape", shape, 0, strict=True, finite=False)
+    check_param("scale", scale, 0, strict=True)
     return ValueModel(
         f"pareto(shape={shape:g},scale={scale:g})",
         lambda rng, k: (scale * (1.0 + rng.pareto(shape, k))).tolist(),
@@ -116,8 +134,9 @@ def pareto_values(shape: float = 1.5, scale: float = 1.0) -> ValueModel:
 def geometric_class_values(n_classes: int = 4, base: float = 4.0) -> ValueModel:
     """``n_classes`` priority classes with values base^0..base^(k-1),
     drawn uniformly — models strict-priority QoS tiers."""
-    if n_classes < 1 or base <= 1.0:
-        raise ValueError("need n_classes >= 1 and base > 1")
+    if n_classes < 1:
+        raise ValueError(f"n_classes must be >= 1, got {n_classes}")
+    check_param("base", base, 1, strict=True)
     values = [float(base ** k) for k in range(n_classes)]
     return ValueModel(
         f"classes(k={n_classes},base={base:g})",

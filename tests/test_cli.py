@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -377,6 +379,77 @@ class TestBadInputIsOneLine:
         assert isinstance(message, str) and len(message.splitlines()) == 1
         assert "spec.toml" in message
         assert capsys.readouterr().out == ""
+
+    NAN, INF = float("nan"), float("inf")
+
+    @staticmethod
+    def _spec_file(tmp_path, traffic, params, values, value_params):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "name": "param-check", "model": "cioq", "traffic": traffic,
+            "traffic_params": params, "values": values,
+            "value_params": value_params, "slots": 20, "seeds": [0],
+            "include_opt": False, "switch": {"n_in": 2, "n_out": 2},
+            "policies": [{"name": "gm"}]}))
+        return path
+
+    @pytest.mark.parametrize("traffic, params, values, value_params", [
+        ("bernoulli", {"load": NAN}, "unit", {}),
+        ("bernoulli", {"load": INF}, "unit", {}),
+        ("hotspot", {"load": NAN}, "unit", {}),
+        ("diagonal", {"load": INF}, "unit", {}),
+        ("bursty", {"burst_load": NAN}, "unit", {}),
+        ("bursty", {"burst_load": INF}, "unit", {}),
+        ("markov", {"loads": [NAN, 1.0]}, "unit", {}),
+        ("markov", {"loads": [INF, 1.0]}, "unit", {}),
+        ("pareto-burst", {"shape": NAN}, "unit", {}),
+        ("pareto-burst", {"burst_load": INF}, "unit", {}),
+        ("pareto-burst", {"max_burst": INF}, "unit", {}),
+        ("appmix", {"web": {"shape": NAN}}, "unit", {}),
+        ("appmix", {"web": {"max_len": INF}}, "unit", {}),
+        ("bernoulli", {"load": 1.0}, "two-value", {"alpha": NAN}),
+        ("bernoulli", {"load": 1.0}, "two-value", {"alpha": INF}),
+        ("bernoulli", {"load": 1.0}, "exponential", {"mean": NAN}),
+        ("bernoulli", {"load": 1.0}, "pareto", {"shape": NAN}),
+        ("bernoulli", {"load": 1.0}, "pareto", {"scale": INF}),
+        ("bernoulli", {"load": 1.0}, "classes", {"base": NAN}),
+        ("bernoulli", {"load": 1.0}, "uniform", {"hi": INF}),
+    ])
+    def test_spec_file_non_finite_param_refused(
+            self, traffic, params, values, value_params, capsys, tmp_path,
+            monkeypatch):
+        """A NaN parameter, or an infinite one that makes a rate, a
+        value or a count non-finite, is refused when the spec loads:
+        one ``bad spec`` line, before any point runs."""
+        from repro.parallel import SweepExecutor
+
+        def no_points(*args, **kwargs):
+            raise AssertionError("a point ran before the spec was refused")
+
+        monkeypatch.setattr(SweepExecutor, "run", no_points)
+        path = self._spec_file(tmp_path, traffic, params, values,
+                               value_params)
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", "run", "--file", str(path), "--no-artifacts"])
+        message = exc.value.code
+        assert isinstance(message, str) and len(message.splitlines()) == 1
+        assert message.startswith(f"bad spec: {path}: ")
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("traffic, params, values, value_params", [
+        ("pareto-burst", {"shape": INF}, "unit", {}),
+        ("appmix", {"web": {"shape": INF}}, "unit", {}),
+        ("bernoulli", {"load": 1.0}, "pareto", {"shape": INF}),
+    ])
+    def test_infinite_shape_draws_finite_traces(
+            self, traffic, params, values, value_params, tmp_path, capsys):
+        """A shape's infinite limit still draws finite burst lengths and
+        values, so the check lets it through."""
+        path = self._spec_file(tmp_path, traffic, params, values,
+                               value_params)
+        assert main(["scenarios", "run", "--file", str(path),
+                     "--no-artifacts"]) == 0
+        assert "param-check" in capsys.readouterr().out
 
 
 class TestTracePathErrors:

@@ -315,6 +315,46 @@ class TestResidualValue:
         assert res.value_residual == 1.0
 
 
+class TestLeftToRightSums:
+    """Float totals outside the kernels add left to right too, through
+    ``repro.switch.packet.sequential_sum``.  The values 1.0, 2**-53 and
+    2**-53 are scaled by 2**53 here, so that an exact OPT delivers all
+    three (it drops packets worth 2**-53, below the solver's cost
+    tolerance) and the result aggregates' 6-digit rounding keeps the
+    last bit.  Left to right they total 2**53; builtin ``sum()``, which
+    is compensated from Python 3.12 on, would total 2**53 + 2."""
+
+    BIG = 2.0 ** 53
+    CONFIG = SwitchConfig.square(3, speedup=1, b_in=1, b_out=1, b_cross=1)
+
+    def _trace(self):
+        # Disjoint ports: nothing contends, so OPT delivers every packet.
+        return Trace([Packet(0, self.BIG, 0, 0, 0), Packet(1, 1.0, 0, 1, 1),
+                      Packet(2, 1.0, 0, 2, 2)], 3, 3)
+
+    def test_trace_total_value(self):
+        assert self._trace().total_value == self.BIG
+
+    def test_capacity_upper_bound(self):
+        from repro.offline import capacity_upper_bound
+
+        assert capacity_upper_bound(self._trace(), self.CONFIG) == self.BIG
+
+    @pytest.mark.parametrize("model", ["cioq", "crossbar"])
+    def test_exact_opt_benefit(self, model):
+        from repro.offline import solve_opt
+
+        res = solve_opt(self._trace(), self.CONFIG, model=model)
+        assert res.accepted_pids == [0, 1, 2]
+        assert res.benefit == self.BIG
+
+    def test_compute_aggregates(self):
+        from repro.scenarios.runner import compute_aggregates
+
+        (row,) = compute_aggregates(["gm"], {"gm": [self.BIG, 1.0, 1.0]})
+        assert row["mean_benefit"] == round(self.BIG / 3, 6)
+
+
 class TestZeroHorizon:
     """An empty trace run with ``max_extra_slots=0`` has a horizon of 0
     and runs no slot on either backend: no occupancy entry and a

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.switch.packet import Packet, total_value, validate_packets
+from repro.switch.packet import Packet, total_value
+from repro.traffic.trace import Trace
 
 
 class TestPacketConstruction:
@@ -80,28 +81,30 @@ class TestHelpers:
     def test_total_value_empty(self):
         assert total_value([]) == 0.0
 
-    def test_validate_sorts_by_arrival_then_pid(self):
+    def test_trace_sorts_by_arrival_then_pid(self):
         ps = [
             Packet(2, 1.0, 1, 0, 0),
             Packet(0, 1.0, 0, 0, 0),
             Packet(1, 1.0, 1, 0, 0),
         ]
-        out = validate_packets(ps, 1, 1)
+        out = Trace(ps, 1, 1).packets
         assert [p.pid for p in out] == [0, 1, 2]
         # Same slot, pids reversed: arrival order alone looks sorted.
         ps = [Packet(1, 1.0, 0, 0, 0), Packet(0, 1.0, 0, 0, 0)]
-        out = validate_packets(ps, 1, 1)
+        out = Trace(ps, 1, 1).packets
         assert [p.pid for p in out] == [0, 1]
 
-    def test_validate_rejects_duplicate_pid(self):
+    def test_trace_rejects_duplicate_pid(self):
         ps = [Packet(0, 1.0, 0, 0, 0), Packet(0, 1.0, 1, 0, 0)]
-        with pytest.raises(ValueError, match="duplicate"):
-            validate_packets(ps, 1, 1)
+        with pytest.raises(ValueError, match="duplicate packet id 0"):
+            Trace(ps, 1, 1)
 
-    def test_validate_rejects_src_out_of_range(self):
-        with pytest.raises(ValueError, match="src"):
-            validate_packets([Packet(0, 1.0, 0, 2, 0)], 2, 2)
+    def test_trace_rejects_src_out_of_range(self):
+        with pytest.raises(ValueError,
+                           match=r"packet 0: src 2 out of range \[0,2\)"):
+            Trace([Packet(0, 1.0, 0, 2, 0)], 2, 2)
 
-    def test_validate_rejects_dst_out_of_range(self):
-        with pytest.raises(ValueError, match="dst"):
-            validate_packets([Packet(0, 1.0, 0, 0, 5)], 2, 2)
+    def test_trace_rejects_dst_out_of_range(self):
+        with pytest.raises(ValueError,
+                           match=r"packet 0: dst 5 out of range \[0,2\)"):
+            Trace([Packet(0, 1.0, 0, 0, 5)], 2, 2)

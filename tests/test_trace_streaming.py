@@ -93,16 +93,16 @@ class TestExplicitNSlots:
 class TestReplayValues:
     """Bugfix 2: the streaming path carries recorded values."""
 
-    def test_arrivals_for_slot_returns_recorded_values(self):
+    def test_slot_arrivals_yield_recorded_values(self):
         src = BernoulliTraffic(2, 2, load=2.0,
                                value_model=uniform_values(1, 50)
                                ).generate(5, seed=3)
         assert not src.is_unit_valued
-        r = TraceReplayTraffic(src)
-        rng = np.random.default_rng(0)
-        got = [trip for t in range(5)
-               for trip in r.arrivals_for_slot(t, rng)]
-        assert got == [(p.src, p.dst, p.value) for p in src.packets]
+        slots = TraceReplayTraffic(src).slot_arrivals(0)
+        got = [tuple(map(list, next(slots))) for _ in range(7)]
+        assert got == [([p.src for p in ps], [p.dst for p in ps],
+                        [p.value for p in ps])
+                       for ps in src.arrival_slots()] + [([], [], [])] * 2
 
     def test_streaming_equals_generate_on_non_unit_trace(self):
         src = BurstyTraffic(3, 3, burst_load=2.0,
@@ -117,6 +117,43 @@ class TestReplayValues:
             for s, d, v in source(t, None):
                 streamed.append((len(streamed), v, t, s, d))
         assert streamed == _rows(materialized) == _rows(src)
+
+    def test_file_backed_repeat_streams_like_generate(self, tmp_path):
+        # A period of 10 slots whose last 3 are idle, saved in chunks of
+        # 3 slots: streaming 2.5 periods from the file re-reads it per
+        # period and must tile exactly like the in-memory replay.
+        recorded = BurstyTraffic(3, 3, burst_load=1.5,
+                                 value_model=two_value(4.0, 0.5)
+                                 ).generate(7, seed=2)
+        src = Trace(recorded.packets, 3, 3, n_slots=10)
+        assert len(src) > 0 and src.arrival_slots()[-1] == ()
+        path = str(tmp_path / "rec.jsonl")
+        src.save(path, chunk_slots=3)
+        replay = TraceReplayTraffic(path, repeat=True)
+        source = replay.arrival_source()
+        streamed = []
+        for t in range(25):
+            for s, d, v in source(t, None):
+                streamed.append((len(streamed), v, t, s, d))
+        assert replay._trace is None  # streamed, never loaded
+        expected = TraceReplayTraffic(src, repeat=True).generate(25)
+        assert len(expected) > 2 * len(src)
+        assert streamed == _rows(expected)
+        assert _rows(replay.generate(25)) == _rows(expected)
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_empty_recording_with_repeat_terminates(self, tmp_path,
+                                                    on_disk):
+        src = Trace([], 2, 2, n_slots=0)
+        if on_disk:
+            src.save(str(tmp_path / "empty.jsonl"))
+            src = str(tmp_path / "empty.jsonl")
+        replay = TraceReplayTraffic(src, repeat=True)
+        slots = replay.slot_arrivals(0)
+        assert [tuple(map(len, next(slots))) for _ in range(4)] == \
+            [(0, 0, 0)] * 4
+        out = replay.generate(6)
+        assert (len(out), out.n_slots) == (0, 6)
 
 
 class TestFiniteWeights:

@@ -1,6 +1,8 @@
 """Tests for the Markov-modulated, Pareto-burst and replay traffic
 models: determinism given the seed and port/slot invariants."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -174,12 +176,19 @@ class TestTraceReplay:
              for p in r.generate(8, seed=123).packets]
         assert a == b
 
-    def test_arrivals_for_slot_interface(self):
-        # Replay returns (src, dst, value) triples: recorded values are
-        # part of the instance and must survive the streaming path.
-        src = BernoulliTraffic(2, 2, load=2.0).generate(4, seed=1)
-        r = TraceReplayTraffic(src, repeat=True)
-        rng = np.random.default_rng(0)
-        direct = [(p.src, p.dst, p.value) for p in src.arrivals(1)]
-        assert r.arrivals_for_slot(1, rng) == direct
-        assert r.arrivals_for_slot(1 + src.n_slots, rng) == direct
+    def test_slot_arrivals_tile_the_recording(self):
+        # Replay's draw loop yields the recording's (srcs, dsts, values)
+        # columns: recorded values are part of the instance and must
+        # survive the streaming path.
+        src = BernoulliTraffic(2, 2, load=2.0,
+                               value_model=two_value(5.0, 0.5)
+                               ).generate(4, seed=1)
+        slots = list(islice(
+            TraceReplayTraffic(src, repeat=True).slot_arrivals(0),
+            2 + src.n_slots))
+        direct = ([p.src for p in src.arrivals(1)],
+                  [p.dst for p in src.arrivals(1)],
+                  [p.value for p in src.arrivals(1)])
+        assert direct[0]
+        assert tuple(map(list, slots[1])) == direct
+        assert tuple(map(list, slots[1 + src.n_slots])) == direct

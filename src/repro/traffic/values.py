@@ -137,7 +137,12 @@ def geometric_class_values(n_classes: int = 4, base: float = 4.0) -> ValueModel:
     if n_classes < 1:
         raise ValueError(f"n_classes must be >= 1, got {n_classes}")
     check_param("base", base, 1, strict=True)
-    values = [float(base ** k) for k in range(n_classes)]
+    try:
+        values = [float(base ** k) for k in range(n_classes)]
+    except OverflowError:
+        raise ValueError(
+            f"top class value base**{n_classes - 1} overflows a float "
+            f"(base={base:g})") from None
     return ValueModel(
         f"classes(k={n_classes},base={base:g})",
         lambda rng, k: [values[i]

@@ -436,6 +436,27 @@ class TestBadInputIsOneLine:
         assert message.startswith(f"bad spec: {path}: ")
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("verb", [["run", "--no-artifacts"], ["show"]])
+    def test_spec_file_overflowing_class_values_refused(
+            self, verb, capsys, tmp_path, monkeypatch):
+        """A finite class base whose top class value overflows a float is
+        one ``bad spec`` line under both verbs, not a traceback."""
+        from repro.parallel import SweepExecutor
+
+        def no_points(*args, **kwargs):
+            raise AssertionError("a point ran before the spec was refused")
+
+        monkeypatch.setattr(SweepExecutor, "run", no_points)
+        path = self._spec_file(tmp_path, "bernoulli", {"load": 1.0},
+                               "classes", {"base": 1e200})
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", verb[0], "--file", str(path), *verb[1:]])
+        message = exc.value.code
+        assert isinstance(message, str) and len(message.splitlines()) == 1
+        assert message.startswith(f"bad spec: {path}: ")
+        assert "overflows" in message
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("traffic, params, values, value_params", [
         ("pareto-burst", {"shape": INF}, "unit", {}),
         ("appmix", {"web": {"shape": INF}}, "unit", {}),

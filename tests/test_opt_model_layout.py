@@ -4,8 +4,9 @@ Tier-1 otherwise sees only solved benefits, so a reordered row or
 column would pass every other test; yet HiGHS may then settle on a
 different optimum among ties, and the extracted schedules and golden
 result digests would move.  This test digests the arrays handed to
-HiGHS (:func:`repro.offline.highs.milp`) — the constraint matrix in CSC
-form, the row bounds, the objective and the variable bounds — never the
+HiGHS (:func:`repro.offline.highs.lp` and
+:func:`~repro.offline.highs.milp`) — the constraint matrix in CSC form,
+the row bounds, the objective and the variable bounds — never the
 solution, so it does not depend on which tied optimum a scipy release
 returns.
 

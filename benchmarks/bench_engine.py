@@ -3,8 +3,9 @@
 Not a paper experiment — substrate performance numbers for users sizing
 their own sweeps: slots/second of the full phase-faithful engine and
 the vectorized ``fast`` backend's speedup over it across a port-count
-sweep, plus the exact-OPT solve time on a typical ratio-experiment
-instance.
+sweep and a crossover block of small switches and seed-ladder widths
+(where ``backend="auto"``'s ``lanes x ports`` rule is calibrated), plus
+the exact-OPT solve time on a typical ratio-experiment instance.
 
 Runs two ways:
 
@@ -19,14 +20,16 @@ Runs two ways:
   timed rep per cell instead of three (CI smoke mode) — same grid,
   same schema.
 
-The committed ``BENCH_engine.json`` is validated (schema + speedup
-floor) by ``tests/test_package.py``; refresh it with
+The committed ``BENCH_engine.json`` is validated (schema, speedup floor,
+and ``auto``'s crossover against the crossover rows) by
+``tests/test_package.py``; refresh it with
 ``PYTHONPATH=src python benchmarks/bench_engine.py``.
 """
 
 import pytest
 
 from repro.core.cgu import CGUPolicy
+from repro.core.cpg import CPGPolicy
 from repro.core.gm import GMPolicy
 from repro.core.pg import PGPolicy
 from repro.offline.opt import cioq_opt
@@ -93,6 +96,18 @@ POLICIES = [
     ("cgu", "crossbar", CGUPolicy),
 ]
 
+#: The crossover block: every paper policy on small switches over seed
+#: ladders of 1 to 64 lanes, so lanes x ports runs from 2 to 2,048 on
+#: both sides of ``AUTO_CROSSOVER``.
+CROSSOVER_PORTS = (2, 4, 8, 16, 32)
+CROSSOVER_LANES = (1, 2, 4, 8, 16, 64)
+CROSSOVER_SLOTS = 40
+CROSSOVER_POLICIES = POLICIES + [("cpg", "crossbar", CPGPolicy)]
+
+#: A timed sample runs its leg this long at least (repeating it), so
+#: millisecond cells are not timer noise.
+MIN_SAMPLE_S = 0.02
+
 
 def _bench_row(n, batch, slots, label, model, factory, reps):
     import time
@@ -121,6 +136,12 @@ def _bench_row(n, batch, slots, label, model, factory, reps):
             )
     t_ref = min(_timed(ref_leg, time.perf_counter) for _ in range(reps))
     t_fast = min(_timed(fast_leg, time.perf_counter) for _ in range(reps))
+    if min(t_ref, t_fast) < MIN_SAMPLE_S:
+        calls = int(MIN_SAMPLE_S / max(min(t_ref, t_fast), 1e-6)) + 1
+        t_ref = min(_timed(ref_leg, time.perf_counter, calls)
+                    for _ in range(reps))
+        t_fast = min(_timed(fast_leg, time.perf_counter, calls)
+                     for _ in range(reps))
     lane_slots = batch * slots
     return {
         "policy": label,
@@ -169,10 +190,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     reps = 1 if args.quick else 3
 
+    cells = [(n, batch, slots, POLICIES) for n, batch, slots in GRID]
+    cells += [(n, batch, CROSSOVER_SLOTS, CROSSOVER_POLICIES)
+              for n in CROSSOVER_PORTS for batch in CROSSOVER_LANES]
     rows = []
     print(f"backend sweep ({reps} timed rep(s) per cell):")
-    for n, batch, slots in GRID:
-        for label, model, factory in POLICIES:
+    for n, batch, slots, policies in cells:
+        for label, model, factory in policies:
             row = _bench_row(n, batch, slots, label, model, factory, reps)
             rows.append(row)
             print(f"  {label:>3} {model:<8} N={n:<3} S={batch:<2} "
@@ -184,10 +208,12 @@ def main(argv=None):
     return 0
 
 
-def _timed(fn, clock):
+def _timed(fn, clock, calls=1):
+    """Seconds per call of ``fn`` over ``calls`` back-to-back calls."""
     t0 = clock()
-    fn()
-    return clock() - t0
+    for _ in range(calls):
+        fn()
+    return (clock() - t0) / calls
 
 
 if __name__ == "__main__":

@@ -831,12 +831,13 @@ def cmd_constants(args) -> int:
 
 
 def _add_backend(p: argparse.ArgumentParser) -> None:
-    from .simulation.backends import BACKENDS, DEFAULT_BACKEND
+    from .simulation.backends import BACKENDS
 
-    p.add_argument("--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
+    p.add_argument("--backend", choices=BACKENDS, default="auto",
                    help="slot-loop backend: reference (pure Python), "
                         "fast (vectorized numpy, bit-identical), or auto "
-                        "(fast when possible; see docs/backends.md)")
+                        "(the default: fast where the batch is large "
+                        "enough and supported; see docs/backends.md)")
 
 
 def _add_metrics(p: argparse.ArgumentParser) -> None:

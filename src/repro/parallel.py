@@ -490,9 +490,9 @@ class SweepExecutor:
         ``metrics_every``, every point, since each must run under its
         own recorder to keep ``payload["obs"]`` a pure per-point
         function — become single-point tasks.  ``backend="auto"`` batch
-        groups fall back to serial reference runs inside the engine
-        when the fast kernel cannot take them; ``"fast"`` propagates
-        the error.
+        groups run serially on the reference kernel inside the engine
+        when they are below the lanes x ports crossover or the fast
+        kernel cannot take them; ``"fast"`` propagates the error.
         """
         if self.backend == "reference" or self.metrics_every is not None:
             return [("single", [(i, points[i])]) for i in pending]

@@ -23,12 +23,12 @@ strategies for the arrival/schedule/transmit slot loop:
 ``auto``
     Try ``fast``; on :class:`BackendUnavailable` or
     :class:`BackendUnsupported` fall back to ``reference`` silently.
-    This is the right default for sweeps that mix batchable policy
-    points with exotic ones.  ``auto`` also applies the
-    :data:`AUTO_CROSSOVER` size heuristic: for policy classes whose
-    vectorized kernel only wins above a port-count crossover, small
-    switches run on the reference kernel directly (``fast`` never
-    applies the heuristic — an explicit request is honored as-is).
+    This is the CLI's default, and the right one for sweeps that mix
+    batchable policy points with exotic ones.  ``auto`` also applies
+    one size rule, :data:`AUTO_CROSSOVER`: a run whose ``lanes x
+    ports`` falls below it goes straight to the reference kernel
+    (``fast`` never applies the rule — an explicit request is honored
+    as-is).
 
 Because the two backends are interchangeable by contract, backend
 choice is deliberately *excluded* from sweep cache keys: a cached
@@ -45,32 +45,29 @@ from typing import Tuple
 #: Every recognised backend name, in documentation order.
 BACKENDS: Tuple[str, ...] = ("reference", "fast", "auto")
 
-#: The engine-wide default.
+#: The engine-wide default: the numpy-free ground truth.  The CLI
+#: defaults to ``auto`` instead.
 DEFAULT_BACKEND = "reference"
 
-#: Port-count crossover per policy class for the ``auto`` backend.
-#: Below the crossover (``max(n_in, n_out) < value``) the vectorized
-#: kernel's fixed per-slot numpy overhead eats its batching win
-#: and ``auto`` selects ``reference`` instead: ``BENCH_engine.json``
-#: records PG on an 8x8 switch at 1.03x vs reference, while every
-#: measured policy wins from 32 ports up.  Entries are keyed by the
-#: policy class ``__name__``; absent classes always try ``fast``.
-AUTO_CROSSOVER = {"PGPolicy": 16}
+#: The ``auto`` backend's crossover in ``lanes x ports``: the lockstep
+#: traces of one run times the larger side of the switch.  Below it the
+#: vectorized kernel's fixed per-slot numpy cost eats its win, for all
+#: four paper policies alike.  The evidence is ``BENCH_engine.json``'s
+#: crossover rows; ``tests/test_package.py`` checks this value against
+#: them.
+AUTO_CROSSOVER = 64
 
 
-def auto_prefers_reference(policy, config) -> bool:
-    """True when the ``auto`` backend should skip the fast kernel for
-    ``policy`` on a switch of ``config``'s size.
+def auto_prefers_reference(config, lanes: int) -> bool:
+    """True when the ``auto`` backend should skip the fast kernel for a
+    run of ``lanes`` lockstep traces on a switch of ``config``'s size.
 
     Purely a scheduling hint — by the bit-identical backend contract it
     never changes a result, only which kernel produces it — so it is
-    consulted by the engine dispatchers for ``backend="auto"`` and
+    consulted by the engine dispatch for ``backend="auto"`` and
     nowhere else.
     """
-    crossover = AUTO_CROSSOVER.get(type(policy).__name__)
-    if crossover is None:
-        return False
-    return max(config.n_in, config.n_out) < crossover
+    return lanes * max(config.n_in, config.n_out) < AUTO_CROSSOVER
 
 
 class BackendError(RuntimeError):

@@ -124,10 +124,10 @@ def _run_fast(
     for trace in traces:
         _check_dims(trace, config)
     validate_backend(backend)
-    # Below the size crossover `auto` goes straight to the reference
-    # kernel, which wins there.
+    # Below the lanes x ports crossover `auto` goes straight to the
+    # reference kernel, which wins there.
     if backend == "reference" or not traces or (
-        backend == "auto" and auto_prefers_reference(policy, config)
+        backend == "auto" and auto_prefers_reference(config, len(traces))
     ):
         return None
     try:

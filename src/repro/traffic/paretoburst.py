@@ -79,8 +79,9 @@ class ParetoBurstTraffic(TrafficModel):
         self._target = None
 
     def _draw_burst(self, rng: np.random.Generator, i: int) -> None:
-        length = int(np.ceil(rng.pareto(self.shape) + 1e-12)) or 1
-        self._remaining[i] = min(max(length, 1), self.max_burst)
+        # Clamp in float: a tiny shape draws inf, which int() refuses.
+        length = min(np.ceil(rng.pareto(self.shape) + 1e-12), self.max_burst)
+        self._remaining[i] = max(int(length), 1)
         self._target[i] = int(rng.integers(0, self.n_out))
 
     def arrivals_for_slot(

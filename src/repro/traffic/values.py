@@ -42,11 +42,16 @@ def check_param(name: str, x: float, low: float, strict: bool = False,
     Infinity passes only where ``finite`` is false: a shape, whose
     infinite limit still draws finite values and counts.
     """
-    x = float(x)
+    must = (f"{name} must be {'finite and ' if finite else ''}"
+            f"{'>' if strict else '>='} {low:g}")
+    try:
+        x = float(x)
+    except OverflowError:
+        # An integer past a float's range (JSON has no size limit).
+        raise ValueError(f"{must}, got an integer too large for a float"
+                         ) from None
     if not ((x > low if strict else x >= low) and (x < inf or not finite)):
-        raise ValueError(
-            f"{name} must be {'finite and ' if finite else ''}"
-            f"{'>' if strict else '>='} {low:g}, got {x}")
+        raise ValueError(f"{must}, got {x}")
     return x
 
 

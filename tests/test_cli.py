@@ -457,15 +457,46 @@ class TestBadInputIsOneLine:
         assert "overflows" in message
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("verb", [["run", "--no-artifacts"], ["show"]])
+    @pytest.mark.parametrize("name, traffic, params, values, value_params", [
+        ("alpha", "bernoulli", {"load": 1.0}, "two-value",
+         {"alpha": 10**400}),
+        ("shape", "pareto-burst", {"shape": 10**400}, "unit", {}),
+    ])
+    def test_spec_file_integer_past_float_range_refused(
+            self, verb, name, traffic, params, values, value_params, capsys,
+            tmp_path, monkeypatch):
+        """A JSON integer parameter too large for a float (401 digits) is
+        one ``bad spec`` line naming the parameter under both verbs, not
+        an ``OverflowError`` traceback; infinity being allowed for a
+        shape does not let it through."""
+        from repro.parallel import SweepExecutor
+
+        def no_points(*args, **kwargs):
+            raise AssertionError("a point ran before the spec was refused")
+
+        monkeypatch.setattr(SweepExecutor, "run", no_points)
+        path = self._spec_file(tmp_path, traffic, params, values,
+                               value_params)
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", verb[0], "--file", str(path), *verb[1:]])
+        message = exc.value.code
+        assert isinstance(message, str) and len(message.splitlines()) == 1
+        assert message.startswith(f"bad spec: {path}: ")
+        assert f"{name} must be" in message and "too large" in message
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("traffic, params, values, value_params", [
         ("pareto-burst", {"shape": INF}, "unit", {}),
+        ("pareto-burst", {"shape": 1e-300}, "unit", {}),
         ("appmix", {"web": {"shape": INF}}, "unit", {}),
         ("bernoulli", {"load": 1.0}, "pareto", {"shape": INF}),
     ])
     def test_infinite_shape_draws_finite_traces(
             self, traffic, params, values, value_params, tmp_path, capsys):
         """A shape's infinite limit still draws finite burst lengths and
-        values, so the check lets it through."""
+        values, and a tiny shape's infinite burst draws clamp to
+        ``max_burst``, so the check lets both through."""
         path = self._spec_file(tmp_path, traffic, params, values,
                                value_params)
         assert main(["scenarios", "run", "--file", str(path),

@@ -51,10 +51,15 @@ except BackendUnavailable:
 else:
     raise AssertionError("backend='fast' must raise without numpy")
 
-# ...and auto degrades to reference, on both switch models.
+# ...and auto degrades to reference, on both switch models: below its
+# lanes x ports crossover it never tries the fast kernel, and a batch at
+# the crossover (32 lanes x 2 ports) falls back when the loader fails.
 assert run_cioq(GMPolicy(), config, trace, backend="auto").benefit == 13.0
 xres = run_crossbar(CGUPolicy(), config, trace, backend="auto")
 assert xres.benefit == 13.0, xres.benefit
+from repro.simulation.engine import run_cioq_batch
+batch = run_cioq_batch(GMPolicy, config, [trace] * 32, backend="auto")
+assert [r.benefit for r in batch] == [13.0] * 32
 
 # The trace file format is numpy-free too: a trace with trailing idle
 # slots round-trips through Trace.save, Trace.load and iter_stream_slots.

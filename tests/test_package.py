@@ -347,8 +347,9 @@ class TestDocsConsistency:
     def test_bench_engine_snapshot_committed_and_sane(self):
         """BENCH_engine.json (written by benchmarks/bench_engine.py)
         must be committed, deterministic in shape (sorted keys, trailing
-        newline, no timestamps), cover the advertised grid, and show the
-        fast backend's headline speedup (>=10x on some N>=32 row)."""
+        newline, no timestamps), cover the advertised grid, show the
+        fast backend's headline speedup (>=10x on some N>=32 row), and
+        back ``auto``'s lanes x ports crossover."""
         import json
 
         path = ROOT / "BENCH_engine.json"
@@ -383,6 +384,45 @@ class TestDocsConsistency:
         assert best >= 10.0, (
             f"fast backend's best large-N speedup regressed to {best}x"
         )
+        # The crossover block covers every paper policy over small
+        # switches and ladder widths.  On every row where one kernel is
+        # more than twice as fast as the other, `auto`'s lanes x ports
+        # rule picks that kernel: the rows bracket the threshold, and
+        # AUTO_CROSSOVER lies inside the bracket.
+        import importlib.util
+
+        from repro.simulation.backends import (
+            AUTO_CROSSOVER,
+            auto_prefers_reference,
+        )
+        from repro.switch.config import SwitchConfig
+
+        spec = importlib.util.spec_from_file_location(
+            "bench_engine", ROOT / "benchmarks" / "bench_engine.py")
+        bench_engine = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_engine)
+        cells = {(r["policy"], r["n_ports"], r["batch"],
+                  r["arrival_slots"]) for r in rows}
+        for label, _, _ in bench_engine.CROSSOVER_POLICIES:
+            for n in bench_engine.CROSSOVER_PORTS:
+                for lanes in bench_engine.CROSSOVER_LANES:
+                    assert (label, n, lanes,
+                            bench_engine.CROSSOVER_SLOTS) in cells, (
+                        f"missing crossover cell {label}@{n}x{lanes}")
+        work = {"reference": [], "fast": []}
+        for r in rows:
+            if r["speedup"] < 0.5 or r["speedup"] > 2.0:
+                winner = "reference" if r["speedup"] < 0.5 else "fast"
+                work[winner].append(r["batch"] * r["n_ports"])
+                picks = ("reference" if auto_prefers_reference(
+                    SwitchConfig.square(r["n_ports"]), r["batch"])
+                    else "fast")
+                assert picks == winner, (
+                    f"auto picks {picks} for {r['policy']} on "
+                    f"{r['batch']} x {r['n_ports']}, {r['speedup']}x")
+        # Reference wins clearly up to `slow`, fast from `quick` on.
+        slow, quick = max(work["reference"]), min(work["fast"])
+        assert slow < AUTO_CROSSOVER <= quick, (slow, AUTO_CROSSOVER, quick)
 
     def test_opt_modes_match_docs(self):
         """Every registered OPT solver mode has a `### <mode>` section in

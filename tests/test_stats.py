@@ -3,7 +3,9 @@ the per-seed ratio rule in repro.analysis.ratio."""
 
 import json
 import math
+import random
 import statistics
+import struct
 
 import pytest
 
@@ -27,6 +29,8 @@ from repro.stats import (
     write_replicated_artifacts,
     z_value,
 )
+from repro.stats import ci
+from repro.stats.ci import _quantile
 
 
 def tiny_spec(**overrides):
@@ -121,6 +125,66 @@ class TestIntervals:
     def test_bootstrap_undefined_below_two(self):
         lo, hi = bootstrap_interval([1.0], resamples=10, seed=0)
         assert math.isnan(lo) and math.isnan(hi)
+
+
+def _loop_bootstrap(values, confidence=0.95, resamples=1000, seed=0):
+    """The per-element bootstrap: one ``randrange`` per resampled value,
+    summed left to right from ``0.0``.  ``bootstrap_interval`` draws the
+    same stream in bulk and must match it bit for bit."""
+    n = len(values)
+    rng = random.Random(seed)
+    means = []
+    for _ in range(resamples):
+        total = 0.0
+        for _ in range(n):
+            total += values[rng.randrange(n)]
+        means.append(total / n)
+    means.sort()
+    alpha = 1.0 - confidence
+    return (_quantile(means, alpha / 2.0), _quantile(means, 1.0 - alpha / 2.0))
+
+
+def _bits(interval):
+    """The interval's exact bytes: tells ``-0.0`` from ``0.0``."""
+    return struct.pack("<2d", *interval)
+
+
+def _bootstrap_values(kind, n):
+    rng = random.Random(n)
+    if kind == "float":
+        return [rng.uniform(-5.0, 50.0) * 10.0 ** rng.randint(-3, 3)
+                for _ in range(n)]
+    if kind == "integral":
+        return [rng.randint(0, 40) for _ in range(n)]
+    return [-0.0] * n
+
+
+class TestBulkBootstrapMatchesLoop:
+    @pytest.mark.parametrize("kind", ["float", "integral", "negzero"])
+    @pytest.mark.parametrize("resamples", [1, 17, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**40 + 3])
+    @pytest.mark.parametrize("n", [2, 3, 7, 100, 513, 1000, 1024, 1025,
+                                   4097])
+    def test_bitwise(self, n, seed, resamples, kind):
+        """Powers of two and their neighbours move ``randrange``'s
+        rejection rate from 0 to almost 1/2; n = 4097 at 200 resamples
+        spans four memory blocks."""
+        values = _bootstrap_values(kind, n)
+        got = bootstrap_interval(values, resamples=resamples, seed=seed)
+        assert _bits(got) == _bits(
+            _loop_bootstrap(values, resamples=resamples, seed=seed))
+
+    @pytest.mark.parametrize("block", [1, 5, 1000])
+    def test_bitwise_across_small_blocks(self, block, monkeypatch):
+        """Indices drawn past one block open the next, whatever the
+        block size, down to one resample per block."""
+        monkeypatch.setattr(ci, "_BLOCK", block)
+        for n in (3, 7, 100, 513):
+            values = _bootstrap_values("float", n)
+            for resamples in (1, 17, 60):
+                got = bootstrap_interval(values, resamples=resamples, seed=n)
+                assert _bits(got) == _bits(
+                    _loop_bootstrap(values, resamples=resamples, seed=n))
 
 
 class TestReplicatesBlockValidation:

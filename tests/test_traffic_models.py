@@ -137,6 +137,21 @@ class TestParetoBurst:
         t = m.generate(50, seed=0)
         assert len(t) == 2 * 50  # one packet per input per slot
 
+    def test_infinite_draws_clamp_to_max_burst(self):
+        # shape 1e-300 draws an infinite length every time; each burst
+        # is then exactly max_burst slots long, so every run of busy
+        # slots the trace does not cut off is a whole number of bursts.
+        m = ParetoBurstTraffic(1, 3, shape=1e-300, p_start=0.3,
+                               max_burst=7, burst_load=1.0)
+        slots = sorted({p.arrival for p in m.generate(200, seed=1).packets})
+        runs, start = [], slots[0]
+        for a, b in zip(slots, slots[1:] + [None]):
+            if b != a + 1:
+                runs.append((start, a + 1 - start))
+                start = b
+        whole = [n for s, n in runs if s + n < 200]
+        assert whole and all(n % 7 == 0 for n in whole)
+
     def test_validation(self):
         for kwargs in ({"shape": 0}, {"p_start": 0}, {"p_start": 1.5},
                        {"burst_load": 0}, {"max_burst": 0}):

@@ -380,6 +380,18 @@ def _load_spec(args):
         raise SystemExit(str(exc)) from None
 
 
+@contextmanager
+def _drawing(source: str):
+    """Exit with one ``bad spec`` line naming ``source`` when a spec's
+    models draw a trace that the trace check refuses."""
+    from .scenarios import SpecError
+
+    try:
+        yield
+    except SpecError as exc:
+        raise SystemExit(f"bad spec: {source}: {exc}") from None
+
+
 def cmd_scenarios_show(args) -> int:
     spec = _load_spec(args)
     print(f"# {spec.name}: {spec.description}")
@@ -463,15 +475,17 @@ def cmd_scenarios_run(args) -> int:
             )
         except ValueError as exc:
             raise SystemExit(f"bad replication plan: {exc}") from None
-        rrun = replicate_scenario(spec, plan=plan, executor=ex,
-                                  opt_mode=args.opt_mode)
+        with _drawing(args.file or spec.name):
+            rrun = replicate_scenario(spec, plan=plan, executor=ex,
+                                      opt_mode=args.opt_mode)
         print(rrun.tables())
         name = rrun.spec.name
         if not args.no_artifacts:
             paths = write_replicated_artifacts(rrun, args.out)
             print(f"artifacts: {'  '.join(paths)}")
     else:
-        run = run_scenario(spec, executor=ex, opt_mode=args.opt_mode)
+        with _drawing(args.file or spec.name):
+            run = run_scenario(spec, executor=ex, opt_mode=args.opt_mode)
         print(run.tables())
         name = run.spec.name
         if not args.no_artifacts:

@@ -33,6 +33,7 @@ from .runner import (
     ARTIFACT_VERSION,
     RESULTS_DIR,
     ScenarioRun,
+    SpecError,
     run_scenario,
     run_scenarios,
     write_artifacts,
@@ -42,6 +43,7 @@ from . import builtin  # noqa: F401  (populates the registry on import)
 __all__ = [
     "ScenarioSpec",
     "ScenarioRun",
+    "SpecError",
     "register_scenario",
     "unregister_scenario",
     "get_scenario",

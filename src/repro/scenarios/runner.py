@@ -58,6 +58,13 @@ ARTIFACT_VERSION = 3
 RESULTS_DIR = "results"
 
 
+class SpecError(ValueError):
+    """A spec whose traffic and value models drew a trace that the trace
+    check refuses, such as a value model whose draws overflow to
+    ``inf``: a fault of the spec's parameters, found while its traces
+    are generated."""
+
+
 @dataclass
 class ScenarioRun:
     """Outcome of one scenario execution."""
@@ -168,7 +175,7 @@ def _scenario_points(
     traffic = spec.build_traffic()
     factories = spec.policy_factories()
 
-    traces = {seed: traffic.generate(spec.slots, seed=seed)
+    traces = {seed: _generate(traffic, spec.slots, seed)
               for seed in spec.seeds}
     points: List[SweepPoint] = []
     for seed in spec.seeds:
@@ -186,6 +193,18 @@ def _scenario_points(
                            opt_mode=opt_mode)
             )
     return traces, points
+
+
+def _generate(traffic, n_slots: int, seed: int) -> Trace:
+    """``traffic``'s trace for ``seed``; the trace check's refusal is
+    a :class:`SpecError` naming both models."""
+    try:
+        return traffic.generate(n_slots, seed=seed)
+    except ValueError as exc:
+        raise SpecError(
+            f"seed {seed}: {traffic.name} traffic with "
+            f"{traffic.value_model.name} values drew an invalid trace: "
+            f"{exc}") from None
 
 
 def _scenario_run(

@@ -209,12 +209,15 @@ class TrafficModel:
         filled column by column; pids count up in arrival order."""
         value = array("d")
         arrival, src, dst = array("q"), array("q"), array("q")
-        for t, (srcs, dsts, values) in enumerate(
-                islice(self.slot_arrivals(seed), n_slots)):
-            src.extend(srcs)
-            dst.extend(dsts)
-            value.extend(values)
-            arrival.extend(repeat(t, len(values)))
+        # A value draw that overflows to inf is refused by the trace
+        # check below; numpy's overflow warning would only repeat it.
+        with np.errstate(over="ignore"):
+            for t, (srcs, dsts, values) in enumerate(
+                    islice(self.slot_arrivals(seed), n_slots)):
+                src.extend(srcs)
+                dst.extend(dsts)
+                value.extend(values)
+                arrival.extend(repeat(t, len(values)))
         return Trace.from_columns(
             array("q", range(len(value))), value, arrival, src, dst,
             self.n_in, self.n_out, name=name, n_slots=n_slots)

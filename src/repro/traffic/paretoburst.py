@@ -23,6 +23,9 @@ import numpy as np
 from .base import TrafficModel, bernoulli_count
 from .values import ValueModel, check_param
 
+#: The largest ``max_burst``: the int64 maximum.
+_MAX_BURST = int(np.iinfo(np.int64).max)
+
 
 class ParetoBurstTraffic(TrafficModel):
     """Alternating-renewal arrivals with Pareto ON periods.
@@ -61,6 +64,10 @@ class ParetoBurstTraffic(TrafficModel):
         self.burst_load = check_param("burst_load", burst_load, 0,
                                       strict=True)
         self.max_burst = int(check_param("max_burst", max_burst, 1))
+        if self.max_burst > _MAX_BURST:
+            # A burst's remaining length is an int64 counter.
+            raise ValueError(f"max_burst must be at most {_MAX_BURST}, "
+                             f"got {max_burst:g}")
         super().__init__(
             n_in,
             n_out,

@@ -460,7 +460,10 @@ def _lane_edges(lanes, n_in, n_out):
     """``lanes`` lists each lane's ``{(i, j): value}``; returns
     :func:`greedy_matching`'s arguments (edges lane-major and
     cell-ascending, as PG builds them) and the oracle's edge list, whose
-    ``(u, v)`` tie order is the same ``(lane, i, j)`` order."""
+    ``(u, v)`` tie order is the same ``(lane, i, j)`` order.  Each
+    edge's integer key orders by value descending, then by edge index
+    ascending, as PG's keys do: the value's class among the distinct
+    values, times the edge count, minus the index."""
     import numpy as np
 
     flat, val, oracle = [], [], []
@@ -469,11 +472,13 @@ def _lane_edges(lanes, n_in, n_out):
             flat.append((s * n_in + i) * n_out + j)
             val.append(w)
             oracle.append((s * n_in + i, s * n_out + j, w))
+    classes = {w: c for c, w in enumerate(sorted(set(val)), start=1)}
+    key = np.array([classes[w] * len(val) - k for k, w in enumerate(val)],
+                   dtype=np.int64)
     flat = np.array(flat, dtype=np.int64)
     pin = flat // n_out
     pout = flat // (n_in * n_out) * n_out + flat % n_out
-    args = (np.array(val, dtype=np.float64), pin, pout,
-            len(lanes) * n_in, len(lanes) * n_out)
+    args = (key, pin, pout, len(lanes) * n_in, len(lanes) * n_out)
     return args, oracle
 
 
@@ -481,7 +486,7 @@ def _check_against_oracle(lanes, n_in, n_out):
     from repro.simulation.fastpath import greedy_matching
 
     args, oracle = _lane_edges(lanes, n_in, n_out)
-    _val, pin, pout = args[:3]
+    _key, pin, pout = args[:3]
     got = greedy_matching(*args)
     assert len(set(got.tolist())) == len(got)
     want = {(u, v) for u, v, _w in greedy_maximal_matching_weighted(oracle)}
@@ -550,6 +555,124 @@ def test_staircase_trace_identical():
         fast = run_cioq(PGPolicy(beta=beta), config, trace, backend="fast")
         assert ref.n_preempted_out > 0
         assert_payloads_identical(ref, fast, label=f"(beta {beta})")
+
+
+# ---------------------------------------------------------------------------
+# The rank set-up: continuous and tie-heavy values, and its dtype limit
+# ---------------------------------------------------------------------------
+
+#: Every stepper, with PG's and CPG's thresholds at 1, at 2 (which
+#: two-value and class values meet with equality) and at their defaults.
+RANK_CASES = [
+    ("cioq", GMPolicy),
+    ("cioq", PGPolicy),
+    ("cioq", functools.partial(PGPolicy, beta=1.0)),
+    ("cioq", functools.partial(PGPolicy, beta=2.0)),
+    ("crossbar", CGUPolicy),
+    ("crossbar", CPGPolicy),
+    ("crossbar", functools.partial(CPGPolicy, beta=1.0, alpha=1.0)),
+    ("crossbar", functools.partial(CPGPolicy, beta=2.0, alpha=2.0)),
+]
+
+
+def _rank_batch(values, seeds):
+    """One trace per seed of an 8x8 switch under bursty overload."""
+    tm = BurstyTraffic(8, 8, p_on=0.5, p_off=0.3, burst_load=2.5,
+                       value_model=values)
+    return [tm.generate(25, seed=s) for s in seeds]
+
+
+def _check_rank_batch(traces):
+    """Every :data:`RANK_CASES` policy over ``traces`` as one lockstep
+    fast batch equals serial reference runs; returns the preemptions
+    per site (VOQ, crosspoint, output), summed over the runs."""
+    config = SwitchConfig.square(8, speedup=2, b_in=2, b_out=2, b_cross=1)
+    preempted = [0, 0, 0]
+    for model, factory in RANK_CASES:
+        serial, batched = ((run_cioq, run_cioq_batch) if model == "cioq"
+                           else (run_crossbar, run_crossbar_batch))
+        refs = [serial(factory(), config, tr) for tr in traces]
+        fasts = batched(factory, config, traces, backend="fast")
+        for lane, (ref, fast) in enumerate(zip(refs, fasts)):
+            assert_payloads_identical(
+                ref, fast, label=f"({ref.policy_name}, lane {lane})")
+        for ref in refs:
+            preempted[0] += ref.n_preempted_voq
+            preempted[1] += ref.n_preempted_cross
+            preempted[2] += ref.n_preempted_out
+    return preempted
+
+
+def test_rank_setup_continuous_values():
+    """No two values of the batch tie, so one unstable sort of the
+    values ranks it; every stepper then matches the reference, with
+    preemptions at all three sites."""
+    traces = _rank_batch(uniform_values(1, 100), range(8))
+    values = [v for tr in traces for v in tr.columns()[1]]
+    assert len(set(values)) == len(values)
+    assert min(_check_rank_batch(traces)) > 0
+
+
+@pytest.mark.parametrize("values", [
+    unit_values(), two_value(alpha=2.0, p_high=0.5),
+    geometric_class_values(n_classes=4, base=2.0),
+], ids=["unit", "two-value", "classes"])
+def test_rank_setup_tied_values(values):
+    """Values tie within every lane and across lanes, so the ranks take
+    the pid tie-break; seed 0 runs in two lanes, whose packets then
+    share every (value, pid) pair.  Every stepper matches the
+    reference, and where values differ, PG and CPG preempt at all
+    three sites."""
+    traces = _rank_batch(values, [0, 1, 2, 0, 3, 4, 5, 6])
+    for tr in traces:
+        lane = list(tr.columns()[1])
+        assert len(set(lane)) < len(lane)
+    preempted = _check_rank_batch(traces)
+    assert min(preempted) > 0 or values.name == "unit"
+
+
+class TestRankLimit:
+    """The fast kernel numbers a batch's packets in int32: a larger
+    batch raises ``BackendUnsupported`` under ``fast`` and runs on the
+    reference kernel under ``auto``, checked without 2**31 packets."""
+
+    def test_int32_limit(self):
+        class Huge(Trace):
+            """A small trace that reports 2**31 packets."""
+
+            def __len__(self):
+                return 2 ** 31
+
+        small = BernoulliTraffic(2, 2, load=1.0).generate(5, seed=0)
+        huge = Huge.from_columns(*small.columns(), 2, 2)
+        with pytest.raises(BackendUnsupported,
+                           match="cannot number the batch's 2147483648"):
+            run_cioq(GMPolicy(), SwitchConfig.square(2), huge,
+                     backend="fast")
+
+    @pytest.mark.parametrize("model, factory", [
+        ("cioq", PGPolicy), ("crossbar", CPGPolicy),
+    ])
+    def test_auto_falls_back(self, model, factory, monkeypatch):
+        """With int8 ranks, a 64 lanes x ports batch of more than 127
+        packets is past the limit."""
+        import numpy as np
+
+        from repro.simulation import fastpath
+
+        monkeypatch.setattr(fastpath, "_RANK_DTYPE", np.int8)
+        traces = _rank_batch(uniform_values(1, 9), range(8))
+        assert sum(map(len, traces)) > 127
+        config = SwitchConfig.square(8, speedup=2, b_in=2, b_out=2,
+                                     b_cross=1)
+        serial, batched = ((run_cioq, run_cioq_batch) if model == "cioq"
+                           else (run_crossbar, run_crossbar_batch))
+        with pytest.raises(BackendUnsupported, match="int8"):
+            batched(factory, config, traces, backend="fast")
+        auto = batched(factory, config, traces, backend="auto")
+        for lane, tr in enumerate(traces):
+            assert_payloads_identical(serial(factory(), config, tr),
+                                      auto[lane], label=f"(lane {lane})")
 
 
 # ---------------------------------------------------------------------------

@@ -486,6 +486,61 @@ class TestBadInputIsOneLine:
         assert f"{name} must be" in message and "too large" in message
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("verb", [["run", "--no-artifacts"], ["show"]])
+    def test_spec_file_max_burst_past_int64_refused(
+            self, verb, capsys, tmp_path, monkeypatch):
+        """A pareto-burst ``max_burst`` past int64 is refused by the
+        model: one ``bad spec`` line under both verbs, before any point
+        runs.  With a tiny shape, whose bursts all clamp to
+        ``max_burst``, it used to overflow the int64 burst counter."""
+        from repro.parallel import SweepExecutor
+
+        def no_points(*args, **kwargs):
+            raise AssertionError("a point ran before the spec was refused")
+
+        monkeypatch.setattr(SweepExecutor, "run", no_points)
+        path = self._spec_file(tmp_path, "pareto-burst",
+                               {"shape": 1e-300, "max_burst": 1e300},
+                               "unit", {})
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", verb[0], "--file", str(path), *verb[1:]])
+        message = exc.value.code
+        assert isinstance(message, str) and len(message.splitlines()) == 1
+        assert message.startswith(f"bad spec: {path}: ")
+        assert "max_burst must be at most" in message
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("extra", [[], ["--replicates", "2"]],
+                             ids=["plain", "replicated"])
+    @pytest.mark.parametrize("values, value_params, name", [
+        ("exponential", {"mean": 1e308}, "exp(mean=1e+308)"),
+        ("pareto", {"scale": 1e308}, "pareto(shape=1.5,scale=1e+308)"),
+    ])
+    def test_infinite_value_draws_refused(
+            self, values, value_params, name, extra, capsys, tmp_path,
+            monkeypatch):
+        """A finite value parameter whose draws overflow to ``inf``
+        passes the load check; the trace check then refuses the drawn
+        trace, which the run reports as one ``bad spec`` line naming the
+        value model, before any point runs, and nothing else on stdout
+        or stderr."""
+        from repro.parallel import SweepExecutor
+
+        def no_points(*args, **kwargs):
+            raise AssertionError("a point ran before the spec was refused")
+
+        monkeypatch.setattr(SweepExecutor, "run", no_points)
+        path = self._spec_file(tmp_path, "bernoulli", {"load": 1.0},
+                               values, value_params)
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", "run", "--file", str(path), "--no-artifacts",
+                  *extra])
+        message = exc.value.code
+        assert isinstance(message, str) and len(message.splitlines()) == 1
+        assert message.startswith(f"bad spec: {path}: seed 0: ")
+        assert f"with {name} values" in message and "got inf" in message
+        assert capsys.readouterr() == ("", "")
+
     @pytest.mark.parametrize("traffic, params, values, value_params", [
         ("pareto-burst", {"shape": INF}, "unit", {}),
         ("pareto-burst", {"shape": 1e-300}, "unit", {}),

@@ -74,7 +74,6 @@ PAYLOAD_FIELDS = [
     "value_residual",
     "sent_per_output",
     "value_per_output",
-    "occupancy",
 ]
 
 #: (label, model, policy factory, backend) benchmark rows; fast rows

@@ -1,9 +1,10 @@
 """Delay and occupancy reporting.
 
 Competitive analysis is about *benefit*, but a switch operator also
-cares about delivery delay and buffer occupancy.  These helpers turn
-the engine's optional logs (``record=True`` / ``trace_occupancy=True``)
-into report rows and compact ASCII sparklines.
+cares about delivery delay and buffer occupancy.  These helpers turn a
+run's transmit log (``record=True``) and a metrics recorder's per-slot
+series (:class:`~repro.obs.InMemoryRecorder` with ``every_k=1``) into
+report rows and compact ASCII sparklines.
 """
 
 from __future__ import annotations
@@ -42,13 +43,16 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
     return "".join(out)
 
 
-def occupancy_report(result: SimulationResult) -> str:
-    """Sparkline report of the run's buffer occupancy over time."""
-    if not result.occupancy:
-        return "(no occupancy trace recorded; run with trace_occupancy=True)"
-    voq = [row[1] for row in result.occupancy]
-    cross = [row[2] for row in result.occupancy]
-    out = [row[3] for row in result.occupancy]
+def occupancy_report(series: Sequence[Sequence[int]]) -> str:
+    """Sparkline report of one run's buffer occupancy over time, from a
+    recorder's per-slot ``series`` (rows laid out as
+    :data:`~repro.obs.SERIES_FIELDS`: slot, lane, voq, cross, out, ...)."""
+    if not series:
+        return ("(no occupancy series recorded; run with "
+                "metrics=InMemoryRecorder(every_k=1))")
+    voq = [row[2] for row in series]
+    cross = [row[3] for row in series]
+    out = [row[4] for row in series]
     lines = [
         f"occupancy over {len(voq)} slots (peak in parentheses):",
         f"  VOQs  ({max(voq):4d}) |{sparkline(voq)}|",

@@ -255,15 +255,19 @@ def cmd_run(args) -> int:
     config, trace = _cli_trace(args)
     policy, _ = _make_policy(args.policy, args.model, args.beta)
     runner = run_cioq if args.model == "cioq" else run_crossbar
-    result = runner(policy, config, trace, record=args.delays,
-                    trace_occupancy=args.occupancy)
+    rec = None
+    if args.occupancy:
+        from .obs import InMemoryRecorder
+
+        rec = InMemoryRecorder(every_k=1)
+    result = runner(policy, config, trace, record=args.delays, metrics=rec)
     print(format_table([result.summary()],
                        title=f"{policy.name} on {trace.name}"))
     if args.delays:
         stats = result.delay_stats(trace)
         print(format_table([stats], title="delivery delay (slots)"))
-    if args.occupancy:
-        print(occupancy_report(result))
+    if rec is not None:
+        print(occupancy_report(rec.series))
     return 0
 
 
@@ -1164,8 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
     o_tail.add_argument("-n", "--lines", type=int, default=10,
                         help="number of trailing events to print")
     o_tail.add_argument("--event", default=None,
-                        choices=("meta", "counter", "gauge", "histogram",
-                                 "sample"),
+                        choices=("meta", "counter", "gauge", "sample"),
                         help="only events of this type")
     o_tail.set_defaults(func=cmd_obs_tail)
 

@@ -31,10 +31,8 @@ from .recorder import (
     SERIES_FIELDS,
     SNAPSHOT_VERSION,
     InMemoryRecorder,
-    MetricsRecorder,
     NullRecorder,
     merge_snapshots,
-    resolve,
 )
 from .sinks import (
     METRICS_FILENAME,
@@ -50,7 +48,6 @@ from .sinks import (
 
 __all__ = [
     # recorder
-    "MetricsRecorder",
     "NullRecorder",
     "InMemoryRecorder",
     "NULL_METRICS",
@@ -58,7 +55,6 @@ __all__ = [
     "SERIES_FIELDS",
     "SNAPSHOT_VERSION",
     "merge_snapshots",
-    "resolve",
     # manifest
     "MANIFEST_VERSION",
     "build_manifest",

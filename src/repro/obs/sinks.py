@@ -3,8 +3,8 @@
 Two on-disk/export shapes for a recorder snapshot:
 
 * **JSONL** (``write_jsonl`` / ``iter_jsonl``) — one self-describing
-  event per line: counters, gauges, histograms, then the per-slot
-  series in slot order.  Deterministic (built from ``snapshot()``,
+  event per line: counters, gauges, then the per-slot series in
+  slot order.  Deterministic (built from ``snapshot()``,
   which excludes wall-times), append-friendly, and streamable — the
   format ``repro obs tail`` reads.
 * **Prometheus text** (``prometheus_text``) — the ``# HELP`` /
@@ -43,8 +43,6 @@ def snapshot_events(snapshot: Dict[str, object]) -> Iterator[Dict[str, object]]:
         yield {"event": "counter", "name": name, "value": value}
     for name, value in snapshot.get("gauges", {}).items():
         yield {"event": "gauge", "name": name, "value": value}
-    for name, hist in snapshot.get("histograms", {}).items():
-        yield {"event": "histogram", "name": name, **hist}
     for row in snapshot.get("series", []):
         yield {"event": "sample", **dict(zip(SERIES_FIELDS, row))}
 
@@ -87,7 +85,6 @@ def snapshot_from_events(
         "every_k": 0,
         "counters": {},
         "gauges": {},
-        "histograms": {},
         "series": [],
     }
     for ev in events:
@@ -99,10 +96,6 @@ def snapshot_from_events(
             snap["counters"][ev["name"]] = ev["value"]
         elif kind == "gauge":
             snap["gauges"][ev["name"]] = ev["value"]
-        elif kind == "histogram":
-            snap["histograms"][ev["name"]] = {
-                k: v for k, v in ev.items() if k not in ("event", "name")
-            }
         elif kind == "sample":
             snap["series"].append([ev[f] for f in SERIES_FIELDS])
     return snap
@@ -129,20 +122,6 @@ def prometheus_text(snapshot: Dict[str, object]) -> str:
         emit(name, "counter", [("", float(value))])
     for name, value in snapshot.get("gauges", {}).items():
         emit(name, "gauge", [("", float(value))])
-    for name, hist in snapshot.get("histograms", {}).items():
-        prom = _prom_name(name)
-        meta = METRIC_CATALOG.get(name)
-        lines.append(f"# HELP {prom} {meta[1] if meta else name}")
-        lines.append(f"# TYPE {prom} histogram")
-        cumulative = 0
-        for bucket, count in sorted(hist.get("buckets", {}).items(),
-                                    key=lambda kv: int(kv[0])):
-            cumulative += count
-            le = float(2 ** int(bucket))
-            lines.append(f'{prom}_bucket{{le="{le:g}"}} {cumulative}')
-        lines.append(f'{prom}_bucket{{le="+Inf"}} {hist["count"]}')
-        lines.append(f"{prom}_sum {hist['sum']:g}")
-        lines.append(f"{prom}_count {hist['count']}")
     series = snapshot.get("series", [])
     if series:
         last = dict(zip(SERIES_FIELDS, series[-1]))

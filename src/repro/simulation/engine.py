@@ -147,18 +147,16 @@ def _run_trace(
     record: bool = False,
     max_extra_slots: Optional[int] = None,
     check_invariants: bool = False,
-    trace_occupancy: bool = False,
     backend: str = DEFAULT_BACKEND,
     metrics=None,
     metrics_lane: int = 0,
 ) -> SimulationResult:
     """The trace path of :func:`run_cioq` / :func:`run_crossbar`: the
-    ``fast`` backend when it takes the run, else the reference kernel."""
+    ``fast`` backend when it takes the run, else the reference kernel,
+    whose samples carry the lane tag ``metrics_lane``."""
     fast = _run_fast(model, policy, config, [trace], backend,
                      record=record, max_extra_slots=max_extra_slots,
-                     check_invariants=check_invariants,
-                     trace_occupancy=trace_occupancy, metrics=metrics,
-                     metrics_lane=metrics_lane)
+                     check_invariants=check_invariants, metrics=metrics)
     if fast is not None:
         return fast[0]
     extra = drain_bound(config) if max_extra_slots is None else max_extra_slots
@@ -171,7 +169,6 @@ def _run_trace(
         extra,
         record,
         check_invariants=check_invariants,
-        trace_occupancy=trace_occupancy,
         metrics=metrics,
         metrics_lane=metrics_lane,
     )
@@ -184,15 +181,9 @@ def _run_source(
     source: Callable[[int, object], Sequence[ArrivalSpec]],
     n_slots: int,
     record: bool,
-    backend: str,
     metrics,
 ) -> SimulationResult:
     """The source path of the two ``*_streaming`` entries."""
-    validate_backend(backend)
-    if backend == "fast":
-        raise BackendUnsupported(
-            "the fast backend does not support streaming arrival sources"
-        )
 
     def arrivals(switch) -> ArrivalSource:
         pids = count()  # arrival-event order, as TrafficModel numbers them
@@ -218,10 +209,8 @@ def run_cioq(
     record: bool = False,
     max_extra_slots: Optional[int] = None,
     check_invariants: bool = False,
-    trace_occupancy: bool = False,
     backend: str = DEFAULT_BACKEND,
     metrics=None,
-    metrics_lane: int = 0,
 ) -> SimulationResult:
     """Simulate ``policy`` on a CIOQ switch over ``trace``.
 
@@ -237,23 +226,23 @@ def run_cioq(
     check_invariants:
         Assert queue-structure invariants after every phase (slow;
         used by tests).
-    trace_occupancy:
-        Record end-of-slot buffer occupancy totals into
-        ``result.occupancy`` (schema documented on
-        :class:`~repro.simulation.results.SimulationResult`).
     backend:
         Slot-loop execution backend (see
         :mod:`repro.simulation.backends`): ``reference`` (default),
         ``fast`` (vectorized numpy, bit-identical by contract), or
         ``auto`` (fast when possible, falling back to reference).
     metrics:
-        Optional :class:`repro.obs.MetricsRecorder`; ``None`` (default)
+        Optional recorder (see :mod:`repro.obs`); ``None`` (default)
         and disabled recorders are payload- and performance-equivalent
-        to a metrics-free build (see :mod:`repro.obs`).
+        to a metrics-free build.  An
+        :class:`~repro.obs.InMemoryRecorder` with ``every_k=1`` keeps
+        the run's end-of-slot VOQ/crosspoint/output totals in its
+        series; a ``timed`` one also measures the phases, which only
+        the reference kernel does (``fast`` refuses it, ``auto`` falls
+        back).
     """
     return _run_trace("cioq", policy, config, trace, record,
-                      max_extra_slots, check_invariants, trace_occupancy,
-                      backend, metrics, metrics_lane)
+                      max_extra_slots, check_invariants, backend, metrics)
 
 
 def run_cioq_streaming(
@@ -262,7 +251,6 @@ def run_cioq_streaming(
     source: Callable[[int, CIOQSwitch], Sequence[ArrivalSpec]],
     n_slots: int,
     record: bool = False,
-    backend: str = DEFAULT_BACKEND,
     metrics=None,
 ) -> SimulationResult:
     """Like :func:`run_cioq` but with arrivals produced online by
@@ -274,13 +262,11 @@ def run_cioq_streaming(
     are assigned in arrival-event order, exactly as
     :class:`~repro.traffic.base.TrafficModel` does for batch traces.
 
-    Streaming sources observe online switch state, so the vectorized
-    backend cannot run them: ``backend="fast"`` raises
-    :class:`~repro.simulation.backends.BackendUnsupported`, and
-    ``backend="auto"`` silently uses the reference kernel.
+    Streaming sources observe online switch state, so these entries
+    always run the reference kernel.
     """
     return _run_source("cioq", policy, config, source, n_slots, record,
-                       backend, metrics)
+                       metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +280,8 @@ def run_crossbar(
     record: bool = False,
     max_extra_slots: Optional[int] = None,
     check_invariants: bool = False,
-    trace_occupancy: bool = False,
     backend: str = DEFAULT_BACKEND,
     metrics=None,
-    metrics_lane: int = 0,
 ) -> SimulationResult:
     """Simulate ``policy`` on a buffered crossbar switch over ``trace``.
 
@@ -308,8 +292,7 @@ def run_crossbar(
     :func:`run_cioq`.
     """
     return _run_trace("crossbar", policy, config, trace, record,
-                      max_extra_slots, check_invariants, trace_occupancy,
-                      backend, metrics, metrics_lane)
+                      max_extra_slots, check_invariants, backend, metrics)
 
 
 def run_crossbar_streaming(
@@ -318,16 +301,13 @@ def run_crossbar_streaming(
     source: Callable[[int, CrossbarSwitch], Sequence[ArrivalSpec]],
     n_slots: int,
     record: bool = False,
-    backend: str = DEFAULT_BACKEND,
     metrics=None,
 ) -> SimulationResult:
     """Like :func:`run_crossbar` but with arrivals produced online by
     ``source(slot, switch)`` — the crossbar counterpart of
     :func:`run_cioq_streaming`, with the identical contract: the source
     is consulted for the first ``n_slots`` slots, packet ids are
-    assigned in arrival-event order, ``backend="fast"`` raises
-    :class:`~repro.simulation.backends.BackendUnsupported`, and
-    ``backend="auto"`` silently uses the reference kernel.
+    assigned in arrival-event order, and the reference kernel runs it.
 
     Besides adaptive adversaries, both streaming entries drive the
     memory-bounded trace-replay path: a
@@ -336,7 +316,7 @@ def run_crossbar_streaming(
     materialized ``generate(n_slots, seed)`` trace.
     """
     return _run_source("crossbar", policy, config, source, n_slots, record,
-                       backend, metrics)
+                       metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +329,12 @@ def _run_batch(
     config: SwitchConfig,
     traces: Sequence[Trace],
     max_extra_slots: Optional[int],
-    trace_occupancy: bool,
     backend: str,
     metrics=None,
 ) -> List[SimulationResult]:
     traces = list(traces)
     fast = _run_fast(model, policy_factory(), config, traces, backend,
-                     max_extra_slots=max_extra_slots,
-                     trace_occupancy=trace_occupancy, metrics=metrics)
+                     max_extra_slots=max_extra_slots, metrics=metrics)
     if fast is not None:
         return fast
     # Reference fallback: lane-tag each trace's samples by batch index,
@@ -368,7 +346,6 @@ def _run_batch(
             config,
             trace,
             max_extra_slots=max_extra_slots,
-            trace_occupancy=trace_occupancy,
             metrics=metrics,
             metrics_lane=i,
         )
@@ -382,7 +359,6 @@ def run_cioq_batch(
     traces: Sequence[Trace],
     *,
     max_extra_slots: Optional[int] = None,
-    trace_occupancy: bool = False,
     backend: str = DEFAULT_BACKEND,
     metrics=None,
 ) -> List[SimulationResult]:
@@ -397,7 +373,7 @@ def run_cioq_batch(
     """
     return _run_batch(
         "cioq", policy_factory, config, traces,
-        max_extra_slots, trace_occupancy, backend, metrics,
+        max_extra_slots, backend, metrics,
     )
 
 
@@ -407,12 +383,11 @@ def run_crossbar_batch(
     traces: Sequence[Trace],
     *,
     max_extra_slots: Optional[int] = None,
-    trace_occupancy: bool = False,
     backend: str = DEFAULT_BACKEND,
     metrics=None,
 ) -> List[SimulationResult]:
     """Crossbar counterpart of :func:`run_cioq_batch`."""
     return _run_batch(
         "crossbar", policy_factory, config, traces,
-        max_extra_slots, trace_occupancy, backend, metrics,
+        max_extra_slots, backend, metrics,
     )

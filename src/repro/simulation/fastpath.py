@@ -53,15 +53,15 @@ across the whole scenario registry and a property-based random matrix.
 Features the reference kernel has that this backend deliberately does
 not (requesting them raises
 :class:`~repro.simulation.backends.BackendUnsupported`, and ``auto``
-falls back): streaming/adaptive sources, ``record=True`` event logs,
-``check_invariants=True``, policy classes outside
+falls back): ``record=True`` event logs, ``check_invariants=True``,
+``timed`` recorders (per-phase wall-times), policy classes outside
 :data:`SUPPORTED_POLICIES` — the comparison baselines among them — and
-batches of more packets than :data:`_RANK_DTYPE` can number.
+batches of more packets than :data:`_RANK_DTYPE` can number.  Streaming
+sources never reach it: the streaming entries run the reference kernel.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -304,6 +304,16 @@ def _sequential_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
+def _by_lane(lanes: np.ndarray, S: int) -> Tuple[np.ndarray, List[int]]:
+    """The stable order that groups entries by lane, each lane's kept in
+    its own order, and the bounds: lane ``s`` is ``order[bounds[s]:
+    bounds[s + 1]]``.  One sort, not a full-length mask per lane; the
+    order is int32 (a batch numbers its packets in int32) and the bounds
+    come from the lane counts, which keeps the end-of-run copies small."""
+    order = np.argsort(lanes, kind="stable").astype(np.int32)
+    return order, [0] + np.bincount(lanes, minlength=S).cumsum().tolist()
+
+
 class _Victims:
     """One preemption site's victims: per lane, how many so far, and
     their ranks in the reference kernel's order, logged per cycle and
@@ -324,12 +334,13 @@ class _Victims:
         self._ranks.append(ranks)
 
     def value_sums(self, value: np.ndarray) -> List[float]:
+        S = self.count.size
         if not self._lanes:
-            return [0.0] * self.count.size
-        lanes = np.concatenate(self._lanes)
-        values = value.take(np.concatenate(self._ranks))
-        return [_sequential_sum(values[lanes == s])
-                for s in range(self.count.size)]
+            return [0.0] * S
+        order, bounds = _by_lane(np.concatenate(self._lanes), S)
+        values = value.take(np.concatenate(self._ranks).take(order))
+        return [_sequential_sum(values[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +628,7 @@ SUPPORTED_POLICIES: Dict[Tuple[str, Type], Type[_Stepper]] = {
 class _BatchRun:
     def __init__(self, model: str, proto, config: SwitchConfig,
                  traces: Sequence[Trace], max_extra_slots: Optional[int],
-                 trace_occupancy: bool, metrics, metrics_lane: int):
+                 metrics):
         stepper_cls = SUPPORTED_POLICIES.get((model, type(proto)))
         if stepper_cls is None:
             raise BackendUnsupported(
@@ -649,7 +660,6 @@ class _BatchRun:
         self.B_out = config.b_out
         self.B_cross = config.b_cross
         self.speedup = config.speedup
-        self.trace_occupancy = trace_occupancy
 
         self.voq = _QueueFamily(S, self.NI * self.NJ, self.B_in)
         self.out = _QueueFamily(S, self.NJ, self.B_out)
@@ -709,9 +719,7 @@ class _BatchRun:
         # same compiled-out contract as the reference kernel).
         self.metrics = (metrics if metrics is not None and metrics.enabled
                         else None)
-        self.metrics_lane = metrics_lane
         self.m_every = self.metrics.every_k if self.metrics is not None else 0
-        self.m_timed = self.metrics is not None and self.metrics.timed
         # Per-lane sample buffers, flushed lane-major after the run so
         # the recorder's series is byte-identical to running the same
         # traces serially through the reference kernel.
@@ -821,20 +829,6 @@ class _BatchRun:
         rows[ss, jj + 1] = v
         self.benefit = rows.cumsum(axis=1)[:, -1]
 
-    def _occupancy_totals(self) -> Tuple[List[int], List[int], List[int]]:
-        """Per lane, the VOQ, crosspoint and output queue-length totals
-        (``switch.occupancy_totals()``)."""
-        vt = self.voq.len.sum(axis=1).tolist()
-        ot = self.out.len.sum(axis=1).tolist()
-        ct = (self.cross.len.sum(axis=1).tolist() if self.crossbar
-              else [0] * self.S)
-        return vt, ct, ot
-
-    def _occupancy_phase(self, t: int) -> None:
-        vt, ct, ot = self._occupancy_totals()
-        for s in self.active_ids:
-            self.results[s].occupancy.append((t, vt[s], ct[s], ot[s]))
-
     def _sample_phase(self, t: int, sent_before: List[int]) -> None:
         """Buffer one end-of-slot metrics sample per active lane.
 
@@ -842,23 +836,24 @@ class _BatchRun:
         the whole batch (one numpy sum per queue family, not a Python
         walk per lane), matching ``switch.occupancy_totals()`` exactly.
         """
-        vt, ct, ot = self._occupancy_totals()
+        vt = self.voq.len.sum(axis=1).tolist()
+        ot = self.out.len.sum(axis=1).tolist()
+        ct = (self.cross.len.sum(axis=1).tolist() if self.crossbar
+              else [0] * self.S)
         n_sent = self.n_sent.tolist()
         n_arrived = self.n_arrived.tolist()
         n_rejected = self.n_rejected.tolist()
         n_pre = (self.pre_voq.count + self.pre_cross.count
                  + self.pre_out.count).tolist()
-        base = self.metrics_lane
         samples = self._samples
         for s in self.active_ids:
             samples[s].append((
-                t, base + s, vt[s], ct[s], ot[s],
+                t, s, vt[s], ct[s], ot[s],
                 n_sent[s] - sent_before[s], n_arrived[s], n_sent[s],
                 n_rejected[s], n_pre[s],
             ))
 
-    def _flush_metrics(self, t_arrival: float, t_schedule: float,
-                       t_transmit: float, run0: float) -> None:
+    def _flush_metrics(self) -> None:
         """Flush buffered samples (lane-major) and per-lane run counters
         into the recorder, in the exact order serial reference runs over
         the same traces would have produced them."""
@@ -876,11 +871,6 @@ class _BatchRun:
             m.counter("packets_rejected_total", res.n_rejected)
             m.counter("packets_preempted_total", res.n_preempted)
             m.counter("benefit_total", res.benefit)
-        if self.m_timed:
-            m.add_time("phase_arrival_seconds", t_arrival)
-            m.add_time("phase_schedule_seconds", t_schedule)
-            m.add_time("phase_transmit_seconds", t_transmit)
-            m.add_time("run_seconds", perf_counter() - run0)
 
     def _retire(self, t: int) -> None:
         if t < self.first_retire:
@@ -916,11 +906,12 @@ class _BatchRun:
                  for site in (self.pre_voq, self.pre_cross, self.pre_out)]
         benefit = self.benefit.tolist()
         n_sent = self.n_sent.tolist()
-        ev_value = self.value.take(self.ev_rank)
+        # Each lane's events, in its arrival order, gathered per lane.
+        order, bounds = _by_lane(self.ev_lane, self.S)
         for s, res in enumerate(self.results):
-            mine = self.ev_lane == s
-            values = ev_value[mine]
-            accepted = self.accepted[mine]
+            mine = order[bounds[s]:bounds[s + 1]]
+            values = self.value.take(self.ev_rank.take(mine))
+            accepted = self.accepted.take(mine)
             res.n_arrived = n_arrived[s]
             res.value_arrived = _sequential_sum(values)
             res.n_accepted = n_arrived[s] - n_rejected[s]
@@ -945,40 +936,23 @@ class _BatchRun:
     def run(self) -> List[SimulationResult]:
         every = self.m_every
         sampling = every > 0
-        timed = self.m_timed
-        t_arrival = t_schedule = t_transmit = 0.0
-        run0 = perf_counter() if timed else 0.0
         sent_before: List[int] = []
         t = 0
         while self.active_ids:
             sample_slot = sampling and t % every == 0
             if sample_slot:
                 sent_before = self.n_sent.tolist()
-            if timed:
-                ph0 = perf_counter()
-                self._arrival_phase(t)
-                ph1 = perf_counter()
-                t_arrival += ph1 - ph0
-                for cyc in range(self.speedup):
-                    self.stepper.cycle(t, cyc)
-                ph2 = perf_counter()
-                t_schedule += ph2 - ph1
-                self._transmit_phase(t)
-                t_transmit += perf_counter() - ph2
-            else:
-                self._arrival_phase(t)
-                for cyc in range(self.speedup):
-                    self.stepper.cycle(t, cyc)
-                self._transmit_phase(t)
-            if self.trace_occupancy:
-                self._occupancy_phase(t)
+            self._arrival_phase(t)
+            for cyc in range(self.speedup):
+                self.stepper.cycle(t, cyc)
+            self._transmit_phase(t)
             if sample_slot:
                 self._sample_phase(t, sent_before)
             self._retire(t)
             t += 1
         results = self._finalize()
         if self.metrics is not None:
-            self._flush_metrics(t_arrival, t_schedule, t_transmit, run0)
+            self._flush_metrics()
         return results
 
 
@@ -995,9 +969,7 @@ def run_batch(
     record: bool = False,
     max_extra_slots: Optional[int] = None,
     check_invariants: bool = False,
-    trace_occupancy: bool = False,
     metrics=None,
-    metrics_lane: int = 0,
 ) -> List[SimulationResult]:
     """Run ``proto`` (a policy instance used read-only, as the parameter
     prototype) over every trace in lockstep; returns one
@@ -1007,7 +979,10 @@ def run_batch(
     With an active ``metrics`` recorder, per-slot samples are buffered
     during the lockstep loop and flushed lane-major afterwards, so the
     recorder ends up byte-identical to serial reference runs over the
-    same traces (lane ``i`` is tagged ``metrics_lane + i``)."""
+    same traces (lane ``i`` is tagged ``i``).  This kernel measures no
+    phase wall-times, so a ``timed`` recorder raises
+    :class:`BackendUnsupported`, as ``record`` and ``check_invariants``
+    do."""
     if record:
         raise BackendUnsupported(
             "the fast backend does not implement record=True event logs"
@@ -1016,7 +991,11 @@ def run_batch(
         raise BackendUnsupported(
             "the fast backend does not implement check_invariants=True"
         )
+    if metrics is not None and metrics.enabled and metrics.timed:
+        raise BackendUnsupported(
+            "the fast backend does not time the phases of a timed recorder"
+        )
     if not traces:
         return []
     return _BatchRun(model, proto, config, traces, max_extra_slots,
-                     trace_occupancy, metrics, metrics_lane).run()
+                     metrics).run()

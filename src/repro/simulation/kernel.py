@@ -16,7 +16,9 @@ wall-clock):
   the loop — no per-packet attribute writes on the result object.
 * **Logging off by default.**  ``record=False`` runs skip every
   schedule/transmission logging branch through one local boolean, so
-  the default path allocates no log entries at all.
+  the default path allocates no log entries at all.  The kernel keeps
+  no per-slot record of its own: a metrics recorder sampling every
+  slot holds the end-of-slot queue totals (see ``metrics`` below).
 * **O(1) drain detection.**  The kernel tracks the number of buffered
   packets incrementally (accepted − sent − preempted), so the
   "arrivals exhausted and switch empty" termination test is a counter
@@ -59,7 +61,6 @@ def run_slot_loop(
     crossbar: bool,
     record: bool = False,
     check_invariants: bool = False,
-    trace_occupancy: bool = False,
     metrics=None,
     metrics_lane: int = 0,
 ) -> SimulationResult:
@@ -82,13 +83,14 @@ def run_slot_loop(
         transmission to ``result.sent_pids`` / ``result.transmit_log``
         (the theory-shadow replay and delay statistics read them).
     metrics:
-        Optional :class:`repro.obs.MetricsRecorder`.  The enabled guard
-        is evaluated **once here**, before the loop: with metrics off
+        Optional recorder (:mod:`repro.obs`).  The enabled guard is
+        evaluated **once here**, before the loop: with metrics off
         (``None`` or a disabled recorder) the loop body pays only local
         boolean short-circuits — no method calls, no allocation — so
         payloads and performance are identical to a metrics-free build.
         With metrics on, every ``every_k``-th slot emits one
-        ``slot_sample`` (queue occupancy, matching size, cumulative
+        ``slot_sample`` at the end of the slot, after the transmission
+        phase (queue occupancy, matching size, cumulative
         arrival/drop/preemption counters) and run totals are flushed
         after the loop; ``timed`` recorders additionally accumulate
         per-phase wall-times (quarantined, non-deterministic).
@@ -263,8 +265,6 @@ def run_slot_loop(
             t_transmit += perf_counter() - ph0
         if check_invariants:
             switch.check_invariants()
-        if trace_occupancy:
-            result.occupancy.append((t,) + switch.occupancy_totals())
         if sample_slot:
             occ = switch.occupancy_totals()
             slot_sample(t, metrics_lane, occ[0], occ[1], occ[2],

@@ -137,6 +137,9 @@ def run_cioq(
         n_arrival_slots=trace.n_slots,
         horizon=horizon,
     )
+    # The loop below appends each slot's occupancy totals here;
+    # SimulationResult has no such field.
+    result.occupancy = []
 
     for t in range(horizon):
         # Arrival phase.
@@ -274,6 +277,9 @@ def run_crossbar(
         n_arrival_slots=trace.n_slots,
         horizon=horizon,
     )
+    # The loop below appends each slot's occupancy totals here;
+    # SimulationResult has no such field.
+    result.occupancy = []
 
     for t in range(horizon):
         for p in trace.arrivals(t):

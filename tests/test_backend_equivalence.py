@@ -39,6 +39,7 @@ from repro.core.cgu import CGUPolicy
 from repro.core.cpg import CPGPolicy
 from repro.core.gm import GMPolicy
 from repro.core.pg import PGPolicy
+from repro.obs import InMemoryRecorder
 from repro.scenarios import all_scenarios
 from repro.scheduling.baselines import (
     CrossbarGreedyWeightedPolicy,
@@ -59,7 +60,6 @@ from repro.simulation.backends import (
 from repro.simulation.engine import (
     run_cioq,
     run_cioq_batch,
-    run_cioq_streaming,
     run_crossbar,
     run_crossbar_batch,
 )
@@ -82,7 +82,8 @@ pytestmark = pytest.mark.skipif(
 
 #: Every observable payload field of a SimulationResult (the logs are
 #: covered by test_kernel_equivalence.py; the fast backend rejects
-#: record=True, so they cannot diverge here).
+#: record=True, so they cannot diverge here).  Per-slot occupancy is an
+#: every-slot recorder's series, compared by :func:`assert_series_identical`.
 PAYLOAD_FIELDS = [
     "policy_name",
     "n_arrival_slots",
@@ -105,7 +106,6 @@ PAYLOAD_FIELDS = [
     "value_residual",
     "sent_per_output",
     "value_per_output",
-    "occupancy",
 ]
 
 
@@ -125,6 +125,21 @@ def assert_payloads_identical(ref, fast, label=""):
             f"fast backend diverges from reference on {name} {label}: "
             f"{rv!r} != {fv!r}"
         )
+
+
+def lane_series(rec, lane=0):
+    """``rec``'s per-slot samples of ``lane``, without the lane column."""
+    return [row[:1] + row[2:] for row in rec.series if row[1] == lane]
+
+
+def assert_series_identical(ref_rec, rec, lane=0, label=""):
+    """A reference run's every-slot series (lane 0 of ``ref_rec``) equals
+    lane ``lane`` of ``rec``'s: occupancy, matching size and the
+    cumulative counters, slot by slot."""
+    want = lane_series(ref_rec)
+    assert want, f"empty reference series {label}"
+    assert lane_series(rec, lane) == want, (
+        f"per-slot series diverges from reference {label}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,18 +228,47 @@ class TestRegistry:
         auto = runner(cls(), small_config, unit_trace, backend="auto")
         assert_payloads_identical(ref, auto, label=f"({cls.__name__})")
 
-    def test_fast_rejects_streaming(self, small_config):
-        with pytest.raises(BackendUnsupported):
-            run_cioq_streaming(GMPolicy(), small_config, lambda t, sw: [], 4,
-                               backend="fast")
+    def test_fast_rejects_timed_recorder(self, small_config, unit_trace):
+        """The fast kernel does not time its phases: a timed recorder
+        raises under ``fast`` before the recorder is touched."""
+        rec = InMemoryRecorder(every_k=1, timed=True)
+        with pytest.raises(BackendUnsupported, match="timed recorder"):
+            run_cioq(GMPolicy(), small_config, unit_trace, backend="fast",
+                     metrics=rec)
+        with pytest.raises(BackendUnsupported, match="timed recorder"):
+            run_crossbar_batch(CGUPolicy, small_config, [unit_trace],
+                               backend="fast", metrics=rec)
+        assert (rec.counters, rec.series, rec.times) == ({}, [], {})
 
-    def test_streaming_auto_falls_back(self, small_config):
-        ref = run_cioq_streaming(GMPolicy(), small_config,
-                                 lambda t, sw: [(0, t % 3, 1.0)], 6)
-        auto = run_cioq_streaming(GMPolicy(), small_config,
-                                  lambda t, sw: [(0, t % 3, 1.0)], 6,
-                                  backend="auto")
-        assert_payloads_identical(ref, auto)
+    @pytest.mark.parametrize("model", ["cioq", "crossbar"])
+    def test_auto_falls_back_on_timed_recorder(self, model):
+        """At the crossover (16 lanes x 4 ports) ``auto`` takes the fast
+        kernel, which refuses a timed recorder; it then runs the batch on
+        the reference kernel, lane by lane, whose payloads, counters and
+        series it returns, and records all four phase wall-times."""
+        from repro.simulation.backends import auto_prefers_reference
+
+        config = SwitchConfig.square(4, speedup=2, b_in=2, b_out=2,
+                                     b_cross=1)
+        tm = BernoulliTraffic(4, 4, load=1.4, value_model=uniform_values(1, 9))
+        traces = [tm.generate(12, seed=s) for s in range(16)]
+        assert not auto_prefers_reference(config, len(traces))
+        batched, factory = ((run_cioq_batch, PGPolicy) if model == "cioq"
+                            else (run_crossbar_batch, CPGPolicy))
+        timed = InMemoryRecorder(every_k=1, timed=True)
+        auto = batched(factory, config, traces, backend="auto",
+                       metrics=timed)
+        untimed = InMemoryRecorder(every_k=1)
+        ref = batched(factory, config, traces, backend="reference",
+                      metrics=untimed)
+        for lane, (r, a) in enumerate(zip(ref, auto)):
+            assert_payloads_identical(r, a, label=f"(lane {lane})")
+        assert timed.snapshot() == untimed.snapshot()
+        assert {row[1] for row in timed.series} == set(range(16))
+        assert sorted(timed.walltimes()) == [
+            "phase_arrival_seconds", "phase_schedule_seconds",
+            "phase_transmit_seconds", "run_seconds"]
+        assert all(v >= 0.0 for v in timed.walltimes().values())
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +293,19 @@ def test_builtin_scenario_matrix(spec):
     for seed in spec.seeds[:2]:
         trace = traffic.generate(spec.slots, seed=seed)
         for label, factory in spec.policy_factories():
-            ref = runner(factory(), config, trace, trace_occupancy=True)
+            ref_rec = InMemoryRecorder(every_k=1)
+            ref = runner(factory(), config, trace, metrics=ref_rec)
             backend = "fast"
             if not in_fast_table(spec.model, factory()):
                 with pytest.raises(BackendUnsupported):
-                    runner(factory(), config, trace, trace_occupancy=True,
-                           backend="fast")
+                    runner(factory(), config, trace, backend="fast")
                 backend = "auto"
-            other = runner(factory(), config, trace, trace_occupancy=True,
-                           backend=backend)
-            assert_payloads_identical(
-                ref, other,
-                label=f"({spec.name}, seed={seed}, {label}, {backend})"
-            )
+            rec = InMemoryRecorder(every_k=1)
+            other = runner(factory(), config, trace, backend=backend,
+                           metrics=rec)
+            case = f"({spec.name}, seed={seed}, {label}, {backend})"
+            assert_payloads_identical(ref, other, label=case)
+            assert_series_identical(ref_rec, rec, label=case)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +356,16 @@ def test_property_backend_agreement(seed):
             factory = rng.choice(CROSSBAR_FACTORIES)
             runner, switch = run_crossbar, "crossbar"
         backend = "fast" if in_fast_table(switch, factory()) else "auto"
+        ref_rec, rec = ((InMemoryRecorder(every_k=1),
+                         InMemoryRecorder(every_k=1)) if occ else (None, None))
         ref = runner(factory(), config, trace, max_extra_slots=mes,
-                     trace_occupancy=occ)
+                     metrics=ref_rec)
         other = runner(factory(), config, trace, max_extra_slots=mes,
-                       trace_occupancy=occ, backend=backend)
-        assert_payloads_identical(
-            ref, other, label=f"(case {case}, seed {seed}, {backend})"
-        )
+                       backend=backend, metrics=rec)
+        label = f"(case {case}, seed {seed}, {backend})"
+        assert_payloads_identical(ref, other, label=label)
+        if occ:
+            assert_series_identical(ref_rec, rec, label=label)
 
 
 def test_preemption_pushout_chain_identical():
@@ -358,15 +405,17 @@ def test_streaming_style_drain_tail_identical():
         (CGUPolicy, run_crossbar, "fast"), (CPGPolicy, run_crossbar, "fast"),
         (FifoCrossbarPolicy, run_crossbar, "auto"),
     ]:
-        ref = runner(policy_factory(), config, trace, trace_occupancy=True)
+        ref_rec, rec = InMemoryRecorder(every_k=1), InMemoryRecorder(every_k=1)
+        ref = runner(policy_factory(), config, trace, metrics=ref_rec)
         if backend == "auto":
             with pytest.raises(BackendUnsupported):
                 runner(policy_factory(), config, trace, backend="fast")
-        other = runner(policy_factory(), config, trace, trace_occupancy=True,
-                       backend=backend)
+        other = runner(policy_factory(), config, trace, backend=backend,
+                       metrics=rec)
         assert ref.n_residual == 0
-        assert_payloads_identical(
-            ref, other, label=f"({policy_factory.__name__}, {backend})")
+        label = f"({policy_factory.__name__}, {backend})"
+        assert_payloads_identical(ref, other, label=label)
+        assert_series_identical(ref_rec, rec, label=label)
 
 
 def test_empty_trace_identical(small_config):
@@ -442,14 +491,19 @@ def test_property_batched_backend_agreement(seed):
         switch, factory = rng.choice(BATCH_POLICIES)
         serial, batched = ((run_cioq, run_cioq_batch) if switch == "cioq"
                            else (run_crossbar, run_crossbar_batch))
-        refs = [serial(factory(), config, tr, trace_occupancy=occ)
-                for tr in traces]
-        fasts = batched(factory, config, traces, trace_occupancy=occ,
-                        backend="fast")
+        ref_recs = [InMemoryRecorder(every_k=1) if occ else None
+                    for _ in traces]
+        rec = InMemoryRecorder(every_k=1) if occ else None
+        refs = [serial(factory(), config, tr, metrics=ref_rec)
+                for tr, ref_rec in zip(traces, ref_recs)]
+        fasts = batched(factory, config, traces, backend="fast",
+                        metrics=rec)
         assert len(fasts) == len(refs)
         for lane, (ref, fast) in enumerate(zip(refs, fasts)):
-            assert_payloads_identical(
-                ref, fast, label=f"(case {case}, seed {seed}, lane {lane})")
+            label = f"(case {case}, seed {seed}, lane {lane})"
+            assert_payloads_identical(ref, fast, label=label)
+            if occ:
+                assert_series_identical(ref_recs[lane], rec, lane, label)
 
 
 # ---------------------------------------------------------------------------
@@ -687,13 +741,16 @@ def test_batch_lockstep_matches_serial_runs():
                           b_cross=2)
     tm = BernoulliTraffic(4, 4, load=1.4, value_model=uniform_values(1, 9))
     traces = [tm.generate(10 + 7 * k, seed=k) for k in range(5)]
-    serial = [run_cioq(PGPolicy(), config, tr, trace_occupancy=True)
-              for tr in traces]
-    batched = run_cioq_batch(PGPolicy, config, traces, trace_occupancy=True,
-                             backend="fast")
+    ref_recs = [InMemoryRecorder(every_k=1) for _ in traces]
+    serial = [run_cioq(PGPolicy(), config, tr, metrics=ref_rec)
+              for tr, ref_rec in zip(traces, ref_recs)]
+    rec = InMemoryRecorder(every_k=1)
+    batched = run_cioq_batch(PGPolicy, config, traces, backend="fast",
+                             metrics=rec)
     assert len(batched) == len(serial)
     for k, (ref, fast) in enumerate(zip(serial, batched)):
         assert_payloads_identical(ref, fast, label=f"(lane {k})")
+        assert_series_identical(ref_recs[k], rec, k, label=f"(lane {k})")
 
     xserial = [run_crossbar(CPGPolicy(), config, tr) for tr in traces]
     xbatched = run_crossbar_batch(CPGPolicy, config, traces, backend="fast")
@@ -757,7 +814,7 @@ class TestMetricsNeutrality:
     byte-identical between the backends."""
 
     def _modes(self):
-        from repro.obs import NULL_METRICS, InMemoryRecorder
+        from repro.obs import NULL_METRICS
 
         return [
             ("none", lambda: None),
@@ -780,24 +837,28 @@ class TestMetricsNeutrality:
                                         CGUPolicy)
         base = [serial(factory(), config, tr) for tr in traces]
         for mode, make in self._modes():
-            ref = [serial(factory(), config, tr, metrics=make())
-                   for tr in traces]
+            ref_recs = [make() for _ in traces]
+            ref = [serial(factory(), config, tr, metrics=ref_rec)
+                   for tr, ref_rec in zip(traces, ref_recs)]
+            rec = make()
             fast = batched(factory, config, traces, backend="fast",
-                           metrics=make())
+                           metrics=rec)
             for k, (b, r, f) in enumerate(zip(base, ref, fast)):
                 assert_payloads_identical(
                     b, r, label=f"(metrics={mode}, ref lane {k})")
                 assert_payloads_identical(
                     b, f, label=f"(metrics={mode}, fast lane {k})")
+                if mode in ("active", "sampled"):
+                    assert_series_identical(
+                        ref_recs[k], rec, k,
+                        label=f"(metrics={mode}, lane {k})")
 
     @pytest.mark.parametrize("every_k", [1, 4])
     def test_recorder_snapshots_backend_identical(self, every_k):
         """One shared recorder across a seed ladder: a serial reference
         batch and one lockstep fast batch must leave the recorder in a
-        byte-identical state (counters, gauges, histograms, series)."""
+        byte-identical state (counters, gauges, series)."""
         import json as _json
-
-        from repro.obs import InMemoryRecorder
 
         config = SwitchConfig.square(4, speedup=2, b_in=3, b_out=3,
                                      b_cross=1)

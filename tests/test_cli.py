@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
 import json
+import pathlib
 
 import pytest
 
 from repro.cli import build_parser, main
+
+#: ``repro run --occupancy`` stdout, argv -> text, pinned byte for byte
+#: for one CIOQ and one crossbar command, each with and without
+#: ``--delays``.  The sparklines draw an every-slot recorder's series.
+OCCUPANCY_STDOUT = json.loads(
+    (pathlib.Path(__file__).parent / "cli_occupancy_stdout.json").read_text())
 
 #: A trace in the JSON document format that ``Trace.save`` wrote before
 #: the chunked stream became the one trace file format.
@@ -199,6 +206,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "delivery delay" in out
         assert "occupancy over" in out
+
+    @pytest.mark.parametrize("argv", sorted(OCCUPANCY_STDOUT))
+    def test_run_occupancy_stdout_pinned(self, argv, capsys):
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out == OCCUPANCY_STDOUT[argv]
 
     def test_run_crossbar_cpg(self, capsys):
         rc = main(["run", "--policy", "cpg", "--model", "crossbar",

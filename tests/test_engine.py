@@ -268,13 +268,6 @@ class TestStreamingEntries:
         assert first.schedule_log == second.schedule_log
         assert first.transmit_log == second.transmit_log
 
-    @pytest.mark.parametrize("model", sorted(STREAMING))
-    def test_unknown_backend_rejected(self, model, small_config):
-        run, policy_cls = STREAMING[model]
-        with pytest.raises(ValueError, match="unknown backend"):
-            run(policy_cls(), small_config, lambda t, sw: [], 4,
-                backend="gpu")
-
     def test_crossbar_source_observes_its_switch(self, small_config):
         """The source sees the run's own crossbar switch, once per
         arrival slot and never during the drain."""
@@ -355,9 +348,84 @@ class TestLeftToRightSums:
         assert row["mean_benefit"] == round(self.BIG / 3, 6)
 
 
+class TestValueConservation:
+    """``check_conservation`` holds the value totals to within 1e-9 of
+    the run's arrived value: float totals of large values round, so an
+    absolute tolerance fails ordinary runs of values from 1e6 up, while
+    a total off by one packet must still fail."""
+
+    SPEC = """\
+name = "big-values"
+model = "cioq"
+traffic = "bernoulli"
+values = "uniform"
+slots = 50
+seeds = [0, 1, 2, 3]
+include_opt = false
+policies = [{name = "pg"}]
+
+[switch]
+n_in = 4
+n_out = 4
+b_in = 1
+b_out = 1
+
+[traffic_params]
+load = 2.0
+
+[value_params]
+lo = 1e6
+hi = 1e7
+"""
+
+    def test_large_values_spec_runs(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "big-values.toml"
+        path.write_text(self.SPEC)
+        assert main(["scenarios", "run", "--file", str(path),
+                     "--no-artifacts"]) == 0
+        assert "pg" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model, policy_cls", [
+        ("cioq", PGPolicy), ("crossbar", CPGPolicy),
+    ])
+    def test_large_values_fast_batch(self, model, policy_cls):
+        from repro.simulation.engine import run_cioq_batch, run_crossbar_batch
+
+        pytest.importorskip("numpy")
+        tm = BernoulliTraffic(4, 4, load=2.0,
+                              value_model=uniform_values(1e6, 1e7))
+        traces = [tm.generate(50, seed=s) for s in range(16)]
+        config = SwitchConfig.square(4, b_in=1, b_out=1, b_cross=1)
+        batched = run_cioq_batch if model == "cioq" else run_crossbar_batch
+        results = batched(policy_cls, config, traces, backend="fast")
+        assert min(res.n_preempted for res in results) > 0
+
+    @pytest.mark.parametrize("field", [
+        "value_arrived", "value_accepted", "value_rejected", "benefit",
+        "value_preempted_voq", "value_preempted_out",
+    ])
+    def test_off_by_the_smallest_packet_raises(self, field):
+        import dataclasses
+
+        tm = BernoulliTraffic(4, 4, load=2.0,
+                              value_model=uniform_values(1e6, 1e7))
+        trace = tm.generate(50, seed=0)
+        config = SwitchConfig.square(4, speedup=2, b_in=1, b_out=1)
+        res = run_cioq(PGPolicy(), config, trace)
+        assert res.n_preempted_voq and res.n_preempted_out
+        res.check_conservation()
+        smallest = min(p.value for p in trace.packets)
+        broken = dataclasses.replace(
+            res, **{field: getattr(res, field) + smallest})
+        with pytest.raises(AssertionError, match="value conservation"):
+            broken.check_conservation()
+
+
 class TestZeroHorizon:
     """An empty trace run with ``max_extra_slots=0`` has a horizon of 0
-    and runs no slot on either backend: no occupancy entry and a
+    and runs no slot on either backend: no series sample and a
     ``slots_total`` of 0 (the fast kernel used to run slot 0)."""
 
     @pytest.mark.parametrize("run, policy_cls", [
@@ -370,9 +438,9 @@ class TestZeroHorizon:
         for backend in ("reference", "fast"):
             rec = InMemoryRecorder(every_k=1)
             res = run(policy_cls(), small_config, Trace([], 3, 3),
-                      max_extra_slots=0, trace_occupancy=True,
-                      backend=backend, metrics=rec)
-            results[backend] = (res.horizon, res.occupancy, rec.snapshot())
+                      max_extra_slots=0, backend=backend, metrics=rec)
+            results[backend] = (res.horizon, rec.snapshot())
         assert results["fast"] == results["reference"]
-        horizon, occupancy, snapshot = results["fast"]
-        assert (horizon, occupancy) == (0, [])
+        horizon, snapshot = results["fast"]
+        assert (horizon, snapshot["series"]) == (0, [])
+        assert snapshot["counters"]["slots_total"] == 0

@@ -6,7 +6,9 @@ none of which may change a single observable result.  These tests pin
 the kernel to ``_seed_engine.py``, a verbatim snapshot of the
 pre-refactor engine loops, across a matrix of (switch model x speedup x
 traffic/value model x record on/off), plus the streaming entry point's
-drain-termination edge cases.
+drain-termination edge cases.  The seed engine's end-of-slot occupancy
+totals are compared with an every-slot metrics recorder's series, the
+kernel's one per-slot record.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from repro.core.cgu import CGUPolicy
 from repro.core.cpg import CPGPolicy
 from repro.core.gm import GMPolicy
 from repro.core.pg import PGPolicy
+from repro.obs import InMemoryRecorder
 from repro.scheduling.fifo import FifoCIOQPolicy
 from repro.simulation.engine import drain_bound, run_cioq, run_cioq_streaming, run_crossbar
 from repro.switch.config import SwitchConfig
@@ -55,16 +58,25 @@ RESULT_FIELDS = [
     "sent_pids",
     "schedule_log",
     "transmit_log",
-    "occupancy",
 ]
 
 
-def assert_identical(fast, seed):
+def occupancy(rec):
+    """An every-slot recorder's ``(slot, voq, cross, out)`` rows, the
+    seed engine's occupancy trace schema."""
+    return [(slot, voq, cross, out)
+            for slot, _lane, voq, cross, out, *_ in rec.series]
+
+
+def assert_identical(fast, seed, rec=None):
     for name in RESULT_FIELDS:
         assert getattr(fast, name) == getattr(seed, name), (
             f"kernel diverges from seed engine on {name}: "
             f"{getattr(fast, name)!r} != {getattr(seed, name)!r}"
         )
+    if rec is not None:
+        assert occupancy(rec) == seed.occupancy, (
+            "kernel's occupancy series diverges from the seed engine's")
 
 
 TRAFFICS = [
@@ -100,11 +112,11 @@ CROSSBAR_POLICIES = [("cgu", CGUPolicy), ("cpg", CPGPolicy)]
 def test_cioq_matrix(traffic_name, make, speedup, record, policy_name, policy_cls):
     config = SwitchConfig.square(4, speedup=speedup, b_in=2, b_out=2, b_cross=1)
     trace = make(4).generate(25, seed=13)
-    fast = run_cioq(policy_cls(), config, trace, record=record,
-                    trace_occupancy=True)
+    rec = InMemoryRecorder(every_k=1)
+    fast = run_cioq(policy_cls(), config, trace, record=record, metrics=rec)
     seed = _seed_engine.run_cioq(policy_cls(), config, trace, record=record,
                                  trace_occupancy=True)
-    assert_identical(fast, seed)
+    assert_identical(fast, seed, rec)
 
 
 @pytest.mark.parametrize("traffic_name,make", TRAFFICS, ids=lambda x: x if isinstance(x, str) else "")
@@ -116,29 +128,31 @@ def test_crossbar_matrix(traffic_name, make, speedup, record, policy_name,
                          policy_cls):
     config = SwitchConfig.square(4, speedup=speedup, b_in=2, b_out=2, b_cross=1)
     trace = make(4).generate(25, seed=29)
+    rec = InMemoryRecorder(every_k=1)
     fast = run_crossbar(policy_cls(), config, trace, record=record,
-                        trace_occupancy=True)
+                        metrics=rec)
     seed = _seed_engine.run_crossbar(policy_cls(), config, trace,
                                      record=record, trace_occupancy=True)
-    assert_identical(fast, seed)
+    assert_identical(fast, seed, rec)
 
 
 def test_cioq_occupancy_schema_has_zero_cross_column():
-    """CIOQ occupancy rows are 4-tuples with cross_total always 0."""
+    """CIOQ occupancy rows carry a cross_total of 0 in every slot."""
     config = SwitchConfig.square(3, b_in=2, b_out=2)
     trace = BernoulliTraffic(3, 3, load=1.5).generate(20, seed=3)
-    res = run_cioq(GMPolicy(), config, trace, trace_occupancy=True)
-    assert res.occupancy
-    for row in res.occupancy:
-        assert len(row) == 4
-        assert row[2] == 0
+    rec = InMemoryRecorder(every_k=1)
+    run_cioq(GMPolicy(), config, trace, metrics=rec)
+    rows = occupancy(rec)
+    assert rows
+    assert all(row[2] == 0 for row in rows)
 
 
 def test_crossbar_occupancy_counts_crosspoints():
     config = SwitchConfig.square(3, b_in=2, b_out=2, b_cross=2)
     trace = BernoulliTraffic(3, 3, load=1.8).generate(20, seed=3)
-    res = run_crossbar(CGUPolicy(), config, trace, trace_occupancy=True)
-    assert any(row[2] > 0 for row in res.occupancy)
+    rec = InMemoryRecorder(every_k=1)
+    run_crossbar(CGUPolicy(), config, trace, metrics=rec)
+    assert any(row[2] > 0 for row in occupancy(rec))
 
 
 def test_max_extra_slots_zero_identical(small_config):

@@ -1,10 +1,11 @@
-"""Tests for delay statistics, occupancy tracing and sparklines."""
+"""Tests for delay statistics, occupancy reports and sparklines."""
 
 import pytest
 
 from repro.analysis.latency import delay_rows, occupancy_report, sparkline
 from repro.core.gm import GMPolicy
 from repro.core.pg import PGPolicy
+from repro.obs import InMemoryRecorder
 from repro.simulation.engine import run_cioq, run_crossbar
 from repro.core.cgu import CGUPolicy
 from repro.switch.config import SwitchConfig
@@ -64,42 +65,41 @@ class TestDelays:
 
 
 class TestOccupancy:
+    """The occupancy series is an every-slot recorder's: rows of
+    ``(slot, lane, voq, cross, out, ...)`` taken at the end of each
+    executed slot."""
+
     def test_cioq_occupancy_recorded(self):
         config = SwitchConfig.square(3, b_in=2, b_out=2)
         trace = BernoulliTraffic(3, 3, load=1.3).generate(12, seed=3)
-        res = run_cioq(GMPolicy(), config, trace, trace_occupancy=True)
-        assert res.occupancy
-        slots = [row[0] for row in res.occupancy]
-        assert slots == sorted(slots)
+        rec = InMemoryRecorder(every_k=1)
+        res = run_cioq(GMPolicy(), config, trace, metrics=rec)
+        series = rec.series
+        assert [row[0] for row in series] == list(range(len(series)))
+        assert len(series) == rec.counters["slots_total"] <= res.horizon
         # Crossbar column is zero for CIOQ runs.
-        assert all(row[2] == 0 for row in res.occupancy)
+        assert all(row[3] == 0 for row in series)
         # Final state is drained.
-        assert res.occupancy[-1][1] == 0 and res.occupancy[-1][3] == 0
+        assert series[-1][2] == 0 and series[-1][4] == 0
 
     def test_crossbar_occupancy_recorded(self):
         config = SwitchConfig.square(3, b_in=2, b_out=2, b_cross=1)
         trace = BernoulliTraffic(3, 3, load=1.3).generate(12, seed=3)
-        res = run_crossbar(CGUPolicy(), config, trace, trace_occupancy=True)
-        assert any(row[2] > 0 for row in res.occupancy)  # crosspoints used
-
-    def test_occupancy_off_by_default(self):
-        config = SwitchConfig.square(2, b_in=2, b_out=2)
-        trace = Trace([Packet(0, 1.0, 0, 0, 1)], 2, 2)
-        res = run_cioq(GMPolicy(), config, trace)
-        assert res.occupancy == []
+        rec = InMemoryRecorder(every_k=1)
+        run_crossbar(CGUPolicy(), config, trace, metrics=rec)
+        assert any(row[3] > 0 for row in rec.series)  # crosspoints used
 
     def test_occupancy_report_text(self):
         config = SwitchConfig.square(3, b_in=2, b_out=2)
         trace = BernoulliTraffic(3, 3, load=1.3).generate(12, seed=3)
-        res = run_cioq(GMPolicy(), config, trace, trace_occupancy=True)
-        text = occupancy_report(res)
+        rec = InMemoryRecorder(every_k=1)
+        run_cioq(GMPolicy(), config, trace, metrics=rec)
+        text = occupancy_report(rec.series)
+        assert text.startswith(f"occupancy over {len(rec.series)} slots")
         assert "VOQs" in text and "|" in text
 
-    def test_occupancy_report_without_trace(self):
-        config = SwitchConfig.square(2, b_in=2, b_out=2)
-        trace = Trace([Packet(0, 1.0, 0, 0, 1)], 2, 2)
-        res = run_cioq(GMPolicy(), config, trace)
-        assert "no occupancy trace" in occupancy_report(res)
+    def test_occupancy_report_without_series(self):
+        assert "no occupancy series" in occupancy_report([])
 
 
 class TestSparkline:

@@ -4,7 +4,7 @@ Pins the telemetry contract end to end:
 
 * recorder semantics — the :class:`~repro.obs.NullRecorder` is inert,
   the :class:`~repro.obs.InMemoryRecorder` accumulates deterministic
-  counters/gauges/histograms/series and quarantines wall-times outside
+  counters/gauges/series and quarantines wall-times outside
   :meth:`snapshot`;
 * kernel integration — per-slot samples and flushed counters agree
   exactly with the run's :class:`SimulationResult` accounting, on the
@@ -34,7 +34,6 @@ from repro.obs import (
     SNAPSHOT_VERSION,
     TIMINGS_FILENAME,
     InMemoryRecorder,
-    MetricsRecorder,
     NullRecorder,
     build_manifest,
     iter_jsonl,
@@ -42,7 +41,6 @@ from repro.obs import (
     prometheus_text,
     read_jsonl,
     read_manifest,
-    resolve,
     snapshot_events,
     snapshot_from_events,
     spec_hash,
@@ -86,50 +84,29 @@ class TestRecorders:
         assert null.timed is False
         null.counter("runs_total")
         null.gauge("sweep_points_total", 3)
-        null.observe("point_seconds", 1.5)
         null.slot_sample(0, 0, 1, 2, 3, 1, 4, 2, 0, 0)
         null.add_time("run_seconds", 0.1)
-        with null.timer("phase_arrival_seconds"):
-            pass
 
-    def test_protocol_conformance(self):
-        assert isinstance(NullRecorder(), MetricsRecorder)
-        assert isinstance(InMemoryRecorder(), MetricsRecorder)
-
-    def test_resolve(self):
-        rec = InMemoryRecorder()
-        assert resolve(None) is None
-        assert resolve(NULL_METRICS) is None
-        assert resolve(rec) is rec
-
-    def test_counters_gauges_histograms(self):
+    def test_counters_gauges(self):
         rec = InMemoryRecorder()
         rec.counter("runs_total")
         rec.counter("runs_total", 2)
         rec.gauge("sweep_points_total", 7)
-        rec.observe("point_seconds", 3.0)
-        rec.observe("point_seconds", 5.0)
         snap = rec.snapshot()
         assert snap["version"] == SNAPSHOT_VERSION
         assert snap["counters"]["runs_total"] == 3
         assert snap["gauges"]["sweep_points_total"] == 7
-        hist = snap["histograms"]["point_seconds"]
-        assert hist["count"] == 2
-        assert hist["sum"] == 8.0
-        assert hist["min"] == 3.0
-        assert hist["max"] == 5.0
+        assert set(snap) == {"version", "every_k", "counters", "gauges",
+                             "series"}
 
     def test_walltimes_quarantined(self):
         rec = InMemoryRecorder(timed=True)
-        with rec.timer("phase_arrival_seconds"):
-            pass
         rec.add_time("run_seconds", 0.25)
+        rec.add_time("run_seconds", 0.5)
         snap = rec.snapshot()
         assert "walltimes" not in snap
         assert "run_seconds" not in str(snap)
-        wt = rec.walltimes()
-        assert wt["run_seconds"] == pytest.approx(0.25)
-        assert wt["phase_arrival_seconds"] >= 0.0
+        assert rec.walltimes() == {"run_seconds": 0.75}
 
     def test_series_shape(self):
         rec = InMemoryRecorder(every_k=1)
@@ -158,8 +135,7 @@ class TestRecorders:
 
     def test_metric_catalog_shape(self):
         for name, (kind, help_text) in METRIC_CATALOG.items():
-            assert kind in {"counter", "gauge", "histogram", "series",
-                            "timer"}, name
+            assert kind in {"counter", "gauge", "series", "timer"}, name
             assert help_text
 
 
@@ -204,8 +180,7 @@ class TestKernelMetrics:
         trace = _trace(seed=5)
         base = run_cioq(GMPolicy(), CONFIG, trace)
         off = run_cioq(GMPolicy(), CONFIG, trace, metrics=NULL_METRICS)
-        assert base.benefit == off.benefit
-        assert base.occupancy == off.occupancy
+        assert base == off
 
     def test_streaming_matches_batch_snapshot(self):
         trace = _trace(seed=3)

@@ -547,12 +547,3 @@ class TestEngineStreamingEquality:
         batch = run_cioq(GMPolicy(), self.CONFIG, trace,
                          backend="reference", record=record)
         self._assert_equal(batch, stream, record)
-
-    def test_crossbar_streaming_rejects_fast_backend(self):
-        from repro.simulation.backends import BackendUnsupported
-
-        model = BernoulliTraffic(3, 3, load=1.0)
-        with pytest.raises(BackendUnsupported):
-            run_crossbar_streaming(CGUPolicy(), self.CONFIG,
-                                   model.arrival_source(), 5,
-                                   backend="fast")

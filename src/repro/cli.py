@@ -431,6 +431,9 @@ def cmd_scenarios_run(args) -> int:
         if args.seeds is not None:
             seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         spec = spec.with_overrides(slots=args.slots, seeds=seeds)
+        if args.slots is not None:
+            # More slots can take a load past its arrival bound.
+            spec.check_traffic()
     except ValueError as exc:
         raise SystemExit(f"bad override: {exc}") from None
 

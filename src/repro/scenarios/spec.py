@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 import tomllib
 from dataclasses import dataclass, field
@@ -234,6 +235,14 @@ TRAFFIC_KINDS: Dict[str, Callable[..., TrafficModel]] = {
     "replay": _build_replay,
     "adversarial": _build_adversarial,
 }
+
+#: Kinds whose ``load`` caps the arrivals per input and slot at
+#: ``ceil(load)``.
+LOAD_KINDS = ("bernoulli", "hotspot", "diagonal")
+
+#: The most arrivals a spec's trace may bound: the fast kernel numbers
+#: a batch's packets in int32.
+MAX_ARRIVALS = 2 ** 31 - 1
 
 #: Payload fields a spec may select as export metrics (OPT rows only
 #: carry ``benefit``).
@@ -526,12 +535,25 @@ class ScenarioSpec:
     def check_traffic(self) -> None:
         """Raise what :meth:`build_traffic` would, generating no trace:
         building a stochastic or replay model reads at most a trace
-        header, and the adversarial kind is checked without its build."""
-        if self.traffic != "adversarial":
-            self.build_traffic()
+        header, and the adversarial kind is checked without its build.
+
+        A :data:`LOAD_KINDS` load is also refused when its arrival bound
+        ``n_in * ceil(load) * slots`` exceeds :data:`MAX_ARRIVALS`:
+        drawing such a trace could exhaust memory before any point ran,
+        and the fast kernel could not number its packets."""
+        if self.traffic == "adversarial":
+            _adversarial_attack(self.build_config(),
+                                self.build_value_model(),
+                                self.traffic_params)
             return
-        _adversarial_attack(self.build_config(), self.build_value_model(),
-                            self.traffic_params)
+        traffic = self.build_traffic()
+        if self.traffic in LOAD_KINDS:
+            bound = traffic.n_in * math.ceil(traffic.load) * self.slots
+            if bound > MAX_ARRIVALS:
+                raise ValueError(
+                    f"load {traffic.load:g} bounds arrivals by n_in * "
+                    f"ceil(load) * slots = {bound}, more than "
+                    f"{MAX_ARRIVALS} (2**31 - 1)")
 
     def policy_factories(self) -> List[Tuple[str, Callable[[], object]]]:
         """(label, picklable zero-arg factory) per policy entry."""

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..switch.config import SwitchConfig
-from ..switch.packet import Packet
 
 
 @dataclass
@@ -134,15 +133,6 @@ class SimulationResult:
             f"!= {self.benefit!r} + {self.value_preempted!r} + "
             f"{self.value_residual!r}"
         )
-
-    def record_sent(self, slot: int, j: int, p: Packet, record: bool) -> None:
-        self.benefit += p.value
-        self.n_sent += 1
-        self.sent_per_output[j] = self.sent_per_output.get(j, 0) + 1
-        self.value_per_output[j] = self.value_per_output.get(j, 0.0) + p.value
-        if record:
-            self.sent_pids.append(p.pid)
-            self.transmit_log.append((slot, j, p.pid))
 
     def delays(self, trace) -> Dict[int, int]:
         """Per-packet delay (transmit slot - arrival slot) in slots.

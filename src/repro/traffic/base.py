@@ -27,6 +27,15 @@ from ``value_model`` in one bulk call, and ``generate`` extends the
 trace's arrays from the three.  Trace replay, whose values are part of
 the instance rather than sampled, yields its recording's columns from
 its own draw loop instead.
+
+``generate`` reaches the loop through :meth:`TrafficModel._columnar_trace`,
+which a model may override with a faster route to the same columns.
+Bernoulli traffic with unit or two-value values does:
+:func:`decode_bernoulli` reads the generator's raw 64-bit words and
+decodes them as numpy's ``Generator.random`` and ``Generator.integers``
+would, so the trace is bit-identical to the loop's without a numpy call
+per packet.  The loop stays the reference, and the only route for
+``arrival_source``, ``repro trace record`` and every other model.
 """
 
 from __future__ import annotations
@@ -106,6 +115,136 @@ def bernoulli_arrivals(
     is_dst[starts] = False
     return (np.repeat(np.asarray(inputs, dtype=np.int64), counts),
             cdf.searchsorted(stream[is_dst], side="right"))
+
+
+#: Raw words :func:`decode_bernoulli` draws per chunk of slots at most
+#: (512 KiB); a chunk holds as many slots as fit, and at least one.
+_WORD_BLOCK = 1 << 16
+
+
+def doubles_from_words(words: np.ndarray) -> np.ndarray:
+    """The doubles ``Generator.random`` makes of PCG64's raw 64-bit
+    words, one word each: the top 53 bits times ``2**-53``."""
+    return (words >> 11).astype(np.float64) * 2.0 ** -53
+
+
+def bounded_from_halves(
+    halves: np.ndarray, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """What ``Generator.integers(0, n)`` makes of 32-bit half words, for
+    ``1 < n <= 2**32``: each half's draw ``(half * n) >> 32`` (Lemire's
+    method), and whether numpy keeps it.  numpy draws again while the
+    product's low 32 bits fall below ``(2**32 - n) % n``."""
+    m = halves * np.uint64(n)
+    return m >> 32, (m & 0xFFFFFFFF) >= (2 ** 32 - n) % n
+
+
+def decode_bernoulli(
+    rng: np.random.Generator, n_in: int, n_out: int, load: float,
+    n_slots: int, value_model: ValueModel,
+) -> Optional[Tuple[array, array, array, array]]:
+    """The ``(arrival, src, dst, value)`` columns that
+    :class:`~repro.traffic.bernoulli.BernoulliTraffic`'s draw loop makes
+    over ``n_slots`` slots from ``rng``, a generator with no buffered
+    half word (a fresh one, say), decoded from its raw words; ``None``
+    when they cannot be.
+
+    Per slot the loop draws, input by input, a count double (``int(load)``
+    arrivals, plus one when it falls below the fraction) and one
+    ``integers(0, n_out)`` destination per arrival, then the slot's
+    values.  A double takes a whole word.  A destination takes a 32-bit
+    half: the low half of a fresh word, whose high half the next
+    destination takes, whatever doubles come between; ``n_out = 1``
+    takes none.  A value takes ``value_model.doubles_per_value`` doubles
+    (unit none, two-value one).  A walk over (slot, input) reads each
+    count draw, which fixes every word's use; numpy then gathers the
+    destinations and values.  Words are drawn a chunk of slots at a time,
+    so the buffer does not grow with ``n_slots``.
+
+    Returns ``None``, and the caller runs the draw loop on a fresh
+    generator, unless ``rng`` is a PCG64 one, ``value_model`` states
+    ``from_doubles`` and ``n_out <= 2**32`` (numpy draws wider ranges
+    from whole words); and also when a destination half would be
+    rejected and drawn again, which for ``n_out`` ports has odds below
+    ``n_out / 2**32`` a half.
+    """
+    if (value_model.from_doubles is None or n_out > 2 ** 32
+            or not isinstance(rng.bit_generator, np.random.PCG64)):
+        return None
+    whole = int(load)
+    frac = load - whole
+    d = value_model.doubles_per_value
+    h = 1 if n_out > 1 else 0  # halves per destination
+    most = whole + (frac > 0)
+    per_slot = n_in + (n_in * most * h + 1) // 2 + n_in * most * d
+    chunk = max(1, _WORD_BLOCK // per_slot)
+    arrival, src, dst, value = array("q"), array("q"), array("q"), array("d")
+    # w: the drawn words; p: the next unread one; odd: 1 while the high
+    # half of word w[held] waits for the next destination.
+    w = np.empty(0, dtype=np.uint64)
+    p = odd = held = 0
+    for t0 in range(0, n_slots, chunk):
+        slots = min(chunk, n_slots - t0)
+        keep = held if odd else p
+        w = np.concatenate((w[keep:], rng.bit_generator.random_raw(
+            max(0, slots * per_slot - (len(w) - p)))))
+        p -= keep
+        held -= keep
+        hits = doubles_from_words(w) < frac
+        hit = hits.tolist()
+        odd0 = odd
+        count_at: List[int] = []  # each (slot, input)'s count word
+        values_at: List[int] = []  # each slot's first value word
+        for _ in range(slots):
+            k = 0
+            for _ in range(n_in):
+                c = whole + hit[p]
+                count_at.append(p)
+                p += 1 + ((c * h - odd + 1) >> 1)
+                odd = (odd + c * h) & 1
+                k += c
+            values_at.append(p)
+            p += k * d
+        count_word = np.asarray(count_at)
+        counts = hits[count_word] + whole
+        n = int(counts.sum())
+        if not n:
+            continue
+        cell = np.repeat(np.arange(slots * n_in), counts)
+        start = np.cumsum(counts) - counts  # each cell's first packet
+        first = start[cell]
+        m = np.arange(n)
+        slot = cell // n_in
+        arrival.frombytes((slot + t0).tobytes())
+        src.frombytes((cell % n_in).tobytes())
+        if h:
+            # Destination m is the chunk's (odd0 + m)-th half draw, and an
+            # odd draw takes the high half of the even one's word.  A
+            # cell's even draws take the fresh words after its count
+            # word; an odd first draw takes the word the destination
+            # before it (or the chunk before) left.
+            hi = (odd0 + m) & 1
+            word = (count_word[cell] + 1 + ((odd0 + m) >> 1)
+                    - ((odd0 + first + 1) >> 1))
+            carried = (hi == 1) & (m == first)
+            word = np.where(carried, np.concatenate(([held], word[:-1])),
+                            word)
+            x = w[word]
+            drawn, kept = bounded_from_halves(
+                np.where(hi == 1, x >> 32, x & 0xFFFFFFFF), n_out)
+            if not kept.all():
+                return None
+            dst.frombytes(drawn.astype(np.int64).tobytes())
+            if odd:
+                held = int(word[-1])
+        else:
+            dst.frombytes(bytes(8 * n))
+        # A slot's value doubles follow its last destination, in order.
+        u = (doubles_from_words(
+            w[np.asarray(values_at)[slot] + m - start[slot * n_in]])
+             if d else None)
+        value.frombytes(value_model.from_doubles(n, u).tobytes())
+    return arrival, src, dst, value
 
 
 def normalized_dst_weights(n_out: int, weights) -> np.ndarray:

@@ -11,11 +11,13 @@ explicitly allows "arbitrarily many packets" per slot.
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .base import TrafficModel, bernoulli_count
+from .base import TrafficModel, bernoulli_count, decode_bernoulli
+from .trace import Trace
 from .values import ValueModel, check_param
 
 
@@ -54,3 +56,17 @@ class BernoulliTraffic(TrafficModel):
                 srcs.append(i)
                 dsts.append(int(rng.integers(0, self.n_out)))
         return srcs, dsts
+
+    def _columnar_trace(self, n_slots: int, seed: int, name: str) -> Trace:
+        """The draw loop's trace, decoded from the generator's raw words
+        where :func:`~repro.traffic.base.decode_bernoulli` can; the
+        draw loop's own otherwise."""
+        columns = decode_bernoulli(np.random.default_rng(seed), self.n_in,
+                                   self.n_out, self.load, n_slots,
+                                   self.value_model)
+        if columns is None:
+            return super()._columnar_trace(n_slots, seed, name)
+        arrival, src, dst, value = columns
+        return Trace.from_columns(
+            array("q", range(len(value))), value, arrival, src, dst,
+            self.n_in, self.n_out, name=name, n_slots=n_slots)

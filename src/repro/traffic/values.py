@@ -20,12 +20,18 @@ rely on this to draw a whole slot's values at once (see
 ``docs/traffic_models.md``).  The discrete models hand out one float
 object per distinct value, so a trace of unit or class values holds no
 float object per packet.
+
+Unit and two-value models also state, next to their sampler, how their
+values follow from the doubles ``rng.random`` returns: unit values take
+no draw, and a two-value value is ``alpha if u < p_high else 1.0``.
+Bernoulli traffic decodes its traces from the generator's raw words
+with that rule (:func:`repro.traffic.base.decode_bernoulli`).
 """
 
 from __future__ import annotations
 
 from math import inf
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -56,14 +62,25 @@ def check_param(name: str, x: float, low: float, strict: bool = False,
 
 
 class ValueModel:
-    """A named distribution over packet values."""
+    """A named distribution over packet values.
+
+    ``from_doubles``, when set, states how ``sample`` turns doubles into
+    values, for a sampler that draws ``doubles_per_value`` (0 or 1)
+    doubles per value and nothing else: ``from_doubles(k, u)`` returns,
+    as a float64 array, the ``k`` values ``sample(rng, k)`` returns when
+    ``rng.random(k * doubles_per_value)`` would return ``u``.
+    """
 
     def __init__(
         self, name: str,
         sample: Callable[[np.random.Generator, int], List[float]],
+        from_doubles: Optional[Callable[[int, np.ndarray], np.ndarray]] = None,
+        doubles_per_value: int = 1,
     ):
         self.name = name
         self._sample = sample
+        self.from_doubles = from_doubles
+        self.doubles_per_value = doubles_per_value
 
     def sample(self, rng: np.random.Generator, k: int) -> List[float]:
         """``k`` values as a list of floats, in draw order.
@@ -87,7 +104,9 @@ class ValueModel:
 
 def unit_values() -> ValueModel:
     """Every packet has value 1 (the unit-value case)."""
-    return ValueModel("unit", lambda rng, k: [1.0] * k)
+    return ValueModel("unit", lambda rng, k: [1.0] * k,
+                      from_doubles=lambda k, u: np.ones(k),
+                      doubles_per_value=0)
 
 
 def uniform_values(lo: float = 1.0, hi: float = 100.0) -> ValueModel:
@@ -110,6 +129,7 @@ def two_value(alpha: float = 10.0, p_high: float = 0.2) -> ValueModel:
         f"two-value(alpha={alpha:g},p={p_high:g})",
         lambda rng, k: [high if h else 1.0
                         for h in (rng.random(k) < p_high).tolist()],
+        from_doubles=lambda k, u: np.where(u < p_high, high, 1.0),
     )
 
 

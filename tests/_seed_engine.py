@@ -38,9 +38,24 @@ from repro.switch.config import SwitchConfig
 from repro.switch.crossbar import CrossbarSwitch
 from repro.switch.packet import Packet
 from repro.traffic.trace import Trace
-from repro.simulation.results import SimulationResult, TransferEvent
+from repro.simulation import results
+from repro.simulation.results import TransferEvent
 
 ArrivalSpec = Tuple[int, int, float]
+
+
+class SimulationResult(results.SimulationResult):
+    """The package's result plus the per-packet send accounting the
+    loops below call; the package's kernels account sends in bulk."""
+
+    def record_sent(self, slot: int, j: int, p: Packet, record: bool) -> None:
+        self.benefit += p.value
+        self.n_sent += 1
+        self.sent_per_output[j] = self.sent_per_output.get(j, 0) + 1
+        self.value_per_output[j] = self.value_per_output.get(j, 0.0) + p.value
+        if record:
+            self.sent_pids.append(p.pid)
+            self.transmit_log.append((slot, j, p.pid))
 
 
 def drain_bound(config: SwitchConfig) -> int:

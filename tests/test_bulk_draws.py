@@ -10,18 +10,32 @@ fills a ``size=k`` array from the same stream that ``k`` scalar calls
 consume.  These tests pin that, value for value and down to the bit
 generator's state (PCG64's buffered 32-bit half word included), so a
 numpy release that breaks it fails here and not only in a trace digest.
+
+Bernoulli traffic with unit or two-value values goes further and
+decodes its traces from PCG64's raw words
+(:func:`~repro.traffic.base.decode_bernoulli`).  The last tests pin the
+decoding of doubles and bounded draws to numpy, and the decoded traces
+to the per-slot draw loop.
 """
+
+import random
 
 import numpy as np
 import pytest
 
+from _strategies import property_seeds
 from repro.scenarios.spec import VALUE_KINDS
+from repro.traffic import base
 from repro.traffic.base import (
+    TrafficModel,
     bernoulli_arrivals,
     bernoulli_count,
+    bounded_from_halves,
     destination_cdf,
+    doubles_from_words,
     normalized_dst_weights,
 )
+from repro.traffic.bernoulli import BernoulliTraffic
 from repro.traffic.values import geometric_class_values, two_value, unit_values
 
 SIZES = (1, 2, 7, 100)
@@ -122,3 +136,151 @@ def test_bernoulli_arrivals_equal_scalar_loop(rates, seed, buffered_half):
     # Both generators go on to draw the same stream.
     assert block_rng.integers(0, 1 << 20, 4).tolist() == \
         scalar_rng.integers(0, 1 << 20, 4).tolist()
+
+
+# --------------------------------------------------------------------------
+# Raw-word decoding (decode_bernoulli)
+# --------------------------------------------------------------------------
+
+def test_default_rng_is_pcg64():
+    """The decoder reads PCG64's words; default_rng must still make one."""
+    assert type(np.random.default_rng(3).bit_generator) is np.random.PCG64
+
+
+@pytest.mark.parametrize("k", SIZES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_doubles_from_words_equal_random(k, seed):
+    words = np.random.default_rng(seed).bit_generator.random_raw(k)
+    assert (doubles_from_words(words).tolist()
+            == np.random.default_rng(seed).random(k).tolist())
+
+
+def _halves(words):
+    """A word's low half, then its high half, word after word: the order
+    in which consecutive bounded draws take them."""
+    return np.stack((words & 0xFFFFFFFF, words >> 32), axis=1).ravel()
+
+
+# 3 * 2**30 and 2**31 + 1 reject a quarter and about half of all halves.
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 64, 3 * 2**30, 2**31 + 1,
+                               2**32])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bounded_from_halves_equal_integers(n, seed):
+    words = np.random.default_rng(seed).bit_generator.random_raw(2000)
+    drawn, kept = bounded_from_halves(_halves(words), n)
+    scalar_rng = np.random.default_rng(seed)
+    expected = [int(scalar_rng.integers(0, n)) for _ in range(2000)]
+    assert drawn[kept][:2000].tolist() == expected
+    # The draws stopped on the half the decode says: after the 2000th
+    # kept half, a low half leaves its word's high half buffered.
+    used = int(np.flatnonzero(kept)[1999]) + 1
+    state = scalar_rng.bit_generator.state
+    assert state["has_uint32"] == used % 2
+    if used % 2:
+        assert state["uinteger"] == int(words[used // 2] >> 32)
+
+
+def test_bounded_draw_of_one_value_draws_nothing():
+    """``integers(0, 1)`` takes no word and no half, so the decoder
+    gives ``n_out = 1`` destinations no draw."""
+    rng = np.random.default_rng(4)
+    rng.integers(0, 5)  # leave a half buffered
+    before = rng.bit_generator.state
+    assert [int(rng.integers(0, 1)) for _ in range(5)] == [0] * 5
+    assert rng.bit_generator.state == before
+
+
+def test_doubles_leave_the_buffered_half():
+    """A bounded draw after doubles takes the high half of the word the
+    previous bounded draw opened, not a fresh word."""
+    n = 7
+    words = np.random.default_rng(9).bit_generator.random_raw(4)
+    rng = np.random.default_rng(9)
+    first = int(rng.integers(0, n))
+    u = rng.random(2).tolist()
+    second = int(rng.integers(0, n))
+    (d0, d1), kept = bounded_from_halves(
+        np.array([words[0] & 0xFFFFFFFF, words[0] >> 32]), n)
+    assert kept.all() and (first, second) == (d0, d1)
+    assert u == doubles_from_words(words[1:3]).tolist()
+
+
+@pytest.mark.parametrize("kind", sorted(VALUE_KINDS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_from_doubles_equals_sample(kind, seed):
+    """Unit and two-value models state how their values follow from
+    doubles; the rule returns what ``sample`` returns and ``sample``
+    draws just those doubles.  No other kind states one."""
+    model = VALUE_KINDS[kind]()
+    assert (model.from_doubles is not None) == (kind in ("unit", "two-value"))
+    if model.from_doubles is not None:
+        decode_rng = np.random.default_rng(seed)
+        sample_rng = np.random.default_rng(seed)
+        u = decode_rng.random(100 * model.doubles_per_value)
+        assert (model.from_doubles(100, u).tolist()
+                == model.sample(sample_rng, 100))
+        assert decode_rng.bit_generator.state == sample_rng.bit_generator.state
+
+
+def _assert_decoded_equals_loop(model, n_slots, seed):
+    decoded = model.generate(n_slots, seed=seed)
+    looped = TrafficModel._columnar_trace(model, n_slots, seed, decoded.name)
+    assert decoded.columns() == looped.columns()
+    assert (decoded.name, decoded.n_slots) == (looped.name, looped.n_slots)
+    assert (decoded.n_in, decoded.n_out) == (looped.n_in, looped.n_out)
+
+
+LOADS = (0, 0.3, 0.8, 1, 1.3, 2, 2.7, 5.5)
+
+
+@pytest.mark.parametrize("seed", property_seeds())
+def test_decoded_trace_equals_slot_loop(seed, monkeypatch):
+    """Bernoulli traces decoded from raw words equal the per-slot draw
+    loop's, column for column, over a seeded matrix of shapes, loads,
+    unit and two-value values and slot counts.  Each case also draws
+    the word block, so chunks of one slot up to the default size (and
+    the buffered half carried across them) are covered."""
+    rng = random.Random(seed)
+    blocks = (1, 37, base._WORD_BLOCK)
+    for case in range(200):
+        monkeypatch.setattr(base, "_WORD_BLOCK", rng.choice(blocks))
+        values = (two_value(alpha=rng.uniform(1.0, 50.0),
+                            p_high=rng.random())
+                  if rng.random() < 0.5 else unit_values())
+        model = BernoulliTraffic(rng.randint(1, 9), rng.randint(1, 9),
+                                 load=rng.choice(LOADS), value_model=values)
+        _assert_decoded_equals_loop(model, rng.randint(0, 150),
+                                    rng.randint(0, 10**6))
+
+
+@pytest.mark.parametrize("n_out", [3 * 2**30, 2**31 + 1, 2**32, 2**32 + 1])
+def test_decoded_trace_with_rejected_halves_equals_slot_loop(n_out):
+    """Where a destination half would be drawn again, and past 32-bit
+    ranges, the trace comes from the draw loop, so it still matches."""
+    _assert_decoded_equals_loop(
+        BernoulliTraffic(3, n_out, load=1.3, value_model=two_value()), 30, 5)
+
+
+class _CountingPCG64(np.random.PCG64):
+    """PCG64 that records the size of every ``random_raw`` request."""
+
+    def random_raw(self, size=None, output=True):
+        self.requests.append(size)
+        return super().random_raw(size, output)
+
+
+def test_decoded_trace_draws_words_in_bounded_blocks():
+    """A long trace's words come a block at a time: no request grows
+    with the slot count, and together they cover every word read."""
+    bit_generator = _CountingPCG64(2)
+    bit_generator.requests = []
+    n_slots = 100_000
+    columns = base.decode_bernoulli(np.random.Generator(bit_generator), 2, 3,
+                                    0.3, n_slots, unit_values())
+    pid, value, arrival, src, dst = TrafficModel._columnar_trace(
+        BernoulliTraffic(2, 3, load=0.3), n_slots, 2, "x").columns()
+    assert columns == (arrival, src, dst, value)
+    requests = bit_generator.requests
+    assert len(requests) > 1 and max(requests) <= base._WORD_BLOCK
+    # Two count words a slot, and a word per two destinations.
+    assert sum(requests) >= 2 * n_slots + len(pid) // 2

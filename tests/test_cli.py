@@ -522,6 +522,60 @@ class TestBadInputIsOneLine:
         assert "max_burst must be at most" in message
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("verb", [["run", "--no-artifacts"], ["show"]])
+    @pytest.mark.parametrize("traffic", ["bernoulli", "hotspot", "diagonal"])
+    def test_spec_file_load_past_arrival_bound_refused(
+            self, verb, traffic, capsys, tmp_path, monkeypatch):
+        """A load whose arrival bound ``n_in * ceil(load) * slots``
+        exceeds 2**31 - 1 is one ``bad spec`` line naming the bound under
+        both verbs, before any draw.  The draw loop used to append a
+        2x2 ``load = 1e18`` spec's arrivals until memory ran out."""
+        from repro.traffic.base import TrafficModel
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a trace was drawn before the refusal")
+
+        monkeypatch.setattr(TrafficModel, "generate", no_draws)
+        path = self._spec_file(tmp_path, traffic, {"load": 1e18}, "unit", {})
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", verb[0], "--file", str(path), *verb[1:]])
+        message = exc.value.code
+        assert isinstance(message, str) and len(message.splitlines()) == 1
+        assert message.startswith(f"bad spec: {path}: load 1e+18 ")
+        # 2 inputs x 10**18 x 20 slots.
+        assert ("n_in * ceil(load) * slots = 40000000000000000000, more "
+                "than 2147483647") in message
+        assert capsys.readouterr().out == ""
+
+    def test_spec_file_load_at_arrival_bound_passes(self, tmp_path, capsys):
+        """The bound is inclusive: 2 inputs x 53,687,091 x 20 slots is
+        2,147,483,640 arrivals at most, which ``show`` accepts; one more
+        per input and slot passes 2**31 - 1."""
+        path = self._spec_file(tmp_path, "bernoulli", {"load": 53687091},
+                               "unit", {})
+        assert main(["scenarios", "show", "--file", str(path)]) == 0
+        path = self._spec_file(tmp_path, "bernoulli", {"load": 53687091.5},
+                               "unit", {})
+        with pytest.raises(SystemExit, match="= 2147483680, more than"):
+            main(["scenarios", "show", "--file", str(path)])
+
+    def test_slots_override_past_arrival_bound_refused(self, monkeypatch):
+        """``--slots`` can take a builtin load past the bound too; the
+        run refuses it with one ``bad override`` line before any draw."""
+        from repro.traffic.base import TrafficModel
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a trace was drawn before the refusal")
+
+        monkeypatch.setattr(TrafficModel, "generate", no_draws)
+        with pytest.raises(SystemExit) as exc:
+            main(["scenarios", "run", "smoke-bernoulli", "--slots",
+                  str(10**9), "--no-artifacts"])
+        message = exc.value.code
+        assert isinstance(message, str) and len(message.splitlines()) == 1
+        assert message.startswith("bad override: load ")
+        assert "more than 2147483647" in message
+
     @pytest.mark.parametrize("extra", [[], ["--replicates", "2"]],
                              ids=["plain", "replicated"])
     @pytest.mark.parametrize("values, value_params, name", [

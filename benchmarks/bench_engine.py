@@ -2,26 +2,28 @@
 
 Not a paper experiment — substrate performance numbers for users sizing
 their own sweeps: slots/second of the full phase-faithful engine and
-the vectorized ``fast`` backend's speedup over it across a port-count
-sweep and a crossover block of small switches and seed-ladder widths
-(where ``backend="auto"``'s ``lanes x ports`` rule is calibrated), plus
-the exact-OPT solve time on a typical ratio-experiment instance.
+the vectorized fast kernel's speedup over the reference kernel across a
+port-count sweep and a crossover block of small switches and
+seed-ladder widths (where the engine's ``lanes x ports`` rule is
+calibrated), plus the exact-OPT solve time on a typical
+ratio-experiment instance.
 
 Runs two ways:
 
 * ``pytest benchmarks/bench_engine.py --benchmark-only`` — full
   pytest-benchmark statistics on the single-run reference workloads;
-* ``python benchmarks/bench_engine.py [--quick]`` — the backend
+* ``python benchmarks/bench_engine.py [--quick]`` — the kernel
   comparison sweep.  Each grid row batches a seed ladder of traces and
-  times the reference kernel (serial loop) against the ``fast`` backend
-  (one lockstep batch), then writes ``BENCH_engine.json`` at the repo
+  times the reference kernel (serial loop) against the fast kernel
+  (one lockstep batch), each called directly so the engine's rule
+  cannot pick for it, then writes ``BENCH_engine.json`` at the repo
   root: sorted keys, no timestamps, trailing newline, so regeneration
   on the same machine produces minimal diffs.  ``--quick`` runs one
   timed rep per cell instead of three (CI smoke mode) — same grid,
   same schema.
 
 The committed ``BENCH_engine.json`` is validated (schema, speedup floor,
-and ``auto``'s crossover against the crossover rows) by
+and the engine's crossover against the crossover rows) by
 ``tests/test_package.py``; refresh it with
 ``PYTHONPATH=src python benchmarks/bench_engine.py``.
 """
@@ -33,12 +35,8 @@ from repro.core.cpg import CPGPolicy
 from repro.core.gm import GMPolicy
 from repro.core.pg import PGPolicy
 from repro.offline.opt import cioq_opt
-from repro.simulation.engine import (
-    run_cioq,
-    run_cioq_batch,
-    run_crossbar,
-    run_crossbar_batch,
-)
+from repro.simulation import engine
+from repro.simulation.engine import run_cioq, run_crossbar
 from repro.switch.config import SwitchConfig
 from repro.traffic.bernoulli import BernoulliTraffic
 from repro.traffic.values import uniform_values
@@ -77,7 +75,7 @@ def test_exact_opt_solve(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# Standalone backend-comparison sweep
+# Standalone kernel-comparison sweep
 # ---------------------------------------------------------------------------
 
 #: (n_ports, seed-ladder width, arrival slots) — the ladder shrinks and
@@ -115,23 +113,21 @@ def _bench_row(n, batch, slots, label, model, factory, reps):
     config = SwitchConfig.square(n, speedup=2, b_in=4, b_out=4, b_cross=1)
     tm = BernoulliTraffic(n, n, load=1.2, value_model=uniform_values(1, 9))
     traces = [tm.generate(slots, seed=s) for s in range(batch)]
-    if model == "cioq":
-        serial, batched = run_cioq, run_cioq_batch
-    else:
-        serial, batched = run_crossbar, run_crossbar_batch
+    from repro.simulation.fastpath import run_batch
 
     def ref_leg():
-        return [serial(factory(), config, tr) for tr in traces]
+        return [engine._run_reference(model, factory(), config, tr)
+                for tr in traces]
 
     def fast_leg():
-        return batched(factory, config, traces, backend="fast")
+        return run_batch(model, factory(), config, traces)
 
     ref_res = ref_leg()       # warm-up + correctness anchor
     fast_res = fast_leg()
     for a, b in zip(ref_res, fast_res):
         if a.benefit != b.benefit:  # cheap differential guard
             raise AssertionError(
-                f"backend divergence in bench ({label}, n={n}): "
+                f"kernel divergence in bench ({label}, n={n}): "
                 f"{a.benefit} != {b.benefit}"
             )
     t_ref = min(_timed(ref_leg, time.perf_counter) for _ in range(reps))
@@ -194,7 +190,7 @@ def main(argv=None):
     cells += [(n, batch, CROSSOVER_SLOTS, CROSSOVER_POLICIES)
               for n in CROSSOVER_PORTS for batch in CROSSOVER_LANES]
     rows = []
-    print(f"backend sweep ({reps} timed rep(s) per cell):")
+    print(f"kernel sweep ({reps} timed rep(s) per cell):")
     for n, batch, slots, policies in cells:
         for label, model, factory in policies:
             row = _bench_row(n, batch, slots, label, model, factory, reps)

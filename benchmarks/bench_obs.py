@@ -11,7 +11,12 @@ Pins the ``repro.obs`` design contract (docs/observability.md):
   :data:`ON_BUDGET_PCT` percent;
 * **payloads are untouched** — all three modes must produce
   exact-equal results on every observable payload field (the same
-  bit-identity contract the backend matrix enforces).
+  bit-identity contract the kernel-equivalence matrix enforces).
+
+Each row pins one kernel by calling it directly — the reference kernel
+through the engine's ``_run_reference``, the fast kernel through
+``repro.simulation.fastpath.run_batch`` — so the engine's rule cannot
+pick for it; the snapshot's ``backend`` column names that kernel.
 
 Runs two ways:
 
@@ -33,13 +38,9 @@ import time
 from repro.core.cgu import CGUPolicy
 from repro.core.gm import GMPolicy
 from repro.obs import NULL_METRICS, InMemoryRecorder
+from repro.simulation import engine
 from repro.simulation.backends import numpy_available
-from repro.simulation.engine import (
-    run_cioq,
-    run_cioq_batch,
-    run_crossbar,
-    run_crossbar_batch,
-)
+from repro.simulation.engine import run_cioq
 from repro.switch.config import SwitchConfig
 from repro.traffic.bernoulli import BernoulliTraffic
 from repro.traffic.values import uniform_values
@@ -51,7 +52,7 @@ ON_BUDGET_PCT = 25.0
 
 CONFIG8 = SwitchConfig.square(8, speedup=2, b_in=4, b_out=4, b_cross=1)
 
-#: Observable payload fields (mirrors the backend-equivalence matrix).
+#: Observable payload fields (mirrors the kernel-equivalence matrix).
 PAYLOAD_FIELDS = [
     "policy_name",
     "n_arrival_slots",
@@ -76,7 +77,7 @@ PAYLOAD_FIELDS = [
     "value_per_output",
 ]
 
-#: (label, model, policy factory, backend) benchmark rows; fast rows
+#: (label, model, policy factory, kernel) benchmark rows; fast rows
 #: exercise the vectorized snapshot reads in the batched kernel.
 WORKLOADS = [
     ("gm", "cioq", GMPolicy, "reference"),
@@ -91,22 +92,22 @@ def _traces(n=8, batch=8, slots=250):
     return [tm.generate(slots, seed=s) for s in range(batch)]
 
 
-def _make_leg(model, factory, backend, config, traces, metrics_factory):
-    """A zero-argument runnable executing the whole trace batch with a
-    fresh recorder (``metrics_factory() -> recorder or None``)."""
-    if backend == "fast":
-        batched = run_cioq_batch if model == "cioq" else run_crossbar_batch
+def _make_leg(model, factory, kernel, config, traces, metrics_factory):
+    """A zero-argument runnable executing the whole trace batch on
+    ``kernel`` with a fresh recorder (``metrics_factory() -> recorder
+    or None``)."""
+    if kernel == "fast":
+        from repro.simulation.fastpath import run_batch
 
         def leg():
-            return batched(factory, config, traces, backend="fast",
-                           metrics=metrics_factory())
+            return run_batch(model, factory(), config, traces,
+                             metrics=metrics_factory())
     else:
-        serial = run_cioq if model == "cioq" else run_crossbar
-
         def leg():
             m = metrics_factory()
-            return [serial(factory(), config, tr, metrics=m)
-                    for tr in traces]
+            return [engine._run_reference(model, factory(), config, tr,
+                                          metrics=m, metrics_lane=lane)
+                    for lane, tr in enumerate(traces)]
     return leg
 
 
@@ -124,15 +125,15 @@ def _timed(fn):
     return time.perf_counter() - t0
 
 
-def _bench_row(label, model, factory, backend, reps):
+def _bench_row(label, model, factory, kernel, reps):
     traces = _traces()
     config = CONFIG8
     legs = {
-        "base": _make_leg(model, factory, backend, config, traces,
+        "base": _make_leg(model, factory, kernel, config, traces,
                           lambda: None),
-        "off": _make_leg(model, factory, backend, config, traces,
+        "off": _make_leg(model, factory, kernel, config, traces,
                          lambda: NULL_METRICS),
-        "on": _make_leg(model, factory, backend, config, traces,
+        "on": _make_leg(model, factory, kernel, config, traces,
                         lambda: InMemoryRecorder(every_k=1)),
     }
     # Correctness anchor first (also warms every leg): all three modes
@@ -144,7 +145,7 @@ def _bench_row(label, model, factory, backend, reps):
         if not same:
             raise AssertionError(
                 f"metrics={mode} changed payload field {field!r} "
-                f"({label}/{backend})"
+                f"({label}/{kernel})"
             )
         identical = identical and same
     # Each round times all three modes back to back (base, off, on) so
@@ -174,7 +175,7 @@ def _bench_row(label, model, factory, backend, reps):
     return {
         "policy": label,
         "model": model,
-        "backend": backend,
+        "backend": kernel,
         "n_ports": config.n_in,
         "batch": len(traces),
         "arrival_slots": traces[0].n_slots,
@@ -260,23 +261,23 @@ def main(argv=None):
     rows = []
     violations = []
     print(f"observability overhead ({reps} timed rep(s) per leg):")
-    for label, model, factory, backend in WORKLOADS:
-        if backend == "fast" and not numpy_available():
-            print(f"  {label:>3} {model:<8} {backend:<9} skipped (no numpy)")
+    for label, model, factory, kernel in WORKLOADS:
+        if kernel == "fast" and not numpy_available():
+            print(f"  {label:>3} {model:<8} {kernel:<9} skipped (no numpy)")
             continue
-        row = _bench_row(label, model, factory, backend, reps)
+        row = _bench_row(label, model, factory, kernel, reps)
         rows.append(row)
-        print(f"  {label:>3} {model:<8} {backend:<9} "
+        print(f"  {label:>3} {model:<8} {kernel:<9} "
               f"base {row['base_slots_per_sec']:>10.1f} sl/s  "
               f"off {row['off_overhead_pct']:>+6.2f}%  "
               f"on {row['on_overhead_pct']:>+6.2f}%")
         if row["off_overhead_pct"] > OFF_BUDGET_PCT:
             violations.append(
-                f"{label}/{backend}: off overhead "
+                f"{label}/{kernel}: off overhead "
                 f"{row['off_overhead_pct']}% > {OFF_BUDGET_PCT}%")
         if row["on_overhead_pct"] > ON_BUDGET_PCT:
             violations.append(
-                f"{label}/{backend}: on overhead "
+                f"{label}/{kernel}: on overhead "
                 f"{row['on_overhead_pct']}% > {ON_BUDGET_PCT}%")
 
     if args.check:

@@ -39,10 +39,10 @@ from importlib import import_module
 from ._version import PAPER, __version__
 
 # Public names resolve lazily (PEP 562): ``import repro`` stays cheap
-# and — crucially — numpy-free, so the reference simulation backend
+# and — crucially — numpy-free, so the reference simulation kernel
 # imports and runs on a bare Python install (see docs/backends.md).
 # Subsystems that genuinely need numpy (traffic generators, the exact
-# offline optimum, the fast backend) only import it when first touched.
+# offline optimum, the fast kernel) only import it when first touched.
 _EXPORTS = {
     # core algorithms
     "BETA_STAR": ".core",

@@ -77,7 +77,6 @@ from .analysis.ratio import measure_cioq_ratio, measure_crossbar_ratio
 from .analysis.report import format_table
 from .core.params import GM_RATIO, cpg_optimal_ratio
 from .scenarios import POLICY_CLASSES, RESULTS_DIR, ScenarioSpec
-from .simulation.backends import BackendError
 from .simulation.engine import run_cioq, run_crossbar
 from .switch.cioq import CIOQSwitch
 from .switch.config import SwitchConfig
@@ -301,7 +300,7 @@ def cmd_sweep(args) -> int:
     metrics_every = _resolve_metrics_every(args)
     ex = SweepExecutor(
         workers=args.workers, cache_dir=args.cache_dir,
-        backend=args.backend, metrics_every=metrics_every,
+        metrics_every=metrics_every,
         progress=_stderr_progress if metrics_every is not None else None,
     )
     runs = run_scenarios(specs, ex)
@@ -444,7 +443,7 @@ def cmd_scenarios_run(args) -> int:
     metrics_every = _resolve_metrics_every(args)
     ex = SweepExecutor(
         workers=args.workers, cache_dir=args.cache_dir,
-        backend=args.backend, metrics_every=metrics_every,
+        metrics_every=metrics_every,
         progress=_stderr_progress if metrics_every is not None else None,
     )
 
@@ -651,8 +650,7 @@ def cmd_trace_replay(args) -> int:
         if args.materialized:
             trace = Trace.load(args.path)
             runner = run_cioq if args.model == "cioq" else run_crossbar
-            result = runner(policy, config, trace, backend="reference",
-                            metrics=rec)
+            result = runner(policy, config, trace, metrics=rec)
         else:
             replay = TraceReplayTraffic(args.path)
             runner = (run_cioq_streaming if args.model == "cioq"
@@ -778,7 +776,6 @@ def cmd_serve(args) -> int:
             out_dir=args.out,
             cache_dir=args.cache_dir,
             workers=args.workers,
-            backend=args.backend,
             max_jobs=args.max_jobs,
             idle_timeout=args.idle_timeout,
             metrics=recorder,
@@ -849,16 +846,6 @@ def cmd_constants(args) -> int:
     print(format_table(rows, title="paper constants (Theorems 2 and 4)"))
     ok = report["pg_consistent"] and report["cpg_consistent"]
     return 0 if ok else 1
-
-
-def _add_backend(p: argparse.ArgumentParser) -> None:
-    from .simulation.backends import BACKENDS
-
-    p.add_argument("--backend", choices=BACKENDS, default="auto",
-                   help="slot-loop backend: reference (pure Python), "
-                        "fast (vectorized numpy, bit-identical), or auto "
-                        "(the default: fast where the batch is large "
-                        "enough and supported; see docs/backends.md)")
 
 
 def _add_metrics(p: argparse.ArgumentParser) -> None:
@@ -997,7 +984,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="on-disk result cache directory")
     p_sweep.add_argument("--opt", action="store_true",
                          help="include the exact-OPT column")
-    _add_backend(p_sweep)
     _add_metrics(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -1050,7 +1036,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "for the target metric is at most this")
     s_run.add_argument("--batch", type=int, default=None,
                        help="seeds per early-stopping batch")
-    _add_backend(s_run)
+    s_run.add_argument("--backend", choices=["auto"], default="auto",
+                       help="accepted for compatibility and ignored: the "
+                            "engine picks the kernel (docs/backends.md)")
     _add_opt_mode(s_run)
     _add_metrics(s_run)
     s_run.set_defaults(func=cmd_scenarios_run)
@@ -1220,7 +1208,6 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="idle_timeout", metavar="SECONDS",
                          help="exit after the queue stays empty this "
                               "long (default: wait forever)")
-    _add_backend(p_serve)
     _add_metrics(p_serve)
     p_serve.set_defaults(func=cmd_serve)
 
@@ -1251,11 +1238,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except BackendError as exc:
-        # e.g. --backend fast with a policy outside the fast kernel
-        raise SystemExit(f"backend: {exc}") from None
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,7 +29,6 @@ from typing import Callable, Dict, List, Optional
 
 from ..offline.opt import check_opt_mode
 from ..parallel import SweepExecutor, SweepKilled
-from ..simulation.backends import DEFAULT_BACKEND
 from .jobs import JobQueue
 from .pool import PersistentPool
 
@@ -111,7 +110,6 @@ def serve(
     out_dir: str = "results",
     cache_dir: Optional[str] = None,
     workers: int = 0,
-    backend: str = DEFAULT_BACKEND,
     max_jobs: Optional[int] = None,
     idle_timeout: Optional[float] = None,
     poll: float = 0.2,
@@ -138,7 +136,7 @@ def serve(
                  f"{', '.join(requeued)}")
     pool = PersistentPool(workers) if workers > 1 else None
     executor = SweepExecutor(workers=workers, cache_dir=cache_dir,
-                             backend=backend, pool=pool)
+                             pool=pool)
     served = failed = 0
     idle_since = time.monotonic()
     try:

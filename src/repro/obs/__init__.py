@@ -15,7 +15,7 @@ Design contract (pinned by ``tests/test_obs.py``,
   and never enter deterministic artifacts.
 
 This package imports no third-party modules (it must work in the
-numpy-free CI job alongside the reference backend).
+numpy-free CI job alongside the reference kernel).
 """
 
 from .manifest import (

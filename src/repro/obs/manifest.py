@@ -1,12 +1,11 @@
 """Run provenance manifests.
 
 Every ``results/<name>/`` artifact directory gets a ``manifest.json``
-tying the artifact to the code version, scenario spec hash, seeds,
-backend, and OPT mode that produced it, plus a coarse environment
-fingerprint.  The manifest is **deterministic on one machine**: it never
-records worker counts, wall times, hostnames, or timestamps, so the
-serial-vs-parallel ``diff -r`` byte-identity checks in CI hold with the
-manifest present.
+tying the artifact to the code version, scenario spec hash, seeds and
+OPT mode that produced it, plus a coarse environment fingerprint.  The
+manifest is **deterministic on one machine**: it never records worker
+counts, wall times, hostnames, or timestamps, so the serial-vs-parallel
+``diff -r`` byte-identity checks in CI hold with the manifest present.
 """
 
 from __future__ import annotations
@@ -20,7 +19,9 @@ from typing import Dict, Optional, Sequence
 
 #: Schema version of ``manifest.json``; bump when fields change.
 #: v2: ``opt_window`` is gone with windowed OPT.
-MANIFEST_VERSION = 2
+#: v3: ``backend`` is gone: the engine picks the kernel, and the kernels
+#: are bit-identical, so no run has a backend to record.
+MANIFEST_VERSION = 3
 
 
 def spec_hash(payload: object) -> str:
@@ -52,7 +53,6 @@ def build_manifest(
     name: str,
     spec: Optional[object] = None,
     seeds: Sequence[int] = (),
-    backend: str = "reference",
     opt_mode: str = "exact",
     extra: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
@@ -73,7 +73,6 @@ def build_manifest(
         "name": name,
         "spec_sha256": spec_hash(spec) if spec is not None else None,
         "seeds": sorted(set(int(s) for s in seeds)),
-        "backend": backend,
         "opt_mode": opt_mode,
         "environment": _environment(),
     }

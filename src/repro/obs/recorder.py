@@ -9,8 +9,8 @@ Two recorder shapes:
     ``metrics is None or not metrics.enabled`` **once per run**, before
     the slot loop, and the loop body then pays at most one short-circuit
     boolean test per slot (never per packet, never per lane).  The
-    bit-identity and performance contracts of the ``reference`` and
-    ``fast`` backends are untouched: a run with metrics off produces a
+    bit-identity and performance contracts of the reference and fast
+    kernels are untouched: a run with metrics off produces a
     payload byte-identical to a run that never heard of metrics
     (``tests/test_backend_equivalence.py`` pins this differentially, and
     ``benchmarks/bench_obs.py`` enforces the <= 5% overhead budget).
@@ -52,7 +52,7 @@ SNAPSHOT_VERSION = 1
 #: Catalog of every metric the subsystem emits: name -> (type, help).
 #: ``docs/observability.md`` must document each name with a `### <name>`
 #: section (pinned by tests/test_package.py, the same registry<->docs
-#: pattern as scenarios, backends and OPT modes).
+#: pattern as scenarios and OPT modes).
 METRIC_CATALOG: Dict[str, tuple] = {
     "runs_total": ("counter", "engine runs executed"),
     "slots_total": ("counter", "slots executed across runs (incl. drain)"),

@@ -60,7 +60,7 @@ def greedy_lower_bound(
     """
     _check_model(model)
     # Deferred imports: offline must stay importable without dragging in
-    # the simulation engine (and its backend registry) at module load.
+    # the simulation engine (and its kernel dispatch) at module load.
     from ..simulation.engine import run_cioq, run_crossbar
 
     if model == "cioq":

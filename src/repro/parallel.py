@@ -56,7 +56,6 @@ from time import perf_counter
 from .farm.store import ResultStore
 from .obs import InMemoryRecorder, merge_snapshots
 from .offline.opt import check_opt_mode, cioq_opt, crossbar_opt
-from .simulation.backends import DEFAULT_BACKEND, validate_backend
 from .simulation.engine import (
     run_cioq,
     run_cioq_batch,
@@ -177,8 +176,7 @@ def _policy_payload(res, point: SweepPoint) -> Dict[str, object]:
 
 
 def run_sweep_point(
-    point: SweepPoint, backend: str = DEFAULT_BACKEND,
-    metrics_every: Optional[int] = None,
+    point: SweepPoint, metrics_every: Optional[int] = None,
 ) -> Dict[str, object]:
     """Execute one sweep point; pure function of the point.
 
@@ -200,9 +198,9 @@ def run_sweep_point(
     ``opt_lower == opt_upper == benefit`` for exact solves, and
     ``benefit`` is the conservative bracket upper end otherwise.
 
-    ``backend`` selects the slot-loop execution backend for policy
-    points (see :mod:`repro.simulation.backends`); by the bit-identical
-    backend contract it never changes the payload.  OPT points solve
+    Policy points run on whichever kernel the engine picks (see
+    :mod:`repro.simulation.backends`); by the bit-identical kernel
+    contract the choice never changes the payload.  OPT points solve
     with the offline machinery selected by the point's ``opt_mode``.
 
     With ``metrics_every`` set, the point runs under a fresh
@@ -231,26 +229,23 @@ def run_sweep_point(
     runner = run_cioq if point.model == "cioq" else run_crossbar
     if metrics_every is not None:
         rec = InMemoryRecorder(every_k=metrics_every)
-        res = runner(policy, point.config, point.trace, backend=backend,
-                     metrics=rec)
+        res = runner(policy, point.config, point.trace, metrics=rec)
         payload = _policy_payload(res, point)
         payload["obs"] = rec.snapshot()
         return payload
-    res = runner(policy, point.config, point.trace, backend=backend)
+    res = runner(policy, point.config, point.trace)
     return _policy_payload(res, point)
 
 
-def _run_task(task: tuple, backend: str = DEFAULT_BACKEND,
-              metrics_every: Optional[int] = None) -> tuple:
+def _run_task(task: tuple, metrics_every: Optional[int] = None) -> tuple:
     """Execute one scheduled task; module-level so it pickles.
 
     A task is ``(kind, [(index, point), ...])``: ``"batch"`` items share
     (model, config, policy spec) and execute in lockstep through the
-    batched engine entry points (the vectorized kernel); ``"single"``
-    items run point-by-point (OPT solves, instrumented points, reference
-    backend).  Returns ``(pid, elapsed, indices, payloads)`` so the
-    parent can publish results, fill its timing ledger and emit worker
-    heartbeats.
+    batched engine entry points, which pick the kernel; ``"single"``
+    items run point-by-point (OPT solves and instrumented points).
+    Returns ``(pid, elapsed, indices, payloads)`` so the parent can
+    publish results, fill its timing ledger and emit worker heartbeats.
     """
     kind, items = task
     t0 = perf_counter()
@@ -259,12 +254,11 @@ def _run_task(task: tuple, backend: str = DEFAULT_BACKEND,
         runner = (run_cioq_batch if first.model == "cioq"
                   else run_crossbar_batch)
         batch = runner(first.policy_factory, first.config,
-                       [p.trace for _, p in items], backend=backend)
+                       [p.trace for _, p in items])
         payloads = [_policy_payload(res, p)
                     for (_, p), res in zip(items, batch)]
     else:
-        payloads = [run_sweep_point(p, backend=backend,
-                                    metrics_every=metrics_every)
+        payloads = [run_sweep_point(p, metrics_every=metrics_every)
                     for _, p in items]
     return (os.getpid(), perf_counter() - t0,
             [idx for idx, _ in items], payloads)
@@ -272,6 +266,15 @@ def _run_task(task: tuple, backend: str = DEFAULT_BACKEND,
 
 class SweepExecutor:
     """Runs sweep points, optionally in parallel and/or cached.
+
+    Uncached policy points group by (model, config, policy spec) into
+    lockstep batch tasks for the batched engine entry points, which run
+    a batch at or past the engine's crossover on the vectorized kernel;
+    with ``workers > 1`` each group splits into per-worker slices so
+    batches and leftover points (exact-OPT solves) fan out over the pool
+    together.  The kernel is deliberately **not** part of the cache key:
+    the kernels are bit-identical by contract, so cached payloads are
+    interchangeable.
 
     Parameters
     ----------
@@ -289,17 +292,6 @@ class SweepExecutor:
         returned without executing, missing points publish write-through
         as each completes, and points claimed by another live executor
         are awaited instead of duplicated.
-    backend:
-        Slot-loop execution backend for policy points (see
-        :mod:`repro.simulation.backends`).  With ``"fast"`` or
-        ``"auto"``, uncached policy points are grouped by (model,
-        config, policy spec) into lockstep batch tasks for the
-        vectorized engine entry points; with ``workers > 1`` each group
-        splits into per-worker slices so batches and leftover points
-        (exact-OPT solves) fan out over the pool together.  The backend
-        is deliberately **not** part of the cache key: backends are
-        bit-identical by contract, so cached payloads are
-        interchangeable.
     pool:
         Optional :class:`~repro.farm.pool.PersistentPool` reused across
         every :meth:`run` call (the farm serve loop passes one), paying
@@ -310,11 +302,12 @@ class SweepExecutor:
         When set, every point runs instrumented (see
         :func:`run_sweep_point`) and embeds a deterministic ``"obs"``
         snapshot in its payload; :meth:`merged_obs` merges them in point
-        order.  Instrumented points skip the lockstep batch grouping and
-        run individually so each point's snapshot stays a pure function
-        of that point.  ``metrics_every`` joins the cache key (only when
-        set — uninstrumented sweeps keep their existing keys) because
-        instrumented and plain payloads differ.
+        order, and the executor keeps those snapshots (never the
+        payloads) for it.  Instrumented points skip the lockstep batch
+        grouping and run individually so each point's snapshot stays a
+        pure function of that point.  ``metrics_every`` joins the cache
+        key (only when set — uninstrumented sweeps keep their existing
+        keys) because instrumented and plain payloads differ.
     progress:
         Optional callable receiving progress/heartbeat event dicts from
         :meth:`run` (``{"event": "cache", ...}``, per-point
@@ -332,12 +325,10 @@ class SweepExecutor:
         self,
         workers: int = 0,
         cache_dir: Optional[str] = None,
-        backend: str = DEFAULT_BACKEND,
         metrics_every: Optional[int] = None,
         progress: Optional[Callable[[Dict[str, object]], None]] = None,
         pool=None,
     ):
-        validate_backend(backend)
         if metrics_every is not None and metrics_every < 0:
             raise ValueError(
                 f"metrics_every must be >= 0, got {metrics_every}"
@@ -348,14 +339,15 @@ class SweepExecutor:
             ResultStore(cache_dir, CACHE_VERSION)
             if cache_dir is not None else None
         )
-        self.backend = backend
         self.metrics_every = metrics_every
         self.progress = progress
         self.pool = pool
         self.cache_hits = 0
         self.cache_misses = 0
         self.timings: List[Dict[str, object]] = []
-        self._last_results: List[Dict[str, object]] = []
+        # What merged_obs() reads, kept only when metrics are on.
+        self._obs: List[Dict[str, object]] = []
+        self._points_served = 0
 
     def _emit(self, event: Dict[str, object]) -> None:
         if self.progress is not None:
@@ -380,10 +372,8 @@ class SweepExecutor:
         and for cached vs fresh payloads."""
         if self.metrics_every is None:
             return None
-        snap = merge_snapshots(
-            p["obs"] for p in self._last_results if "obs" in p
-        )
-        snap["gauges"]["sweep_points_total"] = len(self._last_results)
+        snap = merge_snapshots(self._obs)
+        snap["gauges"]["sweep_points_total"] = self._points_served
         return snap
 
     # -- cache ---------------------------------------------------------------
@@ -462,8 +452,7 @@ class SweepExecutor:
                     # The claimer died/timed out without publishing:
                     # compute locally (idempotent — wasteful at worst).
                     payload = run_sweep_point(
-                        points[idx], backend=self.backend,
-                        metrics_every=self.metrics_every)
+                        points[idx], metrics_every=self.metrics_every)
                     self.store.put(keys[idx], payload)
                     self.cache_misses += 1
                 else:
@@ -473,7 +462,9 @@ class SweepExecutor:
             if caching:
                 for idx in claimed:
                     self.store.release(keys[idx])
-        self._last_results.extend(results)  # type: ignore[arg-type]
+        if self.metrics_every is not None:
+            self._obs.extend(p["obs"] for p in results if "obs" in p)
+            self._points_served += len(results)
         self._emit({"event": "done", "total": len(points),
                     "hits": self.cache_hits, "misses": self.cache_misses})
         return results  # type: ignore[return-value]
@@ -482,19 +473,18 @@ class SweepExecutor:
                   pending: List[int]) -> List[tuple]:
         """Build the task list for the pending indices.
 
-        With a fast-capable backend, policy points group by (model,
-        config, policy spec) into lockstep batch tasks (seed ladders
-        execute through the vectorized kernel); with ``workers > 1``
-        each group splits into up to ``workers`` slices so one big
-        ladder still saturates the pool.  OPT solves — and, under
-        ``metrics_every``, every point, since each must run under its
-        own recorder to keep ``payload["obs"]`` a pure per-point
-        function — become single-point tasks.  ``backend="auto"`` batch
-        groups run serially on the reference kernel inside the engine
-        when they are below the lanes x ports crossover or the fast
-        kernel cannot take them; ``"fast"`` propagates the error.
+        Policy points group by (model, config, policy spec) into
+        lockstep batch tasks (seed ladders execute through the
+        vectorized kernel); with ``workers > 1`` each group splits into
+        up to ``workers`` slices so one big ladder still saturates the
+        pool.  OPT solves — and, under ``metrics_every``, every point,
+        since each must run under its own recorder to keep
+        ``payload["obs"]`` a pure per-point function — become
+        single-point tasks.  Batch groups run serially on the reference
+        kernel inside the engine when they are below the lanes x ports
+        crossover or the fast kernel cannot take them.
         """
-        if self.backend == "reference" or self.metrics_every is not None:
+        if self.metrics_every is not None:
             return [("single", [(i, points[i])]) for i in pending]
         groups: Dict[tuple, List[int]] = {}
         singles: List[int] = []
@@ -560,8 +550,7 @@ class SweepExecutor:
                 raise SweepKilled(
                     f"fault injection: killed after {published} points")
 
-        func = partial(_run_task, backend=self.backend,
-                       metrics_every=self.metrics_every)
+        func = partial(_run_task, metrics_every=self.metrics_every)
         if self.workers > 1 and len(tasks) > 1:
             chunk = -(-len(tasks) // (4 * min(self.workers, len(tasks))))
             if self.pool is not None:

@@ -41,7 +41,6 @@ from ..analysis.ratio import ratio_series
 from ..analysis.report import csv_table, format_table
 from ..obs import build_manifest, write_manifest
 from ..parallel import SweepExecutor, SweepPoint
-from ..simulation.backends import DEFAULT_BACKEND
 from ..switch.packet import sequential_sum
 from ..traffic.trace import Trace
 from .spec import ScenarioSpec
@@ -82,10 +81,6 @@ class ScenarioRun:
     #: OPT solver selection the run was executed with (recorded in the
     #: artifact so exact and bracketed denominators are never conflated).
     opt_mode: str = "exact"
-    #: Slot-loop backend the run executed with.  Recorded in the
-    #: provenance manifest only — never in ``result.json``, whose bytes
-    #: must stay backend-independent by the bit-identity contract.
-    backend: str = DEFAULT_BACKEND
     #: Per policy label, the per-seed benefits the rows round to 6
     #: digits, unrounded; what aggregates and summaries are built from.
     benefits: Dict[str, List[float]] = field(default_factory=dict)
@@ -130,9 +125,10 @@ def run_scenario(
     """Execute a scenario; pure function of the spec.
 
     ``executor`` defaults to a serial, uncached ``SweepExecutor()``;
-    pass one to set workers, a cache or the backend.  Results are
-    bit-identical for any worker count and — by the backend contract
-    (see :mod:`repro.simulation.backends`) — for any backend.
+    pass one to set workers, a cache or metrics.  Results are
+    bit-identical for any worker count and — by the kernel contract
+    (see :mod:`repro.simulation.backends`) — whichever kernel the
+    engine picks.
 
     ``opt_mode`` selects the offline-optimum solver for the per-seed
     OPT points (see :mod:`repro.offline.opt` and
@@ -153,7 +149,7 @@ def run_scenarios(
 
     Every spec's traces and points are built first, in spec order, and
     the executor runs them as one batch: one worker pool, one cache
-    scan, and fast-backend batch groups that span the whole grid.  The
+    scan, and lockstep batch groups that span the whole grid.  The
     payloads split back into one :class:`ScenarioRun` per spec, each
     equal to what :func:`run_scenario` returns for that spec alone.
     A grid over a paper parameter (β, speedup, B(C)) is a list of specs
@@ -162,7 +158,7 @@ def run_scenarios(
     ex = executor if executor is not None else SweepExecutor()
     built = [_scenario_points(spec, opt_mode) for spec in specs]
     payloads = iter(ex.run([p for _, points in built for p in points]))
-    return [_scenario_run(spec, traces, payloads, opt_mode, ex.backend)
+    return [_scenario_run(spec, traces, payloads, opt_mode)
             for spec, (traces, _) in zip(specs, built)]
 
 
@@ -212,7 +208,6 @@ def _scenario_run(
     traces: Dict[int, Trace],
     payloads: Iterator[Dict[str, object]],
     opt_mode: str,
-    backend: str,
 ) -> ScenarioRun:
     """Fold one spec's payloads, taken from ``payloads`` in the order
     :func:`_scenario_points` built its points, into its run."""
@@ -254,7 +249,7 @@ def _scenario_run(
 
     return ScenarioRun(spec=spec, rows=rows, aggregates=aggregates,
                        metrics=metrics, opt_mode=opt_mode,
-                       backend=backend, benefits=benefits,
+                       benefits=benefits,
                        opt_bounds=opt_bounds)
 
 
@@ -326,15 +321,14 @@ def build_run_manifest(run: ScenarioRun, kind: str = "scenario",
                        extra: Optional[Dict[str, object]] = None
                        ) -> Dict[str, object]:
     """Provenance manifest for a scenario run (see
-    :mod:`repro.obs.manifest`): code version, spec hash, seeds, backend
-    and OPT mode — deterministic per machine, no timestamps or worker
+    :mod:`repro.obs.manifest`): code version, spec hash, seeds and OPT
+    mode — deterministic per machine, no timestamps or worker
     counts."""
     return build_manifest(
         kind=kind,
         name=run.spec.name,
         spec=run.spec.to_dict(),
         seeds=run.spec.seeds,
-        backend=run.backend,
         opt_mode=run.opt_mode,
         extra=extra,
     )

@@ -211,38 +211,51 @@ def _build_replay(
     return model
 
 
-def _stochastic(cls) -> Callable[..., TrafficModel]:
+def _stochastic(cls, load_bounded: bool = False
+                ) -> Callable[..., TrafficModel]:
+    """The builder of a stochastic kind.  A ``load_bounded`` kind's
+    ``load`` caps the arrivals per input and slot at ``ceil(load)``; it
+    refuses a load whose arrival bound ``n_in * ceil(load) * slots``
+    exceeds :data:`MAX_ARRIVALS`: drawing such a trace could exhaust
+    memory before any point ran, and the fast kernel could not number
+    its packets."""
+
     def build(config: SwitchConfig, slots: int, value_model: ValueModel,
               params: Mapping):
-        return cls(config.n_in, config.n_out, value_model=value_model,
-                   **params)
+        traffic = cls(config.n_in, config.n_out, value_model=value_model,
+                      **params)
+        if load_bounded:
+            bound = config.n_in * math.ceil(traffic.load) * slots
+            if bound > MAX_ARRIVALS:
+                raise ValueError(
+                    f"load {traffic.load:g} bounds arrivals by n_in * "
+                    f"ceil(load) * slots = {bound}, more than "
+                    f"{MAX_ARRIVALS} (2**31 - 1)")
+        return traffic
 
     return build
 
 
+#: The most arrivals a load-bounded kind's trace may bound: the fast
+#: kernel numbers a batch's packets in int32.
+MAX_ARRIVALS = 2 ** 31 - 1
+
 #: Traffic-model builders by kind name.  Each takes
-#: ``(config, slots, value_model, params)`` and returns a TrafficModel
-#: (``slots`` matters only to the adaptive-adversary kind, which
-#: generates its attack up front).
+#: ``(config, slots, value_model, params)`` and returns a TrafficModel.
+#: ``slots`` matters to the adaptive-adversary kind, which generates
+#: its attack up front, and to the load-bounded kinds (bernoulli,
+#: hotspot and diagonal), which check their arrival bound.
 TRAFFIC_KINDS: Dict[str, Callable[..., TrafficModel]] = {
-    "bernoulli": _stochastic(BernoulliTraffic),
+    "bernoulli": _stochastic(BernoulliTraffic, load_bounded=True),
     "bursty": _stochastic(BurstyTraffic),
-    "hotspot": _stochastic(HotspotTraffic),
-    "diagonal": _stochastic(DiagonalTraffic),
+    "hotspot": _stochastic(HotspotTraffic, load_bounded=True),
+    "diagonal": _stochastic(DiagonalTraffic, load_bounded=True),
     "markov": _stochastic(MarkovModulatedTraffic),
     "pareto-burst": _stochastic(ParetoBurstTraffic),
     "appmix": _stochastic(ApplicationMixTraffic),
     "replay": _build_replay,
     "adversarial": _build_adversarial,
 }
-
-#: Kinds whose ``load`` caps the arrivals per input and slot at
-#: ``ceil(load)``.
-LOAD_KINDS = ("bernoulli", "hotspot", "diagonal")
-
-#: The most arrivals a spec's trace may bound: the fast kernel numbers
-#: a batch's packets in int32.
-MAX_ARRIVALS = 2 ** 31 - 1
 
 #: Payload fields a spec may select as export metrics (OPT rows only
 #: carry ``benefit``).
@@ -535,25 +548,14 @@ class ScenarioSpec:
     def check_traffic(self) -> None:
         """Raise what :meth:`build_traffic` would, generating no trace:
         building a stochastic or replay model reads at most a trace
-        header, and the adversarial kind is checked without its build.
-
-        A :data:`LOAD_KINDS` load is also refused when its arrival bound
-        ``n_in * ceil(load) * slots`` exceeds :data:`MAX_ARRIVALS`:
-        drawing such a trace could exhaust memory before any point ran,
-        and the fast kernel could not number its packets."""
+        header, and the adversarial kind is checked without its build,
+        which would generate its attack."""
         if self.traffic == "adversarial":
             _adversarial_attack(self.build_config(),
                                 self.build_value_model(),
                                 self.traffic_params)
             return
-        traffic = self.build_traffic()
-        if self.traffic in LOAD_KINDS:
-            bound = traffic.n_in * math.ceil(traffic.load) * self.slots
-            if bound > MAX_ARRIVALS:
-                raise ValueError(
-                    f"load {traffic.load:g} bounds arrivals by n_in * "
-                    f"ceil(load) * slots = {bound}, more than "
-                    f"{MAX_ARRIVALS} (2**31 - 1)")
+        self.build_traffic()
 
     def policy_factories(self) -> List[Tuple[str, Callable[[], object]]]:
         """(label, picklable zero-arg factory) per policy entry."""

@@ -116,7 +116,7 @@ class RandomMatchPolicy(CIOQPolicy):
 
     def __init__(self, seed: int = 0):
         # numpy is imported lazily so the module (and the reference
-        # backend's whole import chain) works without it; only actually
+        # kernel's whole import chain) works without it; only actually
         # constructing a RandomMatchPolicy requires numpy's bit-exact
         # PCG64 stream.
         import numpy as np

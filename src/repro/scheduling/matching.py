@@ -43,12 +43,6 @@ class MatchingStats:
     augment_steps: int = 0
     calls: int = 0
 
-    def merge(self, other: "MatchingStats") -> None:
-        self.edge_scans += other.edge_scans
-        self.comparisons += other.comparisons
-        self.augment_steps += other.augment_steps
-        self.calls += other.calls
-
     @property
     def total_ops(self) -> int:
         return self.edge_scans + self.comparisons + self.augment_steps

@@ -1,15 +1,11 @@
-"""Simulation substrate: the fast slot-loop kernel, the engine entry
-points, the backend registry, and result records."""
+"""Simulation substrate: the slot-loop kernels, the engine entry points
+that pick between them, and result records."""
 
 from .backends import (
-    BACKENDS,
-    DEFAULT_BACKEND,
     BackendError,
     BackendUnavailable,
     BackendUnsupported,
-    available_backends,
     numpy_available,
-    validate_backend,
 )
 from .engine import (
     drain_bound,
@@ -24,14 +20,10 @@ from .kernel import run_slot_loop
 from .results import SimulationResult, TransferEvent
 
 __all__ = [
-    "BACKENDS",
-    "DEFAULT_BACKEND",
     "BackendError",
     "BackendUnavailable",
     "BackendUnsupported",
-    "available_backends",
     "numpy_available",
-    "validate_backend",
     "drain_bound",
     "run_cioq",
     "run_cioq_batch",

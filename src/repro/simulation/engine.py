@@ -25,7 +25,9 @@ Every entry point below builds the switch and the arrival source in
 one place, :func:`_simulate`, which runs the shared slot loop of
 :mod:`repro.simulation.kernel` (see that module for the performance
 model).  The trace and batch entries first offer the run to the
-vectorized ``fast`` backend through one dispatch, :func:`_run_fast`.
+vectorized fast kernel through one dispatch, :func:`_run_fast`, which
+applies the rule of :mod:`repro.simulation.backends`; the reference
+kernel, :func:`_run_reference`, runs what the fast kernel does not take.
 """
 
 from __future__ import annotations
@@ -40,12 +42,10 @@ from ..switch.crossbar import CrossbarSwitch
 from ..switch.packet import Packet
 from ..traffic.trace import Trace
 from .backends import (
-    DEFAULT_BACKEND,
     BackendUnavailable,
     BackendUnsupported,
     auto_prefers_reference,
     load_fastpath,
-    validate_backend,
 )
 from .kernel import ArrivalSource, run_slot_loop
 from .results import SimulationResult
@@ -114,32 +114,24 @@ def _run_fast(
     policy,
     config: SwitchConfig,
     traces: List[Trace],
-    backend: str,
     **options,
 ) -> Optional[List[SimulationResult]]:
-    """The one dispatch into the ``fast`` backend: its results for
-    ``traces`` when it takes the run, ``None`` when the caller should run
-    the reference kernel.  ``backend="fast"`` re-raises what ``auto``
-    falls back on."""
+    """The one dispatch into the fast kernel: its results for ``traces``
+    when it takes the run, ``None`` when the caller should run the
+    reference kernel — below the lanes x ports crossover, where the
+    reference kernel wins, or when the fast kernel refuses the run."""
     for trace in traces:
         _check_dims(trace, config)
-    validate_backend(backend)
-    # Below the lanes x ports crossover `auto` goes straight to the
-    # reference kernel, which wins there.
-    if backend == "reference" or not traces or (
-        backend == "auto" and auto_prefers_reference(config, len(traces))
-    ):
+    if not traces or auto_prefers_reference(config, len(traces)):
         return None
     try:
         return load_fastpath().run_batch(model, policy, config, traces,
                                          **options)
     except (BackendUnavailable, BackendUnsupported):
-        if backend == "fast":
-            raise
         return None
 
 
-def _run_trace(
+def _run_reference(
     model: str,
     policy,
     config: SwitchConfig,
@@ -147,18 +139,12 @@ def _run_trace(
     record: bool = False,
     max_extra_slots: Optional[int] = None,
     check_invariants: bool = False,
-    backend: str = DEFAULT_BACKEND,
     metrics=None,
     metrics_lane: int = 0,
 ) -> SimulationResult:
-    """The trace path of :func:`run_cioq` / :func:`run_crossbar`: the
-    ``fast`` backend when it takes the run, else the reference kernel,
-    whose samples carry the lane tag ``metrics_lane``."""
-    fast = _run_fast(model, policy, config, [trace], backend,
-                     record=record, max_extra_slots=max_extra_slots,
-                     check_invariants=check_invariants, metrics=metrics)
-    if fast is not None:
-        return fast[0]
+    """``trace`` on the reference kernel, whose samples carry the lane
+    tag ``metrics_lane``; tests and the kernel benchmarks call it to pin
+    the reference kernel."""
     extra = drain_bound(config) if max_extra_slots is None else max_extra_slots
     return _simulate(
         model,
@@ -172,6 +158,16 @@ def _run_trace(
         metrics=metrics,
         metrics_lane=metrics_lane,
     )
+
+
+def _run_trace(model: str, policy, config: SwitchConfig, trace: Trace,
+               **options) -> SimulationResult:
+    """The trace path of :func:`run_cioq` / :func:`run_crossbar`: the
+    fast kernel when it takes the run, else the reference kernel."""
+    fast = _run_fast(model, policy, config, [trace], **options)
+    if fast is not None:
+        return fast[0]
+    return _run_reference(model, policy, config, trace, **options)
 
 
 def _run_source(
@@ -209,7 +205,6 @@ def run_cioq(
     record: bool = False,
     max_extra_slots: Optional[int] = None,
     check_invariants: bool = False,
-    backend: str = DEFAULT_BACKEND,
     metrics=None,
 ) -> SimulationResult:
     """Simulate ``policy`` on a CIOQ switch over ``trace``.
@@ -226,11 +221,6 @@ def run_cioq(
     check_invariants:
         Assert queue-structure invariants after every phase (slow;
         used by tests).
-    backend:
-        Slot-loop execution backend (see
-        :mod:`repro.simulation.backends`): ``reference`` (default),
-        ``fast`` (vectorized numpy, bit-identical by contract), or
-        ``auto`` (fast when possible, falling back to reference).
     metrics:
         Optional recorder (see :mod:`repro.obs`); ``None`` (default)
         and disabled recorders are payload- and performance-equivalent
@@ -238,11 +228,14 @@ def run_cioq(
         :class:`~repro.obs.InMemoryRecorder` with ``every_k=1`` keeps
         the run's end-of-slot VOQ/crosspoint/output totals in its
         series; a ``timed`` one also measures the phases, which only
-        the reference kernel does (``fast`` refuses it, ``auto`` falls
-        back).
+        the reference kernel does.
+
+    The engine picks the kernel (see :mod:`repro.simulation.backends`);
+    both give the same result bit for bit.
     """
-    return _run_trace("cioq", policy, config, trace, record,
-                      max_extra_slots, check_invariants, backend, metrics)
+    return _run_trace("cioq", policy, config, trace, record=record,
+                      max_extra_slots=max_extra_slots,
+                      check_invariants=check_invariants, metrics=metrics)
 
 
 def run_cioq_streaming(
@@ -280,7 +273,6 @@ def run_crossbar(
     record: bool = False,
     max_extra_slots: Optional[int] = None,
     check_invariants: bool = False,
-    backend: str = DEFAULT_BACKEND,
     metrics=None,
 ) -> SimulationResult:
     """Simulate ``policy`` on a buffered crossbar switch over ``trace``.
@@ -291,8 +283,9 @@ def run_crossbar(
     Section 1.3 of the paper.  Accepts the same keyword options as
     :func:`run_cioq`.
     """
-    return _run_trace("crossbar", policy, config, trace, record,
-                      max_extra_slots, check_invariants, backend, metrics)
+    return _run_trace("crossbar", policy, config, trace, record=record,
+                      max_extra_slots=max_extra_slots,
+                      check_invariants=check_invariants, metrics=metrics)
 
 
 def run_crossbar_streaming(
@@ -329,18 +322,17 @@ def _run_batch(
     config: SwitchConfig,
     traces: Sequence[Trace],
     max_extra_slots: Optional[int],
-    backend: str,
     metrics=None,
 ) -> List[SimulationResult]:
     traces = list(traces)
-    fast = _run_fast(model, policy_factory(), config, traces, backend,
+    fast = _run_fast(model, policy_factory(), config, traces,
                      max_extra_slots=max_extra_slots, metrics=metrics)
     if fast is not None:
         return fast
     # Reference fallback: lane-tag each trace's samples by batch index,
-    # matching the fast backend's lane numbering.
+    # matching the fast kernel's lane numbering.
     return [
-        _run_trace(
+        _run_reference(
             model,
             policy_factory(),
             config,
@@ -359,22 +351,19 @@ def run_cioq_batch(
     traces: Sequence[Trace],
     *,
     max_extra_slots: Optional[int] = None,
-    backend: str = DEFAULT_BACKEND,
     metrics=None,
 ) -> List[SimulationResult]:
     """Run a fresh policy (one per trace, built by ``policy_factory``)
     over every trace, returning results in trace order.
 
-    With ``backend="fast"`` or ``"auto"`` the whole batch executes in
-    lockstep inside the vectorized kernel — this is how replicate seed
-    ladders amortize the slot loop.  The reference backend runs the
-    traces serially; by the bit-identical backend contract both produce
-    exactly the same results.
+    A batch at or past the crossover executes in lockstep inside the
+    vectorized kernel — this is how replicate seed ladders amortize the
+    slot loop; a smaller one, or one the fast kernel refuses, runs the
+    traces serially on the reference kernel.  By the bit-identical
+    kernel contract both produce exactly the same results.
     """
-    return _run_batch(
-        "cioq", policy_factory, config, traces,
-        max_extra_slots, backend, metrics,
-    )
+    return _run_batch("cioq", policy_factory, config, traces,
+                      max_extra_slots, metrics)
 
 
 def run_crossbar_batch(
@@ -383,11 +372,8 @@ def run_crossbar_batch(
     traces: Sequence[Trace],
     *,
     max_extra_slots: Optional[int] = None,
-    backend: str = DEFAULT_BACKEND,
     metrics=None,
 ) -> List[SimulationResult]:
     """Crossbar counterpart of :func:`run_cioq_batch`."""
-    return _run_batch(
-        "crossbar", policy_factory, config, traces,
-        max_extra_slots, backend, metrics,
-    )
+    return _run_batch("crossbar", policy_factory, config, traces,
+                      max_extra_slots, metrics)

@@ -1,4 +1,4 @@
-"""Vectorized numpy backend for the slot loop (the ``fast`` backend).
+"""Vectorized numpy kernel for the slot loop (the fast kernel).
 
 This module re-implements :func:`repro.simulation.kernel.run_slot_loop`
 for the paper's four policies (GM, PG, CGU, CPG) as a *lockstep batch*
@@ -50,13 +50,14 @@ every observable :class:`~repro.simulation.results.SimulationResult`
 field; ``tests/test_backend_equivalence.py`` pins it differentially
 across the whole scenario registry and a property-based random matrix.
 
-Features the reference kernel has that this backend deliberately does
+Features the reference kernel has that this kernel deliberately does
 not (requesting them raises
-:class:`~repro.simulation.backends.BackendUnsupported`, and ``auto``
-falls back): ``record=True`` event logs, ``check_invariants=True``,
-``timed`` recorders (per-phase wall-times), policy classes outside
-:data:`SUPPORTED_POLICIES` — the comparison baselines among them — and
-batches of more packets than :data:`_RANK_DTYPE` can number.  Streaming
+:class:`~repro.simulation.backends.BackendUnsupported`, and the engine
+falls back to the reference kernel): ``record=True`` event logs,
+``check_invariants=True``, ``timed`` recorders (per-phase wall-times),
+policy classes outside :data:`SUPPORTED_POLICIES` — the comparison
+baselines among them — and batches of more packets than
+:data:`_RANK_DTYPE` can number.  Streaming
 sources never reach it: the streaming entries run the reference kernel.
 """
 
@@ -84,7 +85,7 @@ _RANK_DTYPE = np.int32
 #: Queue lengths are int16 (capacities are per-queue buffer sizes);
 #: the narrow dtype makes the hot ``len < B`` comparisons several times
 #: cheaper.  A capacity above its maximum raises
-#: :class:`BackendUnsupported`, so ``auto`` falls back.
+#: :class:`BackendUnsupported`, so the engine falls back.
 _LEN_DTYPE = np.int16
 
 
@@ -612,7 +613,7 @@ class _CPGStepper(_Stepper):
         out.insert(g, r)
 
 
-#: Policy classes (by exact type) the fast backend implements, per model.
+#: Policy classes (by exact type) the fast kernel implements, per model.
 SUPPORTED_POLICIES: Dict[Tuple[str, Type], Type[_Stepper]] = {
     ("cioq", GMPolicy): _GMStepper,
     ("cioq", PGPolicy): _PGStepper,
@@ -632,7 +633,7 @@ class _BatchRun:
         stepper_cls = SUPPORTED_POLICIES.get((model, type(proto)))
         if stepper_cls is None:
             raise BackendUnsupported(
-                f"the fast backend has no {model} stepper for "
+                f"the fast kernel has no {model} stepper for "
                 f"{type(proto).__name__}"
             )
         self.crossbar = model == "crossbar"
@@ -640,14 +641,14 @@ class _BatchRun:
                   config.b_cross if self.crossbar else 0)
         if cap > np.iinfo(_LEN_DTYPE).max:
             raise BackendUnsupported(
-                f"the fast backend holds queue lengths as "
+                f"the fast kernel holds queue lengths as "
                 f"{np.dtype(_LEN_DTYPE).name}, which cannot count to the "
                 f"capacity {cap}"
             )
         n_packets = sum(len(trace) for trace in traces)
         if n_packets > np.iinfo(_RANK_DTYPE).max:
             raise BackendUnsupported(
-                f"the fast backend ranks packets as "
+                f"the fast kernel ranks packets as "
                 f"{np.dtype(_RANK_DTYPE).name}, which cannot number the "
                 f"batch's {n_packets} packets"
             )
@@ -957,7 +958,7 @@ class _BatchRun:
 
 
 # ---------------------------------------------------------------------------
-# Entry point (called only via the engine's backend dispatch)
+# Entry point (the engine's dispatch; tests call it to pin this kernel)
 # ---------------------------------------------------------------------------
 
 def run_batch(
@@ -985,17 +986,23 @@ def run_batch(
     do."""
     if record:
         raise BackendUnsupported(
-            "the fast backend does not implement record=True event logs"
+            "the fast kernel does not implement record=True event logs"
         )
     if check_invariants:
         raise BackendUnsupported(
-            "the fast backend does not implement check_invariants=True"
+            "the fast kernel does not implement check_invariants=True"
         )
     if metrics is not None and metrics.enabled and metrics.timed:
         raise BackendUnsupported(
-            "the fast backend does not time the phases of a timed recorder"
+            "the fast kernel does not time the phases of a timed recorder"
         )
     if not traces:
         return []
-    return _BatchRun(model, proto, config, traces, max_extra_slots,
-                     metrics).run()
+    run = _BatchRun(model, proto, config, traces, max_extra_slots, metrics)
+    try:
+        return run.run()
+    finally:
+        # The run and its stepper refer to each other: breaking the
+        # cycle frees the batch's arrays now, not at the next cyclic
+        # collection, so a later batch never runs while they are held.
+        del run.stepper

@@ -1,7 +1,7 @@
-"""Shared fast slot-loop kernel for both switch models.
+"""Shared reference slot-loop kernel for both switch models.
 
 :func:`run_slot_loop` is the single simulation loop behind every
-reference-backend run of :mod:`repro.simulation.engine`.  It implements
+reference-kernel run of :mod:`repro.simulation.engine`.  It implements
 the slot structure of Section 1.3 — arrival phase, ``speedup``
 scheduling cycles, transmission phase — exactly once, for both the CIOQ
 and the buffered crossbar model.
@@ -80,8 +80,8 @@ def run_slot_loop(
         exhausted and the switch is empty.
     record:
         Append every transfer to ``result.schedule_log`` and every
-        transmission to ``result.sent_pids`` / ``result.transmit_log``
-        (the theory-shadow replay and delay statistics read them).
+        transmission to ``result.transmit_log`` (the theory-shadow
+        replay and delay statistics read them).
     metrics:
         Optional recorder (:mod:`repro.obs`).  The enabled guard is
         evaluated **once here**, before the loop: with metrics off
@@ -102,7 +102,6 @@ def run_slot_loop(
     speedup = config.speedup
     if record:
         log_event = result.schedule_log.append
-        log_sent = result.sent_pids.append
         log_transmit = result.transmit_log.append
 
         def log(slot: int, cycle: int, transfers, stage: str) -> None:
@@ -259,7 +258,6 @@ def run_slot_loop(
                 sent_per_output[j] += 1
                 value_per_output[j] += pv
                 if record:
-                    log_sent(p.pid)
                     log_transmit((t, j, p.pid))
         if timed:
             t_transmit += perf_counter() - ph0

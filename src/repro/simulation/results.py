@@ -73,7 +73,6 @@ class SimulationResult:
     value_per_output: Dict[int, float] = field(default_factory=dict)
 
     # Optional logs (populated when record=True).
-    sent_pids: List[int] = field(default_factory=list)
     schedule_log: List[TransferEvent] = field(default_factory=list)
     transmit_log: List[Tuple[int, int, int]] = field(default_factory=list)
     # transmit_log entries: (slot, output_port, pid)

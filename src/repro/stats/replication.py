@@ -185,11 +185,11 @@ def replicate_scenario(
     used (it must be non-empty).  ``executor`` defaults to a serial,
     uncached ``SweepExecutor()``.  Results — per-seed artifact and
     summary rows alike — are bit-identical for any worker count, and by
-    the backend contract for any executor backend: with
-    ``"fast"``/``"auto"`` each seed batch's (policy, seed) ladder
-    executes in lockstep inside the vectorized kernel (see
-    :class:`~repro.parallel.SweepExecutor`), which is where multi-seed
-    replication amortizes the slot loop.
+    the kernel contract whichever kernel runs a batch: each seed
+    batch's (policy, seed) ladder runs as one lockstep batch, which
+    the engine puts on the vectorized kernel once it reaches the
+    crossover (see :class:`~repro.parallel.SweepExecutor`); that is
+    where multi-seed replication amortizes the slot loop.
     """
     if plan is None:
         if not spec.replicates:
@@ -254,7 +254,6 @@ def replicate_scenario(
             labels, benefits, opt_bounds if spec.include_opt else None),
         metrics=metrics,
         opt_mode=opt_mode,
-        backend=ex.backend,
         benefits=benefits,
         opt_bounds=opt_bounds,
     )

@@ -1,17 +1,15 @@
 """Streaming moment accumulation (Welford's algorithm).
 
-Replicated experiments aggregate per-seed metrics one payload at a time
+Replicated experiments aggregate per-seed metrics one batch at a time
 as the sweep executor yields them; :class:`Welford` maintains the count,
 mean and centered second moment in a single pass without storing the
-sample, using the numerically stable update from Welford (1962).  Two
-accumulators built from disjoint sample halves combine exactly via
-:meth:`Welford.merge` (the parallel formula of Chan, Golub & LeVeque),
-so batched early-stopping rounds aggregate into the same statistics a
-single pass would produce.
+sample, using the numerically stable update from Welford (1962).
+Early-stopping replication adds every batch's values into one
+accumulator per policy with :meth:`Welford.add_many`, so the stopping
+rule reads the same statistics a single pass over all seeds would give.
 
-The property-based suite pins both claims: streaming mean/variance match
-their batch (two-pass) counterparts to 1e-9 relative error, and a merge
-of split halves matches the un-split accumulator.
+The property-based suite pins the claim: streaming mean/variance match
+their batch (two-pass) counterparts to 1e-9 relative error.
 """
 
 from __future__ import annotations
@@ -54,17 +52,6 @@ class Welford:
         for x in values:
             self.add(x)
         return self
-
-    def merge(self, other: "Welford") -> "Welford":
-        """Exact combination of two accumulators over disjoint samples."""
-        out = Welford()
-        out.n = self.n + other.n
-        if out.n == 0:
-            return out
-        delta = other.mean - self.mean
-        out.mean = self.mean + delta * other.n / out.n
-        out._m2 = self._m2 + other._m2 + delta * delta * self.n * other.n / out.n
-        return out
 
     @property
     def variance(self) -> float:

@@ -3,7 +3,7 @@
 Names resolve lazily (PEP 562): :class:`~repro.traffic.trace.Trace` and
 its chunked stream file format (``Trace.save``/``Trace.load``,
 ``read_stream_header``, ``iter_stream_slots``) are pure Python and the
-reference simulation backend depends on them, so this package must
+reference simulation kernel depends on them, so this package must
 import without numpy — the generators (which do need numpy's bit-exact
 PCG64 streams) only load when first touched.
 """

@@ -30,7 +30,8 @@ end of each run.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.scheduling.base import CIOQPolicy, CrossbarPolicy
 from repro.switch.cioq import CIOQSwitch, ScheduleError
@@ -44,9 +45,14 @@ from repro.simulation.results import TransferEvent
 ArrivalSpec = Tuple[int, int, float]
 
 
+@dataclass
 class SimulationResult(results.SimulationResult):
     """The package's result plus the per-packet send accounting the
-    loops below call; the package's kernels account sends in bulk."""
+    loops below call, and the sent-pid log it keeps; the package's
+    kernels account sends in bulk and log them in ``transmit_log``
+    alone."""
+
+    sent_pids: List[int] = field(default_factory=list)
 
     def record_sent(self, slot: int, j: int, p: Packet, record: bool) -> None:
         self.benefit += p.value

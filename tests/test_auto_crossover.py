@@ -1,18 +1,20 @@
-"""The auto backend's one crossover rule: lanes x ports.
+"""The engine's one kernel rule: lanes x ports.
 
-``backend="auto"`` takes the vectorized kernel only when the lockstep
-traces of a run times the larger side of its switch reach
-``AUTO_CROSSOVER``; below it the reference kernel wins for every paper
-policy (``BENCH_engine.json``'s crossover rows, which
-``tests/test_package.py`` checks the constant against).  These tests pin
-the rule itself and — by poisoning the fast-path loader — prove the fast
-kernel is never even imported below it.
+The engine takes the vectorized kernel only when the lockstep traces of
+a run times the larger side of its switch reach ``AUTO_CROSSOVER``;
+below it the reference kernel wins for every paper policy
+(``BENCH_engine.json``'s crossover rows, which ``tests/test_package.py``
+checks the constant against).  These tests pin the rule itself and — by
+poisoning the fast-path loader — prove the fast kernel is never even
+imported below it.  The kernels they compare against are pinned by
+calling them directly (``tests/_kernels.py``).
 """
 
 from functools import partial
 
 import pytest
 
+from _kernels import fast_batch, reference_batch
 from repro.core.cgu import CGUPolicy
 from repro.core.cpg import CPGPolicy
 from repro.core.gm import GMPolicy
@@ -61,13 +63,17 @@ def _config(n_in, n_out=None):
                         b_in=2, b_out=2, b_cross=1)
 
 
-def _run(model, factory, config, traces, backend):
+def _run(model, factory, config, traces):
     """One trace through the single-run entry, more through the batch
     entry, like the sweep executor's single and batch tasks."""
     single, batch = RUNNERS[model]
     if len(traces) == 1:
-        return [single(factory(), config, traces[0], backend=backend)]
-    return batch(factory, config, traces, backend=backend)
+        return [single(factory(), config, traces[0])]
+    return batch(factory, config, traces)
+
+
+def _payloads(results):
+    return [r.as_payload() for r in results]
 
 
 def _poisoned():
@@ -95,15 +101,13 @@ class TestRule:
         """A single run counts as one lane: 63 ports stay on the
         reference kernel, 64 reach the loader."""
         monkeypatch.setattr(engine, "load_fastpath", _poisoned)
-        run_cioq(GMPolicy(), _config(63), _trace(63, slots=2),
-                 backend="auto")
+        run_cioq(GMPolicy(), _config(63), _trace(63, slots=2))
         with pytest.raises(AssertionError, match="fast path touched"):
-            run_cioq(GMPolicy(), _config(64), _trace(64, slots=2),
-                     backend="auto")
+            run_cioq(GMPolicy(), _config(64), _trace(64, slots=2))
 
 
 class TestDispatch:
-    """Poison the fast-path loader: an auto run below the crossover must
+    """Poison the fast-path loader: a run below the crossover must
     succeed without ever importing the fast kernel, and one at it must
     reach the loader."""
 
@@ -118,10 +122,9 @@ class TestDispatch:
                                         model, factory, n_in, n_out, lanes):
         config = _config(n_in, n_out)
         traces = [_trace(n_in, n_out, slots=6, seed=s) for s in range(lanes)]
-        auto = _run(model, factory, config, traces, "auto")
-        ref = _run(model, factory, config, traces, "reference")
-        assert [r.as_payload() for r in auto] == [
-            r.as_payload() for r in ref]
+        auto = _run(model, factory, config, traces)
+        ref = reference_batch(model, factory, config, traces)
+        assert _payloads(auto) == _payloads(ref)
 
     @pytest.mark.parametrize("n_in, n_out, lanes", AT)
     @pytest.mark.parametrize("label, model, factory", POLICIES,
@@ -131,18 +134,11 @@ class TestDispatch:
                                            lanes):
         traces = [_trace(n_in, n_out, slots=2, seed=s) for s in range(lanes)]
         with pytest.raises(AssertionError, match="fast path touched"):
-            _run(model, factory, _config(n_in, n_out), traces, "auto")
-
-    def test_explicit_fast_bypasses_rule(self, poisoned_fastpath):
-        # backend="fast" must honor the explicit request: it reaches
-        # the (poisoned) loader even below the crossover.
-        with pytest.raises(AssertionError, match="fast path touched"):
-            run_cioq(PGPolicy(beta=2.0), _config(2), _trace(2),
-                     backend="fast")
+            _run(model, factory, _config(n_in, n_out), traces)
 
 
 class TestFallbackAtCrossover:
-    """At the crossover ``auto`` tries the fast kernel, and a run the
+    """At the crossover the engine tries the fast kernel, and a run the
     kernel refuses there (a baseline, an event log, the invariant
     checks, a capacity past its queue-length dtype) runs on the
     reference kernel with the reference payloads."""
@@ -167,19 +163,18 @@ class TestFallbackAtCrossover:
     def test_baseline_batch(self, loads, model, cls):
         config = _config(4)
         traces = [_trace(4, slots=6, seed=s) for s in range(16)]
-        auto = _run(model, cls, config, traces, "auto")
+        auto = _run(model, cls, config, traces)
         assert len(loads) == 1
-        ref = _run(model, cls, config, traces, "reference")
-        assert [r.as_payload() for r in auto] == [
-            r.as_payload() for r in ref]
+        ref = reference_batch(model, cls, config, traces)
+        assert _payloads(auto) == _payloads(ref)
 
     @pytest.mark.parametrize("option", ["record", "check_invariants"])
     def test_unsupported_option_on_64_ports(self, loads, option):
         config, trace = _config(64), _trace(64, slots=3)
-        auto = run_cioq(GMPolicy(), config, trace, backend="auto",
-                        **{option: True})
+        auto = run_cioq(GMPolicy(), config, trace, **{option: True})
         assert len(loads) == 1
-        ref = run_cioq(GMPolicy(), config, trace, **{option: True})
+        (ref,) = reference_batch("cioq", GMPolicy, config, [trace],
+                                 **{option: True})
         assert (auto.as_payload(), auto.transmit_log) == (
             ref.as_payload(), ref.transmit_log)
 
@@ -192,11 +187,10 @@ class TestFallbackAtCrossover:
                                  "b_out": 2, **caps})
         traces = [BernoulliTraffic(2, 2, load=3.0).generate(10, seed=s)
                   for s in range(64)]
-        auto = _run(model, factory, config, traces, "auto")
+        auto = _run(model, factory, config, traces)
         assert len(loads) == 1
-        ref = _run(model, factory, config, traces, "reference")
-        assert [r.as_payload() for r in auto] == [
-            r.as_payload() for r in ref]
+        ref = reference_batch(model, factory, config, traces)
+        assert _payloads(auto) == _payloads(ref)
 
 
 @pytest.mark.skipif(not numpy_available(),
@@ -206,10 +200,10 @@ class TestFallbackAtCrossover:
 @pytest.mark.parametrize("label, model, factory", POLICIES[:4],
                          ids=[p[0] for p in POLICIES[:4]])
 def test_auto_equals_fast(label, model, factory, n_in, n_out, lanes):
-    """The rule is scheduling only: auto, on whichever kernel it picks,
-    gives the fast kernel's payloads bit for bit."""
+    """The rule is scheduling only: the engine, on whichever kernel it
+    picks, gives the fast kernel's payloads bit for bit."""
     config = _config(n_in, n_out)
     traces = [_trace(n_in, n_out, seed=s) for s in range(lanes)]
-    auto = _run(model, factory, config, traces, "auto")
-    fast = _run(model, factory, config, traces, "fast")
-    assert [r.as_payload() for r in auto] == [r.as_payload() for r in fast]
+    auto = _run(model, factory, config, traces)
+    fast = fast_batch(model, factory, config, traces)
+    assert _payloads(auto) == _payloads(fast)

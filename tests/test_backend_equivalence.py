@@ -1,29 +1,30 @@
-"""Differential equivalence matrix: ``fast`` backend vs ``reference``.
+"""Differential equivalence matrix: the fast kernel vs the reference one.
 
-The vectorized numpy backend (:mod:`repro.simulation.fastpath`) runs
+The vectorized numpy kernel (:mod:`repro.simulation.fastpath`) runs
 the paper's four policies (GM, PG, CGU, CPG) and is required to be
 **bit-identical** to the reference kernel on every observable
 :class:`~repro.simulation.results.SimulationResult` field — that
-contract is what lets sweep caches ignore the backend and lets ``auto``
-switch freely.  Every other policy (the comparison baselines, custom
-classes) raises ``BackendUnsupported`` under ``fast`` and runs on the
-reference kernel under ``auto``.  This module pins it from four
-directions:
+contract is what lets sweep caches ignore the kernel and lets the
+engine pick one freely.  Every other policy (the comparison baselines,
+custom classes) raises ``BackendUnsupported`` on the fast kernel, and
+the engine runs it on the reference kernel.  Each test pins a kernel by
+calling it directly (``tests/_kernels.py``).  This module pins the
+contract from four directions:
 
-* the registry semantics themselves (validation, fallback, errors, the
-  fast kernel's policy table);
+* the fast kernel's refusals, the engine's fallback on them, and the
+  fast kernel's policy table;
 * a differential matrix over **every builtin scenario** — each
-  (scenario, seed, policy) runs through ``fast`` (paper policies) or
-  ``auto`` (baselines) and must agree with reference on every payload
-  field;
+  (scenario, seed, policy) runs on the fast kernel (paper policies) or
+  through the engine (baselines) and must agree with the reference
+  kernel on every payload field;
 * seeded property-based runs over arbitrary traffic models and policy
   mixes (the ``tests/_strategies.py`` harness), including
   preemption-heavy and drain edge cases;
-* seed-ladder batching parity: a batched multi-seed ``fast`` run must
+* seed-ladder batching parity: a batched multi-seed fast run must
   produce byte-identical ``summary.json`` / ``summary.csv`` artifacts
   to serial per-seed reference replication.
 
-Equality below is exact (``==``), not approximate: the backends execute
+Equality below is exact (``==``), not approximate: the kernels execute
 the same float operations in the same order by construction, so even
 the accumulated float accounting must match bit for bit.
 """
@@ -34,6 +35,13 @@ import random
 
 import pytest
 
+from _kernels import (
+    fast_batch,
+    fast_run,
+    pin_kernel,
+    reference_batch,
+    reference_run,
+)
 from _strategies import N_CASES, property_seeds, traffic_strategy
 from repro.core.cgu import CGUPolicy
 from repro.core.cpg import CPGPolicy
@@ -50,13 +58,7 @@ from repro.scheduling.baselines import (
 )
 from repro.scheduling.fifo import FifoCIOQPolicy, FifoCrossbarPolicy
 from repro.scheduling.matching import greedy_maximal_matching_weighted
-from repro.simulation.backends import (
-    BACKENDS,
-    BackendUnsupported,
-    available_backends,
-    numpy_available,
-    validate_backend,
-)
+from repro.simulation.backends import BackendUnsupported, numpy_available
 from repro.simulation.engine import (
     run_cioq,
     run_cioq_batch,
@@ -77,11 +79,13 @@ from repro.traffic.values import (
 )
 
 pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="fast backend requires numpy"
+    not numpy_available(), reason="the fast kernel requires numpy"
 )
 
+RUNNERS = {"cioq": run_cioq, "crossbar": run_crossbar}
+
 #: Every observable payload field of a SimulationResult (the logs are
-#: covered by test_kernel_equivalence.py; the fast backend rejects
+#: covered by test_kernel_equivalence.py; the fast kernel rejects
 #: record=True, so they cannot diverge here).  Per-slot occupancy is an
 #: every-slot recorder's series, compared by :func:`assert_series_identical`.
 PAYLOAD_FIELDS = [
@@ -118,11 +122,11 @@ def in_fast_table(model, policy):
 
 def assert_payloads_identical(ref, fast, label=""):
     """Exact equality on every observable field — ints and floats alike
-    (the bit-identical backend contract, stronger than any tolerance)."""
+    (the bit-identical kernel contract, stronger than any tolerance)."""
     for name in PAYLOAD_FIELDS:
         rv, fv = getattr(ref, name), getattr(fast, name)
         assert rv == fv, (
-            f"fast backend diverges from reference on {name} {label}: "
+            f"fast kernel diverges from reference on {name} {label}: "
             f"{rv!r} != {fv!r}"
         )
 
@@ -142,27 +146,16 @@ def assert_series_identical(ref_rec, rec, lane=0, label=""):
         f"per-slot series diverges from reference {label}")
 
 
+def engine_run(model, policy, config, trace, **options):
+    """``trace`` through the engine, which picks the kernel."""
+    return RUNNERS[model](policy, config, trace, **options)
+
+
 # ---------------------------------------------------------------------------
-# Registry semantics
+# Refusals and the fallback
 # ---------------------------------------------------------------------------
 
-class TestRegistry:
-    def test_backend_names(self):
-        assert BACKENDS == ("reference", "fast", "auto")
-        for name in BACKENDS:
-            assert validate_backend(name) == name
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            validate_backend("numba")
-
-    def test_engine_rejects_unknown_backend(self, small_config, unit_trace):
-        with pytest.raises(ValueError, match="unknown backend"):
-            run_cioq(GMPolicy(), small_config, unit_trace, backend="gpu")
-
-    def test_available_backends_with_numpy(self):
-        assert available_backends() == BACKENDS
-
+class TestRefusals:
     @pytest.mark.parametrize("kwargs", [
         {"record": True},
         {"check_invariants": True},
@@ -170,31 +163,30 @@ class TestRegistry:
     def test_fast_rejects_unsupported_features(self, small_config,
                                                unit_trace, kwargs):
         with pytest.raises(BackendUnsupported):
-            run_cioq(GMPolicy(), small_config, unit_trace, backend="fast",
-                     **kwargs)
-        # auto falls back to the reference kernel instead.
-        ref = run_cioq(GMPolicy(), small_config, unit_trace, **kwargs)
-        auto = run_cioq(GMPolicy(), small_config, unit_trace, backend="auto",
-                        **kwargs)
+            fast_run("cioq", GMPolicy(), small_config, unit_trace, **kwargs)
+        # The engine runs it on the reference kernel instead.
+        ref = reference_run("cioq", GMPolicy(), small_config, unit_trace,
+                            **kwargs)
+        auto = run_cioq(GMPolicy(), small_config, unit_trace, **kwargs)
         assert_payloads_identical(ref, auto)
 
-    @pytest.mark.parametrize("runner, policy, caps", [
-        (run_cioq, GMPolicy, {"b_in": 40000}),
-        (run_crossbar, CGUPolicy, {"b_cross": 40000}),
+    @pytest.mark.parametrize("model, policy, caps", [
+        ("cioq", GMPolicy, {"b_in": 40000}),
+        ("crossbar", CGUPolicy, {"b_cross": 40000}),
     ])
-    def test_fast_rejects_capacity_beyond_its_length_dtype(self, runner,
+    def test_fast_rejects_capacity_beyond_its_length_dtype(self, model,
                                                            policy, caps):
         """The fast kernel counts queue lengths in int16: a larger
-        capacity raises under ``fast`` and runs on the reference kernel
-        under ``auto`` (it used to corrupt the queues and trip the
+        capacity raises on the fast kernel, and the engine runs it on
+        the reference kernel (it used to corrupt the queues and trip the
         conservation check)."""
         config = SwitchConfig(**{"n_in": 2, "n_out": 2, "b_in": 2,
                                  "b_out": 2, **caps})
         trace = BernoulliTraffic(2, 2, load=3.0).generate(50, seed=0)
         with pytest.raises(BackendUnsupported, match="capacity 40000"):
-            runner(policy(), config, trace, backend="fast")
-        ref = runner(policy(), config, trace)
-        auto = runner(policy(), config, trace, backend="auto")
+            fast_run(model, policy(), config, trace)
+        ref = reference_run(model, policy(), config, trace)
+        auto = RUNNERS[model](policy(), config, trace)
         assert_payloads_identical(ref, auto)
 
     def test_fast_table_holds_only_the_paper_policies(self):
@@ -218,34 +210,34 @@ class TestRegistry:
     ])
     def test_fast_rejects_the_baselines(self, model, cls, small_config,
                                         unit_trace):
-        """Each baseline raises under ``fast`` and equals reference under
-        ``auto``, which runs it on the reference kernel."""
-        runner = run_cioq if model == "cioq" else run_crossbar
+        """Each baseline raises on the fast kernel, and the engine runs
+        it on the reference kernel."""
         with pytest.raises(BackendUnsupported,
                            match=f"no {model} stepper for {cls.__name__}"):
-            runner(cls(), small_config, unit_trace, backend="fast")
-        ref = runner(cls(), small_config, unit_trace)
-        auto = runner(cls(), small_config, unit_trace, backend="auto")
+            fast_run(model, cls(), small_config, unit_trace)
+        ref = reference_run(model, cls(), small_config, unit_trace)
+        auto = RUNNERS[model](cls(), small_config, unit_trace)
         assert_payloads_identical(ref, auto, label=f"({cls.__name__})")
 
     def test_fast_rejects_timed_recorder(self, small_config, unit_trace):
         """The fast kernel does not time its phases: a timed recorder
-        raises under ``fast`` before the recorder is touched."""
+        raises before the recorder is touched."""
         rec = InMemoryRecorder(every_k=1, timed=True)
         with pytest.raises(BackendUnsupported, match="timed recorder"):
-            run_cioq(GMPolicy(), small_config, unit_trace, backend="fast",
+            fast_run("cioq", GMPolicy(), small_config, unit_trace,
                      metrics=rec)
         with pytest.raises(BackendUnsupported, match="timed recorder"):
-            run_crossbar_batch(CGUPolicy, small_config, [unit_trace],
-                               backend="fast", metrics=rec)
+            fast_batch("crossbar", CGUPolicy, small_config, [unit_trace],
+                       metrics=rec)
         assert (rec.counters, rec.series, rec.times) == ({}, [], {})
 
     @pytest.mark.parametrize("model", ["cioq", "crossbar"])
     def test_auto_falls_back_on_timed_recorder(self, model):
-        """At the crossover (16 lanes x 4 ports) ``auto`` takes the fast
-        kernel, which refuses a timed recorder; it then runs the batch on
-        the reference kernel, lane by lane, whose payloads, counters and
-        series it returns, and records all four phase wall-times."""
+        """At the crossover (16 lanes x 4 ports) the engine tries the
+        fast kernel, which refuses a timed recorder; it then runs the
+        batch on the reference kernel, lane by lane, whose payloads,
+        counters and series it returns, and records all four phase
+        wall-times."""
         from repro.simulation.backends import auto_prefers_reference
 
         config = SwitchConfig.square(4, speedup=2, b_in=2, b_out=2,
@@ -256,11 +248,10 @@ class TestRegistry:
         batched, factory = ((run_cioq_batch, PGPolicy) if model == "cioq"
                             else (run_crossbar_batch, CPGPolicy))
         timed = InMemoryRecorder(every_k=1, timed=True)
-        auto = batched(factory, config, traces, backend="auto",
-                       metrics=timed)
+        auto = batched(factory, config, traces, metrics=timed)
         untimed = InMemoryRecorder(every_k=1)
-        ref = batched(factory, config, traces, backend="reference",
-                      metrics=untimed)
+        ref = reference_batch(model, factory, config, traces,
+                              metrics=untimed)
         for lane, (r, a) in enumerate(zip(ref, auto)):
             assert_payloads_identical(r, a, label=f"(lane {lane})")
         assert timed.snapshot() == untimed.snapshot()
@@ -283,27 +274,30 @@ def _scenario_cases():
 @pytest.mark.parametrize("spec", _scenario_cases())
 def test_builtin_scenario_matrix(spec):
     """Every (builtin scenario, seed, policy) point agrees between the
-    backends on every payload field: policies in the fast kernel's table
-    run with ``backend="fast"``; every other builtin policy must raise
-    ``BackendUnsupported`` under ``fast`` and equal reference under
-    ``auto``."""
+    kernels on every payload field: policies in the fast kernel's table
+    run on the fast kernel; every other builtin policy must raise
+    ``BackendUnsupported`` there and equal the reference kernel through
+    the engine."""
     config = spec.build_config()
     traffic = spec.build_traffic()
-    runner = run_cioq if spec.model == "cioq" else run_crossbar
+    model = spec.model
     for seed in spec.seeds[:2]:
         trace = traffic.generate(spec.slots, seed=seed)
         for label, factory in spec.policy_factories():
             ref_rec = InMemoryRecorder(every_k=1)
-            ref = runner(factory(), config, trace, metrics=ref_rec)
-            backend = "fast"
-            if not in_fast_table(spec.model, factory()):
-                with pytest.raises(BackendUnsupported):
-                    runner(factory(), config, trace, backend="fast")
-                backend = "auto"
+            ref = reference_run(model, factory(), config, trace,
+                                metrics=ref_rec)
             rec = InMemoryRecorder(every_k=1)
-            other = runner(factory(), config, trace, backend=backend,
-                           metrics=rec)
-            case = f"({spec.name}, seed={seed}, {label}, {backend})"
+            if in_fast_table(model, factory()):
+                kernel = "fast"
+                other = fast_run(model, factory(), config, trace,
+                                 metrics=rec)
+            else:
+                with pytest.raises(BackendUnsupported):
+                    fast_run(model, factory(), config, trace)
+                kernel = "engine"
+                other = RUNNERS[model](factory(), config, trace, metrics=rec)
+            case = f"({spec.name}, seed={seed}, {label}, {kernel})"
             assert_payloads_identical(ref, other, label=case)
             assert_series_identical(ref_rec, rec, label=case)
 
@@ -335,9 +329,9 @@ CROSSBAR_FACTORIES = [
 @pytest.mark.parametrize("seed", property_seeds())
 def test_property_backend_agreement(seed):
     """Arbitrary traffic x arbitrary policy x arbitrary config: both
-    backends agree exactly on every payload field (``fast`` for the
-    paper policies, ``auto`` for the baselines, which it runs on the
-    reference kernel)."""
+    kernels agree exactly on every payload field (the fast kernel for
+    the paper policies, the engine for the baselines, which it runs on
+    the reference kernel)."""
     rng = random.Random(seed)
     for case in range(N_CASES):
         model, n_in, n_out = traffic_strategy(rng)
@@ -350,19 +344,18 @@ def test_property_backend_agreement(seed):
         occ = rng.random() < 0.5
         mes = rng.choice([None, 0, rng.randint(1, 5)])
         if rng.random() < 0.5:
-            factory = rng.choice(CIOQ_FACTORIES)
-            runner, switch = run_cioq, "cioq"
+            factory, switch = rng.choice(CIOQ_FACTORIES), "cioq"
         else:
-            factory = rng.choice(CROSSBAR_FACTORIES)
-            runner, switch = run_crossbar, "crossbar"
-        backend = "fast" if in_fast_table(switch, factory()) else "auto"
+            factory, switch = rng.choice(CROSSBAR_FACTORIES), "crossbar"
+        fast = in_fast_table(switch, factory())
+        runner = fast_run if fast else engine_run
         ref_rec, rec = ((InMemoryRecorder(every_k=1),
                          InMemoryRecorder(every_k=1)) if occ else (None, None))
-        ref = runner(factory(), config, trace, max_extra_slots=mes,
-                     metrics=ref_rec)
-        other = runner(factory(), config, trace, max_extra_slots=mes,
-                       backend=backend, metrics=rec)
-        label = f"(case {case}, seed {seed}, {backend})"
+        ref = reference_run(switch, factory(), config, trace,
+                            max_extra_slots=mes, metrics=ref_rec)
+        other = runner(switch, factory(), config, trace,
+                       max_extra_slots=mes, metrics=rec)
+        label = f"(case {case}, seed {seed}, {runner.__name__})"
         assert_payloads_identical(ref, other, label=label)
         if occ:
             assert_series_identical(ref_rec, rec, label=label)
@@ -377,19 +370,19 @@ def test_preemption_pushout_chain_identical():
     tm = BernoulliTraffic(3, 3, load=2.5, value_model=two_value(20.0, 0.5))
     for seed in range(5):
         trace = tm.generate(30, seed=seed)
-        ref = run_cioq(PGPolicy(beta=1.01), config, trace)
-        fast = run_cioq(PGPolicy(beta=1.01), config, trace, backend="fast")
+        ref = reference_run("cioq", PGPolicy(beta=1.01), config, trace)
+        fast = fast_run("cioq", PGPolicy(beta=1.01), config, trace)
         assert ref.n_preempted_voq + ref.n_preempted_out > 0
         assert_payloads_identical(ref, fast, label=f"(seed {seed})")
 
 
 def test_streaming_style_drain_tail_identical():
     """A burst followed by silence must drain identically: the fast
-    backend's lane-retirement logic may not terminate a run earlier or
+    kernel's lane-retirement logic may not terminate a run earlier or
     later than the reference loop (horizon and benefit both observable).
     PG and CPG cover push-out arrival; the FIFO baselines are outside
-    the fast kernel's table and drain on the reference kernel under
-    ``auto``.
+    the fast kernel's table, and the engine drains them on the
+    reference kernel.
     """
     config = SwitchConfig(n_in=4, n_out=4, speedup=1, b_in=3, b_out=2,
                           b_cross=1)
@@ -399,29 +392,29 @@ def test_streaming_style_drain_tail_identical():
         for pid in range(16)
     ]
     trace = Trace(packets, 4, 4, name="burst-then-silence")
-    for policy_factory, runner, backend in [
-        (GMPolicy, run_cioq, "fast"), (PGPolicy, run_cioq, "fast"),
-        (FifoCIOQPolicy, run_cioq, "auto"),
-        (CGUPolicy, run_crossbar, "fast"), (CPGPolicy, run_crossbar, "fast"),
-        (FifoCrossbarPolicy, run_crossbar, "auto"),
+    for policy_factory, model, runner in [
+        (GMPolicy, "cioq", fast_run), (PGPolicy, "cioq", fast_run),
+        (FifoCIOQPolicy, "cioq", engine_run),
+        (CGUPolicy, "crossbar", fast_run), (CPGPolicy, "crossbar", fast_run),
+        (FifoCrossbarPolicy, "crossbar", engine_run),
     ]:
         ref_rec, rec = InMemoryRecorder(every_k=1), InMemoryRecorder(every_k=1)
-        ref = runner(policy_factory(), config, trace, metrics=ref_rec)
-        if backend == "auto":
+        ref = reference_run(model, policy_factory(), config, trace,
+                            metrics=ref_rec)
+        if runner is engine_run:
             with pytest.raises(BackendUnsupported):
-                runner(policy_factory(), config, trace, backend="fast")
-        other = runner(policy_factory(), config, trace, backend=backend,
-                       metrics=rec)
+                fast_run(model, policy_factory(), config, trace)
+        other = runner(model, policy_factory(), config, trace, metrics=rec)
         assert ref.n_residual == 0
-        label = f"({policy_factory.__name__}, {backend})"
+        label = f"({policy_factory.__name__}, {runner.__name__})"
         assert_payloads_identical(ref, other, label=label)
         assert_series_identical(ref_rec, rec, label=label)
 
 
 def test_empty_trace_identical(small_config):
     empty = Trace([], 3, 3)
-    ref = run_cioq(GMPolicy(), small_config, empty)
-    fast = run_cioq(GMPolicy(), small_config, empty, backend="fast")
+    ref = reference_run("cioq", GMPolicy(), small_config, empty)
+    fast = fast_run("cioq", GMPolicy(), small_config, empty)
     assert fast.n_arrived == 0 and fast.horizon == ref.horizon
     assert_payloads_identical(ref, fast)
 
@@ -462,7 +455,7 @@ def _tie_heavy_values(rng):
 
 @pytest.mark.parametrize("seed", property_seeds())
 def test_property_batched_backend_agreement(seed):
-    """A lockstep ``fast`` batch of 1-5 lanes of different lengths
+    """A lockstep fast batch of 1-5 lanes of different lengths
     equals serial reference runs on every payload field, over small
     switches, discrete (tie-heavy) or heavy-tailed values and every
     paper policy; equal values exercise every tie-break of the fast
@@ -489,15 +482,12 @@ def test_property_batched_backend_agreement(seed):
                   for n in lengths]
         occ = rng.random() < 0.5
         switch, factory = rng.choice(BATCH_POLICIES)
-        serial, batched = ((run_cioq, run_cioq_batch) if switch == "cioq"
-                           else (run_crossbar, run_crossbar_batch))
         ref_recs = [InMemoryRecorder(every_k=1) if occ else None
                     for _ in traces]
         rec = InMemoryRecorder(every_k=1) if occ else None
-        refs = [serial(factory(), config, tr, metrics=ref_rec)
+        refs = [reference_run(switch, factory(), config, tr, metrics=ref_rec)
                 for tr, ref_rec in zip(traces, ref_recs)]
-        fasts = batched(factory, config, traces, backend="fast",
-                        metrics=rec)
+        fasts = fast_batch(switch, factory, config, traces, metrics=rec)
         assert len(fasts) == len(refs)
         for lane, (ref, fast) in enumerate(zip(refs, fasts)):
             label = f"(case {case}, seed {seed}, lane {lane})"
@@ -605,8 +595,8 @@ def test_staircase_trace_identical():
     trace = Trace(packets, n, n, name="staircase")
     config = SwitchConfig.square(n, speedup=2, b_in=2, b_out=1)
     for beta in (1.0, 1.5):
-        ref = run_cioq(PGPolicy(beta=beta), config, trace)
-        fast = run_cioq(PGPolicy(beta=beta), config, trace, backend="fast")
+        ref = reference_run("cioq", PGPolicy(beta=beta), config, trace)
+        fast = fast_run("cioq", PGPolicy(beta=beta), config, trace)
         assert ref.n_preempted_out > 0
         assert_payloads_identical(ref, fast, label=f"(beta {beta})")
 
@@ -643,10 +633,8 @@ def _check_rank_batch(traces):
     config = SwitchConfig.square(8, speedup=2, b_in=2, b_out=2, b_cross=1)
     preempted = [0, 0, 0]
     for model, factory in RANK_CASES:
-        serial, batched = ((run_cioq, run_cioq_batch) if model == "cioq"
-                           else (run_crossbar, run_crossbar_batch))
-        refs = [serial(factory(), config, tr) for tr in traces]
-        fasts = batched(factory, config, traces, backend="fast")
+        refs = reference_batch(model, factory, config, traces)
+        fasts = fast_batch(model, factory, config, traces)
         for lane, (ref, fast) in enumerate(zip(refs, fasts)):
             assert_payloads_identical(
                 ref, fast, label=f"({ref.policy_name}, lane {lane})")
@@ -687,8 +675,8 @@ def test_rank_setup_tied_values(values):
 
 class TestRankLimit:
     """The fast kernel numbers a batch's packets in int32: a larger
-    batch raises ``BackendUnsupported`` under ``fast`` and runs on the
-    reference kernel under ``auto``, checked without 2**31 packets."""
+    batch raises ``BackendUnsupported`` there, and the engine runs it on
+    the reference kernel, checked without 2**31 packets."""
 
     def test_int32_limit(self):
         class Huge(Trace):
@@ -701,8 +689,7 @@ class TestRankLimit:
         huge = Huge.from_columns(*small.columns(), 2, 2)
         with pytest.raises(BackendUnsupported,
                            match="cannot number the batch's 2147483648"):
-            run_cioq(GMPolicy(), SwitchConfig.square(2), huge,
-                     backend="fast")
+            fast_run("cioq", GMPolicy(), SwitchConfig.square(2), huge)
 
     @pytest.mark.parametrize("model, factory", [
         ("cioq", PGPolicy), ("crossbar", CPGPolicy),
@@ -719,14 +706,14 @@ class TestRankLimit:
         assert sum(map(len, traces)) > 127
         config = SwitchConfig.square(8, speedup=2, b_in=2, b_out=2,
                                      b_cross=1)
-        serial, batched = ((run_cioq, run_cioq_batch) if model == "cioq"
-                           else (run_crossbar, run_crossbar_batch))
+        batched = run_cioq_batch if model == "cioq" else run_crossbar_batch
         with pytest.raises(BackendUnsupported, match="int8"):
-            batched(factory, config, traces, backend="fast")
-        auto = batched(factory, config, traces, backend="auto")
+            fast_batch(model, factory, config, traces)
+        auto = batched(factory, config, traces)
         for lane, tr in enumerate(traces):
-            assert_payloads_identical(serial(factory(), config, tr),
-                                      auto[lane], label=f"(lane {lane})")
+            assert_payloads_identical(
+                reference_run(model, factory(), config, tr), auto[lane],
+                label=f"(lane {lane})")
 
 
 # ---------------------------------------------------------------------------
@@ -742,23 +729,47 @@ def test_batch_lockstep_matches_serial_runs():
     tm = BernoulliTraffic(4, 4, load=1.4, value_model=uniform_values(1, 9))
     traces = [tm.generate(10 + 7 * k, seed=k) for k in range(5)]
     ref_recs = [InMemoryRecorder(every_k=1) for _ in traces]
-    serial = [run_cioq(PGPolicy(), config, tr, metrics=ref_rec)
+    serial = [reference_run("cioq", PGPolicy(), config, tr, metrics=ref_rec)
               for tr, ref_rec in zip(traces, ref_recs)]
     rec = InMemoryRecorder(every_k=1)
-    batched = run_cioq_batch(PGPolicy, config, traces, backend="fast",
-                             metrics=rec)
+    batched = fast_batch("cioq", PGPolicy, config, traces, metrics=rec)
     assert len(batched) == len(serial)
     for k, (ref, fast) in enumerate(zip(serial, batched)):
         assert_payloads_identical(ref, fast, label=f"(lane {k})")
         assert_series_identical(ref_recs[k], rec, k, label=f"(lane {k})")
 
-    xserial = [run_crossbar(CPGPolicy(), config, tr) for tr in traces]
-    xbatched = run_crossbar_batch(CPGPolicy, config, traces, backend="fast")
+    xserial = reference_batch("crossbar", CPGPolicy, config, traces)
+    xbatched = fast_batch("crossbar", CPGPolicy, config, traces)
     for k, (ref, fast) in enumerate(zip(xserial, xbatched)):
         assert_payloads_identical(ref, fast, label=f"(xbar lane {k})")
 
 
-def test_replicated_artifacts_byte_identical(tmp_path):
+@pytest.mark.parametrize("model, factory", [
+    ("cioq", GMPolicy), ("cioq", PGPolicy),
+    ("crossbar", CGUPolicy), ("crossbar", CPGPolicy),
+])
+def test_batch_leaves_no_cyclic_garbage(model, factory):
+    """A finished batch frees its arrays at once.  The run and its
+    stepper refer to each other, and ``run_batch`` breaks that cycle;
+    left to the cyclic collector, one batch's arrays stayed allocated
+    while the next batch ran, which raised a process's peak memory by
+    an amount that depended on when the collector happened to run."""
+    import gc
+
+    config = SwitchConfig.square(4, speedup=2, b_in=3, b_out=3, b_cross=1)
+    tm = BernoulliTraffic(4, 4, load=1.4, value_model=uniform_values(1, 9))
+    traces = [tm.generate(20, seed=s) for s in range(16)]
+    gc.collect()
+    gc.disable()
+    try:
+        fast_batch(model, factory, config, traces,
+                   metrics=InMemoryRecorder(every_k=1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_replicated_artifacts_byte_identical(tmp_path, monkeypatch):
     """The full replication pipeline — batched fast ladder vs serial
     reference — writes byte-identical summary.json / summary.csv (and
     result.json/result.csv), the artifact-level form of the contract."""
@@ -783,18 +794,19 @@ def test_replicated_artifacts_byte_identical(tmp_path):
         replicates={"n": 6, "base_seed": 3, "bootstrap": 64},
     )
     out = {}
-    for backend in ("reference", "fast"):
-        rrun = replicate_scenario(spec,
-                                  executor=SweepExecutor(backend=backend))
-        target = tmp_path / backend
+    for kernel in ("reference", "fast"):
+        with monkeypatch.context() as patch:
+            pin_kernel(patch, kernel)
+            rrun = replicate_scenario(spec, executor=SweepExecutor())
+        target = tmp_path / kernel
         paths = write_replicated_artifacts(rrun, str(target))
-        out[backend] = {
+        out[kernel] = {
             p.rsplit("/", 1)[-1]: open(p, "rb").read() for p in paths
         }
     assert set(out["reference"]) == set(out["fast"])
     for name, blob in out["reference"].items():
         assert out["fast"][name] == blob, (
-            f"artifact {name} differs between backends"
+            f"artifact {name} differs between kernels"
         )
     # Sanity: the summary actually carries per-policy rows.
     summary = json.loads(out["fast"]["summary.json"])
@@ -807,11 +819,11 @@ def test_replicated_artifacts_byte_identical(tmp_path):
 # ---------------------------------------------------------------------------
 
 class TestMetricsNeutrality:
-    """The observability layer rides along the backend contract: running
+    """The observability layer rides along the kernel contract: running
     with no recorder, with :data:`NULL_METRICS`, and with an active
     :class:`InMemoryRecorder` must all produce exact-equal payloads on
-    both backends — and the recorder snapshots themselves must be
-    byte-identical between the backends."""
+    both kernels — and the recorder snapshots themselves must be
+    byte-identical between the kernels."""
 
     def _modes(self):
         from repro.obs import NULL_METRICS
@@ -830,19 +842,15 @@ class TestMetricsNeutrality:
         tm = BernoulliTraffic(4, 4, load=1.4,
                               value_model=uniform_values(1, 9))
         traces = [tm.generate(15, seed=s) for s in range(3)]
-        if model == "cioq":
-            serial, batched, factory = run_cioq, run_cioq_batch, GMPolicy
-        else:
-            serial, batched, factory = (run_crossbar, run_crossbar_batch,
-                                        CGUPolicy)
-        base = [serial(factory(), config, tr) for tr in traces]
+        factory = GMPolicy if model == "cioq" else CGUPolicy
+        base = reference_batch(model, factory, config, traces)
         for mode, make in self._modes():
             ref_recs = [make() for _ in traces]
-            ref = [serial(factory(), config, tr, metrics=ref_rec)
+            ref = [reference_run(model, factory(), config, tr,
+                                 metrics=ref_rec)
                    for tr, ref_rec in zip(traces, ref_recs)]
             rec = make()
-            fast = batched(factory, config, traces, backend="fast",
-                           metrics=rec)
+            fast = fast_batch(model, factory, config, traces, metrics=rec)
             for k, (b, r, f) in enumerate(zip(base, ref, fast)):
                 assert_payloads_identical(
                     b, r, label=f"(metrics={mode}, ref lane {k})")
@@ -866,21 +874,19 @@ class TestMetricsNeutrality:
                               value_model=uniform_values(1, 9))
         traces = [tm.generate(10 + 4 * k, seed=k) for k in range(3)]
         ref_rec = InMemoryRecorder(every_k=every_k)
-        run_cioq_batch(GMPolicy, config, traces, backend="reference",
-                       metrics=ref_rec)
+        reference_batch("cioq", GMPolicy, config, traces, metrics=ref_rec)
         fast_rec = InMemoryRecorder(every_k=every_k)
-        run_cioq_batch(GMPolicy, config, traces, backend="fast",
-                       metrics=fast_rec)
+        fast_batch("cioq", GMPolicy, config, traces, metrics=fast_rec)
         ref_snap = ref_rec.snapshot()
         fast_snap = fast_rec.snapshot()
         assert _json.dumps(ref_snap, sort_keys=True) == _json.dumps(
             fast_snap, sort_keys=True)
 
 
-def test_executor_cache_is_backend_agnostic(tmp_path):
-    """Payloads cached by a fast-backend executor are served verbatim to
-    a reference executor (and vice versa): the cache key deliberately
-    excludes the backend because the contract makes payloads
+def test_executor_cache_is_backend_agnostic(tmp_path, monkeypatch):
+    """Payloads cached by an executor on the fast kernel are served
+    verbatim to one on the reference kernel: the cache key deliberately
+    excludes the kernel because the contract makes payloads
     interchangeable."""
     from repro.parallel import SweepExecutor, SweepPoint
 
@@ -892,13 +898,16 @@ def test_executor_cache_is_backend_agnostic(tmp_path):
         for s in range(4)
     ]
     cache = str(tmp_path / "cache")
-    fast_ex = SweepExecutor(cache_dir=cache, backend="fast")
-    fast_payloads = fast_ex.run(points)
+    with monkeypatch.context() as patch:
+        pin_kernel(patch, "fast")
+        fast_ex = SweepExecutor(cache_dir=cache)
+        fast_payloads = fast_ex.run(points)
     assert fast_ex.cache_misses == 4
-    ref_ex = SweepExecutor(cache_dir=cache, backend="reference")
+    pin_kernel(monkeypatch, "reference")
+    ref_ex = SweepExecutor(cache_dir=cache)
     ref_payloads = ref_ex.run(points)
     assert ref_ex.cache_hits == 4 and ref_ex.cache_misses == 0
     assert ref_payloads == fast_payloads
     # And a cold reference run agrees payload-for-payload.
-    cold = SweepExecutor(backend="reference").run(points)
+    cold = SweepExecutor().run(points)
     assert cold == fast_payloads

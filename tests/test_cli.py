@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import pathlib
 
 import pytest
@@ -256,29 +257,38 @@ class TestCommands:
         assert rc == 0
 
 
-class TestBackendErrors:
-    """A policy the fast kernel lacks is one ``backend:`` line (exit 1)
-    under ``--backend fast``; ``--backend auto`` runs it on the
-    reference kernel and prints the reference tables."""
+class TestBackendFlag:
+    """The engine picks the kernel.  ``scenarios run`` keeps
+    ``--backend`` for compatibility, accepting only ``auto``, which
+    changes nothing; the other verbs have no such flag."""
+
+    ARGV = ["scenarios", "run", "bursty-incast", "--slots", "5",
+            "--no-artifacts"]
+
+    def test_auto_prints_the_same(self, capsys):
+        assert main(self.ARGV) == 0
+        plain = capsys.readouterr().out
+        assert "maxmatch" in plain
+        assert main([*self.ARGV, "--backend", "auto"]) == 0
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("value", ["reference", "fast"])
+    def test_other_values_refused(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.ARGV, "--backend", value])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["scenarios", "run", "bursty-incast", "--slots", "5",
-         "--no-artifacts"],
-        ["sweep", "--policies", "maxmatch", "--seeds", "1", "--slots", "5"],
-    ], ids=["scenarios-run", "sweep"])
-    def test_fast_baseline_is_one_line(self, argv, capsys):
-        pytest.importorskip("numpy")
+        ["sweep", "--policies", "gm", "--seeds", "1", "--slots", "5"],
+        ["serve", "--max-jobs", "0"],
+    ], ids=["sweep", "serve"])
+    def test_no_flag_elsewhere(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--backend", "fast"])
-        message = str(exc.value.code)
-        assert message.startswith("backend: ")
-        assert "MaxMatchPolicy" in message
-        assert len(message.splitlines()) == 1
-        assert capsys.readouterr().out == ""
-        assert main([*argv, "--backend", "reference"]) == 0
-        ref = capsys.readouterr().out
-        assert main([*argv, "--backend", "auto"]) == 0
-        assert capsys.readouterr().out == ref
+            main([*argv, "--backend", "auto"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --backend auto" in (
+            capsys.readouterr().err)
 
 
 class TestBadInputIsOneLine:
@@ -558,6 +568,37 @@ class TestBadInputIsOneLine:
                                "unit", {})
         with pytest.raises(SystemExit, match="= 2147483680, more than"):
             main(["scenarios", "show", "--file", str(path)])
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["ratio"], ["sweep", "--seeds", "1"],
+        ["trace", "record", "{out}"],
+    ], ids=["run", "ratio", "sweep", "trace-record"])
+    def test_cli_load_past_arrival_bound_refused(
+            self, argv, capsys, tmp_path, monkeypatch):
+        """The flag-built traffic of ``run``, ``ratio``, ``sweep`` and
+        ``trace record`` is refused by the same arrival bound as a spec
+        file, before any draw: one line naming the bound.  It used to
+        draw until numpy failed to allocate, or until it was killed."""
+        from repro.traffic.base import TrafficModel
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a trace was drawn before the refusal")
+
+        monkeypatch.setattr(TrafficModel, "generate", no_draws)
+        monkeypatch.setattr(TrafficModel, "slot_arrivals", no_draws)
+        out = str(tmp_path / "t.jsonl")
+        load = "--loads" if argv[0] == "sweep" else "--load"
+        with pytest.raises(SystemExit) as exc:
+            main([*(a.format(out=out) for a in argv), "--n", "2", load,
+                  "1e18", "--slots", "5"])
+        message = exc.value.code
+        assert isinstance(message, str) and len(message.splitlines()) == 1
+        # 2 inputs x 10**18 x 5 slots.
+        assert message == (
+            "load 1e+18 bounds arrivals by n_in * ceil(load) * slots = "
+            "10000000000000000000, more than 2147483647 (2**31 - 1)")
+        assert capsys.readouterr().out == ""
+        assert not os.path.exists(out)
 
     def test_slots_override_past_arrival_bound_refused(self, monkeypatch):
         """``--slots`` can take a builtin load past the bound too; the

@@ -2,6 +2,7 @@
 
 import pytest
 
+from _kernels import fast_batch, fast_run, reference_run
 from repro.core.cgu import CGUPolicy
 from repro.core.cpg import CPGPolicy
 from repro.core.gm import GMPolicy
@@ -57,14 +58,13 @@ class TestRunCIOQ:
 
     def test_record_collects_logs(self, small_config, unit_trace):
         res = run_cioq(GMPolicy(), small_config, unit_trace, record=True)
-        assert len(res.sent_pids) == res.n_sent
         assert len(res.transmit_log) == res.n_sent
         assert len(res.schedule_log) >= res.n_sent  # every sent was transferred
 
     def test_no_record_by_default(self, small_config, unit_trace):
         res = run_cioq(GMPolicy(), small_config, unit_trace)
         assert res.schedule_log == []
-        assert res.sent_pids == []
+        assert res.transmit_log == []
 
     def test_speedup_improves_contended_throughput(self):
         trace = BernoulliTraffic(4, 4, load=1.0).generate(40, seed=3)
@@ -81,7 +81,7 @@ class TestRunCIOQ:
         res = run_cioq(PGPolicy(), small_config, trace, record=True)
         by_pid = {p.pid: p.value for p in trace.packets}
         assert res.benefit == pytest.approx(
-            sum(by_pid[pid] for pid in res.sent_pids)
+            sum(by_pid[pid] for _, _, pid in res.transmit_log)
         )
 
     def test_per_output_counters(self, small_config, unit_trace):
@@ -214,15 +214,14 @@ STREAMING = {"cioq": (run_cioq_streaming, PGPolicy),
 
 class TestRecordFlag:
     """Every entry point hands ``record`` to the kernel's one logging
-    hook: off leaves the three logs empty, on fills them in step with
-    the run's counters."""
+    hook: off leaves both logs empty, on fills them in step with the
+    run's counters."""
 
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
     def test_off_keeps_logs_empty(self, entry, small_config, weighted_trace):
         res = ENTRIES[entry](small_config, weighted_trace, False)
         assert res.n_sent > 0
         assert res.schedule_log == []
-        assert res.sent_pids == []
         assert res.transmit_log == []
 
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
@@ -230,14 +229,14 @@ class TestRecordFlag:
                                     weighted_trace):
         res = ENTRIES[entry](small_config, weighted_trace, True)
         by_pid = {p.pid: p for p in weighted_trace.packets}
-        assert len(res.sent_pids) == len(res.transmit_log) == res.n_sent
-        assert [pid for _, _, pid in res.transmit_log] == res.sent_pids
+        assert len(res.transmit_log) == res.n_sent
+        sent = [pid for _, _, pid in res.transmit_log]
         for slot, j, pid in res.transmit_log:
             assert by_pid[pid].dst == j
             assert slot >= by_pid[pid].arrival
-        assert sum(by_pid[pid].value for pid in res.sent_pids) == (
+        assert sum(by_pid[pid].value for pid in sent) == (
             pytest.approx(res.benefit))
-        assert set(res.sent_pids) <= {ev.pid for ev in res.schedule_log}
+        assert set(sent) <= {ev.pid for ev in res.schedule_log}
         stages = {ev.stage for ev in res.schedule_log}
         assert stages == ({"cioq"} if entry.startswith("cioq")
                           else {"in", "out"})
@@ -246,7 +245,7 @@ class TestRecordFlag:
         victims = [ev.preempted_pid for ev in res.schedule_log
                    if ev.preempted_pid is not None]
         assert len(victims) == res.n_preempted_cross + res.n_preempted_out
-        assert not set(victims) & set(res.sent_pids)
+        assert not set(victims) & set(sent)
 
 
 class TestStreamingEntries:
@@ -263,8 +262,8 @@ class TestStreamingEntries:
 
         first, second = (run(policy_cls(), small_config, source, 8,
                              record=True) for _ in range(2))
-        assert sorted(first.sent_pids) == list(range(8))
-        assert first.sent_pids == second.sent_pids
+        assert sorted(pid for _, _, pid in first.transmit_log) == list(
+            range(8))
         assert first.schedule_log == second.schedule_log
         assert first.transmit_log == second.transmit_log
 
@@ -286,24 +285,24 @@ class TestStreamingEntries:
 
 class TestResidualValue:
     """``value_residual`` adds the buffered values left to right, head to
-    tail, like every other accumulator, on both backends.  Builtin
+    tail, like every other accumulator, on both kernels.  Builtin
     ``sum()`` of floats is compensated from Python 3.12 on and would
     read 1.0000000000000002 here."""
 
     @pytest.mark.parametrize("backend", ["reference", "fast"])
-    @pytest.mark.parametrize("run, policy_cls", [
-        (run_cioq, GMPolicy), (run_cioq, PGPolicy),
-        (run_crossbar, CGUPolicy), (run_crossbar, CPGPolicy),
+    @pytest.mark.parametrize("model, policy_cls", [
+        ("cioq", GMPolicy), ("cioq", PGPolicy),
+        ("crossbar", CGUPolicy), ("crossbar", CPGPolicy),
     ], ids=["gm", "pg", "cgu", "cpg"])
-    def test_left_to_right(self, run, policy_cls, backend):
+    def test_left_to_right(self, model, policy_cls, backend):
         tiny = 2.0 ** -53
         # One VOQ; slot 0 sends one 1.0 and leaves 1.0, tiny, tiny.
         trace = Trace([Packet(0, 1.0, 0, 0, 0), Packet(1, 1.0, 0, 0, 0),
                        Packet(2, tiny, 0, 0, 0), Packet(3, tiny, 0, 0, 0)],
                       1, 1)
         config = SwitchConfig(n_in=1, n_out=1, b_in=4, b_out=1)
-        res = run(policy_cls(), config, trace, max_extra_slots=0,
-                  backend=backend)
+        run = reference_run if backend == "reference" else fast_run
+        res = run(model, policy_cls(), config, trace, max_extra_slots=0)
         assert (res.n_sent, res.n_residual) == (1, 3)
         assert res.value_residual == 1.0
 
@@ -391,15 +390,12 @@ hi = 1e7
         ("cioq", PGPolicy), ("crossbar", CPGPolicy),
     ])
     def test_large_values_fast_batch(self, model, policy_cls):
-        from repro.simulation.engine import run_cioq_batch, run_crossbar_batch
-
         pytest.importorskip("numpy")
         tm = BernoulliTraffic(4, 4, load=2.0,
                               value_model=uniform_values(1e6, 1e7))
         traces = [tm.generate(50, seed=s) for s in range(16)]
         config = SwitchConfig.square(4, b_in=1, b_out=1, b_cross=1)
-        batched = run_cioq_batch if model == "cioq" else run_crossbar_batch
-        results = batched(policy_cls, config, traces, backend="fast")
+        results = fast_batch(model, policy_cls, config, traces)
         assert min(res.n_preempted for res in results) > 0
 
     @pytest.mark.parametrize("field", [
@@ -425,21 +421,21 @@ hi = 1e7
 
 class TestZeroHorizon:
     """An empty trace run with ``max_extra_slots=0`` has a horizon of 0
-    and runs no slot on either backend: no series sample and a
+    and runs no slot on either kernel: no series sample and a
     ``slots_total`` of 0 (the fast kernel used to run slot 0)."""
 
-    @pytest.mark.parametrize("run, policy_cls", [
-        (run_cioq, GMPolicy), (run_crossbar, CPGPolicy),
+    @pytest.mark.parametrize("model, policy_cls", [
+        ("cioq", GMPolicy), ("crossbar", CPGPolicy),
     ], ids=["gm", "cpg"])
-    def test_no_slot_runs(self, run, policy_cls, small_config):
+    def test_no_slot_runs(self, model, policy_cls, small_config):
         from repro.obs import InMemoryRecorder
 
         results = {}
-        for backend in ("reference", "fast"):
+        for kernel, run in (("reference", reference_run), ("fast", fast_run)):
             rec = InMemoryRecorder(every_k=1)
-            res = run(policy_cls(), small_config, Trace([], 3, 3),
-                      max_extra_slots=0, backend=backend, metrics=rec)
-            results[backend] = (res.horizon, rec.snapshot())
+            res = run(model, policy_cls(), small_config, Trace([], 3, 3),
+                      max_extra_slots=0, metrics=rec)
+            results[kernel] = (res.horizon, rec.snapshot())
         assert results["fast"] == results["reference"]
         horizon, snapshot = results["fast"]
         assert (horizon, snapshot["series"]) == (0, [])

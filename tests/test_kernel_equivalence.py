@@ -55,7 +55,6 @@ RESULT_FIELDS = [
     "value_residual",
     "sent_per_output",
     "value_per_output",
-    "sent_pids",
     "schedule_log",
     "transmit_log",
 ]
@@ -194,7 +193,7 @@ class TestStreamingEquivalence:
             # Streaming now records transfers too: every sent packet
             # must appear in the schedule log.
             transferred = {ev.pid for ev in fast.schedule_log}
-            assert set(fast.sent_pids) <= transferred
+            assert {pid for _, _, pid in fast.transmit_log} <= transferred
         return fast
 
     def test_adaptive_source(self, small_config):

@@ -1,4 +1,4 @@
-"""The reference backend must import and run without numpy.
+"""The reference kernel must import and run without numpy.
 
 This module is itself numpy-free, so the no-numpy CI job (bare Python
 plus pytest) collects and runs it directly.  The tests below execute a
@@ -20,11 +20,10 @@ import sys
 sys.modules["numpy"] = None  # any `import numpy` now raises ImportError
 
 from repro.simulation.backends import (
-    BackendUnavailable, available_backends, numpy_available,
+    BackendUnavailable, load_fastpath, numpy_available,
 )
 
 assert numpy_available() is False
-assert available_backends() == ("reference", "auto")
 
 from repro import GMPolicy, Packet, SwitchConfig, Trace, run_cioq
 from repro.core.cgu import CGUPolicy
@@ -38,27 +37,24 @@ packets = [
 trace = Trace(packets, 2, 2)
 assert (len(trace), trace.total_value, trace.is_unit_valued) == (4, 13.0, False)
 
-# reference runs (explicitly and as the default)...
-res = run_cioq(GMPolicy(), config, trace, backend="reference")
-assert res.benefit == 13.0, res.benefit
-assert run_cioq(GMPolicy(), config, trace).benefit == 13.0
-
-# ...fast refuses with the environment-specific error...
+# The fast kernel's loader refuses with the environment-specific error...
 try:
-    run_cioq(GMPolicy(), config, trace, backend="fast")
+    load_fastpath()
 except BackendUnavailable:
     pass
 else:
-    raise AssertionError("backend='fast' must raise without numpy")
+    raise AssertionError("loading the fast kernel must raise without numpy")
 
-# ...and auto degrades to reference, on both switch models: below its
-# lanes x ports crossover it never tries the fast kernel, and a batch at
-# the crossover (32 lanes x 2 ports) falls back when the loader fails.
-assert run_cioq(GMPolicy(), config, trace, backend="auto").benefit == 13.0
-xres = run_crossbar(CGUPolicy(), config, trace, backend="auto")
+# ...and the engine runs the reference kernel, on both switch models:
+# below its lanes x ports crossover it never tries the fast kernel, and
+# a batch at the crossover (32 lanes x 2 ports) falls back when the
+# loader fails.
+res = run_cioq(GMPolicy(), config, trace)
+assert res.benefit == 13.0, res.benefit
+xres = run_crossbar(CGUPolicy(), config, trace)
 assert xres.benefit == 13.0, xres.benefit
 from repro.simulation.engine import run_cioq_batch
-batch = run_cioq_batch(GMPolicy, config, [trace] * 32, backend="auto")
+batch = run_cioq_batch(GMPolicy, config, [trace] * 32)
 assert [r.benefit for r in batch] == [13.0] * 32
 
 # The trace file format is numpy-free too: a trace with trailing idle

@@ -140,7 +140,7 @@ class TestRecorders:
 
 
 # ---------------------------------------------------------------------------
-# Kernel integration (reference backend; no numpy required)
+# Kernel integration (reference kernel; no numpy required)
 # ---------------------------------------------------------------------------
 
 class TestKernelMetrics:
@@ -289,6 +289,49 @@ class TestExecutorObservability:
         assert instrumented.cache_hits == 0
         assert instrumented.cache_misses == 2
 
+    @staticmethod
+    def _held_ids(obj, seen=None):
+        """The ids of every container reachable from ``obj`` through
+        dicts, lists, tuples and instance attributes."""
+        seen = set() if seen is None else seen
+        if id(obj) in seen:
+            return seen
+        if isinstance(obj, dict):
+            seen.add(id(obj))
+            for value in obj.values():
+                TestExecutorObservability._held_ids(value, seen)
+        elif isinstance(obj, (list, tuple)):
+            seen.add(id(obj))
+            for value in obj:
+                TestExecutorObservability._held_ids(value, seen)
+        elif isinstance(obj, SweepExecutor):
+            TestExecutorObservability._held_ids(vars(obj), seen)
+        return seen
+
+    def test_uninstrumented_executor_holds_no_payload(self):
+        """A long-lived executor (``repro serve`` keeps one) must not
+        keep the payloads it returned: only ``merged_obs`` reads them,
+        and an uninstrumented executor has nothing to merge."""
+        ex = SweepExecutor(workers=0)
+        payloads = ex.run(_points(3)) + ex.run(_points(2))
+        held = self._held_ids(ex)
+        assert not held & {id(p) for p in payloads}
+
+    def test_merged_obs_merges_every_run_in_point_order(self):
+        """The executor keeps only the ``"obs"`` snapshots; their merge
+        over two runs is the merge of every returned payload's snapshot
+        in point order, with the point count as a gauge."""
+        from repro.obs import merge_snapshots
+
+        ex = SweepExecutor(workers=0, metrics_every=2)
+        payloads = ex.run(_points(3)) + ex.run(_points(2))
+        held = self._held_ids(ex)
+        assert not held & {id(p) for p in payloads}
+        want = merge_snapshots(p["obs"] for p in payloads)
+        want["gauges"]["sweep_points_total"] = 5
+        assert json.dumps(ex.merged_obs(), sort_keys=True) == json.dumps(
+            want, sort_keys=True)
+
     def test_replication_accumulates_across_runs(self):
         ex = SweepExecutor(workers=0, metrics_every=0)
         ex.run(_points(2))
@@ -361,10 +404,11 @@ class TestManifest:
     def test_build_and_round_trip(self, tmp_path):
         manifest = build_manifest(kind="scenario", name="x",
                                   spec={"a": 1}, seeds=(3, 1, 1),
-                                  backend="fast", opt_mode="bounds")
-        assert manifest["manifest_version"] == 2
+                                  opt_mode="bounds")
+        assert manifest["manifest_version"] == 3
         assert manifest["opt_mode"] == "bounds"
         assert "opt_window" not in manifest
+        assert "backend" not in manifest
         assert manifest["seeds"] == [1, 3]
         assert manifest["spec_sha256"] == spec_hash({"a": 1})
         write_manifest(tmp_path, manifest)

@@ -309,38 +309,18 @@ class TestDocsConsistency:
                 f"docs/traffic_models.md does not document kind {kind!r}"
             )
 
-    def test_backend_registry_matches_docs(self):
-        """Every registered backend has a `### <name>` section in
-        docs/backends.md and vice versa — the backend reference and the
-        registry cannot drift apart (mirrors the scenario-catalog
-        test)."""
-        import re
-
-        from repro.simulation.backends import BACKENDS
-
-        text = (ROOT / "docs" / "backends.md").read_text()
-        documented = set(re.findall(r"^### ([a-z0-9-]+)\s*$", text,
-                                    flags=re.MULTILINE))
-        registered = set(BACKENDS)
-        assert registered - documented == set(), (
-            f"backends missing from docs/backends.md: "
-            f"{sorted(registered - documented)}"
-        )
-        assert documented - registered == set(), (
-            f"docs/backends.md documents unregistered backends: "
-            f"{sorted(documented - registered)}"
-        )
-
     def test_fast_policy_table_matches_docs(self):
-        """The policy classes named in docs/backends.md's `### fast`
-        section are exactly the fast kernel's table."""
+        """The policy classes named in docs/backends.md's
+        `## The fast kernel` section, up to its first subsection, are
+        exactly the fast kernel's table."""
         import re
 
         pytest.importorskip("numpy")
         from repro.simulation.fastpath import SUPPORTED_POLICIES
 
         text = (ROOT / "docs" / "backends.md").read_text()
-        section = text.split("\n### fast\n", 1)[1].split("\n#", 1)[0]
+        section = text.split("\n## The fast kernel\n", 1)[1].split(
+            "\n#", 1)[0]
         documented = set(re.findall(r"`(\w+Policy)`", section))
         assert documented == {cls.__name__ for _, cls in SUPPORTED_POLICIES}
 
@@ -427,8 +407,8 @@ class TestDocsConsistency:
     def test_opt_modes_match_docs(self):
         """Every registered OPT solver mode has a `### <mode>` section in
         docs/offline_opt.md and vice versa — the solver-mode reference
-        and the dispatch table cannot drift apart (mirrors the backend
-        and scenario catalog tests)."""
+        and the dispatch table cannot drift apart (mirrors the scenario
+        catalog test)."""
         import re
 
         from repro.offline.opt import OPT_MODES
@@ -517,7 +497,7 @@ class TestDocsConsistency:
         """Every metric in ``repro.obs.METRIC_CATALOG`` has a
         `### <name>` section in docs/observability.md and vice versa —
         the metric reference and the catalog cannot drift apart
-        (mirrors the scenario/backend/OPT catalog tests)."""
+        (mirrors the scenario/OPT catalog tests)."""
         import re
 
         from repro.obs import METRIC_CATALOG

@@ -62,22 +62,6 @@ class TestWelford:
         assert acc.std == pytest.approx(statistics.stdev(values), rel=1e-12)
         assert acc.sem == pytest.approx(acc.std / math.sqrt(5), rel=1e-12)
 
-    def test_merge_equals_single_pass(self):
-        values = [float(i) ** 1.5 for i in range(1, 40)]
-        left = Welford.from_values(values[:13])
-        right = Welford.from_values(values[13:])
-        merged = left.merge(right)
-        whole = Welford.from_values(values)
-        assert merged.n == whole.n
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert merged.variance == pytest.approx(whole.variance, rel=1e-12)
-
-    def test_merge_with_empty(self):
-        acc = Welford.from_values([1.0, 2.0])
-        out = Welford().merge(acc)
-        assert (out.n, out.mean) == (2, 1.5)
-        assert Welford().merge(Welford()).n == 0
-
     def test_undefined_below_two_observations(self):
         assert math.isnan(Welford().variance)
         acc = Welford().add(4.0)

@@ -6,15 +6,15 @@ consumer asks for :attr:`~repro.traffic.trace.Trace.packets`,
 ``arrivals()`` or ``arrival_slots()``.  Generated traces and traces
 built from packets share that one storage, so both must agree on every
 column, the digest, the per-slot packets and the saved bytes; and a
-fast-backend run over generated traces must never build a packet.
+fast-kernel run over generated traces must never build a packet.
 """
 
 from array import array
 
 import pytest
 
+from _kernels import fast_batch
 from repro.core import CGUPolicy, CPGPolicy, GMPolicy, PGPolicy
-from repro.simulation.engine import run_cioq_batch, run_crossbar_batch
 from repro.switch.config import SwitchConfig
 from repro.switch.packet import Packet
 from repro.traffic import BurstyTraffic, Trace
@@ -63,15 +63,15 @@ def _traces():
     return [model.generate(30, seed=seed) for seed in range(3)]
 
 
-@pytest.mark.parametrize("run,policies", [
-    (run_cioq_batch, (GMPolicy, PGPolicy)),
-    (run_crossbar_batch, (CGUPolicy, CPGPolicy)),
+@pytest.mark.parametrize("model,policies", [
+    ("cioq", (GMPolicy, PGPolicy)),
+    ("crossbar", (CGUPolicy, CPGPolicy)),
 ])
-def test_fast_runs_build_no_packet(run, policies, packet_inits):
+def test_fast_runs_build_no_packet(model, policies, packet_inits):
     traces = _traces()
     assert sum(len(t) for t in traces) > 1000
     for policy in policies:
-        results = run(policy, CONFIG, traces, backend="fast")
+        results = fast_batch(model, policy, CONFIG, traces)
         assert [r.n_arrived for r in results] == [len(t) for t in traces]
     assert packet_inits == []
 

@@ -20,13 +20,9 @@ import re
 import numpy as np
 import pytest
 
+from _kernels import reference_run
 from repro.core import CGUPolicy, CPGPolicy, GMPolicy, PGPolicy
-from repro.simulation.engine import (
-    run_cioq,
-    run_cioq_streaming,
-    run_crossbar,
-    run_crossbar_streaming,
-)
+from repro.simulation.engine import run_cioq_streaming, run_crossbar_streaming
 from repro.switch.config import SwitchConfig
 from repro.switch.packet import Packet
 from repro.traffic import (
@@ -504,7 +500,6 @@ class TestEngineStreamingEquality:
             assert a.schedule_log and a.transmit_log
             assert a.schedule_log == b.schedule_log
             assert a.transmit_log == b.transmit_log
-            assert a.sent_pids == b.sent_pids
 
     @pytest.mark.parametrize("record", [False, True])
     @pytest.mark.parametrize("policy_cls", [GMPolicy, PGPolicy])
@@ -512,8 +507,8 @@ class TestEngineStreamingEquality:
         model = ApplicationMixTraffic(3, 3,
                                       value_model=two_value(7.0, 0.3))
         trace = model.generate(40, seed=2)
-        batch = run_cioq(policy_cls(), self.CONFIG, trace,
-                         backend="reference", record=record)
+        batch = reference_run("cioq", policy_cls(), self.CONFIG, trace,
+                              record=record)
         stream = run_cioq_streaming(policy_cls(), self.CONFIG,
                                     model.arrival_source(seed=2), 40,
                                     record=record)
@@ -525,8 +520,8 @@ class TestEngineStreamingEquality:
         model = BurstyTraffic(3, 3, burst_load=2.5,
                               value_model=uniform_values(1, 20))
         trace = model.generate(30, seed=4)
-        batch = run_crossbar(policy_cls(), self.CONFIG, trace,
-                             backend="reference", record=record)
+        batch = reference_run("crossbar", policy_cls(), self.CONFIG, trace,
+                              record=record)
         stream = run_crossbar_streaming(policy_cls(), self.CONFIG,
                                         model.arrival_source(seed=4), 30,
                                         record=record)
@@ -544,6 +539,6 @@ class TestEngineStreamingEquality:
         stream = run_cioq_streaming(GMPolicy(), self.CONFIG,
                                     replay.arrival_source(), 25,
                                     record=record)
-        batch = run_cioq(GMPolicy(), self.CONFIG, trace,
-                         backend="reference", record=record)
+        batch = reference_run("cioq", GMPolicy(), self.CONFIG, trace,
+                              record=record)
         self._assert_equal(batch, stream, record)

@@ -43,8 +43,7 @@ Commands
     through one persistent worker pool and shared content-addressed
     result store (killed servers requeue and resume incrementally —
     artifacts stay byte-identical to a fresh serial run), and ``farm
-    status`` / ``farm gc`` inspect the queue and reclaim stale store
-    files.
+    status`` / ``farm gc`` inspect the queue and compact the store.
 ``constants``
     Print the paper's analytical constants with numerical verification.
 
@@ -824,15 +823,15 @@ def cmd_farm_status(args) -> int:
 
 
 def cmd_farm_gc(args) -> int:
-    """Garbage-collect the result store (stale versions, torn files,
-    dead claims)."""
+    """Compact the result store into one pack and reclaim stale, corrupt
+    and temp files and dead leases."""
     from .farm import ResultStore
     from .parallel import CACHE_VERSION
 
     store = ResultStore(args.cache_dir, CACHE_VERSION)
     removed = store.gc()
     print(format_table(
-        [{"bucket": k, "files": v} for k, v in removed.items()],
+        [{"bucket": k, "count": v} for k, v in removed.items()],
         title=f"store gc ({args.cache_dir})",
     ))
     return 0
@@ -1224,7 +1223,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also report result-store statistics")
     f_status.set_defaults(func=cmd_farm_status)
     f_gc = farm_sub.add_parser(
-        "gc", help="reclaim stale/torn store files and dead claims")
+        "gc", help="compact store packs; reclaim stale/torn files and "
+                   "dead leases")
     f_gc.add_argument("--cache-dir", required=True, dest="cache_dir",
                       help="result-store root to collect")
     f_gc.set_defaults(func=cmd_farm_gc)

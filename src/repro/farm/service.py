@@ -124,7 +124,9 @@ def serve(
     optional :class:`repro.obs.InMemoryRecorder`: the loop maintains the
     farm gauges/counters documented in ``docs/observability.md``
     (``farm_queue_depth``, ``farm_jobs_total``, ...) and quarantines
-    per-worker busy time in its wall-time section.  A job that raises is
+    per-worker busy time in its wall-time section.  The summary's
+    per-point ``timings`` are kept only with ``metrics``; without it the
+    server keeps no per-point record.  A job that raises is
     marked failed and the loop continues; a :class:`SweepKilled` fault
     injection propagates (the job stays in ``running/`` for the next
     server's recovery pass).
@@ -137,6 +139,9 @@ def serve(
     pool = PersistentPool(workers) if workers > 1 else None
     executor = SweepExecutor(workers=workers, cache_dir=cache_dir,
                              pool=pool)
+    # Per-point timings, kept only for a recorder: the executor's ledger
+    # is drained after every job so a long-lived server does not grow.
+    timings: List[Dict[str, object]] = []
     served = failed = 0
     idle_since = time.monotonic()
     try:
@@ -169,6 +174,10 @@ def serve(
                     metrics.counter("farm_jobs_failed_total")
                 idle_since = time.monotonic()
                 continue
+            finally:
+                if metrics is not None:
+                    timings.extend(executor.timings)
+                executor.timings.clear()
             result["store_hits"] = executor.cache_hits - hits0
             result["store_misses"] = executor.cache_misses - miss0
             queue.complete(job_id, result)
@@ -190,13 +199,13 @@ def serve(
         if pool is not None:
             pool.close()
         if metrics is not None and metrics.timed:
-            for entry in executor.timings:
+            for entry in timings:
                 metrics.add_time("worker_busy_seconds",
                                  float(entry["elapsed"]))
     return {"served": served, "failed": failed,
             "store_hits": executor.cache_hits,
             "store_misses": executor.cache_misses,
-            "timings": executor.timings}
+            "timings": timings}
 
 
 def farm_status(queue_root: str,

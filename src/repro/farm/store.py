@@ -1,71 +1,114 @@
-"""Content-addressed, versioned result store (the sweep cache, grown up).
+"""Content-addressed, versioned result store: immutable packs and leases.
 
-:class:`ResultStore` generalizes the flat per-executor JSON cache that
-:class:`~repro.parallel.SweepExecutor` carried since PR 1 into a shared
-substrate every farm component can point at:
+:class:`ResultStore` holds the payloads of executed sweep points for
+:class:`~repro.parallel.SweepExecutor` and every farm component that
+points at the same directory.  It works a chunk at a time: one lease
+per run, one pack per executed task.
 
-* **Content addressing** — entries are keyed by the SHA-256 of the full
+* **Content addressing** — a payload is keyed by the SHA-256 of its full
   point spec (policy, config, trace content, seed, OPT mode and the
   cache version; see :meth:`repro.parallel.SweepExecutor.cache_key`).
   Identical work always lands on the identical key, so any number of
   sweeps, scenarios, replication ladders and farm jobs share results.
-* **Sharded layout** — entries live under two-hex-character shard
-  directories (``<root>/ab/<key>.json``) so million-entry stores never
-  put a million files in one directory.
-* **Versioned entries + GC** — every written entry wraps its payload as
-  ``{"cache_version": V, "payload": ...}``.  Because the version is
-  *also* hashed into the key, bumping ``CACHE_VERSION`` makes every old
-  entry miss cleanly; :meth:`ResultStore.gc` then reclaims the
-  unreachable files (plus torn temp files and corrupt entries) without
-  touching live ones.
-* **Concurrent-writer safety** — writes go through ``mkstemp`` +
-  ``os.replace`` (atomic publish: a reader sees the old entry, no
-  entry, or the new entry — never a torn file), and :meth:`claim` /
-  :meth:`release` / :meth:`wait_for` implement a cooperative
-  exactly-once protocol: an executor only runs points whose claim file
-  it created (``O_CREAT | O_EXCL``), and polls the store for points
-  claimed by another *live* writer.  Claims carry the claimer's pid;
-  claims held by dead processes, and claims torn by a crash before the
-  pid was written, are stolen, so a killed study never wedges the
-  points it was holding.
+* **Packs** — :meth:`put` publishes a chunk of payloads as one immutable
+  file, ``<root>/packs/<name>.pack``: a header line
+  ``{"cache_version": V, "keys": [...]}`` (keys sorted), then one JSON
+  payload per line in header order.  The pack is written to a temp file
+  and renamed into place, so a reader sees all of it or none of it.  Its
+  name hashes the version and the keys, and its bytes are a function of
+  them, so publishing the same chunk twice is idempotent.
+* **Index** — a store reads each pack's header once and keeps
+  key -> (pack, line); :meth:`get` parses payload lines only of packs
+  that hold a requested key, once per pack per call.  The index holds
+  keys, never payloads, so a long-lived ``repro serve`` does not grow
+  with what it reads or writes.  A pack that vanished, is torn, or
+  carries another version is a miss, never an exception.
+* **Leases** — :meth:`claim` takes one lease over a run's misses: the
+  keys that no live lease holds, written to a temp file that is
+  ``flock``-ed exclusively and then renamed to
+  ``<root>/leases/<id>.lease``, all under the registry lock
+  ``<root>/leases.lock``.  The holder keeps the lock until every pack of
+  its run is published; :meth:`release` unlinks the file, then closes
+  it.  A lease whose lock can be taken is dead — released, crashed,
+  ``kill -9``-ed: the kernel drops an ``flock`` with its holder, so pid
+  reuse cannot keep a lease alive.  Only a process holding the registry
+  lock deletes a dead lease.  A forked child closes its copies of the
+  parent's lease descriptors, so a worker pool never keeps a dead
+  holder's lease alive.  :meth:`wait_for` polls for keys held by live
+  leases.  Because a publish always precedes its release, an executor
+  that re-reads the store after its claim runs every point exactly once
+  across any number of cooperating processes.
+* **GC** — :meth:`gc` takes the registry lock, merges every live pack
+  into one, and drops stale-version and corrupt packs, orphaned temp
+  files, dead leases and the per-key ``<shard>/<key>.json`` and
+  ``.claim`` files of the previous layout.
 
-The store never deletes an entry except in :meth:`gc`, and every method
-tolerates concurrent mutation of the directory tree (races surface as a
-miss, never as an exception or a torn read).
+Leases need ``flock`` that works across processes: a local filesystem,
+or NFS with working locks.
 """
 
 from __future__ import annotations
 
+import fcntl
+import hashlib
 import json
 import os
 import tempfile
 import time
-from typing import Dict, Iterator, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["ResultStore"]
+__all__ = ["Lease", "ResultStore"]
 
-#: Field stamping every stored entry with its cache version.
+#: Header field stamping every pack with its cache version.
 _VERSION_FIELD = "cache_version"
 
-#: Seconds a claim file may go without a readable pid before it counts
-#: as torn: its creator crashed between the exclusive create and the
-#: pid write, so nobody will ever release it.
-_TORN_CLAIM_S = 10.0
+#: Lease descriptors this process holds.  A forked child closes its
+#: copies: a pool forked while a lease is open would otherwise keep the
+#: lock, and so the lease, alive after its holder died.
+_HELD: Set[int] = set()
 
 
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness probe for a same-host pid."""
-    if pid <= 0:
-        return False
+def _close_held() -> None:
+    for fd in _HELD:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+    _HELD.clear()
+
+
+os.register_at_fork(after_in_child=_close_held)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _unlink(path: str) -> bool:
     try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - exists, owned by another user
-        return True
-    except OSError:  # pragma: no cover - exotic platforms
+        os.unlink(path)
+    except OSError:
         return False
     return True
+
+
+class Lease:
+    """One run's hold on the keys it executes (see
+    :meth:`ResultStore.claim`); hashable by identity.
+
+    ``keys`` are the keys this lease holds: those no other live lease
+    held when it was taken.  An empty lease holds no file."""
+
+    __slots__ = ("keys", "path", "fd")
+
+    def __init__(self, keys: Iterable[str], path: Optional[str] = None,
+                 fd: Optional[int] = None):
+        self.keys = frozenset(keys)
+        self.path = path
+        self.fd = fd
 
 
 class ResultStore:
@@ -74,239 +117,356 @@ class ResultStore:
     Parameters
     ----------
     version:
-        The cache schema version entries are stamped with (callers pass
-        :data:`repro.parallel.CACHE_VERSION`).  :meth:`gc` reclaims
-        entries stamped with any *other* version — they are unreachable,
-        because the version is part of every key.
+        The cache schema version packs are stamped with (callers pass
+        :data:`repro.parallel.CACHE_VERSION`).  Packs of any *other*
+        version are misses and :meth:`gc` reclaims them — they are
+        unreachable, because the version is part of every key.
     """
 
     def __init__(self, root: str, version: int):
         self.root = root
         self.version = int(version)
+        self.packs = os.path.join(root, "packs")
+        self.leases = os.path.join(root, "leases")
+        #: Indexed pack name -> its keys (empty for another version).
+        self._headers: Dict[str, Tuple[str, ...]] = {}
+        #: Key -> (pack name, line) of a pack holding its payload.
+        self._index: Dict[str, Tuple[str, int]] = {}
 
-    # -- layout --------------------------------------------------------------
+    # -- packs ---------------------------------------------------------------
 
-    def path(self, key: str) -> str:
-        """Sharded entry path for ``key``."""
-        return os.path.join(self.root, key[:2], f"{key}.json")
+    def _pack_path(self, name: str) -> str:
+        return os.path.join(self.packs, f"{name}.pack")
 
-    def claim_path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], f"{key}.claim")
-
-    # -- read / write --------------------------------------------------------
-
-    def get(self, key: str) -> Optional[Dict[str, object]]:
-        """The payload stored under ``key``, or ``None`` on any miss
-        (absent, torn, corrupt, or unreadable — never an exception)."""
+    def _header(self, line: bytes) -> Optional[Tuple[str, ...]]:
+        """A header line's keys; ``()`` for another version's pack,
+        ``None`` for a corrupt one."""
         try:
-            with open(self.path(key), "r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, ValueError):
+            header = json.loads(line)
+        except ValueError:
             return None
-        # A versioned entry under a key hashed from another version
-        # cannot happen (the version is in the key), but be defensive:
-        # a missing or mismatched stamp is a miss.
-        if (not isinstance(entry, dict)
-                or entry.get(_VERSION_FIELD) != self.version):
+        if not isinstance(header, dict) or not isinstance(
+                header.get("keys"), list):
             return None
-        payload = entry.get("payload")
-        return payload if isinstance(payload, dict) else None
+        if header.get(_VERSION_FIELD) != self.version:
+            return ()
+        return tuple(header["keys"])
 
-    def __contains__(self, key: str) -> bool:
-        return self.get(key) is not None
+    def _refresh(self) -> List[str]:
+        """Index the header of every pack not indexed yet; returns the
+        names of the packs now on disk."""
+        try:
+            files = os.listdir(self.packs)
+        except OSError:
+            return []
+        names = [f[:-5] for f in files if f.endswith(".pack")]
+        for name in names:
+            if name in self._headers:
+                continue
+            try:
+                with open(self._pack_path(name), "rb") as fh:
+                    keys = self._header(fh.readline())
+            except OSError:
+                continue  # vanished
+            if keys is None:
+                continue  # corrupt: a miss, looked at again next time
+            self._headers[name] = keys
+            for line, key in enumerate(keys, 1):
+                self._index[key] = (name, line)
+        return names
 
-    def put(self, key: str, payload: Dict[str, object]) -> str:
-        """Atomically publish ``payload`` under ``key``; returns the path.
+    def _forget(self, name: str) -> None:
+        for key in self._headers.pop(name, ()):
+            if self._index.get(key, (None,))[0] == name:
+                del self._index[key]
 
-        Safe under concurrent writers: both write the same bytes for the
-        same key (payloads are pure functions of their points), and
-        ``os.replace`` makes the last publish win without a torn state.
+    def _lines(self, name: str) -> Optional[List[bytes]]:
+        """The pack's lines, or ``None`` when it vanished or is torn."""
+        try:
+            with open(self._pack_path(name), "rb") as fh:
+                lines = fh.read().splitlines()
+        except OSError:
+            return None
+        return lines if len(lines) == len(self._headers[name]) + 1 else None
+
+    def get(self, keys: Sequence[str]) -> Dict[str, Dict[str, object]]:
+        """The stored payloads of ``keys``, by key; a key that misses is
+        absent (no pack, or its pack vanished, is torn, corrupt or of
+        another version — never an exception)."""
+        found: Dict[str, Dict[str, object]] = {}
+        for _ in range(2):  # again once if gc merged a pack away
+            self._refresh()
+            wanted: Dict[str, List[Tuple[str, int]]] = {}
+            for key in keys:
+                loc = self._index.get(key)
+                if loc is not None and key not in found:
+                    wanted.setdefault(loc[0], []).append((key, loc[1]))
+            lost = False
+            for name, items in wanted.items():
+                lines = self._lines(name)
+                if lines is None:
+                    self._forget(name)
+                    lost = True
+                    continue
+                for key, line in items:
+                    try:
+                        payload = json.loads(lines[line])
+                    except ValueError:
+                        continue
+                    if isinstance(payload, dict):
+                        found[key] = payload
+            if not lost:
+                break
+        return found
+
+    def put(self, keys: Sequence[str],
+            payloads: Sequence[Dict[str, object]]) -> str:
+        """Publish ``payloads`` (one per key) as one immutable pack;
+        returns its path.
+
+        Safe under concurrent writers: payloads are pure functions of
+        their points, so two writers of one chunk write the same bytes
+        to the same name, and ``os.replace`` never shows a torn pack.
         """
-        path = self.path(key)
-        shard = os.path.dirname(path)
-        os.makedirs(shard, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        lines = [json.dumps(payloads[i], separators=(",", ":"))
+                 for i in order]
+        os.makedirs(self.packs, exist_ok=True)
+        # Temp files exist only under the registry lock (shared here),
+        # so gc, which holds it exclusively, never deletes one in use.
+        with self._registry(shared=True):
+            return self._write_pack(tuple(keys[i] for i in order), lines)
+
+    def _write_pack(self, keys: Tuple[str, ...], lines: List[str]) -> str:
+        """Write one pack (registry lock held) and index it."""
+        name = hashlib.sha256(
+            "\n".join((str(self.version),) + keys).encode("utf-8")
+        ).hexdigest()
+        header = json.dumps({_VERSION_FIELD: self.version,
+                             "keys": list(keys)}, separators=(",", ":"))
+        data = "\n".join([header, *lines, ""]).encode("utf-8")
+        path = self._pack_path(name)
+        fd, tmp = tempfile.mkstemp(dir=self.packs, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({_VERSION_FIELD: self.version, "payload": payload},
-                          fh)
+            _write_all(fd, data)
             os.replace(tmp, path)
         except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            _unlink(tmp)
             raise
+        finally:
+            os.close(fd)
+        self._headers[name] = keys
+        for line, key in enumerate(keys, 1):
+            self._index[key] = (name, line)
         return path
 
-    # -- exactly-once claims -------------------------------------------------
+    # -- leases --------------------------------------------------------------
 
-    def claim(self, key: str) -> bool:
-        """Try to become the executor of ``key``'s point.
-
-        Returns ``True`` when this process created the claim file (it
-        must eventually :meth:`put` + :meth:`release`), ``False`` when a
-        *live* process already holds the claim.  Claims held by dead
-        pids are stolen transparently.
-        """
-        path = self.claim_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        for _ in range(2):  # second pass after stealing a dead claim
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if self._claimer(key) is None:
-                    # Claimer is gone (crashed between claim and
-                    # release); steal and retry the exclusive create.
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
-                    continue
-                return False
-            except OSError:  # pragma: no cover - unwritable store
-                return True  # degrade to uncoordinated (idempotent) mode
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({"pid": os.getpid()}, fh)
-            return True
-        return False
-
-    def release(self, key: str) -> None:
-        """Drop this process's claim on ``key`` (idempotent)."""
+    @contextmanager
+    def _registry(self, shared: bool = False) -> Iterator[None]:
+        """Hold the registry lock: exclusive to create, reap or collect,
+        shared to write a pack."""
+        fd = os.open(os.path.join(self.root, "leases.lock"),
+                     os.O_CREAT | os.O_RDWR, 0o644)
         try:
-            os.unlink(self.claim_path(key))
-        except OSError:
-            pass
+            fcntl.flock(fd, fcntl.LOCK_SH if shared else fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)
 
-    def _claimer(self, key: str) -> Optional[int]:
-        """The live pid holding ``key``'s claim, else ``None``."""
-        path = self.claim_path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                pid = int(json.load(fh).get("pid", 0))
-        except (OSError, ValueError):
-            # No readable pid.  A just-created claim reads as held by an
-            # unknown owner (-1), who writes its pid right after the
-            # exclusive create; one older than _TORN_CLAIM_S is torn.
+    def _leases(self, reap: bool = False) -> Tuple[List[List[str]], int]:
+        """The key lists of live leases, and the number of dead ones.
+        With ``reap`` (only under the registry lock) dead leases are
+        deleted, and the number is of those deleted."""
+        live: List[List[str]] = []
+        dead = 0
+        for name in self._listdir(self.leases):
+            if not name.endswith(".lease"):
+                continue  # a temp file is a lease still being made
+            path = os.path.join(self.leases, name)
             try:
-                age = time.time() - os.path.getmtime(path)
+                fh = open(path, "rb")
             except OSError:
-                return None  # vanished
-            return -1 if age < _TORN_CLAIM_S else None
-        return pid if _pid_alive(pid) else None
+                continue  # released meanwhile
+            with fh:
+                try:
+                    fcntl.flock(fh, fcntl.LOCK_SH | fcntl.LOCK_NB)
+                except BlockingIOError:
+                    live.append(fh.read().decode("ascii").split())
+                    continue
+            dead += _unlink(path) if reap else 1
+        return live, dead
 
-    def wait_for(self, key: str, timeout: float = 60.0,
-                 poll: float = 0.02) -> Optional[Dict[str, object]]:
-        """Wait for another executor to publish ``key``.
+    def claim(self, keys: Sequence[str]) -> Lease:
+        """Lease the keys of ``keys`` that no live lease holds.
 
-        Polls until the payload appears, the claimer dies or releases
-        without publishing, or ``timeout`` elapses.  Returns the payload
-        or ``None`` (meaning: compute it yourself — payloads are pure,
-        so a duplicated computation is wasteful but never wrong).
+        The caller executes the returned lease's keys, publishes them,
+        then :meth:`release`-s it; keys left out are another live
+        run's, to be awaited with :meth:`wait_for`.  Dead leases are
+        reaped on the way.
+        """
+        os.makedirs(self.leases, exist_ok=True)
+        with self._registry():
+            held = {k for lease in self._leases(reap=True)[0] for k in lease}
+            mine = [k for k in dict.fromkeys(keys) if k not in held]
+            if not mine:
+                return Lease(())
+            fd, tmp = tempfile.mkstemp(dir=self.leases, suffix=".tmp")
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                _write_all(fd, "\n".join(mine).encode("ascii"))
+                path = tmp[: -len(".tmp")] + ".lease"
+                os.replace(tmp, path)  # complete and locked when seen
+            except BaseException:
+                os.close(fd)
+                _unlink(tmp)
+                raise
+        _HELD.add(fd)
+        return Lease(mine, path, fd)
+
+    def release(self, lease: Lease) -> None:
+        """Drop ``lease`` (idempotent): unlink its file, then unlock."""
+        if lease.fd is None:
+            return
+        _unlink(lease.path)
+        _HELD.discard(lease.fd)
+        os.close(lease.fd)
+        lease.fd = None
+
+    def wait_for(self, keys: Sequence[str], timeout: float = 60.0,
+                 poll: float = 0.02) -> Dict[str, Dict[str, object]]:
+        """Wait for other runs to publish ``keys``; returns the payloads
+        that arrived, by key.
+
+        Polls until every key is published, no live lease holds a
+        missing one (its holder released or died without publishing),
+        or ``timeout`` elapses.  A key left out is the caller's to
+        compute — payloads are pure, so a duplicated computation is
+        wasteful but never wrong.
         """
         deadline = time.monotonic() + timeout
+        found: Dict[str, Dict[str, object]] = {}
         while True:
-            payload = self.get(key)
-            if payload is not None:
-                return payload
-            claimer = self._claimer(key)
-            if claimer is None:
-                # Claim gone or claimer dead: check once more for a
-                # publish that raced the release, then give up.
-                return self.get(key)
+            missing = tuple(k for k in keys if k not in found)
+            found.update(self.get(missing))
+            missing = tuple(k for k in missing if k not in found)
+            if not missing:
+                return found
+            held = {k for lease in self._leases()[0] for k in lease}
+            if held.isdisjoint(missing):
+                # Check once more for a publish that raced the release.
+                found.update(self.get(missing))
+                return found
             if time.monotonic() >= deadline:
-                return None
+                return found
             time.sleep(poll)
 
     # -- maintenance ---------------------------------------------------------
 
-    def _shards(self) -> Iterator[str]:
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return
-        for name in sorted(names):
-            path = os.path.join(self.root, name)
-            if len(name) == 2 and os.path.isdir(path):
-                yield path
-
-    def keys(self) -> Iterator[str]:
-        """Every key with a (sharded) entry file, in sorted order."""
-        for shard in self._shards():
-            try:
-                names = sorted(os.listdir(shard))
-            except OSError:
-                continue
-            for name in names:
-                if name.endswith(".json"):
-                    yield name[: -len(".json")]
-
     def stats(self) -> Dict[str, int]:
-        """Entry/claim counts and total payload bytes on disk."""
-        entries = claims = total = 0
-        for shard in self._shards():
+        """Live entries, live leases, and the bytes of the packs holding
+        the entries."""
+        names = [n for n in self._refresh() if self._headers.get(n)]
+        entries: Set[str] = set()
+        size = 0
+        for name in names:
+            entries.update(self._headers[name])
             try:
-                names = os.listdir(shard)
-            except OSError:
-                continue
-            for name in names:
-                path = os.path.join(shard, name)
-                if name.endswith(".json"):
-                    entries += 1
-                    try:
-                        total += os.path.getsize(path)
-                    except OSError:
-                        pass
-                elif name.endswith(".claim"):
-                    claims += 1
-        return {"entries": entries, "claims": claims, "bytes": total}
-
-    def gc(self) -> Dict[str, int]:
-        """Reclaim unreachable files; returns removal counts.
-
-        Removes: entries stamped with a ``cache_version`` other than
-        this store's (unreachable — the version is hashed into every
-        key), corrupt/torn entries, leftover ``*.tmp`` files, and claim
-        files held by dead processes or torn before their pid was
-        written.
-        """
-        removed = {"stale": 0, "corrupt": 0, "tmp": 0, "claims": 0, "kept": 0}
-
-        def _unlink(path: str, bucket: str) -> None:
-            try:
-                os.unlink(path)
-                removed[bucket] += 1
+                size += os.path.getsize(self._pack_path(name))
             except OSError:
                 pass
+        return {"entries": len(entries), "claims": len(self._leases()[0]),
+                "bytes": size}
 
-        for shard in self._shards():
-            try:
-                names = sorted(os.listdir(shard))
-            except OSError:
-                continue
-            for name in names:
-                path = os.path.join(shard, name)
+    def gc(self) -> Dict[str, int]:
+        """Compact the store; returns the files removed per bucket and
+        the entries ``kept``.
+
+        Merges every live pack into one, and removes packs stamped with
+        another version or the previous layout's per-key entry and
+        claim files (``stale``: unreachable, since the version is
+        hashed into every key), corrupt or torn packs, orphaned temp
+        files, and dead leases (``claims``).  Runs under the registry
+        lock; a reader racing it sees at worst a miss.
+        """
+        removed = {"stale": 0, "corrupt": 0, "tmp": 0, "claims": 0,
+                   "kept": 0}
+        if not os.path.isdir(self.root):
+            return removed
+
+        def drop(path: str, bucket: str) -> None:
+            if _unlink(path):
+                removed[bucket] += 1
+
+        with self._registry():
+            removed["claims"] = self._leases(reap=True)[1]
+            for name in self._listdir(self.leases):
                 if name.endswith(".tmp"):
-                    _unlink(path, "tmp")
+                    drop(os.path.join(self.leases, name), "tmp")
+            merged: Dict[str, str] = {}
+            sources: List[str] = []
+            for name in self._listdir(self.packs):
+                path = os.path.join(self.packs, name)
+                if name.endswith(".tmp"):
+                    drop(path, "tmp")
+                elif name.endswith(".pack"):
+                    bucket = self._collect(path, merged)
+                    if bucket is None:
+                        sources.append(path)
+                    else:
+                        drop(path, bucket)
+            if len(sources) > 1:
+                keys = tuple(sorted(merged))
+                keep = self._write_pack(keys, [merged[k] for k in keys])
+                for path in sources:
+                    if path != keep:
+                        _unlink(path)
+            removed["kept"] = len(merged)
+            for shard in self._listdir(self.root):
+                path = os.path.join(self.root, shard)
+                if len(shard) != 2 or not os.path.isdir(path):
                     continue
-                if name.endswith(".claim"):
-                    key = name[: -len(".claim")]
-                    if self._claimer(key) is None:
-                        _unlink(path, "claims")
-                    continue
-                if not name.endswith(".json"):
-                    continue
+                for name in self._listdir(path):
+                    if name.endswith((".json", ".claim")):
+                        drop(os.path.join(path, name), "stale")
+                    elif name.endswith(".tmp"):
+                        drop(os.path.join(path, name), "tmp")
                 try:
-                    with open(path, "r", encoding="utf-8") as fh:
-                        entry = json.load(fh)
-                except (OSError, ValueError):
-                    _unlink(path, "corrupt")
-                    continue
-                if (not isinstance(entry, dict)
-                        or _VERSION_FIELD not in entry):
-                    _unlink(path, "corrupt")
-                elif entry[_VERSION_FIELD] != self.version:
-                    _unlink(path, "stale")
-                else:
-                    removed["kept"] += 1
+                    os.rmdir(path)
+                except OSError:
+                    pass
+        self._headers.clear()
+        self._index.clear()
         return removed
+
+    @staticmethod
+    def _listdir(path: str) -> List[str]:
+        try:
+            return sorted(os.listdir(path))
+        except OSError:
+            return []
+
+    def _collect(self, path: str,
+                 merged: Dict[str, str]) -> Optional[str]:
+        """Add a live pack's payload lines to ``merged``; returns
+        ``None`` for a live pack, else the bucket it goes to."""
+        try:
+            with open(path, "rb") as fh:
+                lines = fh.read().splitlines()
+        except OSError:
+            return "corrupt"
+        keys = self._header(lines[0]) if lines else None
+        if keys is None:
+            return "corrupt"
+        if not keys:
+            return "stale"
+        if len(lines) != len(keys) + 1:
+            return "corrupt"
+        try:
+            if not all(isinstance(json.loads(line), dict)
+                       for line in lines[1:]):
+                return "corrupt"
+        except ValueError:
+            return "corrupt"
+        merged.update(zip(keys, (line.decode("utf-8") for line in lines[1:])))
+        return None

@@ -19,13 +19,14 @@ the fan-out substrate:
   in-process.
 
 Sweeps are *incremental*: :meth:`SweepExecutor.run` partitions its
-points into store hits and missing keys, executes only the missing
-ones, and publishes each payload the moment it completes (write-through
-— not after the pool drains), so a killed study re-run against the same
-store resumes from exactly where it died.  Claim files make concurrent
-executors sharing one store cooperate instead of duplicating work, and
-completions stream back ``imap_unordered`` (results are re-assembled in
-point order, so unordered scheduling never shows in an artifact).
+points into store hits and missing keys, takes one lease over the
+missing ones, executes them, and publishes each task's payloads as one
+pack the moment the task completes (write-through — not after the pool
+drains), so a killed study re-run against the same store resumes from
+the last task it finished.  Leases make concurrent executors sharing one
+store cooperate instead of duplicating work, and completions stream back
+``imap_unordered`` (results are re-assembled in point order, so
+unordered scheduling never shows in an artifact).
 
 Determinism: a point's payload depends only on the point, every point
 carries its own seed-derived trace, and results are returned in point
@@ -49,7 +50,7 @@ import os
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import get_context
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from time import perf_counter
 
@@ -73,14 +74,15 @@ from .traffic.trace import Trace
 CACHE_VERSION = 5
 
 #: Fault-injection hook: when set to ``N`` (>= 1), :meth:`SweepExecutor
-#: .run` raises :class:`SweepKilled` after publishing its N-th executed
-#: point — simulating a study killed mid-sweep with N results durably in
-#: the store.  Cache hits don't count; only executed points do.
+#: .run` raises :class:`SweepKilled` at the first task boundary at which
+#: it has published N or more executed points — simulating a study
+#: killed mid-sweep with those results durably in the store.  Cache hits
+#: don't count; only executed points do.
 KILL_AFTER_ENV = "REPRO_FARM_KILL_AFTER"
 
 #: Test hook: when set to a file path, every executed-and-published
-#: point appends its cache key (one line, ``O_APPEND``) — the
-#: exactly-once ledger the concurrent-writer tests diff.
+#: point appends its cache key (one line per key, one ``O_APPEND`` write
+#: per task) — the exactly-once ledger the concurrent-writer tests diff.
 EXEC_LOG_ENV = "REPRO_FARM_EXEC_LOG"
 
 PolicyFactory = Callable[[], object]
@@ -93,14 +95,14 @@ class SweepKilled(RuntimeError):
     store; re-running the same sweep resumes from those entries."""
 
 
-def _exec_log(key: str) -> None:
-    """Append ``key`` to the exactly-once execution ledger, if enabled."""
+def _exec_log(keys: Sequence[str]) -> None:
+    """Append ``keys`` to the exactly-once execution ledger, if enabled."""
     path = os.environ.get(EXEC_LOG_ENV)
     if not path:
         return
     fd = os.open(path, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
     try:
-        os.write(fd, (key + "\n").encode("utf-8"))
+        os.write(fd, "".join(k + "\n" for k in keys).encode("utf-8"))
     finally:
         os.close(fd)
 
@@ -289,9 +291,10 @@ class SweepExecutor:
         spec, the switch config, the full trace content, the point seed
         and :data:`CACHE_VERSION`, so any input change misses cleanly.
         :meth:`run` is *incremental* against the store: hits are
-        returned without executing, missing points publish write-through
-        as each completes, and points claimed by another live executor
-        are awaited instead of duplicated.
+        returned without executing, missing points run under one lease
+        and publish write-through, one pack per completed task, and
+        points leased by another live executor are awaited instead of
+        duplicated.
     pool:
         Optional :class:`~repro.farm.pool.PersistentPool` reused across
         every :meth:`run` call (the farm serve loop passes one), paying
@@ -403,65 +406,76 @@ class SweepExecutor:
         """Execute ``points``; returns payloads in point order.
 
         Incremental: with a store attached, hits return without
-        executing, missing points publish write-through as each
-        completes (a killed run leaves everything it finished durably
-        cached), and points claimed by another live executor are awaited
-        rather than duplicated.  The payload list is assembled by point
-        index, so the result is byte-identical regardless of worker
-        count, cache state, or how many restarts the sweep took.
+        executing, the misses run under one lease, each completed task
+        publishes its payloads as one pack (a killed run leaves every
+        task it finished durably cached), and points leased by another
+        live executor are awaited rather than duplicated.  The payload
+        list is assembled by point index, so the result is
+        byte-identical regardless of worker count, cache state, or how
+        many restarts the sweep took.
         """
         results: List[Optional[Dict[str, object]]] = [None] * len(points)
-        caching = self.store is not None
-        # Keys are hashed once per point (they serialize the full trace).
-        keys = [self.cache_key(p) for p in points] if caching else None
-        pending: List[int] = []
+        store = self.store
+        keys: Optional[List[str]] = None
+        pending = list(range(len(points)))
         waiting: List[int] = []
-        for idx in range(len(points)):
-            if caching:
-                hit = self.store.get(keys[idx])
-                if hit is not None:
-                    self.cache_hits += 1
-                    results[idx] = hit
-                    continue
-                if not self.store.claim(keys[idx]):
-                    # A live executor elsewhere is computing this exact
-                    # point; await its publish instead of duplicating.
-                    waiting.append(idx)
-                    continue
-                hit = self.store.get(keys[idx])
-                if hit is not None:
-                    # Raced a concurrent publisher: a publish always
-                    # precedes its claim release, so re-checking after
-                    # winning the claim keeps execution exactly-once.
-                    self.store.release(keys[idx])
-                    self.cache_hits += 1
-                    results[idx] = hit
-                    continue
-            pending.append(idx)
-        self.cache_misses += len(pending)
-        self._emit({"event": "cache", "total": len(points),
-                    "hits": self.cache_hits, "misses": self.cache_misses})
+        dups: List[int] = []
+        first: Dict[str, int] = {}
 
-        claimed: Set[int] = set(pending) if caching else set()
-        try:
-            if pending:
-                self._execute(points, results, keys, pending, claimed)
-            for idx in waiting:
-                payload = self.store.wait_for(keys[idx])
-                if payload is None:
-                    # The claimer died/timed out without publishing:
-                    # compute locally (idempotent — wasteful at worst).
-                    payload = run_sweep_point(
-                        points[idx], metrics_every=self.metrics_every)
-                    self.store.put(keys[idx], payload)
-                    self.cache_misses += 1
+        def fill(idxs: List[int], found: Dict[str, Dict[str, object]]):
+            """Fill the results ``found`` holds; returns the rest."""
+            rest = []
+            for idx in idxs:
+                if keys[idx] in found:
+                    results[idx] = found[keys[idx]]
                 else:
-                    self.cache_hits += 1
-                results[idx] = payload
+                    rest.append(idx)
+            return rest
+
+        lease = None
+        try:
+            if store is not None:
+                # Keys are hashed once per point (they serialize the
+                # full trace).
+                keys = [self.cache_key(p) for p in points]
+                for idx, key in enumerate(keys):
+                    if key in first:
+                        dups.append(idx)  # the same point twice: run once
+                    else:
+                        first[key] = idx
+                pending = fill(list(first.values()), store.get(tuple(keys)))
+                if pending:
+                    lease = store.claim(tuple(keys[i] for i in pending))
+                    waiting = [i for i in pending
+                               if keys[i] not in lease.keys]
+                    # A publish always precedes its lease's release, so
+                    # re-reading after the claim keeps execution
+                    # exactly-once.
+                    mine = [i for i in pending if keys[i] in lease.keys]
+                    pending = fill(mine, store.get(tuple(lease.keys)))
+                self.cache_hits += len(first) - len(pending) - len(waiting)
+            self.cache_misses += len(pending)
+            self._emit({"event": "cache", "total": len(points),
+                        "hits": self.cache_hits,
+                        "misses": self.cache_misses})
+            if pending:
+                self._execute(points, results, keys, pending)
         finally:
-            if caching:
-                for idx in claimed:
-                    self.store.release(keys[idx])
+            if lease is not None:
+                store.release(lease)
+        if waiting:
+            # Another live executor leased these points: await its
+            # packs, and compute what its holder never published
+            # (idempotent — wasteful at worst).
+            got = store.wait_for(tuple(keys[i] for i in waiting))
+            lost = fill(waiting, got)
+            self.cache_hits += len(waiting) - len(lost)
+            self.cache_misses += len(lost)
+            if lost:
+                self._execute(points, results, keys, lost)
+        for idx in dups:
+            results[idx] = results[first[keys[idx]]]
+        self.cache_hits += len(dups)
         if self.metrics_every is not None:
             self._obs.extend(p["obs"] for p in results if "obs" in p)
             self._points_served += len(results)
@@ -516,15 +530,16 @@ class SweepExecutor:
         results: List[Optional[Dict[str, object]]],
         keys: Optional[List[str]],
         pending: List[int],
-        claimed: Set[int],
     ) -> None:
-        """Run the pending indices and publish each completion.
+        """Run the pending indices and publish each completed task.
 
         Completions stream back unordered (``imap_unordered`` — no
-        barrier on submission order); publishing is write-through: the
-        payload lands in the store, its claim drops, and the result slot
-        fills the moment the task finishes, which is what makes a
-        killed sweep resumable at point granularity.
+        barrier on submission order); publishing is write-through: a
+        task's payloads land in the store as one pack and its result
+        slots fill the moment it finishes, which is what makes a killed
+        sweep resumable at task granularity.  A task's wall time is
+        split evenly over its points in the timing ledger (timings are
+        quarantined observability, never artifact data).
         """
         total = len(points)
         tasks = self._schedule(points, pending)
@@ -532,48 +547,37 @@ class SweepExecutor:
         kill_after = int(kill_env) if kill_env else None
         published = 0
 
-        def publish(idx: int, pid: int, elapsed: float,
-                    payload: Dict[str, object]) -> None:
+        def publish(pid: int, elapsed: float, idxs: List[int],
+                    payloads: List[Dict[str, object]]) -> None:
             nonlocal published
             if keys is not None:
-                self.store.put(keys[idx], payload)
-                self.store.release(keys[idx])
-                claimed.discard(idx)
-                _exec_log(keys[idx])
-            results[idx] = payload
-            self.timings.append(
-                self._time_entry(idx, points[idx], pid, elapsed))
-            self._emit({"event": "point", "index": idx, "total": total,
-                        "pid": pid, "elapsed": elapsed})
-            published += 1
+                task_keys = tuple(keys[i] for i in idxs)
+                self.store.put(task_keys, payloads)
+                _exec_log(task_keys)
+            per_point = elapsed / max(1, len(idxs))
+            for idx, payload in zip(idxs, payloads):
+                results[idx] = payload
+                self.timings.append(
+                    self._time_entry(idx, points[idx], pid, per_point))
+                self._emit({"event": "point", "index": idx, "total": total,
+                            "pid": pid, "elapsed": per_point})
+            published += len(idxs)
             if kill_after is not None and published >= kill_after:
                 raise SweepKilled(
                     f"fault injection: killed after {published} points")
 
         func = partial(_run_task, metrics_every=self.metrics_every)
-        if self.workers > 1 and len(tasks) > 1:
-            chunk = -(-len(tasks) // (4 * min(self.workers, len(tasks))))
-            if self.pool is not None:
-                stream = self.pool.imap_unordered(
-                    func, tasks, chunksize=chunk)
-                self._drain(stream, publish)
-            else:
-                ctx = get_context()
-                workers = min(self.workers, len(tasks))
-                with ctx.Pool(processes=workers) as pool:
-                    self._drain(
-                        pool.imap_unordered(func, tasks, chunksize=chunk),
-                        publish)
-        else:
+        if self.workers <= 1 or len(tasks) <= 1:
             for task in tasks:
-                self._drain([func(task)], publish)
-
-    @staticmethod
-    def _drain(stream, publish) -> None:
-        """Feed completed tasks through the publish callback, splitting
-        each task's total wall time evenly over its points (timings are
-        quarantined observability, never artifact data)."""
-        for pid, elapsed, idxs, payloads in stream:
-            per_point = elapsed / max(1, len(idxs))
-            for idx, payload in zip(idxs, payloads):
-                publish(idx, pid, per_point, payload)
+                publish(*func(task))
+            return
+        chunk = -(-len(tasks) // (4 * min(self.workers, len(tasks))))
+        if self.pool is not None:
+            for done in self.pool.imap_unordered(func, tasks,
+                                                 chunksize=chunk):
+                publish(*done)
+            return
+        with get_context().Pool(processes=min(self.workers,
+                                              len(tasks))) as pool:
+            for done in pool.imap_unordered(func, tasks, chunksize=chunk):
+                publish(*done)

@@ -6,6 +6,7 @@ from functools import partial
 
 import pytest
 
+from repro.core.gm import GMPolicy
 from repro.core.pg import PGPolicy
 from repro.farm import JOB_STATES, JobQueue, build_job, serve
 from repro.parallel import (
@@ -19,7 +20,7 @@ from repro.traffic.bernoulli import BernoulliTraffic
 from repro.traffic.values import uniform_values
 
 
-def make_points(n=6, slots=10):
+def make_points(n=6, slots=10, factory=partial(PGPolicy, beta=2.0)):
     config = SwitchConfig.square(3, speedup=1, b_in=2, b_out=2, b_cross=1)
     return [
         SweepPoint(
@@ -27,7 +28,7 @@ def make_points(n=6, slots=10):
             trace=BernoulliTraffic(
                 3, 3, load=1.2, value_model=uniform_values(1, 20)
             ).generate(slots, seed=seed),
-            policy_factory=partial(PGPolicy, beta=2.0), seed=seed,
+            policy_factory=factory, seed=seed,
             tag={"seed": seed})
         for seed in range(n)
     ]
@@ -143,13 +144,15 @@ class TestJobQueue:
 
 
 class TestSweepKillResume:
-    """Satellite: fault-inject a kill after N completed points, then
-    resume incrementally to payloads byte-identical to a fresh serial
-    run."""
+    """Fault-inject a kill at the first task boundary at or past N
+    published points, then resume incrementally to payloads
+    byte-identical to a fresh serial run."""
 
     def test_kill_then_resume_bit_identical(self, tmp_path, monkeypatch):
         cache_dir = str(tmp_path / "store")
-        points = make_points(6)
+        # Two policy groups of 3 points: two batch tasks, so the kill
+        # after 3 points lands on the boundary between them.
+        points = make_points(3) + make_points(3, factory=GMPolicy)
         serial = SweepExecutor().run(points)
 
         monkeypatch.setenv(KILL_AFTER_ENV, "3")
@@ -160,7 +163,7 @@ class TestSweepKillResume:
         monkeypatch.delenv(KILL_AFTER_ENV)
         resumed = SweepExecutor(cache_dir=cache_dir)
         payloads = resumed.run(points)
-        # The three published points resume from the store...
+        # The three points of the published task resume from the store...
         assert (resumed.cache_hits, resumed.cache_misses) == (3, 3)
         # ...and the assembled result is exactly the serial one.
         assert payloads == serial
@@ -202,6 +205,44 @@ class TestServeLoop:
         assert q.counts() == {"queued": 0, "running": 0, "done": 1,
                               "failed": 1}
         assert "no-such-scenario" in q.jobs("failed")[0]["error"]
+
+    def test_serve_without_recorder_keeps_no_timings(self, tmp_path,
+                                                     monkeypatch):
+        """Without a recorder the server drains the executor's per-point
+        ledger after every job: three jobs leave no per-point timing."""
+        import repro.farm.service as service
+
+        executors = []
+
+        class Watched(SweepExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                executors.append(self)
+
+        monkeypatch.setattr(service, "SweepExecutor", Watched)
+        queue_root = str(tmp_path / "q")
+        q = JobQueue(queue_root)
+        for seeds in ([0, 1], [2, 3], [4, 5]):
+            q.submit(build_job(scenario="smoke-bernoulli", seeds=seeds))
+        summary = serve(queue_root, out_dir=str(tmp_path / "results"),
+                        cache_dir=str(tmp_path / "store"), max_jobs=3)
+        assert summary["served"] == 3 and summary["store_misses"] == 12
+        assert summary["timings"] == []
+        assert [ex.timings for ex in executors] == [[]]
+
+    def test_serve_with_recorder_keeps_every_timing(self, tmp_path):
+        from repro.obs import InMemoryRecorder
+
+        queue_root = str(tmp_path / "q")
+        q = JobQueue(queue_root)
+        for seeds in ([0, 1], [2, 3]):
+            q.submit(build_job(scenario="smoke-bernoulli", seeds=seeds))
+        rec = InMemoryRecorder(every_k=0, timed=True)
+        summary = serve(queue_root, out_dir=str(tmp_path / "results"),
+                        max_jobs=2, metrics=rec)
+        assert len(summary["timings"]) == 8
+        assert {tuple(sorted(t)) for t in summary["timings"]} == {
+            ("elapsed", "index", "pid", "policy", "seed", "trace")}
 
     def test_idle_timeout_returns(self, tmp_path):
         summary = serve(str(tmp_path / "q"), idle_timeout=0.05, poll=0.01)
@@ -291,8 +332,9 @@ class TestFarmCLI:
         from repro.parallel import CACHE_VERSION
 
         store = str(tmp_path / "store")
-        ResultStore(store, CACHE_VERSION).put("aa" + "0" * 62, {"b": 1})
-        ResultStore(store, CACHE_VERSION - 1).put("bb" + "0" * 62, {"b": 2})
+        ResultStore(store, CACHE_VERSION).put(("aa" + "0" * 62,), [{"b": 1}])
+        ResultStore(store, CACHE_VERSION - 1).put(("bb" + "0" * 62,),
+                                                  [{"b": 2}])
         assert main(["farm", "gc", "--cache-dir", store]) == 0
         rows = capsys.readouterr().out.splitlines()[3:]
         assert {tuple(row.split()) for row in rows if row.strip()} == {

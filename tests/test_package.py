@@ -566,7 +566,9 @@ class TestDocsConsistency:
         """BENCH_farm.json (written by benchmarks/bench_farm.py) must be
         committed, canonical in form, show a >= 4x resume speedup at 75%
         store hits, a <= 5% persistent-pool spawn overhead across ten
-        run() calls, and attest cold/warm/resumed payload identity."""
+        run() calls, a 1,000-point ladder resumed from a half-filled
+        store no slower than with no store at <= 0.1 ms of store time
+        per executed point, and attest payload identity."""
         import json
 
         path = ROOT / "BENCH_farm.json"
@@ -582,10 +584,12 @@ class TestDocsConsistency:
             "BENCH_farm.json is not in canonical form "
             "(indent=2, sort_keys, trailing newline)"
         )
-        assert snapshot["schema"] == 1
+        assert snapshot["schema"] == 2
         budgets = snapshot["budgets"]
         assert budgets == {"resume_speedup_min": 4.0,
-                           "pool_overhead_pct_max": 5.0}
+                           "pool_overhead_pct_max": 5.0,
+                           "store_resume_ratio_max": 1.0,
+                           "store_ms_per_point_max": 0.1}
         sweep = snapshot["sweep"]
         assert sweep["cached_fraction"] == 0.75
         assert sweep["payloads_identical"] is True
@@ -600,6 +604,22 @@ class TestDocsConsistency:
             "pool_overhead_pct_max"], (
             f"committed pool spawn overhead {pool['spawn_overhead_pct']}% "
             f"exceeds the {budgets['pool_overhead_pct_max']}% budget"
+        )
+        store = snapshot["store"]
+        assert (store["points"], store["prefilled"]) == (1000, 500)
+        assert store["payloads_identical"] is True
+        assert store["resumed_vs_nostore"] == pytest.approx(
+            store["resumed_seconds"] / store["nostore_seconds"], abs=0.005)
+        assert store["resumed_vs_nostore"] <= budgets[
+            "store_resume_ratio_max"], (
+            f"committed store resume ratio {store['resumed_vs_nostore']} "
+            f"exceeds the {budgets['store_resume_ratio_max']} budget"
+        )
+        assert store["store_ms_per_executed_point"] <= budgets[
+            "store_ms_per_point_max"], (
+            f"committed store cost {store['store_ms_per_executed_point']} "
+            f"ms/point exceeds the {budgets['store_ms_per_point_max']} "
+            f"ms budget"
         )
 
     def test_paper_mapping_module_references_resolve(self):

@@ -1,6 +1,7 @@
 """Tests for the parallel sweep substrate (repro.parallel)."""
 
 import json
+import os
 from functools import partial
 
 import pytest
@@ -151,11 +152,14 @@ class TestExecutor:
         points = make_points(config, n=1)
         ex = SweepExecutor(cache_dir=str(tmp_path))
         first = ex.run(points)
-        path = ex.store.path(ex.cache_key(points[0]))
-        with open(path, "w", encoding="utf-8") as fh:
+        [pack] = os.listdir(ex.store.packs)
+        with open(os.path.join(ex.store.packs, pack), "w",
+                  encoding="utf-8") as fh:
             fh.write("{not json")
-        again = SweepExecutor(cache_dir=str(tmp_path)).run(points)
+        again_ex = SweepExecutor(cache_dir=str(tmp_path))
+        again = again_ex.run(points)
         assert again == first
+        assert (again_ex.cache_hits, again_ex.cache_misses) == (0, 1)
 
 
 class TestRunScenarios:

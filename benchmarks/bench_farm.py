@@ -15,8 +15,9 @@ Pins the three performance claims of the farm substrate
 * **the pool is amortized** — ten consecutive ``run()`` calls through
   one :class:`~repro.farm.pool.PersistentPool` (including its single
   spawn) must cost at most :data:`POOL_OVERHEAD_PCT_MAX` percent over
-  ten warm-pool runs; the per-call-ephemeral-pool total is reported for
-  comparison.
+  the next ten runs on the same, now warm, pool: the median over fresh
+  pools of each pool's own overhead.  The per-call-ephemeral-pool total
+  is reported for comparison.
 * **the store saves time** — a 1,000-point seed ladder resumed from a
   store holding half its points must take at most
   :data:`STORE_RESUME_RATIO_MAX` times as long as the same ladder run
@@ -148,7 +149,7 @@ def bench_resume(tmp_root, quick):
 def bench_pool(quick):
     workers = 2
     runs = 10
-    reps = 3
+    pairs = 5 if quick else 9
     slots = 120 if quick else 150
     n_points = 8 if quick else 16
     points = [_point(slots, seed) for seed in range(n_points)]
@@ -164,18 +165,16 @@ def bench_pool(quick):
         # Paired cells: on one fresh pool, time ten run() calls that
         # include the spawn, then ten more on the now-warm pool.  The
         # pair is adjacent in time on the same pool, so CPU drift
-        # cancels in the difference — the spawn cost being isolated is
-        # ~10ms against ~1s of work.  Median over `reps` pairs.
+        # cancels in each pair's overhead — the spawn cost being
+        # isolated is a few percent of a block's work.  The reported
+        # overhead is the median of the per-pair overheads, not a ratio
+        # of two separately sorted medians, which pairs nothing.
         cold_blocks, warm_blocks = [], []
-        for _ in range(reps):
+        for _ in range(pairs):
             with PersistentPool(workers) as pool:
                 ex = SweepExecutor(workers=workers, pool=pool)
                 cold_blocks.append(block(ex))   # spawn inside
                 warm_blocks.append(block(ex))   # same pool, warm
-        cold_blocks.sort()
-        warm_blocks.sort()
-        persistent_total = cold_blocks[reps // 2]
-        warm_total = warm_blocks[reps // 2]
 
         # Per-call cell: the pre-farm behavior, one ephemeral pool per
         # run() call.
@@ -187,18 +186,19 @@ def bench_pool(quick):
     finally:
         gc.enable()
 
-    overhead_pct = round(
-        (persistent_total - warm_total) / warm_total * 100, 2)
+    overheads = [(cold - warm) / warm * 100
+                 for cold, warm in zip(cold_blocks, warm_blocks)]
+    persistent_total = median(cold_blocks)
     return {
         "workers": workers,
         "runs": runs,
-        "median_of": reps,
+        "median_of": pairs,
         "points_per_run": n_points,
         "slots_per_point": slots,
-        "warm_total_seconds": round(warm_total, 4),
+        "warm_total_seconds": round(median(warm_blocks), 4),
         "persistent_total_seconds": round(persistent_total, 4),
         "per_call_total_seconds": round(per_call_total, 4),
-        "spawn_overhead_pct": overhead_pct,
+        "spawn_overhead_pct": round(median(overheads), 2),
         "speedup_vs_per_call": round(per_call_total / persistent_total, 2),
     }
 

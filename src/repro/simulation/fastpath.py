@@ -13,10 +13,12 @@ structure-of-arrays numpy buffers:
   policies is then one integer operation.  Values come back from one
   rank -> value column, read only by the float accounting;
 * every queue family (VOQs, crosspoint queues, output queues) is an
-  int32 rank array with a leading lane axis ``S``, entries
-  ``0..len-1`` ascending — head at index ``len-1``, preemption tail at
-  index ``0``, exactly mirroring :class:`repro.switch.queue.BoundedQueue`
-  — plus every queue's length and head rank, which its mutators keep;
+  int32 rank array with a leading lane axis ``S``, one zero-padded
+  row per queue holding its ranks ascending at the row's end — head
+  last, a full queue's preemption tail first, the order of
+  :class:`repro.switch.queue.BoundedQueue` — plus every queue's length
+  and head rank, which its mutators keep.  An insert writes the rank
+  into the free first entry and sorts the row, a pop shifts it right;
 * value thresholds are compared in rank space: ``v(x) > f * v(w)``
   holds iff ``x > above[w]``, where the table ``above`` (one
   ``searchsorted`` over the sorted values per factor ``f``) counts the
@@ -96,15 +98,17 @@ _LEN_DTYPE = np.int16
 class _QueueFamily:
     """``S x Q`` bounded queues of capacity ``B`` holding packet ranks.
 
-    ``rank[s, q, 0:len[s, q]]`` is ascending; entries at and beyond
-    ``len`` are stale ranks (or 0) and must always be masked by ``len``.
-    ``head[s, q]`` is the rank at ``len - 1``, or 0 when the queue is
-    empty.  The mutators address queue ``(s, q)`` by its flat index
-    ``s * Q + q``.
+    Each queue is a right-aligned row ``rank[s, q]``: its ``len``
+    ranks ascending at the row's end, zeros ("no packet") in front.
+    So the head is the row's last entry, a full queue's tail is its
+    first, and a queue with room has a zero in its first entry.
+    ``len`` and ``head`` cache each queue's length and head rank (0
+    when empty) for the dense scans, and the mutators keep them.  The
+    mutators address queue ``(s, q)`` by its flat index ``s * Q + q``.
     """
 
     __slots__ = ("rank", "len", "head", "B", "_flat", "_rows", "_lens",
-                 "_heads", "_below_len")
+                 "_heads")
 
     def __init__(self, S: int, Q: int, B: int):
         self.rank = np.zeros((S, Q, B), dtype=_RANK_DTYPE)
@@ -115,16 +119,15 @@ class _QueueFamily:
         self._rows = self.rank.reshape(S * Q, B)
         self._lens = self.len.reshape(-1)
         self._heads = self.head.reshape(-1)
-        # ``_below_len[l]`` masks the first ``l`` entries of a row.
-        self._below_len = np.arange(B)[None, :] < np.arange(B + 1)[:, None]
 
     def tails(self) -> np.ndarray:
-        """Every queue's tail rank ``[S, Q]``, stale for empty queues:
-        a view that the mutators change."""
+        """Every queue's first entry ``[S, Q]``: the tail rank of a
+        full queue, 0 of any other.  A view that the mutators change."""
         return self.rank[:, :, 0]
 
     def tails_at(self, f: np.ndarray) -> np.ndarray:
-        """The tail ranks of queues ``f`` (flat indices)."""
+        """The first entries of queues ``f`` (flat indices): their tail
+        ranks where they are full."""
         return self._flat.take(f * self.B)
 
     # All flat indices handed to the mutators below must be unique
@@ -135,54 +138,48 @@ class _QueueFamily:
         have room."""
         if len(f) == 0:
             return
+        # A queue with room has a zero first entry: put the packet there
+        # and sort it into place.
         rows = self._rows.take(f, axis=0)             # [K, B] gather
-        ln = self._lens.take(f)
-        rc = r[:, None]
-        # The entries ranked below the packet: a prefix of each sorted
-        # row, ending before its first free entry at the latest.
-        below = self._below_len.take(ln, axis=0) & (rows < rc)
-        # The packet lands on the first entry not below it, and the
-        # entries from there on move up by one.
-        moved = np.empty_like(rows)
-        moved[:, 0] = r
-        moved[:, 1:] = np.where(below[:, :-1], rc, rows[:, :-1])
-        self._rows[f] = np.where(below, rows, moved)
-        self._lens[f] = ln + 1
-        self._heads[f] = np.maximum(self._heads.take(f), r)
+        rows[:, 0] = r
+        rows.sort(axis=1)
+        self._rows[f] = rows
+        self._lens[f] += np.int16(1)
+        self._heads[f] = rows[:, -1]
 
     def delete_tails(self, f: np.ndarray) -> None:
-        """Remove the tail (least valuable) packet of each queue: a
-        preemption victim."""
+        """Remove the tail (least valuable) packet of each queue, which
+        must be full: a preemption victim."""
         if len(f) == 0:
             return
-        self._rows[f, :-1] = self._rows.take(f, axis=0)[:, 1:]
+        self._flat[f * self.B] = 0
         ln = self._lens.take(f) - np.int16(1)
         self._lens[f] = ln
-        self._heads[f] = self._heads.take(f) * (ln > 0)
+        self._heads[f] *= ln > 0
 
     def pop_heads(self, f: np.ndarray) -> np.ndarray:
         """Remove and return the head (highest-rank) packet of each
         queue."""
-        ln = self._lens.take(f) - np.int16(1)
-        at = f * self.B + ln
-        r = self._flat.take(at)
-        self._lens[f] = ln
-        # The entry below becomes the head; an emptied queue reads a
-        # neighbour's entry (index -1 wraps), zeroed by ``ln > 0``.
-        self._heads[f] = self._flat.take(at - 1) * (ln > 0)
-        return r
+        rows = self._rows.take(f, axis=0)
+        # Shift each row right by one: the entry below becomes the head.
+        shifted = np.empty_like(rows)
+        shifted[:, 0] = 0
+        shifted[:, 1:] = rows[:, :-1]
+        self._rows[f] = shifted
+        self._lens[f] -= np.int16(1)
+        self._heads[f] = shifted[:, -1]
+        return rows[:, -1]
 
     def lane_ranks(self, s: int) -> np.ndarray:
         """Lane ``s``'s buffered ranks, queue by queue, each head to
         tail."""
-        ln = self.len[s]
-        nz = np.flatnonzero(ln)
         # Reversed rows put each head first.
-        return self.rank[s, nz, ::-1][
-            self._below_len.take(ln[nz], axis=0)[:, ::-1]]
+        rows = self.rank[s, :, ::-1]
+        return rows[rows > 0]
 
     def clear(self, lanes: np.ndarray) -> None:
         """Empty every queue of the lanes where ``lanes`` is set."""
+        self.rank[lanes] = 0
         self.len[lanes] = 0
         self.head[lanes] = 0
 

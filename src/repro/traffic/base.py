@@ -34,8 +34,11 @@ Bernoulli traffic with unit or two-value values does:
 :func:`decode_bernoulli` reads the generator's raw 64-bit words and
 decodes them as numpy's ``Generator.random`` and ``Generator.integers``
 would, so the trace is bit-identical to the loop's without a numpy call
-per packet.  The loop stays the reference, and the only route for
-``arrival_source``, ``repro trace record`` and every other model.
+per packet.  Bursty traffic with a whole ``burst_load`` makes only the
+loop's RNG calls per slot and builds its columns once per trace
+(:meth:`repro.traffic.bursty.BurstyTraffic._columnar_trace`).  The loop
+stays the reference, and the only route for ``arrival_source``,
+``repro trace record`` and every other model.
 """
 
 from __future__ import annotations

@@ -911,3 +911,104 @@ def test_executor_cache_is_backend_agnostic(tmp_path, monkeypatch):
     # And a cold reference run agrees payload-for-payload.
     cold = SweepExecutor().run(points)
     assert cold == fast_payloads
+
+
+# ---------------------------------------------------------------------------
+# The queue rows: _QueueFamily against BoundedQueue
+# ---------------------------------------------------------------------------
+
+def _check_family(fam, queues):
+    """Every queue of ``fam`` (lanes x queues, flat order) holds what
+    its ``BoundedQueue`` mirror does: length, head, a full queue's tail,
+    and each lane's ranks, queue by queue, head to tail."""
+    import numpy as np
+
+    S, Q = fam.len.shape
+    assert fam.len.reshape(-1).tolist() == [len(q) for q in queues]
+    assert fam.head.reshape(-1).tolist() == [
+        int(q.head().value) if len(q) else 0 for q in queues]
+    full = [k for k, q in enumerate(queues) if q.is_full]
+    assert fam.tails().reshape(-1)[full].tolist() == [
+        int(queues[k].tail().value) for k in full]
+    assert fam.tails_at(np.array(full, dtype=np.int64)).tolist() == [
+        int(queues[k].tail().value) for k in full]
+    for s in range(S):
+        assert fam.lane_ranks(s).tolist() == [
+            int(v) for q in queues[s * Q:(s + 1) * Q] for v in q.values()]
+
+
+@pytest.mark.parametrize("B", [1, 2, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_queue_family_mirrors_bounded_queue(B, seed):
+    """Random inserts (into queues with room), head pops (of non-empty
+    queues), tail deletes (of full queues only, the one precondition
+    every caller meets) and lane clears leave each queue of a
+    ``_QueueFamily`` equal to a ``BoundedQueue`` given the same
+    packets, with a packet's rank as its value."""
+    import numpy as np
+
+    from repro.simulation.fastpath import _QueueFamily
+    from repro.switch.queue import BoundedQueue
+
+    S, Q = 3, 5
+    fam = _QueueFamily(S, Q, B)
+    queues = [BoundedQueue(B) for _ in range(S * Q)]
+    rng = random.Random(f"family-{B}-{seed}")
+    ranks = list(range(1, 5000))
+    rng.shuffle(ranks)
+    for _ in range(400):
+        op = rng.choice(("insert", "insert", "pop", "delete", "clear"))
+        if op == "clear":
+            lanes = np.array([rng.random() < 0.3 for _ in range(S)])
+            fam.clear(lanes)
+            for k, q in enumerate(queues):
+                if lanes[k // Q]:
+                    q.clear()
+        else:
+            want = {"insert": lambda q: not q.is_full,
+                    "pop": lambda q: len(q) > 0,
+                    "delete": lambda q: q.is_full}[op]
+            f = [k for k, q in enumerate(queues)
+                 if want(q) and rng.random() < 0.5]
+            rng.shuffle(f)
+            fa = np.array(f, dtype=np.int64)
+            if op == "insert":
+                r = [ranks.pop() for _ in f]
+                fam.insert(fa, np.array(r, dtype=np.int32))
+                for k, x in zip(f, r):
+                    queues[k].push(Packet(x, float(x), 0, 0, 0))
+            elif op == "pop":
+                assert fam.pop_heads(fa).tolist() == [
+                    int(queues[k].pop_head().value) for k in f]
+            else:
+                fam.delete_tails(fa)
+                for k in f:
+                    queues[k].pop_tail()
+        _check_family(fam, queues)
+        # Right-aligned rows: zeros in front of each queue's ranks.
+        lens = fam.len.reshape(-1, 1)
+        assert ((fam._rows > 0) == (np.arange(B) >= B - lens)).all()
+
+
+def test_queue_mutators_called_within_their_preconditions(monkeypatch):
+    """Every stepper inserts only into queues with room and deletes
+    tails only of full queues, at all three preemption sites."""
+    from repro.simulation.fastpath import _QueueFamily
+
+    deleted = []
+    insert, delete_tails = _QueueFamily.insert, _QueueFamily.delete_tails
+
+    def checked_insert(self, f, r):
+        assert (self._lens.take(f) < self.B).all()
+        insert(self, f, r)
+
+    def checked_delete_tails(self, f):
+        assert (self._lens.take(f) == self.B).all()
+        deleted.append(len(f))
+        delete_tails(self, f)
+
+    monkeypatch.setattr(_QueueFamily, "insert", checked_insert)
+    monkeypatch.setattr(_QueueFamily, "delete_tails", checked_delete_tails)
+    traces = _rank_batch(pareto_values(shape=1.5), range(6))
+    assert min(_check_rank_batch(traces)) > 0
+    assert sum(deleted) > 0

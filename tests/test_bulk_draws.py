@@ -13,12 +13,19 @@ numpy release that breaks it fails here and not only in a trace digest.
 
 Bernoulli traffic with unit or two-value values goes further and
 decodes its traces from PCG64's raw words
-(:func:`~repro.traffic.base.decode_bernoulli`).  The last tests pin the
+(:func:`~repro.traffic.base.decode_bernoulli`).  Later tests pin the
 decoding of doubles and bounded draws to numpy, and the decoded traces
 to the per-slot draw loop.
+
+Bursty traffic with a whole ``burst_load`` makes only the loop's RNG
+calls per slot and builds every column once per trace
+(:meth:`~repro.traffic.bursty.BurstyTraffic._columnar_trace`).  The
+last tests pin its traces to the per-slot draw loop, bit for bit, and
+its refusals of bad values to the loop's.
 """
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -36,7 +43,14 @@ from repro.traffic.base import (
     normalized_dst_weights,
 )
 from repro.traffic.bernoulli import BernoulliTraffic
-from repro.traffic.values import geometric_class_values, two_value, unit_values
+from repro.traffic.bursty import BurstyTraffic
+from repro.traffic.values import (
+    ValueModel,
+    geometric_class_values,
+    pareto_values,
+    two_value,
+    unit_values,
+)
 
 SIZES = (1, 2, 7, 100)
 SEEDS = (0, 1, 2, 17)
@@ -228,6 +242,7 @@ def _assert_decoded_equals_loop(model, n_slots, seed):
     assert decoded.columns() == looped.columns()
     assert (decoded.name, decoded.n_slots) == (looped.name, looped.n_slots)
     assert (decoded.n_in, decoded.n_out) == (looped.n_in, looped.n_out)
+    return decoded
 
 
 LOADS = (0, 0.3, 0.8, 1, 1.3, 2, 2.7, 5.5)
@@ -284,3 +299,85 @@ def test_decoded_trace_draws_words_in_bounded_blocks():
     assert len(requests) > 1 and max(requests) <= base._WORD_BLOCK
     # Two count words a slot, and a word per two destinations.
     assert sum(requests) >= 2 * n_slots + len(pid) // 2
+
+
+# --------------------------------------------------------------------------
+# Bursty traces from the loop's own calls (BurstyTraffic._columnar_trace)
+# --------------------------------------------------------------------------
+
+#: Whole loads take the route; 1.5 must take the draw loop.
+BURSTY_LOADS = (1, 2, 3, 1.5)
+
+
+def _bursty_case(rng, kind):
+    """A random bursty model: ports 1-9 (1x1 and non-square among
+    them), a whole or fractional load, switch probabilities up to 1.0,
+    uniform or skewed destinations (zero weights included)."""
+    n_in, n_out = rng.choice(((1, 1), (rng.randint(1, 9), rng.randint(1, 9))))
+    weights = (None if rng.random() < 0.4 else
+               [rng.choice((0.0, rng.uniform(0.1, 9.0))) for _ in range(n_out)])
+    if weights is not None and not any(weights):
+        weights[rng.randrange(n_out)] = 1.0
+    return BurstyTraffic(
+        n_in, n_out, p_on=rng.choice((1.0, 0.02, rng.uniform(0.05, 1.0))),
+        p_off=rng.choice((1.0, rng.uniform(0.05, 1.0))),
+        burst_load=rng.choice(BURSTY_LOADS), dst_weights=weights,
+        value_model=VALUE_KINDS[kind]())
+
+
+@pytest.mark.parametrize("seed", property_seeds())
+def test_bursty_route_equals_slot_loop(seed, monkeypatch):
+    """Bursty traces with a whole ``burst_load`` make only the draw
+    loop's RNG calls per slot and equal its trace column for column,
+    bit for bit, over a seeded matrix of shapes, loads, switch
+    probabilities, destination weights, every value kind and 0, 1 or
+    many slots; a fractional load runs the draw loop itself."""
+    loop_calls = []
+    loop = TrafficModel._columnar_trace
+
+    def counted(self, *args):
+        loop_calls.append(self)
+        return loop(self, *args)
+
+    monkeypatch.setattr(TrafficModel, "_columnar_trace", counted)
+    rng = random.Random(seed)
+    kinds = sorted(VALUE_KINDS)
+    routed = gaps = 0
+    for case in range(240):
+        model = _bursty_case(rng, kinds[case % len(kinds)])
+        n_slots = rng.choice((0, 1, rng.randint(2, 120)))
+        loop_calls.clear()
+        trace = _assert_decoded_equals_loop(model, n_slots,
+                                            rng.randint(0, 10**6))
+        whole = model.burst_load.is_integer()
+        # The comparison runs the loop once; a fractional load twice.
+        assert loop_calls == [model] * (1 if whole else 2)
+        if whole and n_slots:
+            routed += 1
+            gaps += len(set(trace.columns()[2])) < n_slots
+    # Enough routed traces, some with all-OFF slots, to mean something.
+    assert routed > 100 and gaps > 10
+
+
+@pytest.mark.parametrize("values", [
+    ValueModel("rarely-negative",
+               lambda rng, k: (rng.random(k) - 0.02).tolist()),
+    ValueModel("negative", lambda rng, k: (-rng.random(k)).tolist()),
+    pareto_values(shape=1e-3),
+    ValueModel("overflowing",
+               lambda rng, k: (rng.random(k) * 1e308 * 10).tolist()),
+], ids=lambda m: m.name)
+def test_bursty_route_refuses_bad_values_as_the_loop_does(values):
+    """A non-positive value stops both routes in ``sample`` at the same
+    slot (the message names that slot's least value), and a value that
+    overflows to inf fails both traces' column check at the same
+    packet, with the same message and no numpy overflow warning."""
+    model = BurstyTraffic(5, 3, p_on=0.4, p_off=0.3, burst_load=2.0,
+                          value_model=values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as routed:
+            model.generate(60, seed=4)
+        with pytest.raises(ValueError) as looped:
+            TrafficModel._columnar_trace(model, 60, 4, "loop")
+    assert str(routed.value) == str(looped.value)

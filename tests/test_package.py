@@ -622,6 +622,39 @@ class TestDocsConsistency:
             f"ms budget"
         )
 
+    def test_bench_perfbench_record_committed_and_sane(self):
+        """BENCH_perfbench.json records each claimed repository-benchmark
+        gain as medians over alternating parent/change run pairs.  It
+        must be canonical, name a workload and an end-to-end metric of
+        BENCHMARK.json, and show the claimed metric improved in its own
+        pairs: in nine pairs of ten or more, and in the medians."""
+        import json
+
+        raw = (ROOT / "BENCH_perfbench.json").read_text()
+        record = json.loads(raw)
+        assert raw == json.dumps(record, indent=2, sort_keys=True,
+                                 allow_nan=False) + "\n"
+        assert record["schema"] == 1
+        bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+        workloads = {w["name"] for w in bench["workloads"]}
+        better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+        assert record["entries"]
+        for entry in record["entries"]:
+            assert set(entry) == {
+                "change", "parent_commit", "workload", "metric",
+                "seconds", "pairs", "pairs_improved", "parent_median",
+                "parent_quartiles", "change_median", "change_quartiles"}
+            label = f"{entry['change']} ({entry['workload']})"
+            assert entry["workload"] in workloads, label
+            sign = {"lower": 1, "higher": -1}[better[entry["metric"]]]
+            for side in ("parent", "change"):
+                lo, hi = entry[f"{side}_quartiles"]
+                assert lo <= entry[f"{side}_median"] <= hi, label
+            assert 0 < entry["pairs_improved"] <= entry["pairs"], label
+            assert entry["pairs_improved"] >= 0.9 * entry["pairs"], label
+            assert sign * (entry["parent_median"]
+                           - entry["change_median"]) > 0, label
+
     def test_paper_mapping_module_references_resolve(self):
         """Every `repro.x.Y` dotted path in docs/paper_mapping.md and
         the other docs (README, DESIGN, EXPERIMENTS, docs/*.md) must

@@ -493,12 +493,12 @@ class _PGStepper(_Stepper):
         if flat.size == 0:
             return
         head = run.voq.head.reshape(-1).take(flat)
-        full = (run.out.len >= run.B_out).reshape(-1)
         tail = run.out.tails().reshape(-1)
         pout = flat // nq * nj + flat % nj
         # A full output takes a head worth more than beta times its
-        # tail, an open one any head.
-        keep = head > (self.above_beta.take(tail) * full).take(pout)
+        # tail, an open one any head: its first entry is 0, which
+        # ``above`` maps to 0.
+        keep = head > self.above_beta.take(tail).take(pout)
         if not keep.all():
             flat = flat[keep]
             head = head[keep]
@@ -513,7 +513,7 @@ class _PGStepper(_Stepper):
                               run.S * nj)
         flat = flat[won]
         pout = pout[won]
-        pre = full[pout]
+        pre = run.out.len.reshape(-1).take(pout) >= run.B_out
         if pre.any():
             # Preemptions accrue in each lane's chosen-transfer order.
             k = np.flatnonzero(pre)
@@ -572,17 +572,16 @@ class _CPGStepper(_Stepper):
         S = run.S
         voq, cross, out = run.voq, run.cross, run.out
         # -- input subphase: the best eligible VOQ head per input; a full
-        # crosspoint takes a head worth more than beta times its tail.
-        cfull = cross.len >= run.B_cross
-        ctail = cross.tails()
-        best = voq.head * (voq.head > self.above_beta.take(ctail) * cfull)
+        # crosspoint takes a head worth more than beta times its tail,
+        # an open one (first entry 0) any head.
+        best = voq.head * (voq.head > self.above_beta.take(cross.tails()))
         best = best.reshape(S, ni, nj)
         bj = best.argmax(axis=2)
         ss, ii = np.nonzero(np.take_along_axis(best, bj[:, :, None],
                                                axis=2)[:, :, 0])
         if ss.size:
             f = (ss * ni + ii) * nj + bj[ss, ii]
-            pre = cfull.reshape(-1).take(f)
+            pre = cross.len.reshape(-1).take(f) >= run.B_cross
             r = voq.pop_heads(f)
             if pre.any():
                 # Victims accrue per lane in input order.
@@ -594,14 +593,12 @@ class _CPGStepper(_Stepper):
         chead = cross.head.reshape(S, ni, nj)
         bi = chead.argmax(axis=1)                             # [S, NJ]
         best = np.take_along_axis(chead, bi[:, None, :], axis=1)[:, 0, :]
-        full = out.len >= run.B_out
-        otail = out.tails()
-        ss, jj = np.nonzero(best > self.above_alpha.take(otail) * full)
+        ss, jj = np.nonzero(best > self.above_alpha.take(out.tails()))
         if ss.size == 0:
             return
         f = (ss * ni + bi[ss, jj]) * nj + jj
         g = ss * nj + jj
-        pre = full[ss, jj]
+        pre = out.len[ss, jj] >= run.B_out
         r = cross.pop_heads(f)
         if pre.any():
             # Victims accrue per lane in output order.
